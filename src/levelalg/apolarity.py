@@ -10,25 +10,46 @@ factorization is ever performed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     AdmissibilityError,
     AmbientMismatchError,
     DegreeError,
+    LevelAlgError,
     NotArtinError,
     ZeroSubspaceError,
 )
-from .forms import Form, Subspace, monomials, space_dim
+from .forms import Form, Subspace, monomial_index, monomials, space_dim
 from .levelhf import HilbertFunction
 from .linalg import QQ, Matrix, rank, right_kernel, transpose
 
 
-def _falling(b: int, a: int) -> int:
-    """b (b-1) ... (b-a+1); the coefficient picked up by d^a/dy^a on y^b."""
-    out = 1
-    for k in range(a):
-        out *= b - k
-    return out
+@lru_cache(maxsize=None)
+def _action_table(nvars: int, j: int, i: int) -> tuple[dict, ...]:
+    """x^alpha . y^beta for every x^alpha in R_j and y^beta in S_i, j <= i.
+
+    Entry alpha (in monomial order) maps the index of each y^beta that
+    x^alpha does not kill to (index of y^(beta - alpha) in S_{i-j}, factor),
+    the factor being the product of falling factorials b (b-1) ... (b-a+1)
+    that d^a/dy^a picks up on y^b.  This is the only place the action of a
+    monomial on a monomial is computed.  The cache shares the dicts between
+    callers, which only read them.
+    """
+    out_index = monomial_index(nvars, i - j)
+    table = []
+    for alpha in monomials(nvars, j):
+        entries = {}
+        for b_idx, beta in enumerate(monomials(nvars, i)):
+            if all(b >= a for a, b in zip(alpha, beta)):
+                factor = 1
+                for a, b in zip(alpha, beta):
+                    for k in range(a):
+                        factor *= b - k
+                entries[b_idx] = (out_index[tuple(b - a for a, b in zip(alpha, beta))],
+                                  factor)
+        table.append(entries)
+    return tuple(table)
 
 
 def internal_product(u: Form, f: Form) -> Form:
@@ -46,28 +67,15 @@ def internal_product(u: Form, f: Form) -> Form:
         raise DegreeError(
             f"cannot apply a degree-{u.degree} operator to a degree-{f.degree} form"
         )
-    out: dict = {}
-    for alpha, cu in u.coeffs.items():
-        for beta, cf in f.coeffs.items():
-            if all(b >= a for a, b in zip(alpha, beta)):
-                factor = 1
-                for a, b in zip(alpha, beta):
-                    factor *= _falling(b, a)
-                key = tuple(b - a for a, b in zip(alpha, beta))
-                out[key] = out.get(key, QQ(0)) + cu * cf * factor
-    return Form.make(f.nvars, f.degree - u.degree, "S", out)
-
-
-def _monomial_action_vector(alpha: tuple, f: Form, out_index: dict) -> list:
-    """Coefficient vector of x^alpha . f in the monomial order of S_{i-j}."""
-    v = [QQ(0)] * len(out_index)
-    for beta, cf in f.coeffs.items():
-        if all(b >= a for a, b in zip(alpha, beta)):
-            factor = 1
-            for a, b in zip(alpha, beta):
-                factor *= _falling(b, a)
-            v[out_index[tuple(b - a for a, b in zip(alpha, beta))]] += cf * factor
-    return v
+    n, out_degree = f.nvars, f.degree - u.degree
+    fv = f.vector()
+    out = [QQ(0)] * space_dim(n, out_degree)
+    for entries, cu in zip(_action_table(n, u.degree, f.degree), u.vector()):
+        if cu:
+            for b_idx, (o, factor) in entries.items():
+                if fv[b_idx]:
+                    out[o] += cu * fv[b_idx] * factor
+    return Form.from_vector(n, out_degree, "S", out)
 
 
 def catalecticant_matrix(lam: Subspace, i: int) -> Matrix:
@@ -80,21 +88,23 @@ def catalecticant_matrix(lam: Subspace, i: int) -> Matrix:
     d = lam.degree
     if not 0 <= i <= d:
         raise DegreeError(f"catalecticant index {i} outside 0..{d}")
-    from .forms import monomial_index
-
-    out_index = monomial_index(lam.nvars, i)
+    width = space_dim(lam.nvars, i)
+    supports = [[(b_idx, c) for b_idx, c in enumerate(row) if c] for row in lam.rows]
     rows = []
-    for alpha in monomials(lam.nvars, d - i):
-        for f in lam.basis:
-            rows.append(_monomial_action_vector(alpha, f, out_index))
+    for entries in _action_table(lam.nvars, d - i, d):
+        for support in supports:
+            v = [QQ(0)] * width
+            for b_idx, c in support:
+                hit = entries.get(b_idx)
+                if hit is not None:
+                    v[hit[0]] = c * hit[1]
+            rows.append(v)
     return rows
 
 
 def lambda_slice(lam: Subspace, i: int) -> Subspace:
     """The graded piece (I^{-1})_i = R_{d-i}.Lambda of the inverse system."""
-    cat = catalecticant_matrix(lam, i)
-    forms = [Form.from_vector(lam.nvars, i, "S", row) for row in cat]
-    return Subspace.span(lam.nvars, i, "S", forms)
+    return Subspace.from_rows(lam.nvars, i, "S", catalecticant_matrix(lam, i))
 
 
 def hilbert_function(lam: Subspace) -> HilbertFunction:
@@ -125,18 +135,15 @@ def ann_slice(lam: Subspace, j: int) -> GradedIdealSlice:
         raise DegreeError("negative slice degree")
     if j > d or lam.dim == 0:
         return GradedIdealSlice(j, Subspace.full(n, j, "R"))
-    from .forms import monomial_index
-
-    out_index = monomial_index(n, d - j)
-    rows = []
-    for alpha in monomials(n, j):
-        row: list = []
-        for f in lam.basis:
-            row.extend(_monomial_action_vector(alpha, f, out_index))
-        rows.append(row)
-    kernel = right_kernel(transpose(rows), ncols=len(rows))
-    forms = [Form.from_vector(n, j, "R", v) for v in kernel]
-    return GradedIdealSlice(j, Subspace.span(n, j, "R", forms))
+    # the degree-(d-j) catalecticant has one row per (x^alpha, basis form),
+    # alpha outermost; u = sum c_alpha x^alpha kills Lambda iff sum c_alpha
+    # (row of x^alpha . F) = 0 for every basis form F
+    cat = catalecticant_matrix(lam, d - j)
+    t, width, nalpha = lam.dim, space_dim(n, d - j), space_dim(n, j)
+    conditions = [[cat[a * t + p][o] for a in range(nalpha)]
+                  for p in range(t) for o in range(width)]
+    kernel = right_kernel(conditions, ncols=nalpha)
+    return GradedIdealSlice(j, Subspace.from_rows(n, j, "R", kernel))
 
 
 def minimal_generators(lam: Subspace) -> list[tuple[int, list[Form]]]:
@@ -166,7 +173,7 @@ def minimal_generators(lam: Subspace) -> list[tuple[int, list[Form]]]:
             if any(c != 0 for c in residual):
                 g = Form.from_vector(n, j, "R", residual).monic()
                 gens.append(g)
-                running = Subspace.span(n, j, "R", list(running.basis) + [g])
+                running = Subspace.from_rows(n, j, "R", running.rows + (g.vector(),))
         if gens:
             out.append((j, gens))
         prev = target
@@ -175,8 +182,6 @@ def minimal_generators(lam: Subspace) -> list[tuple[int, list[Form]]]:
 
 def inverse_system_slice(gens: list[Form], nvars: int, d: int) -> Subspace:
     """(I^{-1})_d for the ideal generated by gens: all F killed by every gen."""
-    from .forms import monomial_index
-
     rows = []
     dim_sd = space_dim(nvars, d)
     for g in gens:
@@ -184,31 +189,17 @@ def inverse_system_slice(gens: list[Form], nvars: int, d: int) -> Subspace:
             raise AmbientMismatchError("ideal generators must live in R")
         if g.degree > d or g.is_zero:
             continue
-        out_index = monomial_index(nvars, d - g.degree)
-        # constraint rows: for each output monomial of S_{d-q}, the linear
-        # functional F -> coeff of (g.F) at that monomial
-        cols = []
-        for beta in monomials(nvars, d):
-            cols.append(_monomial_action_vector_from_operator(g, beta, out_index))
-        for k in range(len(out_index)):
-            rows.append([cols[b][k] for b in range(dim_sd)])
+        # one row per monomial of S_{d-q}: the functional F -> that
+        # coefficient of g.F
+        conditions = [[QQ(0)] * dim_sd for _ in range(space_dim(nvars, d - g.degree))]
+        for entries, cu in zip(_action_table(nvars, g.degree, d), g.vector()):
+            if cu:
+                for b_idx, (o, factor) in entries.items():
+                    conditions[o][b_idx] += cu * factor
+        rows.extend(conditions)
     if not rows:
         return Subspace.full(nvars, d, "S")
-    kernel = right_kernel(rows, ncols=dim_sd)
-    return Subspace.span(nvars, d, "S",
-                         [Form.from_vector(nvars, d, "S", v) for v in kernel])
-
-
-def _monomial_action_vector_from_operator(g: Form, beta: tuple, out_index: dict) -> list:
-    """Coefficient vector of g . y^beta in the monomial order of the target."""
-    v = [QQ(0)] * len(out_index)
-    for alpha, cu in g.coeffs.items():
-        if all(b >= a for a, b in zip(alpha, beta)):
-            factor = 1
-            for a, b in zip(alpha, beta):
-                factor *= _falling(b, a)
-            v[out_index[tuple(b - a for a, b in zip(alpha, beta))]] += cu * factor
-    return v
+    return Subspace.from_rows(nvars, d, "S", right_kernel(rows, ncols=dim_sd))
 
 
 def ideal_slices(gens: list[Form], nvars: int, top: int) -> list[Subspace]:
@@ -270,16 +261,14 @@ def socle(gens: list[Form], nvars: int, bound: int | None = None) -> list[tuple[
 
 def _socle_dim(ij: Subspace, inext: Subspace, nvars: int, j: int) -> int:
     """dim {u in R_j : x_i u in I_{j+1} for all i}."""
-    from .forms import monomial_index
-
-    comp = inext.complement_positions()
+    residuals = inext.monomial_residuals()
+    index = monomial_index(nvars, j + 1)
     rows = []
     for m in monomials(nvars, j):
         feature: list = []
         for i in range(nvars):
             shifted = tuple(e + (1 if k == i else 0) for k, e in enumerate(m))
-            residual = inext.reduce(Form.monomial(nvars, "R", shifted))
-            feature.extend(residual[p] for p in comp)
+            feature.extend(residuals[index[shifted]])
         rows.append(feature)
     kernel = right_kernel(transpose(rows, ncols=len(rows)), ncols=len(rows))
     return len(kernel)
@@ -293,18 +282,10 @@ def is_level_ideal(gens: list[Form], nvars: int,
     return (len(soc) == 1, top, t)
 
 
-def jordan_apolar_basis(factors: list[tuple], m: int) -> Subspace:
-    """Apolar subspace of a factored binary operator, in closed form.
-
-    For u = prod (a_i x1 + b_i x2)^{mu_i} with the points [a_i : b_i]
-    pairwise distinct and sum(mu_i) <= m, the forms of degree m apolar to u
-    are spanned by S_{mu_i - 1} (b_i y1 - a_i y2)^{m - mu_i + 1}.  The
-    result has dimension exactly sum(mu_i).
-    """
-    pts = [(QQ(a), QQ(b)) for a, b, _ in factors]
-    mus = [mu for _, _, mu in factors]
-    if any(mu < 1 for mu in mus):
-        raise AdmissibilityError("factor multiplicities must be >= 1")
+def check_points(points) -> list[tuple]:
+    """The pairs (a, b) as rationals, if they are pairwise distinct points of
+    P^1; AdmissibilityError otherwise."""
+    pts = [(QQ(a), QQ(b)) for a, b in points]
     for a, b in pts:
         if a == 0 and b == 0:
             raise AdmissibilityError("(0, 0) is not a point of P^1")
@@ -314,6 +295,21 @@ def jordan_apolar_basis(factors: list[tuple], m: int) -> Subspace:
                 raise AdmissibilityError(
                     f"points {i + 1} and {j + 1} are proportional"
                 )
+    return pts
+
+
+def jordan_apolar_basis(factors: list[tuple], m: int) -> Subspace:
+    """Apolar subspace of a factored binary operator, in closed form.
+
+    For u = prod (a_i x1 + b_i x2)^{mu_i} with the points [a_i : b_i]
+    pairwise distinct and sum(mu_i) <= m, the forms of degree m apolar to u
+    are spanned by S_{mu_i - 1} (b_i y1 - a_i y2)^{m - mu_i + 1}.  The
+    result has dimension exactly sum(mu_i).
+    """
+    pts = check_points([(a, b) for a, b, _ in factors])
+    mus = [mu for _, _, mu in factors]
+    if any(mu < 1 for mu in mus):
+        raise AdmissibilityError("factor multiplicities must be >= 1")
     total = sum(mus)
     if total > m:
         raise DegreeError(f"sum of multiplicities {total} exceeds target degree {m}")
@@ -325,7 +321,8 @@ def jordan_apolar_basis(factors: list[tuple], m: int) -> Subspace:
             mono = Form.monomial(2, "S", (alpha, mu - 1 - alpha))
             basis.append(mono * dual_pow)
     sub = Subspace.span(2, m, "S", basis)
-    assert sub.dim == total, "Jordan basis lost rank; this is a bug"
+    if sub.dim != total:
+        raise LevelAlgError("internal bug: Jordan basis lost rank")
     return sub
 
 
@@ -340,17 +337,14 @@ def beta_matrix(lam: Subspace, i: int) -> Matrix:
     n, d = lam.nvars, lam.degree
     ii = ann_slice(lam, i).subspace
     id_ = ann_slice(lam, d).subspace
-    comp_i = ii.complement_positions()
-    comp_d = id_.complement_positions()
+    residuals = id_.monomial_residuals()
+    index_d = monomial_index(n, d)
     mons_i = monomials(n, i)
     rows = []
-    for pos in comp_i:
-        u = Form.monomial(n, "R", mons_i[pos])
+    for pos in ii.complement_positions():
         row: list = []
         for mexp in monomials(n, d - i):
-            prod = u * Form.monomial(n, "R", mexp)
-            residual = id_.reduce(prod)
-            row.extend(residual[p] for p in comp_d)
+            row.extend(residuals[index_d[tuple(a + b for a, b in zip(mons_i[pos], mexp))]])
         rows.append(row)
     return rows
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import apolarity, bott, levelhf, resolution, schubert, secant, tangent
-from .errors import LevelAlgError
+from .errors import InputSyntaxError, LevelAlgError
 from .forms import form_parse, form_print, parse_subspace_lines
 from .kronecker import DEFAULT_WEIGHT_CAP
 from .kronecker import kronecker as kronecker_coefficient
@@ -43,39 +44,32 @@ class Emitter:
 
 
 def _read_lines(path: str) -> list[str]:
+    """The stripped lines of a file ('-' is stdin) that are not blank or '#'."""
     if path == "-":
-        return sys.stdin.read().splitlines()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    except OSError as exc:
-        raise LevelAlgError(f"cannot read {path}: {exc.strerror}") from exc
+        lines = sys.stdin.read().splitlines()
+    else:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except OSError as exc:
+            raise LevelAlgError(f"cannot read {path}: {exc.strerror}") from exc
+    lines = (line.strip() for line in lines)
+    return [line for line in lines if line and not line.startswith("#")]
 
 
-def _subspace_from_input(args, nvars=None):
-    if not args.input:
-        raise LevelAlgError("this subcommand needs --input FILE (one form per line)")
-    return parse_subspace_lines(_read_lines(args.input), nvars=nvars)
+def _subspace_from_input(args):
+    return parse_subspace_lines(_read_lines(args.input))
 
 
 def _forms_from_input(args, nvars=None, ring=None) -> list:
-    if not args.input:
-        raise LevelAlgError("this subcommand needs --input FILE (one form per line)")
-    out = []
-    for line in _read_lines(args.input):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append(form_parse(line, nvars=nvars, ring=ring))
+    out = [form_parse(line, nvars=nvars, ring=ring) for line in _read_lines(args.input)]
     if not out:
         raise LevelAlgError("no forms in input")
     return out
 
 
 def _cmd_hf_check(args, em: Emitter):
-    ok, idx = levelhf.is_level_sequence(
-        [int(p) for p in args.sequence.split(",") if p.strip() != ""]
-    )
+    ok, idx = levelhf.is_level_hf(HilbertFunction.parse(args.sequence))
     em.emit("valid", "true" if ok else "false")
     if not ok:
         em.emit("failing_index", idx)
@@ -176,8 +170,6 @@ def _cmd_secant_decompose(args, em: Emitter):
 
 
 def _cmd_secant_intersect(args, em: Emitter):
-    if args.d is None:
-        raise LevelAlgError("need -d AMBIENT_DEGREE")
     ops = _forms_from_input(args, nvars=2, ring="R")
     planes = [secant.SecantPlane(u, args.d) for u in ops]
     lam, h = secant.secant_intersect(planes)
@@ -188,20 +180,16 @@ def _cmd_secant_intersect(args, em: Emitter):
 
 
 def _cmd_gad(args, em: Emitter):
-    if args.d is None:
-        raise LevelAlgError("need -d AMBIENT_DEGREE")
-    if not args.input:
-        raise LevelAlgError("need --input FILE with lines 'a,b,alpha'")
     points, alphas = [], []
     for line in _read_lines(args.input):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        a, b, alpha = (p.strip() for p in line.split(","))
-        from fractions import Fraction
-
-        points.append((Fraction(a), Fraction(b)))
-        alphas.append(int(alpha))
+        try:
+            a, b, alpha = line.split(",")
+            points.append((Fraction(a), Fraction(b)))
+            alphas.append(int(alpha))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputSyntaxError(
+                f"bad GAD line {line!r}: expected 'a,b,alpha' with rational a, b"
+            ) from exc
     g = secant.GAD(tuple(points), tuple(alphas))
     sub = secant.gad_subspace(g, args.d)
     em.emit("length", g.length)
@@ -265,19 +253,14 @@ def _cmd_porteous(args, em: Emitter):
 
 
 def _cmd_bott(args, em: Emitter):
-    text = args.gamma
-    if ";" in text:
-        blocks = [seg for seg in text.split(";")]
-        gamma = []
-        sizes = []
-        for seg in blocks:
-            vals = [int(p) for p in seg.split(",") if p.strip() != ""]
-            gamma.extend(vals)
-            sizes.append(len(vals))
-        res = bott.bott_cohomology(gamma, blocks=tuple(sizes))
-    else:
-        gamma = [int(p) for p in text.split(",") if p.strip() != ""]
-        res = bott.bott_cohomology(gamma)
+    try:
+        blocks = [[int(p) for p in seg.split(",") if p.strip() != ""]
+                  for seg in args.gamma.split(";")]
+    except ValueError as exc:
+        raise InputSyntaxError(f"bad weight sequence {args.gamma!r}") from exc
+    gamma = [g for block in blocks for g in block]
+    sizes = tuple(len(block) for block in blocks) if len(blocks) > 1 else None
+    res = bott.bott_cohomology(gamma, blocks=sizes)
     if res.is_zero:
         em.emit("cohomology", "ZERO")
     else:
@@ -332,30 +315,54 @@ def _cmd_e1_table(args, em: Emitter):
         em.emit(f"E1.{p}.{q}", table.entries[(p, q)])
 
 
+# subcommand -> (handler, help, arguments).  An argument is a positional
+# name or a flag; brackets mark it optional.  One-letter flags are integers.
 _COMMANDS = {
-    "hf-check": (_cmd_hf_check, "validity of a level Hilbert function"),
-    "hf-enumerate": (_cmd_hf_enumerate, "all level Hilbert functions of type (t, d)"),
-    "hf-partition": (_cmd_hf_partition, "partition bijection, either direction"),
-    "burch": (_cmd_burch, "Hilbert-Burch matrix and witness ideal"),
-    "hilbert": (_cmd_hilbert, "Hilbert function / generators / socle of a subspace"),
-    "ann": (_cmd_ann, "annihilator slice (-i) or minimal generators"),
-    "socle": (_cmd_socle, "socle of an ideal given by generators"),
-    "tangent": (_cmd_tangent, "tangent-space dimension at a subspace"),
-    "secant-decompose": (_cmd_secant_decompose, "secant planes through a subspace"),
-    "secant-intersect": (_cmd_secant_intersect, "intersect secant planes (-d, apolar forms)"),
-    "gad": (_cmd_gad, "subspace of forms with a prescribed GAD pattern"),
-    "sigma-dim": (_cmd_sigma_dim, "dimension of the secant locus Sigma_s"),
-    "waring-witness": (_cmd_waring_witness, "witness Hilbert function for Sigma_s"),
-    "in-sigma": (_cmd_in_sigma, "membership in Sigma_s with witness"),
-    "stacked-det": (_cmd_stacked_det, "stacked catalecticant determinant"),
-    "hankel-rank": (_cmd_hankel_rank, "rank of the Hankel matrix of a binary form"),
-    "schubert-mul": (_cmd_schubert_mul, "Littlewood-Richardson product of classes"),
-    "porteous": (_cmd_porteous, "Porteous class of a rank locus"),
-    "bott": (_cmd_bott, "Bott cohomology of a weight sequence"),
-    "kronecker": (_cmd_kronecker, "Kronecker coefficient of three partitions"),
-    "lascoux-ranks": (_cmd_lascoux_ranks, "resolution term ranks of a rank locus"),
-    "components": (_cmd_components, "C1/C2 analysis with candidate components"),
-    "e1-table": (_cmd_e1_table, "E1 page of the twisted spectral sequence"),
+    "hf-check": (_cmd_hf_check, "validity of a level Hilbert function", "sequence"),
+    "hf-enumerate": (_cmd_hf_enumerate, "all level Hilbert functions of type (t, d)",
+                     "-t -d"),
+    "hf-partition": (_cmd_hf_partition, "partition bijection, either direction",
+                     "[sequence] [--mu] [-t] [-d]"),
+    "burch": (_cmd_burch, "Hilbert-Burch matrix and witness ideal", "sequence"),
+    "hilbert": (_cmd_hilbert, "Hilbert function / generators / socle of a subspace",
+                "--input"),
+    "ann": (_cmd_ann, "annihilator slice (-i) or minimal generators", "--input [-i]"),
+    "socle": (_cmd_socle, "socle of an ideal given by generators", "--input"),
+    "tangent": (_cmd_tangent, "tangent-space dimension at a subspace",
+                "--input [--shape]"),
+    "secant-decompose": (_cmd_secant_decompose, "secant planes through a subspace",
+                         "--input"),
+    "secant-intersect": (_cmd_secant_intersect,
+                         "intersect secant planes (-d, apolar forms)", "--input -d"),
+    "gad": (_cmd_gad, "subspace of forms with a prescribed GAD pattern", "--input -d"),
+    "sigma-dim": (_cmd_sigma_dim, "dimension of the secant locus Sigma_s", "-t -d -s"),
+    "waring-witness": (_cmd_waring_witness, "witness Hilbert function for Sigma_s",
+                       "-t -d -s"),
+    "in-sigma": (_cmd_in_sigma, "membership in Sigma_s with witness", "--input -s"),
+    "stacked-det": (_cmd_stacked_det, "stacked catalecticant determinant",
+                    "--input -s"),
+    "hankel-rank": (_cmd_hankel_rank, "rank of the Hankel matrix of a binary form",
+                    "form -i"),
+    "schubert-mul": (_cmd_schubert_mul, "Littlewood-Richardson product of classes",
+                     "-t -d a b"),
+    "porteous": (_cmd_porteous, "Porteous class of a rank locus", "-t -d -i -r"),
+    "bott": (_cmd_bott, "Bott cohomology of a weight sequence", "gamma"),
+    "kronecker": (_cmd_kronecker, "Kronecker coefficient of three partitions",
+                  "lam rho mu [--cap-weight]"),
+    "lascoux-ranks": (_cmd_lascoux_ranks, "resolution term ranks of a rank locus",
+                      "-t -d -i -r"),
+    "components": (_cmd_components, "C1/C2 analysis with candidate components",
+                   "-t -d -i -r"),
+    "e1-table": (_cmd_e1_table, "E1 page of the twisted spectral sequence",
+                 "-t -d -i -r -m [--cap-weight]"),
+}
+
+# keyword arguments of the flags that are not integers without a default
+_FLAGS = {
+    "--input": {"metavar": "FILE"},
+    "--shape": {"action": "store_true"},
+    "--mu": {},
+    "--cap-weight": {"type": int, "default": DEFAULT_WEIGHT_CAP},
 }
 
 
@@ -365,67 +372,29 @@ def build_parser() -> _Parser:
     parser.add_argument("--format", choices=("keyvalue", "json-lines"),
                         default="keyvalue")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("-t", type=int, default=None)
-        p.add_argument("-d", type=int, default=None)
-        p.add_argument("-i", type=int, default=None)
-        p.add_argument("-r", type=int, default=None)
-        p.add_argument("-s", type=int, default=None)
-        p.add_argument("-m", type=int, default=None)
-        p.add_argument("--cap-weight", type=int, default=DEFAULT_WEIGHT_CAP)
-        p.add_argument("--input", default=None, metavar="FILE")
-        p.add_argument("--shape", action="store_true")
-        p.add_argument("--mu", default=None)
-        if name in ("hf-check", "hf-partition", "burch"):
-            p.add_argument("sequence", nargs="?", default=None)
-        if name == "hankel-rank":
-            p.add_argument("form")
-        if name == "schubert-mul":
-            p.add_argument("a")
-            p.add_argument("b")
-        if name == "bott":
-            p.add_argument("gamma")
-        if name == "kronecker":
-            p.add_argument("lam")
-            p.add_argument("rho")
-            p.add_argument("mu_arg")
+        for token in arguments.split():
+            arg = token.strip("[]")
+            optional = arg != token
+            if arg.startswith("-"):
+                kwargs = dict(_FLAGS.get(arg, {"type": int}))
+                if not optional:
+                    kwargs["required"] = True
+            else:
+                kwargs = {"nargs": "?"} if optional else {}
+            p.add_argument(arg, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "mu_arg", None) is not None:
-        args.mu = args.mu_arg
-    handler = _COMMANDS[args.command][0]
-    em = Emitter(args.format)
-    required = {
-        "hf-check": ("sequence",), "burch": ("sequence",),
-        "hf-enumerate": ("t", "d"), "sigma-dim": ("t", "d", "s"),
-        "waring-witness": ("t", "d", "s"),
-        "hilbert": ("input",), "ann": ("input",), "socle": ("input",),
-        "tangent": ("input",), "secant-decompose": ("input",),
-        "secant-intersect": ("input", "d"), "gad": ("input", "d"),
-        "in-sigma": ("input", "s"), "stacked-det": ("input", "s"),
-        "hankel-rank": ("i",),
-        "schubert-mul": ("t", "d"), "porteous": ("t", "d", "i", "r"),
-        "lascoux-ranks": ("t", "d", "i", "r"),
-        "components": ("t", "d", "i", "r"),
-        "e1-table": ("t", "d", "i", "r", "m"),
-    }
-    for field in required.get(args.command, ()):
-        if getattr(args, field, None) is None:
-            if len(field) == 1:
-                parser.error(f"{args.command} requires -{field}")
-            elif field == "input":
-                parser.error(f"{args.command} requires --input FILE")
-            else:
-                parser.error(f"{args.command} requires {field}")
     if args.command == "hf-partition" and args.sequence is None and args.mu is None:
         parser.error("hf-partition needs a Hilbert function or --mu with -t -d")
+    em = Emitter(args.format)
     try:
-        handler(args, em)
+        _COMMANDS[args.command][0](args, em)
     except LevelAlgError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -26,6 +26,10 @@ class FormSyntaxError(LevelAlgError):
         self.pos = pos
 
 
+class InputSyntaxError(LevelAlgError):
+    """A command-line argument or input line is not in the expected syntax."""
+
+
 class MalformedSequenceError(LevelAlgError):
     """A Hilbert-function sequence has bad endpoints or negative entries."""
 

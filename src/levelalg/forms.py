@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import AmbientMismatchError, FormSyntaxError
-from .linalg import QQ, Matrix, Vector, rref
+from .linalg import QQ, Vector, row_space_intersection, rref
 
 RING_VARS = {"R": "x", "S": "y"}
 
@@ -362,16 +362,18 @@ def form_parse(text: str, nvars: int | None = None, ring: str | None = None) -> 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of degree-d forms in canonical reduced-echelon basis.
+    """A subspace of degree-d forms, stored as its canonical RREF.
 
-    Two subspaces are equal iff their echelon bases are identical; span()
-    canonicalizes any spanning set, so equality is equality of spans.
+    rows are the nonzero rows of the reduced row echelon form of any
+    spanning set, as coefficient vectors in the monomial order, and pivots
+    their pivot columns.  Two subspaces are equal iff these are identical,
+    so equality is equality of spans.
     """
 
     nvars: int
     degree: int
     ring: str
-    basis: tuple[Form, ...]
+    rows: tuple[tuple[Fraction, ...], ...]
     pivots: tuple[int, ...]
 
     __hash__ = None
@@ -384,35 +386,43 @@ class Subspace:
                 raise AmbientMismatchError(
                     f"form {form_print(f)} not in {ring}_{degree} with n={nvars}"
                 )
-            if not f.is_zero:
-                rows.append(f.vector())
+            rows.append(f.vector())
+        return Subspace.from_rows(nvars, degree, ring, rows)
+
+    @staticmethod
+    def from_rows(nvars: int, degree: int, ring: str, rows) -> Subspace:
+        """Span of coefficient vectors given in the monomial order."""
+        rows = [r for r in rows if any(r)]
         if not rows:
-            return Subspace(nvars, degree, ring, (), ())
+            return Subspace.zero(nvars, degree, ring)
         reduced, pivots = rref(rows)
-        basis = tuple(
-            Form.from_vector(nvars, degree, ring, reduced[k]) for k in range(len(pivots))
-        )
-        return Subspace(nvars, degree, ring, basis, tuple(pivots))
+        return Subspace(nvars, degree, ring,
+                        tuple(tuple(reduced[k]) for k in range(len(pivots))),
+                        tuple(pivots))
 
     @staticmethod
     def full(nvars: int, degree: int, ring: str) -> Subspace:
-        forms = [Form.monomial(nvars, ring, m) for m in monomials(nvars, degree)]
-        return Subspace.span(nvars, degree, ring, forms)
+        n = space_dim(nvars, degree)
+        rows = tuple(tuple(QQ(int(i == j)) for j in range(n)) for i in range(n))
+        return Subspace(nvars, degree, ring, rows, tuple(range(n)))
 
     @staticmethod
     def zero(nvars: int, degree: int, ring: str) -> Subspace:
         return Subspace(nvars, degree, ring, (), ())
 
+    @cached_property
+    def basis(self) -> tuple[Form, ...]:
+        """The echelon rows as forms."""
+        return tuple(Form.from_vector(self.nvars, self.degree, self.ring, r)
+                     for r in self.rows)
+
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
     @property
     def ambient_dim(self) -> int:
         return space_dim(self.nvars, self.degree)
-
-    def basis_matrix(self) -> Matrix:
-        return [f.vector() for f in self.basis]
 
     def _check_same_ambient(self, other: Subspace):
         if (self.nvars, self.degree, self.ring) != (other.nvars, other.degree, other.ring):
@@ -426,24 +436,29 @@ class Subspace:
         if (f.nvars, f.degree, f.ring) != (self.nvars, self.degree, self.ring):
             raise AmbientMismatchError("form not in the ambient space of the subspace")
         cur = f.vector()
-        for k, p in enumerate(self.pivots):
+        for row, p in zip(self.rows, self.pivots):
             c = cur[p]
             if c != 0:
-                bv = self.basis[k].vector()
-                cur = [x - c * y for x, y in zip(cur, bv)]
+                cur = [x - c * y for x, y in zip(cur, row)]
         return cur
 
     def contains(self, f: Form) -> bool:
         return all(c == 0 for c in self.reduce(f))
 
-    def contains_subspace(self, other: Subspace) -> bool:
-        self._check_same_ambient(other)
-        return all(self.contains(f) for f in other.basis)
-
     def complement_positions(self) -> list[int]:
         """Non-pivot monomial positions: coordinates of the quotient space."""
         pivot_set = set(self.pivots)
         return [i for i in range(self.ambient_dim) if i not in pivot_set]
+
+    def monomial_residuals(self) -> list[list[Fraction]]:
+        """Each ambient monomial reduced against the echelon basis, read at
+        complement_positions(): minus the rest of its echelon row for a
+        pivot monomial, a unit vector for any other."""
+        comp = self.complement_positions()
+        pivot_row = dict(zip(self.pivots, self.rows))
+        return [[-pivot_row[o][p] for p in comp] if o in pivot_row
+                else [QQ(int(p == o)) for p in comp]
+                for o in range(self.ambient_dim)]
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -451,20 +466,17 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     a._check_same_ambient(b)
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.nvars, a.degree, a.ring)
-    if a.basis == b.basis:
+    if a.rows == b.rows:
         return a
-    from .linalg import row_space_intersection
-
-    rows = row_space_intersection(a.basis_matrix(), b.basis_matrix(), a.ambient_dim)
-    return Subspace.span(
-        a.nvars, a.degree, a.ring,
-        [Form.from_vector(a.nvars, a.degree, a.ring, r) for r in rows],
-    )
+    rows = row_space_intersection(a.rows, b.rows, a.ambient_dim)
+    # already the canonical RREF: only the pivots need reading off
+    pivots = tuple(next(c for c, x in enumerate(r) if x) for r in rows)
+    return Subspace(a.nvars, a.degree, a.ring, tuple(map(tuple, rows)), pivots)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     a._check_same_ambient(b)
-    return Subspace.span(a.nvars, a.degree, a.ring, list(a.basis) + list(b.basis))
+    return Subspace.from_rows(a.nvars, a.degree, a.ring, a.rows + b.rows)
 
 
 def parse_subspace_lines(lines, nvars: int | None = None) -> Subspace:

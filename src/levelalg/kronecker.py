@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .errors import CapExceededError, WeightMismatchError
+from .errors import CapExceededError, LevelAlgError, WeightMismatchError
 from .partitions import check_partition, partitions
 
 DEFAULT_WEIGHT_CAP = 10
@@ -85,7 +85,8 @@ def kronecker(lam, rho, mu, cap: int = DEFAULT_WEIGHT_CAP) -> int:
     for cls in partitions(n):
         total += (character(lam, cls) * character(rho, cls) * character(mu, cls)
                   * factorial(n)) // _z_mu(cls)
-    assert total % factorial(n) == 0
+    if total % factorial(n):
+        raise LevelAlgError("internal bug: character sum is not divisible by n!")
     return total // factorial(n)
 
 

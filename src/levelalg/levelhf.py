@@ -12,9 +12,12 @@ sum e_i h_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
-from .errors import InvalidPartitionError, MalformedSequenceError
+from .errors import InvalidPartitionError, LevelAlgError, MalformedSequenceError
 from .forms import Form
+from .partitions import bounded_partitions
 
 
 @dataclass(frozen=True)
@@ -149,41 +152,16 @@ class BurchMatrix:
     entries: tuple  # t rows of t+1 entries, each a Form or None (blank)
 
     def minors(self) -> list[Form]:
-        """Maximal minors, one per deleted column, each normalised monic."""
-        out = []
-        for k in range(self.t + 1):
-            sub = [
-                [self.entries[i][j] for j in range(self.t + 1) if j != k]
-                for i in range(self.t)
-            ]
-            minor = _poly_det(sub)
-            assert minor is not None, "Burch minors are never zero"
-            out.append(minor.monic())
-        return out
+        """Maximal minors, one per deleted column, each normalised monic.
 
-
-def _poly_det(m: list[list[Form | None]]) -> Form | None:
-    """Determinant of a matrix of forms; None encodes the zero polynomial
-    (whose degree is unconstrained, as Burch entries are not equigraded)."""
-    n = len(m)
-    if n == 0:
-        raise ValueError("empty matrix")
-    if n == 1:
-        return m[0][0]
-    total = None
-    for i in range(n):
-        entry = m[i][0]
-        if entry is None or entry.is_zero:
-            continue
-        sub = [row[1:] for r, row in enumerate(m) if r != i]
-        subdet = _poly_det(sub)
-        if subdet is None or subdet.is_zero:
-            continue
-        term = entry * subdet
-        if i % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
-    return total
+        Deleting column k of the bidiagonal matrix leaves a block-triangular
+        one, so the minor is, up to sign, the product of the diagonal entries
+        left of k and the superdiagonal entries from k on.
+        """
+        m = self.entries
+        return [reduce(mul, [m[i][i] for i in range(k)]
+                       + [m[i][i + 1] for i in range(k, self.t)]).monic()
+                for k in range(self.t + 1)]
 
 
 def burch_matrix(h: HilbertFunction) -> BurchMatrix:
@@ -219,7 +197,8 @@ def partition_from_hf(h: HilbertFunction) -> tuple[int, ...]:
     """mu_i = h_i - h_{i+1} + 1 read from i = d-1 down to 0, zeros dropped."""
     _require_level(h)
     parts = [h[i] - h[i + 1] + 1 for i in range(h.d - 1, -1, -1)]
-    assert all(p >= 0 for p in parts), "concavity guarantees nonnegative parts"
+    if any(p < 0 for p in parts):
+        raise LevelAlgError("internal bug: a concave sequence gave a negative part")
     return tuple(p for p in parts if p > 0)
 
 
@@ -251,7 +230,7 @@ def enumerate_level_hf(t: int, d: int) -> list[HilbertFunction]:
     if not 1 <= t <= d + 1:
         raise MalformedSequenceError(f"need 1 <= t <= d + 1, got (t, d) = ({t}, {d})")
     out = [hf_from_partition(mu, t, d)
-           for mu in _partitions_max_part(d - t + 1, t + 1)]
+           for mu in bounded_partitions(d - t + 1, t + 1)]
     out.sort(key=lambda h: h.values)
     return out
 
@@ -259,16 +238,6 @@ def enumerate_level_hf(t: int, d: int) -> list[HilbertFunction]:
 def count_level_hf(t: int, d: int) -> int:
     """Number of partitions of d - t + 1 with no part exceeding t + 1."""
     return _count_partitions_max_part(d - t + 1, t + 1)
-
-
-def _partitions_max_part(n: int, k: int):
-    """Partitions of n with all parts <= k, parts weakly decreasing."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, k), 0, -1):
-        for rest in _partitions_max_part(n - first, first):
-            yield (first,) + rest
 
 
 def _count_partitions_max_part(n: int, k: int) -> int:

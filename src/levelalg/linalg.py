@@ -36,11 +36,6 @@ def transpose(m: Matrix, ncols: int | None = None) -> Matrix:
     return [list(col) for col in zip(*m)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def mat_vec(m: Matrix, v: Vector) -> Vector:
     return [sum(x * y for x, y in zip(row, v)) for row in m]
 
@@ -89,25 +84,12 @@ def right_kernel(m: Matrix, ncols: int | None = None) -> list[Vector]:
         if ncols is None:
             raise ValueError("ncols required for an empty matrix")
         return [row[:] for row in identity(ncols)]
-    n = len(m[0])
     r, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        v = [QQ(0)] * n
-        v[f] = QQ(1)
-        for k, c in enumerate(pivots):
-            v[c] = -r[k][f]
-        basis.append(v)
-    return basis
+    return _kernel_basis(r, pivots, len(m[0]))
 
 
-def echelon(m: Matrix) -> tuple[Matrix, int, list[Vector]]:
-    """(RREF, rank, right-kernel basis); rank + len(kernel) == ncols."""
-    r, pivots = rref(m)
-    ncols = len(m[0]) if m else 0
+def _kernel_basis(r: Matrix, pivots: list[int], ncols: int) -> list[Vector]:
+    """right_kernel's basis, read off an RREF with its pivots."""
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
@@ -118,7 +100,13 @@ def echelon(m: Matrix) -> tuple[Matrix, int, list[Vector]]:
         for k, c in enumerate(pivots):
             v[c] = -r[k][f]
         basis.append(v)
-    return r, len(pivots), basis
+    return basis
+
+
+def echelon(m: Matrix) -> tuple[Matrix, int, list[Vector]]:
+    """(RREF, rank, right-kernel basis); rank + len(kernel) == ncols."""
+    r, pivots = rref(m)
+    return r, len(pivots), _kernel_basis(r, pivots, len(m[0]) if m else 0)
 
 
 def det(m: Matrix) -> Fraction:
@@ -143,23 +131,6 @@ def det(m: Matrix) -> Fraction:
                 f = a[i][c] / pv
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return result * sign
-
-
-def reduce_against(v: Vector, basis: Matrix, pivots: list[int]) -> tuple[Vector, Vector]:
-    """Reduce v against an RREF basis.
-
-    Returns (residual, coeffs) with v == residual + sum(coeffs[k] * basis[k])
-    and residual zero at every pivot position.  v lies in the row space iff
-    the residual vanishes.
-    """
-    cur = [QQ(x) for x in v]
-    coeffs = []
-    for k, p in enumerate(pivots):
-        f = cur[p]
-        coeffs.append(f)
-        if f != 0:
-            cur = [x - f * y for x, y in zip(cur, basis[k])]
-    return cur, coeffs
 
 
 def row_space_intersection(a_rows: Matrix, b_rows: Matrix, ncols: int) -> Matrix:

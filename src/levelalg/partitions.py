@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvalidPartitionError
+from .errors import InvalidPartitionError, LevelAlgError
 
 
 def check_partition(lam) -> tuple[int, ...]:
@@ -23,13 +23,8 @@ def check_partition(lam) -> tuple[int, ...]:
     return lam
 
 
-@lru_cache(maxsize=None)
-def partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of n, in descending lexicographic order."""
-    if n < 0:
-        return ()
-    if n == 0:
-        return ((),)
+def bounded_partitions(n: int, k: int):
+    """Partitions of n with every part at most k, descending lexicographic."""
 
     def gen(remaining, max_part):
         if remaining == 0:
@@ -39,12 +34,13 @@ def partitions(n: int) -> tuple[tuple[int, ...], ...]:
             for rest in gen(remaining - first, first):
                 yield (first,) + rest
 
-    return tuple(gen(n, n))
+    return gen(n, k)
 
 
-def partitions_max_part(n: int, k: int):
-    """Partitions of n with every part at most k."""
-    return tuple(p for p in partitions(n) if not p or p[0] <= k)
+@lru_cache(maxsize=None)
+def partitions(n: int) -> tuple[tuple[int, ...], ...]:
+    """All partitions of n (none for n < 0), in descending lexicographic order."""
+    return tuple(bounded_partitions(n, n))
 
 
 def partitions_in_box(rows: int, cols: int):
@@ -70,11 +66,6 @@ def conjugate(lam) -> tuple[int, ...]:
     for c in range(lam[0]):
         out.append(sum(1 for p in lam if p > c))
     return tuple(out)
-
-
-def fits_in_box(lam, rows: int, cols: int) -> bool:
-    lam = check_partition(lam)
-    return len(lam) <= rows and (not lam or lam[0] <= cols)
 
 
 def contains(lam, mu) -> bool:
@@ -113,7 +104,8 @@ def schur_dim(lam, n: int) -> int:
         for j in range(row):
             num *= n + j - i
             den *= hook_length(lam, i, j)
-    assert num % den == 0
+    if num % den:
+        raise LevelAlgError("internal bug: hook content quotient is not an integer")
     return num // den
 
 
@@ -132,7 +124,8 @@ def weyl_dim(weight, n: int) -> int:
     for p in range(n):
         for q in range(p + 1, n):
             out *= Fraction(w[p] - w[q] + q - p, q - p)
-    assert out.denominator == 1
+    if out.denominator != 1:
+        raise LevelAlgError("internal bug: Weyl dimension is not an integer")
     return int(out)
 
 
@@ -145,7 +138,3 @@ def parse_partition(text: str) -> tuple[int, ...]:
     except ValueError as exc:
         raise InvalidPartitionError(f"bad partition string {text!r}") from exc
     return check_partition(parts)
-
-
-def format_partition(lam) -> str:
-    return ",".join(str(p) for p in lam) if lam else "0"

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import AmbientMismatchError, InvalidPartitionError, LevelAlgError
-from .partitions import check_partition, contains
+from .errors import AmbientMismatchError, InputSyntaxError, InvalidPartitionError, LevelAlgError
+from .partitions import check_partition, contains, parse_partition
 
 
 @dataclass(frozen=True)
@@ -152,11 +152,11 @@ def parse_class(text: str, t: int, n: int) -> SchubertClass:
         coeff = int(text[start:pos]) if pos > start else 1
         lam: tuple = ()
         if pos < len(text) and text[pos] == "{":
-            end = text.index("}", pos)
-            inner = text[pos + 1:end].strip()
-            lam = tuple(int(p.strip()) for p in inner.split(",")) if inner else ()
+            end = text.find("}", pos)
+            if end < 0:
+                raise InputSyntaxError(f"unclosed '{{' at position {pos} of {text!r}")
+            lam = parse_partition(text[pos + 1:end])
             pos = end + 1
-        lam = check_partition(lam)
         coeffs[lam] = coeffs.get(lam, 0) + sign * coeff
         sign = 1
         first = False

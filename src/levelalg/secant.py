@@ -15,7 +15,9 @@ from fractions import Fraction
 
 from .apolarity import (
     ann_slice,
+    check_points,
     hilbert_function,
+    inverse_system_slice,
     jordan_apolar_basis,
     minimal_generators,
 )
@@ -28,9 +30,9 @@ from .errors import (
     WitnessError,
     ZeroSubspaceError,
 )
-from .forms import Form, Subspace, monomials, space_dim, subspace_intersect
+from .forms import Form, Subspace, subspace_intersect
 from .levelhf import HilbertFunction, dim_stratum, q_sequence
-from .linalg import QQ, Matrix, det, rank, right_kernel
+from .linalg import Matrix, det, rank
 
 
 @dataclass(frozen=True)
@@ -65,22 +67,9 @@ class SecantPlane:
 
     def subspace(self) -> Subspace:
         """(u)^{-1}_d: the degree-d forms apolar to u, of dimension q."""
-        n, d, u = self.apolar_form.nvars, self.ambient_degree, self.apolar_form
-        if u.degree == d + 1:
-            return Subspace.full(n, d, "S")
-        from .apolarity import _monomial_action_vector_from_operator
-        from .forms import monomial_index
-
-        out_index = monomial_index(n, d - u.degree)
-        dim_sd = space_dim(n, d)
-        cols = [
-            _monomial_action_vector_from_operator(u, beta, out_index)
-            for beta in monomials(n, d)
-        ]
-        rows = [[cols[b][k] for b in range(dim_sd)] for k in range(len(out_index))]
-        kernel = right_kernel(rows, ncols=dim_sd)
-        return Subspace.span(n, d, "S",
-                             [Form.from_vector(n, d, "S", v) for v in kernel])
+        # q = d + 1 kills all of S_d, and inverse_system_slice gives S_d
+        return inverse_system_slice([self.apolar_form], self.apolar_form.nvars,
+                                    self.ambient_degree)
 
 
 def secant_decompose(lam: Subspace) -> list[SecantPlane]:
@@ -166,16 +155,7 @@ class GAD:
     def __post_init__(self):
         if len(self.points) != len(self.alphas):
             raise AdmissibilityError("points and exponents differ in length")
-        pts = [(QQ(a), QQ(b)) for a, b in self.points]
-        for a, b in pts:
-            if a == 0 and b == 0:
-                raise AdmissibilityError("(0, 0) is not a point of P^1")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if pts[i][0] * pts[j][1] - pts[j][0] * pts[i][1] == 0:
-                    raise AdmissibilityError(
-                        f"points {i + 1} and {j + 1} are proportional"
-                    )
+        check_points(self.points)
         if any(a < -1 for a in self.alphas):
             raise AdmissibilityError("exponents must be >= -1")
 
@@ -262,8 +242,8 @@ def waring_witness_hf(t: int, d: int, s: int) -> HilbertFunction:
             "and no witness is needed"
         )
     m = s // t
-    assert (m + 1) * t > s >= m * t
-    assert s <= d - m, "N1 < N2 forces s <= d - m"
+    if s > d - m:
+        raise LevelAlgError("internal bug: N1 < N2 but s > d - m")
     values = []
     for i in range(d + 1):
         if i <= s - 1:
@@ -273,7 +253,8 @@ def waring_witness_hf(t: int, d: int, s: int) -> HilbertFunction:
         else:
             values.append((d - i + 1) * t)
     h = HilbertFunction(tuple(values))
-    assert h[s] == s and dim_stratum(h) == n1
+    if h[s] != s or dim_stratum(h) != n1:
+        raise LevelAlgError("internal bug: witness does not have h_s = s and dimension N1")
     return h
 
 

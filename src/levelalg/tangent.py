@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .apolarity import ann_slice, catalecticant_matrix, hilbert_function, lambda_slice
+from .apolarity import _action_table, ann_slice, catalecticant_matrix, hilbert_function
 from .errors import HilbertMismatchError, ZeroSubspaceError
-from .forms import Form, Subspace, monomials
+from .forms import Form, Subspace, monomial_index, monomials
 from .levelhf import HilbertFunction, dim_stratum
-from .linalg import QQ, right_kernel, transpose
+from .linalg import QQ, right_kernel, rref, transpose
 
 
 @dataclass(frozen=True)
@@ -60,32 +60,32 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
     """
     if lam.dim == 0:
         raise ZeroSubspaceError("tangent space needs a nonzero subspace")
-    hf = _check_hf(lam, h)
+    _check_hf(lam, h)
     n, d, t = lam.nvars, lam.degree, lam.dim
     comp_d = lam.complement_positions()
     ncols = t * len(comp_d)
-    mons_d = monomials(n, d)
     rows: list[list] = []
     for i in (range(1, d) if degrees is None else degrees):
         cat = catalecticant_matrix(lam, i)
         kernel = right_kernel(transpose(cat), ncols=len(cat))
         if not kernel:
             continue
-        lam_i = lambda_slice(lam, i)
+        lam_i = Subspace.from_rows(n, i, "S", cat)
         comp_i = lam_i.complement_positions()
         if not comp_i:
             continue
-        mons_low = monomials(n, d - i)
+        quotient = lam_i.monomial_residuals()
+        zero = [QQ(0)] * len(comp_i)
         # residual coordinates of x^M . (complement monomial g), reduced mod Lambda_i
         reduced: list[list[list]] = []
-        for m_exp in mons_low:
+        for entries in _action_table(n, d - i, d):
             per_m = []
             for g in comp_d:
-                image = _act_monomial_on_monomial(m_exp, mons_d[g], n, i)
-                residual = lam_i.reduce(image)
-                per_m.append([residual[p] for p in comp_i])
+                hit = entries.get(g)
+                per_m.append(zero if hit is None
+                             else [hit[1] * x for x in quotient[hit[0]]])
             reduced.append(per_m)
-        nmons = len(mons_low)
+        nmons = len(reduced)
         for kv in kernel:
             # kernel coordinates are ordered (monomial outer, basis form inner)
             for ell in range(len(comp_i)):
@@ -102,26 +102,13 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
                                 row[p * len(comp_d) + g_idx] += c * val
                 if any(x != 0 for x in row):
                     rows.append(row)
-    kernel_basis = right_kernel(rows, ncols=ncols) if rows else \
-        right_kernel([], ncols=ncols)
+    kernel_basis = right_kernel(rows, ncols=ncols)
     basis = tuple(
         tuple(tuple(v[p * len(comp_d) + g] for g in range(len(comp_d)))
               for p in range(t))
         for v in kernel_basis
     )
     return TangentSpace(lam, len(kernel_basis), basis, (len(rows), ncols))
-
-
-def _act_monomial_on_monomial(alpha: tuple, beta: tuple, n: int, out_degree: int) -> Form:
-    """x^alpha . y^beta as a Form of degree out_degree (possibly zero)."""
-    if all(b >= a for a, b in zip(alpha, beta)):
-        factor = 1
-        for a, b in zip(alpha, beta):
-            for k in range(a):
-                factor *= b - k
-        return Form.make(n, out_degree, "S",
-                         {tuple(b - a for a, b in zip(alpha, beta)): QQ(factor)})
-    return Form.zero(n, out_degree, "S")
 
 
 def tangent_space_dual(lam: Subspace, h: HilbertFunction | None = None) -> TangentSpace:
@@ -140,7 +127,8 @@ def tangent_space_dual(lam: Subspace, h: HilbertFunction | None = None) -> Tange
     comp_d = id_slice.complement_positions()  # coordinates of R_d/I_d
     tq = len(comp_d)
     ncols = dim_id * tq
-    mons_mid = monomials(n, d)
+    residuals = id_slice.monomial_residuals()
+    index_d = monomial_index(n, d)
     rows: list[list] = []
     for i in range(1, d):
         ii = ann_slice(lam, i).subspace
@@ -154,16 +142,12 @@ def tangent_space_dual(lam: Subspace, h: HilbertFunction | None = None) -> Tange
         amb = tq * len(mons_low)
         v_rows = []
         for pos in comp_i:
-            w = Form.monomial(n, "R", mons_i[pos])
             vec = [QQ(0)] * amb
             for m_idx, m_exp in enumerate(mons_low):
-                prod = w * Form.monomial(n, "R", m_exp)
-                residual = id_slice.reduce(prod)
-                for c_idx, p in enumerate(comp_d):
-                    vec[c_idx * len(mons_low) + m_idx] = residual[p]
+                w_m = tuple(a + b for a, b in zip(mons_i[pos], m_exp))
+                for c_idx, x in enumerate(residuals[index_d[w_m]]):
+                    vec[c_idx * len(mons_low) + m_idx] = x
             v_rows.append(vec)
-        from .linalg import rref
-
         v_echelon, v_pivots = rref(v_rows)
         v_basis = [v_echelon[k] for k in range(len(v_pivots))]
         v_pivot_set = set(v_pivots)
@@ -203,8 +187,7 @@ def tangent_space_dual(lam: Subspace, h: HilbertFunction | None = None) -> Tange
                         row = [x - coeff * y for x, y in zip(row, prow)]
                 if any(x != 0 for x in row):
                     rows.append(row)
-    kernel_basis = right_kernel(rows, ncols=ncols) if rows else \
-        right_kernel([], ncols=ncols)
+    kernel_basis = right_kernel(rows, ncols=ncols)
     basis = tuple(
         tuple(tuple(v[k * tq + c] for c in range(tq)) for k in range(dim_id))
         for v in kernel_basis

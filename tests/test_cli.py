@@ -2,9 +2,12 @@ import io
 import json
 import contextlib
 import os
+import subprocess
+import sys
 
 import pytest
 
+import levelalg
 from levelalg.cli import main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -240,3 +243,33 @@ def test_unreadable_input_is_domain_error(capsys):
     rc = main(["hilbert", "--input", "/nonexistent/lam.txt"])
     assert rc == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, input_text", [
+    (["hf-check", "1,a,2"], None),
+    (["bott", "1,2;x"], None),
+    (["schubert-mul", "-t", "2", "-d", "5", "{2,1", "{1}"], None),
+    (["schubert-mul", "-t", "2", "-d", "5", "{2,a}", "{1}"], None),
+    (["gad", "-d", "4"], "0,1,1\nx,0,0\n"),
+    (["gad", "-d", "4"], "0,1\n"),
+    (["gad", "-d", "4"], "1/0,1,1\n"),
+    (["hf-enumerate", "-t", "x", "-d", "5"], None),
+], ids=["hf-check-letter", "bott-letter", "class-unclosed-brace", "class-letter",
+        "gad-letter", "gad-two-fields", "gad-zero-denominator", "flag-letter"])
+def test_malformed_input_is_a_one_line_error(argv, input_text, tmp_path):
+    # a fresh interpreter, so that an uncaught exception shows as a traceback
+    if input_text is not None:
+        path = tmp_path / "input.txt"
+        path.write_text(input_text)
+        argv = argv + ["--input", str(path)]
+    src = os.path.dirname(os.path.dirname(levelalg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "levelalg.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode in (1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    marker = "error: " if proc.returncode == 2 else "usage error: "
+    assert [line for line in proc.stderr.splitlines() if "error" in line] == \
+        [proc.stderr.splitlines()[-1]]
+    assert proc.stderr.splitlines()[-1].startswith(marker)

@@ -1,9 +1,13 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from conftest import all_level_hfs, burch_point
 from levelalg.apolarity import hilbert_function, inverse_system_slice
 from levelalg.errors import InvalidPartitionError, MalformedSequenceError
 from levelalg.forms import form_print
+from levelalg.linalg import det
 from levelalg.levelhf import (
     HilbertFunction,
     burch_ideal,
@@ -132,6 +136,29 @@ def test_burch_roundtrip_random(rng):
     for h in rng.sample(pool, 25):
         lam = burch_point(h)
         assert hilbert_function(lam).values == h.values
+
+
+def _evaluate(form, point):
+    return sum(c * point[0] ** e[0] * point[1] ** e[1] for e, c in form.coeffs.items())
+
+
+def test_burch_minors_match_determinants_at_random_points():
+    # the closed-form minors against linalg.det of the evaluated submatrix:
+    # the ratio is one nonzero constant (the monic scale) per minor
+    rnd = random.Random(2002)
+    every = [h for d in range(9) for t in range(1, d + 2) for h in enumerate_level_hf(t, d)]
+    for h in every:
+        matrix, gens = burch_ideal(h)
+        for k, minor in enumerate(gens):
+            ratios = set()
+            for _ in range(3):
+                point = (Fraction(rnd.randint(1, 9), rnd.randint(1, 9)),
+                         Fraction(-rnd.randint(1, 9), rnd.randint(1, 9)))
+                sub = [[0 if e is None else _evaluate(e, point)
+                        for j, e in enumerate(row) if j != k]
+                       for row in matrix.entries]
+                ratios.add(det(sub) / _evaluate(minor, point))
+            assert len(ratios) == 1 and 0 not in ratios, (h.format(), k)
 
 
 def test_minor_degrees_are_q_sequence():
