@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count, islice
 
 from .errors import (
     AdmissibilityError,
@@ -22,7 +23,7 @@ from .errors import (
 )
 from .forms import Form, Subspace, monomial_index, monomials, space_dim
 from .levelhf import HilbertFunction
-from .linalg import QQ, Matrix, rank, right_kernel, transpose
+from .linalg import QQ, Matrix, rank, right_kernel
 
 
 @lru_cache(maxsize=None)
@@ -158,15 +159,12 @@ def minimal_generators(lam: Subspace) -> list[tuple[int, list[Form]]]:
     if lam.dim == 0:
         raise ZeroSubspaceError("ann of the zero subspace is the whole ring")
     n, d = lam.nvars, lam.degree
-    variables = [Form.monomial(n, "R", tuple(1 if k == i else 0 for k in range(n)))
-                 for i in range(n)]
     out: list[tuple[int, list[Form]]] = []
     prev = Subspace.zero(n, 0, "R")
     for j in range(1, d + 2):
-        grown = [x * g for g in prev.basis for x in variables]
         target = (ann_slice(lam, j).subspace if j <= d
                   else Subspace.full(n, d + 1, "R"))
-        running = Subspace.span(n, j, "R", grown)
+        running = Subspace.from_rows(n, j, "R", _times_variables(prev))
         gens = []
         for b in target.basis:
             residual = running.reduce(b)
@@ -202,18 +200,47 @@ def inverse_system_slice(gens: list[Form], nvars: int, d: int) -> Subspace:
     return Subspace.from_rows(nvars, d, "S", right_kernel(rows, ncols=dim_sd))
 
 
+@lru_cache(maxsize=None)
+def _variable_shifts(nvars: int, j: int) -> tuple[tuple[int, ...], ...]:
+    """For each variable x_i, the index in R_{j+1} of x_i x^m for each x^m of R_j."""
+    index = monomial_index(nvars, j + 1)
+    return tuple(tuple(index[tuple(e + (k == i) for k, e in enumerate(m))]
+                       for m in monomials(nvars, j)) for i in range(nvars))
+
+
+def _times_variables(sub: Subspace) -> list[list]:
+    """x_i * b for every variable x_i and echelon row b of sub, as
+    coefficient vectors: a spanning set of R_1 * sub."""
+    width, out = space_dim(sub.nvars, sub.degree + 1), []
+    for shift in _variable_shifts(sub.nvars, sub.degree):
+        for row in sub.rows:
+            v = [0] * width
+            for k, c in zip(shift, row):
+                v[k] = c
+            out.append(v)
+    return out
+
+
+def _ideal_slice_stream(gens: list[Form], nvars: int):
+    """I_0, I_1, ... of the ideal generated by gens, without end.  I_j is
+    spanned by the generators of degree j and x_i * I_{j-1}, as coefficient
+    vectors; once I_{j-1} is all of R_{j-1}, I_j is R_j, with no elimination."""
+    if any(g.ring != "R" or g.nvars != nvars for g in gens):
+        raise AmbientMismatchError(f"ideal generators must live in R with {nvars} variables")
+    prev = None
+    for j in count():
+        if prev is not None and prev.dim == prev.ambient_dim:
+            prev = Subspace.full(nvars, j, "R")
+        else:
+            rows = [g.vector() for g in gens if g.degree == j]
+            prev = Subspace.from_rows(nvars, j, "R",
+                                      rows + (_times_variables(prev) if prev is not None else []))
+        yield prev
+
+
 def ideal_slices(gens: list[Form], nvars: int, top: int) -> list[Subspace]:
     """Graded pieces I_0..I_top of the ideal generated by gens."""
-    slices = []
-    for j in range(top + 1):
-        forms = []
-        for g in gens:
-            if g.is_zero or g.degree > j:
-                continue
-            for m in monomials(nvars, j - g.degree):
-                forms.append(Form.monomial(nvars, "R", m) * g)
-        slices.append(Subspace.span(nvars, j, "R", forms))
-    return slices
+    return list(islice(_ideal_slice_stream(gens, nvars), top + 1))
 
 
 def socle(gens: list[Form], nvars: int, bound: int | None = None) -> list[tuple[int, int]]:
@@ -221,7 +248,8 @@ def socle(gens: list[Form], nvars: int, bound: int | None = None) -> list[tuple[
 
     The socle in degree j is {u in (R/I)_j : x_i u = 0 in (R/I)_{j+1} for
     every i}.  The quotient must be artin: its Hilbert function has to
-    vanish by the configured degree bound, otherwise NotArtinError.
+    vanish by the configured degree bound, otherwise NotArtinError.  Slices
+    of I are built up to the first that is all of R_j.
     """
     gens = [g for g in gens if not g.is_zero]
     if len(gens) < nvars:
@@ -232,46 +260,28 @@ def socle(gens: list[Form], nvars: int, bound: int | None = None) -> list[tuple[
     degs = sorted(g.degree for g in gens)
     if bound is None:
         bound = sum(degs[-nvars:]) - nvars + 2
-    slices = ideal_slices(gens, nvars, bound + 1)
-    top = None
-    for j in range(bound + 1):
-        if space_dim(nvars, j) - slices[j].dim == 0:
-            top = j - 1
+    slices: list[Subspace] = []
+    for ij in _ideal_slice_stream(gens, nvars):
+        if len(slices) > bound:
+            raise NotArtinError(
+                f"Hilbert function of the quotient has not vanished by degree {bound}"
+            )
+        slices.append(ij)
+        if ij.dim == ij.ambient_dim:
             break
-    if top is None:
-        raise NotArtinError(
-            f"Hilbert function of the quotient has not vanished by degree {bound}"
-        )
-    if top < 0:
+    if len(slices) == 1:
         raise NotArtinError("the generators span the unit ideal; the quotient is zero")
     out = []
-    for j in range(top + 1):
-        ij = slices[j]
-        quotient_dim = space_dim(nvars, j) - ij.dim
-        if quotient_dim == 0:
-            continue
-        if j == top:
-            s = quotient_dim
-        else:
-            s = _socle_dim(ij, slices[j + 1], nvars, j) - ij.dim
+    for j, (ij, inext) in enumerate(zip(slices, slices[1:])):
+        # u = sum c_m x^m has every x_i u in I_{j+1} iff sum c_m row_m = 0,
+        # row_m holding the products x_i x^m mod I_{j+1}; such u include I_j
+        residuals = inext.monomial_residuals()
+        rows = [[x for shift in _variable_shifts(nvars, j) for x in residuals[shift[m]]]
+                for m in range(ij.ambient_dim)]
+        s = len(rows) - rank(rows) - ij.dim
         if s > 0:
             out.append((j, s))
     return out
-
-
-def _socle_dim(ij: Subspace, inext: Subspace, nvars: int, j: int) -> int:
-    """dim {u in R_j : x_i u in I_{j+1} for all i}."""
-    residuals = inext.monomial_residuals()
-    index = monomial_index(nvars, j + 1)
-    rows = []
-    for m in monomials(nvars, j):
-        feature: list = []
-        for i in range(nvars):
-            shifted = tuple(e + (1 if k == i else 0) for k, e in enumerate(m))
-            feature.extend(residuals[index[shifted]])
-        rows.append(feature)
-    kernel = right_kernel(transpose(rows, ncols=len(rows)), ncols=len(rows))
-    return len(kernel)
 
 
 def is_level_ideal(gens: list[Form], nvars: int,

@@ -1,15 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Matrices are plain lists of rows of Fraction.  Every reduction uses the
-same deterministic pivot rule (first nonzero column, topmost row), so
-echelon forms, kernels and the canonical subspace representatives built on
-top of them are reproducible across runs and platforms.  No floating point
-enters anywhere.
+Matrices are lists of rows of Fraction at the boundary; inside, one
+fraction-free core does every elimination on integer rows: each row is
+scaled by the lcm of its denominators, and Gauss-Jordan elimination divides
+every update exactly by the previous pivot (Bareiss, Math. Comp. 1968).
+Dividing by the last pivot once at the end gives the unique reduced row
+echelon form.  The pivot rule is deterministic (first nonzero column,
+topmost row), so echelon forms, kernels and the canonical subspaces built
+on them are reproducible.  No floating point enters anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 
 QQ = Fraction
 
@@ -40,6 +44,83 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     return [sum(x * y for x, y in zip(row, v)) for row in m]
 
 
+def _integer_row(row) -> list[int]:
+    """row (ints or Fractions) times the lcm of its denominators."""
+    dens = [x.denominator for x in row]
+    den = lcm(*dens)
+    return [x.numerator * (den // d) for x, d in zip(row, dens)]
+
+
+def _eliminate(m: Matrix, ncols: int) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of m's rows cleared of
+    denominators.
+
+    Returns (echelon, pivots, pivot, sign): one integer row per pivot
+    column, equal to the last Bareiss pivot `pivot` (1 if none) there and
+    zero at the other pivot columns, and the sign of the row permutation.
+    A row that is zero in the pivot column would only be scaled by pivot /
+    previous pivot, so it is left as it is and level[i] holds the pivot it
+    is scaled to.
+    """
+    a = [row for row in map(_integer_row, m) if any(row)]
+    nrows = len(a)
+    level = [1] * nrows
+    pivots: list[int] = []
+    prev, sign = 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            level[r], level[p] = level[p], level[r]
+            sign = -sign
+        prow = a[r]
+        if level[r] != prev:
+            prow = a[r] = [x * prev // level[r] for x in prow]
+        pv = prow[c]
+        for i in range(nrows):
+            row = a[i]
+            f = row[c]
+            if f and i != r:
+                a[i] = [(pv * x - f * y) // level[i] for x, y in zip(row, prow)]
+                level[i] = pv
+        level[r] = pv
+        pivots.append(c)
+        prev = pv
+    echelon = [row if lv == prev else [x * prev // lv for x in row]
+               for row, lv in zip(a, level[:len(pivots)])]
+    return echelon, pivots, prev, sign
+
+
+def _normalised(rows: list[list[int]], pivot: int, nrows: int = 0, ncols: int = 0) -> Matrix:
+    """Integer rows over pivot as Fractions, then zero rows of width ncols
+    up to nrows."""
+    zero = QQ(0)
+    out = [[QQ(x, pivot) if x else zero for x in row] for row in rows]
+    out.extend([zero] * ncols for _ in range(nrows - len(rows)))
+    return out
+
+
+def _kernel_basis(rows: list[list[int]], pivots: list[int], pivot: int,
+                  ncols: int) -> list[list[int]]:
+    """right_kernel's basis times pivot: for each free column f, pivot at f
+    and -row[f] at each pivot column of the echelon rows."""
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f not in pivot_set:
+            v = [0] * ncols
+            v[f] = pivot
+            for row, c in zip(rows, pivots):
+                v[c] = -row[f]
+            basis.append(v)
+    return basis
+
+
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form (as a copy) with its pivot columns.
 
@@ -47,27 +128,9 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     available row.  Zero rows are retained at the bottom, so the result is
     the unique RREF of the input.
     """
-    a = [[QQ(x) for x in row] for row in m]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        pv = a[r][c]
-        a[r] = [v / pv for v in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a, pivots
+    ncols = len(m[0]) if m else 0
+    rows, pivots, pivot, _ = _eliminate(m, ncols)
+    return _normalised(rows, pivot, len(m), ncols), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -80,75 +143,41 @@ def right_kernel(m: Matrix, ncols: int | None = None) -> list[Vector]:
     One basis vector per free column f, with v[f] = 1 and pivot entries
     read off the RREF.  For an empty matrix ncols must be supplied.
     """
-    if not m:
-        if ncols is None:
-            raise ValueError("ncols required for an empty matrix")
-        return [row[:] for row in identity(ncols)]
-    r, pivots = rref(m)
-    return _kernel_basis(r, pivots, len(m[0]))
-
-
-def _kernel_basis(r: Matrix, pivots: list[int], ncols: int) -> list[Vector]:
-    """right_kernel's basis, read off an RREF with its pivots."""
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [QQ(0)] * ncols
-        v[f] = QQ(1)
-        for k, c in enumerate(pivots):
-            v[c] = -r[k][f]
-        basis.append(v)
-    return basis
+    if not m and ncols is None:
+        raise ValueError("ncols required for an empty matrix")
+    ncols = len(m[0]) if m else ncols
+    rows, pivots, pivot, _ = _eliminate(m, ncols)
+    return _normalised(_kernel_basis(rows, pivots, pivot, ncols), pivot)
 
 
 def echelon(m: Matrix) -> tuple[Matrix, int, list[Vector]]:
     """(RREF, rank, right-kernel basis); rank + len(kernel) == ncols."""
-    r, pivots = rref(m)
-    return r, len(pivots), _kernel_basis(r, pivots, len(m[0]) if m else 0)
+    ncols = len(m[0]) if m else 0
+    rows, pivots, pivot, _ = _eliminate(m, ncols)
+    return (_normalised(rows, pivot, len(m), ncols), len(pivots),
+            _normalised(_kernel_basis(rows, pivots, pivot, ncols), pivot))
 
 
 def det(m: Matrix) -> Fraction:
-    """Exact determinant by Gaussian elimination with row swaps."""
+    """Exact determinant: the last Bareiss pivot of the row-scaled integer
+    matrix, with the sign of the row swaps, over the row scales."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    a = [[QQ(x) for x in row] for row in m]
-    sign = 1
-    result = QQ(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if p is None:
-            return QQ(0)
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            sign = -sign
-        pv = a[c][c]
-        result *= pv
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] / pv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return result * sign
+    _, pivots, pivot, sign = _eliminate(m, n)
+    if len(pivots) < n:
+        return QQ(0)
+    return QQ(sign * pivot, prod(lcm(*[x.denominator for x in row]) for row in m))
 
 
 def row_space_intersection(a_rows: Matrix, b_rows: Matrix, ncols: int) -> Matrix:
-    """Canonical echelon basis of rowspace(a) ∩ rowspace(b)."""
+    """Canonical echelon basis of rowspace(a) ∩ rowspace(b): the a-parts
+    sum c_i a_i of the kernel vectors of the stacked columns [a | b]."""
     if not a_rows or not b_rows:
         return []
-    na, nb = len(a_rows), len(b_rows)
-    stacked = [
-        [a_rows[i][j] for i in range(na)] + [-b_rows[i][j] for i in range(nb)]
-        for j in range(ncols)
-    ]
-    combos = right_kernel(stacked, ncols=na + nb)
-    vectors = []
-    for combo in combos:
-        w = [QQ(0)] * ncols
-        for i in range(na):
-            if combo[i] != 0:
-                w = [x + combo[i] * y for x, y in zip(w, a_rows[i])]
-        vectors.append(w)
-    reduced, pivots = rref(vectors)
-    return [reduced[k] for k in range(len(pivots))]
+    cols = list(zip(*map(_integer_row, (*a_rows, *b_rows))))
+    rows, pivots, pivot, _ = _eliminate(cols, len(a_rows) + len(b_rows))
+    vectors = [[sum(c * x for c, x in zip(combo[:len(a_rows)], col)) for col in cols]
+               for combo in _kernel_basis(rows, pivots, pivot, len(a_rows) + len(b_rows))]
+    rows, _, pivot, _ = _eliminate(vectors, ncols)
+    return _normalised(rows, pivot)

@@ -73,6 +73,8 @@ def lascoux_ranks(t: int, d: int, i: int, r: int,
     the rank dim S_lam(k^{t(d-i+1)}) times the Bott dimension of
     S_{lam'}(Q*) on G(r, S_i).
     """
+    if i > d:
+        raise LevelAlgError(f"need i <= d, got i = {i}, d = {d}")
     if not 0 <= r < i + 1:
         raise LevelAlgError(f"need 0 <= r < i + 1, got r = {r}, i = {i}")
     rows_bound = t * (d - i + 1)

@@ -286,6 +286,8 @@ def porteous_class(t: int, d: int, i: int, r: int) -> SchubertClass:
     locus is also generically reduced; otherwise it counts each component
     with its multiplicity.
     """
+    if i > d:
+        raise LevelAlgError(f"need i <= d, got i = {i}, d = {d}")
     n = d + 1
     e = t * (d - i + 1)
     f = i + 1

@@ -8,6 +8,7 @@ from levelalg.apolarity import (
     beta_rank,
     catalecticant_matrix,
     hilbert_function,
+    ideal_slices,
     internal_product,
     inverse_system_slice,
     is_level_ideal,
@@ -187,7 +188,8 @@ def test_socle_non_level_example():
 def test_socle_non_artin_rejected():
     with pytest.raises(NotArtinError):
         socle([form_parse("x1", nvars=2)], 2)
-    with pytest.raises(NotArtinError):
+    # enough generators, but a common factor: the default bound 1 + 2 - 2 + 2
+    with pytest.raises(NotArtinError, match="not vanished by degree 3"):
         socle([form_parse("x1", nvars=2), form_parse("x1^2", nvars=2)], 2)
 
 
@@ -368,9 +370,45 @@ def test_internal_product_is_module_action(rng):
 
 
 def test_socle_rejects_unit_ideal():
-    with pytest.raises(NotArtinError):
+    with pytest.raises(NotArtinError, match="unit ideal"):
         socle([form_parse("1", nvars=2, ring="R"), form_parse("x1", nvars=2),
                form_parse("x2", nvars=2)], 2)
+
+
+def _ideal_slices_by_products(gens, nvars, top):
+    """Reference construction: I_j spanned by x^m * g for every generator g
+    and every monomial x^m of degree j - deg g, one Form product each."""
+    slices = []
+    for j in range(top + 1):
+        forms = [Form.monomial(nvars, "R", m) * g
+                 for g in gens if not g.is_zero and g.degree <= j
+                 for m in monomials(nvars, j - g.degree)]
+        slices.append(Subspace.span(nvars, j, "R", forms))
+    return slices
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_incremental_ideal_slices_match_all_products(nvars, rng):
+    max_degree = 4 if nvars == 2 else 3
+    for _ in range(10):
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            q = rng.randint(1, max_degree)
+            gens.append(Form.make(nvars, q, "R", {m: rng.choice([0, 0, 1, -1, 2, 3])
+                                                  for m in monomials(nvars, q)}))
+        # past the first full slice, where the incremental route stops eliminating
+        top = 2 * max_degree + 2
+        assert ideal_slices(gens, nvars, top) == _ideal_slices_by_products(gens, nvars, top)
+
+
+def test_socle_degree_bound_is_kept():
+    gens = [form_parse("x1^3", nvars=2), form_parse("x2^3", nvars=2)]
+    # R/(x1^3, x2^3) has socle x1^2 x2^2 and vanishes from degree 5 on
+    assert socle(gens, 2, bound=5) == [(4, 1)]
+    with pytest.raises(NotArtinError, match="not vanished by degree 4"):
+        socle(gens, 2, bound=4)
+    with pytest.raises(NotArtinError, match="not vanished by degree -1"):
+        socle(gens, 2, bound=-1)
 
 
 def test_three_variable_hilbert_function():

@@ -254,8 +254,12 @@ def test_unreadable_input_is_domain_error(capsys):
     (["gad", "-d", "4"], "0,1\n"),
     (["gad", "-d", "4"], "1/0,1,1\n"),
     (["hf-enumerate", "-t", "x", "-d", "5"], None),
+    (["lascoux-ranks", "-t", "2", "-d", "5", "-i", "9", "-r", "1"], None),
+    (["e1-table", "-t", "2", "-d", "5", "-i", "9", "-r", "1", "-m", "0"], None),
+    (["porteous", "-t", "2", "-d", "5", "-i", "9", "-r", "1"], None),
 ], ids=["hf-check-letter", "bott-letter", "class-unclosed-brace", "class-letter",
-        "gad-letter", "gad-two-fields", "gad-zero-denominator", "flag-letter"])
+        "gad-letter", "gad-two-fields", "gad-zero-denominator", "flag-letter",
+        "lascoux-i-above-d", "e1-i-above-d", "porteous-i-above-d"])
 def test_malformed_input_is_a_one_line_error(argv, input_text, tmp_path):
     # a fresh interpreter, so that an uncaught exception shows as a traceback
     if input_text is not None:

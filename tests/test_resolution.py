@@ -160,6 +160,17 @@ def test_c1_c2_requires_r_below_i_plus_one():
         c1_c2_analysis(2, 7, 5, 6)
 
 
+def test_product_index_above_d_is_rejected():
+    # the product map R_{d-i} (x) Lambda -> S_i needs i <= d
+    from levelalg.schubert import porteous_class
+
+    for call in (lambda: lascoux_ranks(2, 5, 9, 1),
+                 lambda: e1_vanishing_table(2, 5, 9, 1, 0),
+                 lambda: porteous_class(2, 5, 9, 1)):
+        with pytest.raises(LevelAlgError, match="i = 9, d = 5"):
+            call()
+
+
 def test_le32_on_25_fails_c1():
     # expected codimension 8, actual component codimension 6: the class
     # formula is inapplicable here

@@ -1,12 +1,13 @@
-"""Differential tests of the apolarity kernel and the canonical echelon
-form against sympy, used only as an independent oracle in the tests."""
+"""Differential tests of the apolarity kernel, the fraction-free
+elimination core and the canonical echelon form against sympy, used only
+as an independent oracle in the tests."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from levelalg.apolarity import catalecticant_matrix, internal_product
 from levelalg.forms import Form, Subspace, monomials
-from levelalg.linalg import rank
+from levelalg.linalg import QQ, det, rank, rref, right_kernel, row_space_intersection
 
 sympy = pytest.importorskip("sympy")
 
@@ -77,3 +78,81 @@ def test_span_rows_are_sympy_rref_rows(spanning):
     rows = [tuple(reduced.row(k)) for k in range(len(pivots))]
     assert [tuple(to_sympy(x) for x in row) for row in lam.rows] == rows
     assert lam.pivots == tuple(pivots)
+
+
+# -- the fraction-free elimination core --------------------------------------
+
+MIXED = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+# factors with many zero entries give products with scattered zeros, so
+# rows skip pivot columns, as they do in the sparse tangent matrices
+SPARSE = st.one_of(st.just(QQ(0)), MIXED)
+
+
+@st.composite
+def low_rank_matrices(draw, nrows=None, ncols=None):
+    """A product of nrows x k and k x ncols sparse rational factors (so
+    rank <= k), with some rows and columns then set to zero."""
+    r = nrows or draw(st.integers(1, 7))
+    c = ncols or draw(st.integers(1, 7))
+    k = draw(st.integers(0, min(r, c)))
+    left = draw(st.lists(st.lists(SPARSE, min_size=k, max_size=k), min_size=r, max_size=r))
+    right = draw(st.lists(st.lists(SPARSE, min_size=c, max_size=c), min_size=k, max_size=k))
+    zero_rows = draw(st.sets(st.integers(0, r - 1), max_size=r // 2))
+    zero_cols = draw(st.sets(st.integers(0, c - 1), max_size=c // 2))
+    return [[QQ(0) if i in zero_rows or j in zero_cols
+             else sum((left[i][m] * right[m][j] for m in range(k)), QQ(0))
+             for j in range(c)] for i in range(r)]
+
+
+def sympy_matrix(m):
+    return sympy.Matrix([[to_sympy(x) for x in row] for row in m])
+
+
+def as_sympy_rows(m):
+    return [tuple(to_sympy(x) for x in row) for row in m]
+
+
+@settings(max_examples=80, deadline=None)
+@given(low_rank_matrices())
+def test_rref_rank_and_kernel_match_sympy(m):
+    expected = sympy_matrix(m)
+    reduced, pivots = expected.rref()
+    ours, our_pivots = rref(m)
+    assert as_sympy_rows(ours) == [tuple(reduced.row(k)) for k in range(len(m))]
+    assert tuple(our_pivots) == pivots
+    assert rank(m) == expected.rank()
+    # sympy's nullspace is the same canonical basis: 1 at a free column,
+    # minus the RREF entries at the pivot columns
+    assert as_sympy_rows(right_kernel(m)) == [tuple(v) for v in expected.nullspace()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: low_rank_matrices(n, n)))
+def test_det_matches_sympy(m):
+    assert to_sympy(det(m)) == sympy_matrix(m).det()
+
+
+@settings(max_examples=60, deadline=None)
+@given(low_rank_matrices(), st.data())
+def test_row_space_intersection_matches_sympy_ranks(a, data):
+    # b mixes combinations of a's rows with rows of its own, so the
+    # intersection is often neither zero nor all of a's row space
+    ncols = len(a[0])
+    mix = data.draw(st.lists(st.lists(MIXED, min_size=len(a), max_size=len(a)),
+                             min_size=0, max_size=3))
+    own = data.draw(st.lists(st.lists(MIXED, min_size=ncols, max_size=ncols),
+                             min_size=0, max_size=3))
+    b = [[sum((c * row[j] for c, row in zip(coeffs, a)), QQ(0)) for j in range(ncols)]
+         for coeffs in mix] + own
+    if not b:
+        return
+    inter = row_space_intersection(a, b, ncols)
+    sa, sb = sympy_matrix(a), sympy_matrix(b)
+    # dim(A n B) = rank A + rank B - rank(A + B)
+    assert len(inter) == sa.rank() + sb.rank() - sympy.Matrix.vstack(sa, sb).rank()
+    if inter:
+        si = sympy_matrix(inter)
+        # canonical: already the RREF of its span, with no zero row
+        assert as_sympy_rows(inter) == [tuple(si.rref()[0].row(k)) for k in range(len(inter))]
+        assert sympy.Matrix.vstack(sa, si).rank() == sa.rank()
+        assert sympy.Matrix.vstack(sb, si).rank() == sb.rank()
