@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 domain error, 1 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -366,7 +367,9 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once per process: `parse_args` leaves it unchanged."""
     parser = _Parser(prog="levelalg",
                      description="exact computations with level algebras")
     parser.add_argument("--format", choices=("keyvalue", "json-lines"),

@@ -26,6 +26,14 @@ def character(lam: tuple, mu: tuple) -> int:
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise WeightMismatchError(f"{lam} and {mu} partition different integers")
+    return _character(lam, mu)
+
+
+@lru_cache(maxsize=None)
+def _character(lam: tuple, mu: tuple) -> int:
+    """Murnaghan-Nakayama on partitions of equal weight, unchecked: every
+    border-strip removal leaves a partition, so one check at the entry
+    point covers the whole recursion."""
     if not lam:
         return 1
     k = mu[0]
@@ -41,7 +49,7 @@ def character(lam: tuple, mu: tuple) -> int:
         new_beta = sorted((x if x != b else b - k for x in beta), reverse=True)
         new_lam = tuple(x - (ell - 1 - i) for i, x in enumerate(new_beta))
         new_lam = tuple(p for p in new_lam if p > 0)
-        total += (-1) ** jumped * character(new_lam, rest)
+        total += (-1) ** jumped * _character(new_lam, rest)
     return total
 
 
@@ -65,9 +73,11 @@ def class_size(mu: tuple) -> int:
 def kronecker(lam, rho, mu, cap: int = DEFAULT_WEIGHT_CAP) -> int:
     """Multiplicity of the trivial representation in R_lam (x) R_rho (x) R_mu.
 
-    Symmetric in the three partitions.  The weight cap guards runtime (the
-    character table of S_n is walked in full); raise it explicitly for
-    larger weights.
+    Symmetric in the three partitions.  The class-weighted sum runs over
+    the p(n) conjugacy classes of S_n and reads three rows of the character
+    table, each value computed on demand and cached across calls.  The
+    weight cap guards the cost, which grows with p(n); raise it explicitly
+    for larger weights.
     """
     lam, rho, mu = check_partition(lam), check_partition(rho), check_partition(mu)
     n = sum(lam)
@@ -83,7 +93,7 @@ def kronecker(lam, rho, mu, cap: int = DEFAULT_WEIGHT_CAP) -> int:
         return 1
     total = 0
     for cls in partitions(n):
-        total += (character(lam, cls) * character(rho, cls) * character(mu, cls)
+        total += (_character(lam, cls) * _character(rho, cls) * _character(mu, cls)
                   * factorial(n)) // _z_mu(cls)
     if total % factorial(n):
         raise LevelAlgError("internal bug: character sum is not divisible by n!")

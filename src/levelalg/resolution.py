@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 from .bott import schur_qdual_cohomology, schur_sub_twist_cohomology
 from .errors import CapExceededError, LevelAlgError
-from .kronecker import DEFAULT_WEIGHT_CAP, kronecker
+from .kronecker import DEFAULT_WEIGHT_CAP, dvir_bound_ok, kronecker
 from .levelhf import (
     HilbertFunction,
     dim_stratum,
-    dominates,
     enumerate_level_hf,
     grassmannian_dim,
     is_level_sequence,
@@ -73,8 +72,8 @@ def lascoux_ranks(t: int, d: int, i: int, r: int,
     the rank dim S_lam(k^{t(d-i+1)}) times the Bott dimension of
     S_{lam'}(Q*) on G(r, S_i).
     """
-    if i > d:
-        raise LevelAlgError(f"need i <= d, got i = {i}, d = {d}")
+    if not 0 <= i <= d:
+        raise LevelAlgError(f"need 0 <= i <= d, got i = {i}, d = {d}")
     if not 0 <= r < i + 1:
         raise LevelAlgError(f"need 0 <= r < i + 1, got r = {r}, i = {i}")
     rows_bound = t * (d - i + 1)
@@ -125,12 +124,16 @@ class ComponentReport:
 
 
 def c2_witness_hf(t: int, d: int, i: int, r: int) -> HilbertFunction:
-    """The level Hilbert function built from C2: the ramp to degree i-1,
-    then min{r - (j-i)(i-r), t(d-j+1)}."""
+    """The level Hilbert function built from C2: the ramp min{j+1, t(d-j+1)}
+    to degree i-1, then min{r - (j-i)(i-r), t(d-j+1)}.
+
+    The ramp is capped by the maximal Hilbert function of `minmax_hf`;
+    uncapped, it exceeds t(d-j+1) when i is close to d.
+    """
     values = []
     for j in range(d + 1):
         if j <= i - 1:
-            values.append(j + 1)
+            values.append(min(j + 1, t * (d - j + 1)))
         else:
             values.append(min(r - (j - i) * (i - r), t * (d - j + 1)))
     ok, idx = is_level_sequence(values)
@@ -145,7 +148,14 @@ def c1_c2_analysis(t: int, d: int, i: int, r: int) -> ComponentReport:
     C2 is the inequality r - (d-i)(i-r) >= t; when it holds the witness
     Hilbert function is attached.  C1 is reported as: every candidate
     component has codimension equal to the degeneracy bound.
+
+    The maximal admissible functions are found in one pass by descending
+    total: a function dominated by another has a smaller sum, so each one
+    meets its dominators first, and by transitivity it is enough to compare
+    it with those kept so far.
     """
+    if not 0 <= i <= d:
+        raise LevelAlgError(f"need 0 <= i <= d, got i = {i}, d = {d}")
     if not r < i + 1:
         raise LevelAlgError(f"need r < i + 1, got r = {r}, i = {i}")
     c2_value = r - (d - i) * (i - r)
@@ -154,10 +164,11 @@ def c1_c2_analysis(t: int, d: int, i: int, r: int) -> ComponentReport:
     bound = expected_codim(t, d, i, r)
     dim_g = grassmannian_dim(t, d)
     admissible = [h for h in enumerate_level_hf(t, d) if h[i] <= r]
-    maximal = [
-        h for h in admissible
-        if not any(other is not h and dominates(other, h) for other in admissible)
-    ]
+    kept: set[tuple] = set()  # all of length d + 1
+    for h in sorted(admissible, key=lambda h: -sum(h.values)):
+        if not any(all(a >= b for a, b in zip(k, h.values)) for k in kept):
+            kept.add(h.values)
+    maximal = [h for h in admissible if h.values in kept]
     candidates = tuple(
         (h, dim_stratum(h), dim_g - dim_stratum(h)) for h in maximal
     )
@@ -197,8 +208,9 @@ def e1_vanishing_table(t: int, d: int, i: int, r: int, m: int,
     Every box partition lambda decomposes S_lam(B (x) R_{d-i}) into
     summands S_rho(B) (x) S_mu(R_{d-i}) with Kronecker multiplicities;
     Bott on G(t, S_d) then locates the unique cohomology degree of
-    S_rho(B)(m).  Partitions heavier than the weight cap are skipped and
-    reported in `truncated_weights`.
+    S_rho(B)(m).  Triples outside Dvir's support bound have coefficient 0
+    and are skipped before any character sum.  Partitions heavier than the
+    weight cap are skipped and reported in `truncated_weights`.
     """
     table = lascoux_ranks(t, d, i, r)
     rows_bound = t * (d - i + 1)
@@ -225,7 +237,7 @@ def e1_vanishing_table(t: int, d: int, i: int, r: int, m: int,
                 if res.is_zero:
                     continue
                 for mu in partitions(w):
-                    if len(mu) > mu_rows:
+                    if len(mu) > mu_rows or not dvir_bound_ok(lam, rho, mu):
                         continue
                     c = kronecker(lam, rho, mu, cap=cap_weight)
                     if c == 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import AmbientMismatchError, InputSyntaxError, InvalidPartitionError, LevelAlgError
-from .partitions import check_partition, contains, parse_partition
+from .partitions import bounded_partitions, check_partition, contains, parse_partition
 
 
 @dataclass(frozen=True)
@@ -213,21 +213,24 @@ def lr_coefficient(lam: tuple, mu: tuple, nu: tuple) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
+def _box_partitions(w: int, rows: int, cols: int) -> tuple:
+    """The partitions of w in the rows x cols box, in the order of
+    `partitions(w)`."""
+    return tuple(nu for nu in bounded_partitions(w, cols) if len(nu) <= rows)
+
+
 def lr_multiply(a: SchubertClass, b: SchubertClass) -> SchubertClass:
     """Cup product: LR expansion truncated to the box."""
     a._check(b)
     t, n = a.t, a.n
     out: dict = {}
-    from .partitions import partitions
-
     for lam, ca in a.coeffs.items():
         for mu, cb in b.coeffs.items():
             w = sum(lam) + sum(mu)
             if w > t * (n - t):
                 continue
-            for nu in partitions(w):
-                if len(nu) > t or (nu and nu[0] > n - t):
-                    continue
+            for nu in _box_partitions(w, t, n - t):
                 c = lr_coefficient(lam, mu, nu)
                 if c:
                     out[nu] = out.get(nu, 0) + ca * cb * c
@@ -286,8 +289,8 @@ def porteous_class(t: int, d: int, i: int, r: int) -> SchubertClass:
     locus is also generically reduced; otherwise it counts each component
     with its multiplicity.
     """
-    if i > d:
-        raise LevelAlgError(f"need i <= d, got i = {i}, d = {d}")
+    if not 0 <= i <= d:
+        raise LevelAlgError(f"need 0 <= i <= d, got i = {i}, d = {d}")
     n = d + 1
     e = t * (d - i + 1)
     f = i + 1

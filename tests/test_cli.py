@@ -257,9 +257,12 @@ def test_unreadable_input_is_domain_error(capsys):
     (["lascoux-ranks", "-t", "2", "-d", "5", "-i", "9", "-r", "1"], None),
     (["e1-table", "-t", "2", "-d", "5", "-i", "9", "-r", "1", "-m", "0"], None),
     (["porteous", "-t", "2", "-d", "5", "-i", "9", "-r", "1"], None),
+    (["components", "-t", "2", "-d", "5", "-i", "9", "-r", "1"], None),
+    (["porteous", "-t", "2", "-d", "5", "-i", "-1", "-r", "0"], None),
 ], ids=["hf-check-letter", "bott-letter", "class-unclosed-brace", "class-letter",
         "gad-letter", "gad-two-fields", "gad-zero-denominator", "flag-letter",
-        "lascoux-i-above-d", "e1-i-above-d", "porteous-i-above-d"])
+        "lascoux-i-above-d", "e1-i-above-d", "porteous-i-above-d",
+        "components-i-above-d", "porteous-i-negative"])
 def test_malformed_input_is_a_one_line_error(argv, input_text, tmp_path):
     # a fresh interpreter, so that an uncaught exception shows as a traceback
     if input_text is not None:
@@ -277,3 +280,36 @@ def test_malformed_input_is_a_one_line_error(argv, input_text, tmp_path):
     assert [line for line in proc.stderr.splitlines() if "error" in line] == \
         [proc.stderr.splitlines()[-1]]
     assert proc.stderr.splitlines()[-1].startswith(marker)
+
+
+def test_reused_parser_answers_as_a_fresh_interpreter():
+    # main builds its parser once per process; a run of calls in one
+    # interpreter must print what each call prints in a fresh one
+    calls = [["hf-check"],
+             ["porteous", "-t", "2", "-d", "5", "-i", "2", "-r", "2"],
+             ["--format", "json-lines", "hf-check", "1,2,3,4,5,5,4,3,0"],
+             ["-h"]]
+    src = os.path.dirname(os.path.dirname(levelalg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = """
+import contextlib, io, json, sys
+from levelalg.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    results.append([rc, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
+                          capture_output=True, text=True, env=env, check=True)
+    in_one = json.loads(proc.stdout)
+    for argv, got in zip(calls, in_one, strict=True):
+        fresh = subprocess.run([sys.executable, "-m", "levelalg.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert got == [fresh.returncode, fresh.stdout, fresh.stderr], argv
+    assert [rc for rc, _, _ in in_one] == [1, 0, 0, 0]

@@ -132,3 +132,19 @@ def test_dimension_identity_tensor_product():
                 for mu in partitions(w)
             )
             assert lhs == schur_dim(lam, 6)
+
+
+def test_character_orthogonality_columns():
+    # sum over lambda of chi_lambda(mu) chi_lambda(nu) is z_mu if mu = nu
+    # and 0 otherwise, z_mu = prod_k k^{m_k} m_k! counted here directly
+    from math import factorial
+
+    for n in range(1, 9):
+        ps = partitions(n)
+        for mu in ps:
+            z = 1
+            for k in set(mu):
+                z *= k ** mu.count(k) * factorial(mu.count(k))
+            for nu in ps:
+                total = sum(character(lam, mu) * character(lam, nu) for lam in ps)
+                assert total == (z if mu == nu else 0)

@@ -1,7 +1,8 @@
 import pytest
 
+from levelalg import resolution
 from levelalg.errors import CapExceededError, LevelAlgError
-from levelalg.levelhf import grassmannian_dim, is_level_hf
+from levelalg.levelhf import enumerate_level_hf, grassmannian_dim, is_level_hf, is_level_sequence
 from levelalg.partitions import schur_dim, weyl_dim
 from levelalg.resolution import (
     c1_c2_analysis,
@@ -71,6 +72,49 @@ def test_c2_witness_lemma():
         assert is_level_hf(h) == (True, None)
         assert h[i - 1] == i and h[i] <= r
         assert h.t == t and h.d == d
+
+
+def test_c2_witness_on_grid():
+    # every (t <= 5, d <= 13, i, r) satisfying C2 has a level witness with
+    # h_i <= r; where the uncapped ramp j + 1 is already level, the witness
+    # is that sequence
+    for t in range(1, 6):
+        for d in range(max(t - 1, 1), 14):
+            for i in range(d + 1):
+                for r in range(i + 1):
+                    if r - (d - i) * (i - r) < t:
+                        continue
+                    h = c2_witness_hf(t, d, i, r)
+                    assert is_level_hf(h) == (True, None)
+                    assert h[i] <= r and h.t == t and h.d == d
+                    ramp = [j + 1 if j < i else h[j] for j in range(d + 1)]
+                    if is_level_sequence(ramp)[0]:
+                        assert h.values == tuple(ramp)
+
+
+def test_c2_witness_ramp_is_capped():
+    # the uncapped ramp 1,2,3,4,5 exceeds t(d-j+1) = 4 at j = 4
+    rep = c1_c2_analysis(2, 5, 5, 3)
+    assert rep.c2_holds
+    assert rep.c2_witness.values == (1, 2, 3, 4, 4, 2)
+
+
+def _maximal_by_quadratic_scan(t, d, i, r):
+    """Admissible functions that no other one dominates, by comparing every
+    pair: the route c1_c2_analysis took before its maximal-element pass."""
+    admissible = [h.values for h in enumerate_level_hf(t, d) if h[i] <= r]
+    return [h for h in admissible
+            if not any(o != h and all(a >= b for a, b in zip(o, h))
+                       for o in admissible)]
+
+
+def test_maximal_pass_matches_quadratic_scan():
+    cases = [(t, d, i, r)
+             for t in range(1, 5) for d in range(max(t - 1, 1), 13)
+             for i in range(d + 1) for r in range(i + 1)]
+    for args in cases + [(5, 32, 28, 24)]:
+        got = [h.values for h, _, _ in c1_c2_analysis(*args).candidates]
+        assert got == _maximal_by_quadratic_scan(*args), args
 
 
 def test_components_2754():
@@ -149,6 +193,16 @@ def test_e1_table_t1_negative_twist():
     assert table.entries
 
 
+@pytest.mark.parametrize("args, cap", [
+    ((2, 7, 4, 3, 0), 16), ((2, 7, 5, 4, 1), 14),
+    ((2, 6, 4, 3, 0), 12), ((2, 8, 6, 5, 0), 12),
+])
+def test_e1_dvir_prefilter_changes_nothing(args, cap, monkeypatch):
+    fast = e1_vanishing_table(*args, cap_weight=cap)
+    monkeypatch.setattr(resolution, "dvir_bound_ok", lambda lam, rho, mu: True)
+    assert e1_vanishing_table(*args, cap_weight=cap) == fast
+
+
 def test_e1_table_truncation_notice():
     table = e1_vanishing_table(2, 7, 5, 4, 0, cap_weight=5)
     assert table.truncated
@@ -166,8 +220,19 @@ def test_product_index_above_d_is_rejected():
 
     for call in (lambda: lascoux_ranks(2, 5, 9, 1),
                  lambda: e1_vanishing_table(2, 5, 9, 1, 0),
-                 lambda: porteous_class(2, 5, 9, 1)):
+                 lambda: porteous_class(2, 5, 9, 1),
+                 lambda: c1_c2_analysis(2, 5, 9, 1)):
         with pytest.raises(LevelAlgError, match="i = 9, d = 5"):
+            call()
+
+
+def test_negative_product_index_is_rejected():
+    from levelalg.schubert import porteous_class
+
+    for call in (lambda: lascoux_ranks(2, 5, -1, 0),
+                 lambda: porteous_class(2, 5, -1, 0),
+                 lambda: c1_c2_analysis(2, 5, -1, -1)):
+        with pytest.raises(LevelAlgError, match="i = -1, d = 5"):
             call()
 
 

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levelalg.errors import AmbientMismatchError, InvalidPartitionError
-from levelalg.partitions import partitions_in_box
+from levelalg.partitions import partitions, partitions_in_box
 from levelalg.resolution import expected_codim
 from levelalg.schubert import (
     chern_taut,
@@ -183,3 +184,41 @@ def test_porteous_gorenstein_hypersurface_coefficient():
         s, coeff = hypersurface_case(1, d)
         cls = porteous_class(1, d, s, s)
         assert format_class(cls) == (f"{coeff}{{1}}" if coeff != 1 else "{1}")
+
+
+def _lr_multiply_all_partitions(a, b):
+    """The product through every partition of each weight, dropping those
+    outside the box: the route lr_multiply took before its box-bounded
+    iteration."""
+    t, n = a.t, a.n
+    out = {}
+    for lam, ca in a.coeffs.items():
+        for mu, cb in b.coeffs.items():
+            w = sum(lam) + sum(mu)
+            if w > t * (n - t):
+                continue
+            for nu in partitions(w):
+                if len(nu) > t or (nu and nu[0] > n - t):
+                    continue
+                c = lr_coefficient(lam, mu, nu)
+                if c:
+                    out[nu] = out.get(nu, 0) + ca * cb * c
+    return schubert_class(t, n, out)
+
+
+@st.composite
+def box_class_pairs(draw):
+    t = draw(st.integers(1, 4))
+    n = t + draw(st.integers(1, 5))
+    pool = partitions_in_box(t, n - t)
+    terms = st.dictionaries(st.sampled_from(pool), st.integers(-3, 3), max_size=4)
+    return schubert_class(t, n, draw(terms)), schubert_class(t, n, draw(terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(box_class_pairs())
+def test_box_bounded_lr_multiply_matches_all_partitions(pair):
+    a, b = pair
+    fast, ref = lr_multiply(a, b), _lr_multiply_all_partitions(a, b)
+    assert fast == ref
+    assert list(fast.coeffs) == list(ref.coeffs)
