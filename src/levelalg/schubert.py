@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 
 from .errors import AmbientMismatchError, InputSyntaxError, InvalidPartitionError, LevelAlgError
-from .partitions import bounded_partitions, check_partition, contains, parse_partition
+from .partitions import bounded_partitions, check_partition, parse_partition
 
 
 @dataclass(frozen=True)
@@ -44,14 +45,14 @@ class SchubertClass:
         out = dict(self.coeffs)
         for lam, c in other.coeffs.items():
             out[lam] = out.get(lam, 0) + c
-        return schubert_class(self.t, self.n, out)
+        return SchubertClass(self.t, self.n, {lam: c for lam, c in out.items() if c})
 
     def __sub__(self, other: SchubertClass) -> SchubertClass:
         return self + other.scale(-1)
 
     def scale(self, k: int) -> SchubertClass:
         if k == 0:
-            return schubert_class(self.t, self.n, {})
+            return SchubertClass(self.t, self.n, {})
         return SchubertClass(self.t, self.n, {lam: k * c for lam, c in self.coeffs.items()})
 
     def __mul__(self, other: SchubertClass) -> SchubertClass:
@@ -59,11 +60,6 @@ class SchubertClass:
 
     def coefficient(self, lam) -> int:
         return self.coeffs.get(check_partition(lam), 0)
-
-    def degree_part(self, w: int) -> SchubertClass:
-        return schubert_class(
-            self.t, self.n, {lam: c for lam, c in self.coeffs.items() if sum(lam) == w}
-        )
 
     def max_degree(self) -> int:
         return max((sum(lam) for lam in self.coeffs), default=0)
@@ -165,15 +161,21 @@ def parse_class(text: str, t: int, n: int) -> SchubertClass:
 
 @lru_cache(maxsize=None)
 def lr_coefficient(lam: tuple, mu: tuple, nu: tuple) -> int:
-    """The Littlewood-Richardson coefficient c^nu_{lam, mu}.
+    """The Littlewood-Richardson coefficient c^nu_{lam, mu}."""
+    return _lr_coefficient(check_partition(lam), check_partition(mu), check_partition(nu))
+
+
+@lru_cache(maxsize=None)
+def _lr_coefficient(lam: tuple, mu: tuple, nu: tuple) -> int:
+    """c^nu_{lam, mu} on trimmed partitions, unchecked.
 
     Counts semistandard fillings of nu/lam with content mu whose reverse
     reading word is a lattice word.  Cells are filled in reverse reading
     order so the lattice property prunes the search as it goes.
     """
-    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
-    if sum(lam) + sum(mu) != sum(nu) or not contains(nu, lam):
-        return 0
+    if sum(lam) + sum(mu) != sum(nu) or any(
+            a > c or b > c for a, b, c in zip_longest(lam, mu, nu, fillvalue=0)):
+        return 0  # nu must contain both lam and mu
     if not mu:
         return 1
     lam_p = list(lam) + [0] * (len(nu) - len(lam))
@@ -231,28 +233,26 @@ def lr_multiply(a: SchubertClass, b: SchubertClass) -> SchubertClass:
             if w > t * (n - t):
                 continue
             for nu in _box_partitions(w, t, n - t):
-                c = lr_coefficient(lam, mu, nu)
+                c = _lr_coefficient(lam, mu, nu)
                 if c:
                     out[nu] = out.get(nu, 0) + ca * cb * c
-    return schubert_class(t, n, out)
+    return SchubertClass(t, n, {nu: c for nu, c in out.items() if c})
 
 
 def chern_taut(t: int, n: int, i: int) -> SchubertClass:
-    """c_i of the tautological subbundle: (-1)^i {1,...,1} (i ones)."""
+    """c_i of the tautological subbundle: (-1)^i {1,...,1} (i ones), zero
+    when that column leaves the box."""
     if i < 0:
         raise InvalidPartitionError("negative Chern index")
     if i == 0:
         return class_one(t, n)
-    if i > t:
+    if i > t or n <= t:
         return schubert_class(t, n, {})
     return schubert_class(t, n, {(1,) * i: (-1) ** i})
 
 
 def chern_taut_total(t: int, n: int) -> SchubertClass:
-    total = class_one(t, n)
-    for i in range(1, t + 1):
-        total = total + chern_taut(t, n, i)
-    return total
+    return sum((chern_taut(t, n, i) for i in range(1, t + 1)), class_one(t, n))
 
 
 def class_power(a: SchubertClass, k: int) -> SchubertClass:
@@ -262,74 +262,69 @@ def class_power(a: SchubertClass, k: int) -> SchubertClass:
     return out
 
 
-def class_inverse(a: SchubertClass) -> SchubertClass:
-    """Inverse of a class with unit constant term, as a finite geometric
-    series (positive-degree parts are nilpotent in the box)."""
-    if a.coefficient(()) != 1:
-        raise LevelAlgError("can only invert classes with constant term 1")
-    u = a - class_one(a.t, a.n)
-    out = class_one(a.t, a.n)
-    term = class_one(a.t, a.n)
-    while True:
-        term = lr_multiply(term, u).scale(-1)
-        if term.is_zero:
-            break
-        out = out + term
-    return out
+def _toeplitz_det(total: SchubertClass, size: int, offset: int) -> SchubertClass:
+    """det[c_{offset+col-row}]_{size x size}, c_k the weight-k part of total.
+
+    Laplace expansion along the first remaining row, memoised on the
+    surviving column set.
+    """
+    t, n = total.t, total.n
+    parts = [{} for _ in range(total.max_degree() + 1)]
+    for lam, c in total.coeffs.items():
+        parts[sum(lam)][lam] = c
+    parts = [SchubertClass(t, n, p) for p in parts]
+
+    @lru_cache(maxsize=None)
+    def minor(cols: tuple) -> SchubertClass:
+        if not cols:
+            return class_one(t, n)
+        row = size - len(cols)
+        out = SchubertClass(t, n, {})
+        if offset + cols[0] < row:
+            return out  # column cols[0] is zero from this row down
+        for pos, col in enumerate(cols):
+            k = offset + col - row
+            if k >= len(parts) or parts[k].is_zero:
+                continue
+            # the entry second: an LR filling has one cell per box of the second factor
+            term = lr_multiply(minor(cols[:pos] + cols[pos + 1:]), parts[k])
+            out = out + (term.scale(-1) if pos % 2 else term)
+        return out
+
+    return minor(tuple(range(size)))
 
 
 def porteous_class(t: int, d: int, i: int, r: int) -> SchubertClass:
     """Fundamental class of the rank <= r locus of the i-th product map.
 
-    E = (tautological) (x) R_{d-i} has rank e = t(d-i+1) and total Chern
-    class c(taut)^{d-i+1}; F is trivial of rank f = i+1.  The class is the
-    (e-r) x (e-r) determinant with (row, col) entry c_{f-r+col-row}(F - E).
-    It is supported on the locus when the locus has the expected
+    E = S (x) R_{d-i} has rank e = t(d-i+1) and c(E) = c(S)^{d-i+1}, S the
+    tautological subbundle; F is trivial of rank f = i+1.  Porteous gives
+    the (e-r) x (e-r) determinant det[c_{f-r+col-row}(F - E)], where
+    c(F - E) = c(Q)^{d-i+1} and c(Q) = sum_k {k}.  By Jacobi-Trudi duality
+    it equals (-1)^{(e-r)(f-r)} det[c_{e-r+col-row}(E)] of size f-r
+    (Fulton, Intersection Theory, 14.4 and Lemma 14.5.1; Macdonald,
+    Symmetric Functions, I.3); the smaller determinant is expanded.
+    The class is supported on the locus when the locus has the expected
     codimension (e-r)(f-r), and is its fundamental class only when the
     locus is also generically reduced; otherwise it counts each component
     with its multiplicity.
     """
     if not 0 <= i <= d:
         raise LevelAlgError(f"need 0 <= i <= d, got i = {i}, d = {d}")
+    if t > d + 1:
+        raise LevelAlgError(f"G({t}, S_{d}) is empty: need t <= d + 1")
     n = d + 1
     e = t * (d - i + 1)
     f = i + 1
     if r < 0 or r > min(e, f):
         raise LevelAlgError(f"rank bound {r} outside 0..min({e},{f})")
+    if r == min(e, f):
+        return class_one(t, n)  # the smaller determinant is empty
+    if e <= f:
+        quotient = SchubertClass(t, n, {(k,) if k else (): 1 for k in range(n - t + 1)})
+        return _toeplitz_det(class_power(quotient, d - i + 1), e - r, f - r)
     ce = class_power(chern_taut_total(t, n), d - i + 1)
-    cinv = class_inverse(ce)  # total Chern class of F - E
-
-    def entry(row: int, col: int) -> SchubertClass:
-        k = (f - r) + col - row
-        if k < 0:
-            return schubert_class(t, n, {})
-        return cinv.degree_part(k)
-
-    size = e - r
-    if size == 0:
-        return class_one(t, n)
-    # Laplace expansion along the first remaining row, memoised on the
-    # surviving column set
-    from functools import lru_cache as _cache
-
-    @_cache(maxsize=None)
-    def minor(cols: tuple) -> SchubertClass:
-        row = size - len(cols)
-        if not cols:
-            return class_one(t, n)
-        total = schubert_class(t, n, {})
-        for pos, c in enumerate(cols):
-            ent = entry(row, c)
-            if ent.is_zero:
-                continue
-            sub = minor(tuple(x for x in cols if x != c))
-            term = lr_multiply(ent, sub)
-            if pos % 2 == 1:
-                term = term.scale(-1)
-            total = total + term
-        return total
-
-    return minor(tuple(range(size)))
+    return _toeplitz_det(ce, f - r, e - r).scale((-1) ** ((e - r) * (f - r)))
 
 
 def poincare_complement(lam, t: int, n: int) -> tuple[int, ...]:

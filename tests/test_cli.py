@@ -259,10 +259,11 @@ def test_unreadable_input_is_domain_error(capsys):
     (["porteous", "-t", "2", "-d", "5", "-i", "9", "-r", "1"], None),
     (["components", "-t", "2", "-d", "5", "-i", "9", "-r", "1"], None),
     (["porteous", "-t", "2", "-d", "5", "-i", "-1", "-r", "0"], None),
+    (["porteous", "-t", "3", "-d", "1", "-i", "0", "-r", "0"], None),
 ], ids=["hf-check-letter", "bott-letter", "class-unclosed-brace", "class-letter",
         "gad-letter", "gad-two-fields", "gad-zero-denominator", "flag-letter",
         "lascoux-i-above-d", "e1-i-above-d", "porteous-i-above-d",
-        "components-i-above-d", "porteous-i-negative"])
+        "components-i-above-d", "porteous-i-negative", "porteous-empty-grassmannian"])
 def test_malformed_input_is_a_one_line_error(argv, input_text, tmp_path):
     # a fresh interpreter, so that an uncaught exception shows as a traceback
     if input_text is not None:
@@ -280,6 +281,26 @@ def test_malformed_input_is_a_one_line_error(argv, input_text, tmp_path):
     assert [line for line in proc.stderr.splitlines() if "error" in line] == \
         [proc.stderr.splitlines()[-1]]
     assert proc.stderr.splitlines()[-1].startswith(marker)
+
+
+@pytest.mark.parametrize("tdir, out", [
+    ("2 1 0 0", "class: 0\ncodim: 4\n"),
+    ("2 1 0 1", "class: 1\ncodim: 0\n"),
+    ("2 1 1 1", "class: 0\ncodim: 1\n"),
+    ("1 0 0 0", "class: 0\ncodim: 1\n"),
+    ("1 0 0 1", "class: 1\ncodim: 0\n"),
+])
+def test_porteous_on_a_point(tdir, out):
+    # G(d + 1, S_d) is a point
+    t, d, i, r = tdir.split()
+    assert run_cli(["porteous", "-t", t, "-d", d, "-i", i, "-r", r]) == (0, out)
+
+
+def test_porteous_on_an_empty_grassmannian(capsys):
+    for t, d in (("3", "1"), ("5", "2")):
+        assert main(["porteous", "-t", t, "-d", d, "-i", "0", "-r", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: G({t}, S_{d}) is empty: need t <= d + 1\n"
 
 
 def test_reused_parser_answers_as_a_fresh_interpreter():

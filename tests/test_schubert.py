@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,10 +7,13 @@ from levelalg.errors import AmbientMismatchError, InvalidPartitionError
 from levelalg.partitions import partitions, partitions_in_box
 from levelalg.resolution import expected_codim
 from levelalg.schubert import (
+    SchubertClass,
+    _toeplitz_det,
     chern_taut,
     chern_taut_total,
     class_of,
     class_one,
+    class_power,
     format_class,
     lr_coefficient,
     lr_multiply,
@@ -78,6 +83,9 @@ def test_chern_classes_of_tautological_bundle():
     assert format_class(chern_taut(2, 6, 2)) == "{1,1}"
     assert chern_taut(2, 6, 3).is_zero
     assert format_class(chern_taut_total(2, 6)) == "1 - {1} + {1,1}"
+    # on G(2, 2), a point, the column {1} leaves the 2 x 0 box
+    assert chern_taut(2, 2, 1).is_zero
+    assert format_class(chern_taut_total(2, 2)) == "1"
 
 
 def test_lr_ring_axioms(rng):
@@ -222,3 +230,110 @@ def test_box_bounded_lr_multiply_matches_all_partitions(pair):
     fast, ref = lr_multiply(a, b), _lr_multiply_all_partitions(a, b)
     assert fast == ref
     assert list(fast.coeffs) == list(ref.coeffs)
+
+
+def _class_inverse(a):
+    """Inverse of a class with unit constant term, as a finite geometric
+    series (positive-degree parts are nilpotent in the box)."""
+    assert a.coefficient(()) == 1
+    u = a - class_one(a.t, a.n)
+    out = class_one(a.t, a.n)
+    term = class_one(a.t, a.n)
+    while True:
+        term = lr_multiply(term, u).scale(-1)
+        if term.is_zero:
+            return out
+        out = out + term
+
+
+def _porteous_laplace(t, d, i, r):
+    """Porteous' class as the (e-r) x (e-r) determinant with entries
+    c_{f-r+col-row}(F - E), c(F - E) = c(S)^{-(d-i+1)} inverted as a series
+    and the determinant Laplace-expanded over every column subset: the
+    route porteous_class took before it expanded the smaller Jacobi-Trudi
+    determinant."""
+    n = d + 1
+    e, f = t * (d - i + 1), i + 1
+    cinv = _class_inverse(class_power(chern_taut_total(t, n), d - i + 1))
+
+    def entry(row, col):
+        k = (f - r) + col - row
+        return schubert_class(t, n, {lam: c for lam, c in cinv.coeffs.items() if sum(lam) == k})
+
+    size = e - r
+
+    @lru_cache(maxsize=None)
+    def minor(cols):
+        row = size - len(cols)
+        if not cols:
+            return class_one(t, n)
+        total = schubert_class(t, n, {})
+        for pos, c in enumerate(cols):
+            ent = entry(row, c)
+            if ent.is_zero:
+                continue
+            term = lr_multiply(ent, minor(tuple(x for x in cols if x != c)))
+            total = total + (term.scale(-1) if pos % 2 else term)
+        return total
+
+    return minor(tuple(range(size)))
+
+
+def _porteous_grid(tmax, dmax, keep):
+    """(t, d, i, r) on G(t, S_d) with 1 <= t <= d (not a point) and
+    0 <= r <= min(e, f), filtered by keep(t, d, e, f, r)."""
+    return [(t, d, i, r)
+            for t in range(1, tmax + 1) for d in range(t, dmax + 1) for i in range(d + 1)
+            for r in range(min(t * (d - i + 1), i + 1) + 1)
+            if keep(t, d, t * (d - i + 1), i + 1, r)]
+
+
+def test_porteous_matches_laplace_reference():
+    grid = _porteous_grid(3, 8, lambda t, d, e, f, r: e - r <= 8)
+    assert len(grid) == 355
+    for args in grid:
+        assert porteous_class(*args) == _porteous_laplace(*args), args
+
+
+def _dual_sides(t, d, i, r):
+    """Both Jacobi-Trudi determinants of Le(i, r), each with its sign:
+    det[c_{f-r+col-row}(F - E)] of size e - r with c(F - E) = c(Q)^{d-i+1},
+    and (-1)^{(e-r)(f-r)} det[c_{e-r+col-row}(E)] of size f - r with
+    c(E) = c(S)^{d-i+1}."""
+    n = d + 1
+    e, f, m = t * (d - i + 1), i + 1, d - i + 1
+    c_q = class_power(SchubertClass(t, n, {(k,) if k else (): 1 for k in range(n - t + 1)}), m)
+    c_e = class_power(chern_taut_total(t, n), m)
+    return (_toeplitz_det(c_q, e - r, f - r),
+            _toeplitz_det(c_e, f - r, e - r).scale((-1) ** ((e - r) * (f - r))))
+
+
+def test_porteous_dual_determinants_agree():
+    # wider than the benchmark pool (t in {2, 3}, d <= 9, dim G <= 21);
+    # classes of degree above dim G vanish on both sides and are left out
+    grid = _porteous_grid(4, 10, lambda t, d, e, f, r:
+                          max(e, f) - r <= 16 and (e - r) * (f - r) <= t * (d + 1 - t) <= 24)
+    assert len(grid) == 431
+    for args in grid:
+        e_side, f_side = _dual_sides(*args)
+        assert e_side == f_side == porteous_class(*args), args
+
+
+def test_porteous_le33_on_g3_s9_from_both_sides():
+    # the 18 x 18 and 1 x 1 determinants give the same class
+    pinned = "84{6,6,6} + 112{7,6,5} + 35{7,7,4}"
+    e_side, f_side = _dual_sides(3, 9, 3, 3)
+    assert format_class(e_side) == format_class(f_side) == pinned
+    assert format_class(porteous_class(3, 9, 3, 3)) == pinned
+
+
+def test_porteous_on_a_point():
+    # G(d + 1, S_d) is a point: Le(i, r) is everything when its expected
+    # codimension is 0 and empty otherwise
+    for d in range(6):
+        t = d + 1
+        for i in range(d + 1):
+            e, f = t * (d - i + 1), i + 1
+            for r in range(min(e, f) + 1):
+                expected = "1" if (e - r) * (f - r) == 0 else "0"
+                assert format_class(porteous_class(t, d, i, r)) == expected
