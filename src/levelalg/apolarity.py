@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice
+from math import lcm
 
 from .errors import (
     AdmissibilityError,
@@ -21,7 +22,7 @@ from .errors import (
     NotArtinError,
     ZeroSubspaceError,
 )
-from .forms import Form, Subspace, monomial_index, monomials, space_dim
+from .forms import Form, Subspace, monomial_index, monomial_products, monomials, space_dim
 from .levelhf import HilbertFunction
 from .linalg import QQ, Matrix, rank, right_kernel
 
@@ -79,33 +80,54 @@ def internal_product(u: Form, f: Form) -> Form:
     return Form.from_vector(n, out_degree, "S", out)
 
 
-def catalecticant_matrix(lam: Subspace, i: int) -> Matrix:
-    """Matrix of the product map R_{d-i} (x) Lambda -> S_i.
-
-    Rows are indexed by pairs (monomial of R_{d-i}, basis form of Lambda),
-    monomial outermost; columns by the monomials of S_i.  For n = 2 the
-    shape is t(d-i+1) x (i+1).  Its rank is H(R/ann(Lambda), i).
-    """
+def integer_catalecticant(lam: Subspace, i: int) -> tuple[list[list[int]], list[int]]:
+    """The product map R_{d-i} (x) Lambda -> S_i as an integer matrix with
+    rows (monomial of R_{d-i}, basis form p of Lambda), monomial outermost,
+    and columns the monomials of S_i; and the row scales s_p, the lcm of the
+    denominators of form p, by which its rows exceed the rational ones."""
     d = lam.degree
     if not 0 <= i <= d:
         raise DegreeError(f"catalecticant index {i} outside 0..{d}")
     width = space_dim(lam.nvars, i)
-    supports = [[(b_idx, c) for b_idx, c in enumerate(row) if c] for row in lam.rows]
+    scales = [lcm(*[x.denominator for x in row]) for row in lam.rows]
+    supports = [[(b_idx, x.numerator * (s // x.denominator)) for b_idx, x in enumerate(row) if x]
+                for row, s in zip(lam.rows, scales)]
     rows = []
     for entries in _action_table(lam.nvars, d - i, d):
         for support in supports:
-            v = [QQ(0)] * width
+            v = [0] * width
             for b_idx, c in support:
                 hit = entries.get(b_idx)
                 if hit is not None:
                     v[hit[0]] = c * hit[1]
             rows.append(v)
-    return rows
+    return rows, scales
+
+
+def catalecticant_matrix(lam: Subspace, i: int) -> Matrix:
+    """Matrix of the product map R_{d-i} (x) Lambda -> S_i, laid out as in
+    integer_catalecticant.  For n = 2 the shape is t(d-i+1) x (i+1).  Its
+    rank is H(R/ann(Lambda), i)."""
+    cat, scales = integer_catalecticant(lam, i)
+    zero = QQ(0)
+    return [[QQ(x, scales[r % lam.dim]) if x else zero for x in row]
+            for r, row in enumerate(cat)]
+
+
+def annihilator_conditions(lam: Subspace, j: int) -> list[list[int]]:
+    """Integer matrix of rank h_j whose right kernel is I_j, 0 <= j <= d:
+    u = sum c_alpha x^alpha kills Lambda iff sum c_alpha (row (x^alpha, F)
+    of the degree-(d-j) catalecticant) = 0 for every basis form F."""
+    d, t = lam.degree, lam.dim
+    cat, _ = integer_catalecticant(lam, d - j)
+    width, nalpha = space_dim(lam.nvars, d - j), space_dim(lam.nvars, j)
+    return [[cat[a * t + p][o] for a in range(nalpha)]
+            for p in range(t) for o in range(width)]
 
 
 def lambda_slice(lam: Subspace, i: int) -> Subspace:
     """The graded piece (I^{-1})_i = R_{d-i}.Lambda of the inverse system."""
-    return Subspace.from_rows(lam.nvars, i, "S", catalecticant_matrix(lam, i))
+    return Subspace.from_rows(lam.nvars, i, "S", integer_catalecticant(lam, i)[0])
 
 
 def hilbert_function(lam: Subspace) -> HilbertFunction:
@@ -136,14 +158,7 @@ def ann_slice(lam: Subspace, j: int) -> GradedIdealSlice:
         raise DegreeError("negative slice degree")
     if j > d or lam.dim == 0:
         return GradedIdealSlice(j, Subspace.full(n, j, "R"))
-    # the degree-(d-j) catalecticant has one row per (x^alpha, basis form),
-    # alpha outermost; u = sum c_alpha x^alpha kills Lambda iff sum c_alpha
-    # (row of x^alpha . F) = 0 for every basis form F
-    cat = catalecticant_matrix(lam, d - j)
-    t, width, nalpha = lam.dim, space_dim(n, d - j), space_dim(n, j)
-    conditions = [[cat[a * t + p][o] for a in range(nalpha)]
-                  for p in range(t) for o in range(width)]
-    kernel = right_kernel(conditions, ncols=nalpha)
+    kernel = right_kernel(annihilator_conditions(lam, j), ncols=space_dim(n, j))
     return GradedIdealSlice(j, Subspace.from_rows(n, j, "R", kernel))
 
 
@@ -200,19 +215,11 @@ def inverse_system_slice(gens: list[Form], nvars: int, d: int) -> Subspace:
     return Subspace.from_rows(nvars, d, "S", right_kernel(rows, ncols=dim_sd))
 
 
-@lru_cache(maxsize=None)
-def _variable_shifts(nvars: int, j: int) -> tuple[tuple[int, ...], ...]:
-    """For each variable x_i, the index in R_{j+1} of x_i x^m for each x^m of R_j."""
-    index = monomial_index(nvars, j + 1)
-    return tuple(tuple(index[tuple(e + (k == i) for k, e in enumerate(m))]
-                       for m in monomials(nvars, j)) for i in range(nvars))
-
-
 def _times_variables(sub: Subspace) -> list[list]:
     """x_i * b for every variable x_i and echelon row b of sub, as
     coefficient vectors: a spanning set of R_1 * sub."""
     width, out = space_dim(sub.nvars, sub.degree + 1), []
-    for shift in _variable_shifts(sub.nvars, sub.degree):
+    for shift in monomial_products(sub.nvars, 1, sub.degree):
         for row in sub.rows:
             v = [0] * width
             for k, c in zip(shift, row):
@@ -276,7 +283,7 @@ def socle(gens: list[Form], nvars: int, bound: int | None = None) -> list[tuple[
         # u = sum c_m x^m has every x_i u in I_{j+1} iff sum c_m row_m = 0,
         # row_m holding the products x_i x^m mod I_{j+1}; such u include I_j
         residuals = inext.monomial_residuals()
-        rows = [[x for shift in _variable_shifts(nvars, j) for x in residuals[shift[m]]]
+        rows = [[x for shift in monomial_products(nvars, 1, j) for x in residuals[shift[m]]]
                 for m in range(ij.ambient_dim)]
         s = len(rows) - rank(rows) - ij.dim
         if s > 0:
@@ -344,19 +351,10 @@ def beta_matrix(lam: Subspace, i: int) -> Matrix:
     (monomial of S_{d-i}, complement coordinate of R_d/I_d).  Injectivity
     (full row rank) for all i characterises levelness.
     """
-    n, d = lam.nvars, lam.degree
-    ii = ann_slice(lam, i).subspace
-    id_ = ann_slice(lam, d).subspace
-    residuals = id_.monomial_residuals()
-    index_d = monomial_index(n, d)
-    mons_i = monomials(n, i)
-    rows = []
-    for pos in ii.complement_positions():
-        row: list = []
-        for mexp in monomials(n, d - i):
-            row.extend(residuals[index_d[tuple(a + b for a, b in zip(mons_i[pos], mexp))]])
-        rows.append(row)
-    return rows
+    residuals = ann_slice(lam, lam.degree).subspace.monomial_residuals()
+    shift = monomial_products(lam.nvars, i, lam.degree - i)
+    return [[x for r in shift[pos] for x in residuals[r]]
+            for pos in ann_slice(lam, i).subspace.complement_positions()]
 
 
 def beta_rank(lam: Subspace, i: int) -> int:

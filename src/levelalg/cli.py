@@ -154,8 +154,7 @@ def _cmd_tangent(args, em: Emitter):
     if args.shape:
         em.emit("constraints", f"{ts.constraint_shape[0]}x{ts.constraint_shape[1]}")
     if lam.nvars == 2:
-        h = apolarity.hilbert_function(lam)
-        em.emit("formula", tangent.tangent_dim_formula(h))
+        em.emit("formula", tangent.tangent_dim_formula(ts.hilbert))
     else:
         em.emit("note", "n >= 3: dimension unverified against a closed formula")
 

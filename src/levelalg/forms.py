@@ -45,6 +45,14 @@ def monomial_index(nvars: int, degree: int) -> dict[tuple[int, ...], int]:
     return {m: i for i, m in enumerate(monomials(nvars, degree))}
 
 
+@lru_cache(maxsize=None)
+def monomial_products(nvars: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """[q][m]: the index of (q-th monomial of degree a) * (m-th of degree b)."""
+    index = monomial_index(nvars, a + b)
+    return tuple(tuple(index[tuple(x + y for x, y in zip(mq, mm))]
+                       for mm in monomials(nvars, b)) for mq in monomials(nvars, a))
+
+
 def space_dim(nvars: int, degree: int) -> int:
     return len(monomials(nvars, degree))
 

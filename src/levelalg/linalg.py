@@ -4,6 +4,7 @@ Matrices are lists of rows of Fraction at the boundary; inside, one
 fraction-free core does every elimination on integer rows: each row is
 scaled by the lcm of its denominators, and Gauss-Jordan elimination divides
 every update exactly by the previous pivot (Bareiss, Math. Comp. 1968).
+Callers that build integer rows themselves enter through integer_echelon.
 Dividing by the last pivot once at the end gives the unique reduced row
 echelon form.  The pivot rule is deterministic (first nonzero column,
 topmost row), so echelon forms, kernels and the canonical subspaces built
@@ -13,7 +14,7 @@ on them are reproducible.  No floating point enters anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 QQ = Fraction
 
@@ -51,9 +52,9 @@ def _integer_row(row) -> list[int]:
     return [x.numerator * (den // d) for x, d in zip(row, dens)]
 
 
-def _eliminate(m: Matrix, ncols: int) -> tuple[list[list[int]], list[int], int, int]:
-    """Fraction-free Gauss-Jordan elimination of m's rows cleared of
-    denominators.
+def _eliminate(m, ncols: int) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of the integer rows m (an
+    iterable).
 
     Returns (echelon, pivots, pivot, sign): one integer row per pivot
     column, equal to the last Bareiss pivot `pivot` (1 if none) there and
@@ -62,7 +63,7 @@ def _eliminate(m: Matrix, ncols: int) -> tuple[list[list[int]], list[int], int, 
     previous pivot, so it is left as it is and level[i] holds the pivot it
     is scaled to.
     """
-    a = [row for row in map(_integer_row, m) if any(row)]
+    a = [row for row in m if any(row)]
     nrows = len(a)
     level = [1] * nrows
     pivots: list[int] = []
@@ -121,6 +122,31 @@ def _kernel_basis(rows: list[list[int]], pivots: list[int], pivot: int,
     return basis
 
 
+def _primitive(v: list[int]) -> list[int]:
+    """v over the gcd of its entries (v itself if that is 0 or 1)."""
+    c = gcd(*v)
+    return [x // c for x in v] if c > 1 else v
+
+
+def integer_echelon(m: list[list[int]], ncols: int) -> tuple[
+        list[list[int]], list[int], int, list[list[int]]]:
+    """Echelon form and right kernel of integer rows, in integers.
+
+    Returns (echelon, pivots, den, kernel): one echelon row per pivot
+    column, the reduced row echelon form times its common denominator
+    den > 0, and per free column right_kernel's basis vector times the
+    positive integer that makes its content (the gcd of its entries) 1.
+    Input rows are divided by their content too: vectors that still carry
+    a Bareiss pivot grow with every further elimination they are fed into.
+    """
+    rows, pivots, pivot, _ = _eliminate(map(_primitive, m), ncols)
+    g = gcd(pivot, *[gcd(*row) for row in rows]) * (-1 if pivot < 0 else 1)
+    if g != 1:
+        rows = [[x // g for x in row] for row in rows]
+    den = pivot // g
+    return rows, pivots, den, [_primitive(v) for v in _kernel_basis(rows, pivots, den, ncols)]
+
+
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form (as a copy) with its pivot columns.
 
@@ -129,7 +155,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     the unique RREF of the input.
     """
     ncols = len(m[0]) if m else 0
-    rows, pivots, pivot, _ = _eliminate(m, ncols)
+    rows, pivots, pivot, _ = _eliminate(map(_integer_row, m), ncols)
     return _normalised(rows, pivot, len(m), ncols), pivots
 
 
@@ -146,14 +172,14 @@ def right_kernel(m: Matrix, ncols: int | None = None) -> list[Vector]:
     if not m and ncols is None:
         raise ValueError("ncols required for an empty matrix")
     ncols = len(m[0]) if m else ncols
-    rows, pivots, pivot, _ = _eliminate(m, ncols)
+    rows, pivots, pivot, _ = _eliminate(map(_integer_row, m), ncols)
     return _normalised(_kernel_basis(rows, pivots, pivot, ncols), pivot)
 
 
 def echelon(m: Matrix) -> tuple[Matrix, int, list[Vector]]:
     """(RREF, rank, right-kernel basis); rank + len(kernel) == ncols."""
     ncols = len(m[0]) if m else 0
-    rows, pivots, pivot, _ = _eliminate(m, ncols)
+    rows, pivots, pivot, _ = _eliminate(map(_integer_row, m), ncols)
     return (_normalised(rows, pivot, len(m), ncols), len(pivots),
             _normalised(_kernel_basis(rows, pivots, pivot, ncols), pivot))
 
@@ -164,7 +190,7 @@ def det(m: Matrix) -> Fraction:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    _, pivots, pivot, sign = _eliminate(m, n)
+    _, pivots, pivot, sign = _eliminate(map(_integer_row, m), n)
     if len(pivots) < n:
         return QQ(0)
     return QQ(sign * pivot, prod(lcm(*[x.denominator for x in row]) for row in m))

@@ -76,6 +76,8 @@ def lascoux_ranks(t: int, d: int, i: int, r: int,
         raise LevelAlgError(f"need 0 <= i <= d, got i = {i}, d = {d}")
     if not 0 <= r < i + 1:
         raise LevelAlgError(f"need 0 <= r < i + 1, got r = {r}, i = {i}")
+    if not 1 <= t <= d + 1:
+        raise LevelAlgError(f"need 1 <= t <= d + 1, got (t, d) = ({t}, {d})")
     rows_bound = t * (d - i + 1)
     cols_bound = i + 1 - r
     if rows_bound * cols_bound > cell_cap:

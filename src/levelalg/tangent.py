@@ -7,29 +7,36 @@ kills the kernel of that map modulo Lambda_i.  The dual route runs the same
 computation on I_d inside R_d.  Both routes work for any number of
 variables; for n = 2 the dimension must equal sum e_l h_l, and the n >= 3
 output is validated only by internal consistency.
+
+Both routes stay in integers up to the final kernel, building each matrix
+once and eliminating it once with linalg.integer_echelon; its relations and
+residual functionals are the rational ones times positive factors, so every
+constraint keeps its zero set.  Each route checks h against the Hilbert
+function read off ranks it computes anyway, and returns it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .apolarity import _action_table, ann_slice, catalecticant_matrix, hilbert_function
-from .errors import HilbertMismatchError, ZeroSubspaceError
-from .forms import Form, Subspace, monomial_index, monomials
+from .apolarity import _action_table, annihilator_conditions, integer_catalecticant
+from .errors import DegreeError, HilbertMismatchError, ZeroSubspaceError
+from .forms import Subspace, monomial_products, space_dim
 from .levelhf import HilbertFunction, dim_stratum
-from .linalg import QQ, right_kernel, rref, transpose
+from .linalg import QQ, integer_echelon, transpose
 
 
 @dataclass(frozen=True)
 class TangentSpace:
     """Tangent space at a basepoint, with a basis of Hom(Lambda, S_d/Lambda)
     matrices in the echelon coordinates (rows: basis of Lambda, columns:
-    complement monomials of S_d)."""
+    complement monomials of S_d), and the basepoint's Hilbert function."""
 
     basepoint: Subspace
     dimension: int
     basis: tuple
     constraint_shape: tuple[int, int]
+    hilbert: HilbertFunction | None = None
 
 
 def tangent_dim_formula(h: HilbertFunction) -> int:
@@ -37,13 +44,28 @@ def tangent_dim_formula(h: HilbertFunction) -> int:
     return dim_stratum(h)
 
 
-def _check_hf(lam: Subspace, h: HilbertFunction | None) -> HilbertFunction:
-    actual = hilbert_function(lam)
-    if h is not None and tuple(actual.values) != tuple(h.values):
+def _verified(values: list[int], h: HilbertFunction | None) -> HilbertFunction:
+    actual = HilbertFunction.from_values(values)
+    if h is not None and actual.values != h.values:
         raise HilbertMismatchError(
             f"subspace has Hilbert function {actual.format()}, not {h.format()}"
         )
     return actual
+
+
+def _solved(lam: Subspace, rows: list[list[int]], nblocks: int, width: int,
+            hilbert: HilbertFunction) -> TangentSpace:
+    """The tangent space cut out by integer constraint rows over nblocks x
+    width unknowns, row-major, with linalg.right_kernel's canonical basis:
+    each integer kernel vector over its entry at its free column."""
+    ncols = nblocks * width
+    _, pivots, _, kernel = integer_echelon(rows, ncols)
+    pivot_set, zero = set(pivots), QQ(0)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = tuple(tuple(tuple(QQ(x, v[f]) if x else zero for x in v[b * width:(b + 1) * width])
+                        for b in range(nblocks))
+                  for v, f in zip(kernel, free))
+    return TangentSpace(lam, len(basis), basis, (len(rows), ncols), hilbert)
 
 
 def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
@@ -56,59 +78,46 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
 
     `degrees` restricts the constraints to a subset of 1..d-1 (the default),
     i.e. computes the tangent space of an intersection of fewer rank loci;
-    dropping degrees can only grow the space.
+    dropping degrees can only grow the space.  The Hilbert function is
+    checked in every degree whatever `degrees` holds.
     """
     if lam.dim == 0:
         raise ZeroSubspaceError("tangent space needs a nonzero subspace")
-    _check_hf(lam, h)
     n, d, t = lam.nvars, lam.degree, lam.dim
+    wanted = list(range(1, d) if degrees is None else degrees)
     comp_d = lam.complement_positions()
-    ncols = t * len(comp_d)
-    rows: list[list] = []
-    for i in (range(1, d) if degrees is None else degrees):
-        cat = catalecticant_matrix(lam, i)
-        kernel = right_kernel(transpose(cat), ncols=len(cat))
-        if not kernel:
+    width_d = len(comp_d)
+    if any(not 0 <= i <= d for i in wanted):
+        raise DegreeError(f"constraint degrees {wanted} not all in 0..{d}")
+    values, rows = [1], []  # h_0 = 1, and Lambda_0 = S_0 leaves no constraint
+    for i in range(1, d + 1):
+        # one elimination of cat_i^T gives h_i and the relations among the
+        # rows of cat_i; times the row scales they relate the basis forms
+        cat, scales = integer_catalecticant(lam, i)
+        _, pivots, _, relations = integer_echelon(transpose(cat), len(cat))
+        values.append(len(pivots))
+        if not relations or i not in wanted:
             continue
-        lam_i = Subspace.from_rows(n, i, "S", cat)
-        comp_i = lam_i.complement_positions()
-        if not comp_i:
-            continue
-        quotient = lam_i.monomial_residuals()
-        zero = [QQ(0)] * len(comp_i)
-        # residual coordinates of x^M . (complement monomial g), reduced mod Lambda_i
-        reduced: list[list[list]] = []
-        for entries in _action_table(n, d - i, d):
-            per_m = []
-            for g in comp_d:
-                hit = entries.get(g)
-                per_m.append(zero if hit is None
-                             else [hit[1] * x for x in quotient[hit[0]]])
-            reduced.append(per_m)
-        nmons = len(reduced)
-        for kv in kernel:
-            # kernel coordinates are ordered (monomial outer, basis form inner)
-            for ell in range(len(comp_i)):
-                row = [QQ(0)] * ncols
-                for m_idx in range(nmons):
-                    for p in range(t):
-                        c = kv[m_idx * t + p]
-                        if c == 0:
-                            continue
-                        per_m = reduced[m_idx]
-                        for g_idx in range(len(comp_d)):
-                            val = per_m[g_idx][ell]
-                            if val != 0:
-                                row[p * len(comp_d) + g_idx] += c * val
-                if any(x != 0 for x in row):
-                    rows.append(row)
-    kernel_basis = right_kernel(rows, ncols=ncols)
-    basis = tuple(
-        tuple(tuple(v[p * len(comp_d) + g] for g in range(len(comp_d)))
-              for p in range(t))
-        for v in kernel_basis
-    )
-    return TangentSpace(lam, len(kernel_basis), basis, (len(rows), ncols))
+        # the right kernel of cat_i: coordinate ell of the residual mod
+        # Lambda_i, up to a positive factor, is the pairing with z_ell
+        _, _, _, functionals = integer_echelon(cat, space_dim(n, i))
+        residual = [[(ell, z[o]) for ell, z in enumerate(functionals) if z[o]]
+                    for o in range(space_dim(n, i))]
+        # relation coordinate (x^M, p) times each complement monomial g of
+        # S_d in basis form p's image: x^M . g mod Lambda_i, spread over the
+        # (ell, unknown of tau(F_p) at g) cells of the constraint block
+        spread = [[(ell, p * width_d + g_idx, scales[p] * entries[g][1] * x)
+                   for g_idx, g in enumerate(comp_d) if g in entries
+                   for ell, x in residual[entries[g][0]]]
+                  for entries in _action_table(n, d - i, d) for p in range(t)]
+        for w in relations:
+            block = [[0] * (t * width_d) for _ in functionals]
+            for r, c in enumerate(w):
+                if c:
+                    for ell, col, x in spread[r]:
+                        block[ell][col] += c * x
+            rows.extend(row for row in block if any(row))
+    return _solved(lam, rows, t, width_d, _verified(values, h))
 
 
 def tangent_space_dual(lam: Subspace, h: HilbertFunction | None = None) -> TangentSpace:
@@ -120,76 +129,58 @@ def tangent_space_dual(lam: Subspace, h: HilbertFunction | None = None) -> Tange
     """
     if lam.dim == 0:
         raise ZeroSubspaceError("tangent space needs a nonzero subspace")
-    _check_hf(lam, h)
     n, d = lam.nvars, lam.degree
-    id_slice = ann_slice(lam, d).subspace
-    dim_id = id_slice.dim
-    comp_d = id_slice.complement_positions()  # coordinates of R_d/I_d
+    # I_j is the kernel of its conditions, whose rank is h_j; its echelon
+    # rows are the RREF basis times a common denominator.  h_0 = 1.
+    values, slices = [1], {}
+    for j in range(1, d + 1):
+        _, pivots, _, kernel = integer_echelon(annihilator_conditions(lam, j), space_dim(n, j))
+        values.append(len(pivots))
+        if kernel:
+            slices[j] = integer_echelon(kernel, space_dim(n, j))[:3]
+    hilbert = _verified(values, h)
+    id_rows, id_pivots, id_den = slices.get(d, ([], [], 1))
+    dim_id = len(id_pivots)
+    coordinate = {piv: k for k, piv in enumerate(id_pivots)}  # of u x^M in I_d
+    pivot_row = dict(zip(id_pivots, id_rows))
+    comp_d = [c for c in range(space_dim(n, d)) if c not in pivot_row]  # R_d/I_d
     tq = len(comp_d)
-    ncols = dim_id * tq
-    residuals = id_slice.monomial_residuals()
-    index_d = monomial_index(n, d)
-    rows: list[list] = []
+    # id_den times each monomial of R_d mod I_d, over comp_d
+    residuals = [[-pivot_row[o][c] for c in comp_d] if o in pivot_row
+                 else [id_den * (c == o) for c in comp_d]
+                 for o in range(space_dim(n, d))]
+    rows: list[list[int]] = []
     for i in range(1, d):
-        ii = ann_slice(lam, i).subspace
-        if ii.dim == 0:
+        if i not in slices:
             continue
-        mons_low = monomials(n, d - i)
-        comp_i = ii.complement_positions()
-        mons_i = monomials(n, i)
+        ii_rows, ii_pivots, _ = slices[i]
+        nlow = space_dim(n, d - i)
+        shift = monomial_products(n, i, d - i)
         # V_i: for each complement monomial w of R_i, the vector
         # sum_M (w x^M mod I_d) (x) y^M, coordinates (c over comp_d, M)
-        amb = tq * len(mons_low)
-        v_rows = []
-        for pos in comp_i:
-            vec = [QQ(0)] * amb
-            for m_idx, m_exp in enumerate(mons_low):
-                w_m = tuple(a + b for a, b in zip(mons_i[pos], m_exp))
-                for c_idx, x in enumerate(residuals[index_d[w_m]]):
-                    vec[c_idx * len(mons_low) + m_idx] = x
-            v_rows.append(vec)
-        v_echelon, v_pivots = rref(v_rows)
-        v_basis = [v_echelon[k] for k in range(len(v_pivots))]
-        v_pivot_set = set(v_pivots)
-        v_comp = [c for c in range(amb) if c not in v_pivot_set]
-        if not v_comp:
-            continue
-        for u in ii.basis:
-            # gamma[k][m_idx]: coefficient of I_d basis vector k in u * x^M
-            gamma = [[QQ(0)] * len(mons_low) for _ in range(dim_id)]
-            for m_idx, m_exp in enumerate(mons_low):
-                prod = u * Form.monomial(n, "R", m_exp)
-                vec = prod.vector()
-                for k, piv in enumerate(id_slice.pivots):
-                    gamma[k][m_idx] = vec[piv]
-            # symbolic E(u) has entry over (c_idx, m_idx):
-            #   sum_k gamma[k][m_idx] * omega_{k, c_idx}
-            # membership in V_i: reduce numerically coordinate-functionals.
-            # Build the matrix of E(u) as a linear map omega -> ambient vec,
-            # then impose complement coordinates of the reduction = 0.
-            e_matrix = []  # ambient coordinate -> row over unknowns
-            for c_idx in range(tq):
-                for m_idx in range(len(mons_low)):
-                    row = [QQ(0)] * ncols
-                    for k in range(dim_id):
-                        g = gamma[k][m_idx]
-                        if g != 0:
-                            row[k * tq + c_idx] = g
-                    e_matrix.append(row)
-            # reduce the symbolic ambient vector against the V_i echelon:
-            # residual(coord) = E(coord) - sum_k E(pivot_k) * basis_k(coord)
-            for ell in v_comp:
-                row = list(e_matrix[ell])
-                for k, piv in enumerate(v_pivots):
-                    coeff = v_basis[k][ell]
-                    if coeff != 0:
-                        prow = e_matrix[piv]
-                        row = [x - coeff * y for x, y in zip(row, prow)]
-                if any(x != 0 for x in row):
+        v_rows = [[residuals[shift[pos][m_idx]][c_idx]
+                   for c_idx in range(tq) for m_idx in range(nlow)]
+                  for pos in range(space_dim(n, i)) if pos not in ii_pivots]
+        # membership in V_i: the right kernel of V_i holds, up to positive
+        # factors, the residual functionals z_l = e_l - sum_k V_k[l] e_{piv_k}
+        # of its RREF rows V_k, one per non-pivot coordinate l
+        _, _, _, kernel = integer_echelon(v_rows, tq * nlow)
+        functionals = [[divmod(a, nlow) + (x,) for a, x in enumerate(z) if x] for z in kernel]
+        for u in ii_rows:
+            # gamma[m_idx]: (block offset of I_d basis vector k, its coefficient
+            # in u * x^M) for the nonzero coefficients
+            gamma = [[] for _ in range(nlow)]
+            for q, uq in enumerate(u):
+                if uq:
+                    for m_idx, r in enumerate(shift[q]):
+                        if r in coordinate:
+                            gamma[m_idx].append((coordinate[r] * tq, uq))
+            # z_l applied to sum_k gamma[k][m_idx] omega_{k, c} at (c, m_idx)
+            for func in functionals:
+                row = [0] * (dim_id * tq)
+                for c_idx, m_idx, coeff in func:
+                    for offset, g in gamma[m_idx]:
+                        row[offset + c_idx] += coeff * g
+                if any(row):
                     rows.append(row)
-    kernel_basis = right_kernel(rows, ncols=ncols)
-    basis = tuple(
-        tuple(tuple(v[k * tq + c] for c in range(tq)) for k in range(dim_id))
-        for v in kernel_basis
-    )
-    return TangentSpace(lam, len(kernel_basis), basis, (len(rows), ncols))
+    return _solved(lam, rows, dim_id, tq, hilbert)

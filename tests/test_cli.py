@@ -116,6 +116,19 @@ def test_tangent_from_file(tmp_path):
     assert "constraints:" in out
 
 
+def test_tangent_shape_at_a_moved_point(tmp_path):
+    # Example 15's Burch point under a change of coordinates: basis forms
+    # with denominators, and the constraint count of the rational route
+    path = tmp_path / "lam.txt"
+    path.write_text(
+        "y1^7 + 21*y1^4*y2^3 + 105/2*y1^3*y2^4 + 105/2*y1^2*y2^5 + 49/2*y1*y2^6 + 9/2*y2^7\n"
+        "y1^6*y2 - 11*y1^4*y2^3 - 25*y1^3*y2^4 - 24*y1^2*y2^5 - 11*y1*y2^6 - 2*y2^7\n"
+        "y1^5*y2^2 + 13/3*y1^4*y2^3 + 15/2*y1^3*y2^4 + 13/2*y1^2*y2^5 + 17/6*y1*y2^6"
+        " + 1/2*y2^7\n")
+    assert run_cli(["tangent", "--input", str(path), "--shape"]) == \
+        (0, "dimension: 9\nconstraints: 10x15\nformula: 9\n")
+
+
 def test_secant_decompose_and_intersect_roundtrip(tmp_path):
     lam = tmp_path / "lam.txt"
     lam.write_text("y1^6\ny1^3*y2^3\n")
@@ -260,10 +273,13 @@ def test_unreadable_input_is_domain_error(capsys):
     (["components", "-t", "2", "-d", "5", "-i", "9", "-r", "1"], None),
     (["porteous", "-t", "2", "-d", "5", "-i", "-1", "-r", "0"], None),
     (["porteous", "-t", "3", "-d", "1", "-i", "0", "-r", "0"], None),
+    (["lascoux-ranks", "-t", "3", "-d", "1", "-i", "0", "-r", "0"], None),
+    (["e1-table", "-t", "3", "-d", "1", "-i", "0", "-r", "0", "-m", "0"], None),
 ], ids=["hf-check-letter", "bott-letter", "class-unclosed-brace", "class-letter",
         "gad-letter", "gad-two-fields", "gad-zero-denominator", "flag-letter",
         "lascoux-i-above-d", "e1-i-above-d", "porteous-i-above-d",
-        "components-i-above-d", "porteous-i-negative", "porteous-empty-grassmannian"])
+        "components-i-above-d", "porteous-i-negative", "porteous-empty-grassmannian",
+        "lascoux-empty-grassmannian", "e1-empty-grassmannian"])
 def test_malformed_input_is_a_one_line_error(argv, input_text, tmp_path):
     # a fresh interpreter, so that an uncaught exception shows as a traceback
     if input_text is not None:

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from levelalg.linalg import (
     det,
     echelon,
     identity,
+    integer_echelon,
     mat,
     mat_vec,
     rank,
@@ -60,6 +63,25 @@ def test_echelon_idempotent_and_kernel_exact(rows):
     assert again == reduced and rk2 == rk
     for v in kernel:
         assert all(x == 0 for x in mat_vec(m, v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda c: st.lists(
+    st.lists(st.integers(-6, 6).map(lambda x: 3 * x), min_size=c, max_size=c),
+    min_size=1, max_size=8)))
+def test_integer_echelon_contract(rows):
+    # entries share the factor 3, so the content reductions have work to do
+    ncols = len(rows[0])
+    reduced, rk, kernel_ref = echelon(mat(rows))
+    ech, pivots, den, kernel = integer_echelon(rows, ncols)
+    assert len(pivots) == rk and den > 0
+    assert [[QQ(x, den) for x in r] for r in ech] == reduced[:rk]
+    assert gcd(den, *[x for r in ech for x in r]) == 1
+    free = [c for c in range(ncols) if c not in pivots]
+    assert len(kernel) == len(kernel_ref) == len(free)
+    for v, ref, f in zip(kernel, kernel_ref, free):
+        assert gcd(*v) == 1 and v[f] > 0
+        assert [QQ(x, v[f]) for x in v] == ref
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,14 +1,16 @@
 import pytest
 
 from conftest import all_level_hfs, burch_point, moved_burch_point
-from levelalg.errors import HilbertMismatchError
-from levelalg.forms import Form, Subspace, monomials
+from levelalg.apolarity import _action_table, ann_slice, catalecticant_matrix, hilbert_function
+from levelalg.errors import HilbertMismatchError, ZeroSubspaceError
+from levelalg.forms import Form, Subspace, monomial_index, monomials, parse_subspace_lines
 from levelalg.levelhf import (
     HilbertFunction,
     enumerate_level_hf,
     grassmannian_dim,
     minmax_hf,
 )
+from levelalg.linalg import QQ, right_kernel, rref, transpose
 from levelalg.tangent import (
     tangent_dim_formula,
     tangent_space,
@@ -113,3 +115,154 @@ def test_dual_route_on_a_large_case(rng):
     a = tangent_space(lam).dimension
     b = tangent_space_dual(lam).dimension
     assert a == b == tangent_dim_formula(h)
+
+
+def test_hilbert_mismatch_rejected_by_the_dual_route():
+    lam = burch_point(HilbertFunction.parse("1,2,3,3,3,2,0"))
+    with pytest.raises(HilbertMismatchError, match="not 1,2,2,2,2,2,0"):
+        tangent_space_dual(lam, HilbertFunction.parse("1,2,2,2,2,2,0"))
+
+
+def test_hilbert_mismatch_rejected_outside_the_constrained_degrees():
+    # h_2 = 3 is right; the check still covers h_3 = 3 against 2
+    lam = burch_point(HilbertFunction.parse("1,2,3,3,3,2,0"))
+    with pytest.raises(HilbertMismatchError):
+        tangent_space(lam, HilbertFunction.parse("1,2,3,2,2,2,0"), degrees=[2])
+
+
+def test_zero_subspace_rejected_by_both_routes():
+    for route in (tangent_space, tangent_space_dual):
+        with pytest.raises(ZeroSubspaceError):
+            route(Subspace.zero(2, 4, "S"))
+
+
+# -- differential test against the rational routes ---------------------------
+
+def _fraction_tangent_space(lam):
+    """The primal route with Fraction constraint rows, as it was before the
+    integer rewrite: the reference the integer route must reproduce."""
+    n, d, t = lam.nvars, lam.degree, lam.dim
+    comp_d = lam.complement_positions()
+    ncols = t * len(comp_d)
+    rows = []
+    for i in range(1, d):
+        cat = catalecticant_matrix(lam, i)
+        kernel = right_kernel(transpose(cat), ncols=len(cat))
+        if not kernel:
+            continue
+        lam_i = Subspace.from_rows(n, i, "S", cat)
+        comp_i = lam_i.complement_positions()
+        if not comp_i:
+            continue
+        quotient = lam_i.monomial_residuals()
+        zero = [QQ(0)] * len(comp_i)
+        reduced = []
+        for entries in _action_table(n, d - i, d):
+            reduced.append([zero if entries.get(g) is None
+                            else [entries[g][1] * x for x in quotient[entries[g][0]]]
+                            for g in comp_d])
+        for kv in kernel:
+            for ell in range(len(comp_i)):
+                row = [QQ(0)] * ncols
+                for m_idx, per_m in enumerate(reduced):
+                    for p in range(t):
+                        c = kv[m_idx * t + p]
+                        if c:
+                            for g_idx in range(len(comp_d)):
+                                row[p * len(comp_d) + g_idx] += c * per_m[g_idx][ell]
+                if any(x != 0 for x in row):
+                    rows.append(row)
+    kernel_basis = right_kernel(rows, ncols=ncols)
+    basis = tuple(tuple(tuple(v[p * len(comp_d) + g] for g in range(len(comp_d)))
+                        for p in range(t)) for v in kernel_basis)
+    return len(kernel_basis), basis, (len(rows), ncols)
+
+
+def _fraction_tangent_space_dual(lam):
+    """The dual route with Form products and Fraction row reductions, as it
+    was before the integer rewrite."""
+    n, d = lam.nvars, lam.degree
+    id_slice = ann_slice(lam, d).subspace
+    dim_id = id_slice.dim
+    comp_d = id_slice.complement_positions()
+    tq = len(comp_d)
+    ncols = dim_id * tq
+    residuals = id_slice.monomial_residuals()
+    index_d = monomial_index(n, d)
+    rows = []
+    for i in range(1, d):
+        ii = ann_slice(lam, i).subspace
+        if ii.dim == 0:
+            continue
+        mons_low, mons_i = monomials(n, d - i), monomials(n, i)
+        amb = tq * len(mons_low)
+        v_rows = []
+        for pos in ii.complement_positions():
+            vec = [QQ(0)] * amb
+            for m_idx, m_exp in enumerate(mons_low):
+                w_m = tuple(a + b for a, b in zip(mons_i[pos], m_exp))
+                for c_idx, x in enumerate(residuals[index_d[w_m]]):
+                    vec[c_idx * len(mons_low) + m_idx] = x
+            v_rows.append(vec)
+        v_echelon, v_pivots = rref(v_rows)
+        v_comp = [c for c in range(amb) if c not in set(v_pivots)]
+        if not v_comp:
+            continue
+        for u in ii.basis:
+            # gamma[k][m_idx]: coefficient of I_d basis vector k in u * x^M
+            products = [(u * Form.monomial(n, "R", m_exp)).vector() for m_exp in mons_low]
+            gamma = [[vec[piv] for vec in products] for piv in id_slice.pivots]
+            e_matrix = []
+            for c_idx in range(tq):
+                for m_idx in range(len(mons_low)):
+                    row = [QQ(0)] * ncols
+                    for k in range(dim_id):
+                        row[k * tq + c_idx] = gamma[k][m_idx]
+                    e_matrix.append(row)
+            for ell in v_comp:
+                row = list(e_matrix[ell])
+                for k, piv in enumerate(v_pivots):
+                    coeff = v_echelon[k][ell]
+                    if coeff != 0:
+                        row = [x - coeff * y for x, y in zip(row, e_matrix[piv])]
+                if any(x != 0 for x in row):
+                    rows.append(row)
+    kernel_basis = right_kernel(rows, ncols=ncols)
+    basis = tuple(tuple(tuple(v[k * tq + c] for c in range(tq)) for k in range(dim_id))
+                  for v in kernel_basis)
+    return len(kernel_basis), basis, (len(rows), ncols)
+
+
+# the ternary monomial subspaces of the benchmark, and three that are not monomial
+TERNARY = (
+    ("y1^2", "y2^2", "y3^2"),
+    ("y1^3", "y2^3", "y3^3"),
+    ("y1^2*y2", "y2^2*y3", "y3^2*y1"),
+    ("y1^4", "y2^4"),
+    ("y1^4", "y2^4", "y3^4"),
+    ("y1^3*y2", "y2^3*y3", "y3^3*y1"),
+    ("y1^2*y2^2", "y3^4"),
+    ("y1*y2*y3^2", "y1^4", "y2^4"),
+    ("y1^3 + y2^3 + y3^3",),
+    ("y1^3 + y2^3 + y3^3 + y1*y2*y3",),
+    ("y1^4 + y2^4 + y3^4", "y1^2*y2*y3"),
+)
+
+
+def _differential_points(rng):
+    for h in all_level_hfs(4, 10):
+        yield h.format(), burch_point(h)
+        yield h.format() + " moved", moved_burch_point(h, rng)
+    for lines in TERNARY:
+        yield " | ".join(lines), parse_subspace_lines(lines, nvars=3)
+
+
+def test_integer_routes_match_the_rational_routes(rng):
+    for name, lam in _differential_points(rng):
+        hf = hilbert_function(lam)
+        for route, reference in ((tangent_space, _fraction_tangent_space),
+                                 (tangent_space_dual, _fraction_tangent_space_dual)):
+            ts = route(lam)
+            assert (ts.dimension, ts.basis, ts.constraint_shape) == reference(lam), \
+                (route.__name__, name)
+            assert ts.hilbert == hf, (route.__name__, name)
