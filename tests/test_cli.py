@@ -144,6 +144,143 @@ def test_secant_decompose_and_intersect_roundtrip(tmp_path):
     assert "dim: 2" in out
 
 
+# Apolar subcommands on two inputs: Example 15's Burch point moved by
+# [[3, -4], [4, 3]] (basis forms with denominators), and a ternary
+# subspace with binomial generators.  The *_OPS inputs are the minimal
+# generators printed by `ann`.
+APOLAR_INPUTS = {
+    "BINARY": (
+        "y1^7 - 280/9*y1^4*y2^3 + 4445/54*y1^3*y2^4 - 6958/81*y1^2*y2^5"
+        " + 33320/729*y1*y2^6 - 3040/243*y2^7\n"
+        "y1^6*y2 - 140/9*y1^4*y2^3 + 4465/108*y1^3*y2^4 - 1265/27*y1^2*y2^5"
+        " + 6476/243*y1*y2^6 - 4880/729*y2^7\n"
+        "y1^5*y2^2 - 95/18*y1^4*y2^3 + 355/32*y1^3*y2^4 - 2545/216*y1^2*y2^5"
+        " + 3155/486*y1*y2^6 - 374/243*y2^7\n"),
+    "BINARY_OPS": (
+        "x1^5 + 15/4*x1^4*x2 + 45/8*x1^3*x2^2 + 135/32*x1^2*x2^3"
+        " + 405/256*x1*x2^4 + 243/1024*x2^5\n"
+        "x1^4*x2^2 + 29/18*x1^3*x2^3 + 841/864*x1^2*x2^4 + 247/576*x1*x2^5"
+        " + 211/1536*x2^6\n"
+        "x1*x2^7 + 21/32*x2^8\n"
+        "x2^8\n"),
+    "TERNARY": "y1^4 + y2^4 + y3^4\ny1^2*y2*y3\n",
+    "TERNARY_OPS": ("x1*x2^2\nx1*x3^2\nx2^2*x3\nx2*x3^2\n"
+                    "x1^4 - x3^4\nx1^3*x2\nx1^3*x3\nx2^4 - x3^4\n"),
+}
+
+APOLAR_PINNED = [
+    (['hilbert'], "BINARY",
+     'HILBERT: 1,2,3,4,5,5,4,3,0\n'
+     'GENERATORS.5: x1^5 + 15/4*x1^4*x2 + 45/8*x1^3*x2^2 + 135/32*x1^2*x2^3 + 405/256*x1*x2^4 + 243/1024*x2^5\n'
+     'GENERATORS.6: x1^4*x2^2 + 29/18*x1^3*x2^3 + 841/864*x1^2*x2^4 + 247/576*x1*x2^5 + 211/1536*x2^6\n'
+     'GENERATORS.8: x1*x2^7 + 21/32*x2^8\n'
+     'GENERATORS.8: x2^8\n'
+     'SOCLE: 7:3\n'
+     'LEVEL: true\n'
+     'TYPE: 3\n'
+     'SOCLE_DEGREE: 7\n'),
+    (['ann'], "BINARY",
+     'GENERATORS.5: x1^5 + 15/4*x1^4*x2 + 45/8*x1^3*x2^2 + 135/32*x1^2*x2^3 + 405/256*x1*x2^4 + 243/1024*x2^5\n'
+     'GENERATORS.6: x1^4*x2^2 + 29/18*x1^3*x2^3 + 841/864*x1^2*x2^4 + 247/576*x1*x2^5 + 211/1536*x2^6\n'
+     'GENERATORS.8: x1*x2^7 + 21/32*x2^8\n'
+     'GENERATORS.8: x2^8\n'),
+    (['ann', '-i', '5'], "BINARY",
+     'degree: 5\n'
+     'dim: 1\n'
+     'basis.1: x1^5 + 15/4*x1^4*x2 + 45/8*x1^3*x2^2 + 135/32*x1^2*x2^3 + 405/256*x1*x2^4 + 243/1024*x2^5\n'),
+    (['ann', '-i', '6'], "BINARY",
+     'degree: 6\n'
+     'dim: 3\n'
+     'basis.1: x1^6 - 105/32*x1^3*x2^3 - 3085/512*x1^2*x2^4 - 2127/1024*x1*x2^5 + 2205/8192*x2^6\n'
+     'basis.2: x1^5*x2 - 5/12*x1^3*x2^3 + 655/1152*x1^2*x2^4 - 5/192*x1*x2^5 - 569/2048*x2^6\n'
+     'basis.3: x1^4*x2^2 + 29/18*x1^3*x2^3 + 841/864*x1^2*x2^4 + 247/576*x1*x2^5 + 211/1536*x2^6\n'),
+    (['socle'], "BINARY_OPS",
+     'SOCLE: 7:3\n'
+     'LEVEL: true\n'
+     'SOCLE_DEGREE: 7\n'
+     'TYPE: 3\n'),
+    (['secant-decompose'], "BINARY",
+     'count: 4\n'
+     'plane.1.degree: 5\n'
+     'plane.1.dim: 4\n'
+     'plane.1.apolar: x1^5 + 15/4*x1^4*x2 + 45/8*x1^3*x2^2 + 135/32*x1^2*x2^3 + 405/256*x1*x2^4 + 243/1024*x2^5\n'
+     'plane.2.degree: 6\n'
+     'plane.2.dim: 5\n'
+     'plane.2.apolar: x1^4*x2^2 + 29/18*x1^3*x2^3 + 841/864*x1^2*x2^4 + 247/576*x1*x2^5 + 211/1536*x2^6\n'
+     'plane.3.degree: 8\n'
+     'plane.3.dim: 7\n'
+     'plane.3.apolar: x1*x2^7 + 21/32*x2^8\n'
+     'plane.4.degree: 8\n'
+     'plane.4.dim: 7\n'
+     'plane.4.apolar: x2^8\n'),
+    (['secant-intersect', '-d', '7'], "BINARY_OPS",
+     'hf: 1,2,3,4,5,5,4,3,0\n'
+     'dim: 3\n'
+     'basis.1: y1^7 - 280/9*y1^4*y2^3 + 4445/54*y1^3*y2^4 - 6958/81*y1^2*y2^5 + 33320/729*y1*y2^6 - 3040/243*y2^7\n'
+     'basis.2: y1^6*y2 - 140/9*y1^4*y2^3 + 4465/108*y1^3*y2^4 - 1265/27*y1^2*y2^5 + 6476/243*y1*y2^6 - 4880/729*y2^7\n'
+     'basis.3: y1^5*y2^2 - 95/18*y1^4*y2^3 + 355/32*y1^3*y2^4 - 2545/216*y1^2*y2^5 + 3155/486*y1*y2^6 - 374/243*y2^7\n'),
+    (['hilbert'], "TERNARY",
+     'HILBERT: 1,3,6,6,2,0\n'
+     'GENERATORS.3: x1*x2^2\n'
+     'GENERATORS.3: x1*x3^2\n'
+     'GENERATORS.3: x2^2*x3\n'
+     'GENERATORS.3: x2*x3^2\n'
+     'GENERATORS.4: x1^4 - x3^4\n'
+     'GENERATORS.4: x1^3*x2\n'
+     'GENERATORS.4: x1^3*x3\n'
+     'GENERATORS.4: x2^4 - x3^4\n'
+     'SOCLE: 4:2\n'
+     'LEVEL: true\n'
+     'TYPE: 2\n'
+     'SOCLE_DEGREE: 4\n'),
+    (['ann'], "TERNARY",
+     'GENERATORS.3: x1*x2^2\n'
+     'GENERATORS.3: x1*x3^2\n'
+     'GENERATORS.3: x2^2*x3\n'
+     'GENERATORS.3: x2*x3^2\n'
+     'GENERATORS.4: x1^4 - x3^4\n'
+     'GENERATORS.4: x1^3*x2\n'
+     'GENERATORS.4: x1^3*x3\n'
+     'GENERATORS.4: x2^4 - x3^4\n'),
+    (['ann', '-i', '3'], "TERNARY",
+     'degree: 3\n'
+     'dim: 4\n'
+     'basis.1: x1*x2^2\n'
+     'basis.2: x1*x3^2\n'
+     'basis.3: x2^2*x3\n'
+     'basis.4: x2*x3^2\n'),
+    (['ann', '-i', '4'], "TERNARY",
+     'degree: 4\n'
+     'dim: 13\n'
+     'basis.1: x1^4 - x3^4\n'
+     'basis.2: x1^3*x2\n'
+     'basis.3: x1^3*x3\n'
+     'basis.4: x1^2*x2^2\n'
+     'basis.5: x1^2*x3^2\n'
+     'basis.6: x1*x2^3\n'
+     'basis.7: x1*x2^2*x3\n'
+     'basis.8: x1*x2*x3^2\n'
+     'basis.9: x1*x3^3\n'
+     'basis.10: x2^4 - x3^4\n'
+     'basis.11: x2^3*x3\n'
+     'basis.12: x2^2*x3^2\n'
+     'basis.13: x2*x3^3\n'),
+    (['socle'], "TERNARY_OPS",
+     'SOCLE: 4:2\n'
+     'LEVEL: true\n'
+     'SOCLE_DEGREE: 4\n'
+     'TYPE: 2\n'),
+]
+
+
+@pytest.mark.parametrize("argv, name, expected", APOLAR_PINNED,
+                         ids=[f"{' '.join(a)}-{n}" for a, n, _ in APOLAR_PINNED])
+def test_apolar_outputs_are_byte_stable(argv, name, expected, tmp_path):
+    path = tmp_path / "input.txt"
+    path.write_text(APOLAR_INPUTS[name])
+    assert run_cli([*argv, "--input", str(path)]) == (0, expected)
+
+
 def test_gad_subcommand(tmp_path):
     path = tmp_path / "gad.txt"
     path.write_text("0,1,1\n1,0,0\n")
