@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, islice
+from itertools import combinations, count, islice
 from math import lcm
 
 from .errors import (
@@ -22,9 +22,10 @@ from .errors import (
     NotArtinError,
     ZeroSubspaceError,
 )
-from .forms import Form, Subspace, monomial_index, monomial_products, monomials, space_dim
+from .forms import (Form, Subspace, form_print, monomial_index, monomial_products, monomials,
+                    space_dim)
 from .levelhf import HilbertFunction
-from .linalg import QQ, Matrix, rank, right_kernel
+from .linalg import QQ, Matrix, integer_echelon, rank
 
 
 @lru_cache(maxsize=None)
@@ -66,9 +67,7 @@ def internal_product(u: Form, f: Form) -> Form:
     if u.nvars != f.nvars:
         raise AmbientMismatchError("operator and form have different variable counts")
     if u.degree > f.degree:
-        raise DegreeError(
-            f"cannot apply a degree-{u.degree} operator to a degree-{f.degree} form"
-        )
+        raise DegreeError(f"cannot apply a degree-{u.degree} operator to a degree-{f.degree} form")
     n, out_degree = f.nvars, f.degree - u.degree
     fv = f.vector()
     out = [QQ(0)] * space_dim(n, out_degree)
@@ -152,14 +151,69 @@ def ann_slice(lam: Subspace, j: int) -> GradedIdealSlice:
     dim I_j + h_j = dim R_j.  For j > d every operator annihilates, so the
     slice is all of R_j.
     """
-    d = lam.degree
-    n = lam.nvars
+    n, d = lam.nvars, lam.degree
     if j < 0:
         raise DegreeError("negative slice degree")
     if j > d or lam.dim == 0:
         return GradedIdealSlice(j, Subspace.full(n, j, "R"))
-    kernel = right_kernel(annihilator_conditions(lam, j), ncols=space_dim(n, j))
-    return GradedIdealSlice(j, Subspace.from_rows(n, j, "R", kernel))
+    rows = _kernel_rows(annihilator_conditions(lam, j), space_dim(n, j))
+    return GradedIdealSlice(j, _subspace(n, j, "R", rows))
+
+
+def _kernel_rows(m: list[list[int]], width: int) -> list[list[int]]:
+    """The reduced echelon basis of the right kernel of the integer rows m,
+    up to positive row scales, from one elimination: with the columns
+    reversed, the kernel vector of a free column f is zero left of f and at
+    the other free columns, so the free columns are its echelon pivots."""
+    _, _, _, kernel = integer_echelon([row[::-1] for row in m], width)
+    return [v[::-1] for v in reversed(kernel)]
+
+
+def _subspace(nvars: int, degree: int, ring: str, rows: list[list[int]]) -> Subspace:
+    """The Subspace of integer reduced echelon rows, each over its lead."""
+    zero = QQ(0)
+    pivots = tuple(next(c for c, x in enumerate(v) if x) for v in rows)
+    return Subspace(nvars, degree, ring,
+                    tuple(tuple(QQ(x, v[p]) if x else zero for x in v)
+                          for v, p in zip(rows, pivots)),
+                    pivots)
+
+
+def _apolar_pass(lam: Subspace):
+    """(Hilbert function, minimal generators, slices I_0 = 0, I_1, ..., I_d,
+    I_{d+1} = R_{d+1} as _kernel_rows) of ann(Lambda): one elimination per
+    1 <= j <= d, then h_j = dim R_j - dim I_j.  Each echelon row of I_j is
+    reduced against R_1 * I_{j-1} and the generators found before it; the
+    residual (the one vector of row + span zero at the span's pivots, up to
+    scale, whatever basis is taken) is a generator if nonzero."""
+    if lam.dim == 0:
+        raise ZeroSubspaceError("the zero subspace has no Hilbert function")
+    n, d = lam.nvars, lam.degree
+    top = space_dim(n, d + 1)
+    slices = [[], *(_kernel_rows(annihilator_conditions(lam, j), space_dim(n, j))
+                    for j in range(1, d + 1)),
+              [[int(k == c) for c in range(top)] for k in range(top)]]
+    hf = HilbertFunction.from_values([space_dim(n, j) - len(rows)
+                                      for j, rows in enumerate(slices[:-1])])
+    out: list[tuple[int, list[Form]]] = []
+    for j in range(1, d + 2):
+        base, pivots, den, _ = integer_echelon(_times_variables(n, j - 1, slices[j - 1]),
+                                               space_dim(n, j))
+        found, gens = [], []
+        for b in slices[j]:
+            r = [den * x for x in b]
+            for p, row in zip(pivots, base):
+                if b[p]:
+                    r = [x - b[p] * y for x, y in zip(r, row)]
+            for p, g in found:
+                if r[p]:
+                    r = [g[p] * x - r[p] * y for x, y in zip(r, g)]
+            if any(r):
+                found.append((next(c for c, x in enumerate(r) if x), r))
+                gens.append(Form.from_vector(n, j, "R", r).monic())
+        if gens:
+            out.append((j, gens))
+    return hf, out, slices
 
 
 def minimal_generators(lam: Subspace) -> list[tuple[int, list[Form]]]:
@@ -173,54 +227,37 @@ def minimal_generators(lam: Subspace) -> list[tuple[int, list[Form]]]:
     """
     if lam.dim == 0:
         raise ZeroSubspaceError("ann of the zero subspace is the whole ring")
-    n, d = lam.nvars, lam.degree
-    out: list[tuple[int, list[Form]]] = []
-    prev = Subspace.zero(n, 0, "R")
-    for j in range(1, d + 2):
-        target = (ann_slice(lam, j).subspace if j <= d
-                  else Subspace.full(n, d + 1, "R"))
-        running = Subspace.from_rows(n, j, "R", _times_variables(prev))
-        gens = []
-        for b in target.basis:
-            residual = running.reduce(b)
-            if any(c != 0 for c in residual):
-                g = Form.from_vector(n, j, "R", residual).monic()
-                gens.append(g)
-                running = Subspace.from_rows(n, j, "R", running.rows + (g.vector(),))
-        if gens:
-            out.append((j, gens))
-        prev = target
-    return out
+    return _apolar_pass(lam)[1]
 
 
 def inverse_system_slice(gens: list[Form], nvars: int, d: int) -> Subspace:
     """(I^{-1})_d for the ideal generated by gens: all F killed by every gen."""
+    _check_generators(gens, nvars)
     rows = []
     dim_sd = space_dim(nvars, d)
     for g in gens:
-        if g.ring != "R":
-            raise AmbientMismatchError("ideal generators must live in R")
         if g.degree > d or g.is_zero:
             continue
         # one row per monomial of S_{d-q}: the functional F -> that
-        # coefficient of g.F
-        conditions = [[QQ(0)] * dim_sd for _ in range(space_dim(nvars, d - g.degree))]
-        for entries, cu in zip(_action_table(nvars, g.degree, d), g.vector()):
+        # coefficient of g.F, times the lcm s of g's denominators
+        coeffs = g.vector()
+        s = lcm(*[c.denominator for c in coeffs])
+        conditions = [[0] * dim_sd for _ in range(space_dim(nvars, d - g.degree))]
+        for entries, cu in zip(_action_table(nvars, g.degree, d), coeffs):
             if cu:
+                cu = cu.numerator * (s // cu.denominator)
                 for b_idx, (o, factor) in entries.items():
                     conditions[o][b_idx] += cu * factor
         rows.extend(conditions)
-    if not rows:
-        return Subspace.full(nvars, d, "S")
-    return Subspace.from_rows(nvars, d, "S", right_kernel(rows, ncols=dim_sd))
+    return _subspace(nvars, d, "S", _kernel_rows(rows, dim_sd))
 
 
-def _times_variables(sub: Subspace) -> list[list]:
-    """x_i * b for every variable x_i and echelon row b of sub, as
-    coefficient vectors: a spanning set of R_1 * sub."""
-    width, out = space_dim(sub.nvars, sub.degree + 1), []
-    for shift in monomial_products(sub.nvars, 1, sub.degree):
-        for row in sub.rows:
+def _times_variables(nvars: int, degree: int, rows) -> list[list]:
+    """x_i * b for every variable x_i and row b, a coefficient vector of
+    degree `degree`: a spanning set of R_1 * span(rows)."""
+    width, out = space_dim(nvars, degree + 1), []
+    for shift in monomial_products(nvars, 1, degree):
+        for row in rows:
             v = [0] * width
             for k, c in zip(shift, row):
                 v[k] = c
@@ -228,20 +265,24 @@ def _times_variables(sub: Subspace) -> list[list]:
     return out
 
 
+def _check_generators(gens: list[Form], nvars: int):
+    if any(g.ring != "R" or g.nvars != nvars for g in gens):
+        raise AmbientMismatchError(f"ideal generators must live in R with {nvars} variables")
+
+
 def _ideal_slice_stream(gens: list[Form], nvars: int):
     """I_0, I_1, ... of the ideal generated by gens, without end.  I_j is
     spanned by the generators of degree j and x_i * I_{j-1}, as coefficient
     vectors; once I_{j-1} is all of R_{j-1}, I_j is R_j, with no elimination."""
-    if any(g.ring != "R" or g.nvars != nvars for g in gens):
-        raise AmbientMismatchError(f"ideal generators must live in R with {nvars} variables")
+    _check_generators(gens, nvars)
     prev = None
     for j in count():
         if prev is not None and prev.dim == prev.ambient_dim:
             prev = Subspace.full(nvars, j, "R")
         else:
             rows = [g.vector() for g in gens if g.degree == j]
-            prev = Subspace.from_rows(nvars, j, "R",
-                                      rows + (_times_variables(prev) if prev is not None else []))
+            prev = Subspace.from_rows(nvars, j, "R", rows + (
+                [] if prev is None else _times_variables(nvars, j - 1, prev.rows)))
         yield prev
 
 
@@ -278,12 +319,18 @@ def socle(gens: list[Form], nvars: int, bound: int | None = None) -> list[tuple[
             break
     if len(slices) == 1:
         raise NotArtinError("the generators span the unit ideal; the quotient is zero")
+    return _socle_dims(slices)
+
+
+def _socle_dims(slices: list[Subspace]) -> list[tuple[int, int]]:
+    """(j, socle dimension) of R/I for each degree j where it is nonzero,
+    from the slices I_0, ..., I_top of I, the last of them all of R_top."""
     out = []
     for j, (ij, inext) in enumerate(zip(slices, slices[1:])):
         # u = sum c_m x^m has every x_i u in I_{j+1} iff sum c_m row_m = 0,
         # row_m holding the products x_i x^m mod I_{j+1}; such u include I_j
         residuals = inext.monomial_residuals()
-        rows = [[x for shift in monomial_products(nvars, 1, j) for x in residuals[shift[m]]]
+        rows = [[x for shift in monomial_products(ij.nvars, 1, j) for x in residuals[shift[m]]]
                 for m in range(ij.ambient_dim)]
         s = len(rows) - rank(rows) - ij.dim
         if s > 0:
@@ -306,12 +353,9 @@ def check_points(points) -> list[tuple]:
     for a, b in pts:
         if a == 0 and b == 0:
             raise AdmissibilityError("(0, 0) is not a point of P^1")
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if pts[i][0] * pts[j][1] - pts[j][0] * pts[i][1] == 0:
-                raise AdmissibilityError(
-                    f"points {i + 1} and {j + 1} are proportional"
-                )
+    for (i, (a1, b1)), (j, (a2, b2)) in combinations(enumerate(pts, start=1), 2):
+        if a1 * b2 - a2 * b1 == 0:
+            raise AdmissibilityError(f"points {i} and {j} are proportional")
     return pts
 
 
@@ -383,8 +427,6 @@ class ApolarProfile:
         return self.socle[-1][0]
 
     def kv_lines(self) -> list[tuple[str, str]]:
-        from .forms import form_print
-
         lines = [("HILBERT", self.hilbert.format())]
         for degree, forms in self.generators:
             for g in forms:
@@ -397,13 +439,9 @@ class ApolarProfile:
 
 
 def apolar_profile(lam: Subspace) -> ApolarProfile:
-    hf = hilbert_function(lam)
-    gens = minimal_generators(lam)
-    flat = [g for _, forms in gens for g in forms]
-    soc = socle(flat, lam.nvars)
-    return ApolarProfile(
-        lam,
-        hf,
-        tuple((degree, tuple(forms)) for degree, forms in gens),
-        tuple(soc),
-    )
+    """Hilbert function, minimal generators and socle, all read off the one
+    set of annihilator slices of _apolar_pass."""
+    hf, gens, slices = _apolar_pass(lam)
+    soc = _socle_dims([_subspace(lam.nvars, j, "R", rows) for j, rows in enumerate(slices)])
+    return ApolarProfile(lam, hf, tuple((degree, tuple(forms)) for degree, forms in gens),
+                         tuple(soc))

@@ -199,9 +199,6 @@ class E1Table:
     def entry(self, p: int, q: int) -> int:
         return self.entries.get((p, q), 0)
 
-    def max_q_nonzero(self) -> int | None:
-        return max((q for (_, q) in self.entries), default=None)
-
 
 def e1_vanishing_table(t: int, d: int, i: int, r: int, m: int,
                        cap_weight: int = DEFAULT_WEIGHT_CAP) -> E1Table:

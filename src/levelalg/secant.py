@@ -13,14 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .apolarity import (
-    ann_slice,
-    check_points,
-    hilbert_function,
-    inverse_system_slice,
-    jordan_apolar_basis,
-    minimal_generators,
-)
+from .apolarity import (_apolar_pass, ann_slice, check_points, inverse_system_slice,
+                        jordan_apolar_basis)
 from .errors import (
     AdmissibilityError,
     DegreeError,
@@ -30,7 +24,7 @@ from .errors import (
     WitnessError,
     ZeroSubspaceError,
 )
-from .forms import Form, Subspace, subspace_intersect
+from .forms import Form, Subspace
 from .levelhf import HilbertFunction, dim_stratum, q_sequence
 from .linalg import Matrix, det, rank
 
@@ -51,11 +45,11 @@ class SecantPlane:
             raise ZeroSubspaceError("a secant plane needs a nonzero apolar form")
         if self.apolar_form.ring != "R":
             raise DegreeError("the apolar form must be an operator (ring R)")
+        if self.apolar_form.nvars != 2:
+            raise DegreeError("the apolar form must be binary (two variables)")
         if self.apolar_form.degree > self.ambient_degree + 1:
-            raise DegreeError(
-                f"apolar degree {self.apolar_form.degree} exceeds d + 1 = "
-                f"{self.ambient_degree + 1}"
-            )
+            raise DegreeError(f"apolar degree {self.apolar_form.degree} exceeds d + 1 = "
+                              f"{self.ambient_degree + 1}")
 
     @property
     def q(self) -> int:
@@ -83,18 +77,12 @@ def secant_decompose(lam: Subspace) -> list[SecantPlane]:
     """
     if lam.nvars != 2:
         raise DegreeError("secant decomposition is a two-variable operation")
-    h = hilbert_function(lam)
-    gens = minimal_generators(lam)
+    h, gens, _ = _apolar_pass(lam)
     planes = [SecantPlane(g, lam.degree) for _, forms in gens for g in forms]
-    degrees = tuple(sorted(p.q for p in planes))
-    if degrees != q_sequence(h):
-        raise LevelAlgError(
-            "internal bug: generator degrees do not match the q-sequence"
-        )
-    check = Subspace.full(lam.nvars, lam.degree, "S")
-    for p in planes:
-        check = subspace_intersect(check, p.subspace())
-    if check != lam:
+    if tuple(sorted(p.q for p in planes)) != q_sequence(h):
+        raise LevelAlgError("internal bug: generator degrees do not match the q-sequence")
+    # the forms apolar to every u_k: the intersection of the planes (u_k)^{-1}_d
+    if inverse_system_slice([p.apolar_form for p in planes], 2, lam.degree) != lam:
         raise LevelAlgError("internal bug: plane intersection is not Lambda")
     return planes
 
@@ -118,25 +106,14 @@ def secant_intersect(planes: list[SecantPlane]) -> tuple[Subspace, HilbertFuncti
     qs = sorted(p.q for p in planes)
     codim_sum = sum(d + 1 - q for q in qs)
     if codim_sum != d - t + 1:
-        raise PropernessError(
-            f"codimensions sum to {codim_sum}, expected d - t + 1 = {d - t + 1}"
-        )
-    lam = Subspace.full(2, d, "S")
-    for p in planes:
-        lam = subspace_intersect(lam, p.subspace())
+        raise PropernessError(f"codimensions sum to {codim_sum}, expected d - t + 1 = {d - t + 1}")
+    lam = inverse_system_slice([p.apolar_form for p in planes], 2, d)
     if lam.dim != t:
-        raise PropernessError(
-            f"intersection has dimension {lam.dim}, expected {t}: improper"
-        )
-    es = {q: 0 for q in range(1, d + 2)}
-    for q in qs:
-        es[q] += 1
-    values = [1]
+        raise PropernessError(f"intersection has dimension {lam.dim}, expected {t}: improper")
+    values = [0, 1]  # h_{-1}, h_0
     for i in range(1, d + 1):
-        prev = values[i - 1]
-        prev2 = values[i - 2] if i >= 2 else 0
-        values.append(2 * prev - prev2 - es[i])
-    return lam, HilbertFunction.from_values(values)
+        values.append(2 * values[-1] - values[-2] - qs.count(i))
+    return lam, HilbertFunction.from_values(values[1:])
 
 
 @dataclass(frozen=True)
@@ -244,15 +221,8 @@ def waring_witness_hf(t: int, d: int, s: int) -> HilbertFunction:
     m = s // t
     if s > d - m:
         raise LevelAlgError("internal bug: N1 < N2 but s > d - m")
-    values = []
-    for i in range(d + 1):
-        if i <= s - 1:
-            values.append(i + 1)
-        elif i <= d - m:
-            values.append(s)
-        else:
-            values.append((d - i + 1) * t)
-    h = HilbertFunction(tuple(values))
+    h = HilbertFunction(tuple(i + 1 if i < s else s if i <= d - m else (d - i + 1) * t
+                              for i in range(d + 1)))
     if h[s] != s or dim_stratum(h) != n1:
         raise LevelAlgError("internal bug: witness does not have h_s = s and dimension N1")
     return h
@@ -269,9 +239,7 @@ def in_sigma(lam: Subspace, s: int) -> Form | None:
     if not t <= s <= lam.degree:
         raise DegreeError(f"need t <= s <= d, got s = {s}")
     slice_s = ann_slice(lam, s).subspace
-    if slice_s.dim == 0:
-        return None
-    return slice_s.basis[0]
+    return slice_s.basis[0] if slice_s.dim else None
 
 
 def stacked_hankel(forms: list[Form], s: int) -> Matrix:
@@ -305,12 +273,9 @@ def stacked_catalecticant_det(forms: list[Form], s: int) -> Fraction:
     m = stacked_hankel(forms, s)
     nrows, ncols = len(m), len(m[0])
     if nrows != ncols:
-        raise NotSquareError(
-            f"stacked matrix is {nrows} x {ncols}; rank condition instead: "
-            f"rank {rank(m)} vs bound {s}",
-            rank=rank(m),
-            bound=s,
-        )
+        r = rank(m)
+        raise NotSquareError(f"stacked matrix is {nrows} x {ncols}; rank condition instead: "
+                             f"rank {r} vs bound {s}", rank=r, bound=s)
     return det(m)
 
 

@@ -1,0 +1,197 @@
+"""The one-pass apolar routes against test-local copies of the routes they
+replaced: Hilbert functions from Fraction catalecticant ranks, annihilator
+slices from Fraction kernels, minimal generators with the running span
+re-eliminated after every generator, the socle from the generators' own
+ideal slices, and secant planes intersected one pair at a time."""
+
+import pytest
+
+from conftest import all_level_hfs
+from levelalg.apolarity import (
+    ApolarProfile,
+    _action_table,
+    annihilator_conditions,
+    apolar_profile,
+    catalecticant_matrix,
+    inverse_system_slice,
+    minimal_generators,
+    socle,
+)
+from levelalg.errors import PropernessError
+from levelalg.forms import (
+    Form,
+    Subspace,
+    form_parse,
+    monomial_products,
+    parse_subspace_lines,
+    space_dim,
+    subspace_intersect,
+)
+from levelalg.levelhf import HilbertFunction, burch_ideal
+from levelalg.linalg import QQ, rank, right_kernel
+from levelalg.secant import SecantPlane, secant_decompose, secant_intersect
+
+# A fixed change of coordinates with no zero or unit entry.
+MOVE = [[3, -4], [4, 3]]
+
+# The ternary monomial subspaces of the stratum and tangent benchmarks.
+TERNARY_SUBSPACES = (
+    ("y1^2", "y2^2", "y3^2"),
+    ("y1^3", "y2^3", "y3^3"),
+    ("y1^2*y2", "y2^2*y3", "y3^2*y1"),
+    ("y1^4", "y2^4"),
+    ("y1^4", "y2^4", "y3^4"),
+    ("y1^3*y2", "y2^3*y3", "y3^3*y1"),
+    ("y1^2*y2^2", "y3^4"),
+    ("y1*y2*y3^2", "y1^4", "y2^4"),
+)
+
+NON_MONOMIAL_TERNARY = (
+    ("y1^3 + y2^3 + y3^3",),
+    ("y1^4 + y2^4 + y3^4", "y1^2*y2*y3"),
+)
+
+
+def old_hilbert_function(lam):
+    return HilbertFunction.from_values(
+        [rank(catalecticant_matrix(lam, i)) for i in range(lam.degree + 1)])
+
+
+def old_ann_slice(lam, j):
+    n = lam.nvars
+    if j > lam.degree:
+        return Subspace.full(n, j, "R")
+    kernel = right_kernel(annihilator_conditions(lam, j), ncols=space_dim(n, j))
+    return Subspace.from_rows(n, j, "R", kernel)
+
+
+def old_times_variables(sub):
+    width, out = space_dim(sub.nvars, sub.degree + 1), []
+    for shift in monomial_products(sub.nvars, 1, sub.degree):
+        for row in sub.rows:
+            v = [0] * width
+            for k, c in zip(shift, row):
+                v[k] = c
+            out.append(v)
+    return out
+
+
+def old_minimal_generators(lam):
+    n, d = lam.nvars, lam.degree
+    out = []
+    prev = Subspace.zero(n, 0, "R")
+    for j in range(1, d + 2):
+        target = old_ann_slice(lam, j)
+        running = Subspace.from_rows(n, j, "R", old_times_variables(prev))
+        gens = []
+        for b in target.basis:
+            residual = running.reduce(b)
+            if any(c != 0 for c in residual):
+                g = Form.from_vector(n, j, "R", residual).monic()
+                gens.append(g)
+                running = Subspace.from_rows(n, j, "R", running.rows + (g.vector(),))
+        if gens:
+            out.append((j, gens))
+        prev = target
+    return out
+
+
+def old_profile_lines(lam):
+    gens = old_minimal_generators(lam)
+    soc = socle([g for _, forms in gens for g in forms], lam.nvars)
+    return ApolarProfile(lam, old_hilbert_function(lam),
+                         tuple((degree, tuple(forms)) for degree, forms in gens),
+                         tuple(soc)).kv_lines()
+
+
+def old_inverse_system_slice(gens, nvars, d):
+    rows, dim_sd = [], space_dim(nvars, d)
+    for g in gens:
+        if g.degree > d or g.is_zero:
+            continue
+        conditions = [[QQ(0)] * dim_sd for _ in range(space_dim(nvars, d - g.degree))]
+        for entries, cu in zip(_action_table(nvars, g.degree, d), g.vector()):
+            if cu:
+                for b_idx, (o, factor) in entries.items():
+                    conditions[o][b_idx] += cu * factor
+        rows.extend(conditions)
+    if not rows:
+        return Subspace.full(nvars, d, "S")
+    return Subspace.from_rows(nvars, d, "S", right_kernel(rows, ncols=dim_sd))
+
+
+def old_plane_intersection(planes, d):
+    lam = Subspace.full(2, d, "S")
+    for p in planes:
+        lam = subspace_intersect(lam, old_inverse_system_slice([p.apolar_form], 2, d))
+    return lam
+
+
+def old_secant_decompose(lam):
+    h = old_hilbert_function(lam)
+    planes = [SecantPlane(g, lam.degree) for _, forms in old_minimal_generators(lam)
+              for g in forms]
+    assert old_plane_intersection(planes, lam.degree) == lam
+    return h, planes
+
+
+def old_secant_intersect(planes):
+    d, t = planes[0].ambient_degree, len(planes) - 1
+    qs = sorted(p.q for p in planes)
+    codim_sum = sum(d + 1 - q for q in qs)
+    if codim_sum != d - t + 1:
+        raise PropernessError(
+            f"codimensions sum to {codim_sum}, expected d - t + 1 = {d - t + 1}")
+    lam = old_plane_intersection(planes, d)
+    if lam.dim != t:
+        raise PropernessError(f"intersection has dimension {lam.dim}, expected {t}: improper")
+    es = {q: 0 for q in range(1, d + 2)}
+    for q in qs:
+        es[q] += 1
+    values = [1]
+    for i in range(1, d + 1):
+        values.append(2 * values[i - 1] - (values[i - 2] if i >= 2 else 0) - es[i])
+    return lam, HilbertFunction.from_values(values)
+
+
+def assert_same_as_old_routes(lam):
+    assert apolar_profile(lam).kv_lines() == old_profile_lines(lam)
+    assert minimal_generators(lam) == old_minimal_generators(lam)
+    if lam.nvars != 2:
+        return
+    h, planes = old_secant_decompose(lam)
+    assert secant_decompose(lam) == planes
+    assert secant_intersect(planes) == old_secant_intersect(planes) == (lam, h)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_binary_burch_points_match_the_old_routes(t):
+    for h in (h for h in all_level_hfs(t, 10) if h.t == t):
+        _, gens = burch_ideal(h)
+        for gs in (gens, [g.substitute_linear(MOVE) for g in gens]):
+            lam = inverse_system_slice(gs, 2, h.d)
+            assert lam == old_inverse_system_slice(gs, 2, h.d)
+            assert old_hilbert_function(lam) == h
+            assert_same_as_old_routes(lam)
+
+
+@pytest.mark.parametrize("lines", TERNARY_SUBSPACES + NON_MONOMIAL_TERNARY)
+def test_ternary_subspaces_match_the_old_routes(lines):
+    lam = parse_subspace_lines(lines, nvars=3)
+    assert_same_as_old_routes(lam)
+    gens = [g for _, forms in minimal_generators(lam) for g in forms]
+    assert inverse_system_slice(gens, 3, lam.degree) == \
+        old_inverse_system_slice(gens, 3, lam.degree) == lam
+
+
+@pytest.mark.parametrize("ops, d", [
+    (["x1*x2", "x1^2 - x2^2"], 7),  # codimensions do not add up
+    (["x1^3", "x1^2*x2"], 4),  # a common factor: the planes meet in a line
+])
+def test_improper_planes_keep_their_messages(ops, d):
+    planes = [SecantPlane(form_parse(u, nvars=2, ring="R"), d) for u in ops]
+    with pytest.raises(PropernessError) as new:
+        secant_intersect(planes)
+    with pytest.raises(PropernessError) as old:
+        old_secant_intersect(planes)
+    assert str(new.value) == str(old.value)

@@ -20,6 +20,7 @@ from levelalg.apolarity import (
 )
 from levelalg.errors import (
     AdmissibilityError,
+    AmbientMismatchError,
     DegreeError,
     NotArtinError,
     ZeroSubspaceError,
@@ -191,6 +192,14 @@ def test_socle_non_artin_rejected():
     # enough generators, but a common factor: the default bound 1 + 2 - 2 + 2
     with pytest.raises(NotArtinError, match="not vanished by degree 3"):
         socle([form_parse("x1", nvars=2), form_parse("x1^2", nvars=2)], 2)
+
+
+def test_inverse_system_slice_rejects_generators_of_another_ring():
+    # zip against the binary action table would drop x3 and answer a plane
+    with pytest.raises(AmbientMismatchError, match="with 2 variables"):
+        inverse_system_slice([form_parse("x1^2 + x3^2", nvars=3)], 2, 3)
+    with pytest.raises(AmbientMismatchError):
+        inverse_system_slice([form_parse("y1^2", nvars=2)], 2, 3)
 
 
 def test_socle_three_variables():

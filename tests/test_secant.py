@@ -45,6 +45,11 @@ def test_plane_subspace_dimension_is_degree():
         assert SecantPlane(u, 7).subspace().dim == q
 
 
+def test_plane_rejects_a_ternary_apolar_form():
+    with pytest.raises(DegreeError, match="binary"):
+        SecantPlane(form_parse("x1^2*x3", nvars=3), 4)
+
+
 def test_full_space_plane_for_degree_d_plus_one():
     u = form_parse("x2^8", nvars=2)
     plane = SecantPlane(u, 7)
