@@ -439,8 +439,8 @@ class ApolarProfile:
 
 
 def apolar_profile(lam: Subspace) -> ApolarProfile:
-    """Hilbert function, minimal generators and socle, all read off the one
-    set of annihilator slices of _apolar_pass."""
+    """Hilbert function, minimal generators and socle, all read off one set
+    of annihilator slices, each from one integer elimination."""
     hf, gens, slices = _apolar_pass(lam)
     soc = _socle_dims([_subspace(lam.nvars, j, "R", rows) for j, rows in enumerate(slices)])
     return ApolarProfile(lam, hf, tuple((degree, tuple(forms)) for degree, forms in gens),
