@@ -59,7 +59,10 @@ def _read_lines(path: str) -> list[str]:
 
 
 def _subspace_from_input(args):
-    return parse_subspace_lines(_read_lines(args.input))
+    lam = parse_subspace_lines(_read_lines(args.input))
+    if lam.ring != "S":
+        raise LevelAlgError("Lambda must be forms in y1..yn, not operators in x1..xn")
+    return lam
 
 
 def _forms_from_input(args, nvars=None, ring=None) -> list:

@@ -17,7 +17,7 @@ from operator import mul
 
 from .errors import InvalidPartitionError, LevelAlgError, MalformedSequenceError
 from .forms import Form
-from .partitions import bounded_partitions
+from .partitions import partitions_in_box
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ def enumerate_level_hf(t: int, d: int) -> list[HilbertFunction]:
     if not 1 <= t <= d + 1:
         raise MalformedSequenceError(f"need 1 <= t <= d + 1, got (t, d) = ({t}, {d})")
     out = [hf_from_partition(mu, t, d)
-           for mu in bounded_partitions(d - t + 1, t + 1)]
+           for mu in partitions_in_box(d - t + 1, t + 1, d - t + 1)]
     out.sort(key=lambda h: h.values)
     return out
 

@@ -23,39 +23,30 @@ def check_partition(lam) -> tuple[int, ...]:
     return lam
 
 
-def bounded_partitions(n: int, k: int):
-    """Partitions of n with every part at most k, descending lexicographic."""
-
-    def gen(remaining, max_part):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, max_part), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return gen(n, k)
+def partitions(n: int) -> tuple[tuple[int, ...], ...]:
+    """All partitions of n (none for n < 0), in descending lexicographic order."""
+    return partitions_in_box(n, n, n)
 
 
 @lru_cache(maxsize=None)
-def partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of n (none for n < 0), in descending lexicographic order."""
-    return tuple(bounded_partitions(n, n))
+def partitions_in_box(rows: int, cols: int, weight: int | None = None) -> tuple:
+    """Partitions with at most `rows` parts, each at most `cols`: with no
+    weight, all of them depth first from the empty partition; otherwise
+    those of that weight (none if negative), descending lexicographic."""
 
-
-def partitions_in_box(rows: int, cols: int):
-    """All partitions with at most `rows` parts, each at most `cols`
-    (every weight, including the empty partition)."""
-
-    def gen(r, maxpart):
-        yield ()
-        if r == 0 or maxpart == 0:
+    def gen(r, maxpart, left):
+        if left is None or left == 0:
+            yield ()
+        if r == 0 or (left is not None and left <= 0):
             return
-        for first in range(maxpart, 0, -1):
-            for rest in gen(r - 1, first):
+        # with a weight, the first part must leave at most (r - 1) * first
+        firsts = (range(maxpart, 0, -1) if left is None
+                  else range(min(maxpart, left), (left - 1) // r, -1))
+        for first in firsts:
+            for rest in gen(r - 1, first, None if left is None else left - first):
                 yield (first,) + rest
 
-    return list(gen(rows, cols))
+    return tuple(gen(rows, cols, weight))
 
 
 def conjugate(lam) -> tuple[int, ...]:

@@ -21,7 +21,7 @@ from .levelhf import (
     grassmannian_dim,
     is_level_sequence,
 )
-from .partitions import conjugate, partitions, partitions_in_box, schur_dim
+from .partitions import conjugate, partitions_in_box, schur_dim
 
 
 def expected_codim(t: int, d: int, i: int, r: int) -> int:
@@ -158,8 +158,8 @@ def c1_c2_analysis(t: int, d: int, i: int, r: int) -> ComponentReport:
     """
     if not 0 <= i <= d:
         raise LevelAlgError(f"need 0 <= i <= d, got i = {i}, d = {d}")
-    if not r < i + 1:
-        raise LevelAlgError(f"need r < i + 1, got r = {r}, i = {i}")
+    if not 0 <= r < i + 1:
+        raise LevelAlgError(f"need 0 <= r < i + 1, got r = {r}, i = {i}")
     c2_value = r - (d - i) * (i - r)
     c2 = c2_value >= t
     witness = c2_witness_hf(t, d, i, r) if c2 else None
@@ -212,7 +212,6 @@ def e1_vanishing_table(t: int, d: int, i: int, r: int, m: int,
     weight cap are skipped and reported in `truncated_weights`.
     """
     table = lascoux_ranks(t, d, i, r)
-    rows_bound = t * (d - i + 1)
     mu_rows = d - i + 1
     entries: dict[tuple[int, int], int] = {}
     skipped: set[int] = set()
@@ -223,20 +222,12 @@ def e1_vanishing_table(t: int, d: int, i: int, r: int, m: int,
             if w > cap_weight:
                 skipped.add(w)
                 continue
-            if w == 0:
-                res = schur_sub_twist_cohomology(t, d + 1, (), m)
-                if not res.is_zero:
-                    key = (p, res.degree)
-                    entries[key] = entries.get(key, 0) + s.bott_dim * res.dimension
-                continue
-            for rho in partitions(w):
-                if len(rho) > t:
-                    continue
+            for rho in partitions_in_box(t, w, w):
                 res = schur_sub_twist_cohomology(t, d + 1, rho, m)
                 if res.is_zero:
                     continue
-                for mu in partitions(w):
-                    if len(mu) > mu_rows or not dvir_bound_ok(lam, rho, mu):
+                for mu in partitions_in_box(mu_rows, w, w):
+                    if not dvir_bound_ok(lam, rho, mu):
                         continue
                     c = kronecker(lam, rho, mu, cap=cap_weight)
                     if c == 0:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import zip_longest
 
 from .errors import AmbientMismatchError, InputSyntaxError, InvalidPartitionError, LevelAlgError
-from .partitions import bounded_partitions, check_partition, parse_partition
+from .partitions import check_partition, parse_partition, partitions_in_box
 
 
 @dataclass(frozen=True)
@@ -215,13 +215,6 @@ def _lr_coefficient(lam: tuple, mu: tuple, nu: tuple) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _box_partitions(w: int, rows: int, cols: int) -> tuple:
-    """The partitions of w in the rows x cols box, in the order of
-    `partitions(w)`."""
-    return tuple(nu for nu in bounded_partitions(w, cols) if len(nu) <= rows)
-
-
 def lr_multiply(a: SchubertClass, b: SchubertClass) -> SchubertClass:
     """Cup product: LR expansion truncated to the box."""
     a._check(b)
@@ -229,10 +222,7 @@ def lr_multiply(a: SchubertClass, b: SchubertClass) -> SchubertClass:
     out: dict = {}
     for lam, ca in a.coeffs.items():
         for mu, cb in b.coeffs.items():
-            w = sum(lam) + sum(mu)
-            if w > t * (n - t):
-                continue
-            for nu in _box_partitions(w, t, n - t):
+            for nu in partitions_in_box(t, n - t, sum(lam) + sum(mu)):
                 c = _lr_coefficient(lam, mu, nu)
                 if c:
                     out[nu] = out.get(nu, 0) + ca * cb * c
@@ -311,6 +301,8 @@ def porteous_class(t: int, d: int, i: int, r: int) -> SchubertClass:
     """
     if not 0 <= i <= d:
         raise LevelAlgError(f"need 0 <= i <= d, got i = {i}, d = {d}")
+    if t < 1:
+        raise LevelAlgError(f"need 1 <= t <= d + 1, got (t, d) = ({t}, {d})")
     if t > d + 1:
         raise LevelAlgError(f"G({t}, S_{d}) is empty: need t <= d + 1")
     n = d + 1

@@ -197,8 +197,8 @@ def hankel_rank(f: Form, a: int) -> int:
 def sigma_dim(t: int, d: int, s: int) -> int:
     """dim of the locus of t-spaces lying on a secant (s-1)-plane:
     min{s + t(s - t), t(d - t + 1)}."""
-    if not t <= s <= d + 1:
-        raise DegreeError(f"need t <= s <= d + 1, got (t, d, s) = ({t}, {d}, {s})")
+    if not 1 <= t <= s <= d + 1:
+        raise DegreeError(f"need 1 <= t <= s <= d + 1, got (t, d, s) = ({t}, {d}, {s})")
     return min(s + t * (s - t), t * (d - t + 1))
 
 
@@ -211,8 +211,8 @@ def waring_witness_hf(t: int, d: int, s: int) -> HilbertFunction:
     """
     n1 = s + t * (s - t)
     n2 = t * (d - t + 1)
-    if not t <= s <= d + 1:
-        raise DegreeError(f"need t <= s <= d + 1, got (t, d, s) = ({t}, {d}, {s})")
+    if not 1 <= t <= s <= d + 1:
+        raise DegreeError(f"need 1 <= t <= s <= d + 1, got (t, d, s) = ({t}, {d}, {s})")
     if n1 >= n2:
         raise WitnessError(
             f"N1 = {n1} >= N2 = {n2}: the locus already fills the Grassmannian "

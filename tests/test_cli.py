@@ -412,11 +412,19 @@ def test_unreadable_input_is_domain_error(capsys):
     (["porteous", "-t", "3", "-d", "1", "-i", "0", "-r", "0"], None),
     (["lascoux-ranks", "-t", "3", "-d", "1", "-i", "0", "-r", "0"], None),
     (["e1-table", "-t", "3", "-d", "1", "-i", "0", "-r", "0", "-m", "0"], None),
+    (["porteous", "-t", "0", "-d", "3", "-i", "1", "-r", "0"], None),
+    (["components", "-t", "2", "-d", "3", "-i", "1", "-r", "-5"], None),
+    (["sigma-dim", "-t", "0", "-d", "3", "-s", "1"], None),
+    (["waring-witness", "-t", "0", "-d", "3", "-s", "2"], None),
+    (["hilbert"], "x1^2\nx2^2\n"),
+    (["tangent"], "x1^2\nx2^2\n"),
 ], ids=["hf-check-letter", "bott-letter", "class-unclosed-brace", "class-letter",
         "gad-letter", "gad-two-fields", "gad-zero-denominator", "flag-letter",
         "lascoux-i-above-d", "e1-i-above-d", "porteous-i-above-d",
         "components-i-above-d", "porteous-i-negative", "porteous-empty-grassmannian",
-        "lascoux-empty-grassmannian", "e1-empty-grassmannian"])
+        "lascoux-empty-grassmannian", "e1-empty-grassmannian", "porteous-t-zero",
+        "components-r-negative", "sigma-dim-t-zero", "waring-witness-t-zero",
+        "hilbert-operators", "tangent-operators"])
 def test_malformed_input_is_a_one_line_error(argv, input_text, tmp_path):
     # a fresh interpreter, so that an uncaught exception shows as a traceback
     if input_text is not None:

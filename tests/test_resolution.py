@@ -212,6 +212,8 @@ def test_e1_table_truncation_notice():
 def test_c1_c2_requires_r_below_i_plus_one():
     with pytest.raises(LevelAlgError):
         c1_c2_analysis(2, 7, 5, 6)
+    with pytest.raises(LevelAlgError, match=r"need 0 <= r < i \+ 1, got r = -5, i = 1"):
+        c1_c2_analysis(2, 3, 1, -5)
 
 
 def test_product_index_above_d_is_rejected():
