@@ -25,7 +25,7 @@ from .errors import (
 from .forms import (Form, Subspace, form_print, monomial_index, monomial_products, monomials,
                     space_dim)
 from .levelhf import HilbertFunction
-from .linalg import QQ, Matrix, integer_echelon, rank
+from .linalg import QQ, Matrix, _integer_row, integer_echelon, rank
 
 
 @lru_cache(maxsize=None)
@@ -181,21 +181,27 @@ def _subspace(nvars: int, degree: int, ring: str, rows: list[list[int]]) -> Subs
 
 def _apolar_pass(lam: Subspace):
     """(Hilbert function, minimal generators, slices I_0 = 0, I_1, ..., I_d,
-    I_{d+1} = R_{d+1} as _kernel_rows) of ann(Lambda): one elimination per
-    1 <= j <= d, then h_j = dim R_j - dim I_j.  Each echelon row of I_j is
-    reduced against R_1 * I_{j-1} and the generators found before it; the
-    residual (the one vector of row + span zero at the span's pivots, up to
-    scale, whatever basis is taken) is a generator if nonzero."""
+    I_{d+1} = R_{d+1} as _kernel_rows) of ann(Lambda), all tuples: one
+    elimination per 1 <= j <= d, then h_j = dim R_j - dim I_j.  Each echelon
+    row of I_j is reduced against R_1 * I_{j-1} and the generators found
+    before it; the residual (the one vector of row + span zero at the span's
+    pivots, up to scale, whatever basis is taken) is a generator if nonzero.
+    The result is kept on lam, which is frozen, so the pass runs once per
+    Lambda instance."""
+    memo = lam.__dict__.get("_apolar_pass")
+    if memo is not None:
+        return memo
     if lam.dim == 0:
         raise ZeroSubspaceError("the zero subspace has no Hilbert function")
     n, d = lam.nvars, lam.degree
     top = space_dim(n, d + 1)
-    slices = [[], *(_kernel_rows(annihilator_conditions(lam, j), space_dim(n, j))
+    slices = ((), *(tuple(map(tuple, _kernel_rows(annihilator_conditions(lam, j),
+                                                  space_dim(n, j))))
                     for j in range(1, d + 1)),
-              [[int(k == c) for c in range(top)] for k in range(top)]]
+              tuple(tuple(int(k == c) for c in range(top)) for k in range(top)))
     hf = HilbertFunction.from_values([space_dim(n, j) - len(rows)
                                       for j, rows in enumerate(slices[:-1])])
-    out: list[tuple[int, list[Form]]] = []
+    out = []
     for j in range(1, d + 2):
         base, pivots, den, _ = integer_echelon(_times_variables(n, j - 1, slices[j - 1]),
                                                space_dim(n, j))
@@ -212,8 +218,9 @@ def _apolar_pass(lam: Subspace):
                 found.append((next(c for c, x in enumerate(r) if x), r))
                 gens.append(Form.from_vector(n, j, "R", r).monic())
         if gens:
-            out.append((j, gens))
-    return hf, out, slices
+            out.append((j, tuple(gens)))
+    memo = lam.__dict__["_apolar_pass"] = (hf, tuple(out), slices)
+    return memo
 
 
 def minimal_generators(lam: Subspace) -> list[tuple[int, list[Form]]]:
@@ -223,11 +230,12 @@ def minimal_generators(lam: Subspace) -> list[tuple[int, list[Form]]]:
     inside I_j.  For n = 2 the counts match the e-sequence of the Hilbert
     function, which certifies minimality; for n >= 3 the list generates the
     ancestor ideal through degree d+1 but carries no minimality
-    certificate.
+    certificate.  apolar_profile, minimal_generators and secant_decompose
+    share one apolar pass per Lambda instance; each call returns new lists.
     """
     if lam.dim == 0:
         raise ZeroSubspaceError("ann of the zero subspace is the whole ring")
-    return _apolar_pass(lam)[1]
+    return [(degree, list(forms)) for degree, forms in _apolar_pass(lam)[1]]
 
 
 def inverse_system_slice(gens: list[Form], nvars: int, d: int) -> Subspace:
@@ -319,23 +327,38 @@ def socle(gens: list[Form], nvars: int, bound: int | None = None) -> list[tuple[
             break
     if len(slices) == 1:
         raise NotArtinError("the generators span the unit ideal; the quotient is zero")
-    return _socle_dims(slices)
+    return _socle_dims(nvars, [list(map(_integer_row, ij.rows)) for ij in slices])
 
 
-def _socle_dims(slices: list[Subspace]) -> list[tuple[int, int]]:
+def _socle_dims(nvars: int, slices) -> list[tuple[int, int]]:
     """(j, socle dimension) of R/I for each degree j where it is nonzero,
-    from the slices I_0, ..., I_top of I, the last of them all of R_top."""
+    from the slices I_0, ..., I_top of I, the last of them all of R_top,
+    each as its reduced echelon rows times positive integers (their leads)."""
     out = []
     for j, (ij, inext) in enumerate(zip(slices, slices[1:])):
         # u = sum c_m x^m has every x_i u in I_{j+1} iff sum c_m row_m = 0,
         # row_m holding the products x_i x^m mod I_{j+1}; such u include I_j
-        residuals = inext.monomial_residuals()
-        rows = [[x for shift in monomial_products(ij.nvars, 1, j) for x in residuals[shift[m]]]
-                for m in range(ij.ambient_dim)]
-        s = len(rows) - rank(rows) - ij.dim
+        residuals = _monomial_residuals(inext, space_dim(nvars, j + 1))
+        rows = [[x for shift in monomial_products(nvars, 1, j) for x in residuals[shift[m]]]
+                for m in range(space_dim(nvars, j))]
+        ncols = nvars * (space_dim(nvars, j + 1) - len(inext))
+        s = len(rows) - len(integer_echelon(rows, ncols)[1]) - len(ij)
         if s > 0:
             out.append((j, s))
     return out
+
+
+def _monomial_residuals(rows, width: int) -> list[list[int]]:
+    """Subspace.monomial_residuals of the span of integer reduced echelon
+    rows, all times D, the lcm of the leads: for the pivot monomial of row v
+    its entries -v[p] D / lead, for any other monomial D times a unit
+    vector, read at the non-pivot positions p."""
+    by_pivot = {next(c for c, x in enumerate(v) if x): v for v in rows}
+    scale = lcm(*[v[p] for p, v in by_pivot.items()])
+    comp = [p for p in range(width) if p not in by_pivot]
+    return [[-v[p] * (scale // v[o]) for p in comp] if (v := by_pivot.get(o))
+            else [scale * (p == o) for p in comp]
+            for o in range(width)]
 
 
 def is_level_ideal(gens: list[Form], nvars: int,
@@ -440,8 +463,8 @@ class ApolarProfile:
 
 def apolar_profile(lam: Subspace) -> ApolarProfile:
     """Hilbert function, minimal generators and socle, all read off one set
-    of annihilator slices, each from one integer elimination."""
+    of annihilator slices, each from one integer elimination.  The slices
+    come from the apolar pass that apolar_profile, minimal_generators and
+    secant_decompose share, once per Lambda instance."""
     hf, gens, slices = _apolar_pass(lam)
-    soc = _socle_dims([_subspace(lam.nvars, j, "R", rows) for j, rows in enumerate(slices)])
-    return ApolarProfile(lam, hf, tuple((degree, tuple(forms)) for degree, forms in gens),
-                         tuple(soc))
+    return ApolarProfile(lam, hf, gens, tuple(_socle_dims(lam.nvars, slices)))

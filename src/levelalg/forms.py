@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .errors import AmbientMismatchError, FormSyntaxError
 from .linalg import QQ, Vector, row_space_intersection, rref
@@ -182,22 +182,24 @@ class Form:
 
     def substitute_linear(self, matrix) -> Form:
         """Apply the linear substitution var_i -> sum_j matrix[i][j] * var_j."""
-        images = [
-            sum(
-                (Form.monomial(self.nvars, self.ring, tuple(1 if k == j else 0 for k in range(self.nvars)), matrix[i][j])
-                 for j in range(self.nvars)),
-                Form.zero(self.nvars, 1, self.ring),
-            )
-            for i in range(self.nvars)
-        ]
-        total = Form.zero(self.nvars, self.degree, self.ring)
+        n, ring = self.nvars, self.ring
+        one = Form.monomial(n, ring, (0,) * n)
+        # powers[i][e]: the e-th power of the image of var_i, each built
+        # from the one before it
+        powers = []
+        for i in range(n):
+            image = Form.make(n, 1, ring, {tuple(int(k == j) for k in range(n)): matrix[i][j]
+                                           for j in range(n)})
+            row = [one]
+            for _ in range(max((exps[i] for exps in self.coeffs), default=0)):
+                row.append(row[-1] * image)
+            powers.append(row)
+        total: dict = {}
         for exps, c in self.coeffs.items():
-            term = Form.monomial(self.nvars, self.ring, (0,) * self.nvars, c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * images[i].power(e)
-            total = total + term
-        return total
+            term = reduce(Form.__mul__, [powers[i][e] for i, e in enumerate(exps) if e] or [one])
+            for m, x in term.coeffs.items():
+                total[m] = total.get(m, QQ(0)) + c * x
+        return Form.make(n, self.degree, ring, total)
 
     def __str__(self) -> str:
         return form_print(self)

@@ -10,6 +10,7 @@ sequence via Kronecker decomposition plus Bott on the outer Grassmannian.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .bott import schur_qdual_cohomology, schur_sub_twist_cohomology
 from .errors import CapExceededError, LevelAlgError
@@ -22,6 +23,11 @@ from .levelhf import (
     is_level_sequence,
 )
 from .partitions import conjugate, partitions_in_box, schur_dim
+
+# lascoux_ranks enumerates (and caches) every partition of its box; the
+# 10 x 10 box, C(20, 10) = 184,756 partitions, is the largest square one
+# under this cap.
+DEFAULT_PARTITION_CAP = 200_000
 
 
 def expected_codim(t: int, d: int, i: int, r: int) -> int:
@@ -63,14 +69,16 @@ class ResolutionTable:
         return [self.rank(-k) for k in range(self.codim + 1)]
 
 
-def lascoux_ranks(t: int, d: int, i: int, r: int,
-                  cell_cap: int = 400) -> ResolutionTable:
+def lascoux_ranks(t: int, d: int, i: int, r: int, cell_cap: int = 400,
+                  partition_cap: int = DEFAULT_PARTITION_CAP) -> ResolutionTable:
     """Terms of the resolution of O_{Le(i,r)}, assuming expected codimension.
 
     Partitions lambda run over the box with t(d-i+1) rows and i-r+1
     columns; each contributes in homological degree p = nu(lam') - |lam|
     the rank dim S_lam(k^{t(d-i+1)}) times the Bott dimension of
-    S_{lam'}(Q*) on G(r, S_i).
+    S_{lam'}(Q*) on G(r, S_i).  A box over cell_cap cells, or holding more
+    than partition_cap partitions (C(rows + cols, rows) of them), raises
+    CapExceededError before any is enumerated.
     """
     if not 0 <= i <= d:
         raise LevelAlgError(f"need 0 <= i <= d, got i = {i}, d = {d}")
@@ -84,6 +92,12 @@ def lascoux_ranks(t: int, d: int, i: int, r: int,
         raise CapExceededError(
             f"partition box {rows_bound} x {cols_bound} exceeds the cell cap "
             f"{cell_cap}"
+        )
+    count = comb(rows_bound + cols_bound, rows_bound)
+    if count > partition_cap:
+        raise CapExceededError(
+            f"partition box {rows_bound} x {cols_bound} holds {count} partitions, "
+            f"more than the partition cap {partition_cap}"
         )
     c = expected_codim(t, d, i, r)
     terms: dict[int, list[ResolutionSummand]] = {}

@@ -73,7 +73,8 @@ def secant_decompose(lam: Subspace) -> list[SecantPlane]:
     q-sequence of the Hilbert function; each generator u cuts out the plane
     of forms apolar to it, and the intersection of all the planes is
     exactly Lambda.  The equality is re-verified and a failure signals an
-    internal bug.
+    internal bug.  The generators come from the apolar pass shared with
+    apolar_profile and minimal_generators, once per Lambda instance.
     """
     if lam.nvars != 2:
         raise DegreeError("secant decomposition is a two-variable operation")

@@ -2,14 +2,22 @@
 replaced: Hilbert functions from Fraction catalecticant ranks, annihilator
 slices from Fraction kernels, minimal generators with the running span
 re-eliminated after every generator, the socle from the generators' own
-ideal slices, and secant planes intersected one pair at a time."""
+ideal slices with the socle ranked in Fractions, and secant planes
+intersected one pair at a time.  Also: one apolar pass per Lambda instance,
+shared by the profile, the generators and the secant decomposition, and the
+socle against Macaulay duality (R/ann(Lambda) is level of socle degree d and
+type dim Lambda)."""
+
+import dataclasses
 
 import pytest
 
 from conftest import all_level_hfs
+from levelalg import apolarity
 from levelalg.apolarity import (
     ApolarProfile,
     _action_table,
+    _ideal_slice_stream,
     annihilator_conditions,
     apolar_profile,
     catalecticant_matrix,
@@ -96,9 +104,29 @@ def old_minimal_generators(lam):
     return out
 
 
+def old_socle_dims(slices):
+    out = []
+    for j, (ij, inext) in enumerate(zip(slices, slices[1:])):
+        residuals = inext.monomial_residuals()
+        rows = [[x for shift in monomial_products(ij.nvars, 1, j) for x in residuals[shift[m]]]
+                for m in range(ij.ambient_dim)]
+        s = len(rows) - rank(rows) - ij.dim
+        if s > 0:
+            out.append((j, s))
+    return out
+
+
+def old_socle(gens, nvars):
+    slices = []
+    for ij in _ideal_slice_stream([g for g in gens if not g.is_zero], nvars):
+        slices.append(ij)
+        if ij.dim == ij.ambient_dim:
+            return old_socle_dims(slices)
+
+
 def old_profile_lines(lam):
     gens = old_minimal_generators(lam)
-    soc = socle([g for _, forms in gens for g in forms], lam.nvars)
+    soc = old_socle([g for _, forms in gens for g in forms], lam.nvars)
     return ApolarProfile(lam, old_hilbert_function(lam),
                          tuple((degree, tuple(forms)) for degree, forms in gens),
                          tuple(soc)).kv_lines()
@@ -156,6 +184,7 @@ def old_secant_intersect(planes):
 
 def assert_same_as_old_routes(lam):
     assert apolar_profile(lam).kv_lines() == old_profile_lines(lam)
+    assert apolar_profile(lam).socle == ((lam.degree, lam.dim),)
     assert minimal_generators(lam) == old_minimal_generators(lam)
     if lam.nvars != 2:
         return
@@ -195,3 +224,50 @@ def test_improper_planes_keep_their_messages(ops, d):
     with pytest.raises(PropernessError) as old:
         old_secant_intersect(planes)
     assert str(new.value) == str(old.value)
+
+
+# Artin quotients that are not level: socles in two or more degrees.
+NON_LEVEL_IDEALS = (
+    (2, ("x1^2", "x1*x2", "x2^3")),
+    (2, ("x1^3", "x1*x2", "x2^2")),
+    (2, ("x1^2", "x1*x2^2", "x2^4")),
+    (3, ("x1^2", "x1*x2", "x1*x3", "x2^3", "x3^2")),
+    (3, ("x1^2", "x1*x2", "x1*x3", "x2^2", "x3^3")),
+)
+
+
+@pytest.mark.parametrize("nvars, ops", NON_LEVEL_IDEALS)
+def test_socle_of_non_level_ideals_matches_the_old_route(nvars, ops):
+    gens = [form_parse(u, nvars=nvars, ring="R") for u in ops]
+    move = MOVE if nvars == 2 else [[3, -4, 1], [4, 3, -2], [1, 2, 5]]
+    for gs in (gens, [g.substitute_linear(move) for g in gens]):
+        soc = socle(gs, nvars)
+        assert soc == old_socle(gs, nvars)
+        assert len(soc) >= 2
+
+
+def test_the_pass_runs_once_per_lambda(monkeypatch):
+    # a pass eliminates the conditions of I_1, ..., I_7 once each
+    calls = []
+    conditions = apolarity.annihilator_conditions
+    monkeypatch.setattr(apolarity, "annihilator_conditions",
+                        lambda lam, j: calls.append(j) or conditions(lam, j))
+    _, gens = burch_ideal(HilbertFunction.parse("1,2,3,4,5,5,4,3,0"))
+    lam = inverse_system_slice([g.substitute_linear(MOVE) for g in gens], 2, 7)
+    fresh = dataclasses.replace(lam)
+    planes = secant_decompose(lam)
+    profile = apolar_profile(lam)
+    assert secant_decompose(lam) == planes
+    generators = minimal_generators(lam)
+    assert calls == list(range(1, 8))
+    # the memo is no field: equality and repr are those of a fresh copy
+    assert lam == fresh and repr(lam) == repr(fresh)
+    assert secant_decompose(fresh) == planes
+    assert apolar_profile(fresh) == profile
+    assert calls == 2 * list(range(1, 8))
+    # the returned lists are the caller's own
+    generators[0][1].clear()
+    generators.append((9, []))
+    assert minimal_generators(lam) != generators
+    assert apolar_profile(lam) == profile
+    assert apolar_profile(lam).kv_lines() == old_profile_lines(fresh)

@@ -395,6 +395,14 @@ def test_unreadable_input_is_domain_error(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_lascoux_partition_cap_is_a_domain_error(capsys):
+    # 400 cells, within the cell cap, but C(40, 20) partitions
+    assert main(["lascoux-ranks", "-t", "4", "-d", "23", "-i", "19", "-r", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: partition box 20 x 20 holds 137846528820 partitions, more than the "
+        "partition cap 200000\n")
+
+
 @pytest.mark.parametrize("argv, input_text", [
     (["hf-check", "1,a,2"], None),
     (["bott", "1,2;x"], None),
@@ -411,6 +419,7 @@ def test_unreadable_input_is_domain_error(capsys):
     (["porteous", "-t", "2", "-d", "5", "-i", "-1", "-r", "0"], None),
     (["porteous", "-t", "3", "-d", "1", "-i", "0", "-r", "0"], None),
     (["lascoux-ranks", "-t", "3", "-d", "1", "-i", "0", "-r", "0"], None),
+    (["lascoux-ranks", "-t", "4", "-d", "23", "-i", "19", "-r", "0"], None),
     (["e1-table", "-t", "3", "-d", "1", "-i", "0", "-r", "0", "-m", "0"], None),
     (["porteous", "-t", "0", "-d", "3", "-i", "1", "-r", "0"], None),
     (["components", "-t", "2", "-d", "3", "-i", "1", "-r", "-5"], None),
@@ -422,9 +431,9 @@ def test_unreadable_input_is_domain_error(capsys):
         "gad-letter", "gad-two-fields", "gad-zero-denominator", "flag-letter",
         "lascoux-i-above-d", "e1-i-above-d", "porteous-i-above-d",
         "components-i-above-d", "porteous-i-negative", "porteous-empty-grassmannian",
-        "lascoux-empty-grassmannian", "e1-empty-grassmannian", "porteous-t-zero",
-        "components-r-negative", "sigma-dim-t-zero", "waring-witness-t-zero",
-        "hilbert-operators", "tangent-operators"])
+        "lascoux-empty-grassmannian", "lascoux-partition-cap", "e1-empty-grassmannian",
+        "porteous-t-zero", "components-r-negative", "sigma-dim-t-zero",
+        "waring-witness-t-zero", "hilbert-operators", "tangent-operators"])
 def test_malformed_input_is_a_one_line_error(argv, input_text, tmp_path):
     # a fresh interpreter, so that an uncaught exception shows as a traceback
     if input_text is not None:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from levelalg import resolution
@@ -58,6 +60,16 @@ def test_lascoux_dimension_formulas_agree():
 def test_lascoux_cell_cap():
     with pytest.raises(CapExceededError):
         lascoux_ranks(3, 20, 10, 2, cell_cap=10)
+
+
+def test_lascoux_partition_cap():
+    # the 6 x 2 box of Le(5, 4) on G(2, S_7) holds C(8, 2) = 28 partitions
+    assert lascoux_ranks(2, 7, 5, 4, partition_cap=28) == lascoux_ranks(2, 7, 5, 4)
+    with pytest.raises(CapExceededError, match="6 x 2 holds 28 partitions, more than "
+                                               "the partition cap 27"):
+        lascoux_ranks(2, 7, 5, 4, partition_cap=27)
+    # the 10 x 10 box stays under the default cap
+    assert math.comb(20, 10) <= resolution.DEFAULT_PARTITION_CAP
 
 
 def test_expected_codim():

@@ -1,5 +1,5 @@
-"""Differential tests of the apolarity kernel, the fraction-free
-elimination core and the canonical echelon form against sympy, used only
+"""Differential tests of the apolarity kernel, linear substitution, the
+fraction-free elimination core and the canonical echelon form against sympy, used only
 as an independent oracle in the tests."""
 
 import pytest
@@ -53,6 +53,29 @@ def test_internal_product_is_sum_of_partial_derivatives(pair):
     expected = sum((to_sympy(c) * sympy.diff(fx, *[(y, a) for y, a in zip(ys, alpha)])
                     for alpha, c in u.coeffs.items()), sympy.Integer(0))
     assert sympy.expand(form_expr(internal_product(u, f), ys) - expected) == 0
+
+
+@st.composite
+def form_and_matrix(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    d = draw(st.integers(0, 6 if n < 3 else 4))
+    ring = draw(st.sampled_from(["R", "S"]))
+    terms = st.dictionaries(st.sampled_from(monomials(n, d)), COEFFS, max_size=4)
+    matrix = draw(st.lists(st.lists(COEFFS, min_size=n, max_size=n), min_size=n, max_size=n))
+    return Form.make(n, d, ring, draw(terms)), matrix
+
+
+@settings(max_examples=80, deadline=None)
+@given(form_and_matrix())
+def test_substitute_linear_is_sympy_expansion(pair):
+    f, matrix = pair
+    zs = sympy.symbols(f"z1:{f.nvars + 1}")
+    images = {z: sum((to_sympy(c) * w for c, w in zip(row, zs)), sympy.Integer(0))
+              for z, row in zip(zs, matrix)}
+    expanded = sympy.Poly(form_expr(f, zs).subs(images, simultaneous=True).expand(), *zs)
+    expected = Form.make(f.nvars, f.degree, f.ring,
+                         {m: QQ(int(c.p), int(c.q)) for m, c in expanded.terms()})
+    assert f.substitute_linear(matrix) == expected
 
 
 @settings(max_examples=40, deadline=None)
