@@ -341,8 +341,7 @@ def _socle_dims(nvars: int, slices) -> list[tuple[int, int]]:
         residuals = _monomial_residuals(inext, space_dim(nvars, j + 1))
         rows = [[x for shift in monomial_products(nvars, 1, j) for x in residuals[shift[m]]]
                 for m in range(space_dim(nvars, j))]
-        ncols = nvars * (space_dim(nvars, j + 1) - len(inext))
-        s = len(rows) - len(integer_echelon(rows, ncols)[1]) - len(ij)
+        s = len(rows) - len(integer_echelon(rows, len(rows[0]))[1]) - len(ij)
         if s > 0:
             out.append((j, s))
     return out

@@ -247,24 +247,26 @@ def test_socle_of_non_level_ideals_matches_the_old_route(nvars, ops):
 
 
 def test_the_pass_runs_once_per_lambda(monkeypatch):
-    # a pass eliminates the conditions of I_1, ..., I_7 once each
+    # a pass eliminates the conditions of I_1, ..., I_d once each
     calls = []
     conditions = apolarity.annihilator_conditions
     monkeypatch.setattr(apolarity, "annihilator_conditions",
                         lambda lam, j: calls.append(j) or conditions(lam, j))
-    _, gens = burch_ideal(HilbertFunction.parse("1,2,3,4,5,5,4,3,0"))
-    lam = inverse_system_slice([g.substitute_linear(MOVE) for g in gens], 2, 7)
+    h = HilbertFunction.parse("1,2,3,4,5,5,4,3,0")
+    _, gens = burch_ideal(h)
+    lam = inverse_system_slice([g.substitute_linear(MOVE) for g in gens], 2, h.d)
+    one_pass = list(range(1, h.d + 1))
     fresh = dataclasses.replace(lam)
     planes = secant_decompose(lam)
     profile = apolar_profile(lam)
     assert secant_decompose(lam) == planes
     generators = minimal_generators(lam)
-    assert calls == list(range(1, 8))
+    assert calls == one_pass
     # the memo is no field: equality and repr are those of a fresh copy
     assert lam == fresh and repr(lam) == repr(fresh)
     assert secant_decompose(fresh) == planes
     assert apolar_profile(fresh) == profile
-    assert calls == 2 * list(range(1, 8))
+    assert calls == 2 * one_pass
     # the returned lists are the caller's own
     generators[0][1].clear()
     generators.append((9, []))

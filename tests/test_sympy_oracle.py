@@ -1,6 +1,6 @@
 """Differential tests of the apolarity kernel, linear substitution, the
-fraction-free elimination core and the canonical echelon form against sympy, used only
-as an independent oracle in the tests."""
+fraction-free elimination core and the canonical echelon form against
+sympy, used only as an independent oracle in the tests."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
