@@ -180,33 +180,32 @@ def _subspace(nvars: int, degree: int, ring: str, rows: list[list[int]]) -> Subs
 
 
 def _apolar_pass(lam: Subspace):
-    """(Hilbert function, minimal generators, slices I_0 = 0, I_1, ..., I_d,
-    I_{d+1} = R_{d+1} as _kernel_rows) of ann(Lambda), all tuples: one
-    elimination per 1 <= j <= d, then h_j = dim R_j - dim I_j.  Each echelon
-    row of I_j is reduced against R_1 * I_{j-1} and the generators found
-    before it; the residual (the one vector of row + span zero at the span's
-    pivots, up to scale, whatever basis is taken) is a generator if nonzero.
-    The result is kept on lam, which is frozen, so the pass runs once per
-    Lambda instance."""
+    """(Hilbert function, minimal generators, slices I_0 = 0, I_1, ..., I_d
+    as _kernel_rows) of ann(Lambda), all tuples: one elimination per
+    1 <= j <= d, then h_j = dim R_j - dim I_j.  Each echelon row of I_j
+    (j <= d + 1, with I_{d+1} = R_{d+1}) is reduced against R_1 * I_{j-1}
+    and the generators found before it; the residual (the one vector of
+    row + span zero at the span's pivots, up to scale, whatever basis is
+    taken) is a generator if nonzero.  The result is kept on lam, which is
+    frozen, for as long as lam lives, so the pass runs once per Lambda
+    instance."""
     memo = lam.__dict__.get("_apolar_pass")
     if memo is not None:
         return memo
     if lam.dim == 0:
         raise ZeroSubspaceError("the zero subspace has no Hilbert function")
     n, d = lam.nvars, lam.degree
-    top = space_dim(n, d + 1)
     slices = ((), *(tuple(map(tuple, _kernel_rows(annihilator_conditions(lam, j),
                                                   space_dim(n, j))))
-                    for j in range(1, d + 1)),
-              tuple(tuple(int(k == c) for c in range(top)) for k in range(top)))
+                    for j in range(1, d + 1)))
     hf = HilbertFunction.from_values([space_dim(n, j) - len(rows)
-                                      for j, rows in enumerate(slices[:-1])])
+                                      for j, rows in enumerate(slices)])
     out = []
-    for j in range(1, d + 2):
+    for j, rows in enumerate((*slices[1:], _unit_rows(space_dim(n, d + 1))), start=1):
         base, pivots, den, _ = integer_echelon(_times_variables(n, j - 1, slices[j - 1]),
                                                space_dim(n, j))
         found, gens = [], []
-        for b in slices[j]:
+        for b in rows:
             r = [den * x for x in b]
             for p, row in zip(pivots, base):
                 if b[p]:
@@ -221,6 +220,11 @@ def _apolar_pass(lam: Subspace):
             out.append((j, tuple(gens)))
     memo = lam.__dict__["_apolar_pass"] = (hf, tuple(out), slices)
     return memo
+
+
+def _unit_rows(width: int) -> list[list[int]]:
+    """The echelon rows of all of R_j, width = dim R_j."""
+    return [[int(k == c) for c in range(width)] for k in range(width)]
 
 
 def minimal_generators(lam: Subspace) -> list[tuple[int, list[Form]]]:
@@ -348,10 +352,10 @@ def _socle_dims(nvars: int, slices) -> list[tuple[int, int]]:
 
 
 def _monomial_residuals(rows, width: int) -> list[list[int]]:
-    """Subspace.monomial_residuals of the span of integer reduced echelon
-    rows, all times D, the lcm of the leads: for the pivot monomial of row v
-    its entries -v[p] D / lead, for any other monomial D times a unit
-    vector, read at the non-pivot positions p."""
+    """Each monomial reduced mod the span of integer reduced echelon rows,
+    read at the non-pivot positions p and scaled by D, the lcm of the
+    leads: -v[p] D / lead for the pivot monomial of row v (minus the rest
+    of its RREF row), D times a unit vector for any other monomial."""
     by_pivot = {next(c for c, x in enumerate(v) if x): v for v in rows}
     scale = lcm(*[v[p] for p, v in by_pivot.items()])
     comp = [p for p in range(width) if p not in by_pivot]
@@ -414,11 +418,14 @@ def beta_matrix(lam: Subspace, i: int) -> Matrix:
     u -> sum_M y^M (x) (u x^M mod I_d) over monomials x^M of degree d-i.
 
     Rows are indexed by a complement basis of I_i in R_i, columns by pairs
-    (monomial of S_{d-i}, complement coordinate of R_d/I_d).  Injectivity
+    (monomial of S_{d-i}, complement coordinate of R_d/I_d), all entries
+    times one positive integer, which leaves the rank alone.  Injectivity
     (full row rank) for all i characterises levelness.
     """
-    residuals = ann_slice(lam, lam.degree).subspace.monomial_residuals()
-    shift = monomial_products(lam.nvars, i, lam.degree - i)
+    n, d = lam.nvars, lam.degree
+    residuals = _monomial_residuals(_kernel_rows(annihilator_conditions(lam, d),
+                                                 space_dim(n, d)), space_dim(n, d))
+    shift = monomial_products(n, i, d - i)
     return [[x for r in shift[pos] for x in residuals[r]]
             for pos in ann_slice(lam, i).subspace.complement_positions()]
 
@@ -466,4 +473,5 @@ def apolar_profile(lam: Subspace) -> ApolarProfile:
     come from the apolar pass that apolar_profile, minimal_generators and
     secant_decompose share, once per Lambda instance."""
     hf, gens, slices = _apolar_pass(lam)
-    return ApolarProfile(lam, hf, gens, tuple(_socle_dims(lam.nvars, slices)))
+    top = _unit_rows(space_dim(lam.nvars, lam.degree + 1))
+    return ApolarProfile(lam, hf, gens, tuple(_socle_dims(lam.nvars, (*slices, top))))

@@ -460,16 +460,6 @@ class Subspace:
         pivot_set = set(self.pivots)
         return [i for i in range(self.ambient_dim) if i not in pivot_set]
 
-    def monomial_residuals(self) -> list[list[Fraction]]:
-        """Each ambient monomial reduced against the echelon basis, read at
-        complement_positions(): minus the rest of its echelon row for a
-        pivot monomial, a unit vector for any other."""
-        comp = self.complement_positions()
-        pivot_row = dict(zip(self.pivots, self.rows))
-        return [[-pivot_row[o][p] for p in comp] if o in pivot_row
-                else [QQ(int(p == o)) for p in comp]
-                for o in range(self.ambient_dim)]
-
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Canonical echelon basis of a ∩ b."""

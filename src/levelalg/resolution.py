@@ -27,7 +27,7 @@ from .partitions import conjugate, partitions_in_box, schur_dim
 # lascoux_ranks enumerates (and caches) every partition of its box; the
 # 10 x 10 box, C(20, 10) = 184,756 partitions, is the largest square one
 # under this cap.
-DEFAULT_PARTITION_CAP = 200_000
+PARTITION_CAP = 200_000
 
 
 def expected_codim(t: int, d: int, i: int, r: int) -> int:
@@ -69,15 +69,15 @@ class ResolutionTable:
         return [self.rank(-k) for k in range(self.codim + 1)]
 
 
-def lascoux_ranks(t: int, d: int, i: int, r: int, cell_cap: int = 400,
-                  partition_cap: int = DEFAULT_PARTITION_CAP) -> ResolutionTable:
+def lascoux_ranks(t: int, d: int, i: int, r: int,
+                  cell_cap: int = 400) -> ResolutionTable:
     """Terms of the resolution of O_{Le(i,r)}, assuming expected codimension.
 
     Partitions lambda run over the box with t(d-i+1) rows and i-r+1
     columns; each contributes in homological degree p = nu(lam') - |lam|
     the rank dim S_lam(k^{t(d-i+1)}) times the Bott dimension of
     S_{lam'}(Q*) on G(r, S_i).  A box over cell_cap cells, or holding more
-    than partition_cap partitions (C(rows + cols, rows) of them), raises
+    than PARTITION_CAP partitions (C(rows + cols, rows) of them), raises
     CapExceededError before any is enumerated.
     """
     if not 0 <= i <= d:
@@ -94,10 +94,10 @@ def lascoux_ranks(t: int, d: int, i: int, r: int, cell_cap: int = 400,
             f"{cell_cap}"
         )
     count = comb(rows_bound + cols_bound, rows_bound)
-    if count > partition_cap:
+    if count > PARTITION_CAP:
         raise CapExceededError(
             f"partition box {rows_bound} x {cols_bound} holds {count} partitions, "
-            f"more than the partition cap {partition_cap}"
+            f"more than the partition cap {PARTITION_CAP}"
         )
     c = expected_codim(t, d, i, r)
     terms: dict[int, list[ResolutionSummand]] = {}

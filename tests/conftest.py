@@ -11,6 +11,7 @@ settings.load_profile("repro")
 
 from levelalg.apolarity import inverse_system_slice
 from levelalg.levelhf import HilbertFunction, burch_ideal, enumerate_level_hf
+from levelalg.linalg import QQ
 
 
 def burch_point(h: HilbertFunction):
@@ -43,3 +44,15 @@ def all_level_hfs(t_max: int, d_max: int):
                 continue
             for h in enumerate_level_hf(t, d):
                 yield h
+
+
+def monomial_residuals(sub):
+    """Each ambient monomial of the Subspace sub reduced against its
+    echelon basis, in Fractions, read at complement_positions(): minus the
+    rest of its echelon row for a pivot monomial, a unit vector for any
+    other.  The Fraction reference of the library's integer residuals."""
+    comp = sub.complement_positions()
+    pivot_row = dict(zip(sub.pivots, sub.rows))
+    return [[-pivot_row[o][p] for p in comp] if o in pivot_row
+            else [QQ(int(p == o)) for p in comp]
+            for o in range(sub.ambient_dim)]

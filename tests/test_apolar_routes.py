@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from conftest import all_level_hfs
+from conftest import all_level_hfs, monomial_residuals
 from levelalg import apolarity
 from levelalg.apolarity import (
     ApolarProfile,
@@ -107,7 +107,7 @@ def old_minimal_generators(lam):
 def old_socle_dims(slices):
     out = []
     for j, (ij, inext) in enumerate(zip(slices, slices[1:])):
-        residuals = inext.monomial_residuals()
+        residuals = monomial_residuals(inext)
         rows = [[x for shift in monomial_products(ij.nvars, 1, j) for x in residuals[shift[m]]]
                 for m in range(ij.ambient_dim)]
         s = len(rows) - rank(rows) - ij.dim

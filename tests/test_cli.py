@@ -395,14 +395,6 @@ def test_unreadable_input_is_domain_error(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_lascoux_partition_cap_is_a_domain_error(capsys):
-    # 400 cells, within the cell cap, but C(40, 20) partitions
-    assert main(["lascoux-ranks", "-t", "4", "-d", "23", "-i", "19", "-r", "0"]) == 2
-    assert capsys.readouterr().err == (
-        "error: partition box 20 x 20 holds 137846528820 partitions, more than the "
-        "partition cap 200000\n")
-
-
 @pytest.mark.parametrize("argv, input_text", [
     (["hf-check", "1,a,2"], None),
     (["bott", "1,2;x"], None),

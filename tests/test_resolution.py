@@ -62,14 +62,22 @@ def test_lascoux_cell_cap():
         lascoux_ranks(3, 20, 10, 2, cell_cap=10)
 
 
-def test_lascoux_partition_cap():
+def test_lascoux_partition_cap(monkeypatch):
+    # 400 cells, within the cell cap, but C(40, 20) partitions
+    with pytest.raises(CapExceededError, match="^partition box 20 x 20 holds 137846528820 "
+                                               "partitions, more than the partition cap "
+                                               "200000$"):
+        lascoux_ranks(4, 23, 19, 0)
+    # the 10 x 10 box stays under the cap
+    assert math.comb(20, 10) <= resolution.PARTITION_CAP
     # the 6 x 2 box of Le(5, 4) on G(2, S_7) holds C(8, 2) = 28 partitions
-    assert lascoux_ranks(2, 7, 5, 4, partition_cap=28) == lascoux_ranks(2, 7, 5, 4)
+    table = lascoux_ranks(2, 7, 5, 4)
+    monkeypatch.setattr(resolution, "PARTITION_CAP", 28)
+    assert lascoux_ranks(2, 7, 5, 4) == table
+    monkeypatch.setattr(resolution, "PARTITION_CAP", 27)
     with pytest.raises(CapExceededError, match="6 x 2 holds 28 partitions, more than "
                                                "the partition cap 27"):
-        lascoux_ranks(2, 7, 5, 4, partition_cap=27)
-    # the 10 x 10 box stays under the default cap
-    assert math.comb(20, 10) <= resolution.DEFAULT_PARTITION_CAP
+        lascoux_ranks(2, 7, 5, 4)
 
 
 def test_expected_codim():

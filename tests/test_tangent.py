@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import all_level_hfs, burch_point, moved_burch_point
+from conftest import all_level_hfs, burch_point, moved_burch_point, monomial_residuals
 from levelalg.apolarity import _action_table, ann_slice, catalecticant_matrix, hilbert_function
 from levelalg.errors import HilbertMismatchError, ZeroSubspaceError
 from levelalg.forms import Form, Subspace, monomial_index, monomials, parse_subspace_lines
@@ -154,7 +154,7 @@ def _fraction_tangent_space(lam):
         comp_i = lam_i.complement_positions()
         if not comp_i:
             continue
-        quotient = lam_i.monomial_residuals()
+        quotient = monomial_residuals(lam_i)
         zero = [QQ(0)] * len(comp_i)
         reduced = []
         for entries in _action_table(n, d - i, d):
@@ -187,7 +187,7 @@ def _fraction_tangent_space_dual(lam):
     comp_d = id_slice.complement_positions()
     tq = len(comp_d)
     ncols = dim_id * tq
-    residuals = id_slice.monomial_residuals()
+    residuals = monomial_residuals(id_slice)
     index_d = monomial_index(n, d)
     rows = []
     for i in range(1, d):
