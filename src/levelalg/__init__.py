@@ -13,31 +13,25 @@ from .apolarity import (
     GradedIdealSlice,
     ann_slice,
     apolar_profile,
-    beta_rank,
     catalecticant_matrix,
     hilbert_function,
-    ideal_slices,
     internal_product,
     inverse_system_slice,
-    is_level_ideal,
     jordan_apolar_basis,
-    lambda_slice,
     minimal_generators,
     socle,
 )
 from .bott import BottResult, bott_cohomology, schur_qdual_cohomology, schur_sub_twist_cohomology
 from .errors import LevelAlgError
-from .forms import Form, Subspace, form_parse, form_print, monomials, subspace_intersect, subspace_sum
-from .kronecker import character, dvir_check, kronecker
+from .forms import Form, Subspace, form_parse, form_print, monomials, subspace_intersect
+from .kronecker import character, kronecker
 from .levelhf import (
     BurchMatrix,
-    GenProfile,
     HilbertFunction,
     burch_ideal,
     burch_matrix,
     count_level_hf,
     dim_stratum,
-    dominates,
     e_sequence,
     enumerate_level_hf,
     grassmannian_dim,
@@ -48,7 +42,7 @@ from .levelhf import (
     partition_from_hf,
     q_sequence,
 )
-from .linalg import QQ, det, echelon, rank, right_kernel, rref
+from .linalg import QQ, det, rank, right_kernel, rref
 from .resolution import (
     ComponentReport,
     E1Table,
@@ -82,7 +76,6 @@ from .secant import (
     secant_decompose,
     secant_intersect,
     sigma_dim,
-    sigma_rank_report,
     stacked_catalecticant_det,
     stacked_hankel,
     waring_witness_hf,

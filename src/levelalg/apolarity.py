@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, count, islice
+from itertools import combinations, count
 from math import lcm
 
 from .errors import (
@@ -122,11 +122,6 @@ def annihilator_conditions(lam: Subspace, j: int) -> list[list[int]]:
     width, nalpha = space_dim(lam.nvars, d - j), space_dim(lam.nvars, j)
     return [[cat[a * t + p][o] for a in range(nalpha)]
             for p in range(t) for o in range(width)]
-
-
-def lambda_slice(lam: Subspace, i: int) -> Subspace:
-    """The graded piece (I^{-1})_i = R_{d-i}.Lambda of the inverse system."""
-    return Subspace.from_rows(lam.nvars, i, "S", integer_catalecticant(lam, i)[0])
 
 
 def hilbert_function(lam: Subspace) -> HilbertFunction:
@@ -298,11 +293,6 @@ def _ideal_slice_stream(gens: list[Form], nvars: int):
         yield prev
 
 
-def ideal_slices(gens: list[Form], nvars: int, top: int) -> list[Subspace]:
-    """Graded pieces I_0..I_top of the ideal generated by gens."""
-    return list(islice(_ideal_slice_stream(gens, nvars), top + 1))
-
-
 def socle(gens: list[Form], nvars: int, bound: int | None = None) -> list[tuple[int, int]]:
     """Per-degree socle dimensions of R/(gens).
 
@@ -364,14 +354,6 @@ def _monomial_residuals(rows, width: int) -> list[list[int]]:
             for o in range(width)]
 
 
-def is_level_ideal(gens: list[Form], nvars: int,
-                   bound: int | None = None) -> tuple[bool, int, int]:
-    """(level?, socle degree, type) for the artin quotient R/(gens)."""
-    soc = socle(gens, nvars, bound=bound)
-    top, t = soc[-1]
-    return (len(soc) == 1, top, t)
-
-
 def check_points(points) -> list[tuple]:
     """The pairs (a, b) as rationals, if they are pairwise distinct points of
     P^1; AdmissibilityError otherwise."""
@@ -411,27 +393,6 @@ def jordan_apolar_basis(factors: list[tuple], m: int) -> Subspace:
     if sub.dim != total:
         raise LevelAlgError("internal bug: Jordan basis lost rank")
     return sub
-
-
-def beta_matrix(lam: Subspace, i: int) -> Matrix:
-    """Matrix of beta_i : (R/I)_i -> S_{d-i} (x) (R/I)_d, literally as
-    u -> sum_M y^M (x) (u x^M mod I_d) over monomials x^M of degree d-i.
-
-    Rows are indexed by a complement basis of I_i in R_i, columns by pairs
-    (monomial of S_{d-i}, complement coordinate of R_d/I_d), all entries
-    times one positive integer, which leaves the rank alone.  Injectivity
-    (full row rank) for all i characterises levelness.
-    """
-    n, d = lam.nvars, lam.degree
-    residuals = _monomial_residuals(_kernel_rows(annihilator_conditions(lam, d),
-                                                 space_dim(n, d)), space_dim(n, d))
-    shift = monomial_products(n, i, d - i)
-    return [[x for r in shift[pos] for x in residuals[r]]
-            for pos in ann_slice(lam, i).subspace.complement_positions()]
-
-
-def beta_rank(lam: Subspace, i: int) -> int:
-    return rank(beta_matrix(lam, i))
 
 
 @dataclass(frozen=True)

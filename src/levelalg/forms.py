@@ -474,11 +474,6 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(a.nvars, a.degree, a.ring, tuple(map(tuple, rows)), pivots)
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    a._check_same_ambient(b)
-    return Subspace.from_rows(a.nvars, a.degree, a.ring, a.rows + b.rows)
-
-
 def parse_subspace_lines(lines, nvars: int | None = None) -> Subspace:
     """Parse a subspace from text lines, one form per line."""
     forms = []

@@ -65,11 +65,6 @@ def _z_mu(mu: tuple) -> int:
     return out
 
 
-def class_size(mu: tuple) -> int:
-    mu = check_partition(mu)
-    return factorial(sum(mu)) // _z_mu(mu)
-
-
 def kronecker(lam, rho, mu, cap: int = DEFAULT_WEIGHT_CAP) -> int:
     """Multiplicity of the trivial representation in R_lam (x) R_rho (x) R_mu.
 
@@ -117,14 +112,3 @@ def dvir_bound_ok(lam, rho, mu) -> bool:
     if not rho:
         return True
     return rho[0] <= diagram_intersection_size(lam, mu)
-
-
-def dvir_check(lam, rho, mu, cap: int = DEFAULT_WEIGHT_CAP) -> bool:
-    """True unless a nonzero Kronecker coefficient violates the bound.
-
-    Used both as a cheap pre-filter and as a consistency test of the
-    character computation: no nonzero coefficient may break it.
-    """
-    if dvir_bound_ok(lam, rho, mu):
-        return True
-    return kronecker(lam, rho, mu, cap=cap) == 0

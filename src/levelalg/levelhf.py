@@ -123,22 +123,6 @@ def q_sequence(h: HilbertFunction) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class GenProfile:
-    """e- and q-sequences of a level Hilbert function."""
-
-    e_seq: tuple[int, ...]  # e_1..e_{d+1}
-    q_seq: tuple[int, ...]  # q_1 <= ... <= q_{t+1}
-
-    def __post_init__(self):
-        if sum(self.e_seq) != len(self.q_seq):
-            raise MalformedSequenceError("e/q sequences of inconsistent size")
-
-
-def gen_profile(h: HilbertFunction) -> GenProfile:
-    return GenProfile(e_sequence(h), q_sequence(h))
-
-
-@dataclass(frozen=True)
 class BurchMatrix:
     """The t x (t+1) Hilbert-Burch matrix of a level Hilbert function.
 
@@ -273,12 +257,6 @@ def minmax_hf(t: int, d: int) -> tuple[HilbertFunction, HilbertFunction, int]:
     hmax = HilbertFunction(tuple(min(i + 1, (d - i + 1) * t) for i in range(d + 1)))
     s0 = -((-t * (d + 1)) // (t + 1))
     return hmin, hmax, s0
-
-
-def dominates(h1: HilbertFunction, h2: HilbertFunction) -> bool:
-    """Componentwise h1 >= h2 (both read as 0 outside their ranges)."""
-    top = max(h1.d, h2.d)
-    return all(h1[i] >= h2[i] for i in range(top + 1))
 
 
 def partition_format(mu) -> str:

@@ -22,27 +22,10 @@ Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
 
-def mat(rows) -> Matrix:
-    """Build a matrix of Fractions from nested iterables of numbers."""
-    return [[QQ(x) for x in row] for row in rows]
-
-
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[QQ(0)] * ncols for _ in range(nrows)]
-
-
-def identity(n: int) -> Matrix:
-    return [[QQ(1) if i == j else QQ(0) for j in range(n)] for i in range(n)]
-
-
 def transpose(m: Matrix, ncols: int | None = None) -> Matrix:
     if not m:
         return [[] for _ in range(ncols)] if ncols else []
     return [list(col) for col in zip(*m)]
-
-
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
 
 
 def _integer_row(row) -> list[int]:
@@ -174,14 +157,6 @@ def right_kernel(m: Matrix, ncols: int | None = None) -> list[Vector]:
     ncols = len(m[0]) if m else ncols
     rows, pivots, pivot, _ = _eliminate(map(_integer_row, m), ncols)
     return _normalised(_kernel_basis(rows, pivots, pivot, ncols), pivot)
-
-
-def echelon(m: Matrix) -> tuple[Matrix, int, list[Vector]]:
-    """(RREF, rank, right-kernel basis); rank + len(kernel) == ncols."""
-    ncols = len(m[0]) if m else 0
-    rows, pivots, pivot, _ = _eliminate(map(_integer_row, m), ncols)
-    return (_normalised(rows, pivot, len(m), ncols), len(pivots),
-            _normalised(_kernel_basis(rows, pivots, pivot, ncols), pivot))
 
 
 def det(m: Matrix) -> Fraction:

@@ -8,8 +8,8 @@ against each other.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .errors import InvalidPartitionError, LevelAlgError
 
@@ -59,42 +59,17 @@ def conjugate(lam) -> tuple[int, ...]:
     return tuple(out)
 
 
-def contains(lam, mu) -> bool:
-    """Containment of Young diagrams: mu_i <= lam_i for all i."""
-    lam, mu = check_partition(lam), check_partition(mu)
-    if len(mu) > len(lam):
-        return False
-    return all(mu[i] <= lam[i] for i in range(len(mu)))
-
-
-def hook_length(lam, i: int, j: int) -> int:
-    conj = conjugate(lam)
-    return (lam[i] - j) + (conj[j] - i) - 1
-
-
-def sn_dim(lam) -> int:
-    """Dimension of the symmetric-group irreducible: hook length formula."""
-    lam = check_partition(lam)
-    n = sum(lam)
-    from math import factorial
-
-    out = factorial(n)
-    for i, row in enumerate(lam):
-        for j in range(row):
-            out //= hook_length(lam, i, j)
-    return out
-
-
 def schur_dim(lam, n: int) -> int:
     """dim of the Schur functor on an n-dimensional space: hook content."""
     lam = check_partition(lam)
     if len(lam) > n:
         return 0
+    conj = conjugate(lam)
     num, den = 1, 1
     for i, row in enumerate(lam):
         for j in range(row):
             num *= n + j - i
-            den *= hook_length(lam, i, j)
+            den *= row - j + conj[j] - i - 1  # the hook length at (i, j)
     if num % den:
         raise LevelAlgError("internal bug: hook content quotient is not an integer")
     return num // den
@@ -111,13 +86,12 @@ def weyl_dim(weight, n: int) -> int:
         raise InvalidPartitionError(f"weight {weight} too long for GL({n})")
     if any(w[i] < w[i + 1] for i in range(n - 1)):
         raise InvalidPartitionError(f"weight {tuple(weight)} is not dominant")
-    out = Fraction(1)
-    for p in range(n):
-        for q in range(p + 1, n):
-            out *= Fraction(w[p] - w[q] + q - p, q - p)
-    if out.denominator != 1:
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    num = prod(w[p] - w[q] + q - p for p, q in pairs)
+    den = prod(q - p for p, q in pairs)
+    if num % den:
         raise LevelAlgError("internal bug: Weyl dimension is not an integer")
-    return int(out)
+    return num // den
 
 
 def parse_partition(text: str) -> tuple[int, ...]:

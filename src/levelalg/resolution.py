@@ -23,6 +23,7 @@ from .levelhf import (
     is_level_sequence,
 )
 from .partitions import conjugate, partitions_in_box, schur_dim
+from .schubert import _check_rank_bound
 
 # lascoux_ranks enumerates (and caches) every partition of its box; the
 # 10 x 10 box, C(20, 10) = 184,756 partitions, is the largest square one
@@ -78,7 +79,8 @@ def lascoux_ranks(t: int, d: int, i: int, r: int,
     the rank dim S_lam(k^{t(d-i+1)}) times the Bott dimension of
     S_{lam'}(Q*) on G(r, S_i).  A box over cell_cap cells, or holding more
     than PARTITION_CAP partitions (C(rows + cols, rows) of them), raises
-    CapExceededError before any is enumerated.
+    CapExceededError before any is enumerated.  A rank bound r above
+    t(d-i+1) is rejected, as porteous_class rejects it.
     """
     if not 0 <= i <= d:
         raise LevelAlgError(f"need 0 <= i <= d, got i = {i}, d = {d}")
@@ -86,8 +88,8 @@ def lascoux_ranks(t: int, d: int, i: int, r: int,
         raise LevelAlgError(f"need 0 <= r < i + 1, got r = {r}, i = {i}")
     if not 1 <= t <= d + 1:
         raise LevelAlgError(f"need 1 <= t <= d + 1, got (t, d) = ({t}, {d})")
-    rows_bound = t * (d - i + 1)
-    cols_bound = i + 1 - r
+    rows_bound, f = _check_rank_bound(t, d, i, r)
+    cols_bound = f - r
     if rows_bound * cols_bound > cell_cap:
         raise CapExceededError(
             f"partition box {rows_bound} x {cols_bound} exceeds the cell cap "
@@ -108,7 +110,7 @@ def lascoux_ranks(t: int, d: int, i: int, r: int,
         p = res.degree - sum(lam)
         if not -c <= p <= 0:
             raise LevelAlgError(
-                f"internal bug: homological degree {p} outside [-{c}, 0]"
+                f"internal bug: homological degree {p} outside [{-c}, 0]"
             )
         summand = ResolutionSummand(lam, schur_dim(lam, rows_bound),
                                     res.degree, res.dimension)
@@ -144,7 +146,9 @@ def c2_witness_hf(t: int, d: int, i: int, r: int) -> HilbertFunction:
     to degree i-1, then min{r - (j-i)(i-r), t(d-j+1)}.
 
     The ramp is capped by the maximal Hilbert function of `minmax_hf`;
-    uncapped, it exceeds t(d-j+1) when i is close to d.
+    uncapped, it exceeds t(d-j+1) when i is close to d.  Where the cap
+    bites below i, the witness no longer has h_{i-1} = i: for r <= t(d-i+1)
+    that is i = d, r = t with d > 2t, e.g. (2, 5, 5, 2) gives 1,2,3,4,4,2,0.
     """
     values = []
     for j in range(d + 1):
@@ -162,8 +166,11 @@ def c1_c2_analysis(t: int, d: int, i: int, r: int) -> ComponentReport:
     """Evaluate the numerical hypotheses C1 and C2 for Le(i, r).
 
     C2 is the inequality r - (d-i)(i-r) >= t; when it holds the witness
-    Hilbert function is attached.  C1 is reported as: every candidate
-    component has codimension equal to the degeneracy bound.
+    Hilbert function is attached.  C2 is read off the inequality alone: at
+    i = d, r = t with d > 2t it holds although c2_witness_hf's witness
+    misses h_{i-1} = i there.  C1 is reported as: every candidate component has
+    codimension equal to the degeneracy bound.  A rank bound r above
+    t(d-i+1) is rejected, as porteous_class rejects it.
 
     The maximal admissible functions are found in one pass by descending
     total: a function dominated by another has a smaller sum, so each one
@@ -174,6 +181,7 @@ def c1_c2_analysis(t: int, d: int, i: int, r: int) -> ComponentReport:
         raise LevelAlgError(f"need 0 <= i <= d, got i = {i}, d = {d}")
     if not 0 <= r < i + 1:
         raise LevelAlgError(f"need 0 <= r < i + 1, got r = {r}, i = {i}")
+    _check_rank_bound(t, d, i, r)
     c2_value = r - (d - i) * (i - r)
     c2 = c2_value >= t
     witness = c2_witness_hf(t, d, i, r) if c2 else None

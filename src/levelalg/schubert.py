@@ -284,6 +284,15 @@ def _toeplitz_det(total: SchubertClass, size: int, offset: int) -> SchubertClass
     return minor(tuple(range(size)))
 
 
+def _check_rank_bound(t: int, d: int, i: int, r: int) -> tuple[int, int]:
+    """(e, f) = (t(d-i+1), i+1), the ranks of the source and target of the
+    i-th product map; LevelAlgError unless 0 <= r <= min(e, f)."""
+    e, f = t * (d - i + 1), i + 1
+    if r < 0 or r > min(e, f):
+        raise LevelAlgError(f"rank bound {r} outside 0..min({e},{f})")
+    return e, f
+
+
 def porteous_class(t: int, d: int, i: int, r: int) -> SchubertClass:
     """Fundamental class of the rank <= r locus of the i-th product map.
 
@@ -306,10 +315,7 @@ def porteous_class(t: int, d: int, i: int, r: int) -> SchubertClass:
     if t > d + 1:
         raise LevelAlgError(f"G({t}, S_{d}) is empty: need t <= d + 1")
     n = d + 1
-    e = t * (d - i + 1)
-    f = i + 1
-    if r < 0 or r > min(e, f):
-        raise LevelAlgError(f"rank bound {r} outside 0..min({e},{f})")
+    e, f = _check_rank_bound(t, d, i, r)
     if r == min(e, f):
         return class_one(t, n)  # the smaller determinant is empty
     if e <= f:
@@ -317,11 +323,3 @@ def porteous_class(t: int, d: int, i: int, r: int) -> SchubertClass:
         return _toeplitz_det(class_power(quotient, d - i + 1), e - r, f - r)
     ce = class_power(chern_taut_total(t, n), d - i + 1)
     return _toeplitz_det(ce, f - r, e - r).scale((-1) ** ((e - r) * (f - r)))
-
-
-def poincare_complement(lam, t: int, n: int) -> tuple[int, ...]:
-    """The partition pairing with lam to the class of a point."""
-    lam = check_partition(lam)
-    b = n - t
-    padded = list(lam) + [0] * (t - len(lam))
-    return check_partition(tuple(b - padded[t - 1 - i] for i in range(t)))

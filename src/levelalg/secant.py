@@ -280,11 +280,6 @@ def stacked_catalecticant_det(forms: list[Form], s: int) -> Fraction:
     return det(m)
 
 
-def sigma_rank_report(forms: list[Form], s: int) -> tuple[int, int]:
-    """(rank of the stacked Hankel matrix, membership bound s)."""
-    return rank(stacked_hankel(forms, s)), s
-
-
 def hypersurface_case(t: int, d: int) -> tuple[int, int] | None:
     """When Sigma_s is a hypersurface in G(t, S_d): needs (t+1) | (d+2).
 

@@ -12,7 +12,6 @@ from levelalg.forms import (
     monomials,
     parse_subspace_lines,
     subspace_intersect,
-    subspace_sum,
 )
 
 
@@ -132,7 +131,7 @@ def test_subspace_intersection_dimension_formula(rng):
 
         a, b = rand_sub(), rand_sub()
         inter = subspace_intersect(a, b)
-        total = subspace_sum(a, b)
+        total = Subspace.from_rows(2, 5, "S", a.rows + b.rows)
         assert inter.dim == a.dim + b.dim - total.dim
 
 

@@ -13,10 +13,8 @@ from levelalg.levelhf import (
     burch_ideal,
     count_level_hf,
     dim_stratum,
-    dominates,
     e_sequence,
     enumerate_level_hf,
-    gen_profile,
     grassmannian_dim,
     hf_from_partition,
     is_level_hf,
@@ -102,9 +100,8 @@ def test_25_h1_e_sequence():
 
 def test_sum_invariants_all_small_cases():
     for h in all_level_hfs(4, 9):
-        profile = gen_profile(h)
-        assert sum(profile.e_seq) == h.t + 1
-        assert sum(profile.q_seq) == h.t * (h.d + 2)
+        assert sum(e_sequence(h)) == len(q_sequence(h)) == h.t + 1
+        assert sum(q_sequence(h)) == h.t * (h.d + 2)
 
 
 def test_burch_example_15_verbatim():
@@ -280,14 +277,6 @@ def test_every_subspace_has_apolar_form_below_s0(rng):
             continue
         _, _, s0 = minmax_hf(lam.dim, d)
         assert any(ann_slice(lam, s).subspace.dim > 0 for s in range(1, s0 + 1))
-
-
-def test_dominates_predicate():
-    h1 = HilbertFunction.parse("1,2,3,4,4,2,0")
-    h2 = HilbertFunction.parse("1,2,2,2,2,2,0")
-    assert dominates(h1, h2)
-    assert not dominates(h2, h1)
-    assert dominates(h1, h1)
 
 
 def test_partition_string_forms():

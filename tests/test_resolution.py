@@ -113,8 +113,9 @@ def test_c2_witness_on_grid():
 
 
 def test_c2_witness_ramp_is_capped():
-    # the uncapped ramp 1,2,3,4,5 exceeds t(d-j+1) = 4 at j = 4
-    rep = c1_c2_analysis(2, 5, 5, 3)
+    # the uncapped ramp 1,2,3,4,5 exceeds t(d-j+1) = 4 at j = 4; r = 3 would
+    # exceed t(d-i+1) = 2, which c1_c2_analysis rejects
+    rep = c1_c2_analysis(2, 5, 5, 2)
     assert rep.c2_holds
     assert rep.c2_witness.values == (1, 2, 3, 4, 4, 2)
 
@@ -129,9 +130,10 @@ def _maximal_by_quadratic_scan(t, d, i, r):
 
 
 def test_maximal_pass_matches_quadratic_scan():
+    # r up to the rank bound min(t(d-i+1), i); above it c1_c2_analysis raises
     cases = [(t, d, i, r)
              for t in range(1, 5) for d in range(max(t - 1, 1), 13)
-             for i in range(d + 1) for r in range(i + 1)]
+             for i in range(d + 1) for r in range(min(t * (d - i + 1), i) + 1)]
     for args in cases + [(5, 32, 28, 24)]:
         got = [h.values for h, _, _ in c1_c2_analysis(*args).candidates]
         assert got == _maximal_by_quadratic_scan(*args), args
@@ -255,6 +257,18 @@ def test_negative_product_index_is_rejected():
                  lambda: porteous_class(2, 5, -1, 0),
                  lambda: c1_c2_analysis(2, 5, -1, -1)):
         with pytest.raises(LevelAlgError, match="i = -1, d = 5"):
+            call()
+
+
+def test_rank_bound_above_the_source_rank_is_rejected():
+    # r > t(d-i+1), the rank of R_{d-i} (x) Lambda: one message from all four
+    from levelalg.schubert import porteous_class
+
+    for call in (lambda: lascoux_ranks(1, 2, 2, 2),
+                 lambda: e1_vanishing_table(1, 2, 2, 2, 0),
+                 lambda: porteous_class(1, 2, 2, 2),
+                 lambda: c1_c2_analysis(1, 2, 2, 2)):
+        with pytest.raises(LevelAlgError, match=r"^rank bound 2 outside 0\.\.min\(1,3\)$"):
             call()
 
 

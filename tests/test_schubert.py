@@ -18,7 +18,6 @@ from levelalg.schubert import (
     lr_coefficient,
     lr_multiply,
     parse_class,
-    poincare_complement,
     porteous_class,
     schubert_class,
 )
@@ -109,7 +108,9 @@ def test_poincare_pairing():
     t, n = 3, 8
     box = (n - t,) * t
     for lam in partitions_in_box(t, n - t):
-        comp = poincare_complement(lam, t, n)
+        # the complement of lam in the box, turned by 180 degrees
+        padded = list(lam) + [0] * (t - len(lam))
+        comp = tuple(p for p in (n - t - padded[t - 1 - k] for k in range(t)) if p)
         prod = lr_multiply(class_of(t, n, lam), class_of(t, n, comp))
         assert prod.coefficient(box) == 1
         # any heavier partner would leave the box entirely

@@ -28,3 +28,41 @@ def test_library_imports_only_the_standard_library():
     assert imported
     assert [(name, module) for name, module in sorted(imported)
             if module not in sys.stdlib_module_names and module != "levelalg"] == []
+
+
+# Public functions that no library function or CLI subcommand calls, each
+# kept for the reason given.  Any other such function is an orphan.
+UNCALLED_PUBLIC_FUNCTIONS = {
+    "internal_product": "the README's differentiation action; the sympy oracle's entry point",
+    "hilbert_function": "the README example; the benchmark harness tests require its span",
+    "count_level_hf": "the independent count in the acceptance tests",
+    "hypersurface_case": "named in the README and in the acceptance tests",
+    "subspace_intersect": "row-space intersection in the README tour",
+    "right_kernel": "the right kernel in the README tour",
+    "tangent_space_dual": "the second tangent route, which the benchmark runs",
+    "lr_coefficient": "the benchmark reads its cache statistics",
+    "character": "the benchmark reads its cache statistics; the tests' character oracle",
+    "class_of": "builds the Schubert classes of the acceptance tests",
+    "minmax_hf": "the extremal level Hilbert functions that the tests bound against",
+}
+
+
+def test_every_public_function_has_a_caller_or_a_reason():
+    # a name counts as called when a library module other than __init__
+    # (whose imports only re-export) reads it outside its own definition
+    package = pathlib.Path(levelalg.__file__).parent
+    defined, read = set(), set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = node.name if isinstance(node, ast.FunctionDef) else None
+            if own and not own.startswith("_"):
+                defined.add(own)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    read.add((sub.id, own))
+                elif isinstance(sub, ast.Attribute):
+                    read.add((sub.attr, own))
+    called = {name for name, where in read if name != where}
+    assert sorted(defined - called) == sorted(UNCALLED_PUBLIC_FUNCTIONS)
