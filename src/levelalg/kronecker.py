@@ -65,14 +65,39 @@ def _z_mu(mu: tuple) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
+def _classes(n: int) -> tuple:
+    """The conjugacy classes of S_n, each with its size n! / z_class."""
+    return tuple((cls, factorial(n) // _z_mu(cls)) for cls in partitions(n))
+
+
+def _kronecker(lam: tuple, rho: tuple, mu: tuple) -> int:
+    """The Kronecker coefficient of three partitions of equal weight,
+    unchecked: the class-weighted character sum, reading chi_lam and
+    chi_mu only on the classes where chi_rho does not vanish."""
+    n = sum(lam)
+    total = 0
+    for cls, size in _classes(n):
+        x = _character(rho, cls)
+        if x:
+            total += size * x * _character(lam, cls) * _character(mu, cls)
+    n_fact = factorial(n)
+    if total % n_fact:
+        raise LevelAlgError("internal bug: character sum is not divisible by n!")
+    return total // n_fact
+
+
 def kronecker(lam, rho, mu, cap: int = DEFAULT_WEIGHT_CAP) -> int:
     """Multiplicity of the trivial representation in R_lam (x) R_rho (x) R_mu.
 
     Symmetric in the three partitions.  The class-weighted sum runs over
     the p(n) conjugacy classes of S_n and reads three rows of the character
-    table, each value computed on demand and cached across calls.  The
-    weight cap guards the cost, which grows with p(n); raise it explicitly
-    for larger weights.
+    table, each value computed on demand and cached across calls; chi_lam
+    and chi_mu are read only where chi_rho is nonzero.  The weight cap
+    guards the cost, which grows with p(n); raise it explicitly for larger
+    weights.  The coefficient vanishes outside Dvir's support bounds
+    (J. Algebra 154 (1993)), which e1_vanishing_table uses to enumerate
+    only the triples that can be nonzero.
     """
     lam, rho, mu = check_partition(lam), check_partition(rho), check_partition(mu)
     n = sum(lam)
@@ -84,15 +109,7 @@ def kronecker(lam, rho, mu, cap: int = DEFAULT_WEIGHT_CAP) -> int:
         raise CapExceededError(
             f"weight {n} exceeds the cap {cap}; pass a larger cap explicitly"
         )
-    if n == 0:
-        return 1
-    total = 0
-    for cls in partitions(n):
-        total += (_character(lam, cls) * _character(rho, cls) * _character(mu, cls)
-                  * factorial(n)) // _z_mu(cls)
-    if total % factorial(n):
-        raise LevelAlgError("internal bug: character sum is not divisible by n!")
-    return total // factorial(n)
+    return _kronecker(lam, rho, mu)
 
 
 def diagram_intersection_size(lam, mu) -> int:
@@ -102,11 +119,11 @@ def diagram_intersection_size(lam, mu) -> int:
 
 
 def dvir_bound_ok(lam, rho, mu) -> bool:
-    """The sharp support bound: rho_1 <= |lam intersect mu|.
+    """Dvir's sharp support bound: rho_1 <= |lam intersect mu| whenever the
+    Kronecker coefficient is nonzero (J. Algebra 154 (1993)).
 
-    A corollary bound rho_1 <= (columns of lam) * (rows of mu) follows,
-    since the intersection diagram fits inside that box; it is the form
-    the resolution machinery consumes.
+    Its permutations and its conjugate form len(mu) <= |lam intersect rho'|
+    hold too; e1_vanishing_table applies all three inline.
     """
     lam, rho, mu = check_partition(lam), check_partition(rho), check_partition(mu)
     if not rho:

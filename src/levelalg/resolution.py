@@ -14,7 +14,7 @@ from math import comb
 
 from .bott import schur_qdual_cohomology, schur_sub_twist_cohomology
 from .errors import CapExceededError, LevelAlgError
-from .kronecker import DEFAULT_WEIGHT_CAP, dvir_bound_ok, kronecker
+from .kronecker import DEFAULT_WEIGHT_CAP, _kronecker
 from .levelhf import (
     HilbertFunction,
     dim_stratum,
@@ -25,9 +25,9 @@ from .levelhf import (
 from .partitions import conjugate, partitions_in_box, schur_dim
 from .schubert import _check_rank_bound
 
-# lascoux_ranks enumerates (and caches) every partition of its box; the
-# 10 x 10 box, C(20, 10) = 184,756 partitions, is the largest square one
-# under this cap.
+# lascoux_ranks enumerates only the partitions whose Bott cohomology survives;
+# the 10 x 10 box at r = 0, C(20, 10) = 184,756 of them, is the largest
+# square one under this cap.
 PARTITION_CAP = 200_000
 
 
@@ -74,13 +74,21 @@ def lascoux_ranks(t: int, d: int, i: int, r: int,
                   cell_cap: int = 400) -> ResolutionTable:
     """Terms of the resolution of O_{Le(i,r)}, assuming expected codimension.
 
-    Partitions lambda run over the box with t(d-i+1) rows and i-r+1
-    columns; each contributes in homological degree p = nu(lam') - |lam|
-    the rank dim S_lam(k^{t(d-i+1)}) times the Bott dimension of
-    S_{lam'}(Q*) on G(r, S_i).  A box over cell_cap cells, or holding more
-    than PARTITION_CAP partitions (C(rows + cols, rows) of them), raises
-    CapExceededError before any is enumerated.  A rank bound r above
-    t(d-i+1) is rejected, as porteous_class rejects it.
+    Partitions lambda run over the box with R = t(d-i+1) rows and
+    C = i-r+1 columns; each contributes in homological degree
+    p = nu(lam') - |lam| the rank dim S_lam(k^R) times the Bott dimension
+    of S_{lam'}(Q*) on G(r, S_i).  With lam' padded to C parts and indexed
+    from 1, that cohomology is nonzero exactly when some s has
+    lam'_s >= s + r and lam'_{s+1} <= s, and then sits in degree r*s
+    (Lascoux, "Syzygies des varietes determinantales", Adv. Math. 30
+    (1978)).  Such a lam' is an s x (s+r) block, a partition alpha of at
+    most s parts of size at most R-s-r to its right and one, beta, of at
+    most C-s parts of size at most s below it, so only these
+    C(R-r+C, C) survivors are enumerated, in the order of
+    partitions_in_box(R, C).  A box over cell_cap cells, or with more
+    than PARTITION_CAP survivors, raises CapExceededError before any is
+    enumerated.  A rank bound r above t(d-i+1) is rejected, as
+    porteous_class rejects it.
     """
     if not 0 <= i <= d:
         raise LevelAlgError(f"need 0 <= i <= d, got i = {i}, d = {d}")
@@ -95,22 +103,28 @@ def lascoux_ranks(t: int, d: int, i: int, r: int,
             f"partition box {rows_bound} x {cols_bound} exceeds the cell cap "
             f"{cell_cap}"
         )
-    count = comb(rows_bound + cols_bound, rows_bound)
+    count = comb(rows_bound - r + cols_bound, cols_bound)
     if count > PARTITION_CAP:
         raise CapExceededError(
-            f"partition box {rows_bound} x {cols_bound} holds {count} partitions, "
-            f"more than the partition cap {PARTITION_CAP}"
+            f"partition box {rows_bound} x {cols_bound} holds {count} non-vanishing "
+            f"partitions, more than the partition cap {PARTITION_CAP}"
         )
+    survivors = []
+    for s in range(min(cols_bound, rows_bound - r) + 1):
+        for alpha in partitions_in_box(s, rows_bound - s - r):
+            top = tuple(s + r + a for a in alpha) + (s + r,) * (s - len(alpha))
+            for beta in partitions_in_box(cols_bound - s, s):
+                survivors.append((conjugate(top + beta), top + beta, s))
+    survivors.sort(key=lambda survivor: tuple(-p for p in survivor[0]))
     c = expected_codim(t, d, i, r)
     terms: dict[int, list[ResolutionSummand]] = {}
-    for lam in partitions_in_box(rows_bound, cols_bound):
-        res = schur_qdual_cohomology(r, i + 1, conjugate(lam))
-        if res.is_zero:
-            continue
-        p = res.degree - sum(lam)
-        if not -c <= p <= 0:
+    for lam, lam_conj, s in survivors:
+        res = schur_qdual_cohomology(r, i + 1, lam_conj)
+        p = r * s - sum(lam)
+        if res.degree != r * s or not -c <= p <= 0:
             raise LevelAlgError(
-                f"internal bug: homological degree {p} outside [{-c}, 0]"
+                f"internal bug: {lam} has Bott degree {res.degree}, expected "
+                f"{r * s} with {p} in [{-c}, 0]"
             )
         summand = ResolutionSummand(lam, schur_dim(lam, rows_bound),
                                     res.degree, res.dimension)
@@ -227,12 +241,20 @@ def e1_vanishing_table(t: int, d: int, i: int, r: int, m: int,
     """E1^{p,q}(m) = H^q(G(t, S_d), E^p(m)) via Kronecker plus Bott.
 
     Every box partition lambda decomposes S_lam(B (x) R_{d-i}) into
-    summands S_rho(B) (x) S_mu(R_{d-i}) with Kronecker multiplicities;
-    Bott on G(t, S_d) then locates the unique cohomology degree of
-    S_rho(B)(m).  Triples outside Dvir's support bound have coefficient 0
-    and are skipped before any character sum.  Partitions heavier than the
-    weight cap are skipped and reported in `truncated_weights`.
+    summands S_rho(B) (x) S_mu(R_{d-i}) with Kronecker multiplicities
+    g(lam, rho, mu); Bott on G(t, S_d) then locates the unique cohomology
+    degree of S_rho(B)(m).  Only triples inside Dvir's support bounds are
+    visited (Dvir, "On the Kronecker product of S_n characters",
+    J. Algebra 154 (1993)): rho_1 <= |lam & mu| when g != 0, and since g is
+    symmetric in its arguments and g(lam, rho, mu) = g(lam, rho', mu'),
+    also mu_1 <= |lam & rho| and len(mu) <= |lam & rho'|.  For each rho
+    with nonzero Bott cohomology, mu runs over the box the last two bounds
+    cut out, and the first is tested before the character sum.  Partitions
+    heavier than the weight cap are skipped and reported in
+    `truncated_weights`; a negative cap is rejected.
     """
+    if cap_weight < 0:
+        raise LevelAlgError(f"need a weight cap >= 0, got {cap_weight}")
     table = lascoux_ranks(t, d, i, r)
     mu_rows = d - i + 1
     entries: dict[tuple[int, int], int] = {}
@@ -248,10 +270,12 @@ def e1_vanishing_table(t: int, d: int, i: int, r: int, m: int,
                 res = schur_sub_twist_cohomology(t, d + 1, rho, m)
                 if res.is_zero:
                     continue
-                for mu in partitions_in_box(mu_rows, w, w):
-                    if not dvir_bound_ok(lam, rho, mu):
+                rows = min(mu_rows, sum(map(min, lam, conjugate(rho))))
+                cols = min(w, sum(map(min, lam, rho)))
+                for mu in partitions_in_box(rows, cols, w):
+                    if rho and rho[0] > sum(map(min, lam, mu)):
                         continue
-                    c = kronecker(lam, rho, mu, cap=cap_weight)
+                    c = _kronecker(lam, rho, mu)
                     if c == 0:
                         continue
                     dim_mu = schur_dim(mu, mu_rows)

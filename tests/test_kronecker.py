@@ -106,16 +106,20 @@ def test_kronecker_cap():
     assert kronecker((11,), (11,), (11,), cap=11) == 1
 
 
-def test_dvir_bound_exhaustive_weight_6():
-    for w in range(1, 7):
+def test_dvir_bound_exhaustive_weight_7():
+    for w in range(1, 8):
         ps = partitions(w)
         for a in ps:
             for b in ps:
                 for c in ps:
                     if kronecker(a, b, c) != 0:
                         assert dvir_bound_ok(a, b, c)
-                        # the boxed corollary used downstream
+                        # the boxed corollary
                         assert b[0] <= a[0] * len(c)
+                        # the permuted and conjugate bounds that
+                        # e1_vanishing_table enumerates mu inside
+                        assert c[0] <= diagram_intersection_size(a, b)
+                        assert len(c) <= diagram_intersection_size(a, conjugate(b))
 
 
 def test_dvir_deliberate_violation_has_zero_coefficient():

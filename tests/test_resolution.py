@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -5,7 +6,9 @@ import pytest
 from levelalg import resolution
 from levelalg.errors import CapExceededError, LevelAlgError
 from levelalg.levelhf import enumerate_level_hf, grassmannian_dim, is_level_hf, is_level_sequence
-from levelalg.partitions import schur_dim, weyl_dim
+from levelalg.bott import schur_qdual_cohomology, schur_sub_twist_cohomology
+from levelalg.kronecker import kronecker
+from levelalg.partitions import conjugate, partitions_in_box, schur_dim, weyl_dim
 from levelalg.resolution import (
     c1_c2_analysis,
     c2_witness_hf,
@@ -63,21 +66,83 @@ def test_lascoux_cell_cap():
 
 
 def test_lascoux_partition_cap(monkeypatch):
-    # 400 cells, within the cell cap, but C(40, 20) partitions
+    # 400 cells, within the cell cap; at r = 0 all C(40, 20) partitions survive
     with pytest.raises(CapExceededError, match="^partition box 20 x 20 holds 137846528820 "
-                                               "partitions, more than the partition cap "
-                                               "200000$"):
+                                               "non-vanishing partitions, more than the "
+                                               "partition cap 200000$"):
         lascoux_ranks(4, 23, 19, 0)
     # the 10 x 10 box stays under the cap
     assert math.comb(20, 10) <= resolution.PARTITION_CAP
-    # the 6 x 2 box of Le(5, 4) on G(2, S_7) holds C(8, 2) = 28 partitions
+    # the 6 x 2 box of Le(5, 4) on G(2, S_7) holds C(8, 2) = 28 partitions,
+    # of which C(6 - 4 + 2, 2) = 6 survive
     table = lascoux_ranks(2, 7, 5, 4)
-    monkeypatch.setattr(resolution, "PARTITION_CAP", 28)
+    monkeypatch.setattr(resolution, "PARTITION_CAP", 6)
     assert lascoux_ranks(2, 7, 5, 4) == table
-    monkeypatch.setattr(resolution, "PARTITION_CAP", 27)
-    with pytest.raises(CapExceededError, match="6 x 2 holds 28 partitions, more than "
-                                               "the partition cap 27"):
+    monkeypatch.setattr(resolution, "PARTITION_CAP", 5)
+    with pytest.raises(CapExceededError, match="6 x 2 holds 6 non-vanishing partitions, "
+                                               "more than the partition cap 5"):
         lascoux_ranks(2, 7, 5, 4)
+
+
+def _lascoux_by_bott_on_every_partition(t, d, i, r):
+    """p -> [(lam, rank, Bott degree)] in box order: Bott's algorithm on
+    each partition of the box, the route lascoux_ranks took before it
+    enumerated the survivors only."""
+    rows, cols = t * (d - i + 1), i + 1 - r
+    terms = {}
+    for lam in partitions_in_box(rows, cols):
+        res = schur_qdual_cohomology(r, i + 1, conjugate(lam))
+        if not res.is_zero:
+            terms.setdefault(res.degree - sum(lam), []).append(
+                (lam, schur_dim(lam, rows) * res.dimension, res.degree))
+    return terms
+
+
+# every (t, d, i, r) with t <= 3, d <= 8 and 0 <= r <= min(i, t(d-i+1))
+LASCOUX_GRID = [(t, d, i, r) for t in range(1, 4) for d in range(t - 1, 9)
+                for i in range(d + 1) for r in range(min(i, t * (d - i + 1)) + 1)]
+
+
+@functools.cache
+def _grid_table(args):
+    return lascoux_ranks(*args)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_lascoux_survivors_match_bott_on_every_partition(t):
+    for args in LASCOUX_GRID:
+        if args[0] == t:
+            got = {p: [(s.lam, s.rank, s.bott_degree) for s in v]
+                   for p, v in _grid_table(args).terms.items()}
+            assert got == _lascoux_by_bott_on_every_partition(*args), args
+
+
+def test_lascoux_survivor_count():
+    # C(R - r + C, C) survivors: choose s, alpha in an s x (R-s-r) box and
+    # beta in a (C-s) x s box, and sum by Vandermonde
+    for args in LASCOUX_GRID:
+        t, d, i, r = args
+        rows, cols = t * (d - i + 1), i + 1 - r
+        count = sum(len(v) for v in _grid_table(args).terms.values())
+        assert count == math.comb(rows - r + cols, cols), args
+
+
+def test_lascoux_r0_ranks_are_koszul_numbers():
+    # r = 0: Le(i, 0) is the zero locus of a section of the rank
+    # t(d-i+1)(i+1) bundle, resolved by its Koszul complex
+    for args in LASCOUX_GRID:
+        t, d, i, r = args
+        if r == 0:
+            n = t * (d - i + 1) * (i + 1)
+            assert _grid_table(args).ranks() == [math.comb(n, k) for k in range(n + 1)], args
+
+
+def test_lascoux_ranks_alternate_to_zero():
+    # a resolution of O_Le with codim > 0 has Euler characteristic rank 0
+    for args in LASCOUX_GRID:
+        ranks = _grid_table(args).ranks()
+        if len(ranks) > 1:
+            assert sum((-1) ** k * x for k, x in enumerate(ranks)) == 0, args
 
 
 def test_expected_codim():
@@ -215,14 +280,57 @@ def test_e1_table_t1_negative_twist():
     assert table.entries
 
 
+def _e1_by_every_triple(t, d, i, r, m, cap):
+    """E1 entries by the loop e1_vanishing_table ran before it enumerated
+    inside the Dvir bounds: every rho with nonzero Bott cohomology, every
+    mu of the box, and the public kronecker on each triple."""
+    mu_rows = d - i + 1
+    entries = {}
+    for p, summands in lascoux_ranks(t, d, i, r).terms.items():
+        for s in summands:
+            w = sum(s.lam)
+            if w > cap:
+                continue
+            for rho in partitions_in_box(t, w, w):
+                res = schur_sub_twist_cohomology(t, d + 1, rho, m)
+                if res.is_zero:
+                    continue
+                for mu in partitions_in_box(mu_rows, w, w):
+                    c = kronecker(s.lam, rho, mu, cap=cap)
+                    if c:
+                        key = (p, res.degree)
+                        entries[key] = entries.get(key, 0) + \
+                            s.bott_dim * c * schur_dim(mu, mu_rows) * res.dimension
+    return entries
+
+
 @pytest.mark.parametrize("args, cap", [
-    ((2, 7, 4, 3, 0), 16), ((2, 7, 5, 4, 1), 14),
-    ((2, 6, 4, 3, 0), 12), ((2, 8, 6, 5, 0), 12),
+    ((2, 7, 4, 3), 16), ((2, 7, 5, 4), 14), ((2, 6, 4, 3), 12), ((2, 8, 6, 5), 12),
+    ((2, 7, 5, 4), 12),  # the golden e1-table argv
+    ((1, 6, 2, 1), 12), ((3, 5, 3, 2), 12),  # len(mu) <= |lam & rho'| binds below d-i+1
 ])
-def test_e1_dvir_prefilter_changes_nothing(args, cap, monkeypatch):
-    fast = e1_vanishing_table(*args, cap_weight=cap)
-    monkeypatch.setattr(resolution, "dvir_bound_ok", lambda lam, rho, mu: True)
-    assert e1_vanishing_table(*args, cap_weight=cap) == fast
+def test_e1_dvir_prefilter_changes_nothing(args, cap):
+    # enumerating mu inside the Dvir bounds drops only zero coefficients
+    for m in (-1, 0, 1):
+        table = e1_vanishing_table(*args, m, cap_weight=cap)
+        assert table.entries == _e1_by_every_triple(*args, m, cap), m
+
+
+def test_e1_complete_tables():
+    # cap 24 is above every box weight: nothing is truncated
+    table = e1_vanishing_table(2, 9, 6, 4, 0, cap_weight=24)
+    assert not table.truncated
+    assert table.entries == {(-12, 16): 28875, (-11, 16): 27720, (-10, 16): 5740,
+                             (-9, 16): 200, (0, 0): 1}
+    table = e1_vanishing_table(2, 7, 4, 3, 0, cap_weight=24)
+    assert not table.truncated
+    assert table.entries == {(-10, 12): 175, (0, 0): 1}
+
+
+def test_e1_negative_cap_is_rejected():
+    # a negative cap used to skip the weight-0 term and print no entries
+    with pytest.raises(LevelAlgError, match=r"^need a weight cap >= 0, got -1$"):
+        e1_vanishing_table(2, 7, 4, 3, 0, cap_weight=-1)
 
 
 def test_e1_table_truncation_notice():
