@@ -83,14 +83,14 @@ def integer_catalecticant(lam: Subspace, i: int) -> tuple[list[list[int]], list[
     """The product map R_{d-i} (x) Lambda -> S_i as an integer matrix with
     rows (monomial of R_{d-i}, basis form p of Lambda), monomial outermost,
     and columns the monomials of S_i; and the row scales s_p, the lcm of the
-    denominators of form p, by which its rows exceed the rational ones."""
+    denominators of form p, by which its rows exceed the rational ones.
+    Both are read off lam.integer_rows, built once per Lambda instance;
+    each call returns new lists."""
     d = lam.degree
     if not 0 <= i <= d:
         raise DegreeError(f"catalecticant index {i} outside 0..{d}")
     width = space_dim(lam.nvars, i)
-    scales = [lcm(*[x.denominator for x in row]) for row in lam.rows]
-    supports = [[(b_idx, x.numerator * (s // x.denominator)) for b_idx, x in enumerate(row) if x]
-                for row, s in zip(lam.rows, scales)]
+    scales, supports = lam.integer_rows
     rows = []
     for entries in _action_table(lam.nvars, d - i, d):
         for support in supports:
@@ -100,7 +100,7 @@ def integer_catalecticant(lam: Subspace, i: int) -> tuple[list[list[int]], list[
                 if hit is not None:
                     v[hit[0]] = c * hit[1]
             rows.append(v)
-    return rows, scales
+    return rows, list(scales)
 
 
 def catalecticant_matrix(lam: Subspace, i: int) -> Matrix:

@@ -156,7 +156,9 @@ def _cmd_tangent(args, em: Emitter):
     em.emit("dimension", ts.dimension)
     if args.shape:
         em.emit("constraints", f"{ts.constraint_shape[0]}x{ts.constraint_shape[1]}")
-    if lam.nvars == 2:
+    if lam.nvars == 1:
+        em.emit("note", "n = 1: G(1, S_d) is a point, whose tangent space is 0")
+    elif lam.nvars == 2:
         em.emit("formula", tangent.tangent_dim_formula(ts.hilbert))
     else:
         em.emit("note", "n >= 3: dimension unverified against a closed formula")

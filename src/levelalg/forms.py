@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
+from math import lcm
 
 from .errors import AmbientMismatchError, FormSyntaxError
 from .linalg import QQ, Vector, row_space_intersection, rref
@@ -425,6 +426,18 @@ class Subspace:
         """The echelon rows as forms."""
         return tuple(Form.from_vector(self.nvars, self.degree, self.ring, r)
                      for r in self.rows)
+
+    @cached_property
+    def integer_rows(self) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+        """(scales, supports) of the echelon rows in integers: scale s_p is
+        the lcm of the denominators of row p, and support p lists
+        (position, s_p * coefficient) at its nonzero coefficients.  Held
+        for as long as the subspace lives, like `basis`."""
+        scales = tuple(lcm(*[x.denominator for x in row]) for row in self.rows)
+        supports = tuple(tuple((pos, x.numerator * (s // x.denominator))
+                               for pos, x in enumerate(row) if x)
+                         for row, s in zip(self.rows, scales))
+        return scales, supports
 
     @property
     def dim(self) -> int:

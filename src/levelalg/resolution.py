@@ -90,6 +90,15 @@ def lascoux_ranks(t: int, d: int, i: int, r: int,
     enumerated.  A rank bound r above t(d-i+1) is rejected, as
     porteous_class rejects it.
     """
+    return _resolution_table(t, d, i, r, _survivors(t, d, i, r, cell_cap))
+
+
+def _survivors(t: int, d: int, i: int, r: int, cell_cap: int = 400,
+               weight_cap: int | None = None) -> list[tuple]:
+    """(lam, lam', s) for the survivors of lascoux_ranks's box, in the order
+    of partitions_in_box(R, C), with the checks and caps lascoux_ranks
+    documents; with a weight cap, only the survivors no heavier than it,
+    so that alpha and beta are built weight by weight up to what is left."""
     if not 0 <= i <= d:
         raise LevelAlgError(f"need 0 <= i <= d, got i = {i}, d = {d}")
     if not 0 <= r < i + 1:
@@ -109,14 +118,28 @@ def lascoux_ranks(t: int, d: int, i: int, r: int,
             f"partition box {rows_bound} x {cols_bound} holds {count} non-vanishing "
             f"partitions, more than the partition cap {PARTITION_CAP}"
         )
+
+    def upto(rows, cols, weight):
+        if weight is None or weight >= rows * cols:
+            return partitions_in_box(rows, cols)
+        return [p for w in range(weight + 1) for p in partitions_in_box(rows, cols, w)]
+
     survivors = []
     for s in range(min(cols_bound, rows_bound - r) + 1):
-        for alpha in partitions_in_box(s, rows_bound - s - r):
+        left = None if weight_cap is None else weight_cap - s * (s + r)
+        for alpha in upto(s, rows_bound - s - r, left):
             top = tuple(s + r + a for a in alpha) + (s + r,) * (s - len(alpha))
-            for beta in partitions_in_box(cols_bound - s, s):
+            for beta in upto(cols_bound - s, s, None if left is None else left - sum(alpha)):
                 survivors.append((conjugate(top + beta), top + beta, s))
     survivors.sort(key=lambda survivor: tuple(-p for p in survivor[0]))
+    return survivors
+
+
+def _resolution_table(t: int, d: int, i: int, r: int, survivors) -> ResolutionTable:
+    """The terms of the survivors: Bott on G(r, S_i) and the Schur rank of
+    each, by homological degree."""
     c = expected_codim(t, d, i, r)
+    rows_bound = t * (d - i + 1)
     terms: dict[int, list[ResolutionSummand]] = {}
     for lam, lam_conj, s in survivors:
         res = schur_qdual_cohomology(r, i + 1, lam_conj)
@@ -250,22 +273,24 @@ def e1_vanishing_table(t: int, d: int, i: int, r: int, m: int,
     also mu_1 <= |lam & rho| and len(mu) <= |lam & rho'|.  For each rho
     with nonzero Bott cohomology, mu runs over the box the last two bounds
     cut out, and the first is tested before the character sum.  Partitions
-    heavier than the weight cap are skipped and reported in
-    `truncated_weights`; a negative cap is rejected.
+    heavier than the weight cap are never built; their weights are
+    reported in `truncated_weights`.  A negative cap is rejected.
     """
     if cap_weight < 0:
         raise LevelAlgError(f"need a weight cap >= 0, got {cap_weight}")
-    table = lascoux_ranks(t, d, i, r)
+    table = _resolution_table(t, d, i, r, _survivors(t, d, i, r, weight_cap=cap_weight))
+    # the survivors of each s weigh s(s+r) + |alpha| + |beta|, every weight
+    # from s(s+r) to s(R+C-s): the skipped ones are read off that interval
+    rows_bound, cols_bound = t * (d - i + 1), i + 1 - r
+    skipped = sorted({w for s in range(min(cols_bound, rows_bound - r) + 1)
+                      for w in range(max(cap_weight + 1, s * (s + r)),
+                                     s * (rows_bound + cols_bound - s) + 1)})
     mu_rows = d - i + 1
     entries: dict[tuple[int, int], int] = {}
-    skipped: set[int] = set()
     for p, summands in table.terms.items():
         for s in summands:
             lam = s.lam
             w = sum(lam)
-            if w > cap_weight:
-                skipped.add(w)
-                continue
             for rho in partitions_in_box(t, w, w):
                 res = schur_sub_twist_cohomology(t, d + 1, rho, m)
                 if res.is_zero:
@@ -282,4 +307,4 @@ def e1_vanishing_table(t: int, d: int, i: int, r: int, m: int,
                     key = (p, res.degree)
                     entries[key] = entries.get(key, 0) + \
                         s.bott_dim * c * dim_mu * res.dimension
-    return E1Table(t, d, i, r, m, entries, tuple(sorted(skipped)))
+    return E1Table(t, d, i, r, m, entries, tuple(skipped))

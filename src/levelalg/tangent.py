@@ -12,7 +12,11 @@ Both routes stay in integers up to the final kernel, building each matrix
 once and eliminating it once with linalg.integer_echelon; its relations and
 residual functionals are the rational ones times positive factors, so every
 constraint keeps its zero set.  Each route checks h against the Hilbert
-function read off ranks it computes anyway, and returns it.
+function read off ranks it computes anyway, and returns it.  On the primal
+route one elimination of the catalecticant cat_i gives h_i and the
+functionals of its cokernel S_i / Lambda_i; its transpose, which gives the
+relations, is eliminated only where that cokernel is nonzero, since each
+constraint pairs a relation with a functional.
 """
 
 from __future__ import annotations
@@ -74,7 +78,10 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
 
     Unknowns are the entries of tau; for each degree i with nontrivial
     kernel of the product map alpha_i, each kernel vector contributes one
-    linear condition per complement coordinate of Lambda_i in S_i.
+    linear condition per complement coordinate of Lambda_i in S_i.  One
+    elimination of cat_i gives h_i and those coordinates; the kernel vectors
+    (relations, from cat_i transposed) are computed only in the wanted
+    degrees where Lambda_i != S_i, since elsewhere no condition is left.
 
     `degrees` restricts the constraints to a subset of 1..d-1 (the default),
     i.e. computes the tangent space of an intersection of fewer rank loci;
@@ -91,16 +98,18 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
         raise DegreeError(f"constraint degrees {wanted} not all in 0..{d}")
     values, rows = [1], []  # h_0 = 1, and Lambda_0 = S_0 leaves no constraint
     for i in range(1, d + 1):
-        # one elimination of cat_i^T gives h_i and the relations among the
-        # rows of cat_i; times the row scales they relate the basis forms
+        # one elimination of cat_i gives h_i and its right kernel: coordinate
+        # ell of the residual mod Lambda_i, up to a positive factor, is the
+        # pairing with z_ell.  Where Lambda_i = S_i there is none, and the
+        # relations could only feed empty blocks.
         cat, scales = integer_catalecticant(lam, i)
-        _, pivots, _, relations = integer_echelon(transpose(cat), len(cat))
+        _, pivots, _, functionals = integer_echelon(cat, space_dim(n, i))
         values.append(len(pivots))
-        if not relations or i not in wanted:
+        if not functionals or i not in wanted:
             continue
-        # the right kernel of cat_i: coordinate ell of the residual mod
-        # Lambda_i, up to a positive factor, is the pairing with z_ell
-        _, _, _, functionals = integer_echelon(cat, space_dim(n, i))
+        # the relations among the rows of cat_i, from cat_i^T; times the row
+        # scales they relate the basis forms
+        _, _, _, relations = integer_echelon(transpose(cat), len(cat))
         residual = [[(ell, z[o]) for ell, z in enumerate(functionals) if z[o]]
                     for o in range(space_dim(n, i))]
         # relation coordinate (x^M, p) times each complement monomial g of

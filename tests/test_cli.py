@@ -116,6 +116,15 @@ def test_tangent_from_file(tmp_path):
     assert "constraints:" in out
 
 
+def test_tangent_in_one_variable(tmp_path):
+    # S_d is a line, so Lambda = S_d and G(1, S_d) is a point
+    path = tmp_path / "lam.txt"
+    path.write_text("y1^4\n")
+    assert run_cli(["tangent", "--input", str(path), "--shape"]) == \
+        (0, "dimension: 0\nconstraints: 0x0\nnote: n = 1: G(1, S_d) is a point, "
+            "whose tangent space is 0\n")
+
+
 def test_tangent_shape_at_a_moved_point(tmp_path):
     # Example 15's Burch point under a change of coordinates: basis forms
     # with denominators, and the constraint count of the rational route

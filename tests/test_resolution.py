@@ -339,6 +339,27 @@ def test_e1_table_truncation_notice():
     assert all(w > 5 for w in table.truncated_weights)
 
 
+@pytest.mark.parametrize("cap", [0, 3, 6])
+def test_e1_reads_the_truncated_weights_off_the_shapes(cap):
+    # only survivors at or below the cap are built; the skipped weights are
+    # exactly those of the full table's heavier survivors
+    for args in LASCOUX_GRID:
+        if args[0] <= 2:
+            weights = {sum(s.lam) for v in _grid_table(args).terms.values() for s in v}
+            table = e1_vanishing_table(*args, 0, cap_weight=cap)
+            assert table.truncated_weights == tuple(sorted(w for w in weights if w > cap)), args
+            assert resolution._survivors(*args, weight_cap=cap) == \
+                [x for x in resolution._survivors(*args) if sum(x[0]) <= cap], args
+
+
+def test_e1_capped_table_of_a_large_box():
+    # 167,960 survivors, of which the 76 of weight <= 10 are built
+    assert len(resolution._survivors(3, 12, 9, 1, weight_cap=10)) == 76
+    table = e1_vanishing_table(3, 12, 9, 1, 0)
+    assert table.entries == {(0, 0): 1}
+    assert table.truncated_weights == tuple(range(11, 109))
+
+
 def test_c1_c2_requires_r_below_i_plus_one():
     with pytest.raises(LevelAlgError):
         c1_c2_analysis(2, 7, 5, 6)

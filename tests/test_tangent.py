@@ -1,7 +1,17 @@
+from itertools import combinations
+
 import pytest
 
 from conftest import all_level_hfs, burch_point, moved_burch_point, monomial_residuals
-from levelalg.apolarity import _action_table, ann_slice, catalecticant_matrix, hilbert_function
+from levelalg import tangent
+from levelalg.apolarity import (
+    _action_table,
+    ann_slice,
+    catalecticant_matrix,
+    hilbert_function,
+    integer_catalecticant,
+    internal_product,
+)
 from levelalg.errors import HilbertMismatchError, ZeroSubspaceError
 from levelalg.forms import Form, Subspace, monomial_index, monomials, parse_subspace_lines
 from levelalg.levelhf import (
@@ -138,14 +148,17 @@ def test_zero_subspace_rejected_by_both_routes():
 
 # -- differential test against the rational routes ---------------------------
 
-def _fraction_tangent_space(lam):
+def _fraction_tangent_space(lam, degrees=None):
     """The primal route with Fraction constraint rows, as it was before the
-    integer rewrite: the reference the integer route must reproduce."""
+    integer rewrite: the reference the integer route must reproduce, with
+    the constraints of `degrees` only when it is given."""
     n, d, t = lam.nvars, lam.degree, lam.dim
     comp_d = lam.complement_positions()
     ncols = t * len(comp_d)
     rows = []
     for i in range(1, d):
+        if degrees is not None and i not in degrees:
+            continue
         cat = catalecticant_matrix(lam, i)
         kernel = right_kernel(transpose(cat), ncols=len(cat))
         if not kernel:
@@ -266,3 +279,60 @@ def test_integer_routes_match_the_rational_routes(rng):
             assert (ts.dimension, ts.basis, ts.constraint_shape) == reference(lam), \
                 (route.__name__, name)
             assert ts.hilbert == hf, (route.__name__, name)
+
+
+def test_degree_subsets_match_the_rational_route():
+    # the transposed elimination runs only for wanted degrees with a
+    # cokernel; every other subset of 1..d-1 must still give the reference
+    points = [(h.format(), burch_point(h)) for h in all_level_hfs(3, 6)]
+    points += [(" | ".join(lines), parse_subspace_lines(lines, nvars=3))
+               for lines in (TERNARY[2], TERNARY[7])]
+    for name, lam in points:
+        inner = range(1, lam.degree)
+        for k in range(1, len(inner) + 1):
+            for degrees in combinations(inner, k):
+                ts = tangent_space(lam, degrees=degrees)
+                assert (ts.dimension, ts.basis, ts.constraint_shape) == \
+                    _fraction_tangent_space(lam, degrees), (name, degrees)
+
+
+def test_transposed_elimination_only_where_there_is_a_cokernel(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(len(m[0]) if m else 0)
+        return transpose(m)
+
+    monkeypatch.setattr(tangent, "transpose", counted)
+    for h in all_level_hfs(4, 10):
+        calls.clear()
+        tangent_space(burch_point(h))
+        # n = 2: dim S_i = i + 1
+        assert len(calls) == sum(h[i] < i + 1 for i in range(1, h.d)), h.format()
+
+
+def test_integer_catalecticant_is_the_rational_one_times_the_scales(rng):
+    with_denominators = 0
+    for h in all_level_hfs(3, 7):
+        lam = moved_burch_point(h, rng)
+        for i in range(lam.degree + 1):
+            cat, scales = integer_catalecticant(lam, i)
+            # row (x^M, F_p) is x^M . F_p, monomial outermost
+            rational = [internal_product(Form.monomial(lam.nvars, "R", m), f).vector()
+                        for m in monomials(lam.nvars, lam.degree - i) for f in lam.basis]
+            assert catalecticant_matrix(lam, i) == rational, (h.format(), i)
+            assert cat == [[x * scales[r % lam.dim] for x in row]
+                           for r, row in enumerate(rational)], (h.format(), i)
+            assert all(x.denominator == 1 for row in cat for x in row)
+        with_denominators += any(s > 1 for s in lam.integer_rows[0])
+    assert with_denominators > 20
+
+
+def test_integer_catalecticant_returns_fresh_lists(rng):
+    lam = moved_burch_point(HilbertFunction.parse("1,2,3,4,5,5,4,3,0"), rng)
+    cat, scales = integer_catalecticant(lam, 3)
+    before = ([list(row) for row in cat], list(scales))
+    cat[0][0] += 1
+    cat.append([0] * len(cat[0]))
+    scales[0] += 1
+    assert integer_catalecticant(lam, 3) == before
