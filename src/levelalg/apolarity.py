@@ -146,28 +146,42 @@ def ann_slice(lam: Subspace, j: int) -> GradedIdealSlice:
     dim I_j + h_j = dim R_j.  For j > d every operator annihilates, so the
     slice is all of R_j.
     """
-    n, d = lam.nvars, lam.degree
     if j < 0:
         raise DegreeError("negative slice degree")
-    if j > d or lam.dim == 0:
-        return GradedIdealSlice(j, Subspace.full(n, j, "R"))
-    rows = _kernel_rows(annihilator_conditions(lam, j), space_dim(n, j))
-    return GradedIdealSlice(j, _subspace(n, j, "R", rows))
+    if j > lam.degree or lam.dim == 0:
+        return GradedIdealSlice(j, Subspace.full(lam.nvars, j, "R"))
+    return GradedIdealSlice(j, _subspace(lam.nvars, j, "R", _ann_rows(lam, j)))
 
 
-def _kernel_rows(m: list[list[int]], width: int) -> list[list[int]]:
+def _ann_rows(lam: Subspace, j: int) -> tuple[tuple[int, ...], ...]:
+    """I_j of ann(Lambda), 0 <= j <= d, Lambda != 0, as _kernel_rows gives it
+    (I_0 = 0: 1 kills no nonzero form).  The only place a slice is computed,
+    once per Lambda instance: kept on lam, which is frozen, for ann_slice, the
+    apolar pass and the dual tangent route, which only read it."""
+    held = lam.__dict__.setdefault("_ann_rows", {})
+    if j not in held:
+        held[j] = _kernel_rows(annihilator_conditions(lam, j), space_dim(lam.nvars, j)) if j else ()
+    return held[j]
+
+
+def _kernel_rows(m: list[list[int]], width: int) -> tuple[tuple[int, ...], ...]:
     """The reduced echelon basis of the right kernel of the integer rows m,
     up to positive row scales, from one elimination: with the columns
     reversed, the kernel vector of a free column f is zero left of f and at
     the other free columns, so the free columns are its echelon pivots."""
     _, _, _, kernel = integer_echelon([row[::-1] for row in m], width)
-    return [v[::-1] for v in reversed(kernel)]
+    return tuple(tuple(v[::-1]) for v in reversed(kernel))
+
+
+def _lead(v) -> int:
+    """The column of the first nonzero entry of v."""
+    return next(c for c, x in enumerate(v) if x)
 
 
 def _subspace(nvars: int, degree: int, ring: str, rows: list[list[int]]) -> Subspace:
     """The Subspace of integer reduced echelon rows, each over its lead."""
     zero = QQ(0)
-    pivots = tuple(next(c for c, x in enumerate(v) if x) for v in rows)
+    pivots = tuple(map(_lead, rows))
     return Subspace(nvars, degree, ring,
                     tuple(tuple(QQ(x, v[p]) if x else zero for x in v)
                           for v, p in zip(rows, pivots)),
@@ -176,23 +190,20 @@ def _subspace(nvars: int, degree: int, ring: str, rows: list[list[int]]) -> Subs
 
 def _apolar_pass(lam: Subspace):
     """(Hilbert function, minimal generators, slices I_0 = 0, I_1, ..., I_d
-    as _kernel_rows) of ann(Lambda), all tuples: one elimination per
-    1 <= j <= d, then h_j = dim R_j - dim I_j.  Each echelon row of I_j
-    (j <= d + 1, with I_{d+1} = R_{d+1}) is reduced against R_1 * I_{j-1}
-    and the generators found before it; the residual (the one vector of
-    row + span zero at the span's pivots, up to scale, whatever basis is
-    taken) is a generator if nonzero.  The result is kept on lam, which is
-    frozen, for as long as lam lives, so the pass runs once per Lambda
-    instance."""
+    as _ann_rows) of ann(Lambda), all tuples: h_j = dim R_j - dim I_j.  Each
+    echelon row of I_j (j <= d + 1, with I_{d+1} = R_{d+1}) is reduced
+    against R_1 * I_{j-1} and the generators found before it; the residual
+    (the one vector of row + span zero at the span's pivots, up to scale,
+    whatever basis is taken) is a generator if nonzero.  The result is kept
+    on lam, which is frozen, for as long as lam lives, so the pass runs
+    once per Lambda instance."""
     memo = lam.__dict__.get("_apolar_pass")
     if memo is not None:
         return memo
     if lam.dim == 0:
         raise ZeroSubspaceError("the zero subspace has no Hilbert function")
     n, d = lam.nvars, lam.degree
-    slices = ((), *(tuple(map(tuple, _kernel_rows(annihilator_conditions(lam, j),
-                                                  space_dim(n, j))))
-                    for j in range(1, d + 1)))
+    slices = tuple(_ann_rows(lam, j) for j in range(d + 1))
     hf = HilbertFunction.from_values([space_dim(n, j) - len(rows)
                                       for j, rows in enumerate(slices)])
     out = []
@@ -209,7 +220,7 @@ def _apolar_pass(lam: Subspace):
                 if r[p]:
                     r = [g[p] * x - r[p] * y for x, y in zip(r, g)]
             if any(r):
-                found.append((next(c for c, x in enumerate(r) if x), r))
+                found.append((_lead(r), r))
                 gens.append(Form.from_vector(n, j, "R", r).monic())
         if gens:
             out.append((j, tuple(gens)))
@@ -246,13 +257,10 @@ def inverse_system_slice(gens: list[Form], nvars: int, d: int) -> Subspace:
         if g.degree > d or g.is_zero:
             continue
         # one row per monomial of S_{d-q}: the functional F -> that
-        # coefficient of g.F, times the lcm s of g's denominators
-        coeffs = g.vector()
-        s = lcm(*[c.denominator for c in coeffs])
+        # coefficient of g.F, times the lcm of g's denominators
         conditions = [[0] * dim_sd for _ in range(space_dim(nvars, d - g.degree))]
-        for entries, cu in zip(_action_table(nvars, g.degree, d), coeffs):
+        for entries, cu in zip(_action_table(nvars, g.degree, d), _integer_row(g.vector())):
             if cu:
-                cu = cu.numerator * (s // cu.denominator)
                 for b_idx, (o, factor) in entries.items():
                     conditions[o][b_idx] += cu * factor
         rows.extend(conditions)
@@ -278,19 +286,18 @@ def _check_generators(gens: list[Form], nvars: int):
 
 
 def _ideal_slice_stream(gens: list[Form], nvars: int):
-    """I_0, I_1, ... of the ideal generated by gens, without end.  I_j is
-    spanned by the generators of degree j and x_i * I_{j-1}, as coefficient
-    vectors; once I_{j-1} is all of R_{j-1}, I_j is R_j, with no elimination."""
+    """I_0, I_1, ... of the ideal generated by gens, through the first that is
+    all of R_j (without end if none is), each as linalg.integer_echelon's
+    rows: I_j is spanned by the degree-j generators and x_i * I_{j-1}."""
     _check_generators(gens, nvars)
-    prev = None
+    prev: list[list[int]] = []
     for j in count():
-        if prev is not None and prev.dim == prev.ambient_dim:
-            prev = Subspace.full(nvars, j, "R")
-        else:
-            rows = [g.vector() for g in gens if g.degree == j]
-            prev = Subspace.from_rows(nvars, j, "R", rows + (
-                [] if prev is None else _times_variables(nvars, j - 1, prev.rows)))
+        width = space_dim(nvars, j)
+        prev = integer_echelon([_integer_row(g.vector()) for g in gens if g.degree == j]
+                               + _times_variables(nvars, j - 1, prev), width)[0]
         yield prev
+        if len(prev) == width:
+            return
 
 
 def socle(gens: list[Form], nvars: int, bound: int | None = None) -> list[tuple[int, int]]:
@@ -299,7 +306,7 @@ def socle(gens: list[Form], nvars: int, bound: int | None = None) -> list[tuple[
     The socle in degree j is {u in (R/I)_j : x_i u = 0 in (R/I)_{j+1} for
     every i}.  The quotient must be artin: its Hilbert function has to
     vanish by the configured degree bound, otherwise NotArtinError.  Slices
-    of I are built up to the first that is all of R_j.
+    of I are built in integers up to the first that is all of R_j.
     """
     gens = [g for g in gens if not g.is_zero]
     if len(gens) < nvars:
@@ -310,18 +317,16 @@ def socle(gens: list[Form], nvars: int, bound: int | None = None) -> list[tuple[
     degs = sorted(g.degree for g in gens)
     if bound is None:
         bound = sum(degs[-nvars:]) - nvars + 2
-    slices: list[Subspace] = []
+    slices = []
     for ij in _ideal_slice_stream(gens, nvars):
         if len(slices) > bound:
             raise NotArtinError(
                 f"Hilbert function of the quotient has not vanished by degree {bound}"
             )
         slices.append(ij)
-        if ij.dim == ij.ambient_dim:
-            break
     if len(slices) == 1:
         raise NotArtinError("the generators span the unit ideal; the quotient is zero")
-    return _socle_dims(nvars, [list(map(_integer_row, ij.rows)) for ij in slices])
+    return _socle_dims(nvars, slices)
 
 
 def _socle_dims(nvars: int, slices) -> list[tuple[int, int]]:
@@ -346,7 +351,7 @@ def _monomial_residuals(rows, width: int) -> list[list[int]]:
     read at the non-pivot positions p and scaled by D, the lcm of the
     leads: -v[p] D / lead for the pivot monomial of row v (minus the rest
     of its RREF row), D times a unit vector for any other monomial."""
-    by_pivot = {next(c for c, x in enumerate(v) if x): v for v in rows}
+    by_pivot = {_lead(v): v for v in rows}
     scale = lcm(*[v[p] for p, v in by_pivot.items()])
     comp = [p for p in range(width) if p not in by_pivot]
     return [[-v[p] * (scale // v[o]) for p in comp] if (v := by_pivot.get(o))

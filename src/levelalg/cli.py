@@ -142,7 +142,7 @@ def _cmd_ann(args, em: Emitter):
 def _cmd_socle(args, em: Emitter):
     gens = _forms_from_input(args, ring="R")
     nvars = max(g.nvars for g in gens)
-    gens = [form_parse(form_print(g), nvars=nvars) for g in gens]
+    gens = [form_parse(form_print(g), nvars=nvars, ring="R") for g in gens]
     soc = apolarity.socle(gens, nvars)
     em.emit("SOCLE", "; ".join(f"{j}:{s}" for j, s in soc))
     em.emit("LEVEL", "true" if len(soc) == 1 else "false")

@@ -29,6 +29,8 @@ from .schubert import _check_rank_bound
 # the 10 x 10 box at r = 0, C(20, 10) = 184,756 of them, is the largest
 # square one under this cap.
 PARTITION_CAP = 200_000
+# The largest partition box lascoux_ranks accepts, in cells.
+CELL_CAP = 400
 
 
 def expected_codim(t: int, d: int, i: int, r: int) -> int:
@@ -70,8 +72,7 @@ class ResolutionTable:
         return [self.rank(-k) for k in range(self.codim + 1)]
 
 
-def lascoux_ranks(t: int, d: int, i: int, r: int,
-                  cell_cap: int = 400) -> ResolutionTable:
+def lascoux_ranks(t: int, d: int, i: int, r: int) -> ResolutionTable:
     """Terms of the resolution of O_{Le(i,r)}, assuming expected codimension.
 
     Partitions lambda run over the box with R = t(d-i+1) rows and
@@ -85,16 +86,15 @@ def lascoux_ranks(t: int, d: int, i: int, r: int,
     most s parts of size at most R-s-r to its right and one, beta, of at
     most C-s parts of size at most s below it, so only these
     C(R-r+C, C) survivors are enumerated, in the order of
-    partitions_in_box(R, C).  A box over cell_cap cells, or with more
+    partitions_in_box(R, C).  A box over CELL_CAP cells, or with more
     than PARTITION_CAP survivors, raises CapExceededError before any is
     enumerated.  A rank bound r above t(d-i+1) is rejected, as
     porteous_class rejects it.
     """
-    return _resolution_table(t, d, i, r, _survivors(t, d, i, r, cell_cap))
+    return _resolution_table(t, d, i, r, _survivors(t, d, i, r))
 
 
-def _survivors(t: int, d: int, i: int, r: int, cell_cap: int = 400,
-               weight_cap: int | None = None) -> list[tuple]:
+def _survivors(t: int, d: int, i: int, r: int, weight_cap: int | None = None) -> list[tuple]:
     """(lam, lam', s) for the survivors of lascoux_ranks's box, in the order
     of partitions_in_box(R, C), with the checks and caps lascoux_ranks
     documents; with a weight cap, only the survivors no heavier than it,
@@ -107,10 +107,9 @@ def _survivors(t: int, d: int, i: int, r: int, cell_cap: int = 400,
         raise LevelAlgError(f"need 1 <= t <= d + 1, got (t, d) = ({t}, {d})")
     rows_bound, f = _check_rank_bound(t, d, i, r)
     cols_bound = f - r
-    if rows_bound * cols_bound > cell_cap:
+    if rows_bound * cols_bound > CELL_CAP:
         raise CapExceededError(
-            f"partition box {rows_bound} x {cols_bound} exceeds the cell cap "
-            f"{cell_cap}"
+            f"partition box {rows_bound} x {cols_bound} exceeds the cell cap {CELL_CAP}"
         )
     count = comb(rows_bound - r + cols_bound, cols_bound)
     if count > PARTITION_CAP:

@@ -12,18 +12,21 @@ Both routes stay in integers up to the final kernel, building each matrix
 once and eliminating it once with linalg.integer_echelon; its relations and
 residual functionals are the rational ones times positive factors, so every
 constraint keeps its zero set.  Each route checks h against the Hilbert
-function read off ranks it computes anyway, and returns it.  On the primal
+function read off what it computes anyway, and returns it.  On the primal
 route one elimination of the catalecticant cat_i gives h_i and the
 functionals of its cokernel S_i / Lambda_i; its transpose, which gives the
 relations, is eliminated only where that cokernel is nonzero, since each
-constraint pairs a relation with a functional.
+constraint pairs a relation with a functional.  The dual route reads the
+slices I_j held on Lambda, each eliminated once per Lambda instance for
+every reader, and h_j = dim R_j - dim I_j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .apolarity import _action_table, annihilator_conditions, integer_catalecticant
+from .apolarity import (_action_table, _ann_rows, _lead, _monomial_residuals,
+                        integer_catalecticant)
 from .errors import DegreeError, HilbertMismatchError, ZeroSubspaceError
 from .forms import Subspace, monomial_products, space_dim
 from .levelhf import HilbertFunction, dim_stratum
@@ -139,30 +142,21 @@ def tangent_space_dual(lam: Subspace, h: HilbertFunction | None = None) -> Tange
     if lam.dim == 0:
         raise ZeroSubspaceError("tangent space needs a nonzero subspace")
     n, d = lam.nvars, lam.degree
-    # I_j is the kernel of its conditions, whose rank is h_j; its echelon
-    # rows are the RREF basis times a common denominator.  h_0 = 1.
-    values, slices = [1], {}
-    for j in range(1, d + 1):
-        _, pivots, _, kernel = integer_echelon(annihilator_conditions(lam, j), space_dim(n, j))
-        values.append(len(pivots))
-        if kernel:
-            slices[j] = integer_echelon(kernel, space_dim(n, j))[:3]
-    hilbert = _verified(values, h)
-    id_rows, id_pivots, id_den = slices.get(d, ([], [], 1))
-    dim_id = len(id_pivots)
-    coordinate = {piv: k for k, piv in enumerate(id_pivots)}  # of u x^M in I_d
-    pivot_row = dict(zip(id_pivots, id_rows))
-    comp_d = [c for c in range(space_dim(n, d)) if c not in pivot_row]  # R_d/I_d
-    tq = len(comp_d)
-    # id_den times each monomial of R_d mod I_d, over comp_d
-    residuals = [[-pivot_row[o][c] for c in comp_d] if o in pivot_row
-                 else [id_den * (c == o) for c in comp_d]
-                 for o in range(space_dim(n, d))]
+    # the slices I_j held on lam, each row its RREF row times a positive
+    # factor; h_j = dim R_j - dim I_j
+    slices = [_ann_rows(lam, j) for j in range(d + 1)]
+    hilbert = _verified([space_dim(n, j) - len(rows) for j, rows in enumerate(slices)], h)
+    dim_id = len(slices[d])
+    coordinate = {_lead(u): k for k, u in enumerate(slices[d])}  # of u x^M in I_d
+    tq = space_dim(n, d) - dim_id  # dim R_d/I_d
+    # one positive integer times each monomial of R_d mod I_d, read at
+    # comp_d, the monomials that are no pivot of I_d
+    residuals = _monomial_residuals(slices[d], space_dim(n, d))
     rows: list[list[int]] = []
-    for i in range(1, d):
-        if i not in slices:
+    for i, ii_rows in enumerate(slices[1:d], start=1):
+        if not ii_rows:
             continue
-        ii_rows, ii_pivots, _ = slices[i]
+        ii_pivots = {_lead(u) for u in ii_rows}
         nlow = space_dim(n, d - i)
         shift = monomial_products(n, i, d - i)
         # V_i: for each complement monomial w of R_i, the vector

@@ -19,6 +19,7 @@ from levelalg.apolarity import (
     _action_table,
     _ideal_slice_stream,
     annihilator_conditions,
+    ann_slice,
     apolar_profile,
     catalecticant_matrix,
     inverse_system_slice,
@@ -37,7 +38,8 @@ from levelalg.forms import (
 )
 from levelalg.levelhf import HilbertFunction, burch_ideal
 from levelalg.linalg import QQ, rank, right_kernel
-from levelalg.secant import SecantPlane, secant_decompose, secant_intersect
+from levelalg.secant import SecantPlane, in_sigma, secant_decompose, secant_intersect
+from levelalg.tangent import tangent_space_dual
 
 # A fixed change of coordinates with no zero or unit entry.
 MOVE = [[3, -4], [4, 3]]
@@ -117,11 +119,9 @@ def old_socle_dims(slices):
 
 
 def old_socle(gens, nvars):
-    slices = []
-    for ij in _ideal_slice_stream([g for g in gens if not g.is_zero], nvars):
-        slices.append(ij)
-        if ij.dim == ij.ambient_dim:
-            return old_socle_dims(slices)
+    slices = [Subspace.from_rows(nvars, j, "R", rows) for j, rows in
+              enumerate(_ideal_slice_stream([g for g in gens if not g.is_zero], nvars))]
+    return old_socle_dims(slices)
 
 
 def old_profile_lines(lam):
@@ -247,7 +247,8 @@ def test_socle_of_non_level_ideals_matches_the_old_route(nvars, ops):
 
 
 def test_the_pass_runs_once_per_lambda(monkeypatch):
-    # a pass eliminates the conditions of I_1, ..., I_d once each
+    # a pass eliminates the conditions of I_1, ..., I_d once each, and
+    # ann_slice, in_sigma and the dual tangent route read the same slices
     calls = []
     conditions = apolarity.annihilator_conditions
     monkeypatch.setattr(apolarity, "annihilator_conditions",
@@ -262,11 +263,21 @@ def test_the_pass_runs_once_per_lambda(monkeypatch):
     assert secant_decompose(lam) == planes
     generators = minimal_generators(lam)
     assert calls == one_pass
+    # the other readers of I_j take the slices the pass eliminated
+    slices = [ann_slice(lam, j).subspace for j in range(h.d + 2)]
+    assert [in_sigma(lam, s) is not None for s in range(h.t, h.d + 1)] == \
+        [s >= 5 for s in range(h.t, h.d + 1)]
+    dual = tangent_space_dual(lam)
+    assert calls == one_pass
+    assert slices == [old_ann_slice(fresh, j) for j in range(h.d + 2)]
+    # and the dual alone eliminates each slice once on a fresh copy
+    assert tangent_space_dual(dataclasses.replace(lam)) == dual
+    assert calls == 2 * one_pass
     # the memo is no field: equality and repr are those of a fresh copy
     assert lam == fresh and repr(lam) == repr(fresh)
     assert secant_decompose(fresh) == planes
     assert apolar_profile(fresh) == profile
-    assert calls == 2 * one_pass
+    assert calls == 3 * one_pass
     # the returned lists are the caller's own
     generators[0][1].clear()
     generators.append((9, []))

@@ -359,9 +359,11 @@ def test_beta_injective_on_random_level_points(rng):
 def test_minimal_generators_generate_ancestor_ideal():
     lam = ex15_lambda()
     gens = [g for _, fs in minimal_generators(lam) for g in fs]
-    slices = list(islice(_ideal_slice_stream(gens, 2), lam.degree + 2))
-    for j in range(lam.degree + 2):
-        assert slices[j] == ann_slice(lam, j).subspace
+    # the stream ends at I_{d+1} = R_{d+1}, the first full slice
+    slices = list(islice(_ideal_slice_stream(gens, 2), lam.degree + 3))
+    assert len(slices) == lam.degree + 2
+    for j, rows in enumerate(slices):
+        assert Subspace.from_rows(2, j, "R", rows) == ann_slice(lam, j).subspace
 
 
 def test_internal_product_is_module_action(rng):
@@ -379,6 +381,15 @@ def test_socle_rejects_unit_ideal():
     with pytest.raises(NotArtinError, match="unit ideal"):
         socle([form_parse("1", nvars=2, ring="R"), form_parse("x1", nvars=2),
                form_parse("x2", nvars=2)], 2)
+
+
+def test_socle_checks_the_count_before_the_ring():
+    # zero generators are dropped, then the count is checked, then the ring
+    forms = [form_parse("y1^2", nvars=2), form_parse("0", nvars=2, ring="R")]
+    with pytest.raises(NotArtinError, match="^1 generators cannot"):
+        socle(forms, 2)
+    with pytest.raises(AmbientMismatchError):
+        socle(forms + [form_parse("y2^2", nvars=2)], 2)
 
 
 def _ideal_slices_by_products(gens, nvars, top):
@@ -402,10 +413,16 @@ def test_incremental_ideal_slices_match_all_products(nvars, rng):
             q = rng.randint(1, max_degree)
             gens.append(Form.make(nvars, q, "R", {m: rng.choice([0, 0, 1, -1, 2, 3])
                                                   for m in monomials(nvars, q)}))
-        # past the first full slice, where the incremental route stops eliminating
+        # past the first full slice, where the stream stops
         top = 2 * max_degree + 2
-        assert list(islice(_ideal_slice_stream(gens, nvars), top + 1)) == \
-            _ideal_slices_by_products(gens, nvars, top)
+        expected = _ideal_slices_by_products(gens, nvars, top)
+        full = next((j for j, ij in enumerate(expected) if ij.dim == ij.ambient_dim), top)
+        got = list(islice(_ideal_slice_stream(gens, nvars), top + 1))
+        assert len(got) == full + 1
+        assert [Subspace.from_rows(nvars, j, "R", rows) for j, rows in enumerate(got)] == \
+            expected[:full + 1]
+        if full < top:
+            assert len(got[-1]) == expected[full].ambient_dim
 
 
 def test_socle_degree_bound_is_kept():

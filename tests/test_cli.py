@@ -107,6 +107,15 @@ def test_socle_from_file(tmp_path):
     assert "SOCLE: 2:1; 3:1" in out and "LEVEL: false" in out
 
 
+def test_socle_with_a_constant_generator_is_the_unit_ideal(tmp_path, capsys):
+    # the constant stays an operator in R when the forms are widened
+    path = tmp_path / "gens.txt"
+    path.write_text("x1^2\nx2^2\n1\n")
+    assert main(["socle", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: the generators span the unit ideal; the quotient is zero\n"
+
+
 def test_tangent_from_file(tmp_path):
     path = tmp_path / "lam.txt"
     path.write_text("y1^5\ny1^4*y2\n")

@@ -60,9 +60,10 @@ def test_lascoux_dimension_formulas_agree():
                 assert s.schur_rank == schur_dim(s.lam, n) == weyl_dim(s.lam, n)
 
 
-def test_lascoux_cell_cap():
-    with pytest.raises(CapExceededError):
-        lascoux_ranks(3, 20, 10, 2, cell_cap=10)
+def test_lascoux_cell_cap(monkeypatch):
+    monkeypatch.setattr(resolution, "CELL_CAP", 10)
+    with pytest.raises(CapExceededError, match="^partition box 33 x 9 exceeds the cell cap 10$"):
+        lascoux_ranks(3, 20, 10, 2)
 
 
 def test_lascoux_partition_cap(monkeypatch):
