@@ -4,7 +4,9 @@ Matrices are lists of rows of Fraction at the boundary; inside, one
 fraction-free core does every elimination on integer rows: each row is
 scaled by the lcm of its denominators, and Gauss-Jordan elimination divides
 every update exactly by the previous pivot (Bareiss, Math. Comp. 1968).
-Callers that build integer rows themselves enter through integer_echelon.
+Callers that build integer rows themselves enter through integer_echelon,
+which hands the core each nonzero primitive row once: its outputs depend on
+the row space alone, and zero rows and repeats do not change that.
 Dividing by the last pivot once at the end gives the unique reduced row
 echelon form.  The pivot rule is deterministic (first nonzero column,
 topmost row), so echelon forms, kernels and the canonical subspaces built
@@ -55,8 +57,10 @@ def _eliminate(m, ncols: int) -> tuple[list[list[int]], list[int], int, int]:
         r = len(pivots)
         if r == nrows:
             break
-        p = next((i for i in range(r, nrows) if a[i][c]), None)
-        if p is None:
+        for p in range(r, nrows):
+            if a[p][c]:
+                break
+        else:
             continue
         if p != r:
             a[r], a[p] = a[p], a[r]
@@ -121,8 +125,14 @@ def integer_echelon(m: list[list[int]], ncols: int) -> tuple[
     positive integer that makes its content (the gcd of its entries) 1.
     Input rows are divided by their content too: vectors that still carry
     a Bareiss pivot grow with every further elimination they are fed into.
+    Then zero rows and repeats are dropped, each primitive row kept once in
+    order of first occurrence.  That cannot change the output: every part
+    of it is determined by the row space, which those rows do not change.
+    The catalecticants and constraint matrices of torus-fixed points are
+    mostly such rows.
     """
-    rows, pivots, pivot, _ = _eliminate(map(_primitive, m), ncols)
+    distinct = {tuple(row): row for row in map(_primitive, filter(any, m))}
+    rows, pivots, pivot, _ = _eliminate(distinct.values(), ncols)
     g = gcd(pivot, *[gcd(*row) for row in rows]) * (-1 if pivot < 0 else 1)
     if g != 1:
         rows = [[x // g for x in row] for row in rows]

@@ -69,9 +69,9 @@ def _solved(lam: Subspace, rows: list[list[int]], nblocks: int, width: int,
     _, pivots, _, kernel = integer_echelon(rows, ncols)
     pivot_set, zero = set(pivots), QQ(0)
     free = [c for c in range(ncols) if c not in pivot_set]
-    basis = tuple(tuple(tuple(QQ(x, v[f]) if x else zero for x in v[b * width:(b + 1) * width])
-                        for b in range(nblocks))
-                  for v, f in zip(kernel, free))
+    basis = tuple(tuple(tuple(row[b:b + width]) for b in range(0, ncols, width))
+                  for row in ([QQ(x, v[f]) if x else zero for x in v]
+                              for v, f in zip(kernel, free)))
     return TangentSpace(lam, len(basis), basis, (len(rows), ncols), hilbert)
 
 

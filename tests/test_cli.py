@@ -6,9 +6,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import levelalg
 from levelalg.cli import main
+from levelalg.forms import Form, form_print, monomials
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -520,3 +522,49 @@ print(json.dumps(results))
                                capture_output=True, text=True, env=env)
         assert got == [fresh.returncode, fresh.stdout, fresh.stderr], argv
     assert [rc for rc, _, _ in in_one] == [1, 0, 0, 0]
+
+
+# -- a total CLI on the subcommands that reach linalg ------------------------
+
+@st.composite
+def _form_lines(draw):
+    """Lines of forms in y1..yn, n <= 3, of degree <= 5 (now and then of a
+    second degree), coefficients in -3..3, with zero forms, repeats and
+    rescaled copies mixed in."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        degree = draw(st.sampled_from((d, d, d, draw(st.integers(0, 5)))))
+        coeffs = {m: draw(st.integers(-3, 3)) for m in monomials(n, degree)
+                  if draw(st.booleans())}
+        f = Form.make(n, degree, "S", coeffs)
+        lines.append(form_print(f))
+        for _ in range(draw(st.integers(0, 2))):
+            lines.append(form_print(f.scale(draw(st.sampled_from((1, -1, 2, -3))))))
+    return draw(st.permutations(lines))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_form_lines(), st.sampled_from((
+    ["tangent"], ["tangent", "--shape"], ["hilbert"], ["ann"], ["ann", "-i"],
+    ["in-sigma", "-s"], ["stacked-det", "-s"], ["hankel-rank", "-i"])),
+    st.integers(-1, 6))
+def test_linalg_subcommands_are_total(tmp_path_factory, lines, command, k):
+    if command[0] == "hankel-rank":
+        argv = [command[0], lines[0], "-i", str(k)]
+    else:
+        path = tmp_path_factory.mktemp("total") / "input.txt"
+        path.write_text("\n".join(lines) + "\n")
+        argv = command + ([str(k)] if command[-1].startswith("-") else []) + \
+            ["--input", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 1, 2), (argv, rc)
+    assert "Traceback" not in err.getvalue() and "internal bug" not in err.getvalue(), argv
+    printed = dict(line.split(": ", 1) for line in out.getvalue().splitlines())
+    if command[0] == "tangent" and rc == 0 and "formula" in printed:
+        assert printed["dimension"] == printed["formula"], lines

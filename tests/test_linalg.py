@@ -71,6 +71,11 @@ def test_echelon_idempotent_and_kernel_exact(rows):
     min_size=1, max_size=8)))
 def test_integer_echelon_contract(rows):
     # entries share the factor 3, so the content reductions have work to do
+    _check_integer_echelon(rows)
+
+
+def _check_integer_echelon(rows):
+    """integer_echelon(rows) against rref and right_kernel; returns it."""
     ncols = len(rows[0])
     reduced, pivots_ref = rref(mat(rows))
     rk, kernel_ref = len(pivots_ref), right_kernel(mat(rows))
@@ -83,6 +88,23 @@ def test_integer_echelon_contract(rows):
     for v, ref, f in zip(kernel, kernel_ref, free):
         assert gcd(*v) == 1 and v[f] > 0
         assert [QQ(x, v[f]) for x in v] == ref
+    return ech, pivots, den, kernel
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda c: st.lists(
+    st.lists(st.integers(-6, 6), min_size=c, max_size=c), min_size=1, max_size=8)),
+    st.randoms(use_true_random=False))
+def test_integer_echelon_depends_on_the_row_space_only(rows, rnd):
+    # integer_echelon drops zero rows and repeats of a primitive row before
+    # eliminating; repeats, rescalings by +-k, zero rows and a new order
+    # leave the row space, hence every output, as it is
+    ncols = len(rows[0])
+    spread = [[k * x for x in row] for row in rows for _ in range(rnd.randint(1, 3))
+              for k in [rnd.choice((-1, 1)) * rnd.randint(1, 4)]]
+    spread += [[0] * ncols for _ in range(rnd.randint(0, 3))]
+    rnd.shuffle(spread)
+    assert _check_integer_echelon(spread) == _check_integer_echelon(rows)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from conftest import all_level_hfs, burch_point, moved_burch_point, monomial_residuals
-from levelalg import tangent
+from levelalg import apolarity, linalg, tangent
 from levelalg.apolarity import (
     _action_table,
     ann_slice,
@@ -336,3 +336,34 @@ def test_integer_catalecticant_returns_fresh_lists(rng):
     cat.append([0] * len(cat[0]))
     scales[0] += 1
     assert integer_catalecticant(lam, 3) == before
+
+
+def test_no_repeated_row_reaches_the_elimination_core(monkeypatch):
+    # at torus-fixed points most catalecticant and constraint rows are zero
+    # or repeats; integer_echelon hands the core each primitive row once
+    given, eliminated = [], []
+    original_echelon, original_eliminate = linalg.integer_echelon, linalg._eliminate
+
+    def counted_echelon(m, ncols):
+        given.append(len(m))
+        return original_echelon(m, ncols)
+
+    def recorded_eliminate(m, ncols):
+        rows = [list(row) for row in m]
+        eliminated.append(rows)
+        return original_eliminate(rows, ncols)
+
+    for module in (apolarity, tangent):
+        monkeypatch.setattr(module, "integer_echelon", counted_echelon)
+    monkeypatch.setattr(linalg, "_eliminate", recorded_eliminate)
+    hs = enumerate_level_hf(6, 16)
+    for h in (hs[len(hs) // 4], hs[3 * len(hs) // 4]):
+        for route in (tangent_space, tangent_space_dual):
+            lam = burch_point(h)
+            given.clear()
+            eliminated.clear()
+            route(lam)
+            assert eliminated, (route.__name__, h.format())
+            assert all(len(set(map(tuple, rows))) == len(rows) for rows in eliminated), \
+                (route.__name__, h.format())
+            assert 2 * sum(map(len, eliminated)) <= sum(given), (route.__name__, h.format())
