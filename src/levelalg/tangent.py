@@ -15,10 +15,22 @@ constraint keeps its zero set.  Each route checks h against the Hilbert
 function read off what it computes anyway, and returns it.  On the primal
 route one elimination of the catalecticant cat_i gives h_i and the
 functionals of its cokernel S_i / Lambda_i; its transpose, which gives the
-relations, is eliminated only where that cokernel is nonzero, since each
+relations, is eliminated only where a functional is kept, since each
 constraint pairs a relation with a functional.  The dual route reads the
 slices I_j held on Lambda, each eliminated once per Lambda instance for
 every reader, and h_j = dim R_j - dim I_j.
+
+The lead rule.  The conditions are R-linear, so the generators of
+I = ann(Lambda) already cut out the tangent space Hom_R(I, A)_0
+(Iarrobino-Kanev, LNM 1721; Kleppe, J. Algebra 200, 1998).  In degree i
+each route drops the rows whose lead is x_k times a lead of degree i-1:
+- dual: if w witnesses the condition of u, x_k w witnesses that of x_k u;
+- primal: the condition of (relation w, functional x_k v) is that of
+  (x_k w, v) in degree i-1, so degree i-1 must be constrained too.
+Both row sets are reduced echelon for an order that multiplying by x_k
+keeps (first nonzero index for the slices, last for the kernel vectors), so
+a dropped row minus x_k times a row of degree i-1 has a later lead: the kept
+rows span I_i modulo R_1 I_{i-1}, and the tangent space does not change.
 """
 
 from __future__ import annotations
@@ -82,9 +94,12 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
     Unknowns are the entries of tau; for each degree i with nontrivial
     kernel of the product map alpha_i, each kernel vector contributes one
     linear condition per complement coordinate of Lambda_i in S_i.  One
-    elimination of cat_i gives h_i and those coordinates; the kernel vectors
-    (relations, from cat_i transposed) are computed only in the wanted
-    degrees where Lambda_i != S_i, since elsewhere no condition is left.
+    elimination of cat_i gives h_i and those coordinates; by the lead rule
+    (module docstring) a coordinate whose functional ends at x_k times a
+    free column of cat_{i-1}, a constrained degree, is left out.  The kernel
+    vectors (relations, from cat_i transposed) are computed only in the
+    wanted degrees where a coordinate is kept, since elsewhere no condition
+    is left.
 
     `degrees` restricts the constraints to a subset of 1..d-1 (the default),
     i.e. computes the tangent space of an intersection of fewer rank loci;
@@ -99,22 +114,31 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
     width_d = len(comp_d)
     if any(not 0 <= i <= d for i in wanted):
         raise DegreeError(f"constraint degrees {wanted} not all in 0..{d}")
-    values, rows = [1], []  # h_0 = 1, and Lambda_0 = S_0 leaves no constraint
+    # h_0 = 1, and Lambda_0 = S_0 leaves no constraint and no free column
+    values, rows, lower = [1], [], set()
     for i in range(1, d + 1):
         # one elimination of cat_i gives h_i and its right kernel: coordinate
         # ell of the residual mod Lambda_i, up to a positive factor, is the
         # pairing with z_ell.  Where Lambda_i = S_i there is none, and the
         # relations could only feed empty blocks.
         cat, scales = integer_catalecticant(lam, i)
-        _, pivots, _, functionals = integer_echelon(cat, space_dim(n, i))
+        width_i = space_dim(n, i)
+        _, pivots, _, functionals = integer_echelon(cat, width_i)
         values.append(len(pivots))
+        # functional k ends at the k-th free column; those ending at x_k times
+        # a free column of cat_{i-1}, a constrained degree, add no condition
+        pivot_set = set(pivots)
+        free = [c for c in range(width_i) if c not in pivot_set]
+        functionals = [z for z, f in zip(functionals, free) if f not in lower]
+        lower = ({xk[f] for xk in monomial_products(n, 1, i) for f in free}
+                 if i in wanted else set())
         if not functionals or i not in wanted:
             continue
         # the relations among the rows of cat_i, from cat_i^T; times the row
         # scales they relate the basis forms
         _, _, _, relations = integer_echelon(transpose(cat), len(cat))
         residual = [[(ell, z[o]) for ell, z in enumerate(functionals) if z[o]]
-                    for o in range(space_dim(n, i))]
+                    for o in range(width_i)]
         # relation coordinate (x^M, p) times each complement monomial g of
         # S_d in basis form p's image: x^M . g mod Lambda_i, spread over the
         # (ell, unknown of tau(F_p) at g) cells of the constraint block
@@ -137,7 +161,10 @@ def tangent_space_dual(lam: Subspace, h: HilbertFunction | None = None) -> Tange
 
     An omega: I_d -> R_d/I_d is tangent iff for every i and every u in I_i,
     sum_M omega(u x^M) (x) y^M lands in the image of (R/I)_i under the
-    beta-style inclusion into (R_d/I_d) (x) S_{d-i}.
+    beta-style inclusion into (R_d/I_d) (x) S_{d-i}.  By the lead rule
+    (module docstring) only the echelon rows of I_i whose lead is not x_k
+    times a lead of I_{i-1} are used, and V_i is built and eliminated only
+    in the degrees where one is.
     """
     if lam.dim == 0:
         raise ZeroSubspaceError("tangent space needs a nonzero subspace")
@@ -153,10 +180,14 @@ def tangent_space_dual(lam: Subspace, h: HilbertFunction | None = None) -> Tange
     # comp_d, the monomials that are no pivot of I_d
     residuals = _monomial_residuals(slices[d], space_dim(n, d))
     rows: list[list[int]] = []
+    lower: set[int] = set()  # x_k times the leads of I_{i-1}; I_0 = 0
     for i, ii_rows in enumerate(slices[1:d], start=1):
-        if not ii_rows:
+        leads = [_lead(u) for u in ii_rows]
+        kept = [u for u, p in zip(ii_rows, leads) if p not in lower]
+        lower = {xk[p] for xk in monomial_products(n, 1, i) for p in leads}
+        if not kept:
             continue
-        ii_pivots = {_lead(u) for u in ii_rows}
+        ii_pivots = set(leads)
         nlow = space_dim(n, d - i)
         shift = monomial_products(n, i, d - i)
         # V_i: for each complement monomial w of R_i, the vector
@@ -169,7 +200,7 @@ def tangent_space_dual(lam: Subspace, h: HilbertFunction | None = None) -> Tange
         # of its RREF rows V_k, one per non-pivot coordinate l
         _, _, _, kernel = integer_echelon(v_rows, tq * nlow)
         functionals = [[divmod(a, nlow) + (x,) for a, x in enumerate(z) if x] for z in kernel]
-        for u in ii_rows:
+        for u in kept:
             # gamma[m_idx]: (block offset of I_d basis vector k, its coefficient
             # in u * x^M) for the nonzero coefficients
             gamma = [[] for _ in range(nlow)]

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import levelalg
 from levelalg.cli import main
 from levelalg.forms import Form, form_print, monomials
+from levelalg.partitions import partitions_in_box
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -146,7 +147,7 @@ def test_tangent_shape_at_a_moved_point(tmp_path):
         "y1^5*y2^2 + 13/3*y1^4*y2^3 + 15/2*y1^3*y2^4 + 13/2*y1^2*y2^5 + 17/6*y1*y2^6"
         " + 1/2*y2^7\n")
     assert run_cli(["tangent", "--input", str(path), "--shape"]) == \
-        (0, "dimension: 9\nconstraints: 10x15\nformula: 9\n")
+        (0, "dimension: 9\nconstraints: 6x15\nformula: 9\n")
 
 
 def test_secant_decompose_and_intersect_roundtrip(tmp_path):
@@ -557,6 +558,16 @@ def test_linalg_subcommands_are_total(tmp_path_factory, lines, command, k):
         path.write_text("\n".join(lines) + "\n")
         argv = command + ([str(k)] if command[-1].startswith("-") else []) + \
             ["--input", str(path)]
+    rc, out = _run_total(argv)
+    printed = dict(line.split(": ", 1) for line in out.splitlines())
+    if command[0] == "tangent" and rc == 0 and "formula" in printed:
+        assert printed["dimension"] == printed["formula"], lines
+
+
+def _run_total(argv):
+    """(exit code, stdout) of main(argv) in this interpreter, asserting the
+    total-CLI contract: exit 0, 1 or 2, no uncaught exception, no traceback
+    and no `internal bug` on stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -565,6 +576,90 @@ def test_linalg_subcommands_are_total(tmp_path_factory, lines, command, k):
             rc = exc.code
     assert rc in (0, 1, 2), (argv, rc)
     assert "Traceback" not in err.getvalue() and "internal bug" not in err.getvalue(), argv
-    printed = dict(line.split(": ", 1) for line in out.getvalue().splitlines())
-    if command[0] == "tangent" and rc == 0 and "formula" in printed:
-        assert printed["dimension"] == printed["formula"], lines
+    return rc, out.getvalue()
+
+
+# -- and on the subcommands that do not ---------------------------------------
+
+def _with_junk(argvs):
+    """Each argv as drawn, or with one token after the subcommand replaced
+    by junk text."""
+    @st.composite
+    def spoiled(draw):
+        argv = draw(argvs)
+        k = draw(st.integers(1, len(argv) - 1))
+        return [*argv[:k], draw(st.text("0123456789,;{}+- ax", max_size=8)), *argv[k + 1:]]
+    return st.one_of(argvs, spoiled())
+
+
+def _tokens(*pairs):
+    return [str(x) for pair in pairs for x in pair]
+
+
+@st.composite
+def _rank_locus(draw, command, t_max):
+    """-t -d -i -r in or one step outside 1 <= t <= d + 1, 0 <= i <= d and
+    0 <= r <= i, with d <= 6; e1-table also gets -m and a small weight cap."""
+    t = draw(st.integers(0, t_max))
+    d = draw(st.integers(max(t - 2, -1), 6))
+    i = draw(st.integers(-1, d + 1))
+    argv = [command, *_tokens(("-t", t), ("-d", d), ("-i", i),
+                              ("-r", draw(st.integers(-1, max(i, 0) + 1))))]
+    if command == "e1-table":
+        argv += _tokens(("-m", draw(st.integers(-2, 2))),
+                        ("--cap-weight", draw(st.integers(-1, 8))))
+    return argv
+
+
+@st.composite
+def _same_weight_partitions(draw):
+    n = draw(st.integers(0, 6))
+    parts = st.sampled_from(list(partitions_in_box(n, n, n)))
+    return [",".join(map(str, draw(parts))) or "0" for _ in range(3)]
+
+
+@st.composite
+def _schubert_product(draw):
+    """Two classes of G(t, d + 1), t <= 3, d <= 5: sums of Schubert symbols
+    in the t x (d + 1 - t) box, now and then one a column too wide."""
+    t = draw(st.integers(1, 3))
+    d = draw(st.integers(t - 1, 5))
+    symbol = st.lists(st.integers(0, d + 2 - t), max_size=t).map(
+        lambda v: "{" + ",".join(map(str, sorted(v, reverse=True))) + "}")
+    term = st.tuples(st.integers(1, 9), symbol).map(lambda c: f"{c[0]}{c[1]}")
+    classes = st.lists(term, min_size=1, max_size=3).map(" + ".join)
+    return ["schubert-mul", *_tokens(("-t", t), ("-d", d)), draw(classes), draw(classes)]
+
+
+_LEVEL_HFS = [h.format() for t in range(1, 4) for d in range(max(t - 1, 1), 7)
+              for h in levelalg.enumerate_level_hf(t, d)]
+_SEQUENCES = st.one_of(
+    st.sampled_from(_LEVEL_HFS),
+    st.lists(st.integers(0, 6), max_size=7).map(lambda v: ",".join(map(str, [1, *v, 0]))),
+    st.lists(st.integers(-1, 6), min_size=1, max_size=7).map(lambda v: ",".join(map(str, v))))
+_OTHER_COMMANDS = _with_junk(st.one_of(
+    *(_rank_locus(c, 3) for c in ("porteous", "components", "lascoux-ranks")),
+    _rank_locus("e1-table", 2),
+    *(st.lists(st.integers(-4, 4), min_size=1, max_size=6).map(
+        lambda v, sep=sep: ["bott", "--", sep.join(map(str, v))]) for sep in (",", ";")),
+    st.tuples(_same_weight_partitions(), st.integers(-1, 8)).map(
+        lambda v: ["kronecker", *v[0], "--cap-weight", str(v[1])]),
+    _schubert_product(),
+    *(_SEQUENCES.map(lambda seq, c=c: [c, seq]) for c in ("hf-check", "burch", "hf-partition")),
+    st.tuples(st.lists(st.integers(1, 4), max_size=4), st.integers(0, 3), st.integers(0, 6)).map(
+        lambda v: ["hf-partition", "--mu", "+".join(map(str, sorted(v[0], reverse=True))) or "0",
+                   *_tokens(("-t", v[1]), ("-d", v[2]))]),
+    st.tuples(st.integers(-1, 4), st.integers(-1, 8)).map(
+        lambda v: ["hf-enumerate", *_tokens(("-t", v[0]), ("-d", v[1]))]),
+    *(st.tuples(st.integers(0, 4), st.integers(0, 10), st.integers(0, 9)).map(
+        lambda v, c=c: [c, *_tokens(("-t", v[0]), ("-d", v[1]), ("-s", v[0] + v[2] - 1))])
+      for c in ("sigma-dim", "waring-witness")),
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OTHER_COMMANDS)
+def test_other_subcommands_are_total(argv):
+    # porteous, components, lascoux-ranks, e1-table, bott, kronecker,
+    # schubert-mul, hf-*, burch, sigma-dim and waring-witness
+    _run_total(argv)

@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import all_level_hfs, burch_point, moved_burch_point, monomial_residuals
 from levelalg import apolarity, linalg, tangent
@@ -13,12 +14,14 @@ from levelalg.apolarity import (
     internal_product,
 )
 from levelalg.errors import HilbertMismatchError, ZeroSubspaceError
-from levelalg.forms import Form, Subspace, monomial_index, monomials, parse_subspace_lines
+from levelalg.forms import (Form, Subspace, form_print, monomial_index, monomials,
+                            parse_subspace_lines)
 from levelalg.levelhf import (
     HilbertFunction,
     enumerate_level_hf,
     grassmannian_dim,
     minmax_hf,
+    q_sequence,
 )
 from levelalg.linalg import QQ, right_kernel, rref, transpose
 from levelalg.tangent import (
@@ -148,24 +151,37 @@ def test_zero_subspace_rejected_by_both_routes():
 
 # -- differential test against the rational routes ---------------------------
 
+def _times_variables(n, degree, positions):
+    """The positions in degree + 1 of x_k times the monomials at `positions`
+    of degree `degree`, for every variable x_k."""
+    index = monomial_index(n, degree + 1)
+    return {index[tuple(e + (j == k) for j, e in enumerate(monomials(n, degree)[p]))]
+            for p in positions for k in range(n)}
+
+
 def _fraction_tangent_space(lam, degrees=None):
     """The primal route with Fraction constraint rows, as it was before the
     integer rewrite: the reference the integer route must reproduce, with
-    the constraints of `degrees` only when it is given."""
+    the constraints of `degrees` only when it is given.  The dimension and
+    basis come from every constraint row; the shape counts the rows the
+    lead rule keeps: those of the functionals whose free column is not x_k
+    times a free column of the previous degree, when that one is
+    constrained."""
     n, d, t = lam.nvars, lam.degree, lam.dim
     comp_d = lam.complement_positions()
     ncols = t * len(comp_d)
-    rows = []
+    rows, kept, lower = [], 0, set()
     for i in range(1, d):
         if degrees is not None and i not in degrees:
+            lower = set()
             continue
         cat = catalecticant_matrix(lam, i)
-        kernel = right_kernel(transpose(cat), ncols=len(cat))
-        if not kernel:
-            continue
         lam_i = Subspace.from_rows(n, i, "S", cat)
         comp_i = lam_i.complement_positions()
-        if not comp_i:
+        new = {ell for ell, f in enumerate(comp_i) if f not in lower}
+        lower = _times_variables(n, i, comp_i)
+        kernel = right_kernel(transpose(cat), ncols=len(cat))
+        if not kernel or not comp_i:
             continue
         quotient = monomial_residuals(lam_i)
         zero = [QQ(0)] * len(comp_i)
@@ -185,15 +201,18 @@ def _fraction_tangent_space(lam, degrees=None):
                                 row[p * len(comp_d) + g_idx] += c * per_m[g_idx][ell]
                 if any(x != 0 for x in row):
                     rows.append(row)
+                    kept += ell in new
     kernel_basis = right_kernel(rows, ncols=ncols)
     basis = tuple(tuple(tuple(v[p * len(comp_d) + g] for g in range(len(comp_d)))
                         for p in range(t)) for v in kernel_basis)
-    return len(kernel_basis), basis, (len(rows), ncols)
+    return len(kernel_basis), basis, (kept, ncols)
 
 
 def _fraction_tangent_space_dual(lam):
     """The dual route with Form products and Fraction row reductions, as it
-    was before the integer rewrite."""
+    was before the integer rewrite.  The dimension and basis come from every
+    constraint row; the shape counts the rows the lead rule keeps: those of
+    the elements of I_i whose pivot is not x_k times a pivot of I_{i-1}."""
     n, d = lam.nvars, lam.degree
     id_slice = ann_slice(lam, d).subspace
     dim_id = id_slice.dim
@@ -202,9 +221,11 @@ def _fraction_tangent_space_dual(lam):
     ncols = dim_id * tq
     residuals = monomial_residuals(id_slice)
     index_d = monomial_index(n, d)
-    rows = []
+    rows, kept, lower = [], 0, set()
     for i in range(1, d):
         ii = ann_slice(lam, i).subspace
+        new = {k for k, p in enumerate(ii.pivots) if p not in lower}
+        lower = _times_variables(n, i, ii.pivots)
         if ii.dim == 0:
             continue
         mons_low, mons_i = monomials(n, d - i), monomials(n, i)
@@ -221,7 +242,7 @@ def _fraction_tangent_space_dual(lam):
         v_comp = [c for c in range(amb) if c not in set(v_pivots)]
         if not v_comp:
             continue
-        for u in ii.basis:
+        for u_idx, u in enumerate(ii.basis):
             # gamma[k][m_idx]: coefficient of I_d basis vector k in u * x^M
             products = [(u * Form.monomial(n, "R", m_exp)).vector() for m_exp in mons_low]
             gamma = [[vec[piv] for vec in products] for piv in id_slice.pivots]
@@ -240,10 +261,11 @@ def _fraction_tangent_space_dual(lam):
                         row = [x - coeff * y for x, y in zip(row, e_matrix[piv])]
                 if any(x != 0 for x in row):
                     rows.append(row)
+                    kept += u_idx in new
     kernel_basis = right_kernel(rows, ncols=ncols)
     basis = tuple(tuple(tuple(v[k * tq + c] for c in range(tq)) for k in range(dim_id))
                   for v in kernel_basis)
-    return len(kernel_basis), basis, (len(rows), ncols)
+    return len(kernel_basis), basis, (kept, ncols)
 
 
 # the ternary monomial subspaces of the benchmark, and three that are not monomial
@@ -270,15 +292,42 @@ def _differential_points(rng):
         yield " | ".join(lines), parse_subspace_lines(lines, nvars=3)
 
 
+def _check_against_the_rational_routes(lam, name):
+    hf = hilbert_function(lam)
+    for route, reference in ((tangent_space, _fraction_tangent_space),
+                             (tangent_space_dual, _fraction_tangent_space_dual)):
+        ts = route(lam)
+        assert (ts.dimension, ts.basis, ts.constraint_shape) == reference(lam), \
+            (route.__name__, name)
+        assert ts.hilbert == hf, (route.__name__, name)
+
+
 def test_integer_routes_match_the_rational_routes(rng):
     for name, lam in _differential_points(rng):
-        hf = hilbert_function(lam)
-        for route, reference in ((tangent_space, _fraction_tangent_space),
-                                 (tangent_space_dual, _fraction_tangent_space_dual)):
-            ts = route(lam)
-            assert (ts.dimension, ts.basis, ts.constraint_shape) == reference(lam), \
-                (route.__name__, name)
-            assert ts.hilbert == hf, (route.__name__, name)
+        _check_against_the_rational_routes(lam, name)
+
+
+@st.composite
+def _subspaces(draw):
+    """Spans of one to three forms in y1..yn, n in {2, 3, 4}, each with two
+    to five terms, so that most spans are not monomial."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    d = draw(st.integers(2, {2: 7, 3: 4, 4: 3}[n]))
+    forms = []
+    for _ in range(draw(st.integers(1, 3))):
+        support = draw(st.lists(st.sampled_from(monomials(n, d)), min_size=2, max_size=5,
+                                unique=True))
+        forms.append(Form.make(n, d, "S", {m: draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+                                           for m in support}))
+    return Subspace.span(n, d, "S", forms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_subspaces())
+def test_random_subspaces_match_the_rational_routes(lam):
+    # the lead rule drops rows by their lead alone; off the monomial locus
+    # the dropped rows are combinations, not copies, of the kept ones
+    _check_against_the_rational_routes(lam, [form_print(f) for f in lam.basis])
 
 
 def test_degree_subsets_match_the_rational_route():
@@ -307,8 +356,9 @@ def test_transposed_elimination_only_where_there_is_a_cokernel(monkeypatch):
     for h in all_level_hfs(4, 10):
         calls.clear()
         tangent_space(burch_point(h))
-        # n = 2: dim S_i = i + 1
-        assert len(calls) == sum(h[i] < i + 1 for i in range(1, h.d)), h.format()
+        # n = 2: a functional of cat_i survives the lead rule exactly in the
+        # degrees 1 <= i < d of a minimal generator of the Burch ideal
+        assert len(calls) == len({q for q in q_sequence(h) if 1 <= q < h.d}), h.format()
 
 
 def test_integer_catalecticant_is_the_rational_one_times_the_scales(rng):
