@@ -21,7 +21,7 @@ from .apolarity import (
     minimal_generators,
     socle,
 )
-from .bott import BottResult, bott_cohomology, schur_qdual_cohomology, schur_sub_twist_cohomology
+from .bott import BottResult, bott_cohomology, schur_sub_twist_cohomology
 from .errors import LevelAlgError
 from .forms import Form, Subspace, form_parse, form_print, monomials, subspace_intersect
 from .kronecker import character, kronecker

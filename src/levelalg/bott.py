@@ -81,18 +81,3 @@ def schur_sub_twist_cohomology(t: int, big_n: int, rho, m: int) -> BottResult:
     gamma = [m] * (big_n - t) + list(rho) + [0] * (t - len(rho))
     return bott_cohomology(gamma, blocks=(big_n - t, t))
 
-
-def schur_qdual_cohomology(r: int, big_n: int, lam_conj) -> BottResult:
-    """Cohomology of S_{lam'}(Q*) on G(r, C^N), Q the rank N-r quotient.
-
-    Zero as a bundle when lam' has more than N-r parts.  S_{lam'}(Q*) has
-    Q-block weight equal to lam' reversed and negated.
-    """
-    lam_conj = check_partition(lam_conj)
-    k = big_n - r
-    if len(lam_conj) > k:
-        return ZERO
-    padded = list(lam_conj) + [0] * (k - len(lam_conj))
-    q_block = [-padded[k - 1 - i] for i in range(k)]
-    gamma = q_block + [0] * r
-    return bott_cohomology(gamma, blocks=(k, r))

@@ -9,7 +9,7 @@ against each other.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import prod
+from math import factorial, prod
 
 from .errors import InvalidPartitionError, LevelAlgError
 
@@ -51,12 +51,7 @@ def partitions_in_box(rows: int, cols: int, weight: int | None = None) -> tuple:
 
 def conjugate(lam) -> tuple[int, ...]:
     lam = check_partition(lam)
-    if not lam:
-        return ()
-    out = []
-    for c in range(lam[0]):
-        out.append(sum(1 for p in lam if p > c))
-    return tuple(out)
+    return tuple(sum(1 for p in lam if p > c) for c in range(lam[0] if lam else 0))
 
 
 def schur_dim(lam, n: int) -> int:
@@ -86,12 +81,18 @@ def weyl_dim(weight, n: int) -> int:
         raise InvalidPartitionError(f"weight {weight} too long for GL({n})")
     if any(w[i] < w[i + 1] for i in range(n - 1)):
         raise InvalidPartitionError(f"weight {tuple(weight)} is not dominant")
-    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    num = prod(w[p] - w[q] + q - p for p, q in pairs)
-    den = prod(q - p for p, q in pairs)
-    if num % den:
-        raise LevelAlgError("internal bug: Weyl dimension is not an integer")
-    return num // den
+    return _weyl_dim(w, n)
+
+
+def _weyl_dim(weight, n: int) -> int:
+    """weyl_dim without its checks: weight is dominant with at most n
+    entries, zeros implied past its end.  A pair of rows both past the end
+    contributes (q - p) / (q - p), so only the pairs with p < len(weight)
+    are multiplied."""
+    k = len(weight)
+    shifted = [w - j for j, w in enumerate(weight)] + list(range(-k, -n, -1))
+    num = prod(a - b for p, a in enumerate(shifted[:k]) for b in shifted[p + 1:])
+    return num // prod(map(factorial, range(n - k, n)))  # the product of the q - p
 
 
 def parse_partition(text: str) -> tuple[int, ...]:

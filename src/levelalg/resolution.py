@@ -1,10 +1,12 @@
 """The resolution machinery for the rank loci Le(i, r) in G(t, S_d).
 
 Three computations live here: the term-by-term ranks of the locally free
-resolution of O_{Le} (partitions in a box, Bott on the inner Grassmannian,
-Schur-functor dimensions), the C1/C2 hypothesis analysis with candidate
-component lists, and the E1 page of the twisted hypercohomology spectral
-sequence via Kronecker decomposition plus Bott on the outer Grassmannian.
+resolution of O_{Le} (Lascoux's closed form: each surviving box partition
+gives a degree and two Schur-functor dimensions, see Weyman, "Cohomology
+of Vector Bundles and Syzygies", 6.1), the C1/C2 hypothesis analysis with
+candidate component lists, and the E1 page of the twisted hypercohomology
+spectral sequence via Kronecker decomposition plus Bott on the outer
+Grassmannian.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .bott import schur_qdual_cohomology, schur_sub_twist_cohomology
+from .bott import schur_sub_twist_cohomology
 from .errors import CapExceededError, LevelAlgError
 from .kronecker import DEFAULT_WEIGHT_CAP, _kronecker
 from .levelhf import (
@@ -22,7 +24,7 @@ from .levelhf import (
     grassmannian_dim,
     is_level_sequence,
 )
-from .partitions import conjugate, partitions_in_box, schur_dim
+from .partitions import _weyl_dim, conjugate, partitions_in_box
 from .schubert import _check_rank_bound
 
 # lascoux_ranks enumerates only the partitions whose Bott cohomology survives;
@@ -40,8 +42,10 @@ def expected_codim(t: int, d: int, i: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class ResolutionSummand:
-    """One summand of a resolution term: the box partition, the rank of its
-    Schur factor, and the Bott degree/dimension of its cohomology factor."""
+    """One summand of a resolution term: the box partition lam, the rank
+    dim S_lam(k^R) of its Schur factor, and the degree r*s and dimension
+    dim S_mu(k^{i+1}) of its cohomology factor H(G(r, S_i), S_{lam'}(Q*)),
+    both in Lascoux's closed form (see lascoux_ranks; Weyman, 6.1)."""
 
     lam: tuple
     schur_rank: int
@@ -77,14 +81,16 @@ def lascoux_ranks(t: int, d: int, i: int, r: int) -> ResolutionTable:
 
     Partitions lambda run over the box with R = t(d-i+1) rows and
     C = i-r+1 columns; each contributes in homological degree
-    p = nu(lam') - |lam| the rank dim S_lam(k^R) times the Bott dimension
-    of S_{lam'}(Q*) on G(r, S_i).  With lam' padded to C parts and indexed
-    from 1, that cohomology is nonzero exactly when some s has
-    lam'_s >= s + r and lam'_{s+1} <= s, and then sits in degree r*s
-    (Lascoux, "Syzygies des varietes determinantales", Adv. Math. 30
-    (1978)).  Such a lam' is an s x (s+r) block, a partition alpha of at
-    most s parts of size at most R-s-r to its right and one, beta, of at
-    most C-s parts of size at most s below it, so only these
+    p = nu(lam') - |lam| the rank dim S_lam(k^R) times the dimension of the
+    cohomology of S_{lam'}(Q*) on G(r, S_i).  With lam' padded to C parts
+    and indexed from 1, that cohomology is nonzero exactly when some s has
+    lam'_s >= s + r and lam'_{s+1} <= s; it then sits in degree r*s and
+    is S_mu(k^{i+1}) with mu = (lam'_1 - r, ..., lam'_s - r, s^r,
+    lam'_{s+1}, ...) (Lascoux, "Syzygies des varietes determinantales",
+    Adv. Math. 30 (1978); Weyman, "Cohomology of Vector Bundles and
+    Syzygies", 6.1).  Such a lam' is an s x (s+r) block, a partition
+    alpha of at most s parts of size at most R-s-r to its right and one,
+    beta, of at most C-s parts of size at most s below it, so only these
     C(R-r+C, C) survivors are enumerated, in the order of
     partitions_in_box(R, C).  A box over CELL_CAP cells, or with more
     than PARTITION_CAP survivors, raises CapExceededError before any is
@@ -95,10 +101,13 @@ def lascoux_ranks(t: int, d: int, i: int, r: int) -> ResolutionTable:
 
 
 def _survivors(t: int, d: int, i: int, r: int, weight_cap: int | None = None) -> list[tuple]:
-    """(lam, lam', s) for the survivors of lascoux_ranks's box, in the order
+    """(lam, mu, s) for the survivors of lascoux_ranks's box, in the order
     of partitions_in_box(R, C), with the checks and caps lascoux_ranks
     documents; with a weight cap, only the survivors no heavier than it,
-    so that alpha and beta are built weight by weight up to what is left."""
+    so that alpha and beta are built weight by weight up to what is left.
+    Both are blocks (s + a_1, ..., s + a_s, s^r, b), a padded to s parts
+    and empty for s = 0: mu = (alpha; beta), and lam, the conjugate of lam',
+    = (beta'; alpha'), from conjugates taken once per small box."""
     if not 0 <= i <= d:
         raise LevelAlgError(f"need 0 <= i <= d, got i = {i}, d = {d}")
     if not 0 <= r < i + 1:
@@ -123,34 +132,35 @@ def _survivors(t: int, d: int, i: int, r: int, weight_cap: int | None = None) ->
             return partitions_in_box(rows, cols)
         return [p for w in range(weight + 1) for p in partitions_in_box(rows, cols, w)]
 
+    def block(s, a):
+        return tuple(s + x for x in a) + (s,) * (s + r - len(a)) if s else ()
+
     survivors = []
     for s in range(min(cols_bound, rows_bound - r) + 1):
         left = None if weight_cap is None else weight_cap - s * (s + r)
+        betas = [(beta, block(s, conjugate(beta)), sum(beta))
+                 for beta in upto(cols_bound - s, s, left)]
         for alpha in upto(s, rows_bound - s - r, left):
-            top = tuple(s + r + a for a in alpha) + (s + r,) * (s - len(alpha))
-            for beta in upto(cols_bound - s, s, None if left is None else left - sum(alpha)):
-                survivors.append((conjugate(top + beta), top + beta, s))
+            lam_tail, mu_head = conjugate(alpha), block(s, alpha)
+            room = (cols_bound - s) * s if left is None else left - sum(alpha)
+            survivors.extend((lam_head + lam_tail, mu_head + beta, s)
+                             for beta, lam_head, weight in betas if weight <= room)
     survivors.sort(key=lambda survivor: tuple(-p for p in survivor[0]))
     return survivors
 
 
 def _resolution_table(t: int, d: int, i: int, r: int, survivors) -> ResolutionTable:
-    """The terms of the survivors: Bott on G(r, S_i) and the Schur rank of
-    each, by homological degree."""
+    """The terms of the survivors (lam, mu, s): dim S_lam(k^R) times
+    dim S_mu(k^{i+1}) in homological degree p = r*s - |lam|
+    = -(s^2 + |alpha| + |beta|), which lies in [-c, 0] since
+    c + p >= (R-r)C - s(R-r-s) - s(C-s) - s^2 = (R-r-s)(C-s) >= 0."""
     c = expected_codim(t, d, i, r)
     rows_bound = t * (d - i + 1)
     terms: dict[int, list[ResolutionSummand]] = {}
-    for lam, lam_conj, s in survivors:
-        res = schur_qdual_cohomology(r, i + 1, lam_conj)
-        p = r * s - sum(lam)
-        if res.degree != r * s or not -c <= p <= 0:
-            raise LevelAlgError(
-                f"internal bug: {lam} has Bott degree {res.degree}, expected "
-                f"{r * s} with {p} in [{-c}, 0]"
-            )
-        summand = ResolutionSummand(lam, schur_dim(lam, rows_bound),
-                                    res.degree, res.dimension)
-        terms.setdefault(p, []).append(summand)
+    for lam, mu, s in survivors:
+        summand = ResolutionSummand(lam, _weyl_dim(lam, rows_bound),
+                                    r * s, _weyl_dim(mu, i + 1))
+        terms.setdefault(r * s - sum(lam), []).append(summand)
     return ResolutionTable(t, d, i, r, c,
                            {p: tuple(v) for p, v in terms.items()})
 
@@ -302,7 +312,7 @@ def e1_vanishing_table(t: int, d: int, i: int, r: int, m: int,
                     c = _kronecker(lam, rho, mu)
                     if c == 0:
                         continue
-                    dim_mu = schur_dim(mu, mu_rows)
+                    dim_mu = _weyl_dim(mu, mu_rows)
                     key = (p, res.degree)
                     entries[key] = entries.get(key, 0) + \
                         s.bott_dim * c * dim_mu * res.dimension

@@ -6,7 +6,7 @@ import pytest
 from levelalg import resolution
 from levelalg.errors import CapExceededError, LevelAlgError
 from levelalg.levelhf import enumerate_level_hf, grassmannian_dim, is_level_hf, is_level_sequence
-from levelalg.bott import schur_qdual_cohomology, schur_sub_twist_cohomology
+from levelalg.bott import bott_cohomology, schur_sub_twist_cohomology
 from levelalg.kronecker import kronecker
 from levelalg.partitions import conjugate, partitions_in_box, schur_dim, weyl_dim
 from levelalg.resolution import (
@@ -86,16 +86,20 @@ def test_lascoux_partition_cap(monkeypatch):
 
 
 def _lascoux_by_bott_on_every_partition(t, d, i, r):
-    """p -> [(lam, rank, Bott degree)] in box order: Bott's algorithm on
-    each partition of the box, the route lascoux_ranks took before it
-    enumerated the survivors only."""
+    """p -> [(lam, schur_rank, bott_dim, bott_degree)] in box order:
+    Bott's algorithm on S_{lam'}(Q*) over G(r, S_i) for each partition of
+    the box, the route lascoux_ranks took before it enumerated the
+    survivors only and read their terms off Lascoux's closed form."""
     rows, cols = t * (d - i + 1), i + 1 - r
     terms = {}
     for lam in partitions_in_box(rows, cols):
-        res = schur_qdual_cohomology(r, i + 1, conjugate(lam))
+        # the Q block (rank N - r = cols) of S_{lam'}(Q*) is lam' padded,
+        # reversed and negated; the rank-r block is zero
+        padded = list(conjugate(lam)) + [0] * (cols - (lam[0] if lam else 0))
+        res = bott_cohomology([-x for x in reversed(padded)] + [0] * r, blocks=(cols, r))
         if not res.is_zero:
             terms.setdefault(res.degree - sum(lam), []).append(
-                (lam, schur_dim(lam, rows) * res.dimension, res.degree))
+                (lam, schur_dim(lam, rows), res.dimension, res.degree))
     return terms
 
 
@@ -111,11 +115,15 @@ def _grid_table(args):
 
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_lascoux_survivors_match_bott_on_every_partition(t):
+    # the closed-form terms against the generic Bott algorithm, and every
+    # homological degree inside [-c, 0]
     for args in LASCOUX_GRID:
         if args[0] == t:
-            got = {p: [(s.lam, s.rank, s.bott_degree) for s in v]
-                   for p, v in _grid_table(args).terms.items()}
+            table = _grid_table(args)
+            got = {p: [(s.lam, s.schur_rank, s.bott_dim, s.bott_degree) for s in v]
+                   for p, v in table.terms.items()}
             assert got == _lascoux_by_bott_on_every_partition(*args), args
+            assert all(-table.codim <= p <= 0 for p in table.terms), args
 
 
 def test_lascoux_survivor_count():
