@@ -25,7 +25,8 @@ from .errors import (
 from .forms import (Form, Subspace, form_print, monomial_index, monomial_products, monomials,
                     space_dim)
 from .levelhf import HilbertFunction
-from .linalg import QQ, Matrix, _integer_row, integer_echelon, rank
+from .linalg import (QQ, Matrix, _integer_row, free_columns, integer_echelon, integer_kernel,
+                     rank)
 
 
 @lru_cache(maxsize=None)
@@ -169,7 +170,8 @@ def _kernel_rows(m: list[list[int]], width: int) -> tuple[tuple[int, ...], ...]:
     up to positive row scales, from one elimination: with the columns
     reversed, the kernel vector of a free column f is zero left of f and at
     the other free columns, so the free columns are its echelon pivots."""
-    _, _, _, kernel = integer_echelon([row[::-1] for row in m], width)
+    rows, pivots, den = integer_echelon([row[::-1] for row in m], width)
+    kernel = integer_kernel(rows, pivots, den, width, free_columns(pivots, width))
     return tuple(tuple(v[::-1]) for v in reversed(kernel))
 
 
@@ -208,8 +210,8 @@ def _apolar_pass(lam: Subspace):
                                       for j, rows in enumerate(slices)])
     out = []
     for j, rows in enumerate((*slices[1:], _unit_rows(space_dim(n, d + 1))), start=1):
-        base, pivots, den, _ = integer_echelon(_times_variables(n, j - 1, slices[j - 1]),
-                                               space_dim(n, j))
+        base, pivots, den = integer_echelon(_times_variables(n, j - 1, slices[j - 1]),
+                                            space_dim(n, j))
         found, gens = [], []
         for b in rows:
             r = [den * x for x in b]

@@ -37,11 +37,11 @@ class Emitter:
         self.pairs.append((key, str(value)))
 
     def flush(self):
-        for key, value in self.pairs:
-            if self.fmt == "json-lines":
-                print(json.dumps({"key": key, "value": value}))
-            else:
-                print(f"{key}: {value}")
+        if self.fmt == "json-lines":
+            lines = (json.dumps({"key": key, "value": value}) for key, value in self.pairs)
+        else:
+            lines = (f"{key}: {value}" for key, value in self.pairs)
+        sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 def _read_lines(path: str) -> list[str]:

@@ -6,9 +6,11 @@ scaled by the lcm of its denominators, and Gauss-Jordan elimination divides
 every update exactly by the previous pivot (Bareiss, Math. Comp. 1968).
 Callers that build integer rows themselves enter through integer_echelon,
 which hands the core each nonzero primitive row once: its outputs depend on
-the row space alone, and zero rows and repeats do not change that.
-Dividing by the last pivot once at the end gives the unique reduced row
-echelon form.  The pivot rule is deterministic (first nonzero column,
+the row space alone, and zero rows and repeats do not change that.  It
+returns the echelon form only; integer_kernel builds kernel vectors from it
+per requested free column, so a caller that reads a rank, or a few kernel
+vectors, pays for no others.  Dividing by the last pivot once at the end
+gives the unique reduced row echelon form.  The pivot rule is deterministic (first nonzero column,
 topmost row), so echelon forms, kernels and the canonical subspaces built
 on them are reproducible.  No floating point enters anywhere.
 """
@@ -93,19 +95,24 @@ def _normalised(rows: list[list[int]], pivot: int, nrows: int = 0, ncols: int = 
     return out
 
 
-def _kernel_basis(rows: list[list[int]], pivots: list[int], pivot: int,
-                  ncols: int) -> list[list[int]]:
-    """right_kernel's basis times pivot: for each free column f, pivot at f
-    and -row[f] at each pivot column of the echelon rows."""
+def free_columns(pivots: list[int], ncols: int) -> list[int]:
+    """The columns among range(ncols) that are not pivots, in order."""
     pivot_set = set(pivots)
+    return [c for c in range(ncols) if c not in pivot_set]
+
+
+def _kernel_basis(rows: list[list[int]], pivots: list[int], pivot: int,
+                  ncols: int, free) -> list[list[int]]:
+    """right_kernel's basis vectors of the free columns `free`, times pivot:
+    for each f, pivot at f and -row[f] at each pivot column of the echelon
+    rows."""
     basis = []
-    for f in range(ncols):
-        if f not in pivot_set:
-            v = [0] * ncols
-            v[f] = pivot
-            for row, c in zip(rows, pivots):
-                v[c] = -row[f]
-            basis.append(v)
+    for f in free:
+        v = [0] * ncols
+        v[f] = pivot
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f]
+        basis.append(v)
     return basis
 
 
@@ -116,28 +123,34 @@ def _primitive(v: list[int]) -> list[int]:
 
 
 def integer_echelon(m: list[list[int]], ncols: int) -> tuple[
-        list[list[int]], list[int], int, list[list[int]]]:
-    """Echelon form and right kernel of integer rows, in integers.
+        list[list[int]], list[int], int]:
+    """Echelon form of integer rows, in integers.
 
-    Returns (echelon, pivots, den, kernel): one echelon row per pivot
-    column, the reduced row echelon form times its common denominator
-    den > 0, and per free column right_kernel's basis vector times the
-    positive integer that makes its content (the gcd of its entries) 1.
-    Input rows are divided by their content too: vectors that still carry
-    a Bareiss pivot grow with every further elimination they are fed into.
-    Then zero rows and repeats are dropped, each primitive row kept once in
-    order of first occurrence.  That cannot change the output: every part
-    of it is determined by the row space, which those rows do not change.
-    The catalecticants and constraint matrices of torus-fixed points are
-    mostly such rows.
+    Returns (echelon, pivots, den): one echelon row per pivot column, the
+    reduced row echelon form times its common denominator den > 0.
+    Input rows are divided by their content (the gcd of their entries):
+    rows that still carry a Bareiss pivot grow with every further
+    elimination they are fed into.  Then zero rows and repeats are dropped,
+    each primitive row kept once in order of first occurrence.  That cannot
+    change the output: every part of it is determined by the row space,
+    which those rows do not change.  The catalecticants and constraint
+    matrices of torus-fixed points are mostly such rows.  Kernel vectors
+    come from integer_kernel, for the free columns a caller reads.
     """
     distinct = {tuple(row): row for row in map(_primitive, filter(any, m))}
     rows, pivots, pivot, _ = _eliminate(distinct.values(), ncols)
     g = gcd(pivot, *[gcd(*row) for row in rows]) * (-1 if pivot < 0 else 1)
     if g != 1:
         rows = [[x // g for x in row] for row in rows]
-    den = pivot // g
-    return rows, pivots, den, [_primitive(v) for v in _kernel_basis(rows, pivots, den, ncols)]
+    return rows, pivots, pivot // g
+
+
+def integer_kernel(echelon: list[list[int]], pivots: list[int], den: int,
+                   ncols: int, free) -> list[list[int]]:
+    """right_kernel's basis vectors of the free columns `free` of
+    integer_echelon's (echelon, pivots, den), each times the positive
+    integer that makes its content 1."""
+    return [_primitive(v) for v in _kernel_basis(echelon, pivots, den, ncols, free)]
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -166,7 +179,8 @@ def right_kernel(m: Matrix, ncols: int | None = None) -> list[Vector]:
         raise ValueError("ncols required for an empty matrix")
     ncols = len(m[0]) if m else ncols
     rows, pivots, pivot, _ = _eliminate(map(_integer_row, m), ncols)
-    return _normalised(_kernel_basis(rows, pivots, pivot, ncols), pivot)
+    return _normalised(_kernel_basis(rows, pivots, pivot, ncols, free_columns(pivots, ncols)),
+                       pivot)
 
 
 def det(m: Matrix) -> Fraction:
@@ -187,8 +201,10 @@ def row_space_intersection(a_rows: Matrix, b_rows: Matrix, ncols: int) -> Matrix
     if not a_rows or not b_rows:
         return []
     cols = list(zip(*map(_integer_row, (*a_rows, *b_rows))))
-    rows, pivots, pivot, _ = _eliminate(cols, len(a_rows) + len(b_rows))
+    width = len(a_rows) + len(b_rows)
+    rows, pivots, pivot, _ = _eliminate(cols, width)
+    combos = _kernel_basis(rows, pivots, pivot, width, free_columns(pivots, width))
     vectors = [[sum(c * x for c, x in zip(combo[:len(a_rows)], col)) for col in cols]
-               for combo in _kernel_basis(rows, pivots, pivot, len(a_rows) + len(b_rows))]
+               for combo in combos]
     rows, _, pivot, _ = _eliminate(vectors, ncols)
     return _normalised(rows, pivot)

@@ -8,17 +8,22 @@ computation on I_d inside R_d.  Both routes work for any number of
 variables; for n = 2 the dimension must equal sum e_l h_l, and the n >= 3
 output is validated only by internal consistency.
 
-Both routes stay in integers up to the final kernel, building each matrix
-once and eliminating it once with linalg.integer_echelon; its relations and
-residual functionals are the rational ones times positive factors, so every
-constraint keeps its zero set.  Each route checks h against the Hilbert
-function read off what it computes anyway, and returns it.  On the primal
-route one elimination of the catalecticant cat_i gives h_i and the
-functionals of its cokernel S_i / Lambda_i; its transpose, which gives the
-relations, is eliminated only where a functional is kept, since each
-constraint pairs a relation with a functional.  The dual route reads the
-slices I_j held on Lambda, each eliminated once per Lambda instance for
-every reader, and h_j = dim R_j - dim I_j.
+Both routes stay in integers, building each matrix once and eliminating it
+once with linalg.integer_echelon; the relations and residual functionals
+linalg.integer_kernel builds from it are the rational ones times positive
+factors, so every constraint keeps its zero set.  Kernel vectors are built
+only for the free columns a route reads.  The final elimination gives the
+dimension, the number of unknowns less the rank; the TangentSpace keeps its
+integer echelon form and builds the basis from it on first access.  Each
+route checks h against the Hilbert function read off what it computes
+anyway, and returns it.  On the primal route one elimination of the
+catalecticant cat_i gives h_i and the functionals of its cokernel
+S_i / Lambda_i, built only for the free columns the lead rule keeps in a
+constrained degree; its transpose, which gives the relations, is eliminated
+only where a functional is kept, since each constraint pairs a relation
+with a functional.  The dual route reads the slices I_j held on Lambda,
+each eliminated once per Lambda instance for every reader, and
+h_j = dim R_j - dim I_j.
 
 The lead rule.  The conditions are R-linear, so the generators of
 I = ann(Lambda) already cut out the tangent space Hom_R(I, A)_0
@@ -35,27 +40,45 @@ rows span I_i modulo R_1 I_{i-1}, and the tangent space does not change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .apolarity import (_action_table, _ann_rows, _lead, _monomial_residuals,
                         integer_catalecticant)
 from .errors import DegreeError, HilbertMismatchError, ZeroSubspaceError
 from .forms import Subspace, monomial_products, space_dim
 from .levelhf import HilbertFunction, dim_stratum
-from .linalg import QQ, integer_echelon, transpose
+from .linalg import QQ, free_columns, integer_echelon, integer_kernel, transpose
 
 
 @dataclass(frozen=True)
 class TangentSpace:
-    """Tangent space at a basepoint, with a basis of Hom(Lambda, S_d/Lambda)
-    matrices in the echelon coordinates (rows: basis of Lambda, columns:
-    complement monomials of S_d), and the basepoint's Hilbert function."""
+    """Tangent space at a basepoint: its dimension, the shape of the
+    constraint matrix that cuts it out, and the basepoint's Hilbert
+    function.  `basis` holds Hom(Lambda, S_d/Lambda) matrices in the echelon
+    coordinates (rows: basis of Lambda, columns: complement monomials of
+    S_d; on the dual route I_d and R_d/I_d); it is built on first access
+    from `echelon`, the integer echelon form of the constraint rows and the
+    block width."""
 
     basepoint: Subspace
     dimension: int
-    basis: tuple
     constraint_shape: tuple[int, int]
-    hilbert: HilbertFunction | None = None
+    hilbert: HilbertFunction
+    echelon: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def basis(self) -> tuple:
+        """linalg.right_kernel's canonical basis of the constraints: each
+        integer kernel vector over its entry at its free column, cut into
+        blocks of the width."""
+        rows, pivots, den, width = self.echelon
+        ncols = self.constraint_shape[1]
+        free, zero = free_columns(pivots, ncols), QQ(0)
+        kernel = integer_kernel(rows, pivots, den, ncols, free)
+        return tuple(tuple(tuple(row[b:b + width]) for b in range(0, ncols, width))
+                     for row in ([QQ(x, v[f]) if x else zero for x in v]
+                                 for v, f in zip(kernel, free)))
 
 
 def tangent_dim_formula(h: HilbertFunction) -> int:
@@ -75,16 +98,12 @@ def _verified(values: list[int], h: HilbertFunction | None) -> HilbertFunction:
 def _solved(lam: Subspace, rows: list[list[int]], nblocks: int, width: int,
             hilbert: HilbertFunction) -> TangentSpace:
     """The tangent space cut out by integer constraint rows over nblocks x
-    width unknowns, row-major, with linalg.right_kernel's canonical basis:
-    each integer kernel vector over its entry at its free column."""
+    width unknowns, row-major: its dimension is the number of unknowns less
+    the rank, and its basis is left to the first access."""
     ncols = nblocks * width
-    _, pivots, _, kernel = integer_echelon(rows, ncols)
-    pivot_set, zero = set(pivots), QQ(0)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = tuple(tuple(tuple(row[b:b + width]) for b in range(0, ncols, width))
-                  for row in ([QQ(x, v[f]) if x else zero for x in v]
-                              for v, f in zip(kernel, free)))
-    return TangentSpace(lam, len(basis), basis, (len(rows), ncols), hilbert)
+    echelon, pivots, den = integer_echelon(rows, ncols)
+    return TangentSpace(lam, ncols - len(pivots), (len(rows), ncols), hilbert,
+                        (echelon, pivots, den, width))
 
 
 def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
@@ -96,7 +115,8 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
     linear condition per complement coordinate of Lambda_i in S_i.  One
     elimination of cat_i gives h_i and those coordinates; by the lead rule
     (module docstring) a coordinate whose functional ends at x_k times a
-    free column of cat_{i-1}, a constrained degree, is left out.  The kernel
+    free column of cat_{i-1}, a constrained degree, is left out, and its
+    functional is never built.  The kernel
     vectors (relations, from cat_i transposed) are computed only in the
     wanted degrees where a coordinate is kept, since elsewhere no condition
     is left.
@@ -123,20 +143,22 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
         # relations could only feed empty blocks.
         cat, scales = integer_catalecticant(lam, i)
         width_i = space_dim(n, i)
-        _, pivots, _, functionals = integer_echelon(cat, width_i)
+        echelon, pivots, den = integer_echelon(cat, width_i)
         values.append(len(pivots))
-        # functional k ends at the k-th free column; those ending at x_k times
-        # a free column of cat_{i-1}, a constrained degree, add no condition
-        pivot_set = set(pivots)
-        free = [c for c in range(width_i) if c not in pivot_set]
-        functionals = [z for z, f in zip(functionals, free) if f not in lower]
+        # a functional ends at its free column; those ending at x_k times a
+        # free column of cat_{i-1}, a constrained degree, add no condition
+        free = free_columns(pivots, width_i)
+        kept = [f for f in free if f not in lower]
         lower = ({xk[f] for xk in monomial_products(n, 1, i) for f in free}
                  if i in wanted else set())
-        if not functionals or i not in wanted:
+        if not kept or i not in wanted:
             continue
+        functionals = integer_kernel(echelon, pivots, den, width_i, kept)
         # the relations among the rows of cat_i, from cat_i^T; times the row
         # scales they relate the basis forms
-        _, _, _, relations = integer_echelon(transpose(cat), len(cat))
+        t_echelon, t_pivots, t_den = integer_echelon(transpose(cat), len(cat))
+        relations = integer_kernel(t_echelon, t_pivots, t_den, len(cat),
+                                   free_columns(t_pivots, len(cat)))
         residual = [[(ell, z[o]) for ell, z in enumerate(functionals) if z[o]]
                     for o in range(width_i)]
         # relation coordinate (x^M, p) times each complement monomial g of
@@ -198,7 +220,9 @@ def tangent_space_dual(lam: Subspace, h: HilbertFunction | None = None) -> Tange
         # membership in V_i: the right kernel of V_i holds, up to positive
         # factors, the residual functionals z_l = e_l - sum_k V_k[l] e_{piv_k}
         # of its RREF rows V_k, one per non-pivot coordinate l
-        _, _, _, kernel = integer_echelon(v_rows, tq * nlow)
+        v_echelon, v_pivots, v_den = integer_echelon(v_rows, tq * nlow)
+        kernel = integer_kernel(v_echelon, v_pivots, v_den, tq * nlow,
+                                free_columns(v_pivots, tq * nlow))
         functionals = [[divmod(a, nlow) + (x,) for a, x in enumerate(z) if x] for z in kernel]
         for u in kept:
             # gamma[m_idx]: (block offset of I_d basis vector k, its coefficient

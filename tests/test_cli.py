@@ -567,7 +567,7 @@ def test_linalg_subcommands_are_total(tmp_path_factory, lines, command, k):
 def _run_total(argv):
     """(exit code, stdout) of main(argv) in this interpreter, asserting the
     total-CLI contract: exit 0, 1 or 2, no uncaught exception, no traceback
-    and no `internal bug` on stderr."""
+    and no `internal bug` on stderr, and a domain error as one line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -576,7 +576,36 @@ def _run_total(argv):
             rc = exc.code
     assert rc in (0, 1, 2), (argv, rc)
     assert "Traceback" not in err.getvalue() and "internal bug" not in err.getvalue(), argv
+    if rc == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
     return rc, out.getvalue()
+
+
+@st.composite
+def _generator_lines(draw):
+    """Lines of operators in x1..xn, n <= 3, of degree <= 4, coefficients
+    in -3..3, with zero lines, constants and repeats mixed in."""
+    n = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        degree = draw(st.integers(0, 4))
+        coeffs = {m: draw(st.integers(-3, 3)) for m in monomials(n, degree)
+                  if draw(st.booleans())}
+        lines += [form_print(Form.make(n, degree, "R", coeffs))] * draw(st.integers(1, 2))
+    return draw(st.permutations(lines))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generator_lines())
+def test_socle_is_total(tmp_path_factory, lines):
+    # socle reaches integer_echelon through the ideal slices and the socle
+    # ranks; it reads generator lines, which the test above does not draw
+    path = tmp_path_factory.mktemp("socle") / "gens.txt"
+    path.write_text("\n".join(lines) + "\n")
+    rc, out = _run_total(["socle", "--input", str(path)])
+    if rc == 0:
+        assert [line.split(": ")[0] for line in out.splitlines()] == \
+            ["SOCLE", "LEVEL", "SOCLE_DEGREE", "TYPE"], lines
 
 
 # -- and on the subcommands that do not ---------------------------------------

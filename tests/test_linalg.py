@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from levelalg.linalg import (
     QQ,
     det,
+    free_columns,
     integer_echelon,
+    integer_kernel,
     rank,
     right_kernel,
     row_space_intersection,
@@ -75,20 +77,39 @@ def test_integer_echelon_contract(rows):
 
 
 def _check_integer_echelon(rows):
-    """integer_echelon(rows) against rref and right_kernel; returns it."""
+    """integer_echelon(rows), and integer_kernel on all its free columns,
+    against rref and right_kernel; returns (echelon, pivots, den, kernel)."""
     ncols = len(rows[0])
     reduced, pivots_ref = rref(mat(rows))
     rk, kernel_ref = len(pivots_ref), right_kernel(mat(rows))
-    ech, pivots, den, kernel = integer_echelon(rows, ncols)
+    ech, pivots, den = integer_echelon(rows, ncols)
     assert pivots == pivots_ref and den > 0
     assert [[QQ(x, den) for x in r] for r in ech] == reduced[:rk]
     assert gcd(den, *[x for r in ech for x in r]) == 1
-    free = [c for c in range(ncols) if c not in pivots]
+    free = free_columns(pivots, ncols)
+    assert free == [c for c in range(ncols) if c not in pivots]
+    kernel = integer_kernel(ech, pivots, den, ncols, free)
     assert len(kernel) == len(kernel_ref) == len(free)
     for v, ref, f in zip(kernel, kernel_ref, free):
         assert gcd(*v) == 1 and v[f] > 0
         assert [QQ(x, v[f]) for x in v] == ref
     return ech, pivots, den, kernel
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda c: st.lists(
+    st.lists(st.integers(-6, 6), min_size=c, max_size=c), min_size=1, max_size=8)),
+    st.randoms(use_true_random=False))
+def test_integer_kernel_of_any_free_columns(rows, rnd):
+    # a caller asks for the kernel vectors of the free columns it reads, in
+    # any order; each is the full kernel's vector of that column, which
+    # _check_integer_echelon holds to right_kernel up to a positive scale
+    ncols = len(rows[0])
+    ech, pivots, den, kernel = _check_integer_echelon(rows)
+    free = free_columns(pivots, ncols)
+    wanted = rnd.sample(free, rnd.randint(0, len(free)))
+    assert integer_kernel(ech, pivots, den, ncols, wanted) == \
+        [kernel[free.index(f)] for f in wanted]
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from conftest import plethystic_schur_coefficients
 from levelalg import resolution
 from levelalg.errors import CapExceededError, LevelAlgError
 from levelalg.levelhf import enumerate_level_hf, grassmannian_dim, is_level_hf, is_level_sequence
@@ -313,16 +314,35 @@ def _e1_by_every_triple(t, d, i, r, m, cap):
     return entries
 
 
+def _e1_by_plethysm(t, d, i, r, m, cap):
+    """E1 entries with no Kronecker coefficient: for each summand lam, the
+    sum over mu of g(lam, rho, mu) dim S_mu(k^{d-i+1}) is the coefficient
+    c_rho of s_rho(x_1..x_t) in s_lam[(d-i+1)X]."""
+    entries = {}
+    for p, summands in lascoux_ranks(t, d, i, r).terms.items():
+        for s in summands:
+            if sum(s.lam) > cap:
+                continue
+            for rho, c in plethystic_schur_coefficients(s.lam, t, d - i + 1).items():
+                res = schur_sub_twist_cohomology(t, d + 1, rho, m)
+                if not res.is_zero:
+                    key = (p, res.degree)
+                    entries[key] = entries.get(key, 0) + s.bott_dim * c * res.dimension
+    return entries
+
+
 @pytest.mark.parametrize("args, cap", [
     ((2, 7, 4, 3), 16), ((2, 7, 5, 4), 14), ((2, 6, 4, 3), 12), ((2, 8, 6, 5), 12),
     ((2, 7, 5, 4), 12),  # the golden e1-table argv
     ((1, 6, 2, 1), 12), ((3, 5, 3, 2), 12),  # len(mu) <= |lam & rho'| binds below d-i+1
 ])
 def test_e1_dvir_prefilter_changes_nothing(args, cap):
-    # enumerating mu inside the Dvir bounds drops only zero coefficients
+    # enumerating mu inside the Dvir bounds drops only zero coefficients;
+    # the plethysm route sums the same coefficients without computing one
     for m in (-1, 0, 1):
         table = e1_vanishing_table(*args, m, cap_weight=cap)
-        assert table.entries == _e1_by_every_triple(*args, m, cap), m
+        assert table.entries == _e1_by_every_triple(*args, m, cap) == \
+            _e1_by_plethysm(*args, m, cap), m
 
 
 def test_e1_complete_tables():
@@ -331,6 +351,7 @@ def test_e1_complete_tables():
     assert not table.truncated
     assert table.entries == {(-12, 16): 28875, (-11, 16): 27720, (-10, 16): 5740,
                              (-9, 16): 200, (0, 0): 1}
+    assert table.entries == _e1_by_plethysm(2, 9, 6, 4, 0, 24)
     table = e1_vanishing_table(2, 7, 4, 3, 0, cap_weight=24)
     assert not table.truncated
     assert table.entries == {(-10, 12): 175, (0, 0): 1}

@@ -3,6 +3,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import plethystic_schur_coefficients
+
 from levelalg.errors import AmbientMismatchError, InvalidPartitionError
 from levelalg.partitions import partitions, partitions_in_box
 from levelalg.resolution import expected_codim
@@ -318,6 +320,31 @@ def test_porteous_dual_determinants_agree():
     for args in grid:
         e_side, f_side = _dual_sides(*args)
         assert e_side == f_side == porteous_class(*args), args
+
+
+def _porteous_by_plethysm(t, d, i, r):
+    """Porteous' class with no LR coefficient: det[c_{f-r+col-row}(F - E)]
+    with c(F - E) = c(Q)^m, m = d - i + 1, is s_lam[mY] for the rectangle
+    lam = (f - r)^(e - r), where sigma_k = h_k(Y) in t variables Y; so the
+    class is sum c_rho sigma_rho over the rho with rho_1 <= d + 1 - t."""
+    m = d - i + 1
+    e, f = t * m, i + 1
+    lam = (f - r,) * (e - r) if f > r else ()
+    return schubert_class(t, d + 1, {rho: c for rho, c in
+                                     plethystic_schur_coefficients(lam, t, m).items()
+                                     if not rho or rho[0] <= d + 1 - t})
+
+
+def test_porteous_matches_the_plethysm_route():
+    # the benchmark's Porteous pool, then the edges of a wider grid
+    pool = [(t, d, i, r) for t in (2, 3) for d in range(3, 10) for i in range(1, d)
+            for r in range(1, min(t * (d - i + 1), i + 1))
+            if t * (d - i + 1) - r <= 12
+            and (t * (d - i + 1) - r) * (i + 1 - r) <= t * (d + 1 - t)]
+    assert len(pool) == 83
+    grid = _porteous_grid(4, 8, lambda t, d, e, f, r: (e - r) * (f - r) <= t * (d + 1 - t))
+    for args in pool + grid:
+        assert porteous_class(*args) == _porteous_by_plethysm(*args), args
 
 
 def test_porteous_le33_on_g3_s9_from_both_sides():

@@ -330,6 +330,41 @@ def test_random_subspaces_match_the_rational_routes(lam):
     _check_against_the_rational_routes(lam, [form_print(f) for f in lam.basis])
 
 
+def test_the_basis_is_built_on_first_access_only(monkeypatch, rng):
+    # the routes read the dimension off the rank of the constraint rows, the
+    # last elimination each takes; the kernel of those rows is built on the
+    # first basis access, once
+    solved, kernels = [], []
+    original_echelon, original_kernel = tangent.integer_echelon, tangent.integer_kernel
+
+    def recorded_echelon(m, ncols):
+        out = original_echelon(m, ncols)
+        solved[:] = [out[0]]
+        return out
+
+    def counted_kernel(echelon, *args):
+        kernels.append(echelon)
+        return original_kernel(echelon, *args)
+
+    monkeypatch.setattr(tangent, "integer_echelon", recorded_echelon)
+    monkeypatch.setattr(tangent, "integer_kernel", counted_kernel)
+    h = HilbertFunction.parse("1,2,3,4,5,5,4,3,0")
+    points = [burch_point(h), moved_burch_point(h, rng),
+              parse_subspace_lines(TERNARY[9], nvars=3)]
+    for lam in points:
+        for route, reference in ((tangent_space, _fraction_tangent_space),
+                                 (tangent_space_dual, _fraction_tangent_space_dual)):
+            dimension, basis, shape = reference(lam)
+            kernels.clear()
+            ts = route(lam)
+            assert ts.dimension == dimension and ts.constraint_shape == shape
+            assert not any(e is solved[0] for e in kernels), route.__name__
+            kernels.clear()
+            assert ts.basis == basis, route.__name__
+            assert len(kernels) == 1 and kernels[0] is solved[0], route.__name__
+            assert ts.basis is ts.basis and len(kernels) == 1, route.__name__
+
+
 def test_degree_subsets_match_the_rational_route():
     # the transposed elimination runs only for wanted degrees with a
     # cokernel; every other subset of 1..d-1 must still give the reference
