@@ -271,7 +271,11 @@ def test_the_pass_runs_once_per_lambda(monkeypatch):
     assert calls == one_pass
     assert slices == [old_ann_slice(fresh, j) for j in range(h.d + 2)]
     # and the dual alone eliminates each slice once on a fresh copy
-    assert tangent_space_dual(dataclasses.replace(lam)) == dual
+    fresh_dual = tangent_space_dual(dataclasses.replace(lam))
+    assert fresh_dual == dual
+    assert calls == 2 * one_pass
+    # == leaves the basis out; building it reads only the stored echelon
+    assert fresh_dual.basis == dual.basis
     assert calls == 2 * one_pass
     # the memo is no field: equality and repr are those of a fresh copy
     assert lam == fresh and repr(lam) == repr(fresh)
