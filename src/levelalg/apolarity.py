@@ -5,6 +5,14 @@ From it we get catalecticant matrices, Hilbert functions, annihilator
 ideals, inverse systems, socles, and Jordan's closed-form apolar bases for
 factored binary forms.  Everything is exact kernel/rank computation; no
 factorization is ever performed.
+
+The annihilator slices of Lambda in S_d come from its derivative chain
+(Macaulay duality; Iarrobino-Kanev, LNM 1721, 1.1): I_j kills exactly
+Lambda_j = R_{d-j}.Lambda, h_j = dim Lambda_j, and Lambda_{j-1} =
+R_1.Lambda_j.  In divided-power coordinates (b! times the coefficient of
+y^b) x_k acts by an index shift and the pairing of R_j with S_j is the dot
+product, so each I_j is the right kernel of a spanning set of Lambda_j,
+one small elimination per degree, from j = d down.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, count
-from math import lcm
+from math import factorial, lcm, prod
 
 from .errors import (
     AdmissibilityError,
@@ -114,17 +122,6 @@ def catalecticant_matrix(lam: Subspace, i: int) -> Matrix:
             for r, row in enumerate(cat)]
 
 
-def annihilator_conditions(lam: Subspace, j: int) -> list[list[int]]:
-    """Integer matrix of rank h_j whose right kernel is I_j, 0 <= j <= d:
-    u = sum c_alpha x^alpha kills Lambda iff sum c_alpha (row (x^alpha, F)
-    of the degree-(d-j) catalecticant) = 0 for every basis form F."""
-    d, t = lam.degree, lam.dim
-    cat, _ = integer_catalecticant(lam, d - j)
-    width, nalpha = space_dim(lam.nvars, d - j), space_dim(lam.nvars, j)
-    return [[cat[a * t + p][o] for a in range(nalpha)]
-            for p in range(t) for o in range(width)]
-
-
 def hilbert_function(lam: Subspace) -> HilbertFunction:
     """h_i = rank of the i-th catalecticant, for 0 <= i <= d."""
     if lam.dim == 0:
@@ -145,7 +142,8 @@ def ann_slice(lam: Subspace, j: int) -> GradedIdealSlice:
     """I_j = {u in R_j : u.F = 0 for all F in Lambda}.
 
     dim I_j + h_j = dim R_j.  For j > d every operator annihilates, so the
-    slice is all of R_j.
+    slice is all of R_j.  On a fresh Lambda, 1 <= j <= d takes the d - j + 1
+    steps of the derivative chain from d down to j, and no more.
     """
     if j < 0:
         raise DegreeError("negative slice degree")
@@ -156,23 +154,58 @@ def ann_slice(lam: Subspace, j: int) -> GradedIdealSlice:
 
 def _ann_rows(lam: Subspace, j: int) -> tuple[tuple[int, ...], ...]:
     """I_j of ann(Lambda), 0 <= j <= d, Lambda != 0, as _kernel_rows gives it
-    (I_0 = 0: 1 kills no nonzero form).  The only place a slice is computed,
-    once per Lambda instance: kept on lam, which is frozen, for ann_slice, the
-    apolar pass and the dual tangent route, which only read it."""
-    held = lam.__dict__.setdefault("_ann_rows", {})
-    if j not in held:
-        held[j] = _kernel_rows(annihilator_conditions(lam, j), space_dim(lam.nvars, j)) if j else ()
-    return held[j]
+    (I_0 = 0: 1 kills no nonzero form).  The only place a slice is computed:
+    one derivative chain per Lambda instance, run down from d only as far as
+    the lowest degree asked for, is kept on lam, which is frozen, with its
+    slices for ann_slice, the apolar pass and the dual tangent route, which
+    only read them."""
+    if not j:
+        return ()
+    held = lam.__dict__.get("_ann_rows")
+    if held is None:
+        held = lam.__dict__["_ann_rows"] = [{}, _derivative_chain(lam)]
+    slices = held[0]
+    while j not in slices:
+        i, rows = next(held[1])
+        slices[i] = rows
+        if i == 1:
+            held[1] = None  # the chain is done: free its frame
+    return slices[j]
 
 
-def _kernel_rows(m: list[list[int]], width: int) -> tuple[tuple[int, ...], ...]:
+def _derivative_chain(lam: Subspace):
+    """(j, I_j) for j = d, d - 1, ..., 1, one elimination a step.
+
+    Lambda_j is held in divided-power coordinates w_b = b! * (coefficient
+    of y^b), b! = b_1! ... b_n!: there x_k.G has w_a equal to G's w at
+    x_k * y^a, and u.G = sum u_b w_b for u in R_j and G in S_j, so I_j is
+    the right kernel of any spanning set of Lambda_j.  That set is Lambda's
+    integer rows at j = d (t rows) and x_k times each echelon row of
+    Lambda_{j+1} below (n h_{j+1} rows); its echelon rows span Lambda_j.
+    """
+    n, d = lam.nvars, lam.degree
+    weights = [prod(map(factorial, b)) for b in monomials(n, d)]
+    span = []
+    for support in lam.integer_rows[1]:
+        v = [0] * len(weights)
+        for pos, c in support:
+            v[pos] = c * weights[pos]
+        span.append(v)
+    for j in range(d, 0, -1):
+        kernel, rows = _kernel_rows(span, space_dim(n, j))
+        yield j, kernel
+        span = [[row[c] for c in xk] for xk in monomial_products(n, 1, j - 1) for row in rows]
+
+
+def _kernel_rows(m: list[list[int]], width: int) -> tuple[tuple, list[list[int]]]:
     """The reduced echelon basis of the right kernel of the integer rows m,
-    up to positive row scales, from one elimination: with the columns
-    reversed, the kernel vector of a free column f is zero left of f and at
-    the other free columns, so the free columns are its echelon pivots."""
+    up to positive row scales, and echelon rows spanning the rows of m,
+    from one elimination: with the columns reversed, the kernel vector of a
+    free column f is zero left of f and at the other free columns, so the
+    free columns are its echelon pivots."""
     rows, pivots, den = integer_echelon([row[::-1] for row in m], width)
     kernel = integer_kernel(rows, pivots, den, width, free_columns(pivots, width))
-    return tuple(tuple(v[::-1]) for v in reversed(kernel))
+    return tuple(tuple(v[::-1]) for v in reversed(kernel)), [row[::-1] for row in rows]
 
 
 def _lead(v) -> int:
@@ -266,7 +299,7 @@ def inverse_system_slice(gens: list[Form], nvars: int, d: int) -> Subspace:
                 for b_idx, (o, factor) in entries.items():
                     conditions[o][b_idx] += cu * factor
         rows.extend(conditions)
-    return _subspace(nvars, d, "S", _kernel_rows(rows, dim_sd))
+    return _subspace(nvars, d, "S", _kernel_rows(rows, dim_sd)[0])
 
 
 def _times_variables(nvars: int, degree: int, rows) -> list[list]:
@@ -437,9 +470,10 @@ class ApolarProfile:
 
 def apolar_profile(lam: Subspace) -> ApolarProfile:
     """Hilbert function, minimal generators and socle, all read off one set
-    of annihilator slices, each from one integer elimination.  The slices
-    come from the apolar pass that apolar_profile, minimal_generators and
-    secant_decompose share, once per Lambda instance."""
+    of annihilator slices, one small elimination a degree down the
+    derivative chain of Lambda.  The slices come from the apolar pass that
+    apolar_profile, minimal_generators and secant_decompose share, once per
+    Lambda instance."""
     hf, gens, slices = _apolar_pass(lam)
     top = _unit_rows(space_dim(lam.nvars, lam.degree + 1))
     return ApolarProfile(lam, hf, gens, tuple(_socle_dims(lam.nvars, (*slices, top))))

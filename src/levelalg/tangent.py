@@ -22,7 +22,8 @@ S_i / Lambda_i, built only for the free columns the lead rule keeps in a
 constrained degree; its transpose, which gives the relations, is eliminated
 only where a functional is kept, since each constraint pairs a relation
 with a functional.  The dual route reads the slices I_j held on Lambda,
-each eliminated once per Lambda instance for every reader, and
+computed once per Lambda instance for every reader down the derivative
+chain of Lambda (one small elimination a degree; see apolarity), and
 h_j = dim R_j - dim I_j.
 
 The lead rule.  The conditions are R-linear, so the generators of

@@ -1,12 +1,13 @@
 """The one-pass apolar routes against test-local copies of the routes they
 replaced: Hilbert functions from Fraction catalecticant ranks, annihilator
-slices from Fraction kernels, minimal generators with the running span
-re-eliminated after every generator, the socle from the generators' own
-ideal slices with the socle ranked in Fractions, and secant planes
-intersected one pair at a time.  Also: one apolar pass per Lambda instance,
-shared by the profile, the generators and the secant decomposition, and the
-socle against Macaulay duality (R/ann(Lambda) is level of socle degree d and
-type dim Lambda)."""
+slices from Fraction kernels of the catalecticant conditions (not the
+derivative chain), minimal generators with the running span re-eliminated
+after every generator, the socle from the generators' own ideal slices with
+the socle ranked in Fractions, and secant planes intersected one pair at a
+time.  Also: one derivative chain and one apolar pass per Lambda instance,
+shared by the profile, the generators, the secant decomposition, ann_slice,
+in_sigma and the dual tangent route, and the socle against Macaulay duality
+(R/ann(Lambda) is level of socle degree d and type dim Lambda)."""
 
 import dataclasses
 
@@ -18,10 +19,10 @@ from levelalg.apolarity import (
     ApolarProfile,
     _action_table,
     _ideal_slice_stream,
-    annihilator_conditions,
     ann_slice,
     apolar_profile,
     catalecticant_matrix,
+    integer_catalecticant,
     inverse_system_slice,
     minimal_generators,
     socle,
@@ -65,6 +66,17 @@ NON_MONOMIAL_TERNARY = (
 def old_hilbert_function(lam):
     return HilbertFunction.from_values(
         [rank(catalecticant_matrix(lam, i)) for i in range(lam.degree + 1)])
+
+
+def annihilator_conditions(lam, j):
+    """Integer matrix of rank h_j whose right kernel is I_j, 0 <= j <= d:
+    u = sum c_alpha x^alpha kills Lambda iff sum c_alpha (row (x^alpha, F)
+    of the degree-(d-j) catalecticant) = 0 for every basis form F."""
+    d, t = lam.degree, lam.dim
+    cat, _ = integer_catalecticant(lam, d - j)
+    width, nalpha = space_dim(lam.nvars, d - j), space_dim(lam.nvars, j)
+    return [[cat[a * t + p][o] for a in range(nalpha)]
+            for p in range(t) for o in range(width)]
 
 
 def old_ann_slice(lam, j):
@@ -247,44 +259,113 @@ def test_socle_of_non_level_ideals_matches_the_old_route(nvars, ops):
 
 
 def test_the_pass_runs_once_per_lambda(monkeypatch):
-    # a pass eliminates the conditions of I_1, ..., I_d once each, and
-    # ann_slice, in_sigma and the dual tangent route read the same slices
+    # one derivative chain runs down from d to 1 once per Lambda, and
+    # ann_slice, in_sigma and the dual tangent route read the same slices;
+    # calls records the degree of each chain step
     calls = []
-    conditions = apolarity.annihilator_conditions
-    monkeypatch.setattr(apolarity, "annihilator_conditions",
-                        lambda lam, j: calls.append(j) or conditions(lam, j))
+    chain = apolarity._derivative_chain
+
+    def counted(lam):
+        for j, rows in chain(lam):
+            calls.append(j)
+            yield j, rows
+
+    monkeypatch.setattr(apolarity, "_derivative_chain", counted)
     h = HilbertFunction.parse("1,2,3,4,5,5,4,3,0")
     _, gens = burch_ideal(h)
     lam = inverse_system_slice([g.substitute_linear(MOVE) for g in gens], 2, h.d)
-    one_pass = list(range(1, h.d + 1))
+    one_pass = list(range(h.d, 0, -1))
     fresh = dataclasses.replace(lam)
     planes = secant_decompose(lam)
     profile = apolar_profile(lam)
     assert secant_decompose(lam) == planes
     generators = minimal_generators(lam)
     assert calls == one_pass
-    # the other readers of I_j take the slices the pass eliminated
+    # the other readers of I_j take the slices the chain computed
     slices = [ann_slice(lam, j).subspace for j in range(h.d + 2)]
     assert [in_sigma(lam, s) is not None for s in range(h.t, h.d + 1)] == \
         [s >= 5 for s in range(h.t, h.d + 1)]
     dual = tangent_space_dual(lam)
     assert calls == one_pass
     assert slices == [old_ann_slice(fresh, j) for j in range(h.d + 2)]
-    # and the dual alone eliminates each slice once on a fresh copy
+    # and the dual alone runs the chain once on a fresh copy
     fresh_dual = tangent_space_dual(dataclasses.replace(lam))
     assert fresh_dual == dual
     assert calls == 2 * one_pass
     # == leaves the basis out; building it reads only the stored echelon
     assert fresh_dual.basis == dual.basis
     assert calls == 2 * one_pass
+    # a first ann_slice or in_sigma at s runs the chain down to s only,
+    # d - s + 1 steps, and a lower s later extends it
+    for s in range(1, h.d + 1):
+        calls.clear()
+        partial = dataclasses.replace(lam)
+        assert ann_slice(partial, s).subspace == slices[s]
+        assert calls == list(range(h.d, s - 1, -1))
+        if s >= h.t:
+            in_sigma(dataclasses.replace(lam), s)
+            assert calls == 2 * list(range(h.d, s - 1, -1))
+        calls.clear()
+        assert [ann_slice(partial, j).subspace for j in range(h.d + 2)] == slices
+        assert calls == list(range(s - 1, 0, -1))
+    calls.clear()
+    assert ann_slice(dataclasses.replace(lam), 0).subspace == slices[0]
+    assert calls == []
     # the memo is no field: equality and repr are those of a fresh copy
     assert lam == fresh and repr(lam) == repr(fresh)
+    calls.clear()
     assert secant_decompose(fresh) == planes
     assert apolar_profile(fresh) == profile
-    assert calls == 3 * one_pass
+    assert calls == one_pass
     # the returned lists are the caller's own
     generators[0][1].clear()
     generators.append((9, []))
     assert minimal_generators(lam) != generators
     assert apolar_profile(lam) == profile
+    assert apolar_profile(lam).kv_lines() == old_profile_lines(fresh)
+
+
+# -- the derivative chain against the catalecticant conditions ----------------
+
+def random_subspace(rng, nvars, d, t):
+    """The span of t dense forms of S_d with random small rational
+    coefficients (of dimension t, barring a rare dependence)."""
+    return Subspace.from_rows(nvars, d, "S", [
+        [QQ(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(space_dim(nvars, d))]
+        for _ in range(t)])
+
+
+def assert_chain_matches_the_conditions(lam):
+    # I_0, ..., I_{d+1}: I_0 = 0 and I_{d+1} = R_{d+1} lie outside the chain
+    d = lam.degree
+    assert [ann_slice(lam, j).subspace for j in range(d + 2)] == \
+        [old_ann_slice(lam, j) for j in range(d + 2)]
+    assert apolar_profile(lam).kv_lines() == old_profile_lines(lam)
+
+
+@pytest.mark.parametrize("nvars, d_max", [(2, 10), (3, 6)])
+def test_the_derivative_chain_matches_the_catalecticant_route(rng, nvars, d_max):
+    for d in range(d_max + 1):
+        for t in range(1, min(4, space_dim(nvars, d)) + 1):
+            assert_chain_matches_the_conditions(random_subspace(rng, nvars, d, t))
+
+
+@pytest.mark.parametrize("nvars, d", [(1, 0), (1, 1), (1, 7), (2, 0), (3, 0)])
+def test_the_derivative_chain_in_one_variable_and_in_degree_zero(rng, nvars, d):
+    lam = random_subspace(rng, nvars, d, 1)
+    assert lam.dim == 1
+    assert_chain_matches_the_conditions(lam)
+    # one variable: y1^d spans S_d, so no slice below d + 1 has an element
+    if nvars == 1:
+        assert all(ann_slice(lam, j).subspace.dim == 0 for j in range(d + 1))
+
+
+@pytest.mark.parametrize("nvars, d, t", [(2, 9, 3), (2, 10, 1), (3, 6, 2), (3, 5, 4)])
+def test_a_partial_chain_extends_to_lower_degrees(rng, nvars, d, t):
+    # ann_slice at d - 1 first runs two steps; lower degrees extend that
+    # chain on the same instance, and degrees already run are only read
+    lam = random_subspace(rng, nvars, d, t)
+    fresh = dataclasses.replace(lam)
+    for j in (d - 1, d, d - 3, d + 1, 1, 0, d - 2):
+        assert ann_slice(lam, j).subspace == old_ann_slice(fresh, j), j
     assert apolar_profile(lam).kv_lines() == old_profile_lines(fresh)

@@ -528,11 +528,11 @@ print(json.dumps(results))
 # -- a total CLI on the subcommands that reach linalg ------------------------
 
 @st.composite
-def _form_lines(draw):
-    """Lines of forms in y1..yn, n <= 3, of degree <= 5 (now and then of a
-    second degree), coefficients in -3..3, with zero forms, repeats and
-    rescaled copies mixed in."""
-    n, d = draw(st.integers(1, 3)), draw(st.integers(0, 5))
+def _form_lines(draw, nvars=st.integers(1, 3)):
+    """Lines of forms in y1..yn, n <= 3 drawn from nvars, of degree <= 5
+    (now and then of a second degree), coefficients in -3..3, with zero
+    forms, repeats and rescaled copies mixed in."""
+    n, d = draw(nvars), draw(st.integers(0, 5))
     lines = []
     for _ in range(draw(st.integers(1, 4))):
         degree = draw(st.sampled_from((d, d, d, draw(st.integers(0, 5)))))
@@ -545,12 +545,45 @@ def _form_lines(draw):
     return draw(st.permutations(lines))
 
 
-@settings(max_examples=120, deadline=None)
-@given(_form_lines(), st.sampled_from((
+@st.composite
+def _generator_lines(draw, nvars=st.integers(1, 3)):
+    """Lines of operators in x1..xn, n <= 3 drawn from nvars, of degree
+    <= 4, coefficients in -3..3, with zero lines, constants and repeats
+    mixed in."""
+    n = draw(nvars)
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        degree = draw(st.integers(0, 4))
+        coeffs = {m: draw(st.integers(-3, 3)) for m in monomials(n, degree)
+                  if draw(st.booleans())}
+        lines += [form_print(Form.make(n, degree, "R", coeffs))] * draw(st.integers(1, 2))
+    return draw(st.permutations(lines))
+
+
+@st.composite
+def _gad_lines(draw):
+    """Lines 'a,b,alpha' of a GAD pattern: point entries in -3..3 or a
+    fraction (so (0, 0) and proportional points occur), now and then a zero
+    denominator, exponents in -2..4."""
+    entries = st.sampled_from(("0", "1", "-1", "2", "-2", "3", "-3", "1/2", "-4/3", "1/0"))
+    return [f"{draw(entries)},{draw(entries)},{draw(st.integers(-2, 4))}"
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=220, deadline=None)
+@given(st.sampled_from((
     ["tangent"], ["tangent", "--shape"], ["hilbert"], ["ann"], ["ann", "-i"],
-    ["in-sigma", "-s"], ["stacked-det", "-s"], ["hankel-rank", "-i"])),
-    st.integers(-1, 6))
-def test_linalg_subcommands_are_total(tmp_path_factory, lines, command, k):
+    ["in-sigma", "-s"], ["stacked-det", "-s"], ["hankel-rank", "-i"],
+    ["secant-decompose"], ["secant-intersect", "-d"], ["gad", "-d"])),
+    st.integers(-1, 6), st.data())
+def test_linalg_subcommands_are_total(tmp_path_factory, command, k, data):
+    # secant-intersect reads operator lines and gad point lines; the others
+    # read form lines.  The secant commands take two variables, so they
+    # mostly draw two
+    binary = st.sampled_from((2, 2, 2, 1, 3))
+    lines = data.draw({"secant-decompose": _form_lines(binary),
+                       "secant-intersect": _generator_lines(binary),
+                       "gad": _gad_lines()}.get(command[0], _form_lines()))
     if command[0] == "hankel-rank":
         argv = [command[0], lines[0], "-i", str(k)]
     else:
@@ -581,25 +614,11 @@ def _run_total(argv):
     return rc, out.getvalue()
 
 
-@st.composite
-def _generator_lines(draw):
-    """Lines of operators in x1..xn, n <= 3, of degree <= 4, coefficients
-    in -3..3, with zero lines, constants and repeats mixed in."""
-    n = draw(st.integers(1, 3))
-    lines = []
-    for _ in range(draw(st.integers(1, 5))):
-        degree = draw(st.integers(0, 4))
-        coeffs = {m: draw(st.integers(-3, 3)) for m in monomials(n, degree)
-                  if draw(st.booleans())}
-        lines += [form_print(Form.make(n, degree, "R", coeffs))] * draw(st.integers(1, 2))
-    return draw(st.permutations(lines))
-
-
 @settings(max_examples=60, deadline=None)
 @given(_generator_lines())
 def test_socle_is_total(tmp_path_factory, lines):
     # socle reaches integer_echelon through the ideal slices and the socle
-    # ranks; it reads generator lines, which the test above does not draw
+    # ranks, on generator lines
     path = tmp_path_factory.mktemp("socle") / "gens.txt"
     path.write_text("\n".join(lines) + "\n")
     rc, out = _run_total(["socle", "--input", str(path)])

@@ -1,11 +1,12 @@
-"""Differential tests of the apolarity kernel, linear substitution, the
-fraction-free elimination core and the canonical echelon form against
-sympy, used only as an independent oracle in the tests."""
+"""Differential tests of the apolarity kernel, the annihilator slices,
+linear substitution, the fraction-free elimination core and the canonical
+echelon form against sympy, used only as an independent oracle in the
+tests."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levelalg.apolarity import catalecticant_matrix, internal_product
+from levelalg.apolarity import ann_slice, catalecticant_matrix, internal_product
 from levelalg.forms import Form, Subspace, monomials
 from levelalg.linalg import QQ, det, rank, rref, right_kernel, row_space_intersection
 
@@ -89,6 +90,29 @@ def test_catalecticant_rank_matches_sympy(spanning, data):
     cat = catalecticant_matrix(lam, i)
     expected = sympy.Matrix([[to_sympy(x) for x in row] for row in cat]).rank()
     assert rank(cat) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(spanning_sets(), st.data())
+def test_annihilator_slice_matches_sympy(spanning, data):
+    # on a fresh Lambda, so the derivative chain stops at the degree drawn
+    n, d, fs = spanning
+    lam = Subspace.span(n, d, "S", fs)
+    if lam.dim == 0:
+        return
+    j = data.draw(st.integers(0, d))
+    ys = sympy.symbols(f"y1:{n + 1}")
+    # u = sum c_alpha x^alpha kills F iff every coefficient of
+    # sum c_alpha d^alpha F / dy^alpha vanishes
+    derivatives = [[sympy.diff(form_expr(f, ys), *[(y, a) for y, a in zip(ys, alpha)])
+                    for alpha in monomials(n, j)] for f in fs]
+    conditions = sympy.Matrix([
+        [sympy.Poly(g, *ys).coeff_monomial(sympy.Mul(*[y ** e for y, e in zip(ys, m)]))
+         for g in row] for row in derivatives for m in monomials(n, d - j)])
+    kernel = conditions.nullspace()
+    expected = sympy.Matrix.hstack(*kernel).T.rref()[0] if kernel else sympy.zeros(0, 0)
+    assert as_sympy_rows(ann_slice(lam, j).subspace.rows) == \
+        [tuple(expected.row(k)) for k in range(len(kernel))]
 
 
 @settings(max_examples=40, deadline=None)

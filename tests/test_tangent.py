@@ -425,13 +425,17 @@ def test_integer_catalecticant_returns_fresh_lists(rng):
 
 def test_no_repeated_row_reaches_the_elimination_core(monkeypatch):
     # at torus-fixed points most catalecticant and constraint rows are zero
-    # or repeats; integer_echelon hands the core each primitive row once
+    # or repeats; integer_echelon hands the core each primitive row once.
+    # The dual route's slices come from the derivative chain, whose step j
+    # gets t rows at j = d and n h_{j+1} rows below: no catalecticant there
     given, eliminated = [], []
     original_echelon, original_eliminate = linalg.integer_echelon, linalg._eliminate
 
-    def counted_echelon(m, ncols):
-        given.append(len(m))
-        return original_echelon(m, ncols)
+    def counted_echelon(module):
+        def counted(m, ncols):
+            given.append((module, len(m), ncols))
+            return original_echelon(m, ncols)
+        return counted
 
     def recorded_eliminate(m, ncols):
         rows = [list(row) for row in m]
@@ -439,7 +443,7 @@ def test_no_repeated_row_reaches_the_elimination_core(monkeypatch):
         return original_eliminate(rows, ncols)
 
     for module in (apolarity, tangent):
-        monkeypatch.setattr(module, "integer_echelon", counted_echelon)
+        monkeypatch.setattr(module, "integer_echelon", counted_echelon(module))
     monkeypatch.setattr(linalg, "_eliminate", recorded_eliminate)
     hs = enumerate_level_hf(6, 16)
     for h in (hs[len(hs) // 4], hs[3 * len(hs) // 4]):
@@ -451,4 +455,12 @@ def test_no_repeated_row_reaches_the_elimination_core(monkeypatch):
             assert eliminated, (route.__name__, h.format())
             assert all(len(set(map(tuple, rows))) == len(rows) for rows in eliminated), \
                 (route.__name__, h.format())
-            assert 2 * sum(map(len, eliminated)) <= sum(given), (route.__name__, h.format())
+            if route is tangent_space:
+                assert 2 * sum(map(len, eliminated)) <= sum(n for _, n, _ in given), h.format()
+                continue
+            # the chain steps j = d, ..., 1 (n = 2: dim R_j = j + 1)
+            chain = [(n, ncols) for module, n, ncols in given if module is apolarity]
+            assert [ncols for _, ncols in chain] == [j + 1 for j in range(h.d, 0, -1)]
+            bounds = [h.t] + [2 * h[j + 1] for j in range(h.d - 1, 0, -1)]
+            assert all(n <= bound for (n, _), bound in zip(chain, bounds, strict=True)), \
+                h.format()
