@@ -156,45 +156,50 @@ def _ann_rows(lam: Subspace, j: int) -> tuple[tuple[int, ...], ...]:
     """I_j of ann(Lambda), 0 <= j <= d, Lambda != 0, as _kernel_rows gives it
     (I_0 = 0: 1 kills no nonzero form).  The only place a slice is computed:
     one derivative chain per Lambda instance, run down from d only as far as
-    the lowest degree asked for, is kept on lam, which is frozen, with its
-    slices for ann_slice, the apolar pass and the dual tangent route, which
-    only read them."""
+    the lowest degree asked for.  It is kept on lam, which is frozen, as the
+    pair (I_d, I_{d-1}, ... so far; rows spanning the next Lambda_i, None
+    once I_1 is in), which each step replaces whole, so a step cut short
+    leaves the chain as it was.  ann_slice, the apolar pass and the dual
+    tangent route only read the slices."""
     if not j:
         return ()
-    held = lam.__dict__.get("_ann_rows")
-    if held is None:
-        held = lam.__dict__["_ann_rows"] = [{}, _derivative_chain(lam)]
-    slices = held[0]
-    while j not in slices:
-        i, rows = next(held[1])
-        slices[i] = rows
-        if i == 1:
-            held[1] = None  # the chain is done: free its frame
-    return slices[j]
-
-
-def _derivative_chain(lam: Subspace):
-    """(j, I_j) for j = d, d - 1, ..., 1, one elimination a step.
-
-    Lambda_j is held in divided-power coordinates w_b = b! * (coefficient
-    of y^b), b! = b_1! ... b_n!: there x_k.G has w_a equal to G's w at
-    x_k * y^a, and u.G = sum u_b w_b for u in R_j and G in S_j, so I_j is
-    the right kernel of any spanning set of Lambda_j.  That set is Lambda's
-    integer rows at j = d (t rows) and x_k times each echelon row of
-    Lambda_{j+1} below (n h_{j+1} rows); its echelon rows span Lambda_j.
-    """
     n, d = lam.nvars, lam.degree
-    weights = [prod(map(factorial, b)) for b in monomials(n, d)]
+    held = lam.__dict__.get("_ann_rows")
+    slices, span = held if held is not None else ((), _divided_power_rows(lam))
+    while len(slices) <= d - j:
+        kernel, span = _chain_step(n, d - len(slices), span)
+        slices += (kernel,)
+        lam.__dict__["_ann_rows"] = slices, span
+    return slices[d - j]
+
+
+def _divided_power_rows(lam: Subspace) -> list[list[int]]:
+    """Lambda's integer rows in divided-power coordinates w_b = b! *
+    (coefficient of y^b), b! = b_1! ... b_n!: rows spanning Lambda_d."""
+    weights = [prod(map(factorial, b)) for b in monomials(lam.nvars, lam.degree)]
     span = []
     for support in lam.integer_rows[1]:
         v = [0] * len(weights)
         for pos, c in support:
             v[pos] = c * weights[pos]
         span.append(v)
-    for j in range(d, 0, -1):
-        kernel, rows = _kernel_rows(span, space_dim(n, j))
-        yield j, kernel
-        span = [[row[c] for c in xk] for xk in monomial_products(n, 1, j - 1) for row in rows]
+    return span
+
+
+def _chain_step(nvars: int, j: int, span: list[list[int]]):
+    """I_j, and rows spanning Lambda_{j-1} (None at j = 1), from rows
+    spanning Lambda_j in divided-power coordinates, by one elimination.
+
+    There x_k.G has w_a equal to G's w at x_k * y^a, and u.G = sum u_b w_b
+    for u in R_j and G in S_j, so I_j is the right kernel of span, and x_k
+    times each of its echelon rows spans Lambda_{j-1}.  span has t rows at
+    j = d and n h_{j+1} below.
+    """
+    kernel, rows = _kernel_rows(span, space_dim(nvars, j))
+    if j == 1:
+        return kernel, None
+    return kernel, [[row[c] for c in xk]
+                    for xk in monomial_products(nvars, 1, j - 1) for row in rows]
 
 
 def _kernel_rows(m: list[list[int]], width: int) -> tuple[tuple, list[list[int]]]:

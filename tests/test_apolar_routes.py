@@ -263,14 +263,13 @@ def test_the_pass_runs_once_per_lambda(monkeypatch):
     # ann_slice, in_sigma and the dual tangent route read the same slices;
     # calls records the degree of each chain step
     calls = []
-    chain = apolarity._derivative_chain
+    step = apolarity._chain_step
 
-    def counted(lam):
-        for j, rows in chain(lam):
-            calls.append(j)
-            yield j, rows
+    def counted(nvars, j, span):
+        calls.append(j)
+        return step(nvars, j, span)
 
-    monkeypatch.setattr(apolarity, "_derivative_chain", counted)
+    monkeypatch.setattr(apolarity, "_chain_step", counted)
     h = HilbertFunction.parse("1,2,3,4,5,5,4,3,0")
     _, gens = burch_ideal(h)
     lam = inverse_system_slice([g.substitute_linear(MOVE) for g in gens], 2, h.d)
@@ -328,10 +327,11 @@ def test_the_pass_runs_once_per_lambda(monkeypatch):
 # -- the derivative chain against the catalecticant conditions ----------------
 
 def random_subspace(rng, nvars, d, t):
-    """The span of t dense forms of S_d with random small rational
+    """The span of t dense forms of S_d with random small nonzero rational
     coefficients (of dimension t, barring a rare dependence)."""
     return Subspace.from_rows(nvars, d, "S", [
-        [QQ(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(space_dim(nvars, d))]
+        [QQ(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+         for _ in range(space_dim(nvars, d))]
         for _ in range(t)])
 
 
@@ -343,21 +343,15 @@ def assert_chain_matches_the_conditions(lam):
     assert apolar_profile(lam).kv_lines() == old_profile_lines(lam)
 
 
-@pytest.mark.parametrize("nvars, d_max", [(2, 10), (3, 6)])
+@pytest.mark.parametrize("nvars, d_max", [(1, 7), (2, 10), (3, 6)])
 def test_the_derivative_chain_matches_the_catalecticant_route(rng, nvars, d_max):
     for d in range(d_max + 1):
         for t in range(1, min(4, space_dim(nvars, d)) + 1):
-            assert_chain_matches_the_conditions(random_subspace(rng, nvars, d, t))
-
-
-@pytest.mark.parametrize("nvars, d", [(1, 0), (1, 1), (1, 7), (2, 0), (3, 0)])
-def test_the_derivative_chain_in_one_variable_and_in_degree_zero(rng, nvars, d):
-    lam = random_subspace(rng, nvars, d, 1)
-    assert lam.dim == 1
-    assert_chain_matches_the_conditions(lam)
-    # one variable: y1^d spans S_d, so no slice below d + 1 has an element
-    if nvars == 1:
-        assert all(ann_slice(lam, j).subspace.dim == 0 for j in range(d + 1))
+            lam = random_subspace(rng, nvars, d, t)
+            assert_chain_matches_the_conditions(lam)
+            # one variable: y1^d spans S_d, so no slice below d + 1 has an element
+            if nvars == 1:
+                assert all(ann_slice(lam, j).subspace.dim == 0 for j in range(d + 1))
 
 
 @pytest.mark.parametrize("nvars, d, t", [(2, 9, 3), (2, 10, 1), (3, 6, 2), (3, 5, 4)])
@@ -368,4 +362,26 @@ def test_a_partial_chain_extends_to_lower_degrees(rng, nvars, d, t):
     fresh = dataclasses.replace(lam)
     for j in (d - 1, d, d - 3, d + 1, 1, 0, d - 2):
         assert ann_slice(lam, j).subspace == old_ann_slice(fresh, j), j
+    assert apolar_profile(lam).kv_lines() == old_profile_lines(fresh)
+
+
+def test_a_chain_step_cut_short_leaves_the_chain_as_it_was(rng, monkeypatch):
+    # the first step at j = 5 raises: the steps before it stay done, and the
+    # next read runs it again
+    lam = random_subspace(rng, 2, 8, 2)
+    fresh = dataclasses.replace(lam)
+    calls, step = [], apolarity._chain_step
+
+    def cut(nvars, j, span):
+        calls.append(j)
+        if calls == [8, 7, 6, 5]:
+            raise MemoryError
+        return step(nvars, j, span)
+
+    monkeypatch.setattr(apolarity, "_chain_step", cut)
+    with pytest.raises(MemoryError):
+        ann_slice(lam, 3)
+    assert [ann_slice(lam, j).subspace for j in range(10)] == \
+        [old_ann_slice(fresh, j) for j in range(10)]
+    assert calls == [8, 7, 6, 5, 5, 4, 3, 2, 1]
     assert apolar_profile(lam).kv_lines() == old_profile_lines(fresh)

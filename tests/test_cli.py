@@ -561,13 +561,39 @@ def _generator_lines(draw, nvars=st.integers(1, 3)):
 
 
 @st.composite
-def _gad_lines(draw):
-    """Lines 'a,b,alpha' of a GAD pattern: point entries in -3..3 or a
-    fraction (so (0, 0) and proportional points occur), now and then a zero
-    denominator, exponents in -2..4."""
+def _plane_lines(draw, d):
+    """Lines of t + 1 nonzero binary operators, 1 <= t <= d + 1, of degrees
+    q_i <= d + 1 adding up to t (d + 2): the codimensions d + 1 - q_i of
+    their secant planes in S_d add up to d - t + 1, as secant-intersect -d d
+    asks, and such planes mostly meet properly."""
+    d = max(d, 0)
+    t = draw(st.integers(1, d + 1))
+    left, qs = d - t + 1, []
+    for _ in range(t):
+        codim = draw(st.integers(0, left))
+        qs.append(d + 1 - codim)
+        left -= codim
+    lines = []
+    for q in (*qs, d + 1 - left):
+        coeffs = {m: draw(st.integers(-3, 3)) for m in monomials(2, q)}
+        coeffs[draw(st.sampled_from(monomials(2, q)))] = draw(st.sampled_from((1, -2, 3)))
+        lines.append(form_print(Form.make(2, q, "R", coeffs)))
+    return lines
+
+
+@st.composite
+def _gad_lines(draw, d):
+    """Lines 'a,b,alpha' of a GAD pattern in degree d: point entries in
+    -3..3 or a fraction (so (0, 0) and proportional points occur), now and
+    then a zero denominator; exponents mostly -1 <= alpha < d with length
+    sum(alpha + 1) <= d + 1, now and then any in -2..4."""
     entries = st.sampled_from(("0", "1", "-1", "2", "-2", "3", "-3", "1/2", "-4/3", "1/0"))
-    return [f"{draw(entries)},{draw(entries)},{draw(st.integers(-2, 4))}"
-            for _ in range(draw(st.integers(1, 3)))]
+    lines, left = [], max(d + 1, 0)
+    for _ in range(draw(st.integers(1, 3))):
+        alpha = draw(st.one_of(st.integers(-1, max(min(d, left) - 1, -1)), st.integers(-2, 4)))
+        left -= alpha + 1
+        lines.append(f"{draw(entries)},{draw(entries)},{alpha}")
+    return lines
 
 
 @settings(max_examples=220, deadline=None)
@@ -579,11 +605,12 @@ def _gad_lines(draw):
 def test_linalg_subcommands_are_total(tmp_path_factory, command, k, data):
     # secant-intersect reads operator lines and gad point lines; the others
     # read form lines.  The secant commands take two variables, so they
-    # mostly draw two
+    # mostly draw two, and secant-intersect also draws planes that -d k
+    # admits
     binary = st.sampled_from((2, 2, 2, 1, 3))
     lines = data.draw({"secant-decompose": _form_lines(binary),
-                       "secant-intersect": _generator_lines(binary),
-                       "gad": _gad_lines()}.get(command[0], _form_lines()))
+                       "secant-intersect": st.one_of(_plane_lines(k), _generator_lines(binary)),
+                       "gad": _gad_lines(k)}.get(command[0], _form_lines()))
     if command[0] == "hankel-rank":
         argv = [command[0], lines[0], "-i", str(k)]
     else:
