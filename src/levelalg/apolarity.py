@@ -10,9 +10,10 @@ The annihilator slices of Lambda in S_d come from its derivative chain
 (Macaulay duality; Iarrobino-Kanev, LNM 1721, 1.1): I_j kills exactly
 Lambda_j = R_{d-j}.Lambda, h_j = dim Lambda_j, and Lambda_{j-1} =
 R_1.Lambda_j.  In divided-power coordinates (b! times the coefficient of
-y^b) x_k acts by an index shift and the pairing of R_j with S_j is the dot
-product, so each I_j is the right kernel of a spanning set of Lambda_j,
-one small elimination per degree, from j = d down.
+y^b, b! from forms.divided_power_weights) x_k acts by an index shift and
+the pairing of R_j with S_j is the dot product, so each I_j is the right
+kernel of a spanning set of Lambda_j, one small elimination per degree,
+from j = d down.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, count
-from math import factorial, lcm, prod
+from math import lcm
 
 from .errors import (
     AdmissibilityError,
@@ -30,7 +31,7 @@ from .errors import (
     NotArtinError,
     ZeroSubspaceError,
 )
-from .forms import (Form, Subspace, form_print, monomial_index, monomial_products, monomials,
+from .forms import (Form, Subspace, _lead, divided_power_weights, form_print, monomial_products,
                     space_dim)
 from .levelhf import HilbertFunction
 from .linalg import (QQ, Matrix, _integer_row, free_columns, integer_echelon, integer_kernel,
@@ -42,26 +43,16 @@ def _action_table(nvars: int, j: int, i: int) -> tuple[dict, ...]:
     """x^alpha . y^beta for every x^alpha in R_j and y^beta in S_i, j <= i.
 
     Entry alpha (in monomial order) maps the index of each y^beta that
-    x^alpha does not kill to (index of y^(beta - alpha) in S_{i-j}, factor),
-    the factor being the product of falling factorials b (b-1) ... (b-a+1)
-    that d^a/dy^a picks up on y^b.  This is the only place the action of a
-    monomial on a monomial is computed.  The cache shares the dicts between
-    callers, which only read them.
+    x^alpha does not kill, beta = alpha + gamma, to (index of y^gamma in
+    S_{i-j}, beta!/gamma!), the factor d^alpha/dy^alpha picks up on y^beta;
+    the keys come in monomial order, which multiplying by x^alpha keeps.
+    This is the only place the action of a monomial on a monomial is
+    computed.  The cache shares the dicts between callers, which only read
+    them.
     """
-    out_index = monomial_index(nvars, i - j)
-    table = []
-    for alpha in monomials(nvars, j):
-        entries = {}
-        for b_idx, beta in enumerate(monomials(nvars, i)):
-            if all(b >= a for a, b in zip(alpha, beta)):
-                factor = 1
-                for a, b in zip(alpha, beta):
-                    for k in range(a):
-                        factor *= b - k
-                entries[b_idx] = (out_index[tuple(b - a for a, b in zip(alpha, beta))],
-                                  factor)
-        table.append(entries)
-    return tuple(table)
+    weights, low = divided_power_weights(nvars, i), divided_power_weights(nvars, i - j)
+    return tuple({b: (g, weights[b] // low[g]) for g, b in enumerate(shift)}
+                 for shift in monomial_products(nvars, j, i - j))
 
 
 def internal_product(u: Form, f: Form) -> Form:
@@ -92,14 +83,14 @@ def integer_catalecticant(lam: Subspace, i: int) -> tuple[list[list[int]], list[
     """The product map R_{d-i} (x) Lambda -> S_i as an integer matrix with
     rows (monomial of R_{d-i}, basis form p of Lambda), monomial outermost,
     and columns the monomials of S_i; and the row scales s_p, the lcm of the
-    denominators of form p, by which its rows exceed the rational ones.
-    Both are read off lam.integer_rows, built once per Lambda instance;
-    each call returns new lists."""
+    denominators of form p (the pivot entry of its echelon row), by which
+    its rows exceed the rational ones.  Both are read off lam.echelon; each
+    call returns new lists."""
     d = lam.degree
     if not 0 <= i <= d:
         raise DegreeError(f"catalecticant index {i} outside 0..{d}")
     width = space_dim(lam.nvars, i)
-    scales, supports = lam.integer_rows
+    supports = [[(pos, c) for pos, c in enumerate(v) if c] for v in lam.echelon]
     rows = []
     for entries in _action_table(lam.nvars, d - i, d):
         for support in supports:
@@ -109,7 +100,7 @@ def integer_catalecticant(lam: Subspace, i: int) -> tuple[list[list[int]], list[
                 if hit is not None:
                     v[hit[0]] = c * hit[1]
             rows.append(v)
-    return rows, list(scales)
+    return rows, [v[p] for v, p in zip(lam.echelon, lam.pivots)]
 
 
 def catalecticant_matrix(lam: Subspace, i: int) -> Matrix:
@@ -149,7 +140,7 @@ def ann_slice(lam: Subspace, j: int) -> GradedIdealSlice:
         raise DegreeError("negative slice degree")
     if j > lam.degree or lam.dim == 0:
         return GradedIdealSlice(j, Subspace.full(lam.nvars, j, "R"))
-    return GradedIdealSlice(j, _subspace(lam.nvars, j, "R", _ann_rows(lam, j)))
+    return GradedIdealSlice(j, Subspace.from_echelon(lam.nvars, j, "R", _ann_rows(lam, j)))
 
 
 def _ann_rows(lam: Subspace, j: int) -> tuple[tuple[int, ...], ...]:
@@ -176,14 +167,8 @@ def _ann_rows(lam: Subspace, j: int) -> tuple[tuple[int, ...], ...]:
 def _divided_power_rows(lam: Subspace) -> list[list[int]]:
     """Lambda's integer rows in divided-power coordinates w_b = b! *
     (coefficient of y^b), b! = b_1! ... b_n!: rows spanning Lambda_d."""
-    weights = [prod(map(factorial, b)) for b in monomials(lam.nvars, lam.degree)]
-    span = []
-    for support in lam.integer_rows[1]:
-        v = [0] * len(weights)
-        for pos, c in support:
-            v[pos] = c * weights[pos]
-        span.append(v)
-    return span
+    weights = divided_power_weights(lam.nvars, lam.degree)
+    return [[c * w for c, w in zip(v, weights)] for v in lam.echelon]
 
 
 def _chain_step(nvars: int, j: int, span: list[list[int]]):
@@ -211,21 +196,6 @@ def _kernel_rows(m: list[list[int]], width: int) -> tuple[tuple, list[list[int]]
     rows, pivots, den = integer_echelon([row[::-1] for row in m], width)
     kernel = integer_kernel(rows, pivots, den, width, free_columns(pivots, width))
     return tuple(tuple(v[::-1]) for v in reversed(kernel)), [row[::-1] for row in rows]
-
-
-def _lead(v) -> int:
-    """The column of the first nonzero entry of v."""
-    return next(c for c, x in enumerate(v) if x)
-
-
-def _subspace(nvars: int, degree: int, ring: str, rows: list[list[int]]) -> Subspace:
-    """The Subspace of integer reduced echelon rows, each over its lead."""
-    zero = QQ(0)
-    pivots = tuple(map(_lead, rows))
-    return Subspace(nvars, degree, ring,
-                    tuple(tuple(QQ(x, v[p]) if x else zero for x in v)
-                          for v, p in zip(rows, pivots)),
-                    pivots)
 
 
 def _apolar_pass(lam: Subspace):
@@ -304,7 +274,7 @@ def inverse_system_slice(gens: list[Form], nvars: int, d: int) -> Subspace:
                 for b_idx, (o, factor) in entries.items():
                     conditions[o][b_idx] += cu * factor
         rows.extend(conditions)
-    return _subspace(nvars, d, "S", _kernel_rows(rows, dim_sd)[0])
+    return Subspace.from_echelon(nvars, d, "S", _kernel_rows(rows, dim_sd)[0])
 
 
 def _times_variables(nvars: int, degree: int, rows) -> list[list]:

@@ -8,7 +8,9 @@ The monomial order is graded lexicographic, descending, on exponent
 vectors.  For n = 2 this lists x1^m, x1^{m-1}*x2, ..., x2^m, i.e. the
 coefficient vector is indexed by the x2-exponent j = 0..m.  All canonical
 representations (printing, echelon bases, subspace equality) refer to this
-order.
+order.  A Subspace keeps its echelon rows in integers, the form every
+computation on it reads; divided_power_weights holds the weights b! of the
+divided-power coordinates (b! times the coefficient of y^b).
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from math import lcm
+from math import factorial, gcd, prod
 
 from .errors import AmbientMismatchError, FormSyntaxError
-from .linalg import QQ, Vector, row_space_intersection, rref
+from .linalg import QQ, Vector, _integer_row, integer_echelon, row_space_intersection
 
 RING_VARS = {"R": "x", "S": "y"}
 
@@ -52,6 +54,18 @@ def monomial_products(nvars: int, a: int, b: int) -> tuple[tuple[int, ...], ...]
     index = monomial_index(nvars, a + b)
     return tuple(tuple(index[tuple(x + y for x, y in zip(mq, mm))]
                        for mm in monomials(nvars, b)) for mq in monomials(nvars, a))
+
+
+@lru_cache(maxsize=None)
+def divided_power_weights(nvars: int, degree: int) -> tuple[int, ...]:
+    """b! = b_1! ... b_n! for each exponent vector b of the given degree, in
+    monomial order: the only place these weights are computed."""
+    return tuple(prod(map(factorial, b)) for b in monomials(nvars, degree))
+
+
+def _lead(v) -> int:
+    """The column of the first nonzero entry of v."""
+    return next(c for c, x in enumerate(v) if x)
 
 
 def space_dim(nvars: int, degree: int) -> int:
@@ -373,18 +387,21 @@ def form_parse(text: str, nvars: int | None = None, ring: str | None = None) -> 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of degree-d forms, stored as its canonical RREF.
+    """A subspace of degree-d forms, stored as its canonical integer echelon
+    rows.
 
-    rows are the nonzero rows of the reduced row echelon form of any
-    spanning set, as coefficient vectors in the monomial order, and pivots
-    their pivot columns.  Two subspaces are equal iff these are identical,
-    so equality is equality of spans.
+    echelon holds the nonzero rows of the reduced row echelon form of any
+    spanning set, as coefficient vectors in the monomial order, each times
+    the positive integer that clears its denominators (so primitive, with a
+    positive entry at its pivot), and pivots their pivot columns.  Two
+    subspaces are equal iff these are identical, so equality is equality of
+    spans.  rows is the same RREF in Fractions, built on first access.
     """
 
     nvars: int
     degree: int
     ring: str
-    rows: tuple[tuple[Fraction, ...], ...]
+    echelon: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
 
     __hash__ = None
@@ -403,41 +420,45 @@ class Subspace:
     @staticmethod
     def from_rows(nvars: int, degree: int, ring: str, rows) -> Subspace:
         """Span of coefficient vectors given in the monomial order."""
-        rows = [r for r in rows if any(r)]
-        if not rows:
-            return Subspace.zero(nvars, degree, ring)
-        reduced, pivots = rref(rows)
-        return Subspace(nvars, degree, ring,
-                        tuple(tuple(reduced[k]) for k in range(len(pivots))),
-                        tuple(pivots))
+        width = space_dim(nvars, degree)
+        return Subspace.from_echelon(nvars, degree, ring,
+                                     integer_echelon(map(_integer_row, rows), width)[0])
+
+    @staticmethod
+    def from_echelon(nvars: int, degree: int, ring: str, rows) -> Subspace:
+        """The span of integer rows that are the RREF rows, in order, each
+        times any nonzero integer."""
+        echelon, pivots = [], []
+        for v in rows:
+            p = _lead(v)
+            g = gcd(*v) if v[p] > 0 else -gcd(*v)
+            echelon.append(tuple(v) if g == 1 else tuple(x // g for x in v))
+            pivots.append(p)
+        return Subspace(nvars, degree, ring, tuple(echelon), tuple(pivots))
 
     @staticmethod
     def full(nvars: int, degree: int, ring: str) -> Subspace:
         n = space_dim(nvars, degree)
-        rows = tuple(tuple(QQ(int(i == j)) for j in range(n)) for i in range(n))
-        return Subspace(nvars, degree, ring, rows, tuple(range(n)))
+        return Subspace(nvars, degree, ring,
+                        tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
+                        tuple(range(n)))
 
     @staticmethod
     def zero(nvars: int, degree: int, ring: str) -> Subspace:
         return Subspace(nvars, degree, ring, (), ())
 
     @cached_property
-    def basis(self) -> tuple[Form, ...]:
-        """The echelon rows as forms."""
-        return tuple(Form.from_vector(self.nvars, self.degree, self.ring, r)
-                     for r in self.rows)
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The reduced row echelon form: each echelon row over its pivot."""
+        zero = QQ(0)
+        return tuple(tuple(QQ(x, v[p]) if x else zero for x in v)
+                     for v, p in zip(self.echelon, self.pivots))
 
     @cached_property
-    def integer_rows(self) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
-        """(scales, supports) of the echelon rows in integers: scale s_p is
-        the lcm of the denominators of row p, and support p lists
-        (position, s_p * coefficient) at its nonzero coefficients.  Held
-        for as long as the subspace lives, like `basis`."""
-        scales = tuple(lcm(*[x.denominator for x in row]) for row in self.rows)
-        supports = tuple(tuple((pos, x.numerator * (s // x.denominator))
-                               for pos, x in enumerate(row) if x)
-                         for row, s in zip(self.rows, scales))
-        return scales, supports
+    def basis(self) -> tuple[Form, ...]:
+        """The RREF rows as forms."""
+        return tuple(Form.from_vector(self.nvars, self.degree, self.ring, r)
+                     for r in self.rows)
 
     @property
     def dim(self) -> int:
@@ -479,12 +500,10 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     a._check_same_ambient(b)
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.nvars, a.degree, a.ring)
-    if a.rows == b.rows:
+    if a.echelon == b.echelon:
         return a
-    rows = row_space_intersection(a.rows, b.rows, a.ambient_dim)
-    # already the canonical RREF: only the pivots need reading off
-    pivots = tuple(next(c for c, x in enumerate(r) if x) for r in rows)
-    return Subspace(a.nvars, a.degree, a.ring, tuple(map(tuple, rows)), pivots)
+    rows = row_space_intersection(a.echelon, b.echelon, a.ambient_dim)
+    return Subspace.from_echelon(a.nvars, a.degree, a.ring, map(_integer_row, rows))
 
 
 def parse_subspace_lines(lines, nvars: int | None = None) -> Subspace:

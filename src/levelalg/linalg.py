@@ -26,9 +26,7 @@ Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
 
-def transpose(m: Matrix, ncols: int | None = None) -> Matrix:
-    if not m:
-        return [[] for _ in range(ncols)] if ncols else []
+def transpose(m: Matrix) -> Matrix:
     return [list(col) for col in zip(*m)]
 
 

@@ -264,9 +264,6 @@ class E1Table:
     def truncated(self) -> bool:
         return bool(self.truncated_weights)
 
-    def entry(self, p: int, q: int) -> int:
-        return self.entries.get((p, q), 0)
-
 
 def e1_vanishing_table(t: int, d: int, i: int, r: int, m: int,
                        cap_weight: int = DEFAULT_WEIGHT_CAP) -> E1Table:

@@ -58,9 +58,6 @@ class SchubertClass:
     def __mul__(self, other: SchubertClass) -> SchubertClass:
         return lr_multiply(self, other)
 
-    def coefficient(self, lam) -> int:
-        return self.coeffs.get(check_partition(lam), 0)
-
     def max_degree(self) -> int:
         return max((sum(lam) for lam in self.coeffs), default=0)
 

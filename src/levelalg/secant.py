@@ -9,7 +9,6 @@ are ever extracted; every computation stays inside the rationals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +23,7 @@ from .errors import (
     WitnessError,
     ZeroSubspaceError,
 )
-from .forms import Form, Subspace
+from .forms import Form, Subspace, divided_power_weights
 from .levelhf import HilbertFunction, dim_stratum, q_sequence
 from .linalg import Matrix, det, rank
 
@@ -166,17 +165,13 @@ def gad_subspace(g: GAD, d: int) -> Subspace:
 def hankel_coordinates(f: Form) -> list[Fraction]:
     """Coordinates z_i = i! (d-i)! a_i of a binary form F = sum a_i y1^{d-i} y2^i.
 
-    These are the values of the coordinate operators x1^{d-i} x2^i on F;
-    in them the catalecticant matrices become genuine Hankel matrices with
-    rank equal to the Hilbert function.
+    These are its divided-power coordinates, the values of the coordinate
+    operators x1^{d-i} x2^i on F; in them the catalecticant matrices become
+    genuine Hankel matrices with rank equal to the Hilbert function.
     """
     if f.nvars != 2 or f.ring != "S":
         raise DegreeError("Hankel coordinates need a binary form in S")
-    d = f.degree
-    return [
-        math.factorial(i) * math.factorial(d - i) * f.coeff((d - i, i))
-        for i in range(d + 1)
-    ]
+    return [w * c for w, c in zip(divided_power_weights(2, f.degree), f.vector())]
 
 
 def hankel_matrix(f: Form, a: int) -> Matrix:

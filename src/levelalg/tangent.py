@@ -44,10 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .apolarity import (_action_table, _ann_rows, _lead, _monomial_residuals,
-                        integer_catalecticant)
+from .apolarity import _action_table, _ann_rows, _monomial_residuals, integer_catalecticant
 from .errors import DegreeError, HilbertMismatchError, ZeroSubspaceError
-from .forms import Subspace, monomial_products, space_dim
+from .forms import Subspace, _lead, monomial_products, space_dim
 from .levelhf import HilbertFunction, dim_stratum
 from .linalg import QQ, free_columns, integer_echelon, integer_kernel, transpose
 

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 from itertools import islice
+from math import factorial
 
 import pytest
 
 from conftest import burch_point, monomial_residuals
 from levelalg.apolarity import (
+    _action_table,
     _ideal_slice_stream,
     ann_slice,
     catalecticant_matrix,
@@ -23,9 +26,11 @@ from levelalg.errors import (
     NotArtinError,
     ZeroSubspaceError,
 )
-from levelalg.forms import Form, Subspace, form_parse, form_print, monomial_products, monomials
+from levelalg.forms import (Form, Subspace, form_parse, form_print, monomial_index,
+                            monomial_products, monomials)
 from levelalg.levelhf import HilbertFunction, burch_ideal, e_sequence
 from levelalg.linalg import rank
+from levelalg.secant import hankel_coordinates
 
 EX15 = HilbertFunction.parse("1,2,3,4,5,5,4,3,0")
 
@@ -33,6 +38,40 @@ EX15 = HilbertFunction.parse("1,2,3,4,5,5,4,3,0")
 def ex15_lambda():
     _, gens = burch_ideal(EX15)
     return inverse_system_slice(gens, 2, 7)
+
+
+def falling_factorial_table(nvars, j, i):
+    # the action table as a falling-factorial loop over the monomials of S_i
+    out_index = monomial_index(nvars, i - j)
+    table = []
+    for alpha in monomials(nvars, j):
+        entries = {}
+        for b_idx, beta in enumerate(monomials(nvars, i)):
+            if all(b >= a for a, b in zip(alpha, beta)):
+                factor = 1
+                for a, b in zip(alpha, beta):
+                    for k in range(a):
+                        factor *= b - k
+                entries[b_idx] = (out_index[tuple(b - a for a, b in zip(alpha, beta))],
+                                  factor)
+        table.append(entries)
+    return tuple(table)
+
+
+def test_weight_table_matches_falling_factorials_and_hankel_coordinates():
+    for nvars in range(1, 5):
+        for i in range(9):
+            for j in range(i + 1):
+                got = _action_table(nvars, j, i)
+                want = falling_factorial_table(nvars, j, i)
+                assert got == want, (nvars, j, i)
+                assert [list(e) for e in got] == [list(e) for e in want], (nvars, j, i)
+    rng = random.Random(5)
+    for d in range(9):
+        a = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d + 1)]
+        f = Form.from_vector(2, d, "S", a)
+        assert hankel_coordinates(f) == [factorial(i) * factorial(d - i) * a[i]
+                                         for i in range(d + 1)]
 
 
 def test_internal_product_single_derivative():

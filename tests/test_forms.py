@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from levelalg.forms import (
     parse_subspace_lines,
     subspace_intersect,
 )
+from levelalg.linalg import rref
 
 
 def test_monomial_order_binary():
@@ -167,3 +169,13 @@ def test_subspace_canonical_for_random_bases(rows, rnd):
         mixed.append(f)
     b = Subspace.span(2, 5, "S", mixed + list(a.basis))
     assert b == a
+    # the echelon rows: primitive, positive at the pivot, and the RREF rows
+    # (the Fraction reference) up to those positive scales
+    for v, p in zip(a.echelon, a.pivots):
+        assert v[p] > 0 and gcd(*v) == 1 and not any(v[:p])
+    reduced, pivots = rref([r for r in rows if any(r)])
+    assert a.pivots == tuple(pivots)
+    assert a.rows == tuple(tuple(r) for r in reduced[:len(pivots)])
+    scales = [rnd.choice([-3, -2, -1, 1, 2, 5]) for _ in a.echelon]
+    scaled = [[x * k for x in v] for v, k in zip(a.echelon, scales)]
+    assert Subspace.from_echelon(2, 5, "S", scaled) == a

@@ -59,8 +59,8 @@ def test_porteous_le33():
     # uniqueness of the length-3 power decomposition of a general binary
     # quintic, and the sigma_21 coefficient is 8
     cls = porteous_class(2, 5, 3, 3)
-    assert cls.coefficient((2, 1)) == 8
-    assert cls.coefficient((3,)) == 1
+    assert cls.coeffs.get((2, 1), 0) == 8
+    assert cls.coeffs.get((3,), 0) == 1
     assert format_class(cls) == "8{2,1} + {3}"
 
 
@@ -114,7 +114,7 @@ def test_poincare_pairing():
         padded = list(lam) + [0] * (t - len(lam))
         comp = tuple(p for p in (n - t - padded[t - 1 - k] for k in range(t)) if p)
         prod = lr_multiply(class_of(t, n, lam), class_of(t, n, comp))
-        assert prod.coefficient(box) == 1
+        assert prod.coeffs.get(box, 0) == 1
         # any heavier partner would leave the box entirely
         assert sum(lam) + sum(comp) == t * (n - t)
 
@@ -238,7 +238,7 @@ def test_box_bounded_lr_multiply_matches_all_partitions(pair):
 def _class_inverse(a):
     """Inverse of a class with unit constant term, as a finite geometric
     series (positive-degree parts are nilpotent in the box)."""
-    assert a.coefficient(()) == 1
+    assert a.coeffs.get((), 0) == 1
     u = a - class_one(a.t, a.n)
     out = class_one(a.t, a.n)
     term = class_one(a.t, a.n)

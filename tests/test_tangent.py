@@ -409,7 +409,7 @@ def test_integer_catalecticant_is_the_rational_one_times_the_scales(rng):
             assert cat == [[x * scales[r % lam.dim] for x in row]
                            for r, row in enumerate(rational)], (h.format(), i)
             assert all(x.denominator == 1 for row in cat for x in row)
-        with_denominators += any(s > 1 for s in lam.integer_rows[0])
+        with_denominators += any(v[p] > 1 for v, p in zip(lam.echelon, lam.pivots))
     assert with_denominators > 20
 
 
