@@ -13,7 +13,10 @@ R_1.Lambda_j.  In divided-power coordinates (b! times the coefficient of
 y^b, b! from forms.divided_power_weights) x_k acts by an index shift and
 the pairing of R_j with S_j is the dot product, so each I_j is the right
 kernel of a spanning set of Lambda_j, one small elimination per degree,
-from j = d down.
+from j = d down.  The same duality makes R/ann(Lambda) level of socle
+degree d and type dim Lambda, so the apolar profile states that socle and
+computes none; socle() ranks the socle of an arbitrary artin quotient,
+which need not be level.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from .errors import (
 from .forms import (Form, Subspace, _lead, divided_power_weights, form_print, monomial_products,
                     space_dim)
 from .levelhf import HilbertFunction
-from .linalg import (QQ, Matrix, _integer_row, free_columns, integer_echelon, integer_kernel,
-                     rank)
+from .linalg import (QQ, Matrix, _integer_row, _primitive, free_columns, integer_echelon,
+                     integer_kernel, rank)
 
 
 @lru_cache(maxsize=None)
@@ -199,14 +202,16 @@ def _kernel_rows(m: list[list[int]], width: int) -> tuple[tuple, list[list[int]]
 
 
 def _apolar_pass(lam: Subspace):
-    """(Hilbert function, minimal generators, slices I_0 = 0, I_1, ..., I_d
-    as _ann_rows) of ann(Lambda), all tuples: h_j = dim R_j - dim I_j.  Each
-    echelon row of I_j (j <= d + 1, with I_{d+1} = R_{d+1}) is reduced
-    against R_1 * I_{j-1} and the generators found before it; the residual
-    (the one vector of row + span zero at the span's pivots, up to scale,
-    whatever basis is taken) is a generator if nonzero.  The result is kept
-    on lam, which is frozen, for as long as lam lives, so the pass runs
-    once per Lambda instance."""
+    """(Hilbert function, minimal generators) of ann(Lambda), both tuples,
+    from the slices I_0 = 0, I_1, ..., I_d that _ann_rows holds on lam:
+    h_j = dim R_j - dim I_j.  Each echelon row of I_j (j <= d + 1, with
+    I_{d+1} = R_{d+1}) is reduced against R_1 * I_{j-1} and the generators
+    found before it; the residual (the one vector of row + span zero at the
+    span's pivots, up to scale, whatever basis is taken) is a generator if
+    nonzero.  It is stored divided by its content, as each later residual
+    is cross-multiplied against it.  The result is kept on lam, which is
+    frozen, for as long as lam lives, so the pass runs once per Lambda
+    instance."""
     memo = lam.__dict__.get("_apolar_pass")
     if memo is not None:
         return memo
@@ -230,11 +235,12 @@ def _apolar_pass(lam: Subspace):
                 if r[p]:
                     r = [g[p] * x - r[p] * y for x, y in zip(r, g)]
             if any(r):
+                r = _primitive(r)
                 found.append((_lead(r), r))
                 gens.append(Form.from_vector(n, j, "R", r).monic())
         if gens:
             out.append((j, tuple(gens)))
-    memo = lam.__dict__["_apolar_pass"] = (hf, tuple(out), slices)
+    memo = lam.__dict__["_apolar_pass"] = (hf, tuple(out))
     return memo
 
 
@@ -251,7 +257,8 @@ def minimal_generators(lam: Subspace) -> list[tuple[int, list[Form]]]:
     function, which certifies minimality; for n >= 3 the list generates the
     ancestor ideal through degree d+1 but carries no minimality
     certificate.  apolar_profile, minimal_generators and secant_decompose
-    share one apolar pass per Lambda instance; each call returns new lists.
+    share one apolar pass per Lambda instance, which reads the slices of the
+    derivative chain held on Lambda; each call returns new lists.
     """
     if lam.dim == 0:
         raise ZeroSubspaceError("ann of the zero subspace is the whole ring")
@@ -311,12 +318,16 @@ def _ideal_slice_stream(gens: list[Form], nvars: int):
 
 
 def socle(gens: list[Form], nvars: int, bound: int | None = None) -> list[tuple[int, int]]:
-    """Per-degree socle dimensions of R/(gens).
+    """Per-degree socle dimensions of R/(gens): (j, dimension) for each
+    degree j where the socle is nonzero.
 
     The socle in degree j is {u in (R/I)_j : x_i u = 0 in (R/I)_{j+1} for
     every i}.  The quotient must be artin: its Hilbert function has to
     vanish by the configured degree bound, otherwise NotArtinError.  Slices
-    of I are built in integers up to the first that is all of R_j.
+    of I are built in integers up to the first that is all of R_j, and the
+    socle is ranked by one integer elimination per degree below it.  An
+    artin quotient need not be level, so unlike apolar_profile this reads
+    nothing off Macaulay duality.
     """
     gens = [g for g in gens if not g.is_zero]
     if len(gens) < nvars:
@@ -336,13 +347,6 @@ def socle(gens: list[Form], nvars: int, bound: int | None = None) -> list[tuple[
         slices.append(ij)
     if len(slices) == 1:
         raise NotArtinError("the generators span the unit ideal; the quotient is zero")
-    return _socle_dims(nvars, slices)
-
-
-def _socle_dims(nvars: int, slices) -> list[tuple[int, int]]:
-    """(j, socle dimension) of R/I for each degree j where it is nonzero,
-    from the slices I_0, ..., I_top of I, the last of them all of R_top,
-    each as its reduced echelon rows times positive integers (their leads)."""
     out = []
     for j, (ij, inext) in enumerate(zip(slices, slices[1:])):
         # u = sum c_m x^m has every x_i u in I_{j+1} iff sum c_m row_m = 0,
@@ -412,7 +416,11 @@ def jordan_apolar_basis(factors: list[tuple], m: int) -> Subspace:
 
 @dataclass(frozen=True)
 class ApolarProfile:
-    """Aggregated apolarity data of a subspace Lambda in S_d."""
+    """Aggregated apolarity data of a subspace Lambda in S_d: the Hilbert
+    function and minimal generators of R/ann(Lambda), and its socle as
+    ((degree, dim), ...).  apolar_profile fills in ((d, dim Lambda),), which
+    Macaulay duality gives; is_level, type and socle_degree read the field,
+    whatever socle it was built with."""
 
     lam: Subspace
     hilbert: HilbertFunction
@@ -444,11 +452,18 @@ class ApolarProfile:
 
 
 def apolar_profile(lam: Subspace) -> ApolarProfile:
-    """Hilbert function, minimal generators and socle, all read off one set
-    of annihilator slices, one small elimination a degree down the
-    derivative chain of Lambda.  The slices come from the apolar pass that
+    """Hilbert function and minimal generators from the apolar pass that
     apolar_profile, minimal_generators and secant_decompose share, once per
-    Lambda instance."""
-    hf, gens, slices = _apolar_pass(lam)
-    top = _unit_rows(space_dim(lam.nvars, lam.degree + 1))
-    return ApolarProfile(lam, hf, gens, tuple(_socle_dims(lam.nvars, (*slices, top))))
+    Lambda instance; the socle is ((d, t),) with t = dim Lambda.
+
+    By Macaulay duality (Iarrobino-Kanev, LNM 1721, 1.1) R/ann(Lambda) is
+    level of socle degree d and type t for every nonzero Lambda in S_d.
+    Proof: write I = ann(Lambda) and Lambda_j = R_{d-j}.Lambda, so that
+    I_j is the annihilator of Lambda_j in R_j and Lambda_j = R_1.Lambda_{j+1}.
+    Take j < d and u in R_j with x_k u in I_{j+1} for every k.  Then
+    u.(x_k.G) = (x_k u).G = 0 for each G in Lambda_{j+1}, so u kills
+    R_1.Lambda_{j+1} = Lambda_j, and u is in I_j: no socle below d.  In
+    degree d the socle is all of (R/I)_d, dual to Lambda, of dimension t.
+    """
+    hf, gens = _apolar_pass(lam)
+    return ApolarProfile(lam, hf, gens, ((lam.degree, lam.dim),))

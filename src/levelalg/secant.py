@@ -72,12 +72,13 @@ def secant_decompose(lam: Subspace) -> list[SecantPlane]:
     q-sequence of the Hilbert function; each generator u cuts out the plane
     of forms apolar to it, and the intersection of all the planes is
     exactly Lambda.  The equality is re-verified and a failure signals an
-    internal bug.  The generators come from the apolar pass shared with
-    apolar_profile and minimal_generators, once per Lambda instance.
+    internal bug.  The Hilbert function and the generators come from the
+    apolar pass shared with apolar_profile and minimal_generators, once per
+    Lambda instance.
     """
     if lam.nvars != 2:
         raise DegreeError("secant decomposition is a two-variable operation")
-    h, gens, _ = _apolar_pass(lam)
+    h, gens = _apolar_pass(lam)
     planes = [SecantPlane(g, lam.degree) for _, forms in gens for g in forms]
     if tuple(sorted(p.q for p in planes)) != q_sequence(h):
         raise LevelAlgError("internal bug: generator degrees do not match the q-sequence")
@@ -241,8 +242,9 @@ def in_sigma(lam: Subspace, s: int) -> Form | None:
 def stacked_hankel(forms: list[Form], s: int) -> Matrix:
     """Hankel blocks of each form stacked vertically: t(d-s+1) rows, s+1 cols.
 
-    Row block j holds the d-s+1 Hankel rows of F_j; the matrix drops rank
-    exactly on the locus where span(F_1..F_t) meets a secant (s-1)-plane.
+    Row block j is hankel_matrix(F_j, d - s), the d-s+1 Hankel rows of F_j;
+    the matrix drops rank exactly on the locus where span(F_1..F_t) meets a
+    secant (s-1)-plane.
     """
     if not forms:
         raise ZeroSubspaceError("no forms given")
@@ -251,12 +253,7 @@ def stacked_hankel(forms: list[Form], s: int) -> Matrix:
         raise DegreeError("forms must be binary, in S, of one degree")
     if not 0 <= s <= d:
         raise DegreeError(f"need 0 <= s <= d, got s = {s}")
-    rows: Matrix = []
-    for f in forms:
-        z = hankel_coordinates(f)
-        for r in range(d - s + 1):
-            rows.append([z[r + c] for c in range(s + 1)])
-    return rows
+    return [row for f in forms for row in hankel_matrix(f, d - s)]
 
 
 def stacked_catalecticant_det(forms: list[Form], s: int) -> Fraction:

@@ -7,9 +7,11 @@ the socle ranked in Fractions, and secant planes intersected one pair at a
 time.  Also: one derivative chain and one apolar pass per Lambda instance,
 shared by the profile, the generators, the secant decomposition, ann_slice,
 in_sigma and the dual tangent route, and the socle against Macaulay duality
-(R/ann(Lambda) is level of socle degree d and type dim Lambda)."""
+(R/ann(Lambda) is level of socle degree d and type dim Lambda): the profile
+states that socle, and the tests rank it in Fractions on the slices."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -385,3 +387,44 @@ def test_a_chain_step_cut_short_leaves_the_chain_as_it_was(rng, monkeypatch):
         [old_ann_slice(fresh, j) for j in range(10)]
     assert calls == [8, 7, 6, 5, 5, 4, 3, 2, 1]
     assert apolar_profile(lam).kv_lines() == old_profile_lines(fresh)
+
+
+def random_integer_span(rng, nvars, d, t):
+    """The span of t dense forms of S_d with random integer coefficients in
+    -3..3."""
+    return Subspace.from_rows(nvars, d, "S", [
+        [QQ(rng.randint(-3, 3)) for _ in range(space_dim(nvars, d))] for _ in range(t)])
+
+
+@pytest.mark.parametrize("nvars, d_max", [(1, 7), (2, 8), (3, 5), (4, 4)])
+def test_the_socle_is_the_macaulay_dual_one(rng, nvars, d_max):
+    # R/ann(Lambda) is level with socle ((d, t),): ranked in Fractions on
+    # the slices I_0, ..., I_{d+1}, and stated by the profile
+    for d in range(d_max + 1):
+        for t in range(1, min(4, space_dim(nvars, d)) + 1):
+            for lam in (random_subspace(rng, nvars, d, t), random_integer_span(rng, nvars, d, t)):
+                if not lam.dim:  # the theorem is about nonzero Lambda
+                    continue
+                slices = [ann_slice(lam, j).subspace for j in range(d + 2)]
+                assert old_socle_dims(slices) == [(d, lam.dim)]
+                assert apolar_profile(lam).socle == ((d, lam.dim),)
+
+
+def test_four_quartics_in_four_variables_match_the_old_routes(monkeypatch):
+    # each generator found in a degree is cross-multiplied into the residuals
+    # after it: stored without dividing out its content, their bit lengths
+    # doubled with every one of the 15 generators of degree 4 (55, 226, 451,
+    # ..., past 3.6 million bits); divided by it, they stay under 230 bits.
+    # The pass reads the lead of each generator it stores, so a residual
+    # over the bound fails here instead of running for minutes.
+    lead = apolarity._lead
+
+    def bounded(v):
+        assert max(abs(x).bit_length() for x in v) <= 1024
+        return lead(v)
+
+    monkeypatch.setattr(apolarity, "_lead", bounded)
+    lam = random_integer_span(random.Random(4), 4, 4, 4)
+    assert old_hilbert_function(lam) == apolar_profile(lam).hilbert
+    assert minimal_generators(lam) == old_minimal_generators(lam)
+    assert [(j, len(gens)) for j, gens in minimal_generators(lam)] == [(3, 4), (4, 15)]
