@@ -55,8 +55,6 @@ from .resolution import (
 )
 from .schubert import (
     SchubertClass,
-    chern_taut,
-    chern_taut_total,
     class_of,
     class_one,
     format_class,

@@ -5,7 +5,10 @@ Characters are computed by the Murnaghan-Nakayama rule on beta-sets
 lambda is subtracting k from one beta element so that the result is not
 already in the set, with sign given by the number of elements jumped over.
 The Kronecker coefficient is the class-weighted inner product of three
-characters; everything is exact integer arithmetic.
+characters; everything is exact integer arithmetic.  Only the `kronecker`
+subcommand computes one: the E1 tables of `resolution` need the sums
+sum_mu g(lam, rho, mu) dim S_mu(k^N), which they read off the Schur-class
+kernel of `schubert` instead.
 """
 
 from __future__ import annotations
@@ -71,22 +74,6 @@ def _classes(n: int) -> tuple:
     return tuple((cls, factorial(n) // _z_mu(cls)) for cls in partitions(n))
 
 
-def _kronecker(lam: tuple, rho: tuple, mu: tuple) -> int:
-    """The Kronecker coefficient of three partitions of equal weight,
-    unchecked: the class-weighted character sum, reading chi_lam and
-    chi_mu only on the classes where chi_rho does not vanish."""
-    n = sum(lam)
-    total = 0
-    for cls, size in _classes(n):
-        x = _character(rho, cls)
-        if x:
-            total += size * x * _character(lam, cls) * _character(mu, cls)
-    n_fact = factorial(n)
-    if total % n_fact:
-        raise LevelAlgError("internal bug: character sum is not divisible by n!")
-    return total // n_fact
-
-
 def kronecker(lam, rho, mu, cap: int = DEFAULT_WEIGHT_CAP) -> int:
     """Multiplicity of the trivial representation in R_lam (x) R_rho (x) R_mu.
 
@@ -96,8 +83,7 @@ def kronecker(lam, rho, mu, cap: int = DEFAULT_WEIGHT_CAP) -> int:
     and chi_mu are read only where chi_rho is nonzero.  The weight cap
     guards the cost, which grows with p(n); raise it explicitly for larger
     weights.  The coefficient vanishes outside Dvir's support bounds
-    (J. Algebra 154 (1993)), which e1_vanishing_table uses to enumerate
-    only the triples that can be nonzero.
+    (J. Algebra 154 (1993)); see dvir_bound_ok.
     """
     lam, rho, mu = check_partition(lam), check_partition(rho), check_partition(mu)
     n = sum(lam)
@@ -109,7 +95,15 @@ def kronecker(lam, rho, mu, cap: int = DEFAULT_WEIGHT_CAP) -> int:
         raise CapExceededError(
             f"weight {n} exceeds the cap {cap}; pass a larger cap explicitly"
         )
-    return _kronecker(lam, rho, mu)
+    total = 0
+    for cls, size in _classes(n):
+        x = _character(rho, cls)
+        if x:
+            total += size * x * _character(lam, cls) * _character(mu, cls)
+    n_fact = factorial(n)
+    if total % n_fact:
+        raise LevelAlgError("internal bug: character sum is not divisible by n!")
+    return total // n_fact
 
 
 def diagram_intersection_size(lam, mu) -> int:
@@ -123,7 +117,8 @@ def dvir_bound_ok(lam, rho, mu) -> bool:
     Kronecker coefficient is nonzero (J. Algebra 154 (1993)).
 
     Its permutations and its conjugate form len(mu) <= |lam intersect rho'|
-    hold too; e1_vanishing_table applies all three inline.
+    hold too.  No library route applies it: the E1 tables read the sums
+    of Kronecker coefficients they need off Schur classes instead.
     """
     lam, rho, mu = check_partition(lam), check_partition(rho), check_partition(mu)
     if not rho:

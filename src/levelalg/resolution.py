@@ -5,8 +5,8 @@ resolution of O_{Le} (Lascoux's closed form: each surviving box partition
 gives a degree and two Schur-functor dimensions, see Weyman, "Cohomology
 of Vector Bundles and Syzygies", 6.1), the C1/C2 hypothesis analysis with
 candidate component lists, and the E1 page of the twisted hypercohomology
-spectral sequence via Kronecker decomposition plus Bott on the outer
-Grassmannian.
+spectral sequence: each summand's plethysm read off the Schur-class
+kernel of `schubert`, plus Bott on the outer Grassmannian.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from math import comb
 
 from .bott import schur_sub_twist_cohomology
 from .errors import CapExceededError, LevelAlgError
-from .kronecker import DEFAULT_WEIGHT_CAP, _kronecker
+from .kronecker import DEFAULT_WEIGHT_CAP
 from .levelhf import (
     HilbertFunction,
     dim_stratum,
@@ -25,7 +25,7 @@ from .levelhf import (
     is_level_sequence,
 )
 from .partitions import _weyl_dim, conjugate, partitions_in_box
-from .schubert import _check_rank_bound
+from .schubert import _check_rank_bound, _schur_of_copies
 
 # lascoux_ranks enumerates only the partitions whose Bott cohomology survives;
 # the 10 x 10 box at r = 0, C(20, 10) = 184,756 of them, is the largest
@@ -145,7 +145,8 @@ def _survivors(t: int, d: int, i: int, r: int, weight_cap: int | None = None) ->
             room = (cols_bound - s) * s if left is None else left - sum(alpha)
             survivors.extend((lam_head + lam_tail, mu_head + beta, s)
                              for beta, lam_head, weight in betas if weight <= room)
-    survivors.sort(key=lambda survivor: tuple(-p for p in survivor[0]))
+    # descending lexicographic, a prefix before its extensions: no part exceeds cols_bound
+    survivors.sort(key=lambda survivor: survivor[0] + (cols_bound + 1,), reverse=True)
     return survivors
 
 
@@ -267,20 +268,19 @@ class E1Table:
 
 def e1_vanishing_table(t: int, d: int, i: int, r: int, m: int,
                        cap_weight: int = DEFAULT_WEIGHT_CAP) -> E1Table:
-    """E1^{p,q}(m) = H^q(G(t, S_d), E^p(m)) via Kronecker plus Bott.
+    """E1^{p,q}(m) = H^q(G(t, S_d), E^p(m)) via plethysm plus Bott.
 
     Every box partition lambda decomposes S_lam(B (x) R_{d-i}) into
     summands S_rho(B) (x) S_mu(R_{d-i}) with Kronecker multiplicities
-    g(lam, rho, mu); Bott on G(t, S_d) then locates the unique cohomology
-    degree of S_rho(B)(m).  Only triples inside Dvir's support bounds are
-    visited (Dvir, "On the Kronecker product of S_n characters",
-    J. Algebra 154 (1993)): rho_1 <= |lam & mu| when g != 0, and since g is
-    symmetric in its arguments and g(lam, rho, mu) = g(lam, rho', mu'),
-    also mu_1 <= |lam & rho| and len(mu) <= |lam & rho'|.  For each rho
-    with nonzero Bott cohomology, mu runs over the box the last two bounds
-    cut out, and the first is tested before the character sum.  Partitions
-    heavier than the weight cap are never built; their weights are
-    reported in `truncated_weights`.  A negative cap is rejected.
+    g(lam, rho, mu).  Only c_rho = sum_mu g(lam, rho, mu) dim S_mu(k^{d-i+1})
+    is needed, and that is the coefficient of s_rho(x_1, ..., x_t) in s_lam
+    with each x_a repeated d-i+1 times (Macdonald, Symmetric Functions,
+    I.4 and I.7): schubert._schur_of_copies on G(t, t + |lam|), whose box
+    holds every rho of weight |lam| with at most t parts, so nothing is
+    truncated.  Bott on G(t, S_d) then locates the unique cohomology degree
+    of S_rho(B)(m).  Partitions heavier than the weight cap are never
+    built; their weights are reported in `truncated_weights`.  A negative
+    cap is rejected.
     """
     if cap_weight < 0:
         raise LevelAlgError(f"need a weight cap >= 0, got {cap_weight}")
@@ -291,26 +291,13 @@ def e1_vanishing_table(t: int, d: int, i: int, r: int, m: int,
     skipped = sorted({w for s in range(min(cols_bound, rows_bound - r) + 1)
                       for w in range(max(cap_weight + 1, s * (s + r)),
                                      s * (rows_bound + cols_bound - s) + 1)})
-    mu_rows = d - i + 1
     entries: dict[tuple[int, int], int] = {}
     for p, summands in table.terms.items():
         for s in summands:
-            lam = s.lam
-            w = sum(lam)
-            for rho in partitions_in_box(t, w, w):
+            plethysm = _schur_of_copies(s.lam, t, t + sum(s.lam), d - i + 1)
+            for rho, c in plethysm.coeffs.items():
                 res = schur_sub_twist_cohomology(t, d + 1, rho, m)
-                if res.is_zero:
-                    continue
-                rows = min(mu_rows, sum(map(min, lam, conjugate(rho))))
-                cols = min(w, sum(map(min, lam, rho)))
-                for mu in partitions_in_box(rows, cols, w):
-                    if rho and rho[0] > sum(map(min, lam, mu)):
-                        continue
-                    c = _kronecker(lam, rho, mu)
-                    if c == 0:
-                        continue
-                    dim_mu = _weyl_dim(mu, mu_rows)
+                if not res.is_zero:
                     key = (p, res.degree)
-                    entries[key] = entries.get(key, 0) + \
-                        s.bott_dim * c * dim_mu * res.dimension
+                    entries[key] = entries.get(key, 0) + s.bott_dim * c * res.dimension
     return E1Table(t, d, i, r, m, entries, tuple(skipped))

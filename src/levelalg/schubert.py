@@ -4,7 +4,9 @@ Classes are integer combinations of partitions inside the t x (n-t) box,
 printed in the {a,b,...} notation.  Multiplication is by the
 Littlewood-Richardson rule with silent truncation to the box, which is the
 cup product on the Grassmannian.  Porteous' formula turns Chern classes of
-the virtual bundle F - E into fundamental classes of rank-degeneracy loci.
+the virtual bundle F - E into fundamental classes of rank-degeneracy loci;
+they are Schur classes of several copies of the tautological roots, the
+kernel the E1 tables of `resolution` read too.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import lru_cache
 from itertools import zip_longest
 
 from .errors import AmbientMismatchError, InputSyntaxError, InvalidPartitionError, LevelAlgError
-from .partitions import check_partition, parse_partition, partitions_in_box
+from .partitions import _weyl_dim, check_partition, conjugate, parse_partition, partitions_in_box
 
 
 @dataclass(frozen=True)
@@ -57,9 +59,6 @@ class SchubertClass:
 
     def __mul__(self, other: SchubertClass) -> SchubertClass:
         return lr_multiply(self, other)
-
-    def max_degree(self) -> int:
-        return max((sum(lam) for lam in self.coeffs), default=0)
 
     def _check(self, other: SchubertClass):
         if (self.t, self.n) != (other.t, other.n):
@@ -226,40 +225,17 @@ def lr_multiply(a: SchubertClass, b: SchubertClass) -> SchubertClass:
     return SchubertClass(t, n, {nu: c for nu, c in out.items() if c})
 
 
-def chern_taut(t: int, n: int, i: int) -> SchubertClass:
-    """c_i of the tautological subbundle: (-1)^i {1,...,1} (i ones), zero
-    when that column leaves the box."""
-    if i < 0:
-        raise InvalidPartitionError("negative Chern index")
-    if i == 0:
-        return class_one(t, n)
-    if i > t or n <= t:
-        return schubert_class(t, n, {})
-    return schubert_class(t, n, {(1,) * i: (-1) ** i})
-
-
-def chern_taut_total(t: int, n: int) -> SchubertClass:
-    return sum((chern_taut(t, n, i) for i in range(1, t + 1)), class_one(t, n))
-
-
-def class_power(a: SchubertClass, k: int) -> SchubertClass:
-    out = class_one(a.t, a.n)
-    for _ in range(k):
-        out = lr_multiply(out, a)
-    return out
-
-
-def _toeplitz_det(total: SchubertClass, size: int, offset: int) -> SchubertClass:
-    """det[c_{offset+col-row}]_{size x size}, c_k the weight-k part of total.
+def _jacobi_trudi(parts: list, shape: tuple) -> SchubertClass:
+    """det[parts_{shape_row + col - row}] of size len(shape), parts[k] the
+    degree-k entry for k <= shape_1 + len(shape) - 1, and zero for k < 0.
 
     Laplace expansion along the first remaining row, memoised on the
-    surviving column set.
+    surviving column set.  shape is a partition, so shape_row - row falls
+    strictly down each column: below an entry of negative degree, every
+    entry of its column is zero.
     """
-    t, n = total.t, total.n
-    parts = [{} for _ in range(total.max_degree() + 1)]
-    for lam, c in total.coeffs.items():
-        parts[sum(lam)][lam] = c
-    parts = [SchubertClass(t, n, p) for p in parts]
+    t, n = parts[0].t, parts[0].n
+    size = len(shape)
 
     @lru_cache(maxsize=None)
     def minor(cols: tuple) -> SchubertClass:
@@ -267,11 +243,11 @@ def _toeplitz_det(total: SchubertClass, size: int, offset: int) -> SchubertClass
             return class_one(t, n)
         row = size - len(cols)
         out = SchubertClass(t, n, {})
-        if offset + cols[0] < row:
+        if shape[row] + cols[0] < row:
             return out  # column cols[0] is zero from this row down
         for pos, col in enumerate(cols):
-            k = offset + col - row
-            if k >= len(parts) or parts[k].is_zero:
+            k = shape[row] + col - row
+            if parts[k].is_zero:
                 continue
             # the entry second: an LR filling has one cell per box of the second factor
             term = lr_multiply(minor(cols[:pos] + cols[pos + 1:]), parts[k])
@@ -279,6 +255,37 @@ def _toeplitz_det(total: SchubertClass, size: int, offset: int) -> SchubertClass
         return out
 
     return minor(tuple(range(size)))
+
+
+@lru_cache(maxsize=None)
+def _copies_part(t: int, n: int, copies: int, k: int, dual: bool) -> SchubertClass:
+    """h_k, or e_k if dual, of `copies` copies of x_1, ..., x_t on G(t, C^n):
+    by Cauchy's identity sum_nu dim S_nu(k^copies) sigma_nu, or with
+    dim S_nu'(k^copies), over the nu of weight k in the box (Macdonald,
+    Symmetric Functions, I.4)."""
+    part = {}
+    for nu in partitions_in_box(t, n - t, k):
+        weight = conjugate(nu) if dual else nu
+        if len(weight) <= copies:
+            part[nu] = _weyl_dim(weight, copies)
+    return SchubertClass(t, n, part)
+
+
+def _schur_of_copies(lam: tuple, t: int, n: int, copies: int) -> SchubertClass:
+    """s_lam(x (x) 1^copies) on G(t, C^n), sigma_nu = s_nu(x_1, ..., x_t):
+    s_lam with each x_a repeated `copies` times.
+
+    Jacobi-Trudi gives it as det[h_{lam_row + col - row}] of size len(lam)
+    and as det[e_{lam'_row + col - row}] of size lam_1 (Macdonald, I.3),
+    with the parts of _copies_part; the smaller one is expanded.  The
+    quotient onto the box is a ring map, so truncating the parts and the
+    products changes nothing inside it.
+    """
+    conj = conjugate(lam)
+    dual = len(lam) > len(conj)
+    shape = conj if dual else lam
+    top = shape[0] + len(shape) - 1 if shape else 0  # the heaviest entry
+    return _jacobi_trudi([_copies_part(t, n, copies, k, dual) for k in range(top + 1)], shape)
 
 
 def _check_rank_bound(t: int, d: int, i: int, r: int) -> tuple[int, int]:
@@ -296,10 +303,11 @@ def porteous_class(t: int, d: int, i: int, r: int) -> SchubertClass:
     E = S (x) R_{d-i} has rank e = t(d-i+1) and c(E) = c(S)^{d-i+1}, S the
     tautological subbundle; F is trivial of rank f = i+1.  Porteous gives
     the (e-r) x (e-r) determinant det[c_{f-r+col-row}(F - E)], where
-    c(F - E) = c(Q)^{d-i+1} and c(Q) = sum_k {k}.  By Jacobi-Trudi duality
-    it equals (-1)^{(e-r)(f-r)} det[c_{e-r+col-row}(E)] of size f-r
-    (Fulton, Intersection Theory, 14.4 and Lemma 14.5.1; Macdonald,
-    Symmetric Functions, I.3); the smaller determinant is expanded.
+    c(F - E) = c(Q)^{d-i+1} and c(Q) = sum_k {k} (Fulton, Intersection
+    Theory, 14.4).  So c_k(F - E) is h_k of d-i+1 copies of the Chern roots
+    of S*, and the determinant is the Schur class of the rectangle
+    (f-r)^(e-r) in those copies (Macdonald, Symmetric Functions, I.3),
+    which _schur_of_copies expands from its smaller side.
     The class is supported on the locus when the locus has the expected
     codimension (e-r)(f-r), and is its fundamental class only when the
     locus is also generically reduced; otherwise it counts each component
@@ -311,12 +319,7 @@ def porteous_class(t: int, d: int, i: int, r: int) -> SchubertClass:
         raise LevelAlgError(f"need 1 <= t <= d + 1, got (t, d) = ({t}, {d})")
     if t > d + 1:
         raise LevelAlgError(f"G({t}, S_{d}) is empty: need t <= d + 1")
-    n = d + 1
     e, f = _check_rank_bound(t, d, i, r)
     if r == min(e, f):
-        return class_one(t, n)  # the smaller determinant is empty
-    if e <= f:
-        quotient = SchubertClass(t, n, {(k,) if k else (): 1 for k in range(n - t + 1)})
-        return _toeplitz_det(class_power(quotient, d - i + 1), e - r, f - r)
-    ce = class_power(chern_taut_total(t, n), d - i + 1)
-    return _toeplitz_det(ce, f - r, e - r).scale((-1) ** ((e - r) * (f - r)))
+        return class_one(t, d + 1)  # the smaller determinant is empty
+    return _schur_of_copies((f - r,) * (e - r), t, d + 1, d - i + 1)

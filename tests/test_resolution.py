@@ -291,9 +291,10 @@ def test_e1_table_t1_negative_twist():
 
 
 def _e1_by_every_triple(t, d, i, r, m, cap):
-    """E1 entries by the loop e1_vanishing_table ran before it enumerated
-    inside the Dvir bounds: every rho with nonzero Bott cohomology, every
-    mu of the box, and the public kronecker on each triple."""
+    """E1 entries by Kronecker coefficients, the route e1_vanishing_table
+    took before it read them off the Schur-class kernel: every rho with
+    nonzero Bott cohomology, every mu of the box, and the public kronecker
+    on each triple."""
     mu_rows = d - i + 1
     entries = {}
     for p, summands in lascoux_ranks(t, d, i, r).terms.items():
@@ -336,9 +337,9 @@ def _e1_by_plethysm(t, d, i, r, m, cap):
     ((2, 7, 5, 4), 12),  # the golden e1-table argv
     ((1, 6, 2, 1), 12), ((3, 5, 3, 2), 12),  # len(mu) <= |lam & rho'| binds below d-i+1
 ])
-def test_e1_dvir_prefilter_changes_nothing(args, cap):
-    # enumerating mu inside the Dvir bounds drops only zero coefficients;
-    # the plethysm route sums the same coefficients without computing one
+def test_e1_matches_every_triple_and_plethysm(args, cap):
+    # the Schur-class kernel against the Kronecker coefficients of every
+    # triple, and the block-branching plethysm, which computes neither
     for m in (-1, 0, 1):
         table = e1_vanishing_table(*args, m, cap_weight=cap)
         assert table.entries == _e1_by_every_triple(*args, m, cap) == \
@@ -355,6 +356,17 @@ def test_e1_complete_tables():
     table = e1_vanishing_table(2, 7, 4, 3, 0, cap_weight=24)
     assert not table.truncated
     assert table.entries == {(-10, 12): 175, (0, 0): 1}
+    # recorded from the Kronecker route, which took seconds on these
+    table = e1_vanishing_table(2, 10, 7, 4, 0, cap_weight=32)
+    assert not table.truncated
+    assert table.entries == {(-16, 18): 1002001, (-15, 18): 10602592, (-14, 18): 18712848,
+                             (-13, 18): 11958144, (-12, 18): 3279540, (-11, 18): 353760,
+                             (-10, 18): 8208, (0, 0): 1}
+    table = e1_vanishing_table(3, 7, 5, 3, 0, cap_weight=27)
+    assert not table.truncated
+    assert table.entries == {(-18, 15): 54880, (-17, 15): 123480, (-16, 15): 76608,
+                             (-15, 15): 12243, (-11, 10): 51408, (-10, 10): 77112,
+                             (-9, 10): 33180, (-8, 10): 3240, (0, 0): 1}
 
 
 def test_e1_negative_cap_is_rejected():

@@ -6,16 +6,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import plethystic_schur_coefficients
 
 from levelalg.errors import AmbientMismatchError, InvalidPartitionError
-from levelalg.partitions import partitions, partitions_in_box
+from levelalg.partitions import partitions, partitions_in_box, schur_dim
 from levelalg.resolution import expected_codim
 from levelalg.schubert import (
     SchubertClass,
-    _toeplitz_det,
-    chern_taut,
-    chern_taut_total,
+    _schur_of_copies,
     class_of,
     class_one,
-    class_power,
     format_class,
     lr_coefficient,
     lr_multiply,
@@ -76,17 +73,6 @@ def test_hypersurface_class_via_porteous():
     # (2,7): Sigma_5 = Le(5,5) is a hypersurface of class 3{1}
     cls = porteous_class(2, 7, 5, 5)
     assert format_class(cls) == "3{1}"
-
-
-def test_chern_classes_of_tautological_bundle():
-    assert format_class(chern_taut(2, 6, 0)) == "1"
-    assert format_class(chern_taut(2, 6, 1)) == "-{1}"
-    assert format_class(chern_taut(2, 6, 2)) == "{1,1}"
-    assert chern_taut(2, 6, 3).is_zero
-    assert format_class(chern_taut_total(2, 6)) == "1 - {1} + {1,1}"
-    # on G(2, 2), a point, the column {1} leaves the 2 x 0 box
-    assert chern_taut(2, 2, 1).is_zero
-    assert format_class(chern_taut_total(2, 2)) == "1"
 
 
 def test_lr_ring_axioms(rng):
@@ -235,6 +221,57 @@ def test_box_bounded_lr_multiply_matches_all_partitions(pair):
     assert list(fast.coeffs) == list(ref.coeffs)
 
 
+def chern_taut(t, n, i):
+    """c_i of the tautological subbundle: (-1)^i {1,...,1} (i ones), zero
+    when that column leaves the box."""
+    if i == 0:
+        return class_one(t, n)
+    if i > t or n <= t:
+        return schubert_class(t, n, {})
+    return schubert_class(t, n, {(1,) * i: (-1) ** i})
+
+
+def chern_taut_total(t, n):
+    return sum((chern_taut(t, n, i) for i in range(1, t + 1)), class_one(t, n))
+
+
+def class_power(a, k):
+    out = class_one(a.t, a.n)
+    for _ in range(k):
+        out = lr_multiply(out, a)
+    return out
+
+
+def _toeplitz_det(total, size, offset):
+    """det[c_{offset+col-row}]_{size x size}, c_k the weight-k part of
+    total, Laplace-expanded along the first remaining row and memoised on
+    the surviving column set: the determinant porteous_class expanded
+    before the Schur-class kernel, over Chern-series powers."""
+    t, n = total.t, total.n
+    parts = [{} for _ in range(max((sum(lam) for lam in total.coeffs), default=0) + 1)]
+    for lam, c in total.coeffs.items():
+        parts[sum(lam)][lam] = c
+    parts = [SchubertClass(t, n, p) for p in parts]
+
+    @lru_cache(maxsize=None)
+    def minor(cols):
+        if not cols:
+            return class_one(t, n)
+        row = size - len(cols)
+        out = SchubertClass(t, n, {})
+        if offset + cols[0] < row:
+            return out
+        for pos, col in enumerate(cols):
+            k = offset + col - row
+            if k >= len(parts) or parts[k].is_zero:
+                continue
+            term = lr_multiply(minor(cols[:pos] + cols[pos + 1:]), parts[k])
+            out = out + (term.scale(-1) if pos % 2 else term)
+        return out
+
+    return minor(tuple(range(size)))
+
+
 def _class_inverse(a):
     """Inverse of a class with unit constant term, as a finite geometric
     series (positive-degree parts are nilpotent in the box)."""
@@ -365,3 +402,29 @@ def test_porteous_on_a_point():
             for r in range(min(e, f) + 1):
                 expected = "1" if (e - r) * (f - r) == 0 else "0"
                 assert format_class(porteous_class(t, d, i, r)) == expected
+
+
+def test_schur_of_copies_matches_block_branching():
+    # the kernel against the block-branching oracle (no LR or Kronecker
+    # coefficient), on boxes that hold every rho of weight |lam| and on
+    # boxes that truncate (n - t < lam_1), from both determinant sides;
+    # and the Cauchy dimension identity sum_rho c_rho dim S_rho(k^t)
+    # = dim S_lam(k^{t * copies}) on the untruncated boxes
+    sides, truncated = set(), 0
+    for t in (1, 2, 3, 4):
+        for copies in (1, 2, 3):
+            for w in range(9):
+                for lam in partitions(w):
+                    sides.add(len(lam) <= (lam[0] if lam else 0))
+                    oracle = plethystic_schur_coefficients(lam, t, copies)
+                    got = _schur_of_copies(lam, t, t + w, copies).coeffs
+                    assert got == oracle, (lam, t, copies)
+                    assert sum(c * schur_dim(rho, t) for rho, c in got.items()) == \
+                        schur_dim(lam, t * copies), (lam, t, copies)
+                    n = t + 2
+                    if lam and lam[0] > n - t:
+                        truncated += 1
+                        assert _schur_of_copies(lam, t, n, copies).coeffs == \
+                            {rho: c for rho, c in oracle.items()
+                             if not rho or rho[0] <= n - t}, (lam, t, n, copies)
+    assert sides == {True, False} and truncated > 300

@@ -45,9 +45,9 @@ UNCALLED_PUBLIC_FUNCTIONS = {
     "class_of": "builds the Schubert classes of the acceptance tests",
     "minmax_hf": "the extremal level Hilbert functions that the tests bound against",
     "schur_dim": "the hook-content dimension, the tests' independent check on the Weyl "
-                 "product that lascoux_ranks and e1_vanishing_table call unchecked",
-    "dvir_bound_ok": "acceptance criterion 11 imports it; e1_vanishing_table applies "
-                     "the bound inline",
+                 "product that lascoux_ranks and the Schur-class kernel call unchecked",
+    "dvir_bound_ok": "acceptance criterion 11 imports it; no library route applies "
+                     "the bound since the E1 tables left the Kronecker coefficients",
 }
 
 
