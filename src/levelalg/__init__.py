@@ -78,6 +78,6 @@ from .secant import (
     stacked_hankel,
     waring_witness_hf,
 )
-from .tangent import TangentSpace, tangent_space, tangent_space_dual, tangent_dim_formula
+from .tangent import TangentSpace, tangent_space
 
 __version__ = "0.1.0"

@@ -489,11 +489,6 @@ class Subspace:
     def contains(self, f: Form) -> bool:
         return all(c == 0 for c in self.reduce(f))
 
-    def complement_positions(self) -> list[int]:
-        """Non-pivot monomial positions: coordinates of the quotient space."""
-        pivot_set = set(self.pivots)
-        return [i for i in range(self.ambient_dim) if i not in pivot_set]
-
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Canonical echelon basis of a ∩ b."""

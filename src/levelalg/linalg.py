@@ -26,10 +26,6 @@ Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
 
-def transpose(m: Matrix) -> Matrix:
-    return [list(col) for col in zip(*m)]
-
-
 def _integer_row(row) -> list[int]:
     """row (ints or Fractions) times the lcm of its denominators."""
     dens = [x.denominator for x in row]

@@ -14,7 +14,7 @@ settings.load_profile("repro")
 
 from levelalg.apolarity import inverse_system_slice
 from levelalg.levelhf import HilbertFunction, burch_ideal, enumerate_level_hf
-from levelalg.linalg import QQ, det
+from levelalg.linalg import QQ, det, free_columns
 from levelalg.partitions import partitions_in_box
 
 
@@ -50,12 +50,18 @@ def all_level_hfs(t_max: int, d_max: int):
                 yield h
 
 
+def complement_positions(sub):
+    """The monomial positions that are no pivot of the Subspace sub: the
+    coordinates of its quotient space."""
+    return free_columns(sub.pivots, sub.ambient_dim)
+
+
 def monomial_residuals(sub):
     """Each ambient monomial of the Subspace sub reduced against its
-    echelon basis, in Fractions, read at complement_positions(): minus the
-    rest of its echelon row for a pivot monomial, a unit vector for any
+    echelon basis, in Fractions, read at complement_positions(sub): minus
+    the rest of its echelon row for a pivot monomial, a unit vector for any
     other.  The Fraction reference of the library's integer residuals."""
-    comp = sub.complement_positions()
+    comp = complement_positions(sub)
     pivot_row = dict(zip(sub.pivots, sub.rows))
     return [[-pivot_row[o][p] for p in comp] if o in pivot_row
             else [QQ(int(p == o)) for p in comp]

@@ -6,7 +6,7 @@ after every generator, the socle from the generators' own ideal slices with
 the socle ranked in Fractions, and secant planes intersected one pair at a
 time.  Also: one derivative chain and one apolar pass per Lambda instance,
 shared by the profile, the generators, the secant decomposition, ann_slice,
-in_sigma and the dual tangent route, and the socle against Macaulay duality
+in_sigma and the tangent route, and the socle against Macaulay duality
 (R/ann(Lambda) is level of socle degree d and type dim Lambda): the profile
 states that socle, and the tests rank it in Fractions on the slices."""
 
@@ -42,7 +42,7 @@ from levelalg.forms import (
 from levelalg.levelhf import HilbertFunction, burch_ideal
 from levelalg.linalg import QQ, rank, right_kernel
 from levelalg.secant import SecantPlane, in_sigma, secant_decompose, secant_intersect
-from levelalg.tangent import tangent_space_dual
+from levelalg.tangent import tangent_space
 
 # A fixed change of coordinates with no zero or unit entry.
 MOVE = [[3, -4], [4, 3]]
@@ -262,7 +262,7 @@ def test_socle_of_non_level_ideals_matches_the_old_route(nvars, ops):
 
 def test_the_pass_runs_once_per_lambda(monkeypatch):
     # one derivative chain runs down from d to 1 once per Lambda, and
-    # ann_slice, in_sigma and the dual tangent route read the same slices;
+    # ann_slice, in_sigma and the tangent route read the same slices;
     # calls records the degree of each chain step
     calls = []
     step = apolarity._chain_step
@@ -286,11 +286,11 @@ def test_the_pass_runs_once_per_lambda(monkeypatch):
     slices = [ann_slice(lam, j).subspace for j in range(h.d + 2)]
     assert [in_sigma(lam, s) is not None for s in range(h.t, h.d + 1)] == \
         [s >= 5 for s in range(h.t, h.d + 1)]
-    dual = tangent_space_dual(lam)
+    dual = tangent_space(lam)
     assert calls == one_pass
     assert slices == [old_ann_slice(fresh, j) for j in range(h.d + 2)]
-    # and the dual alone runs the chain once on a fresh copy
-    fresh_dual = tangent_space_dual(dataclasses.replace(lam))
+    # and the tangent route alone runs the chain once on a fresh copy
+    fresh_dual = tangent_space(dataclasses.replace(lam))
     assert fresh_dual == dual
     assert calls == 2 * one_pass
     # == leaves the basis out; building it reads only the stored echelon

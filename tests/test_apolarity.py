@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from conftest import burch_point, monomial_residuals
+from conftest import burch_point, complement_positions, monomial_residuals
 from levelalg.apolarity import (
     _action_table,
     _ideal_slice_stream,
@@ -340,7 +340,7 @@ def beta_rank(lam, i):
     residuals = monomial_residuals(ann_slice(lam, d).subspace)
     shift = monomial_products(lam.nvars, i, d - i)
     return rank([[x for r in shift[pos] for x in residuals[r]]
-                 for pos in ann_slice(lam, i).subspace.complement_positions()])
+                 for pos in complement_positions(ann_slice(lam, i).subspace)])
 
 
 def test_beta_injective_for_level_points(rng):

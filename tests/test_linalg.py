@@ -13,7 +13,6 @@ from levelalg.linalg import (
     right_kernel,
     row_space_intersection,
     rref,
-    transpose,
 )
 
 rationals = st.fractions(
@@ -169,11 +168,6 @@ def test_row_space_intersection_basic():
     b = mat([[0, 1, 0], [0, 0, 1]])
     inter = row_space_intersection(a, b, 3)
     assert inter == mat([[0, 1, 0]])
-
-
-def test_transpose_roundtrip():
-    m = mat([[1, 2, 3], [4, 5, 6]])
-    assert transpose(transpose(m)) == m
 
 
 def test_kernel_of_empty_matrix_needs_ncols():

@@ -39,7 +39,6 @@ UNCALLED_PUBLIC_FUNCTIONS = {
     "hypersurface_case": "named in the README and in the acceptance tests",
     "subspace_intersect": "row-space intersection in the README tour",
     "right_kernel": "the right kernel in the README tour",
-    "tangent_space_dual": "the second tangent route, which the benchmark runs",
     "lr_coefficient": "the benchmark reads its cache statistics",
     "character": "the benchmark reads its cache statistics; the tests' character oracle",
     "class_of": "builds the Schubert classes of the acceptance tests",

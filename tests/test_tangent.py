@@ -3,7 +3,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_level_hfs, burch_point, moved_burch_point, monomial_residuals
+from conftest import (all_level_hfs, burch_point, complement_positions, moved_burch_point,
+                      monomial_residuals)
 from levelalg import apolarity, linalg, tangent
 from levelalg.apolarity import (
     _action_table,
@@ -12,38 +13,39 @@ from levelalg.apolarity import (
     hilbert_function,
     integer_catalecticant,
     internal_product,
+    minimal_generators,
 )
 from levelalg.errors import HilbertMismatchError, ZeroSubspaceError
 from levelalg.forms import (Form, Subspace, form_print, monomial_index, monomials,
                             parse_subspace_lines)
 from levelalg.levelhf import (
     HilbertFunction,
+    dim_stratum,
     enumerate_level_hf,
     grassmannian_dim,
     minmax_hf,
-    q_sequence,
 )
-from levelalg.linalg import QQ, right_kernel, rref, transpose
-from levelalg.tangent import (
-    tangent_dim_formula,
-    tangent_space,
-    tangent_space_dual,
-)
+from levelalg.linalg import QQ, right_kernel, rref
+from levelalg.tangent import tangent_space
+
+
+def transpose(m):
+    return [list(col) for col in zip(*m)]
 
 
 def test_formula_example_15():
-    assert tangent_dim_formula(HilbertFunction.parse("1,2,3,4,5,5,4,3,0")) == 9
+    assert dim_stratum(HilbertFunction.parse("1,2,3,4,5,5,4,3,0")) == 9
 
 
 def test_formula_25_values():
-    dims = [tangent_dim_formula(h) for h in enumerate_level_hf(2, 5)]
+    dims = [dim_stratum(h) for h in enumerate_level_hf(2, 5)]
     assert dims == [2, 5, 6, 8]
 
 
 def test_formula_minimal_function_is_t():
     for t, d in [(1, 5), (2, 6), (3, 8), (4, 9)]:
         hmin, _, _ = minmax_hf(t, d)
-        assert tangent_dim_formula(hmin) == t
+        assert dim_stratum(hmin) == t
 
 
 def test_open_stratum_tangent_is_whole_grassmannian(rng):
@@ -66,12 +68,14 @@ def test_example_15_tangent_dimension_is_nine():
 
 
 def test_dual_route_agrees(rng):
+    # with the primal Fraction reference and the n = 2 closed formula
     for h in all_level_hfs(2, 6):
         lam = burch_point(h)
-        assert tangent_space(lam).dimension == tangent_space_dual(lam).dimension
+        assert tangent_space(lam).dimension == _fraction_tangent_space(lam)[0] == \
+            dim_stratum(h), h.format()
     h = HilbertFunction.parse("1,2,3,4,5,5,4,3,0")
     lam = moved_burch_point(h, rng)
-    assert tangent_space(lam).dimension == tangent_space_dual(lam).dimension == 9
+    assert tangent_space(lam).dimension == _fraction_tangent_space(lam)[0] == 9
 
 
 def test_dropping_constraints_grows_dimension():
@@ -95,23 +99,24 @@ def test_basis_maps_have_declared_shape():
     lam = burch_point(h)
     ts = tangent_space(lam, h)
     assert len(ts.basis) == ts.dimension
+    # Hom(I_d, R_d/I_d): dim I_d = dim R_d - t rows of t entries
     for mat in ts.basis:
-        assert len(mat) == lam.dim
-        assert all(len(row) == lam.ambient_dim - lam.dim for row in mat)
+        assert len(mat) == lam.ambient_dim - lam.dim
+        assert all(len(row) == lam.dim for row in mat)
 
 
 def test_three_variable_internal_consistency(rng):
-    # no closed dimension formula for n >= 3; both routes must still agree
+    # no closed dimension formula for n >= 3: Hom_R(I, A)_0 and the primal
+    # Fraction reference instead
     forms = [
         Form.make(3, 3, "S", {m: rng.randint(-4, 4) for m in monomials(3, 3)})
         for _ in range(2)
     ]
     lam = Subspace.span(3, 3, "S", forms)
     if lam.dim == 2:
-        a = tangent_space(lam)
-        b = tangent_space_dual(lam)
-        assert a.dimension == b.dimension
-        assert a.dimension <= lam.dim * (lam.ambient_dim - lam.dim)
+        dimension = tangent_space(lam).dimension
+        assert dimension == _hom_dimension(lam) == _fraction_tangent_space(lam)[0]
+        assert dimension <= lam.dim * (lam.ambient_dim - lam.dim)
 
 
 def test_le22_tangent_at_bottom_stratum_is_two():
@@ -125,15 +130,13 @@ def test_le22_tangent_at_bottom_stratum_is_two():
 def test_dual_route_on_a_large_case(rng):
     h = HilbertFunction.parse("1,2,3,4,5,5,5,4,3,0")  # (3, 9)
     lam = moved_burch_point(h, rng)
-    a = tangent_space(lam).dimension
-    b = tangent_space_dual(lam).dimension
-    assert a == b == tangent_dim_formula(h)
+    assert tangent_space(lam).dimension == dim_stratum(h) == _hom_dimension(lam)
 
 
 def test_hilbert_mismatch_rejected_by_the_dual_route():
     lam = burch_point(HilbertFunction.parse("1,2,3,3,3,2,0"))
     with pytest.raises(HilbertMismatchError, match="not 1,2,2,2,2,2,0"):
-        tangent_space_dual(lam, HilbertFunction.parse("1,2,2,2,2,2,0"))
+        tangent_space(lam, HilbertFunction.parse("1,2,2,2,2,2,0"))
 
 
 def test_hilbert_mismatch_rejected_outside_the_constrained_degrees():
@@ -144,12 +147,13 @@ def test_hilbert_mismatch_rejected_outside_the_constrained_degrees():
 
 
 def test_zero_subspace_rejected_by_both_routes():
-    for route in (tangent_space, tangent_space_dual):
+    # the route and the Hom_R(I, A)_0 oracle
+    for route in (tangent_space, _hom_dimension):
         with pytest.raises(ZeroSubspaceError):
             route(Subspace.zero(2, 4, "S"))
 
 
-# -- differential test against the rational routes ---------------------------
+# -- differential tests against the rational routes and Hom_R(I, A)_0 -------
 
 def _times_variables(n, degree, positions):
     """The positions in degree + 1 of x_k times the monomials at `positions`
@@ -168,7 +172,7 @@ def _fraction_tangent_space(lam, degrees=None):
     times a free column of the previous degree, when that one is
     constrained."""
     n, d, t = lam.nvars, lam.degree, lam.dim
-    comp_d = lam.complement_positions()
+    comp_d = complement_positions(lam)
     ncols = t * len(comp_d)
     rows, kept, lower = [], 0, set()
     for i in range(1, d):
@@ -177,7 +181,7 @@ def _fraction_tangent_space(lam, degrees=None):
             continue
         cat = catalecticant_matrix(lam, i)
         lam_i = Subspace.from_rows(n, i, "S", cat)
-        comp_i = lam_i.complement_positions()
+        comp_i = complement_positions(lam_i)
         new = {ell for ell, f in enumerate(comp_i) if f not in lower}
         lower = _times_variables(n, i, comp_i)
         kernel = right_kernel(transpose(cat), ncols=len(cat))
@@ -208,21 +212,26 @@ def _fraction_tangent_space(lam, degrees=None):
     return len(kernel_basis), basis, (kept, ncols)
 
 
-def _fraction_tangent_space_dual(lam):
+def _fraction_tangent_space_dual(lam, degrees=None):
     """The dual route with Form products and Fraction row reductions, as it
-    was before the integer rewrite.  The dimension and basis come from every
-    constraint row; the shape counts the rows the lead rule keeps: those of
-    the elements of I_i whose pivot is not x_k times a pivot of I_{i-1}."""
+    was before the integer rewrite, with the constraints of `degrees` only
+    when it is given.  The dimension and basis come from every constraint
+    row; the shape counts the rows the lead rule keeps: those of the
+    elements of I_i whose pivot is not x_k times a pivot of I_{i-1}, when
+    that one is constrained."""
     n, d = lam.nvars, lam.degree
     id_slice = ann_slice(lam, d).subspace
     dim_id = id_slice.dim
-    comp_d = id_slice.complement_positions()
+    comp_d = complement_positions(id_slice)
     tq = len(comp_d)
     ncols = dim_id * tq
     residuals = monomial_residuals(id_slice)
     index_d = monomial_index(n, d)
     rows, kept, lower = [], 0, set()
     for i in range(1, d):
+        if degrees is not None and i not in degrees:
+            lower = set()
+            continue
         ii = ann_slice(lam, i).subspace
         new = {k for k, p in enumerate(ii.pivots) if p not in lower}
         lower = _times_variables(n, i, ii.pivots)
@@ -231,7 +240,7 @@ def _fraction_tangent_space_dual(lam):
         mons_low, mons_i = monomials(n, d - i), monomials(n, i)
         amb = tq * len(mons_low)
         v_rows = []
-        for pos in ii.complement_positions():
+        for pos in complement_positions(ii):
             vec = [QQ(0)] * amb
             for m_idx, m_exp in enumerate(mons_low):
                 w_m = tuple(a + b for a, b in zip(mons_i[pos], m_exp))
@@ -268,6 +277,43 @@ def _fraction_tangent_space_dual(lam):
     return len(kernel_basis), basis, (kept, ncols)
 
 
+def _hom_dimension(lam):
+    """dim Hom_R(I, A)_0 for I = ann(Lambda) and A = R/I, in Fractions, from
+    a presentation of I: one unknown block phi(g) in A_{deg g} for each
+    generator g of degree <= d (A vanishes above d), and for each syzygy
+    sum_k a_k g_k = 0 of degree j <= d the conditions sum_k a_k phi(g_k) = 0
+    in A_j, read modulo I_j.  A_j has the basis of the monomials that are
+    no pivot of I_j."""
+    n, d = lam.nvars, lam.degree
+    gens = [g for degree, forms in minimal_generators(lam) if degree <= d for g in forms]
+    slices = [ann_slice(lam, j).subspace for j in range(d + 1)]
+    offsets, ncols = [], 0
+    for g in gens:
+        offsets.append(ncols)
+        ncols += len(complement_positions(slices[g.degree]))
+    rows = []
+    for j in range(1, d + 1):
+        # the syzygies of degree j: relations among the x^M g_k in R_j
+        columns = [(k, m) for k, g in enumerate(gens) if g.degree <= j
+                   for m in monomials(n, j - g.degree)]
+        if not columns:
+            continue
+        products = [(Form.monomial(n, "R", m) * gens[k]).vector() for k, m in columns]
+        residuals, index = monomial_residuals(slices[j]), monomial_index(n, j)
+        for syzygy in right_kernel(transpose(products)):
+            block = [[QQ(0)] * ncols for _ in complement_positions(slices[j])]
+            for (k, m), a in zip(columns, syzygy):
+                if not a:
+                    continue
+                basis_mons = monomials(n, gens[k].degree)
+                for b_idx, b in enumerate(complement_positions(slices[gens[k].degree])):
+                    product = index[tuple(x + y for x, y in zip(m, basis_mons[b]))]
+                    for ell, x in enumerate(residuals[product]):
+                        block[ell][offsets[k] + b_idx] += a * x
+            rows.extend(block)
+    return len(right_kernel(rows, ncols=ncols))
+
+
 # the ternary monomial subspaces of the benchmark, and three that are not monomial
 TERNARY = (
     ("y1^2", "y2^2", "y3^2"),
@@ -283,6 +329,14 @@ TERNARY = (
     ("y1^4 + y2^4 + y3^4", "y1^2*y2*y3"),
 )
 
+# spans in four variables, none of them monomial
+QUATERNARY = (
+    ("y1^2 + y2^2 + y3^2 + y4^2",),
+    ("y1^3 + y2^3 + y3^3 + y4^3",),
+    ("y1*y2*y3 + y2*y3*y4", "y1^3 - y4^3"),
+    ("y1^2*y2 + y3^2*y4", "y2^3 + y1*y3*y4", "y4^3 - 2*y1^2*y3"),
+)
+
 
 def _differential_points(rng):
     for h in all_level_hfs(4, 10):
@@ -293,13 +347,11 @@ def _differential_points(rng):
 
 
 def _check_against_the_rational_routes(lam, name):
-    hf = hilbert_function(lam)
-    for route, reference in ((tangent_space, _fraction_tangent_space),
-                             (tangent_space_dual, _fraction_tangent_space_dual)):
-        ts = route(lam)
-        assert (ts.dimension, ts.basis, ts.constraint_shape) == reference(lam), \
-            (route.__name__, name)
-        assert ts.hilbert == hf, (route.__name__, name)
+    ts = tangent_space(lam)
+    assert (ts.dimension, ts.basis, ts.constraint_shape) == \
+        _fraction_tangent_space_dual(lam), name
+    assert ts.dimension == _fraction_tangent_space(lam)[0], name
+    assert ts.hilbert == hilbert_function(lam), name
 
 
 def test_integer_routes_match_the_rational_routes(rng):
@@ -327,12 +379,24 @@ def _subspaces(draw):
 def test_random_subspaces_match_the_rational_routes(lam):
     # the lead rule drops rows by their lead alone; off the monomial locus
     # the dropped rows are combinations, not copies, of the kept ones
-    _check_against_the_rational_routes(lam, [form_print(f) for f in lam.basis])
+    name = [form_print(f) for f in lam.basis]
+    _check_against_the_rational_routes(lam, name)
+    assert tangent_space(lam).dimension == _hom_dimension(lam), name
+
+
+def test_the_hom_oracle_matches_the_route(rng):
+    points = [(h.format(), burch_point(h)) for h in all_level_hfs(4, 8)]
+    points += [(h.format() + " moved", moved_burch_point(h, rng)) for h in all_level_hfs(3, 7)]
+    points += [(" | ".join(lines), parse_subspace_lines(lines, nvars=n))
+               for n, family in ((3, TERNARY), (4, QUATERNARY)) for lines in family]
+    for name, lam in points:
+        assert tangent_space(lam).dimension == _hom_dimension(lam), name
+    assert {lam.nvars for _, lam in points} == {2, 3, 4}
 
 
 def test_the_basis_is_built_on_first_access_only(monkeypatch, rng):
-    # the routes read the dimension off the rank of the constraint rows, the
-    # last elimination each takes; the kernel of those rows is built on the
+    # the route reads the dimension off the rank of the constraint rows, the
+    # last elimination it takes; the kernel of those rows is built on the
     # first basis access, once
     solved, kernels = [], []
     original_echelon, original_kernel = tangent.integer_echelon, tangent.integer_kernel
@@ -352,22 +416,21 @@ def test_the_basis_is_built_on_first_access_only(monkeypatch, rng):
     points = [burch_point(h), moved_burch_point(h, rng),
               parse_subspace_lines(TERNARY[9], nvars=3)]
     for lam in points:
-        for route, reference in ((tangent_space, _fraction_tangent_space),
-                                 (tangent_space_dual, _fraction_tangent_space_dual)):
-            dimension, basis, shape = reference(lam)
-            kernels.clear()
-            ts = route(lam)
-            assert ts.dimension == dimension and ts.constraint_shape == shape
-            assert not any(e is solved[0] for e in kernels), route.__name__
-            kernels.clear()
-            assert ts.basis == basis, route.__name__
-            assert len(kernels) == 1 and kernels[0] is solved[0], route.__name__
-            assert ts.basis is ts.basis and len(kernels) == 1, route.__name__
+        dimension, basis, shape = _fraction_tangent_space_dual(lam)
+        kernels.clear()
+        ts = tangent_space(lam)
+        assert ts.dimension == dimension and ts.constraint_shape == shape
+        assert not any(e is solved[0] for e in kernels)
+        kernels.clear()
+        assert ts.basis == basis
+        assert len(kernels) == 1 and kernels[0] is solved[0]
+        assert ts.basis is ts.basis and len(kernels) == 1
 
 
 def test_degree_subsets_match_the_rational_route():
-    # the transposed elimination runs only for wanted degrees with a
-    # cokernel; every other subset of 1..d-1 must still give the reference
+    # a row of I_i is constrained only for i in degrees, and the lead rule
+    # drops it only when degree i - 1 is constrained too; every subset of
+    # 1..d-1 must give the dual reference, and the primal one's dimension
     points = [(h.format(), burch_point(h)) for h in all_level_hfs(3, 6)]
     points += [(" | ".join(lines), parse_subspace_lines(lines, nvars=3))
                for lines in (TERNARY[2], TERNARY[7])]
@@ -377,23 +440,9 @@ def test_degree_subsets_match_the_rational_route():
             for degrees in combinations(inner, k):
                 ts = tangent_space(lam, degrees=degrees)
                 assert (ts.dimension, ts.basis, ts.constraint_shape) == \
-                    _fraction_tangent_space(lam, degrees), (name, degrees)
-
-
-def test_transposed_elimination_only_where_there_is_a_cokernel(monkeypatch):
-    calls = []
-
-    def counted(m):
-        calls.append(len(m[0]) if m else 0)
-        return transpose(m)
-
-    monkeypatch.setattr(tangent, "transpose", counted)
-    for h in all_level_hfs(4, 10):
-        calls.clear()
-        tangent_space(burch_point(h))
-        # n = 2: a functional of cat_i survives the lead rule exactly in the
-        # degrees 1 <= i < d of a minimal generator of the Burch ideal
-        assert len(calls) == len({q for q in q_sequence(h) if 1 <= q < h.d}), h.format()
+                    _fraction_tangent_space_dual(lam, degrees), (name, degrees)
+                assert ts.dimension == _fraction_tangent_space(lam, degrees)[0], \
+                    (name, degrees)
 
 
 def test_integer_catalecticant_is_the_rational_one_times_the_scales(rng):
@@ -424,10 +473,10 @@ def test_integer_catalecticant_returns_fresh_lists(rng):
 
 
 def test_no_repeated_row_reaches_the_elimination_core(monkeypatch):
-    # at torus-fixed points most catalecticant and constraint rows are zero
-    # or repeats; integer_echelon hands the core each primitive row once.
-    # The dual route's slices come from the derivative chain, whose step j
-    # gets t rows at j = d and n h_{j+1} rows below: no catalecticant there
+    # integer_echelon hands the core each primitive row once, on the
+    # tangent route's eliminations and on the slices it reads.  Those come
+    # from the derivative chain, whose step j gets t rows at j = d and
+    # n h_{j+1} rows below: no catalecticant there
     given, eliminated = [], []
     original_echelon, original_eliminate = linalg.integer_echelon, linalg._eliminate
 
@@ -447,20 +496,15 @@ def test_no_repeated_row_reaches_the_elimination_core(monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", recorded_eliminate)
     hs = enumerate_level_hf(6, 16)
     for h in (hs[len(hs) // 4], hs[3 * len(hs) // 4]):
-        for route in (tangent_space, tangent_space_dual):
-            lam = burch_point(h)
-            given.clear()
-            eliminated.clear()
-            route(lam)
-            assert eliminated, (route.__name__, h.format())
-            assert all(len(set(map(tuple, rows))) == len(rows) for rows in eliminated), \
-                (route.__name__, h.format())
-            if route is tangent_space:
-                assert 2 * sum(map(len, eliminated)) <= sum(n for _, n, _ in given), h.format()
-                continue
-            # the chain steps j = d, ..., 1 (n = 2: dim R_j = j + 1)
-            chain = [(n, ncols) for module, n, ncols in given if module is apolarity]
-            assert [ncols for _, ncols in chain] == [j + 1 for j in range(h.d, 0, -1)]
-            bounds = [h.t] + [2 * h[j + 1] for j in range(h.d - 1, 0, -1)]
-            assert all(n <= bound for (n, _), bound in zip(chain, bounds, strict=True)), \
-                h.format()
+        lam = burch_point(h)
+        given.clear()
+        eliminated.clear()
+        tangent_space(lam)
+        assert eliminated, h.format()
+        assert all(len(set(map(tuple, rows))) == len(rows) for rows in eliminated), h.format()
+        # the chain steps j = d, ..., 1 (n = 2: dim R_j = j + 1)
+        chain = [(n, ncols) for module, n, ncols in given if module is apolarity]
+        assert [ncols for _, ncols in chain] == [j + 1 for j in range(h.d, 0, -1)]
+        bounds = [h.t] + [2 * h[j + 1] for j in range(h.d - 1, 0, -1)]
+        assert all(n <= bound for (n, _), bound in zip(chain, bounds, strict=True)), \
+            h.format()
