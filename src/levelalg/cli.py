@@ -289,9 +289,9 @@ def _cmd_lascoux_ranks(args, em: Emitter):
     em.emit("codim", table.codim)
     em.emit("ranks", ",".join(str(x) for x in table.ranks()))
     for p in sorted(table.terms, reverse=True):
+        key = f"term.{-p}"
         for s in table.terms[p]:
-            lam_text = ",".join(str(x) for x in s.lam) if s.lam else "0"
-            em.emit(f"term.{-p}", f"lambda=({lam_text}) rank={s.rank}")
+            em.emit(key, f"lambda=({','.join(map(str, s.lam)) or '0'}) rank={s.rank}")
 
 
 def _cmd_components(args, em: Emitter):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain, repeat
 from operator import mul
 
 from .errors import InvalidPartitionError, LevelAlgError, MalformedSequenceError
@@ -201,22 +202,27 @@ def hf_from_partition(mu, t: int, d: int) -> HilbertFunction:
         raise InvalidPartitionError(f"part {mu[0]} exceeds t + 1 = {t + 1}")
     if len(mu) > d:
         raise InvalidPartitionError(f"more than d = {d} parts")
-    padded = list(mu) + [0] * (d - len(mu))
-    values = [0] * (d + 1)
-    values[d] = t
-    for i in range(d - 1, -1, -1):
-        values[i] = values[i + 1] + padded[d - 1 - i] - 1
-    return HilbertFunction(tuple(values))
+    return HilbertFunction(_hf_values(mu, d))
+
+
+def _hf_values(mu, d: int) -> tuple[int, ...]:
+    """hf_from_partition's values without its checks: h_0 = 1 and
+    h_j = h_{j-1} + 1 - mu_{d+1-j}, mu padded with zeros to d parts, so
+    that h_{d-k} = t + mu_1 + ... + mu_k - k when mu has weight d - t + 1."""
+    h, values = 1, [1]
+    for p in chain(repeat(0, d - len(mu)), reversed(mu)):
+        h += 1 - p
+        values.append(h)
+    return tuple(values)
 
 
 def enumerate_level_hf(t: int, d: int) -> list[HilbertFunction]:
     """All level Hilbert functions of type (t, d), lexicographically ascending."""
     if not 1 <= t <= d + 1:
         raise MalformedSequenceError(f"need 1 <= t <= d + 1, got (t, d) = ({t}, {d})")
-    out = [hf_from_partition(mu, t, d)
-           for mu in partitions_in_box(d - t + 1, t + 1, d - t + 1)]
-    out.sort(key=lambda h: h.values)
-    return out
+    return [HilbertFunction(values) for values in
+            sorted(_hf_values(mu, d)
+                   for mu in partitions_in_box(d - t + 1, t + 1, d - t + 1))]
 
 
 def count_level_hf(t: int, d: int) -> int:

@@ -19,8 +19,8 @@ from .errors import CapExceededError, LevelAlgError
 from .kronecker import DEFAULT_WEIGHT_CAP
 from .levelhf import (
     HilbertFunction,
+    _hf_values,
     dim_stratum,
-    enumerate_level_hf,
     grassmannian_dim,
     is_level_sequence,
 )
@@ -219,10 +219,9 @@ def c1_c2_analysis(t: int, d: int, i: int, r: int) -> ComponentReport:
     codimension equal to the degeneracy bound.  A rank bound r above
     t(d-i+1) is rejected, as porteous_class rejects it.
 
-    The maximal admissible functions are found in one pass by descending
-    total: a function dominated by another has a smaller sum, so each one
-    meets its dominators first, and by transitivity it is enough to compare
-    it with those kept so far.
+    The candidates are built from their partitions alone, without
+    enumerating the level Hilbert functions of type (t, d): see
+    _maximal_admissible for the route and its proof.
     """
     if not 0 <= i <= d:
         raise LevelAlgError(f"need 0 <= i <= d, got i = {i}, d = {d}")
@@ -234,18 +233,59 @@ def c1_c2_analysis(t: int, d: int, i: int, r: int) -> ComponentReport:
     witness = c2_witness_hf(t, d, i, r) if c2 else None
     bound = expected_codim(t, d, i, r)
     dim_g = grassmannian_dim(t, d)
-    admissible = [h for h in enumerate_level_hf(t, d) if h[i] <= r]
-    kept: set[tuple] = set()  # all of length d + 1
-    for h in sorted(admissible, key=lambda h: -sum(h.values)):
-        if not any(all(a >= b for a, b in zip(k, h.values)) for k in kept):
-            kept.add(h.values)
-    maximal = [h for h in admissible if h.values in kept]
+    maximal = map(HilbertFunction, _maximal_admissible(t, d, i, r))
     candidates = tuple(
         (h, dim_stratum(h), dim_g - dim_stratum(h)) for h in maximal
     )
     c1 = bool(candidates) and all(codim == bound for _, _, codim in candidates)
     return ComponentReport(t, d, i, r, c2, c2_value > t, witness, bound,
                            candidates, c1)
+
+
+def _greedy(total: int, cap: int) -> tuple[int, ...]:
+    """The dominance-largest partition of total into parts at most cap >= 1."""
+    q, x = divmod(total, cap)
+    return (cap,) * q + ((x,) if x else ())
+
+
+def _maximal_admissible(t: int, d: int, i: int, r: int) -> list[tuple[int, ...]]:
+    """The values of the level Hilbert functions of type (t, d) with
+    h_i <= r that no other one dominates, lexicographically ascending.
+
+    With h_{d-k} = t + mu_1 + ... + mu_k - k, h dominates h' componentwise
+    exactly when mu dominates mu' (Macdonald, Symmetric Functions, I.1),
+    and with m = d-i, h_i <= r reads mu_1 + ... + mu_m <= B = r-t+m: the
+    admissible mu form a down-set of partitions of N = d-t+1 into parts at
+    most K = t+1.  If the largest one, greedy(N, K), is admissible, it is
+    the one candidate.  Otherwise B < min(N, mK), and a maximal mu has
+    mu_1 + ... + mu_m = B: with less, some row j <= m is below K and some
+    row below m is not empty, and moving the last box of the last row to
+    the first row below K keeps mu admissible and dominates it.  So mu is
+    a prefix alpha of B in m positive parts (there is none if B < m) above
+    a tail of N-B in parts at most f = alpha_m.  Replacing alpha by the
+    largest partition alpha^f of B into m parts between f and K, and then
+    the tail by greedy(N-B, alpha^f_m), keeps mu admissible and dominates
+    it: every candidate is one of these mu^f, 1 <= f <= B // m.  A floor
+    f > N-B leaves the tail the one part N-B, as f = N-B does under the
+    larger alpha^{N-B}, so f <= N-B.  For f < f' with alpha^f !=
+    alpha^{f'}, alpha^f dominates alpha^{f'} strictly, and alpha^f_m < f'
+    (else alpha^f would have the floor f' and be alpha^{f'}), so mu^{f'}
+    is larger in row m+1: neither dominates the other, and the distinct
+    mu^f are the candidates, at most B // m < K of them.
+    """
+    n, k, m = d - t + 1, t + 1, d - i
+    bound = r - t + m
+    top = _greedy(n, k)
+    if sum(top[:m]) <= bound:
+        return [_hf_values(top, d)]
+    if bound < m:
+        return []
+    maximal = set()
+    for f in range(1, min(n - bound, bound // m) + 1):
+        raised = _greedy(bound - m * f, k - f)
+        prefix = tuple(f + p for p in raised) + (f,) * (m - len(raised))
+        maximal.add(_hf_values(prefix + _greedy(n - bound, prefix[-1]), d))
+    return sorted(maximal)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from conftest import plethystic_schur_coefficients
-from levelalg import resolution
+from levelalg import levelhf, resolution
 from levelalg.errors import CapExceededError, LevelAlgError
 from levelalg.levelhf import enumerate_level_hf, grassmannian_dim, is_level_hf, is_level_sequence
 from levelalg.bott import bott_cohomology, schur_sub_twist_cohomology
@@ -195,10 +195,15 @@ def test_c2_witness_ramp_is_capped():
     assert rep.c2_witness.values == (1, 2, 3, 4, 4, 2)
 
 
+@functools.cache
+def _level_values(t, d):
+    return tuple(h.values for h in enumerate_level_hf(t, d))
+
+
 def _maximal_by_quadratic_scan(t, d, i, r):
     """Admissible functions that no other one dominates, by comparing every
-    pair: the route c1_c2_analysis took before its maximal-element pass."""
-    admissible = [h.values for h in enumerate_level_hf(t, d) if h[i] <= r]
+    pair of level Hilbert functions of type (t, d) with h_i <= r."""
+    admissible = [h for h in _level_values(t, d) if h[i] <= r]
     return [h for h in admissible
             if not any(o != h and all(a >= b for a, b in zip(o, h))
                        for o in admissible)]
@@ -206,12 +211,28 @@ def _maximal_by_quadratic_scan(t, d, i, r):
 
 def test_maximal_pass_matches_quadratic_scan():
     # r up to the rank bound min(t(d-i+1), i); above it c1_c2_analysis raises
+    # t up to 8 reaches parts up to K = t + 1 = 9; past t = 5, d stops at 12
     cases = [(t, d, i, r)
-             for t in range(1, 5) for d in range(max(t - 1, 1), 13)
+             for t in range(1, 9) for d in range(max(t - 1, 1), 15 if t <= 5 else 13)
              for i in range(d + 1) for r in range(min(t * (d - i + 1), i) + 1)]
-    for args in cases + [(5, 32, 28, 24)]:
+    for args in cases + [(4, 20, 15, 12), (5, 24, 18, 14), (5, 32, 28, 24)]:
         got = [h.values for h, _, _ in c1_c2_analysis(*args).candidates]
         assert got == _maximal_by_quadratic_scan(*args), args
+        assert len(got) <= args[0], args
+
+
+def test_components_never_enumerate_level_hf(monkeypatch):
+    # the candidates come from the partition side of the bijection; 931
+    # level Hilbert functions of type (5, 32) are never built
+    def refuse(t, d):
+        raise AssertionError(f"enumerate_level_hf({t}, {d}) called")
+
+    monkeypatch.setattr(levelhf, "enumerate_level_hf", refuse)
+    monkeypatch.setattr(resolution, "enumerate_level_hf", refuse, raising=False)
+    rep = c1_c2_analysis(5, 32, 28, 24)
+    assert [h.values for h, _, _ in rep.candidates] == [
+        tuple(range(1, 29)) + (24, 20, 15, 10, 5)
+    ]
 
 
 def test_components_2754():
