@@ -12,6 +12,7 @@ kernel of `schubert`, plus Bott on the outer Grassmannian.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .bott import schur_sub_twist_cohomology
@@ -52,8 +53,10 @@ class ResolutionSummand:
     bott_degree: int
     bott_dim: int
 
-    @property
+    @cached_property
     def rank(self) -> int:
+        # a product of two large integers, read by the term sums and the
+        # summand's own line alike
         return self.schur_rank * self.bott_dim
 
 
@@ -317,10 +320,11 @@ def e1_vanishing_table(t: int, d: int, i: int, r: int, m: int,
     with each x_a repeated d-i+1 times (Macdonald, Symmetric Functions,
     I.4 and I.7): schubert._schur_of_copies on G(t, t + |lam|), whose box
     holds every rho of weight |lam| with at most t parts, so nothing is
-    truncated.  Bott on G(t, S_d) then locates the unique cohomology degree
-    of S_rho(B)(m).  Partitions heavier than the weight cap are never
-    built; their weights are reported in `truncated_weights`.  A negative
-    cap is rejected.
+    truncated.  That kernel computes no Kronecker or Littlewood-Richardson
+    coefficient.  Bott on G(t, S_d) then locates the unique cohomology
+    degree of S_rho(B)(m).  Partitions heavier than the weight cap are
+    never built; their weights are reported in `truncated_weights`.  A
+    negative cap is rejected.
     """
     if cap_weight < 0:
         raise LevelAlgError(f"need a weight cap >= 0, got {cap_weight}")

@@ -1,12 +1,14 @@
 """The cohomology ring of G(t, C^n) in the Schubert basis.
 
 Classes are integer combinations of partitions inside the t x (n-t) box,
-printed in the {a,b,...} notation.  Multiplication is by the
+printed in the {a,b,...} notation.  The product of two classes is by the
 Littlewood-Richardson rule with silent truncation to the box, which is the
 cup product on the Grassmannian.  Porteous' formula turns Chern classes of
 the virtual bundle F - E into fundamental classes of rank-degeneracy loci;
 they are Schur classes of several copies of the tautological roots, the
-kernel the E1 tables of `resolution` read too.
+kernel the E1 tables of `resolution` read too.  That kernel multiplies by
+skew Schur dimensions, integer binomial determinants, and computes no
+Littlewood-Richardson coefficient.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
+from math import comb
 
 from .errors import AmbientMismatchError, InputSyntaxError, InvalidPartitionError, LevelAlgError
-from .partitions import _weyl_dim, check_partition, conjugate, parse_partition, partitions_in_box
+from .partitions import check_partition, conjugate, parse_partition, partitions_in_box
 
 
 @dataclass(frozen=True)
@@ -225,50 +228,94 @@ def lr_multiply(a: SchubertClass, b: SchubertClass) -> SchubertClass:
     return SchubertClass(t, n, {nu: c for nu, c in out.items() if c})
 
 
-def _jacobi_trudi(parts: list, shape: tuple) -> SchubertClass:
-    """det[parts_{shape_row + col - row}] of size len(shape), parts[k] the
-    degree-k entry for k <= shape_1 + len(shape) - 1, and zero for k < 0.
+def _integer_det(m: list) -> int:
+    """det of a square integer matrix by fraction-free (Bareiss) forward
+    elimination: every division is exact.  linalg.det returns the same
+    value, but its row scaling, full Gauss-Jordan pass and Fraction result
+    cost four to seven times as much on these matrices of at most t rows,
+    one per skew shape."""
+    m = [row[:] for row in m]
+    size, sign, prev = len(m), 1, 1
+    for k in range(size - 1):
+        if not m[k][k]:
+            swap = next((r for r in range(k + 1, size) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - lead * m[k][j]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if size else 1
 
-    Laplace expansion along the first remaining row, memoised on the
-    surviving column set.  shape is a partition, so shape_row - row falls
-    strictly down each column: below an entry of negative degree, every
-    entry of its column is zero.
-    """
-    t, n = parts[0].t, parts[0].n
-    size = len(shape)
 
-    @lru_cache(maxsize=None)
-    def minor(cols: tuple) -> SchubertClass:
-        if not cols:
-            return class_one(t, n)
-        row = size - len(cols)
-        out = SchubertClass(t, n, {})
-        if shape[row] + cols[0] < row:
-            return out  # column cols[0] is zero from this row down
-        for pos, col in enumerate(cols):
-            k = shape[row] + col - row
-            if parts[k].is_zero:
-                continue
-            # the entry second: an LR filling has one cell per box of the second factor
-            term = lr_multiply(minor(cols[:pos] + cols[pos + 1:]), parts[k])
-            out = out + (term.scale(-1) if pos % 2 else term)
-        return out
-
-    return minor(tuple(range(size)))
+def _skew_dim(nu: tuple, lam: tuple, copies: int, dual: bool) -> int:
+    """s_{nu/lam}(1^copies), or s_{nu'/lam'}(1^copies) if dual, for lam
+    inside nu: det[h_k(1^copies)] = det[C(copies + k - 1, k)], or
+    det[e_k(1^copies)] = det[C(copies, k)], with k = nu_a - lam_b - a + b
+    and zero entries for k < 0, of size len(nu) (Macdonald, Symmetric
+    Functions, I.5)."""
+    size = len(nu)
+    lam += (0,) * (size - len(lam))
+    return _integer_det([[(comb(copies, k) if dual else comb(copies + k - 1, k)) if k >= 0 else 0
+                          for b in range(size) for k in [nu[a] - lam[b] - a + b]]
+                         for a in range(size)])
 
 
 @lru_cache(maxsize=None)
-def _copies_part(t: int, n: int, copies: int, k: int, dual: bool) -> SchubertClass:
-    """h_k, or e_k if dual, of `copies` copies of x_1, ..., x_t on G(t, C^n):
-    by Cauchy's identity sum_nu dim S_nu(k^copies) sigma_nu, or with
-    dim S_nu'(k^copies), over the nu of weight k in the box (Macdonald,
-    Symmetric Functions, I.4)."""
-    part = {}
-    for nu in partitions_in_box(t, n - t, k):
-        weight = conjugate(nu) if dual else nu
-        if len(weight) <= copies:
-            part[nu] = _weyl_dim(weight, copies)
-    return SchubertClass(t, n, part)
+def _skew_terms(lam: tuple, k: int, copies: int, dual: bool, rows: int, width: int) -> tuple:
+    """((nu, c), ...): the terms of s_lam times h_k, or e_k if dual, of the
+    copies, c = s_{nu/lam}(1^copies), or s_{nu'/lam'}(1^copies), over the
+    nu in the rows x width box that contain lam, weigh |lam| + k and have
+    c != 0.  nu is built row by row.  A skew shape with a column longer
+    than `copies` has no tableau with entries at most `copies`, so the
+    rows are pruned to nu_{a+copies} <= lam_a, or to nu_a - lam_a <=
+    copies if dual, as they are chosen."""
+    lam += (0,) * (rows - len(lam))
+    grow = copies if dual else k  # the most one row can gain
+    out, nu = [], []
+
+    def extend(a: int, top: int, left: int) -> None:
+        if a == rows:
+            if not left:
+                key = tuple(p for p in nu if p)
+                c = _skew_dim(key, lam[:len(key)], copies, dual)
+                if c:
+                    out.append((key, c))
+            return
+        low = lam[a]
+        high = min(top, low + grow, low + left)
+        if not dual and a >= copies:
+            high = min(high, lam[a - copies])
+        for p in range(high, low - 1, -1):
+            # the rows below can gain at most min(grow, p - lam_b) each
+            if p - low + sum(min(grow, p - q) for q in lam[a + 1:]) < left:
+                break
+            nu.append(p)
+            extend(a + 1, p, left - (p - low))
+            nu.pop()
+
+    extend(0, width, k)
+    return tuple(out)
+
+
+def _times_part(coeffs: dict, k: int, copies: int, dual: bool, t: int, n: int) -> dict:
+    """{nu: c}, c possibly 0: sum_mu coeffs[mu] sigma_mu times h_k, or e_k
+    if dual, of the copies on G(t, C^n).  Each mu asks _skew_terms only for
+    the rows and width its nu can reach (a row gains at most `copies`
+    cells if dual, a column otherwise), so boxes wider than that, every E1
+    box among them, share cache entries."""
+    out: dict = {}
+    reach = min(k, copies)
+    for mu, c in coeffs.items():
+        rows = min(t, len(mu) + (k if dual else reach))
+        width = min(n - t, (mu[0] if mu else 0) + (reach if dual else k))
+        for nu, s in _skew_terms(mu, k, copies, dual, rows, width):
+            out[nu] = out.get(nu, 0) + c * s
+    return out
 
 
 def _schur_of_copies(lam: tuple, t: int, n: int, copies: int) -> SchubertClass:
@@ -276,16 +323,56 @@ def _schur_of_copies(lam: tuple, t: int, n: int, copies: int) -> SchubertClass:
     s_lam with each x_a repeated `copies` times.
 
     Jacobi-Trudi gives it as det[h_{lam_row + col - row}] of size len(lam)
-    and as det[e_{lam'_row + col - row}] of size lam_1 (Macdonald, I.3),
-    with the parts of _copies_part; the smaller one is expanded.  The
-    quotient onto the box is a ring map, so truncating the parts and the
-    products changes nothing inside it.
+    and as det[e_{lam'_row + col - row}] of size lam_1 (Macdonald,
+    Symmetric Functions, I.3), with the entries taken in the copies; the
+    smaller one is expanded along its first remaining row, memoised on the
+    surviving column set.  shape is a partition, so shape_row - row falls
+    strictly down each column: below an entry of negative degree, every
+    entry of its column is zero.
+
+    Each step multiplies a minor term sigma_mu by an entry.  Cauchy's
+    identity h_k(x (x) 1^copies) = sum_rho s_rho(1^copies) s_rho(x), with
+    s_mu s_rho = sum_nu c^nu_{mu rho} s_nu and s_{nu/mu} = sum_rho
+    c^nu_{mu rho} s_rho, gives
+
+        s_mu h_k(x (x) 1^copies) = sum_nu s_{nu/mu}(1^copies) s_nu,
+
+    and e_k(x (x) 1^copies) = sum_rho s_rho'(1^copies) s_rho gives the
+    same with s_{nu'/mu'}(1^copies) = det[C(copies, nu_a - mu_b - a + b)],
+    over the nu containing mu with |nu| = |mu| + k (Macdonald, I.4 and
+    I.5; Fulton, Intersection Theory, 14.4).  The coefficients are
+    _skew_terms' binomial determinants of size len(nu) <= t, so no
+    Littlewood-Richardson coefficient is computed.  The quotient onto the
+    box is a ring map, so truncating every product to the box changes
+    nothing inside it; an entry heavier than every nu of the box with a
+    nonzero coefficient is zero there, and so is every entry right of it.
     """
     conj = conjugate(lam)
     dual = len(lam) > len(conj)
     shape = conj if dual else lam
-    top = shape[0] + len(shape) - 1 if shape else 0  # the heaviest entry
-    return _jacobi_trudi([_copies_part(t, n, copies, k, dual) for k in range(top + 1)], shape)
+    size = len(shape)
+    # the heaviest nu in the box with len(nu) <= copies, or nu_1 <= copies if dual
+    heaviest = t * min(n - t, copies) if dual else min(t, copies) * (n - t)
+
+    @lru_cache(maxsize=None)
+    def minor(cols: tuple) -> dict:
+        if not cols:
+            return {(): 1}
+        row = size - len(cols)
+        out: dict = {}
+        if shape[row] + cols[0] < row:
+            return out  # column cols[0] is zero from this row down
+        for pos, col in enumerate(cols):
+            k = shape[row] + col - row
+            if k > heaviest:
+                break
+            sign = -1 if pos % 2 else 1
+            for nu, c in _times_part(minor(cols[:pos] + cols[pos + 1:]), k, copies, dual,
+                                     t, n).items():
+                out[nu] = out.get(nu, 0) + sign * c
+        return {nu: c for nu, c in out.items() if c}
+
+    return SchubertClass(t, n, minor(tuple(range(size))))
 
 
 def _check_rank_bound(t: int, d: int, i: int, r: int) -> tuple[int, int]:
@@ -307,11 +394,12 @@ def porteous_class(t: int, d: int, i: int, r: int) -> SchubertClass:
     Theory, 14.4).  So c_k(F - E) is h_k of d-i+1 copies of the Chern roots
     of S*, and the determinant is the Schur class of the rectangle
     (f-r)^(e-r) in those copies (Macdonald, Symmetric Functions, I.3),
-    which _schur_of_copies expands from its smaller side.
-    The class is supported on the locus when the locus has the expected
-    codimension (e-r)(f-r), and is its fundamental class only when the
-    locus is also generically reduced; otherwise it counts each component
-    with its multiplicity.
+    which _schur_of_copies expands from its smaller side with skew Schur
+    dimensions in place of Littlewood-Richardson products.  The class is
+    supported on the locus when the locus has the expected codimension
+    (e-r)(f-r), and is its fundamental class only when the locus is also
+    generically reduced; otherwise it counts each component with its
+    multiplicity.
     """
     if not 0 <= i <= d:
         raise LevelAlgError(f"need 0 <= i <= d, got i = {i}, d = {d}")

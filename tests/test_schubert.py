@@ -1,16 +1,23 @@
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import conftest
 from conftest import plethystic_schur_coefficients
 
+from levelalg import schubert
 from levelalg.errors import AmbientMismatchError, InvalidPartitionError
-from levelalg.partitions import partitions, partitions_in_box, schur_dim
-from levelalg.resolution import expected_codim
+from levelalg.linalg import det
+from levelalg.partitions import conjugate, partitions, partitions_in_box, schur_dim
+from levelalg.resolution import e1_vanishing_table, expected_codim
 from levelalg.schubert import (
     SchubertClass,
+    _integer_det,
     _schur_of_copies,
+    _skew_dim,
+    _times_part,
     class_of,
     class_one,
     format_class,
@@ -428,3 +435,105 @@ def test_schur_of_copies_matches_block_branching():
                             {rho: c for rho, c in oracle.items()
                              if not rho or rho[0] <= n - t}, (lam, t, n, copies)
     assert sides == {True, False} and truncated > 300
+
+
+def _copies_part(t, n, copies, k, dual):
+    """h_k, or e_k if dual, of `copies` copies of x_1, ..., x_t on G(t, C^n):
+    by Cauchy's identity sum_nu dim S_nu(k^copies) sigma_nu, or with
+    dim S_nu'(k^copies), over the nu of weight k in the box (Macdonald,
+    Symmetric Functions, I.4).  The kernel multiplied each Jacobi-Trudi
+    minor by this class with lr_multiply before it read skew Schur
+    dimensions."""
+    part = {}
+    for nu in partitions_in_box(t, n - t, k):
+        weight = conjugate(nu) if dual else nu
+        if len(weight) <= copies:
+            part[nu] = schur_dim(weight, copies)
+    return SchubertClass(t, n, part)
+
+
+@st.composite
+def box_class_and_copies(draw):
+    t = draw(st.integers(1, 4))
+    n = t + draw(st.integers(1, 5))
+    pool = partitions_in_box(t, n - t)
+    terms = st.dictionaries(st.sampled_from(pool), st.integers(-3, 3), max_size=4)
+    return schubert_class(t, n, draw(terms)), draw(st.integers(1, 4)), draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(box_class_and_copies())
+def test_skew_products_match_lr_products(case):
+    # the kernel's product step against the LR product with the graded
+    # part of the copies, on both sides and for every degree k the box holds
+    a, copies, dual = case
+    t, n = a.t, a.n
+    for k in range(t * (n - t) + 1):
+        got = _times_part(a.coeffs, k, copies, dual, t, n)
+        ref = lr_multiply(a, _copies_part(t, n, copies, k, dual))
+        assert {nu: c for nu, c in got.items() if c} == ref.coeffs, (k, copies, dual)
+
+
+def _ssyt_count(nu, lam, m):
+    """Semistandard fillings of nu/lam with entries 1..m, by brute force:
+    rows weakly increase to the right, columns strictly downward."""
+    lam += (0,) * (len(nu) - len(lam))
+    cells = [(a, b) for a in range(len(nu)) for b in range(lam[a], nu[a])]
+    count = 0
+    for values in product(range(1, m + 1), repeat=len(cells)):
+        fill = dict(zip(cells, values))
+        count += all(fill.get((a, b + 1), m) >= v and fill.get((a + 1, b), m + 1) > v
+                     for (a, b), v in fill.items())
+    return count
+
+
+def test_skew_dim_matches_fraction_determinant_and_tableaux():
+    # s_{nu/lam}(1^m) on the h side and s_{nu'/lam'}(1^m) on the e side,
+    # against conftest's Fraction Jacobi-Trudi determinant and, on shapes
+    # of at most six cells, against counted tableaux
+    counted = 0
+    for w in range(9):
+        for nu in partitions(w):
+            for lam in partitions_in_box(len(nu), nu[0] if nu else 0):
+                if any(p > q for p, q in zip(lam, nu)):
+                    continue
+                for m in range(1, 5):
+                    h_side, e_side = _skew_dim(nu, lam, m, False), _skew_dim(nu, lam, m, True)
+                    assert h_side == conftest._skew_dim(nu, lam, m), (nu, lam, m)
+                    assert e_side == conftest._skew_dim(conjugate(nu), conjugate(lam), m), \
+                        (nu, lam, m)
+                    if w - sum(lam) <= 6 and m <= 3:
+                        counted += 1
+                        assert h_side == _ssyt_count(nu, lam, m), (nu, lam, m)
+                        assert e_side == _ssyt_count(conjugate(nu), conjugate(lam), m), \
+                            (nu, lam, m)
+    assert counted > 1000
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda size: st.lists(st.lists(st.integers(-3, 3), min_size=size, max_size=size),
+                          min_size=size, max_size=size)))
+def test_integer_det_matches_linalg_det(m):
+    # the Bareiss forward pass behind _skew_dim, zero pivots and row swaps
+    # included, against the Fraction determinant of linalg
+    assert _integer_det(m) == det(m)
+
+
+def test_porteous_and_e1_compute_no_lr_coefficient(monkeypatch):
+    # the Schur-class kernel reads skew Schur dimensions; LR coefficients
+    # serve only the product of two classes
+    def refuse(*args):
+        raise AssertionError(f"_lr_coefficient{args} called")
+
+    monkeypatch.setattr(schubert, "_lr_coefficient", refuse)
+    with pytest.raises(AssertionError, match="called"):
+        lr_multiply(class_of(2, 6, (1,)), class_of(2, 6, (1,)))
+    assert format_class(porteous_class(3, 9, 3, 3)) == "84{6,6,6} + 112{7,6,5} + 35{7,7,4}"
+    assert format_class(porteous_class(2, 5, 2, 2)) == "10{3,3} + 6{4,2}"
+    assert porteous_class(4, 10, 8, 4).is_zero  # codimension 40 > dim G(4, 11) = 28
+    table = e1_vanishing_table(2, 9, 6, 4, 0, cap_weight=24)
+    assert table.entries == {(-12, 16): 28875, (-11, 16): 27720, (-10, 16): 5740,
+                             (-9, 16): 200, (0, 0): 1}
+    table = e1_vanishing_table(3, 7, 5, 3, 0, cap_weight=27)
+    assert table.entries[(-18, 15)] == 54880 and table.entries[(-11, 10)] == 51408
