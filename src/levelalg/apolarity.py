@@ -17,6 +17,13 @@ from j = d down.  The same duality makes R/ann(Lambda) level of socle
 degree d and type dim Lambda, so the apolar profile states that socle and
 computes none; socle() ranks the socle of an arbitrary artin quotient,
 which need not be level.
+
+The apolar pass reads the minimal generators off the slices: those of
+degree j complement R_1.I_{j-1} in I_j.  It skips every degree that
+provably holds none, without eliminating R_1.I_{j-1} there: at n = 2
+where the Hilbert-Burch count e_j = -Delta^2 h_j is 0, and at every other
+n where the rank of R_1.I_{j-1} mod a fixed prime already reaches dim I_j
+(see _apolar_pass for both proofs).
 """
 
 from __future__ import annotations
@@ -35,10 +42,15 @@ from .errors import (
     ZeroSubspaceError,
 )
 from .forms import (Form, Subspace, _lead, divided_power_weights, form_print, monomial_products,
-                    space_dim)
-from .levelhf import HilbertFunction
+                    monomials, space_dim)
+from .levelhf import HilbertFunction, e_sequence
 from .linalg import (QQ, Matrix, _integer_row, _primitive, free_columns, integer_echelon,
-                     integer_kernel, rank)
+                     integer_kernel, rank, rank_mod_p)
+
+# The prime of the apolar pass's rank certificate, 2^61 - 1 (a Mersenne
+# prime).  Any prime gives the same output: one that makes the rank fall
+# short only sends a degree to the exact elimination.
+_CERTIFICATE_PRIME = 2**61 - 1
 
 
 @lru_cache(maxsize=None)
@@ -209,9 +221,30 @@ def _apolar_pass(lam: Subspace):
     found before it; the residual (the one vector of row + span zero at the
     span's pivots, up to scale, whatever basis is taken) is a generator if
     nonzero.  It is stored divided by its content, as each later residual
-    is cross-multiplied against it.  The result is kept on lam, which is
-    frozen, for as long as lam lives, so the pass runs once per Lambda
-    instance."""
+    is cross-multiplied against it, and its monic form is built from it
+    once.  The result is kept on lam, which is frozen, for as long as lam
+    lives, so the pass runs once per Lambda instance.
+
+    A degree j that provably holds no generator is skipped: R_1 * I_{j-1}
+    is not eliminated there, and nothing is reduced.  The reduction would
+    find nothing in it, so the output is the same.
+
+    n = 2: skipped when e_j = 2h_{j-1} - h_j - h_{j-2} is 0.  Proof: A =
+    R/ann(Lambda) is level of socle degree d and type t (see
+    apolar_profile), so by Hilbert-Burch its minimal resolution is
+    0 -> R(-d-2)^t -> sum_i R(-q_i) -> R -> A, the last module dual to the
+    socle.  Hence (1 - z)^2 sum_j h_j z^j = 1 - sum_i z^{q_i} + t z^{d+2},
+    and every q_i <= d + 1 since I_{d+1} = R_{d+1}.  Read at z^j, 1 <= j
+    <= d + 1: the number of generators of degree j is -Delta^2 h_j = e_j,
+    levelhf.e_sequence's count.
+
+    Every other n: skipped when the rows of R_1 * I_{j-1}, reduced mod
+    _CERTIFICATE_PRIME, have rank dim I_j.  Proof: R_1 * I_{j-1} lies in
+    I_j, so rank_Q <= dim I_j; a minor that is nonzero mod p is nonzero, so
+    rank_p <= rank_Q.  Then rank_p = dim I_j gives R_1 * I_{j-1} = I_j.  A
+    smaller rank_p, from generators or from an unlucky prime, falls back
+    to the exact elimination, so the prime costs time, never correctness.
+    """
     memo = lam.__dict__.get("_apolar_pass")
     if memo is not None:
         return memo
@@ -221,10 +254,17 @@ def _apolar_pass(lam: Subspace):
     slices = tuple(_ann_rows(lam, j) for j in range(d + 1))
     hf = HilbertFunction.from_values([space_dim(n, j) - len(rows)
                                       for j, rows in enumerate(slices)])
+    counts = e_sequence(hf) if n == 2 else None
     out = []
     for j, rows in enumerate((*slices[1:], _unit_rows(space_dim(n, d + 1))), start=1):
-        base, pivots, den = integer_echelon(_times_variables(n, j - 1, slices[j - 1]),
-                                            space_dim(n, j))
+        if counts is not None and not counts[j - 1]:
+            continue
+        width = space_dim(n, j)
+        products = _times_variables(n, j - 1, slices[j - 1])
+        if counts is None and rank_mod_p(products, width, _CERTIFICATE_PRIME) == len(rows):
+            continue
+        base, pivots, den = integer_echelon(products, width)
+        mons = monomials(n, j)
         found, gens = [], []
         for b in rows:
             r = [den * x for x in b]
@@ -236,8 +276,10 @@ def _apolar_pass(lam: Subspace):
                     r = [g[p] * x - r[p] * y for x, y in zip(r, g)]
             if any(r):
                 r = _primitive(r)
-                found.append((_lead(r), r))
-                gens.append(Form.from_vector(n, j, "R", r).monic())
+                lead = _lead(r)
+                found.append((lead, r))
+                gens.append(Form(n, j, "R", {mons[c]: QQ(x, r[lead])
+                                             for c, x in enumerate(r) if x}))
         if gens:
             out.append((j, tuple(gens)))
     memo = lam.__dict__["_apolar_pass"] = (hf, tuple(out))
@@ -253,12 +295,16 @@ def minimal_generators(lam: Subspace) -> list[tuple[int, list[Form]]]:
     """Minimal generators of ann(Lambda), degree by degree through d+1.
 
     Generators in degree j are a canonical complement of R_1 * I_{j-1}
-    inside I_j.  For n = 2 the counts match the e-sequence of the Hilbert
-    function, which certifies minimality; for n >= 3 the list generates the
-    ancestor ideal through degree d+1 but carries no minimality
-    certificate.  apolar_profile, minimal_generators and secant_decompose
+    inside I_j; past d + 1, I_j = R_j = R_1 * I_{j-1} holds none.  So by
+    graded Nakayama the list is a minimal generating set of ann(Lambda) for
+    every n, and for n = 2 its counts are the e-sequence of the Hilbert
+    function.  apolar_profile, minimal_generators and secant_decompose
     share one apolar pass per Lambda instance, which reads the slices of the
     derivative chain held on Lambda; each call returns new lists.
+
+    The pass skips each degree that provably holds no generator: for n = 2
+    where e_j is 0, and for any other n where R_1 * I_{j-1} has rank
+    dim I_j mod a fixed prime; see _apolar_pass for both proofs.
     """
     if lam.dim == 0:
         raise ZeroSubspaceError("ann of the zero subspace is the whole ring")

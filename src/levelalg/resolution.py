@@ -336,11 +336,15 @@ def e1_vanishing_table(t: int, d: int, i: int, r: int, m: int,
                       for w in range(max(cap_weight + 1, s * (s + r)),
                                      s * (rows_bound + cols_bound - s) + 1)})
     entries: dict[tuple[int, int], int] = {}
+    # summand after summand meets the same rho: Bott runs once for each
+    cohomology: dict = {}
     for p, summands in table.terms.items():
         for s in summands:
             plethysm = _schur_of_copies(s.lam, t, t + sum(s.lam), d - i + 1)
             for rho, c in plethysm.coeffs.items():
-                res = schur_sub_twist_cohomology(t, d + 1, rho, m)
+                res = cohomology.get(rho)
+                if res is None:
+                    res = cohomology[rho] = schur_sub_twist_cohomology(t, d + 1, rho, m)
                 if not res.is_zero:
                     key = (p, res.degree)
                     entries[key] = entries.get(key, 0) + s.bott_dim * c * res.dimension

@@ -39,7 +39,7 @@ from levelalg.forms import (
     space_dim,
     subspace_intersect,
 )
-from levelalg.levelhf import HilbertFunction, burch_ideal
+from levelalg.levelhf import HilbertFunction, burch_ideal, enumerate_level_hf
 from levelalg.linalg import QQ, rank, right_kernel
 from levelalg.secant import SecantPlane, in_sigma, secant_decompose, secant_intersect
 from levelalg.tangent import tangent_space
@@ -138,8 +138,8 @@ def old_socle(gens, nvars):
     return old_socle_dims(slices)
 
 
-def old_profile_lines(lam):
-    gens = old_minimal_generators(lam)
+def old_profile_lines(lam, gens=None):
+    gens = old_minimal_generators(lam) if gens is None else gens
     soc = old_socle([g for _, forms in gens for g in forms], lam.nvars)
     return ApolarProfile(lam, old_hilbert_function(lam),
                          tuple((degree, tuple(forms)) for degree, forms in gens),
@@ -399,7 +399,8 @@ def random_integer_span(rng, nvars, d, t):
 @pytest.mark.parametrize("nvars, d_max", [(1, 7), (2, 8), (3, 5), (4, 4)])
 def test_the_socle_is_the_macaulay_dual_one(rng, nvars, d_max):
     # R/ann(Lambda) is level with socle ((d, t),): ranked in Fractions on
-    # the slices I_0, ..., I_{d+1}, and stated by the profile
+    # the slices I_0, ..., I_{d+1}, and stated by the profile, whose
+    # generators, with the degrees that hold none skipped, are the old ones
     for d in range(d_max + 1):
         for t in range(1, min(4, space_dim(nvars, d)) + 1):
             for lam in (random_subspace(rng, nvars, d, t), random_integer_span(rng, nvars, d, t)):
@@ -408,6 +409,9 @@ def test_the_socle_is_the_macaulay_dual_one(rng, nvars, d_max):
                 slices = [ann_slice(lam, j).subspace for j in range(d + 2)]
                 assert old_socle_dims(slices) == [(d, lam.dim)]
                 assert apolar_profile(lam).socle == ((d, lam.dim),)
+                gens = old_minimal_generators(lam)
+                assert minimal_generators(lam) == gens
+                assert apolar_profile(lam).kv_lines() == old_profile_lines(lam, gens)
 
 
 def test_four_quartics_in_four_variables_match_the_old_routes(monkeypatch):
@@ -428,3 +432,113 @@ def test_four_quartics_in_four_variables_match_the_old_routes(monkeypatch):
     assert old_hilbert_function(lam) == apolar_profile(lam).hilbert
     assert minimal_generators(lam) == old_minimal_generators(lam)
     assert [(j, len(gens)) for j, gens in minimal_generators(lam)] == [(3, 4), (4, 15)]
+
+
+# -- degrees with no minimal generator are skipped ----------------------------
+
+def eliminated_degrees(lam, monkeypatch):
+    """The degrees in which a fresh apolar pass on a copy of lam eliminates
+    R_1 * I_{j-1}: the chain runs first, so every later integer_echelon
+    call is the pass's, and its width dim R_j gives the degree."""
+    lam = dataclasses.replace(lam)
+    ann_slice(lam, 1)
+    width_degree = {space_dim(lam.nvars, j): j for j in range(lam.degree + 2)}
+    seen, echelon = [], apolarity.integer_echelon
+
+    def recorded(m, ncols):
+        seen.append(width_degree[ncols])
+        return echelon(m, ncols)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(apolarity, "integer_echelon", recorded)
+        profile = apolar_profile(lam)
+    return seen, profile
+
+
+@pytest.mark.parametrize("nvars, d, t", [(3, 5, 2), (3, 6, 3), (4, 4, 2), (4, 4, 3)])
+def test_an_unlucky_prime_falls_back_to_the_exact_elimination(rng, monkeypatch, nvars, d, t):
+    # at 2^61 - 1 the rank mod p certifies every degree with no generator,
+    # so the pass eliminates in the generator degrees alone; mod 2 or 3 it
+    # falls short in some other degrees, which the exact elimination then
+    # finds empty, with the same output
+    fell_back = {2: [], 3: []}
+    for lam in (random_subspace(rng, nvars, d, t), random_integer_span(rng, nvars, d, t)):
+        seen, profile = eliminated_degrees(lam, monkeypatch)
+        generator_degrees = [j for j, _ in profile.generators]
+        assert seen == generator_degrees
+        for prime in fell_back:
+            monkeypatch.setattr(apolarity, "_CERTIFICATE_PRIME", prime)
+            unlucky, same = eliminated_degrees(lam, monkeypatch)
+            assert same.kv_lines() == profile.kv_lines()
+            assert set(unlucky) >= set(generator_degrees)
+            fell_back[prime] += sorted(set(unlucky) - set(generator_degrees))
+        monkeypatch.undo()
+    assert all(fell_back.values())
+
+
+def binary_generator_counts(lam):
+    """The number of minimal generators of ann(Lambda) in each degree
+    1..d+1, dim I_j - rank(R_1 * I_{j-1}), ranked in Fractions on the
+    catalecticant route's slices."""
+    slices = [old_ann_slice(lam, j) for j in range(lam.degree + 2)]
+    return [s.dim - rank(old_times_variables(prev)) if prev.dim else s.dim
+            for prev, s in zip(slices, slices[1:])]
+
+
+def stream_spans():
+    """Binary spans built as the stratum benchmark builds its stream: the
+    level Hilbert functions at positions len/4 and 3 len/4 of each (t, d)
+    cell, t = 2..4, t <= d <= 12, the Burch point of each moved by an
+    invertible change of coordinates with entries in {-4, -3, 3, 4}, here
+    drawn in cell order from seed 1."""
+    rng = random.Random(1)
+    for t in (2, 3, 4):
+        for d in range(t, 13):
+            hs = enumerate_level_hf(t, d)
+            for h in (hs[len(hs) // 4], hs[3 * len(hs) // 4]):
+                while True:
+                    move = [[rng.choice((-4, -3, 3, 4)) for _ in range(2)] for _ in range(2)]
+                    if move[0][0] * move[1][1] != move[0][1] * move[1][0]:
+                        break
+                _, gens = burch_ideal(h)
+                yield inverse_system_slice([g.substitute_linear(move) for g in gens], 2, d)
+
+
+def random_sparse_spans(rng, count):
+    """count binary spans of t <= 4 forms of degree d <= 12, each form with
+    one to three terms and integer coefficients in -5..5."""
+    while count:
+        d = rng.randint(0, 12)
+        t = rng.randint(1, min(4, d + 1))
+        rows = []
+        for _ in range(t):
+            v = [0] * (d + 1)
+            for k in rng.sample(range(d + 1), rng.randint(1, min(3, d + 1))):
+                v[k] = rng.choice((-1, 1)) * rng.randint(1, 5)
+            rows.append(v)
+        lam = Subspace.from_rows(2, d, "S", rows)
+        if lam.dim:
+            count -= 1
+            yield lam
+
+
+def test_binary_generator_counts_are_the_e_sequence(rng):
+    # the Hilbert-Burch count: -Delta^2 h_j minimal generators in degree j
+    for lam in (*stream_spans(), *random_sparse_spans(rng, 120)):
+        h = apolar_profile(lam).hilbert
+        counts = binary_generator_counts(lam)
+        assert counts == [2 * h[j - 1] - h[j] - h[j - 2] for j in range(1, lam.degree + 2)]
+        assert counts == [len(dict(minimal_generators(lam)).get(j, ()))
+                          for j in range(1, lam.degree + 2)]
+
+
+def test_binary_degrees_with_no_generator_are_never_eliminated(rng, monkeypatch):
+    # at n = 2 the pass eliminates exactly in the degrees with e_j > 0
+    for lam in (*stream_spans(), *random_sparse_spans(rng, 60),
+                *(random_subspace(rng, 2, d, t) for d in range(9) for t in (1, 2, 3))):
+        if not lam.dim:
+            continue
+        seen, profile = eliminated_degrees(lam, monkeypatch)
+        h = profile.hilbert
+        assert seen == [j for j in range(1, lam.degree + 2) if 2 * h[j - 1] - h[j] - h[j - 2]]
+        assert profile.kv_lines() == old_profile_lines(lam)
