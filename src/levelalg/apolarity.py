@@ -19,11 +19,10 @@ computes none; socle() ranks the socle of an arbitrary artin quotient,
 which need not be level.
 
 The apolar pass reads the minimal generators off the slices: those of
-degree j complement R_1.I_{j-1} in I_j.  It skips every degree that
-provably holds none, without eliminating R_1.I_{j-1} there: at n = 2
-where the Hilbert-Burch count e_j = -Delta^2 h_j is 0, and at every other
-n where the rank of R_1.I_{j-1} mod a fixed prime already reaches dim I_j
-(see _apolar_pass for both proofs).
+degree j complement R_1.I_{j-1} in I_j.  At n = 2 it skips every degree
+where the Hilbert-Burch count e_j = -Delta^2 h_j is 0, which holds none,
+without eliminating R_1.I_{j-1} there (see _apolar_pass for the proof);
+at every other n it eliminates in every degree.
 """
 
 from __future__ import annotations
@@ -41,16 +40,11 @@ from .errors import (
     NotArtinError,
     ZeroSubspaceError,
 )
-from .forms import (Form, Subspace, _lead, divided_power_weights, form_print, monomial_products,
-                    monomials, space_dim)
+from .forms import (Form, Subspace, _lead, _monic_form, divided_power_weights, form_print,
+                    monomial_products, space_dim)
 from .levelhf import HilbertFunction, e_sequence
 from .linalg import (QQ, Matrix, _integer_row, _primitive, free_columns, integer_echelon,
-                     integer_kernel, rank, rank_mod_p)
-
-# The prime of the apolar pass's rank certificate, 2^61 - 1 (a Mersenne
-# prime).  Any prime gives the same output: one that makes the rank fall
-# short only sends a degree to the exact elimination.
-_CERTIFICATE_PRIME = 2**61 - 1
+                     integer_kernel, rank)
 
 
 @lru_cache(maxsize=None)
@@ -225,25 +219,17 @@ def _apolar_pass(lam: Subspace):
     once.  The result is kept on lam, which is frozen, for as long as lam
     lives, so the pass runs once per Lambda instance.
 
-    A degree j that provably holds no generator is skipped: R_1 * I_{j-1}
-    is not eliminated there, and nothing is reduced.  The reduction would
-    find nothing in it, so the output is the same.
-
-    n = 2: skipped when e_j = 2h_{j-1} - h_j - h_{j-2} is 0.  Proof: A =
-    R/ann(Lambda) is level of socle degree d and type t (see
-    apolar_profile), so by Hilbert-Burch its minimal resolution is
-    0 -> R(-d-2)^t -> sum_i R(-q_i) -> R -> A, the last module dual to the
-    socle.  Hence (1 - z)^2 sum_j h_j z^j = 1 - sum_i z^{q_i} + t z^{d+2},
-    and every q_i <= d + 1 since I_{d+1} = R_{d+1}.  Read at z^j, 1 <= j
-    <= d + 1: the number of generators of degree j is -Delta^2 h_j = e_j,
-    levelhf.e_sequence's count.
-
-    Every other n: skipped when the rows of R_1 * I_{j-1}, reduced mod
-    _CERTIFICATE_PRIME, have rank dim I_j.  Proof: R_1 * I_{j-1} lies in
-    I_j, so rank_Q <= dim I_j; a minor that is nonzero mod p is nonzero, so
-    rank_p <= rank_Q.  Then rank_p = dim I_j gives R_1 * I_{j-1} = I_j.  A
-    smaller rank_p, from generators or from an unlucky prime, falls back
-    to the exact elimination, so the prime costs time, never correctness.
+    At n = 2 a degree j with e_j = 2h_{j-1} - h_j - h_{j-2} = 0 is
+    skipped: R_1 * I_{j-1} is not eliminated there, and nothing is reduced.
+    It holds no generator, so the reduction would find nothing and the
+    output is the same.  Proof: A = R/ann(Lambda) is level of socle degree
+    d and type t (see apolar_profile), so by Hilbert-Burch its minimal
+    resolution is 0 -> R(-d-2)^t -> sum_i R(-q_i) -> R -> A, the last
+    module dual to the socle.  Hence (1 - z)^2 sum_j h_j z^j =
+    1 - sum_i z^{q_i} + t z^{d+2}, and every q_i <= d + 1 since
+    I_{d+1} = R_{d+1}.  Read at z^j, 1 <= j <= d + 1: the number of
+    generators of degree j is -Delta^2 h_j = e_j, levelhf.e_sequence's
+    count.  At every other n each degree is eliminated.
     """
     memo = lam.__dict__.get("_apolar_pass")
     if memo is not None:
@@ -259,12 +245,8 @@ def _apolar_pass(lam: Subspace):
     for j, rows in enumerate((*slices[1:], _unit_rows(space_dim(n, d + 1))), start=1):
         if counts is not None and not counts[j - 1]:
             continue
-        width = space_dim(n, j)
-        products = _times_variables(n, j - 1, slices[j - 1])
-        if counts is None and rank_mod_p(products, width, _CERTIFICATE_PRIME) == len(rows):
-            continue
-        base, pivots, den = integer_echelon(products, width)
-        mons = monomials(n, j)
+        base, pivots, den = integer_echelon(_times_variables(n, j - 1, slices[j - 1]),
+                                            space_dim(n, j))
         found, gens = [], []
         for b in rows:
             r = [den * x for x in b]
@@ -276,10 +258,8 @@ def _apolar_pass(lam: Subspace):
                     r = [g[p] * x - r[p] * y for x, y in zip(r, g)]
             if any(r):
                 r = _primitive(r)
-                lead = _lead(r)
-                found.append((lead, r))
-                gens.append(Form(n, j, "R", {mons[c]: QQ(x, r[lead])
-                                             for c, x in enumerate(r) if x}))
+                found.append((_lead(r), r))
+                gens.append(_monic_form(n, j, "R", r))
         if gens:
             out.append((j, tuple(gens)))
     memo = lam.__dict__["_apolar_pass"] = (hf, tuple(out))
@@ -302,9 +282,8 @@ def minimal_generators(lam: Subspace) -> list[tuple[int, list[Form]]]:
     share one apolar pass per Lambda instance, which reads the slices of the
     derivative chain held on Lambda; each call returns new lists.
 
-    The pass skips each degree that provably holds no generator: for n = 2
-    where e_j is 0, and for any other n where R_1 * I_{j-1} has rank
-    dim I_j mod a fixed prime; see _apolar_pass for both proofs.
+    For n = 2 the pass skips each degree where e_j is 0, which provably
+    holds no generator; see _apolar_pass for the proof.
     """
     if lam.dim == 0:
         raise ZeroSubspaceError("ann of the zero subspace is the whole ring")

@@ -68,6 +68,17 @@ def _lead(v) -> int:
     return next(c for c, x in enumerate(v) if x)
 
 
+def _monic_form(nvars: int, degree: int, ring: str, vec) -> Form:
+    """The form of coefficient vector vec (monomials(nvars, degree) order)
+    divided by its first nonzero entry, built and checked once; the zero
+    vector gives the zero form.  Form.monic reads it, and so does the
+    apolar pass on its integer residuals, each entry x becoming the
+    Fraction x / lead."""
+    mons = monomials(nvars, degree)
+    lead = next((x for x in vec if x), 1)
+    return Form(nvars, degree, ring, {mons[c]: QQ(x, lead) for c, x in enumerate(vec) if x})
+
+
 def space_dim(nvars: int, degree: int) -> int:
     return len(monomials(nvars, degree))
 
@@ -182,18 +193,8 @@ class Form:
             k >>= 1
         return result
 
-    def leading_monomial(self) -> tuple[int, ...] | None:
-        """First monomial (in the fixed order) with a nonzero coefficient."""
-        for m in monomials(self.nvars, self.degree):
-            if m in self.coeffs:
-                return m
-        return None
-
     def monic(self) -> Form:
-        lm = self.leading_monomial()
-        if lm is None:
-            return self
-        return self.scale(QQ(1) / self.coeffs[lm])
+        return _monic_form(self.nvars, self.degree, self.ring, self.vector())
 
     def substitute_linear(self, matrix) -> Form:
         """Apply the linear substitution var_i -> sum_j matrix[i][j] * var_j."""

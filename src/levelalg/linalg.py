@@ -12,10 +12,7 @@ per requested free column, so a caller that reads a rank, or a few kernel
 vectors, pays for no others.  Dividing by the last pivot once at the end
 gives the unique reduced row echelon form.  The pivot rule is deterministic (first nonzero column,
 topmost row), so echelon forms, kernels and the canonical subspaces built
-on them are reproducible.  No floating point enters anywhere.  The one
-modular routine, rank_mod_p, ranks integer rows mod a prime; that rank
-never exceeds the rank over Q, so a caller may read it as a lower bound,
-and nothing else.
+on them are reproducible.  No floating point enters anywhere.
 """
 
 from __future__ import annotations
@@ -205,32 +202,3 @@ def row_space_intersection(a_rows: Matrix, b_rows: Matrix, ncols: int) -> Matrix
                for combo in combos]
     rows, _, pivot, _ = _eliminate(vectors, ncols)
     return _normalised(rows, pivot)
-
-
-def rank_mod_p(m: list[list[int]], ncols: int, p: int) -> int:
-    """The rank of the integer rows m reduced mod the prime p.
-
-    Every minor of m mod p is the minor of m taken mod p, so a nonzero
-    minor mod p is nonzero over Q: the result is at most rank(m), and less
-    only when p divides every minor of order rank(m).  Elimination by the
-    first nonzero column, topmost row, with each pivot row scaled to 1.
-    """
-    a = [v for v in ([x % p for x in row] for row in m) if any(v)]
-    r = 0
-    for c in range(ncols):
-        if r == len(a):
-            break
-        for i in range(r, len(a)):
-            if a[i][c]:
-                break
-        else:
-            continue
-        a[r], a[i] = a[i], a[r]
-        inv = pow(a[r][c], -1, p)
-        prow = a[r] = [x * inv % p for x in a[r]]
-        for i in range(r + 1, len(a)):
-            f = a[i][c]
-            if f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], prow)]
-        r += 1
-    return r

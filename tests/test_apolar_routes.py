@@ -455,27 +455,6 @@ def eliminated_degrees(lam, monkeypatch):
     return seen, profile
 
 
-@pytest.mark.parametrize("nvars, d, t", [(3, 5, 2), (3, 6, 3), (4, 4, 2), (4, 4, 3)])
-def test_an_unlucky_prime_falls_back_to_the_exact_elimination(rng, monkeypatch, nvars, d, t):
-    # at 2^61 - 1 the rank mod p certifies every degree with no generator,
-    # so the pass eliminates in the generator degrees alone; mod 2 or 3 it
-    # falls short in some other degrees, which the exact elimination then
-    # finds empty, with the same output
-    fell_back = {2: [], 3: []}
-    for lam in (random_subspace(rng, nvars, d, t), random_integer_span(rng, nvars, d, t)):
-        seen, profile = eliminated_degrees(lam, monkeypatch)
-        generator_degrees = [j for j, _ in profile.generators]
-        assert seen == generator_degrees
-        for prime in fell_back:
-            monkeypatch.setattr(apolarity, "_CERTIFICATE_PRIME", prime)
-            unlucky, same = eliminated_degrees(lam, monkeypatch)
-            assert same.kv_lines() == profile.kv_lines()
-            assert set(unlucky) >= set(generator_degrees)
-            fell_back[prime] += sorted(set(unlucky) - set(generator_degrees))
-        monkeypatch.undo()
-    assert all(fell_back.values())
-
-
 def binary_generator_counts(lam):
     """The number of minimal generators of ann(Lambda) in each degree
     1..d+1, dim I_j - rank(R_1 * I_{j-1}), ranked in Fractions on the

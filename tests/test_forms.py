@@ -86,6 +86,17 @@ def test_print_parse_roundtrip(f):
     assert form_parse(form_print(f), nvars=2, ring=f.ring) == f
 
 
+@settings(max_examples=80, deadline=None)
+@given(random_forms())
+def test_monic_divides_by_the_first_coefficient_in_monomial_order(f):
+    # the rule of Form.monic and of the apolar pass's generators
+    g = f.monic()
+    lead = next((f.coeffs[m] for m in monomials(2, f.degree) if m in f.coeffs), None)
+    assert g == (f if lead is None else f.scale(1 / lead))
+    assert all(type(c) is Fraction for c in g.coeffs.values())
+    assert form_print(g) == form_print(f.scale(1 / lead) if lead else f)
+
+
 def test_form_arithmetic_and_product():
     a = form_parse("y1^2 + y2^2")
     b = form_parse("y1^2 - y2^2")

@@ -10,7 +10,6 @@ from levelalg.linalg import (
     integer_echelon,
     integer_kernel,
     rank,
-    rank_mod_p,
     right_kernel,
     row_space_intersection,
     rref,
@@ -74,19 +73,6 @@ def test_echelon_idempotent_and_kernel_exact(rows):
 def test_integer_echelon_contract(rows):
     # entries share the factor 3, so the content reductions have work to do
     _check_integer_echelon(rows)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8).flatmap(lambda c: st.lists(
-    st.lists(st.integers(-6, 6).map(lambda x: 6 * x + 3 ** 40), min_size=c, max_size=c),
-    min_size=1, max_size=8)))
-def test_rank_mod_p_never_exceeds_the_rank(rows):
-    # entries past 2^61 reduce mod the Mersenne prime; every entry is 1
-    # mod 2 and 0 mod 3, so the rank drops to 1 and 0 there
-    ncols = len(rows[0])
-    assert rank_mod_p(rows, ncols, 2**61 - 1) == rank(mat(rows))
-    assert rank_mod_p(rows, ncols, 2) == 1
-    assert rank_mod_p(rows, ncols, 3) == 0
 
 
 def _check_integer_echelon(rows):
