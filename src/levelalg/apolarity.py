@@ -43,8 +43,7 @@ from .errors import (
 from .forms import (Form, Subspace, _lead, _monic_form, divided_power_weights, form_print,
                     monomial_products, space_dim)
 from .levelhf import HilbertFunction, e_sequence
-from .linalg import (QQ, Matrix, _integer_row, _primitive, free_columns, integer_echelon,
-                     integer_kernel, rank)
+from .linalg import QQ, Matrix, _integer_row, _primitive, integer_echelon, integer_kernel, rank
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +202,7 @@ def _kernel_rows(m: list[list[int]], width: int) -> tuple[tuple, list[list[int]]
     free column f is zero left of f and at the other free columns, so the
     free columns are its echelon pivots."""
     rows, pivots, den = integer_echelon([row[::-1] for row in m], width)
-    kernel = integer_kernel(rows, pivots, den, width, free_columns(pivots, width))
+    kernel = integer_kernel(rows, pivots, den, width)
     return tuple(tuple(v[::-1]) for v in reversed(kernel)), [row[::-1] for row in rows]
 
 

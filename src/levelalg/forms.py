@@ -71,9 +71,9 @@ def _lead(v) -> int:
 def _monic_form(nvars: int, degree: int, ring: str, vec) -> Form:
     """The form of coefficient vector vec (monomials(nvars, degree) order)
     divided by its first nonzero entry, built and checked once; the zero
-    vector gives the zero form.  Form.monic reads it, and so does the
-    apolar pass on its integer residuals, each entry x becoming the
-    Fraction x / lead."""
+    vector gives the zero form.  Form.monic reads it, and so do
+    Subspace.basis and the apolar pass on integer rows, each entry x
+    becoming the Fraction x / lead."""
     mons = monomials(nvars, degree)
     lead = next((x for x in vec if x), 1)
     return Form(nvars, degree, ring, {mons[c]: QQ(x, lead) for c, x in enumerate(vec) if x})
@@ -457,9 +457,9 @@ class Subspace:
 
     @cached_property
     def basis(self) -> tuple[Form, ...]:
-        """The RREF rows as forms."""
-        return tuple(Form.from_vector(self.nvars, self.degree, self.ring, r)
-                     for r in self.rows)
+        """The RREF rows as forms: each echelon row over its pivot, its
+        first nonzero entry."""
+        return tuple(_monic_form(self.nvars, self.degree, self.ring, v) for v in self.echelon)
 
     @property
     def dim(self) -> int:

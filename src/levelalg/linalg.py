@@ -7,12 +7,13 @@ every update exactly by the previous pivot (Bareiss, Math. Comp. 1968).
 Callers that build integer rows themselves enter through integer_echelon,
 which hands the core each nonzero primitive row once: its outputs depend on
 the row space alone, and zero rows and repeats do not change that.  It
-returns the echelon form only; integer_kernel builds kernel vectors from it
-per requested free column, so a caller that reads a rank, or a few kernel
-vectors, pays for no others.  Dividing by the last pivot once at the end
-gives the unique reduced row echelon form.  The pivot rule is deterministic (first nonzero column,
-topmost row), so echelon forms, kernels and the canonical subspaces built
-on them are reproducible.  No floating point enters anywhere.
+returns the echelon form only; integer_kernel builds the kernel vectors
+from it, so a caller that reads a rank builds none.  Dividing by the last
+pivot once at the end gives the unique reduced row echelon form.  The pivot
+rule is deterministic (first nonzero column, topmost row), so echelon
+forms, kernels and the canonical subspaces built on them are reproducible.
+Determinants take the same divisions in a forward pass only.  No floating
+point enters anywhere.
 """
 
 from __future__ import annotations
@@ -33,22 +34,21 @@ def _integer_row(row) -> list[int]:
     return [x.numerator * (den // d) for x, d in zip(row, dens)]
 
 
-def _eliminate(m, ncols: int) -> tuple[list[list[int]], list[int], int, int]:
+def _eliminate(m, ncols: int) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination of the integer rows m (an
     iterable).
 
-    Returns (echelon, pivots, pivot, sign): one integer row per pivot
-    column, equal to the last Bareiss pivot `pivot` (1 if none) there and
-    zero at the other pivot columns, and the sign of the row permutation.
-    A row that is zero in the pivot column would only be scaled by pivot /
-    previous pivot, so it is left as it is and level[i] holds the pivot it
-    is scaled to.
+    Returns (echelon, pivots, pivot): one integer row per pivot column,
+    equal to the last Bareiss pivot `pivot` (1 if none) there and zero at
+    the other pivot columns.  A row that is zero in the pivot column would
+    only be scaled by pivot / previous pivot, so it is left as it is and
+    level[i] holds the pivot it is scaled to.
     """
     a = [row for row in m if any(row)]
     nrows = len(a)
     level = [1] * nrows
     pivots: list[int] = []
-    prev, sign = 1, 1
+    prev = 1
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -61,7 +61,6 @@ def _eliminate(m, ncols: int) -> tuple[list[list[int]], list[int], int, int]:
         if p != r:
             a[r], a[p] = a[p], a[r]
             level[r], level[p] = level[p], level[r]
-            sign = -sign
         prow = a[r]
         if level[r] != prev:
             prow = a[r] = [x * prev // level[r] for x in prow]
@@ -77,7 +76,7 @@ def _eliminate(m, ncols: int) -> tuple[list[list[int]], list[int], int, int]:
         prev = pv
     echelon = [row if lv == prev else [x * prev // lv for x in row]
                for row, lv in zip(a, level[:len(pivots)])]
-    return echelon, pivots, prev, sign
+    return echelon, pivots, prev
 
 
 def _normalised(rows: list[list[int]], pivot: int, nrows: int = 0, ncols: int = 0) -> Matrix:
@@ -96,12 +95,11 @@ def free_columns(pivots: list[int], ncols: int) -> list[int]:
 
 
 def _kernel_basis(rows: list[list[int]], pivots: list[int], pivot: int,
-                  ncols: int, free) -> list[list[int]]:
-    """right_kernel's basis vectors of the free columns `free`, times pivot:
-    for each f, pivot at f and -row[f] at each pivot column of the echelon
-    rows."""
+                  ncols: int) -> list[list[int]]:
+    """right_kernel's basis, times pivot: for each free column f, pivot at
+    f and -row[f] at each pivot column of the echelon rows."""
     basis = []
-    for f in free:
+    for f in free_columns(pivots, ncols):
         v = [0] * ncols
         v[f] = pivot
         for row, c in zip(rows, pivots):
@@ -129,10 +127,10 @@ def integer_echelon(m: list[list[int]], ncols: int) -> tuple[
     change the output: every part of it is determined by the row space,
     which those rows do not change.  The catalecticants and constraint
     matrices of torus-fixed points are mostly such rows.  Kernel vectors
-    come from integer_kernel, for the free columns a caller reads.
+    come from integer_kernel.
     """
     distinct = {tuple(row): row for row in map(_primitive, filter(any, m))}
-    rows, pivots, pivot, _ = _eliminate(distinct.values(), ncols)
+    rows, pivots, pivot = _eliminate(distinct.values(), ncols)
     g = gcd(pivot, *[gcd(*row) for row in rows]) * (-1 if pivot < 0 else 1)
     if g != 1:
         rows = [[x // g for x in row] for row in rows]
@@ -140,11 +138,11 @@ def integer_echelon(m: list[list[int]], ncols: int) -> tuple[
 
 
 def integer_kernel(echelon: list[list[int]], pivots: list[int], den: int,
-                   ncols: int, free) -> list[list[int]]:
-    """right_kernel's basis vectors of the free columns `free` of
-    integer_echelon's (echelon, pivots, den), each times the positive
-    integer that makes its content 1."""
-    return [_primitive(v) for v in _kernel_basis(echelon, pivots, den, ncols, free)]
+                   ncols: int) -> list[list[int]]:
+    """right_kernel's basis from integer_echelon's (echelon, pivots, den),
+    one vector per free column in order, each times the positive integer
+    that makes its content 1."""
+    return [_primitive(v) for v in _kernel_basis(echelon, pivots, den, ncols)]
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -155,7 +153,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     the unique RREF of the input.
     """
     ncols = len(m[0]) if m else 0
-    rows, pivots, pivot, _ = _eliminate(map(_integer_row, m), ncols)
+    rows, pivots, pivot = _eliminate(map(_integer_row, m), ncols)
     return _normalised(rows, pivot, len(m), ncols), pivots
 
 
@@ -172,21 +170,41 @@ def right_kernel(m: Matrix, ncols: int | None = None) -> list[Vector]:
     if not m and ncols is None:
         raise ValueError("ncols required for an empty matrix")
     ncols = len(m[0]) if m else ncols
-    rows, pivots, pivot, _ = _eliminate(map(_integer_row, m), ncols)
-    return _normalised(_kernel_basis(rows, pivots, pivot, ncols, free_columns(pivots, ncols)),
-                       pivot)
+    rows, pivots, pivot = _eliminate(map(_integer_row, m), ncols)
+    return _normalised(_kernel_basis(rows, pivots, pivot, ncols), pivot)
+
+
+def _integer_det(m: list) -> int:
+    """det of a square integer matrix, unchecked, by fraction-free (Bareiss)
+    forward elimination: every division is exact, and each row swap flips
+    the sign.  The library's one determinant: det runs it on rows scaled to
+    integers, and schubert's skew Schur dimensions on binomial matrices."""
+    m = [row[:] for row in m]
+    size, sign, prev = len(m), 1, 1
+    for k in range(size - 1):
+        if not m[k][k]:
+            swap = next((r for r in range(k + 1, size) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - lead * m[k][j]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if size else 1
 
 
 def det(m: Matrix) -> Fraction:
-    """Exact determinant: the last Bareiss pivot of the row-scaled integer
-    matrix, with the sign of the row swaps, over the row scales."""
+    """Exact determinant: _integer_det of the rows times the lcms of their
+    denominators, over the product of those lcms."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    _, pivots, pivot, sign = _eliminate(map(_integer_row, m), n)
-    if len(pivots) < n:
-        return QQ(0)
-    return QQ(sign * pivot, prod(lcm(*[x.denominator for x in row]) for row in m))
+    return QQ(_integer_det(list(map(_integer_row, m))),
+              prod(lcm(*[x.denominator for x in row]) for row in m))
 
 
 def row_space_intersection(a_rows: Matrix, b_rows: Matrix, ncols: int) -> Matrix:
@@ -196,9 +214,9 @@ def row_space_intersection(a_rows: Matrix, b_rows: Matrix, ncols: int) -> Matrix
         return []
     cols = list(zip(*map(_integer_row, (*a_rows, *b_rows))))
     width = len(a_rows) + len(b_rows)
-    rows, pivots, pivot, _ = _eliminate(cols, width)
-    combos = _kernel_basis(rows, pivots, pivot, width, free_columns(pivots, width))
+    rows, pivots, pivot = _eliminate(cols, width)
+    combos = _kernel_basis(rows, pivots, pivot, width)
     vectors = [[sum(c * x for c, x in zip(combo[:len(a_rows)], col)) for col in cols]
                for combo in combos]
-    rows, _, pivot, _ = _eliminate(vectors, ncols)
+    rows, _, pivot = _eliminate(vectors, ncols)
     return _normalised(rows, pivot)

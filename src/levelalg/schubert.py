@@ -19,6 +19,7 @@ from itertools import zip_longest
 from math import comb
 
 from .errors import AmbientMismatchError, InputSyntaxError, InvalidPartitionError, LevelAlgError
+from .linalg import _integer_det
 from .partitions import check_partition, conjugate, parse_partition, partitions_in_box
 
 
@@ -228,30 +229,6 @@ def lr_multiply(a: SchubertClass, b: SchubertClass) -> SchubertClass:
     return SchubertClass(t, n, {nu: c for nu, c in out.items() if c})
 
 
-def _integer_det(m: list) -> int:
-    """det of a square integer matrix by fraction-free (Bareiss) forward
-    elimination: every division is exact.  linalg.det returns the same
-    value, but its row scaling, full Gauss-Jordan pass and Fraction result
-    cost four to seven times as much on these matrices of at most t rows,
-    one per skew shape."""
-    m = [row[:] for row in m]
-    size, sign, prev = len(m), 1, 1
-    for k in range(size - 1):
-        if not m[k][k]:
-            swap = next((r for r in range(k + 1, size) if m[r][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for row in m[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, size):
-                row[j] = (row[j] * pivot - lead * m[k][j]) // prev
-        prev = pivot
-    return sign * m[-1][-1] if size else 1
-
-
 def _skew_dim(nu: tuple, lam: tuple, copies: int, dual: bool) -> int:
     """s_{nu/lam}(1^copies), or s_{nu'/lam'}(1^copies) if dual, for lam
     inside nu: det[h_k(1^copies)] = det[C(copies + k - 1, k)], or
@@ -270,35 +247,15 @@ def _skew_terms(lam: tuple, k: int, copies: int, dual: bool, rows: int, width: i
     """((nu, c), ...): the terms of s_lam times h_k, or e_k if dual, of the
     copies, c = s_{nu/lam}(1^copies), or s_{nu'/lam'}(1^copies), over the
     nu in the rows x width box that contain lam, weigh |lam| + k and have
-    c != 0.  nu is built row by row.  A skew shape with a column longer
-    than `copies` has no tableau with entries at most `copies`, so the
-    rows are pruned to nu_{a+copies} <= lam_a, or to nu_a - lam_a <=
-    copies if dual, as they are chosen."""
-    lam += (0,) * (rows - len(lam))
-    grow = copies if dual else k  # the most one row can gain
-    out, nu = [], []
-
-    def extend(a: int, top: int, left: int) -> None:
-        if a == rows:
-            if not left:
-                key = tuple(p for p in nu if p)
-                c = _skew_dim(key, lam[:len(key)], copies, dual)
-                if c:
-                    out.append((key, c))
-            return
-        low = lam[a]
-        high = min(top, low + grow, low + left)
-        if not dual and a >= copies:
-            high = min(high, lam[a - copies])
-        for p in range(high, low - 1, -1):
-            # the rows below can gain at most min(grow, p - lam_b) each
-            if p - low + sum(min(grow, p - q) for q in lam[a + 1:]) < left:
-                break
-            nu.append(p)
-            extend(a + 1, p, left - (p - low))
-            nu.pop()
-
-    extend(0, width, k)
+    c != 0, in descending lexicographic order.  Jacobi-Trudi is exact for
+    every nu containing lam, so _skew_dim alone decides which terms
+    vanish."""
+    out = []
+    for nu in partitions_in_box(rows, width, sum(lam) + k):
+        if len(nu) >= len(lam) and all(p >= q for p, q in zip(nu, lam)):
+            c = _skew_dim(nu, lam, copies, dual)
+            if c:
+                out.append((nu, c))
     return tuple(out)
 
 

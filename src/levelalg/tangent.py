@@ -65,7 +65,7 @@ class TangentSpace:
         rows, pivots, den, width = self.echelon
         ncols = self.constraint_shape[1]
         free, zero = free_columns(pivots, ncols), QQ(0)
-        kernel = integer_kernel(rows, pivots, den, ncols, free)
+        kernel = integer_kernel(rows, pivots, den, ncols)
         return tuple(tuple(tuple(row[b:b + width]) for b in range(0, ncols, width))
                      for row in ([QQ(x, v[f]) if x else zero for x in v]
                                  for v, f in zip(kernel, free)))
@@ -126,8 +126,7 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
         # factors, the residual functionals z_l = e_l - sum_k V_k[l] e_{piv_k}
         # of its RREF rows V_k, one per non-pivot coordinate l
         v_echelon, v_pivots, v_den = integer_echelon(v_rows, tq * nlow)
-        kernel = integer_kernel(v_echelon, v_pivots, v_den, tq * nlow,
-                                free_columns(v_pivots, tq * nlow))
+        kernel = integer_kernel(v_echelon, v_pivots, v_den, tq * nlow)
         functionals = [[divmod(a, nlow) + (x,) for a, x in enumerate(z) if x] for z in kernel]
         for u in kept:
             # gamma[m_idx]: (block offset of I_d basis vector k, its coefficient

@@ -9,12 +9,10 @@ from conftest import plethystic_schur_coefficients
 
 from levelalg import schubert
 from levelalg.errors import AmbientMismatchError, InvalidPartitionError
-from levelalg.linalg import det
 from levelalg.partitions import conjugate, partitions, partitions_in_box, schur_dim
 from levelalg.resolution import e1_vanishing_table, expected_codim
 from levelalg.schubert import (
     SchubertClass,
-    _integer_det,
     _schur_of_copies,
     _skew_dim,
     _times_part,
@@ -508,16 +506,6 @@ def test_skew_dim_matches_fraction_determinant_and_tableaux():
                         assert e_side == _ssyt_count(conjugate(nu), conjugate(lam), m), \
                             (nu, lam, m)
     assert counted > 1000
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 5).flatmap(
-    lambda size: st.lists(st.lists(st.integers(-3, 3), min_size=size, max_size=size),
-                          min_size=size, max_size=size)))
-def test_integer_det_matches_linalg_det(m):
-    # the Bareiss forward pass behind _skew_dim, zero pivots and row swaps
-    # included, against the Fraction determinant of linalg
-    assert _integer_det(m) == det(m)
 
 
 def test_porteous_and_e1_compute_no_lr_coefficient(monkeypatch):
