@@ -13,7 +13,8 @@ R_1.Lambda_j.  In divided-power coordinates (b! times the coefficient of
 y^b, b! from forms.divided_power_weights) x_k acts by an index shift and
 the pairing of R_j with S_j is the dot product, so each I_j is the right
 kernel of a spanning set of Lambda_j, one small elimination per degree,
-from j = d down.  The same duality makes R/ann(Lambda) level of socle
+from j = d down to the first degree where I_j = 0, below which every slice
+is 0 too.  The same duality makes R/ann(Lambda) level of socle
 degree d and type dim Lambda, so the apolar profile states that socle and
 computes none; socle() ranks the socle of an arbitrary artin quotient,
 which need not be level.
@@ -43,7 +44,8 @@ from .errors import (
 from .forms import (Form, Subspace, _lead, _monic_form, divided_power_weights, form_print,
                     monomial_products, space_dim)
 from .levelhf import HilbertFunction, e_sequence
-from .linalg import QQ, Matrix, _integer_row, _primitive, integer_echelon, integer_kernel, rank
+from .linalg import (QQ, Matrix, _integer_row, _primitive, integer_echelon, integer_kernel,
+                     integer_rank, rank)
 
 
 @lru_cache(maxsize=None)
@@ -141,8 +143,9 @@ def ann_slice(lam: Subspace, j: int) -> GradedIdealSlice:
     """I_j = {u in R_j : u.F = 0 for all F in Lambda}.
 
     dim I_j + h_j = dim R_j.  For j > d every operator annihilates, so the
-    slice is all of R_j.  On a fresh Lambda, 1 <= j <= d takes the d - j + 1
-    steps of the derivative chain from d down to j, and no more.
+    slice is all of R_j.  On a fresh Lambda, 1 <= j <= d takes the steps of
+    the derivative chain from d down to j, or down to the first zero slice
+    if that lies above j, and no more.
     """
     if j < 0:
         raise DegreeError("negative slice degree")
@@ -159,7 +162,13 @@ def _ann_rows(lam: Subspace, j: int) -> tuple[tuple[int, ...], ...]:
     pair (I_d, I_{d-1}, ... so far; rows spanning the next Lambda_i, None
     once I_1 is in), which each step replaces whole, so a step cut short
     leaves the chain as it was.  ann_slice, the apolar pass and the dual
-    tangent route only read the slices."""
+    tangent route only read the slices.
+
+    The chain stops at the first step whose kernel I_j is empty: every
+    lower slice is held as () at once.  Proof: for u in I_{j-1}, x_1 u
+    lies in R_1.I_{j-1}, which I_j contains since I is an ideal; I_j = 0
+    gives x_1 u = 0, and R is a domain, so u = 0.  Then I_{j-1} = 0, and
+    so on down to I_1."""
     if not j:
         return ()
     n, d = lam.nvars, lam.degree
@@ -168,6 +177,8 @@ def _ann_rows(lam: Subspace, j: int) -> tuple[tuple[int, ...], ...]:
     while len(slices) <= d - j:
         kernel, span = _chain_step(n, d - len(slices), span)
         slices += (kernel,)
+        if not kernel:
+            slices, span = slices + ((),) * (d - len(slices)), None
         lam.__dict__["_ann_rows"] = slices, span
     return slices[d - j]
 
@@ -349,7 +360,7 @@ def socle(gens: list[Form], nvars: int, bound: int | None = None) -> list[tuple[
     every i}.  The quotient must be artin: its Hilbert function has to
     vanish by the configured degree bound, otherwise NotArtinError.  Slices
     of I are built in integers up to the first that is all of R_j, and the
-    socle is ranked by one integer elimination per degree below it.  An
+    socle is ranked by one integer forward pass per degree below it.  An
     artin quotient need not be level, so unlike apolar_profile this reads
     nothing off Macaulay duality.
     """
@@ -378,7 +389,7 @@ def socle(gens: list[Form], nvars: int, bound: int | None = None) -> list[tuple[
         residuals = _monomial_residuals(inext, space_dim(nvars, j + 1))
         rows = [[x for shift in monomial_products(nvars, 1, j) for x in residuals[shift[m]]]
                 for m in range(space_dim(nvars, j))]
-        s = len(rows) - len(integer_echelon(rows, len(rows[0]))[1]) - len(ij)
+        s = len(rows) - integer_rank(rows, len(rows[0])) - len(ij)
         if s > 0:
             out.append((j, s))
     return out

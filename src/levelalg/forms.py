@@ -64,8 +64,9 @@ def divided_power_weights(nvars: int, degree: int) -> tuple[int, ...]:
 
 
 def _lead(v) -> int:
-    """The column of the first nonzero entry of v."""
-    return next(c for c, x in enumerate(v) if x)
+    """The column of the first nonzero entry of v: the entries before it
+    are 0, so it is the first index of that entry's value."""
+    return v.index(next(filter(None, v)))
 
 
 def _monic_form(nvars: int, degree: int, ring: str, vec) -> Form:

@@ -12,8 +12,9 @@ from it, so a caller that reads a rank builds none.  Dividing by the last
 pivot once at the end gives the unique reduced row echelon form.  The pivot
 rule is deterministic (first nonzero column, topmost row), so echelon
 forms, kernels and the canonical subspaces built on them are reproducible.
-Determinants take the same divisions in a forward pass only.  No floating
-point enters anywhere.
+Ranks (integer_rank) and determinants take the same divisions in a forward
+pass only, updating just the rows below each pivot.  No floating point
+enters anywhere.
 """
 
 from __future__ import annotations
@@ -135,6 +136,43 @@ def integer_echelon(m: list[list[int]], ncols: int) -> tuple[
     if g != 1:
         rows = [[x // g for x in row] for row in rows]
     return rows, pivots, pivot // g
+
+
+def integer_rank(m, ncols: int) -> int:
+    """Rank of the integer rows m (an iterable), by the forward pass of
+    _eliminate alone: the same pivot rule and the same lazy rescaling
+    (level[i] is the pivot row i is scaled to), with only the rows below
+    each pivot updated.  Zero rows are dropped; repeats are not looked
+    for, as integer_echelon does, since few of the rows ranked here
+    repeat."""
+    a = [row for row in m if any(row)]
+    nrows = len(a)
+    level = [1] * nrows
+    r, prev = 0, 1
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for p in range(r, nrows):
+            if a[p][c]:
+                break
+        else:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            level[r], level[p] = level[p], level[r]
+        prow = a[r]
+        if level[r] != prev:
+            prow = [x * prev // level[r] for x in prow]
+        pv = prow[c]
+        for i in range(r + 1, nrows):
+            row = a[i]
+            f = row[c]
+            if f:
+                a[i] = [(pv * x - f * y) // level[i] for x, y in zip(row, prow)]
+                level[i] = pv
+        r += 1
+        prev = pv
+    return r
 
 
 def integer_kernel(echelon: list[list[int]], pivots: list[int], den: int,

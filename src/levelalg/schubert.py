@@ -242,21 +242,34 @@ def _skew_dim(nu: tuple, lam: tuple, copies: int, dual: bool) -> int:
                          for a in range(size)])
 
 
+def _skew_fits(nu: tuple, lam: tuple, copies: int, dual: bool) -> bool:
+    """Whether nu/lam, lam inside nu, has no column longer than copies (no
+    row, if dual): exactly when _skew_dim is nonzero, since s_{nu/lam}(1^N)
+    counts the semistandard tableaux of shape nu/lam in 1..N, whose columns
+    increase strictly, and s_{nu'/lam'} transposes the shape.  A column of
+    nu/lam holds copies + 1 cells exactly when nu_{a+copies} > lam_a for
+    some row a."""
+    lam += (0,) * (len(nu) - len(lam))
+    if dual:
+        return all(p - q <= copies for p, q in zip(nu, lam))
+    return all(p <= q for p, q in zip(nu[copies:], lam))
+
+
 @lru_cache(maxsize=None)
 def _skew_terms(lam: tuple, k: int, copies: int, dual: bool, rows: int, width: int) -> tuple:
     """((nu, c), ...): the terms of s_lam times h_k, or e_k if dual, of the
     copies, c = s_{nu/lam}(1^copies), or s_{nu'/lam'}(1^copies), over the
     nu in the rows x width box that contain lam, weigh |lam| + k and have
     c != 0, in descending lexicographic order.  Jacobi-Trudi is exact for
-    every nu containing lam, so _skew_dim alone decides which terms
-    vanish."""
-    out = []
-    for nu in partitions_in_box(rows, width, sum(lam) + k):
-        if len(nu) >= len(lam) and all(p >= q for p, q in zip(nu, lam)):
-            c = _skew_dim(nu, lam, copies, dual)
-            if c:
-                out.append((nu, c))
-    return tuple(out)
+    every nu containing lam; _skew_fits drops the nu where c is 0 before
+    its determinant is taken.  It can drop one only when a column (a row,
+    if dual) of nu/lam may exceed the copies: its length is at most k and
+    at most the rows (the width, if dual) of the box."""
+    check = min(k, width if dual else rows) > copies
+    return tuple((nu, _skew_dim(nu, lam, copies, dual))
+                 for nu in partitions_in_box(rows, width, sum(lam) + k)
+                 if len(nu) >= len(lam) and all(p >= q for p, q in zip(nu, lam))
+                 and (not check or _skew_fits(nu, lam, copies, dual)))
 
 
 def _times_part(coeffs: dict, k: int, copies: int, dual: bool, t: int, n: int) -> dict:

@@ -15,10 +15,11 @@ instance for every reader down the derivative chain of Lambda (one small
 elimination a degree; see apolarity), and h_j = dim R_j - dim I_j.  It
 stays in integers, eliminating each V_i once with linalg.integer_echelon;
 the functionals linalg.integer_kernel builds from it are the rational ones
-times positive factors, so every constraint keeps its zero set.  The final
-elimination gives the dimension, the number of unknowns less the rank; the
-TangentSpace keeps its integer echelon form and builds the basis from it on
-first access.
+times positive factors, so every constraint keeps its zero set.  The
+dimension is the number of unknowns less the rank of the constraint rows,
+which linalg.integer_rank takes by a forward pass alone; the TangentSpace
+keeps those rows and eliminates them only on the first access to its
+basis.
 
 The lead rule.  The conditions are R-linear, so the generators of I
 already cut out the tangent space.  In degree i the route drops the rows of
@@ -34,12 +35,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .apolarity import _ann_rows, _monomial_residuals
 from .errors import DegreeError, HilbertMismatchError, ZeroSubspaceError
 from .forms import Subspace, _lead, monomial_products, space_dim
 from .levelhf import HilbertFunction
-from .linalg import QQ, free_columns, integer_echelon, integer_kernel
+from .linalg import QQ, free_columns, integer_echelon, integer_kernel, integer_rank
 
 
 @dataclass(frozen=True)
@@ -48,24 +50,25 @@ class TangentSpace:
     constraint matrix that cuts it out, and the basepoint's Hilbert
     function.  `basis` holds Hom(I_d, R_d/I_d) matrices (rows: the echelon
     basis of I_d, columns: the monomials of R_d that are no pivot of I_d);
-    it is built on first access from `echelon`, the integer echelon form of
-    the constraint rows and the block width."""
+    it is built on first access from `constraints`, the integer constraint
+    rows and the block width."""
 
     basepoint: Subspace
     dimension: int
     constraint_shape: tuple[int, int]
     hilbert: HilbertFunction
-    echelon: tuple = field(compare=False, repr=False)
+    constraints: tuple = field(compare=False, repr=False)
 
     @cached_property
     def basis(self) -> tuple:
         """linalg.right_kernel's canonical basis of the constraints: each
         integer kernel vector over its entry at its free column, cut into
         blocks of the width."""
-        rows, pivots, den, width = self.echelon
+        rows, width = self.constraints
         ncols = self.constraint_shape[1]
+        echelon, pivots, den = integer_echelon(rows, ncols)
         free, zero = free_columns(pivots, ncols), QQ(0)
-        kernel = integer_kernel(rows, pivots, den, ncols)
+        kernel = integer_kernel(echelon, pivots, den, ncols)
         return tuple(tuple(tuple(row[b:b + width]) for b in range(0, ncols, width))
                      for row in ([QQ(x, v[f]) if x else zero for x in v]
                                  for v, f in zip(kernel, free)))
@@ -119,8 +122,7 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
         shift = monomial_products(n, i, d - i)
         # V_i: for each complement monomial w of R_i, the vector
         # sum_M (w x^M mod I_d) (x) y^M, coordinates (c over comp_d, M)
-        v_rows = [[residuals[shift[pos][m_idx]][c_idx]
-                   for c_idx in range(tq) for m_idx in range(nlow)]
+        v_rows = [list(chain.from_iterable(zip(*[residuals[k] for k in shift[pos]])))
                   for pos in range(space_dim(n, i)) if pos not in ii_pivots]
         # membership in V_i: the right kernel of V_i holds, up to positive
         # factors, the residual functionals z_l = e_l - sum_k V_k[l] e_{piv_k}
@@ -145,12 +147,11 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
                         row[offset + c_idx] += coeff * g
                 if any(row):
                     rows.append(row)
-    # the dimension is the number of unknowns less the rank; the basis is
-    # left to the first access
+    # the dimension is the number of unknowns less the rank; the echelon
+    # form and the basis are left to the first access
     ncols = dim_id * tq
-    echelon, pivots, den = integer_echelon(rows, ncols)
-    return TangentSpace(lam, ncols - len(pivots), (len(rows), ncols), hilbert,
-                        (echelon, pivots, den, tq))
+    return TangentSpace(lam, ncols - integer_rank(rows, ncols), (len(rows), ncols), hilbert,
+                        (rows, tq))
 
 
 # Kept only because perfbench/workloads.py and perfbench/record_reference.py

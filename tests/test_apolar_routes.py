@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from conftest import all_level_hfs, monomial_residuals
+from conftest import all_level_hfs, burch_point, monomial_residuals
 from levelalg import apolarity
 from levelalg.apolarity import (
     ApolarProfile,
@@ -261,9 +261,9 @@ def test_socle_of_non_level_ideals_matches_the_old_route(nvars, ops):
 
 
 def test_the_pass_runs_once_per_lambda(monkeypatch):
-    # one derivative chain runs down from d to 1 once per Lambda, and
-    # ann_slice, in_sigma and the tangent route read the same slices;
-    # calls records the degree of each chain step
+    # one derivative chain runs down from d to the first zero slice once
+    # per Lambda, and ann_slice, in_sigma and the tangent route read the same
+    # slices; calls records the degree of each chain step
     calls = []
     step = apolarity._chain_step
 
@@ -275,7 +275,9 @@ def test_the_pass_runs_once_per_lambda(monkeypatch):
     h = HilbertFunction.parse("1,2,3,4,5,5,4,3,0")
     _, gens = burch_ideal(h)
     lam = inverse_system_slice([g.substitute_linear(MOVE) for g in gens], 2, h.d)
-    one_pass = list(range(h.d, 0, -1))
+    # h_4 = 5 = dim R_4: the chain stops at I_4 = 0, and I_3 = ... = I_1 = 0
+    stop = 4
+    one_pass = list(range(h.d, stop - 1, -1))
     fresh = dataclasses.replace(lam)
     planes = secant_decompose(lam)
     profile = apolar_profile(lam)
@@ -296,19 +298,19 @@ def test_the_pass_runs_once_per_lambda(monkeypatch):
     # == leaves the basis out; building it reads only the stored echelon
     assert fresh_dual.basis == dual.basis
     assert calls == 2 * one_pass
-    # a first ann_slice or in_sigma at s runs the chain down to s only,
-    # d - s + 1 steps, and a lower s later extends it
+    # a first ann_slice or in_sigma at s runs the chain down to s, or to
+    # the zero slice above s, only, and a lower s later extends it
     for s in range(1, h.d + 1):
         calls.clear()
         partial = dataclasses.replace(lam)
         assert ann_slice(partial, s).subspace == slices[s]
-        assert calls == list(range(h.d, s - 1, -1))
+        assert calls == list(range(h.d, max(s, stop) - 1, -1))
         if s >= h.t:
             in_sigma(dataclasses.replace(lam), s)
-            assert calls == 2 * list(range(h.d, s - 1, -1))
+            assert calls == 2 * list(range(h.d, max(s, stop) - 1, -1))
         calls.clear()
         assert [ann_slice(partial, j).subspace for j in range(h.d + 2)] == slices
-        assert calls == list(range(s - 1, 0, -1))
+        assert calls == list(range(s - 1, stop - 1, -1))
     calls.clear()
     assert ann_slice(dataclasses.replace(lam), 0).subspace == slices[0]
     assert calls == []
@@ -368,15 +370,16 @@ def test_a_partial_chain_extends_to_lower_degrees(rng, nvars, d, t):
 
 
 def test_a_chain_step_cut_short_leaves_the_chain_as_it_was(rng, monkeypatch):
-    # the first step at j = 5 raises: the steps before it stay done, and the
-    # next read runs it again
+    # the first step at j = 6 raises: the steps before it stay done, and the
+    # next read runs it again, then the chain stops at I_5 = 0 (h_5 = 6 =
+    # dim R_5 for two general forms of S_8)
     lam = random_subspace(rng, 2, 8, 2)
     fresh = dataclasses.replace(lam)
     calls, step = [], apolarity._chain_step
 
     def cut(nvars, j, span):
         calls.append(j)
-        if calls == [8, 7, 6, 5]:
+        if calls == [8, 7, 6]:
             raise MemoryError
         return step(nvars, j, span)
 
@@ -385,8 +388,39 @@ def test_a_chain_step_cut_short_leaves_the_chain_as_it_was(rng, monkeypatch):
         ann_slice(lam, 3)
     assert [ann_slice(lam, j).subspace for j in range(10)] == \
         [old_ann_slice(fresh, j) for j in range(10)]
-    assert calls == [8, 7, 6, 5, 5, 4, 3, 2, 1]
+    assert calls == [8, 7, 6, 6, 5]
     assert apolar_profile(lam).kv_lines() == old_profile_lines(fresh)
+
+
+@pytest.mark.parametrize("nvars, d_max", [(1, 7), (2, 9), (3, 6), (4, 4)])
+def test_the_chain_stops_at_the_first_zero_slice(rng, monkeypatch, nvars, d_max):
+    # R_1 I_{j-1} lies in I_j and R is a domain, so I_j = 0 forces
+    # I_{j-1} = 0: no step runs below the first empty kernel, and the slices
+    # held below it are the catalecticant route's
+    steps, step = [], apolarity._chain_step
+
+    def recorded(n, j, span):
+        kernel, rest = step(n, j, span)
+        steps.append((j, len(kernel)))
+        return kernel, rest
+
+    monkeypatch.setattr(apolarity, "_chain_step", recorded)
+    points = [random_subspace(rng, nvars, d, t) for d in range(1, d_max + 1)
+              for t in range(1, min(3, space_dim(nvars, d)) + 1)]
+    if nvars == 2:
+        points += [burch_point(h) for h in all_level_hfs(3, 8)]
+    stopped = 0
+    for lam in points:
+        d, fresh = lam.degree, dataclasses.replace(lam)
+        steps.clear()
+        expected = [old_ann_slice(fresh, j) for j in range(d + 2)]
+        assert [ann_slice(lam, j).subspace for j in range(d + 2)] == expected
+        # the last step is at the top zero slice of the reference, or at 1
+        last = next((j for j in range(d, 0, -1) if expected[j].dim == 0), 1)
+        assert [j for j, _ in steps] == list(range(d, last - 1, -1))
+        assert all(size for _, size in steps[:-1])
+        stopped += last > 1
+    assert stopped >= 4
 
 
 def random_integer_span(rng, nvars, d, t):

@@ -10,6 +10,7 @@ from levelalg.linalg import (
     free_columns,
     integer_echelon,
     integer_kernel,
+    integer_rank,
     rank,
     right_kernel,
     row_space_intersection,
@@ -119,6 +120,52 @@ def test_rank_invariant_under_row_permutation(rows, rnd):
     shuffled = m[:]
     rnd.shuffle(shuffled)
     assert rank(shuffled) == rank(m)
+
+
+@st.composite
+def integer_matrices(draw):
+    """A wide (at most 3 rows), tall (at most 3 columns) or squarish
+    product of sparse integer factors, so of rank at most the inner size,
+    some with entries of about 70 bits, then zero rows and repeats of its
+    rows inserted.  Zero-heavy factors make rows skip pivot columns and
+    take the lazy rescale, as the tangent constraints do."""
+    shape = draw(st.sampled_from(("wide", "tall", "square")))
+    nrows = draw(st.integers(1, 3 if shape == "wide" else 10))
+    ncols = draw(st.integers(1, 3 if shape == "tall" else 10))
+    inner = draw(st.integers(0, min(nrows, ncols)))
+    small = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
+    entries = st.one_of(small, st.integers(-2 ** 70, 2 ** 70)) if draw(st.booleans()) else small
+    left = draw(st.lists(st.lists(entries, min_size=inner, max_size=inner),
+                         min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                          min_size=inner, max_size=inner))
+    m = [[sum(left[i][q] * right[q][j] for q in range(inner)) for j in range(ncols)]
+         for i in range(nrows)]
+    for repeat in draw(st.lists(st.one_of(st.none(), st.integers(0, nrows - 1)), max_size=4)):
+        row = [0] * ncols if repeat is None else list(m[repeat])
+        m.insert(draw(st.integers(0, len(m))), row)
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_integer_rank_is_the_echelon_rank(m):
+    # the forward pass against integer_echelon's pivots and the Fraction
+    # rref's, on the rows as given (no dedupe) and from an iterator; the
+    # rows are read, never changed
+    ncols = len(m[0])
+    before = [list(row) for row in m]
+    r = integer_rank(m, ncols)
+    assert m == before
+    assert r == len(integer_echelon(m, ncols)[1]) == rank(mat(m))
+    assert integer_rank(iter(m), ncols) == r
+    assert integer_rank(m[::-1], ncols) == r
+
+
+def test_integer_rank_of_no_rows_and_of_zero_rows():
+    assert integer_rank([], 3) == 0
+    assert integer_rank([[0, 0, 0]] * 4, 3) == 0
+    assert integer_rank([[0, 2, 0]] * 4, 3) == 1
 
 
 def _det_cofactor(m):

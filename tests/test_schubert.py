@@ -15,6 +15,7 @@ from levelalg.schubert import (
     SchubertClass,
     _schur_of_copies,
     _skew_dim,
+    _skew_fits,
     _times_part,
     class_of,
     class_one,
@@ -506,6 +507,39 @@ def test_skew_dim_matches_fraction_determinant_and_tableaux():
                         assert e_side == _ssyt_count(conjugate(nu), conjugate(lam), m), \
                             (nu, lam, m)
     assert counted > 1000
+
+
+def test_the_tableau_criterion_is_the_nonzero_skew_dimension():
+    # _skew_terms takes a determinant only where nu/lam has no column (no
+    # row, if dual) longer than the copies; on the 4 x 4 box that is
+    # exactly where the determinant is nonzero, on both sides
+    seen = {True: 0, False: 0}
+    box = partitions_in_box(4, 4)
+    for nu in box:
+        for lam in box:
+            if len(lam) > len(nu) or any(p > q for p, q in zip(lam, nu)):
+                continue
+            for copies in range(1, 5):
+                for dual in (False, True):
+                    fits = _skew_fits(nu, lam, copies, dual)
+                    assert fits == (_skew_dim(nu, lam, copies, dual) != 0), \
+                        (nu, lam, copies, dual)
+                    seen[fits] += 1
+    assert seen[True] > 1000 and seen[False] > 1000
+
+
+def test_skew_terms_are_the_nonzero_skew_dimensions():
+    # _skew_terms against every nu of the box that contains lam, kept where
+    # the determinant is nonzero, for boxes on both sides of its check
+    for rows, width in ((2, 5), (3, 3), (4, 4), (5, 2)):
+        for lam in partitions_in_box(rows, width):
+            for k, copies, dual in product(range(1, 6), range(1, 5), (False, True)):
+                expected = tuple(
+                    (nu, c) for nu in partitions_in_box(rows, width, sum(lam) + k)
+                    if len(nu) >= len(lam) and all(p >= q for p, q in zip(nu, lam))
+                    for c in [_skew_dim(nu, lam, copies, dual)] if c)
+                assert schubert._skew_terms(lam, k, copies, dual, rows, width) == expected, \
+                    (lam, k, copies, dual, rows, width)
 
 
 def test_porteous_and_e1_compute_no_lr_coefficient(monkeypatch):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from levelalg.apolarity import ann_slice, catalecticant_matrix, internal_product
 from levelalg.forms import Form, Subspace, monomials
-from levelalg.linalg import QQ, det, rank, rref, right_kernel, row_space_intersection
+from levelalg.linalg import (QQ, _integer_row, det, integer_echelon, integer_rank, rank, rref,
+                             right_kernel, row_space_intersection)
 
 sympy = pytest.importorskip("sympy")
 
@@ -171,6 +172,22 @@ def test_rref_rank_and_kernel_match_sympy(m):
     # sympy's nullspace is the same canonical basis: 1 at a free column,
     # minus the RREF entries at the pivot columns
     assert as_sympy_rows(right_kernel(m)) == [tuple(v) for v in expected.nullspace()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(low_rank_matrices(), st.integers(0, 80), st.data())
+def test_integer_rank_matches_sympy(m, bits, data):
+    # the rows scaled to integers, each then times a factor of up to 80
+    # bits, with zero rows and repeats mixed in: none moves the rank
+    ncols = len(m[0])
+    factors = st.sampled_from((1, -1, 2 ** bits + 1))
+    rows = [[x * k for x in _integer_row(row)] for row in m for k in [data.draw(factors)]]
+    for _ in range(data.draw(st.integers(0, 3))):
+        rows.insert(data.draw(st.integers(0, len(rows))),
+                    list(data.draw(st.sampled_from(rows))) if data.draw(st.booleans())
+                    else [0] * ncols)
+    expected = sympy_matrix(m).rank()
+    assert integer_rank(rows, ncols) == len(integer_echelon(rows, ncols)[1]) == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -395,21 +395,27 @@ def test_the_hom_oracle_matches_the_route(rng):
 
 
 def test_the_basis_is_built_on_first_access_only(monkeypatch, rng):
-    # the route reads the dimension off the rank of the constraint rows, the
-    # last elimination it takes; the kernel of those rows is built on the
-    # first basis access, once
-    solved, kernels = [], []
+    # the route reads the dimension off integer_rank of the constraint rows
+    # and eliminates them in no integer_echelon; their echelon form and its
+    # kernel are built on the first basis access, once
+    ranked, echelons, kernels = [], [], []
+    original_rank = tangent.integer_rank
     original_echelon, original_kernel = tangent.integer_echelon, tangent.integer_kernel
+
+    def recorded_rank(m, ncols):
+        ranked.append(m)
+        return original_rank(m, ncols)
 
     def recorded_echelon(m, ncols):
         out = original_echelon(m, ncols)
-        solved[:] = [out[0]]
+        echelons.append((m, out[0]))
         return out
 
     def counted_kernel(echelon, *args):
         kernels.append(echelon)
         return original_kernel(echelon, *args)
 
+    monkeypatch.setattr(tangent, "integer_rank", recorded_rank)
     monkeypatch.setattr(tangent, "integer_echelon", recorded_echelon)
     monkeypatch.setattr(tangent, "integer_kernel", counted_kernel)
     h = HilbertFunction.parse("1,2,3,4,5,5,4,3,0")
@@ -417,14 +423,18 @@ def test_the_basis_is_built_on_first_access_only(monkeypatch, rng):
               parse_subspace_lines(TERNARY[9], nvars=3)]
     for lam in points:
         dimension, basis, shape = _fraction_tangent_space_dual(lam)
-        kernels.clear()
+        ranked.clear()
+        echelons.clear()
         ts = tangent_space(lam)
         assert ts.dimension == dimension and ts.constraint_shape == shape
-        assert not any(e is solved[0] for e in kernels)
+        assert len(ranked) == 1 and len(ranked[0]) == shape[0]
+        assert not any(m is ranked[0] for m, _ in echelons)
+        echelons.clear()
         kernels.clear()
         assert ts.basis == basis
-        assert len(kernels) == 1 and kernels[0] is solved[0]
-        assert ts.basis is ts.basis and len(kernels) == 1
+        assert len(echelons) == 1 and echelons[0][0] is ranked[0]
+        assert len(kernels) == 1 and kernels[0] is echelons[0][1]
+        assert ts.basis is ts.basis and len(echelons) == len(kernels) == 1
 
 
 def test_degree_subsets_match_the_rational_route():
@@ -474,9 +484,11 @@ def test_integer_catalecticant_returns_fresh_lists(rng):
 
 def test_no_repeated_row_reaches_the_elimination_core(monkeypatch):
     # integer_echelon hands the core each primitive row once, on the
-    # tangent route's eliminations and on the slices it reads.  Those come
-    # from the derivative chain, whose step j gets t rows at j = d and
-    # n h_{j+1} rows below: no catalecticant there
+    # tangent route's V_i eliminations and on the slices it reads (the
+    # constraint rows are only ranked, by integer_rank's forward pass).  The
+    # slices come from the derivative chain, whose step j gets t rows at
+    # j = d and n h_{j+1} rows below, and which stops at the first zero
+    # slice: no catalecticant there
     given, eliminated = [], []
     original_echelon, original_eliminate = linalg.integer_echelon, linalg._eliminate
 
@@ -502,9 +514,11 @@ def test_no_repeated_row_reaches_the_elimination_core(monkeypatch):
         tangent_space(lam)
         assert eliminated, h.format()
         assert all(len(set(map(tuple, rows))) == len(rows) for rows in eliminated), h.format()
-        # the chain steps j = d, ..., 1 (n = 2: dim R_j = j + 1)
+        # the chain steps j = d, ..., stop, I_stop = 0 the first zero slice
+        # (n = 2: dim R_j = j + 1)
+        stop = max(j for j in range(1, h.d + 1) if h[j] == j + 1)
         chain = [(n, ncols) for module, n, ncols in given if module is apolarity]
-        assert [ncols for _, ncols in chain] == [j + 1 for j in range(h.d, 0, -1)]
-        bounds = [h.t] + [2 * h[j + 1] for j in range(h.d - 1, 0, -1)]
+        assert [ncols for _, ncols in chain] == [j + 1 for j in range(h.d, stop - 1, -1)]
+        bounds = [h.t] + [2 * h[j + 1] for j in range(h.d - 1, stop - 1, -1)]
         assert all(n <= bound for (n, _), bound in zip(chain, bounds, strict=True)), \
             h.format()
