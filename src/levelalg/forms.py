@@ -225,10 +225,6 @@ class Form:
         return f"Form({self.ring}_{self.degree}: {form_print(self)})"
 
 
-def _print_coeff(c: Fraction) -> str:
-    return str(c)
-
-
 def form_print(f: Form) -> str:
     """Canonical string form; parse(print(f)) == f."""
     if f.is_zero:
@@ -247,11 +243,11 @@ def form_print(f: Form) -> str:
                 factors.append(f"{var}{i + 1}^{e}")
         mag = abs(c)
         if not factors:
-            body = _print_coeff(mag)
+            body = str(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = _print_coeff(mag) + "*" + "*".join(factors)
+            body = str(mag) + "*" + "*".join(factors)
         parts.append((c < 0, body))
     out = []
     for k, (neg, body) in enumerate(parts):

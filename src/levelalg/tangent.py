@@ -18,8 +18,8 @@ the functionals linalg.integer_kernel builds from it are the rational ones
 times positive factors, so every constraint keeps its zero set.  The
 dimension is the number of unknowns less the rank of the constraint rows,
 which linalg.integer_rank takes by a forward pass alone; the TangentSpace
-keeps those rows and eliminates them only on the first access to its
-basis.
+keeps those rows and takes their linalg.right_kernel only on the first
+access to its basis.
 
 The lead rule.  The conditions are R-linear, so the generators of I
 already cut out the tangent space.  In degree i the route drops the rows of
@@ -41,7 +41,7 @@ from .apolarity import _ann_rows, _monomial_residuals
 from .errors import DegreeError, HilbertMismatchError, ZeroSubspaceError
 from .forms import Subspace, _lead, monomial_products, space_dim
 from .levelhf import HilbertFunction
-from .linalg import QQ, free_columns, integer_echelon, integer_kernel, integer_rank
+from .linalg import integer_echelon, integer_kernel, integer_rank, right_kernel
 
 
 @dataclass(frozen=True)
@@ -61,17 +61,12 @@ class TangentSpace:
 
     @cached_property
     def basis(self) -> tuple:
-        """linalg.right_kernel's canonical basis of the constraints: each
-        integer kernel vector over its entry at its free column, cut into
-        blocks of the width."""
+        """linalg.right_kernel's canonical basis of the constraints, each
+        vector cut into blocks of the width."""
         rows, width = self.constraints
         ncols = self.constraint_shape[1]
-        echelon, pivots, den = integer_echelon(rows, ncols)
-        free, zero = free_columns(pivots, ncols), QQ(0)
-        kernel = integer_kernel(echelon, pivots, den, ncols)
-        return tuple(tuple(tuple(row[b:b + width]) for b in range(0, ncols, width))
-                     for row in ([QQ(x, v[f]) if x else zero for x in v]
-                                 for v, f in zip(kernel, free)))
+        return tuple(tuple(tuple(v[b:b + width]) for b in range(0, ncols, width))
+                     for v in right_kernel(rows, ncols))
 
 
 def tangent_space(lam: Subspace, h: HilbertFunction | None = None,

@@ -161,8 +161,17 @@ def as_sympy_rows(m):
 
 
 @settings(max_examples=80, deadline=None)
-@given(low_rank_matrices())
-def test_rref_rank_and_kernel_match_sympy(m):
+@given(low_rank_matrices(), st.data())
+def test_rref_rank_and_kernel_match_sympy(m, data):
+    # repeats, scaled copies and zero rows mixed in: the front ends hand the
+    # core each primitive row once (integer_echelon's intake), and rref
+    # still returns one row for each row of m
+    ncols, m = len(m[0]), m[:]
+    for _ in range(data.draw(st.integers(0, 3))):
+        row = data.draw(st.sampled_from(m))
+        factor = data.draw(st.sampled_from((QQ(1), QQ(-1), QQ(-3, 7), QQ(2 ** 40 + 1, 3))))
+        extra = data.draw(st.sampled_from(([x * factor for x in row], [QQ(0)] * ncols)))
+        m.insert(data.draw(st.integers(0, len(m))), extra)
     expected = sympy_matrix(m)
     reduced, pivots = expected.rref()
     ours, our_pivots = rref(m)

@@ -396,45 +396,35 @@ def test_the_hom_oracle_matches_the_route(rng):
 
 def test_the_basis_is_built_on_first_access_only(monkeypatch, rng):
     # the route reads the dimension off integer_rank of the constraint rows
-    # and eliminates them in no integer_echelon; their echelon form and its
-    # kernel are built on the first basis access, once
-    ranked, echelons, kernels = [], [], []
-    original_rank = tangent.integer_rank
-    original_echelon, original_kernel = tangent.integer_echelon, tangent.integer_kernel
+    # and takes no kernel of them; their right_kernel is taken on the first
+    # basis access, once, on the very rows that were ranked
+    ranked, kernels = [], []
+    original_rank, original_kernel = tangent.integer_rank, tangent.right_kernel
 
     def recorded_rank(m, ncols):
         ranked.append(m)
         return original_rank(m, ncols)
 
-    def recorded_echelon(m, ncols):
-        out = original_echelon(m, ncols)
-        echelons.append((m, out[0]))
-        return out
-
-    def counted_kernel(echelon, *args):
-        kernels.append(echelon)
-        return original_kernel(echelon, *args)
+    def recorded_kernel(m, ncols=None):
+        kernels.append(m)
+        return original_kernel(m, ncols)
 
     monkeypatch.setattr(tangent, "integer_rank", recorded_rank)
-    monkeypatch.setattr(tangent, "integer_echelon", recorded_echelon)
-    monkeypatch.setattr(tangent, "integer_kernel", counted_kernel)
+    monkeypatch.setattr(tangent, "right_kernel", recorded_kernel)
     h = HilbertFunction.parse("1,2,3,4,5,5,4,3,0")
     points = [burch_point(h), moved_burch_point(h, rng),
               parse_subspace_lines(TERNARY[9], nvars=3)]
     for lam in points:
         dimension, basis, shape = _fraction_tangent_space_dual(lam)
         ranked.clear()
-        echelons.clear()
+        kernels.clear()
         ts = tangent_space(lam)
         assert ts.dimension == dimension and ts.constraint_shape == shape
         assert len(ranked) == 1 and len(ranked[0]) == shape[0]
-        assert not any(m is ranked[0] for m, _ in echelons)
-        echelons.clear()
-        kernels.clear()
+        assert kernels == []
         assert ts.basis == basis
-        assert len(echelons) == 1 and echelons[0][0] is ranked[0]
-        assert len(kernels) == 1 and kernels[0] is echelons[0][1]
-        assert ts.basis is ts.basis and len(echelons) == len(kernels) == 1
+        assert len(kernels) == 1 and kernels[0] is ranked[0]
+        assert ts.basis is ts.basis and len(kernels) == 1
 
 
 def test_degree_subsets_match_the_rational_route():
@@ -483,14 +473,14 @@ def test_integer_catalecticant_returns_fresh_lists(rng):
 
 
 def test_no_repeated_row_reaches_the_elimination_core(monkeypatch):
-    # integer_echelon hands the core each primitive row once, on the
-    # tangent route's V_i eliminations and on the slices it reads (the
-    # constraint rows are only ranked, by integer_rank's forward pass).  The
-    # slices come from the derivative chain, whose step j gets t rows at
-    # j = d and n h_{j+1} rows below, and which stops at the first zero
-    # slice: no catalecticant there
+    # integer_echelon hands the Gauss-Jordan mode of the Bareiss loop each
+    # primitive row once, on the tangent route's V_i eliminations and on
+    # the slices it reads (the constraint rows are only ranked, by the
+    # forward mode).  The slices come from the derivative chain, whose step
+    # j gets t rows at j = d and n h_{j+1} rows below, and which stops at
+    # the first zero slice: no catalecticant there
     given, eliminated = [], []
-    original_echelon, original_eliminate = linalg.integer_echelon, linalg._eliminate
+    original_echelon, original_bareiss = linalg.integer_echelon, linalg._bareiss
 
     def counted_echelon(module):
         def counted(m, ncols):
@@ -498,14 +488,15 @@ def test_no_repeated_row_reaches_the_elimination_core(monkeypatch):
             return original_echelon(m, ncols)
         return counted
 
-    def recorded_eliminate(m, ncols):
+    def recorded_bareiss(m, ncols, jordan):
         rows = [list(row) for row in m]
-        eliminated.append(rows)
-        return original_eliminate(rows, ncols)
+        if jordan:
+            eliminated.append(rows)
+        return original_bareiss(rows, ncols, jordan)
 
     for module in (apolarity, tangent):
         monkeypatch.setattr(module, "integer_echelon", counted_echelon(module))
-    monkeypatch.setattr(linalg, "_eliminate", recorded_eliminate)
+    monkeypatch.setattr(linalg, "_bareiss", recorded_bareiss)
     hs = enumerate_level_hf(6, 16)
     for h in (hs[len(hs) // 4], hs[3 * len(hs) // 4]):
         lam = burch_point(h)
