@@ -33,7 +33,10 @@ Vector = list[Fraction]
 
 
 def _integer_row(row) -> list[int]:
-    """row (ints or Fractions) times the lcm of its denominators."""
+    """row (ints or Fractions) times the lcm of its denominators; a row of
+    ints is copied as it is."""
+    if {int}.issuperset(map(type, row)):
+        return list(row)
     dens = [x.denominator for x in row]
     den = lcm(*dens)
     return [x.numerator * (den // d) for x, d in zip(row, dens)]
@@ -47,11 +50,12 @@ def _bareiss(m, ncols: int, jordan: bool):
     and every update divides exactly by the previous pivot.  A row that is
     zero in the pivot column would only be scaled by pivot / previous
     pivot, so it is left as it is and level[i] holds the pivot it is
-    scaled to.  With jordan, every other row is cleared at each pivot and
-    (echelon, pivots, pivot) is returned: one integer row per pivot column,
-    equal to the last pivot `pivot` (1 if none) there and zero at the other
-    pivot columns.  Without it only the rows below each pivot are updated,
-    and the pivot columns alone are returned.
+    scaled to.  Returns (rows, pivots, pivot): one integer row per pivot
+    column and the last pivot `pivot` (1 if none).  With jordan, every other
+    row is cleared at each pivot, and each row equals `pivot` at its pivot
+    column and is zero at the other pivot columns.  Without it only the rows
+    below each pivot are updated, and the entries of row k are (k + 1)-minors
+    of m.
     """
     a = [row for row in m if any(row)]
     nrows = len(a)
@@ -84,7 +88,7 @@ def _bareiss(m, ncols: int, jordan: bool):
         pivots.append(c)
         prev = pv
     if not jordan:
-        return pivots
+        return a[:len(pivots)], pivots, prev
     echelon = [row if lv == prev else [x * prev // lv for x in row]
                for row, lv in zip(a, level[:len(pivots)])]
     return echelon, pivots, prev
@@ -151,7 +155,7 @@ def integer_rank(m, ncols: int) -> int:
     """Rank of the integer rows m (an iterable), by the forward pass of the
     Bareiss loop alone.  Zero rows are dropped; repeats are not looked for,
     as integer_echelon does, since few of the rows ranked here repeat."""
-    return len(_bareiss(m, ncols, False))
+    return len(_bareiss(m, ncols, False)[1])
 
 
 def integer_kernel(echelon: list[list[int]], pivots: list[int], den: int,

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from levelalg.linalg import (
     QQ,
+    _bareiss,
     _integer_det,
     det,
     free_columns,
@@ -160,6 +161,16 @@ def test_integer_rank_is_the_echelon_rank(m):
     assert r == len(integer_echelon(m, ncols)[1]) == rank(mat(m))
     assert integer_rank(iter(m), ncols) == r
     assert integer_rank(m[::-1], ncols) == r
+    # the forward pass divides by the previous pivot: row k of it holds
+    # (k + 1)-minors of m, within Hadamard's bound, the product of the k + 1
+    # largest squared row norms
+    rows, pivots, _ = _bareiss(m, ncols, False)
+    assert len(rows) == len(pivots) == r
+    norms = sorted((sum(x * x for x in row) for row in m), reverse=True)
+    bound = 1
+    for row, norm in zip(rows, norms):
+        bound *= norm
+        assert all(x * x <= bound for x in row)
 
 
 def test_integer_rank_of_no_rows_and_of_zero_rows():

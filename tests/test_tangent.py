@@ -396,14 +396,20 @@ def test_the_hom_oracle_matches_the_route(rng):
 
 def test_the_basis_is_built_on_first_access_only(monkeypatch, rng):
     # the route reads the dimension off integer_rank of the constraint rows
-    # and takes no kernel of them; their right_kernel is taken on the first
-    # basis access, once, on the very rows that were ranked
-    ranked, kernels = [], []
+    # and takes no echelon form or kernel of them; their right_kernel is
+    # taken on the first basis access, once, on the very rows that were
+    # ranked
+    ranked, echelons, kernels = [], [], []
     original_rank, original_kernel = tangent.integer_rank, tangent.right_kernel
+    original_echelon = tangent.integer_echelon
 
     def recorded_rank(m, ncols):
         ranked.append(m)
         return original_rank(m, ncols)
+
+    def recorded_echelon(m, ncols):
+        echelons.append(m)
+        return original_echelon(m, ncols)
 
     def recorded_kernel(m, ncols=None):
         kernels.append(m)
@@ -411,16 +417,19 @@ def test_the_basis_is_built_on_first_access_only(monkeypatch, rng):
 
     monkeypatch.setattr(tangent, "integer_rank", recorded_rank)
     monkeypatch.setattr(tangent, "right_kernel", recorded_kernel)
+    monkeypatch.setattr(tangent, "integer_echelon", recorded_echelon)
     h = HilbertFunction.parse("1,2,3,4,5,5,4,3,0")
     points = [burch_point(h), moved_burch_point(h, rng),
               parse_subspace_lines(TERNARY[9], nvars=3)]
     for lam in points:
         dimension, basis, shape = _fraction_tangent_space_dual(lam)
         ranked.clear()
+        echelons.clear()
         kernels.clear()
         ts = tangent_space(lam)
         assert ts.dimension == dimension and ts.constraint_shape == shape
         assert len(ranked) == 1 and len(ranked[0]) == shape[0]
+        assert echelons and not any(m is ranked[0] for m in echelons)
         assert kernels == []
         assert ts.basis == basis
         assert len(kernels) == 1 and kernels[0] is ranked[0]
