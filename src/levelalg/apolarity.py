@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, count
+from itertools import chain, combinations, count
 from math import lcm
 
 from .errors import (
@@ -183,6 +183,14 @@ def _ann_rows(lam: Subspace, j: int) -> tuple[tuple[int, ...], ...]:
     return slices[d - j]
 
 
+def _slices(lam: Subspace) -> tuple[tuple, HilbertFunction]:
+    """The slices I_0, ..., I_d that _ann_rows holds on lam, and the Hilbert
+    function h_j = dim R_j - dim I_j they give."""
+    slices = tuple(_ann_rows(lam, j) for j in range(lam.degree + 1))
+    return slices, HilbertFunction.from_values([space_dim(lam.nvars, j) - len(rows)
+                                                for j, rows in enumerate(slices)])
+
+
 def _divided_power_rows(lam: Subspace) -> list[list[int]]:
     """Lambda's integer rows in divided-power coordinates w_b = b! *
     (coefficient of y^b), b! = b_1! ... b_n!: rows spanning Lambda_d."""
@@ -247,12 +255,10 @@ def _apolar_pass(lam: Subspace):
     if lam.dim == 0:
         raise ZeroSubspaceError("the zero subspace has no Hilbert function")
     n, d = lam.nvars, lam.degree
-    slices = tuple(_ann_rows(lam, j) for j in range(d + 1))
-    hf = HilbertFunction.from_values([space_dim(n, j) - len(rows)
-                                      for j, rows in enumerate(slices)])
+    slices, hf = _slices(lam)
     counts = e_sequence(hf) if n == 2 else None
     out = []
-    for j, rows in enumerate((*slices[1:], _unit_rows(space_dim(n, d + 1))), start=1):
+    for j, rows in enumerate((*slices[1:], Subspace.full(n, d + 1, "R").echelon), start=1):
         if counts is not None and not counts[j - 1]:
             continue
         base, pivots, den = integer_echelon(_times_variables(n, j - 1, slices[j - 1]),
@@ -274,11 +280,6 @@ def _apolar_pass(lam: Subspace):
             out.append((j, tuple(gens)))
     memo = lam.__dict__["_apolar_pass"] = (hf, tuple(out))
     return memo
-
-
-def _unit_rows(width: int) -> list[list[int]]:
-    """The echelon rows of all of R_j, width = dim R_j."""
-    return [[int(k == c) for c in range(width)] for k in range(width)]
 
 
 def minimal_generators(lam: Subspace) -> list[tuple[int, list[Form]]]:
@@ -386,9 +387,8 @@ def socle(gens: list[Form], nvars: int, bound: int | None = None) -> list[tuple[
     for j, (ij, inext) in enumerate(zip(slices, slices[1:])):
         # u = sum c_m x^m has every x_i u in I_{j+1} iff sum c_m row_m = 0,
         # row_m holding the products x_i x^m mod I_{j+1}; such u include I_j
-        residuals = _monomial_residuals(inext, space_dim(nvars, j + 1))
-        rows = [[x for shift in monomial_products(nvars, 1, j) for x in residuals[shift[m]]]
-                for m in range(space_dim(nvars, j))]
+        rows = _product_rows(_monomial_residuals(inext, space_dim(nvars, j + 1)),
+                             monomial_products(nvars, j, 1), range(space_dim(nvars, j)))
         s = len(rows) - integer_rank(rows, len(rows[0])) - len(ij)
         if s > 0:
             out.append((j, s))
@@ -406,6 +406,13 @@ def _monomial_residuals(rows, width: int) -> list[list[int]]:
     return [[-v[p] * (scale // v[o]) for p in comp] if (v := by_pivot.get(o))
             else [scale * (p == o) for p in comp]
             for o in range(width)]
+
+
+def _product_rows(residuals, shift, positions) -> list[list[int]]:
+    """For each position's monomial, its products with shift[pos] (a row of
+    monomial_products) read in _monomial_residuals, coordinate outermost."""
+    return [list(chain.from_iterable(zip(*[residuals[k] for k in shift[pos]])))
+            for pos in positions]
 
 
 def check_points(points) -> list[tuple]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import apolarity, bott, levelhf, resolution, schubert, secant, tangent
 from .errors import InputSyntaxError, LevelAlgError
-from .forms import form_parse, form_print, parse_subspace_lines
+from .forms import _parse_forms, form_parse, form_print, parse_subspace_lines
 from .kronecker import DEFAULT_WEIGHT_CAP
 from .kronecker import kronecker as kronecker_coefficient
 from .levelhf import HilbertFunction
@@ -66,7 +66,7 @@ def _subspace_from_input(args):
 
 
 def _forms_from_input(args, nvars=None, ring=None) -> list:
-    out = [form_parse(line, nvars=nvars, ring=ring) for line in _read_lines(args.input)]
+    out = _parse_forms(_read_lines(args.input), nvars=nvars, ring=ring)
     if not out:
         raise LevelAlgError("no forms in input")
     return out
@@ -141,9 +141,7 @@ def _cmd_ann(args, em: Emitter):
 
 def _cmd_socle(args, em: Emitter):
     gens = _forms_from_input(args, ring="R")
-    nvars = max(g.nvars for g in gens)
-    gens = [form_parse(form_print(g), nvars=nvars, ring="R") for g in gens]
-    soc = apolarity.socle(gens, nvars)
+    soc = apolarity.socle(gens, gens[0].nvars)
     em.emit("SOCLE", "; ".join(f"{j}:{s}" for j, s in soc))
     em.emit("LEVEL", "true" if len(soc) == 1 else "false")
     em.emit("SOCLE_DEGREE", soc[-1][0])
@@ -207,8 +205,7 @@ def _cmd_gad(args, em: Emitter):
 
 def _cmd_sigma_dim(args, em: Emitter):
     em.emit("dim", secant.sigma_dim(args.t, args.d, args.s))
-    n1 = args.s + args.t * (args.s - args.t)
-    n2 = args.t * (args.d - args.t + 1)
+    n1, n2 = secant._secant_counts(args.t, args.d, args.s)
     em.emit("N1", n1)
     em.emit("N2", n2)
 

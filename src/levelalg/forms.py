@@ -225,10 +225,17 @@ class Form:
         return f"Form({self.ring}_{self.degree}: {form_print(self)})"
 
 
+def _signed_sum(terms) -> str:
+    """(negative, text) pairs joined as 'a - b + c', a negative first term
+    as '-a', no terms as '0': the one place signed sums are printed."""
+    out = " ".join(("- " if neg else "+ ") + text for neg, text in terms)
+    if not out:
+        return "0"
+    return "-" + out[2:] if out[0] == "-" else out[2:]
+
+
 def form_print(f: Form) -> str:
     """Canonical string form; parse(print(f)) == f."""
-    if f.is_zero:
-        return "0"
     var = RING_VARS[f.ring]
     parts = []
     for m in monomials(f.nvars, f.degree):
@@ -249,13 +256,7 @@ def form_print(f: Form) -> str:
         else:
             body = str(mag) + "*" + "*".join(factors)
         parts.append((c < 0, body))
-    out = []
-    for k, (neg, body) in enumerate(parts):
-        if k == 0:
-            out.append(("-" if neg else "") + body)
-        else:
-            out.append(("- " if neg else "+ ") + body)
-    return " ".join(out)
+    return _signed_sum(parts)
 
 
 class _Scanner:
@@ -499,22 +500,21 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace.from_echelon(a.nvars, a.degree, a.ring, map(_integer_row, rows))
 
 
+def _parse_forms(lines, nvars: int | None = None, ring: str | None = None) -> list[Form]:
+    """form_parse of each line, the forms padded with zero exponents to the
+    most variables any of them has: the one place forms are padded."""
+    forms = [form_parse(line, nvars=nvars, ring=ring) for line in lines]
+    n = max((f.nvars for f in forms), default=0)
+    return [f if f.nvars == n else
+            Form(n, f.degree, f.ring, {e + (0,) * (n - f.nvars): c for e, c in f.coeffs.items()})
+            for f in forms]
+
+
 def parse_subspace_lines(lines, nvars: int | None = None) -> Subspace:
     """Parse a subspace from text lines, one form per line."""
-    forms = []
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        forms.append(form_parse(line, nvars=nvars))
+    lines = (line.strip() for line in lines)
+    forms = _parse_forms([line for line in lines if line and not line.startswith("#")], nvars)
     if not forms:
         raise FormSyntaxError("no forms supplied", 0)
-    n = nvars if nvars is not None else max(f.nvars for f in forms)
-    degree = forms[0].degree
-    ring = forms[0].ring
-    forms = [
-        f if f.nvars == n else Form.make(n, f.degree, f.ring,
-                                         {e + (0,) * (n - f.nvars): c for e, c in f.coeffs.items()})
-        for f in forms
-    ]
-    return Subspace.span(n, degree, ring, forms)
+    first = forms[0]
+    return Subspace.span(first.nvars, first.degree, first.ring, forms)

@@ -77,27 +77,18 @@ class HilbertFunction:
 def is_level_sequence(values) -> tuple[bool, int | None]:
     """Concavity test: (True, None) or (False, first failing index).
 
-    Endpoint malformation (h_0 != 1, nonpositive final entry, negative
-    entries) raises; a concavity failure is a negative but valid answer.
+    Endpoint malformation raises, as HilbertFunction does; a concavity
+    failure is a negative but valid answer.
     """
-    vals = [int(x) for x in values]
-    while vals and vals[-1] == 0:
-        vals.pop()
-    if not vals or vals[0] != 1 or any(x < 0 for x in vals):
-        raise MalformedSequenceError(f"malformed sequence {list(values)!r}")
-    d = len(vals) - 1
-
-    def h(i):
-        return vals[i] if 0 <= i <= d else 0
-
-    for i in range(0, d + 1):
-        if 2 * h(i) < h(i - 1) + h(i + 1):
-            return False, i
-    return True, None
+    return is_level_hf(HilbertFunction.from_values(values))
 
 
 def is_level_hf(h: HilbertFunction) -> tuple[bool, int | None]:
-    return is_level_sequence(h.values)
+    padded = (0, *h.values, 0)
+    for i in range(h.d + 1):
+        if 2 * padded[i + 1] < padded[i] + padded[i + 2]:
+            return False, i
+    return True, None
 
 
 def _require_level(h: HilbertFunction):
@@ -216,10 +207,15 @@ def _hf_values(mu, d: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def enumerate_level_hf(t: int, d: int) -> list[HilbertFunction]:
-    """All level Hilbert functions of type (t, d), lexicographically ascending."""
+def _check_type(t: int, d: int):
+    """MalformedSequenceError unless 1 <= t <= d + 1: the one type check."""
     if not 1 <= t <= d + 1:
         raise MalformedSequenceError(f"need 1 <= t <= d + 1, got (t, d) = ({t}, {d})")
+
+
+def enumerate_level_hf(t: int, d: int) -> list[HilbertFunction]:
+    """All level Hilbert functions of type (t, d), lexicographically ascending."""
+    _check_type(t, d)
     return [HilbertFunction(values) for values in
             sorted(_hf_values(mu, d)
                    for mu in partitions_in_box(d - t + 1, t + 1, d - t + 1))]
@@ -227,6 +223,7 @@ def enumerate_level_hf(t: int, d: int) -> list[HilbertFunction]:
 
 def count_level_hf(t: int, d: int) -> int:
     """Number of partitions of d - t + 1 with no part exceeding t + 1."""
+    _check_type(t, d)
     return _count_partitions_max_part(d - t + 1, t + 1)
 
 
@@ -257,8 +254,7 @@ def minmax_hf(t: int, d: int) -> tuple[HilbertFunction, HilbertFunction, int]:
     min(i+1, (d-i+1)t); s0 = ceil(t(d+1)/(t+1)) is the least degree in
     which every subspace acquires an apolar form.
     """
-    if not 1 <= t <= d + 1:
-        raise MalformedSequenceError(f"need 1 <= t <= d + 1, got (t, d) = ({t}, {d})")
+    _check_type(t, d)
     hmin = HilbertFunction(tuple(min(i + 1, t) for i in range(d + 1)))
     hmax = HilbertFunction(tuple(min(i + 1, (d - i + 1) * t) for i in range(d + 1)))
     s0 = -((-t * (d + 1)) // (t + 1))

@@ -20,6 +20,7 @@ from .errors import CapExceededError, LevelAlgError
 from .kronecker import DEFAULT_WEIGHT_CAP
 from .levelhf import (
     HilbertFunction,
+    _check_type,
     _hf_values,
     dim_stratum,
     grassmannian_dim,
@@ -111,13 +112,7 @@ def _survivors(t: int, d: int, i: int, r: int, weight_cap: int | None = None) ->
     Both are blocks (s + a_1, ..., s + a_s, s^r, b), a padded to s parts
     and empty for s = 0: mu = (alpha; beta), and lam, the conjugate of lam',
     = (beta'; alpha'), from conjugates taken once per small box."""
-    if not 0 <= i <= d:
-        raise LevelAlgError(f"need 0 <= i <= d, got i = {i}, d = {d}")
-    if not 0 <= r < i + 1:
-        raise LevelAlgError(f"need 0 <= r < i + 1, got r = {r}, i = {i}")
-    if not 1 <= t <= d + 1:
-        raise LevelAlgError(f"need 1 <= t <= d + 1, got (t, d) = ({t}, {d})")
-    rows_bound, f = _check_rank_bound(t, d, i, r)
+    rows_bound, f = _check_locus(t, d, i, r)
     cols_bound = f - r
     if rows_bound * cols_bound > CELL_CAP:
         raise CapExceededError(
@@ -151,6 +146,17 @@ def _survivors(t: int, d: int, i: int, r: int, weight_cap: int | None = None) ->
     # descending lexicographic, a prefix before its extensions: no part exceeds cols_bound
     survivors.sort(key=lambda survivor: survivor[0] + (cols_bound + 1,), reverse=True)
     return survivors
+
+
+def _check_locus(t: int, d: int, i: int, r: int) -> tuple[int, int]:
+    """_check_rank_bound's (e, f) after 0 <= i <= d, 0 <= r < i + 1 and the
+    type, in that order: the one check of the rank-locus domain."""
+    if not 0 <= i <= d:
+        raise LevelAlgError(f"need 0 <= i <= d, got i = {i}, d = {d}")
+    if not 0 <= r < i + 1:
+        raise LevelAlgError(f"need 0 <= r < i + 1, got r = {r}, i = {i}")
+    _check_type(t, d)
+    return _check_rank_bound(t, d, i, r)
 
 
 def _resolution_table(t: int, d: int, i: int, r: int, survivors) -> ResolutionTable:
@@ -226,11 +232,7 @@ def c1_c2_analysis(t: int, d: int, i: int, r: int) -> ComponentReport:
     enumerating the level Hilbert functions of type (t, d): see
     _maximal_admissible for the route and its proof.
     """
-    if not 0 <= i <= d:
-        raise LevelAlgError(f"need 0 <= i <= d, got i = {i}, d = {d}")
-    if not 0 <= r < i + 1:
-        raise LevelAlgError(f"need 0 <= r < i + 1, got r = {r}, i = {i}")
-    _check_rank_bound(t, d, i, r)
+    _check_locus(t, d, i, r)
     c2_value = r - (d - i) * (i - r)
     c2 = c2_value >= t
     witness = c2_witness_hf(t, d, i, r) if c2 else None

@@ -19,6 +19,8 @@ from itertools import zip_longest
 from math import comb
 
 from .errors import AmbientMismatchError, InputSyntaxError, InvalidPartitionError, LevelAlgError
+from .forms import _signed_sum
+from .levelhf import _check_type
 from .linalg import _integer_det
 from .partitions import check_partition, conjugate, parse_partition, partitions_in_box
 
@@ -98,8 +100,6 @@ def _sort_key(lam):
 
 def format_class(a: SchubertClass) -> str:
     """Canonical printing, e.g. '10{3,3} + 6{4,2}'; the unit prints as '1'."""
-    if a.is_zero:
-        return "0"
     parts = []
     for lam in sorted(a.coeffs, key=_sort_key):
         c = a.coeffs[lam]
@@ -112,13 +112,7 @@ def format_class(a: SchubertClass) -> str:
         else:
             text = f"{mag}{body}"
         parts.append((c < 0, text))
-    out = []
-    for k, (neg, text) in enumerate(parts):
-        if k == 0:
-            out.append(("-" if neg else "") + text)
-        else:
-            out.append(("- " if neg else "+ ") + text)
-    return " ".join(out)
+    return _signed_sum(parts)
 
 
 def parse_class(text: str, t: int, n: int) -> SchubertClass:
@@ -373,10 +367,9 @@ def porteous_class(t: int, d: int, i: int, r: int) -> SchubertClass:
     """
     if not 0 <= i <= d:
         raise LevelAlgError(f"need 0 <= i <= d, got i = {i}, d = {d}")
-    if t < 1:
-        raise LevelAlgError(f"need 1 <= t <= d + 1, got (t, d) = ({t}, {d})")
     if t > d + 1:
         raise LevelAlgError(f"G({t}, S_{d}) is empty: need t <= d + 1")
+    _check_type(t, d)
     e, f = _check_rank_bound(t, d, i, r)
     if r == min(e, f):
         return class_one(t, d + 1)  # the smaller determinant is empty

@@ -191,12 +191,18 @@ def hankel_rank(f: Form, a: int) -> int:
     return rank(hankel_matrix(f, a))
 
 
-def sigma_dim(t: int, d: int, s: int) -> int:
-    """dim of the locus of t-spaces lying on a secant (s-1)-plane:
-    min{s + t(s - t), t(d - t + 1)}."""
+def _secant_counts(t: int, d: int, s: int) -> tuple[int, int]:
+    """(N1, N2) = (s + t(s - t), t(d - t + 1)) if 1 <= t <= s <= d + 1,
+    else DegreeError: the one place either count is computed."""
     if not 1 <= t <= s <= d + 1:
         raise DegreeError(f"need 1 <= t <= s <= d + 1, got (t, d, s) = ({t}, {d}, {s})")
-    return min(s + t * (s - t), t * (d - t + 1))
+    return s + t * (s - t), t * (d - t + 1)
+
+
+def sigma_dim(t: int, d: int, s: int) -> int:
+    """dim of the locus of t-spaces lying on a secant (s-1)-plane:
+    min{N1, N2} = min{s + t(s - t), t(d - t + 1)}."""
+    return min(_secant_counts(t, d, s))
 
 
 def waring_witness_hf(t: int, d: int, s: int) -> HilbertFunction:
@@ -206,10 +212,7 @@ def waring_witness_hf(t: int, d: int, s: int) -> HilbertFunction:
     i+1 up to s-1, the constant s through d-m, then (d-i+1) t.  It has
     h_s = s and stratum dimension exactly N1.
     """
-    n1 = s + t * (s - t)
-    n2 = t * (d - t + 1)
-    if not 1 <= t <= s <= d + 1:
-        raise DegreeError(f"need 1 <= t <= s <= d + 1, got (t, d, s) = ({t}, {d}, {s})")
+    n1, n2 = _secant_counts(t, d, s)
     if n1 >= n2:
         raise WitnessError(
             f"N1 = {n1} >= N2 = {n2}: the locus already fills the Grassmannian "

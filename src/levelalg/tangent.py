@@ -35,9 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
-from .apolarity import _ann_rows, _monomial_residuals
+from .apolarity import _monomial_residuals, _product_rows, _slices
 from .errors import DegreeError, HilbertMismatchError, ZeroSubspaceError
 from .forms import Subspace, _lead, monomial_products, space_dim
 from .levelhf import HilbertFunction
@@ -91,9 +90,7 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
         raise DegreeError(f"constraint degrees {wanted} not all in 0..{d}")
     # the slices I_j held on lam, each row its RREF row times a positive
     # factor; h_j = dim R_j - dim I_j
-    slices = [_ann_rows(lam, j) for j in range(d + 1)]
-    hilbert = HilbertFunction.from_values([space_dim(n, j) - len(rows)
-                                           for j, rows in enumerate(slices)])
+    slices, hilbert = _slices(lam)
     if h is not None and hilbert.values != h.values:
         raise HilbertMismatchError(
             f"subspace has Hilbert function {hilbert.format()}, not {h.format()}")
@@ -117,8 +114,8 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
         shift = monomial_products(n, i, d - i)
         # V_i: for each complement monomial w of R_i, the vector
         # sum_M (w x^M mod I_d) (x) y^M, coordinates (c over comp_d, M)
-        v_rows = [list(chain.from_iterable(zip(*[residuals[k] for k in shift[pos]])))
-                  for pos in range(space_dim(n, i)) if pos not in ii_pivots]
+        v_rows = _product_rows(residuals, shift,
+                               (pos for pos in range(space_dim(n, i)) if pos not in ii_pivots))
         # membership in V_i: the right kernel of V_i holds, up to positive
         # factors, the residual functionals z_l = e_l - sum_k V_k[l] e_{piv_k}
         # of its RREF rows V_k, one per non-pivot coordinate l

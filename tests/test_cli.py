@@ -441,6 +441,8 @@ def test_unreadable_input_is_domain_error(capsys):
     (["e1-table", "-t", "2", "-d", "7", "-i", "4", "-r", "3", "-m", "0",
       "--cap-weight", "-1"], None),
     (["components", "-t", "1", "-d", "2", "-i", "2", "-r", "2"], None),
+    (["components", "-t", "0", "-d", "3", "-i", "1", "-r", "0"], None),
+    (["components", "-t", "3", "-d", "1", "-i", "1", "-r", "1"], None),
     (["sigma-dim", "-t", "0", "-d", "3", "-s", "1"], None),
     (["waring-witness", "-t", "0", "-d", "3", "-s", "2"], None),
     (["hilbert"], "x1^2\nx2^2\n"),
@@ -451,7 +453,8 @@ def test_unreadable_input_is_domain_error(capsys):
         "components-i-above-d", "porteous-i-negative", "porteous-empty-grassmannian",
         "lascoux-empty-grassmannian", "lascoux-partition-cap", "e1-empty-grassmannian",
         "porteous-t-zero", "components-r-negative", "lascoux-r-above-rank",
-        "e1-r-above-rank", "e1-negative-cap", "components-r-above-rank", "sigma-dim-t-zero",
+        "e1-r-above-rank", "e1-negative-cap", "components-r-above-rank",
+        "components-t-zero", "components-empty-grassmannian", "sigma-dim-t-zero",
         "waring-witness-t-zero", "hilbert-operators", "tangent-operators"])
 def test_malformed_input_is_a_one_line_error(argv, input_text, tmp_path):
     # a fresh interpreter, so that an uncaught exception shows as a traceback

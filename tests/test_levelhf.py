@@ -71,6 +71,10 @@ def test_malformed_endpoints_raise():
         is_level_sequence([1, -1, 1])
     with pytest.raises(MalformedSequenceError):
         HilbertFunction.from_values([])
+    # a type (t, d) needs 1 <= t <= d + 1
+    for t, d in ((0, 3), (5, 3)):
+        with pytest.raises(MalformedSequenceError, match=r"^need 1 <= t <= d \+ 1"):
+            count_level_hf(t, d)
 
 
 def test_example_15_e_and_q():

@@ -464,6 +464,33 @@ def test_rank_bound_above_the_source_rank_is_rejected():
             call()
 
 
+def test_rank_locus_computations_reject_exactly_outside_their_domain():
+    # Le(i, r) on G(t, S_d): porteous_class needs 0 <= i <= d,
+    # 1 <= t <= d + 1 and 0 <= r <= min(t(d - i + 1), i + 1); the other
+    # three also need r < i + 1
+    from levelalg.schubert import porteous_class
+
+    def e1_table(t, d, i, r):
+        return e1_vanishing_table(t, d, i, r, 0, cap_weight=6)
+
+    for t in range(5):
+        for d in range(5):
+            for i in range(-1, d + 2):
+                for r in range(-1, i + 3):
+                    porteous_domain = (0 <= i <= d and 1 <= t <= d + 1
+                                       and 0 <= r <= min(t * (d - i + 1), i + 1))
+                    for call, domain in ((porteous_class, porteous_domain),
+                                         (lascoux_ranks, porteous_domain and r < i + 1),
+                                         (c1_c2_analysis, porteous_domain and r < i + 1),
+                                         (e1_table, porteous_domain and r < i + 1)):
+                        try:
+                            call(t, d, i, r)
+                            raised = False
+                        except LevelAlgError:
+                            raised = True
+                        assert raised != domain, (call.__name__, t, d, i, r)
+
+
 def test_le32_on_25_fails_c1():
     # expected codimension 8, actual component codimension 6: the class
     # formula is inapplicable here
