@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import apolarity, bott, levelhf, resolution, schubert, secant, tangent
 from .errors import InputSyntaxError, LevelAlgError
-from .forms import _parse_forms, form_parse, form_print, parse_subspace_lines
+from .forms import _content_lines, _parse_forms, form_parse, form_print, parse_subspace_lines
 from .kronecker import DEFAULT_WEIGHT_CAP
 from .kronecker import kronecker as kronecker_coefficient
 from .levelhf import HilbertFunction
@@ -54,8 +54,7 @@ def _read_lines(path: str) -> list[str]:
                 lines = fh.read().splitlines()
         except OSError as exc:
             raise LevelAlgError(f"cannot read {path}: {exc.strerror}") from exc
-    lines = (line.strip() for line in lines)
-    return [line for line in lines if line and not line.startswith("#")]
+    return _content_lines(lines)
 
 
 def _subspace_from_input(args):

@@ -19,7 +19,8 @@ class DegreeError(LevelAlgError):
 
 
 class FormSyntaxError(LevelAlgError):
-    """A form string failed to parse; carries the offending position."""
+    """A form or Schubert class string failed to parse; carries the
+    offending position."""
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")

@@ -235,13 +235,12 @@ def _signed_sum(terms) -> str:
 
 
 def form_print(f: Form) -> str:
-    """Canonical string form; parse(print(f)) == f."""
+    """Canonical string form; parse(print(f)) == f.  The terms come in the
+    monomial order, which on the exponent vectors of one degree is
+    descending lexicographic."""
     var = RING_VARS[f.ring]
     parts = []
-    for m in monomials(f.nvars, f.degree):
-        c = f.coeffs.get(m)
-        if c is None:
-            continue
+    for m, c in sorted(f.coeffs.items(), reverse=True):
         factors = []
         for i, e in enumerate(m):
             if e == 1:
@@ -297,6 +296,28 @@ class _Scanner:
         return QQ(num)
 
 
+def _signed_terms(text: str, term):
+    """(sign, term(scanner)) for each term of the signed sum 'a - b + c' in
+    text, a leading sign allowed: the one place signed sums are read, the
+    counterpart of _signed_sum.  term reads one term at the scanner's
+    position; if it reads nothing there, that is an error."""
+    sc = _Scanner(text)
+    sep = sc.take() if sc.peek() in ("+", "-") else "+"
+    while True:
+        sc.skip_ws()
+        start = sc.pos
+        value = term(sc)
+        if sc.pos == start:
+            raise FormSyntaxError("expected a term", start)
+        yield (-1 if sep == "-" else 1), value
+        sep = sc.peek()
+        if sep == "":
+            return
+        if sep not in ("+", "-"):
+            raise FormSyntaxError(f"unexpected character {sep!r}", sc.pos)
+        sc.take()
+
+
 def form_parse(text: str, nvars: int | None = None, ring: str | None = None) -> Form:
     """Parse the external form grammar.
 
@@ -305,27 +326,15 @@ def form_parse(text: str, nvars: int | None = None, ring: str | None = None) -> 
     per form.  The number of variables is the largest index seen unless
     nvars is given.  Inhomogeneous input is rejected.
     """
-    sc = _Scanner(text)
-    terms: list[tuple[Fraction, dict[int, int]]] = []
     letter: str | None = None
     max_index = 0
 
-    sign = QQ(1)
-    c = sc.peek()
-    if c == "-":
-        sc.take()
-        sign = QQ(-1)
-    elif c == "+":
-        sc.take()
-    while True:
+    def term(sc: _Scanner) -> tuple[Fraction, dict[int, int]]:
+        nonlocal letter, max_index
         coeff = QQ(1)
         exps: dict[int, int] = {}
-        saw_number = False
-        saw_var = False
-        c = sc.peek()
-        if c.isdigit():
+        if sc.peek().isdigit():
             coeff = sc.rational()
-            saw_number = True
             if sc.peek() == "*":
                 sc.take()
             elif sc.peek() in ("x", "y"):
@@ -346,24 +355,13 @@ def form_parse(text: str, nvars: int | None = None, ring: str | None = None) -> 
                 e = sc.integer()
             exps[idx - 1] = exps.get(idx - 1, 0) + e
             max_index = max(max_index, idx)
-            saw_var = True
             if sc.peek() == "*":
                 sc.take()
                 if sc.peek() not in ("x", "y"):
                     raise FormSyntaxError("expected a variable after '*'", sc.pos)
-        if not (saw_number or saw_var):
-            raise FormSyntaxError("expected a term", sc.pos)
-        terms.append((sign * coeff, exps))
-        c = sc.peek()
-        if c == "":
-            break
-        if c == "+":
-            sign = QQ(1)
-        elif c == "-":
-            sign = QQ(-1)
-        else:
-            raise FormSyntaxError(f"unexpected character {c!r}", sc.pos)
-        sc.take()
+        return coeff, exps
+
+    terms = [(sign * coeff, exps) for sign, (coeff, exps) in _signed_terms(text, term)]
 
     if letter is None:
         letter = "x" if ring == "R" else "y"
@@ -500,6 +498,13 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace.from_echelon(a.nvars, a.degree, a.ring, map(_integer_row, rows))
 
 
+def _content_lines(lines) -> list[str]:
+    """The stripped lines that are not blank or '#' comments: the one place
+    the input-line syntax is decided."""
+    lines = (line.strip() for line in lines)
+    return [line for line in lines if line and not line.startswith("#")]
+
+
 def _parse_forms(lines, nvars: int | None = None, ring: str | None = None) -> list[Form]:
     """form_parse of each line, the forms padded with zero exponents to the
     most variables any of them has: the one place forms are padded."""
@@ -512,8 +517,7 @@ def _parse_forms(lines, nvars: int | None = None, ring: str | None = None) -> li
 
 def parse_subspace_lines(lines, nvars: int | None = None) -> Subspace:
     """Parse a subspace from text lines, one form per line."""
-    lines = (line.strip() for line in lines)
-    forms = _parse_forms([line for line in lines if line and not line.startswith("#")], nvars)
+    forms = _parse_forms(_content_lines(lines), nvars)
     if not forms:
         raise FormSyntaxError("no forms supplied", 0)
     first = forms[0]

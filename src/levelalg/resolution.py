@@ -27,7 +27,7 @@ from .levelhf import (
     is_level_sequence,
 )
 from .partitions import _weyl_dim, conjugate, partitions_in_box
-from .schubert import _check_rank_bound, _schur_of_copies
+from .schubert import _check_index, _check_rank_bound, _schur_of_copies
 
 # lascoux_ranks enumerates only the partitions whose Bott cohomology survives;
 # the 10 x 10 box at r = 0, C(20, 10) = 184,756 of them, is the largest
@@ -151,8 +151,7 @@ def _survivors(t: int, d: int, i: int, r: int, weight_cap: int | None = None) ->
 def _check_locus(t: int, d: int, i: int, r: int) -> tuple[int, int]:
     """_check_rank_bound's (e, f) after 0 <= i <= d, 0 <= r < i + 1 and the
     type, in that order: the one check of the rank-locus domain."""
-    if not 0 <= i <= d:
-        raise LevelAlgError(f"need 0 <= i <= d, got i = {i}, d = {d}")
+    _check_index(d, i)
     if not 0 <= r < i + 1:
         raise LevelAlgError(f"need 0 <= r < i + 1, got r = {r}, i = {i}")
     _check_type(t, d)

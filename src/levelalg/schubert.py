@@ -18,8 +18,8 @@ from functools import lru_cache
 from itertools import zip_longest
 from math import comb
 
-from .errors import AmbientMismatchError, InputSyntaxError, InvalidPartitionError, LevelAlgError
-from .forms import _signed_sum
+from .errors import AmbientMismatchError, FormSyntaxError, InvalidPartitionError, LevelAlgError
+from .forms import _signed_sum, _signed_terms
 from .levelhf import _check_type
 from .linalg import _integer_det
 from .partitions import check_partition, conjugate, parse_partition, partitions_in_box
@@ -115,41 +115,25 @@ def format_class(a: SchubertClass) -> str:
     return _signed_sum(parts)
 
 
+def _class_term(sc) -> tuple[tuple, int]:
+    """(partition, coefficient) of one term of a class string: an optional
+    integer and an optional {partition}, read at the scanner's position."""
+    coeff = sc.integer() if sc.peek().isdigit() else 1
+    if sc.peek() != "{":
+        return (), coeff
+    start = sc.pos
+    end = sc.text.find("}", start)
+    if end < 0:
+        raise FormSyntaxError("unclosed '{'", start)
+    sc.pos = end + 1
+    return parse_partition(sc.text[start + 1:end]), coeff
+
+
 def parse_class(text: str, t: int, n: int) -> SchubertClass:
     """Parse '10{3,3} + 6{4,2}' style class strings."""
-    text = text.strip()
-    if text == "0":
-        return schubert_class(t, n, {})
     coeffs: dict = {}
-    pos = 0
-    sign = 1
-    first = True
-    while pos < len(text):
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos >= len(text):
-            break
-        if text[pos] in "+-":
-            sign = 1 if text[pos] == "+" else -1
-            pos += 1
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
-        elif not first:
-            raise LevelAlgError(f"expected '+' or '-' at position {pos} of {text!r}")
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        coeff = int(text[start:pos]) if pos > start else 1
-        lam: tuple = ()
-        if pos < len(text) and text[pos] == "{":
-            end = text.find("}", pos)
-            if end < 0:
-                raise InputSyntaxError(f"unclosed '{{' at position {pos} of {text!r}")
-            lam = parse_partition(text[pos + 1:end])
-            pos = end + 1
+    for sign, (lam, coeff) in _signed_terms(text, _class_term):
         coeffs[lam] = coeffs.get(lam, 0) + sign * coeff
-        sign = 1
-        first = False
     return schubert_class(t, n, coeffs)
 
 
@@ -339,6 +323,13 @@ def _schur_of_copies(lam: tuple, t: int, n: int, copies: int) -> SchubertClass:
     return SchubertClass(t, n, minor(tuple(range(size))))
 
 
+def _check_index(d: int, i: int):
+    """LevelAlgError unless 0 <= i <= d: the first check of every rank-locus
+    domain, Porteous' and the resolution's."""
+    if not 0 <= i <= d:
+        raise LevelAlgError(f"need 0 <= i <= d, got i = {i}, d = {d}")
+
+
 def _check_rank_bound(t: int, d: int, i: int, r: int) -> tuple[int, int]:
     """(e, f) = (t(d-i+1), i+1), the ranks of the source and target of the
     i-th product map; LevelAlgError unless 0 <= r <= min(e, f)."""
@@ -365,8 +356,7 @@ def porteous_class(t: int, d: int, i: int, r: int) -> SchubertClass:
     generically reduced; otherwise it counts each component with its
     multiplicity.
     """
-    if not 0 <= i <= d:
-        raise LevelAlgError(f"need 0 <= i <= d, got i = {i}, d = {d}")
+    _check_index(d, i)
     if t > d + 1:
         raise LevelAlgError(f"G({t}, S_{d}) is empty: need t <= d + 1")
     _check_type(t, d)

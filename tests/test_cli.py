@@ -421,6 +421,10 @@ def test_unreadable_input_is_domain_error(capsys):
     (["bott", "1,2;x"], None),
     (["schubert-mul", "-t", "2", "-d", "5", "{2,1", "{1}"], None),
     (["schubert-mul", "-t", "2", "-d", "5", "{2,a}", "{1}"], None),
+    (["schubert-mul", "-t", "2", "-d", "5", "{1} +", "{1}"], None),
+    (["schubert-mul", "-t", "2", "-d", "5", "+", "{1}"], None),
+    (["schubert-mul", "-t", "2", "-d", "5", "", "{1}"], None),
+    (["schubert-mul", "-t", "2", "-d", "5", "{1} + + {2}", "{1}"], None),
     (["gad", "-d", "4"], "0,1,1\nx,0,0\n"),
     (["gad", "-d", "4"], "0,1\n"),
     (["gad", "-d", "4"], "1/0,1,1\n"),
@@ -448,6 +452,7 @@ def test_unreadable_input_is_domain_error(capsys):
     (["hilbert"], "x1^2\nx2^2\n"),
     (["tangent"], "x1^2\nx2^2\n"),
 ], ids=["hf-check-letter", "bott-letter", "class-unclosed-brace", "class-letter",
+        "class-trailing-sign", "class-sign-only", "class-empty", "class-double-sign",
         "gad-letter", "gad-two-fields", "gad-zero-denominator", "flag-letter",
         "lascoux-i-above-d", "e1-i-above-d", "porteous-i-above-d",
         "components-i-above-d", "porteous-i-negative", "porteous-empty-grassmannian",

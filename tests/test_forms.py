@@ -65,6 +65,24 @@ def test_parse_missing_star():
         form_parse("2y1")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("y1 +", "expected a term (at position 4)"),
+    ("", "expected a term (at position 0)"),
+    ("2y1", "missing '*' between coefficient and variable (at position 1)"),
+    ("x1*y1", "mixed variable letters 'x' and 'y' (at position 3)"),
+    ("y0", "variable indices start at 1 (at position 0)"),
+    ("1/0*y1", "zero denominator (at position 3)"),
+    ("y1^", "expected an integer (at position 3)"),
+    ("y1*", "expected a variable after '*' (at position 3)"),
+    ("y1^2 + y2", "inhomogeneous input (term degrees [1, 2]) (at position 0)"),
+])
+def test_parse_error_texts(text, message):
+    # the CLI prints these after "error: "
+    with pytest.raises(FormSyntaxError) as err:
+        form_parse(text)
+    assert str(err.value) == message
+
+
 @st.composite
 def random_forms(draw):
     degree = draw(st.integers(0, 6))

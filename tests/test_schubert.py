@@ -8,7 +8,7 @@ import conftest
 from conftest import plethystic_schur_coefficients
 
 from levelalg import schubert
-from levelalg.errors import AmbientMismatchError, InvalidPartitionError
+from levelalg.errors import AmbientMismatchError, FormSyntaxError, InvalidPartitionError
 from levelalg.partitions import conjugate, partitions, partitions_in_box, schur_dim
 from levelalg.resolution import e1_vanishing_table, expected_codim
 from levelalg.schubert import (
@@ -126,6 +126,33 @@ def test_class_parse_format_roundtrip():
     assert format_class(parse_class("{2,0}", 2, 6)) == "{2}"
     assert parse_class("0", 2, 6).is_zero
     assert format_class(parse_class("3 - {1}", 2, 6)) == "3 - {1}"
+    assert parse_class("3 {1}", 2, 6) == class_of(2, 6, (1,), 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_class_parse_inverts_format(t, width, data):
+    # random classes in the t x width box, the unit and negative
+    # coefficients among them
+    box = partitions_in_box(t, width)
+    coeffs = data.draw(st.dictionaries(st.sampled_from(box), st.integers(-12, 12), max_size=6))
+    c = schubert_class(t, t + width, coeffs)
+    assert parse_class(format_class(c), t, t + width) == c
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{1} +", "expected a term (at position 5)"),
+    ("+", "expected a term (at position 1)"),
+    ("", "expected a term (at position 0)"),
+    ("{1} + + {2}", "expected a term (at position 6)"),
+    ("2 - -{1} -", "expected a term (at position 4)"),
+    ("3{1}{2}", "unexpected character '{' (at position 4)"),
+    ("{", "unclosed '{' (at position 0)"),
+])
+def test_class_parse_rejects_a_sign_without_a_term(text, message):
+    with pytest.raises(FormSyntaxError) as err:
+        parse_class(text, 2, 6)
+    assert str(err.value) == message
 
 
 def test_class_box_validation():
