@@ -319,7 +319,8 @@ def _cmd_e1_table(args, em: Emitter):
 
 
 # subcommand -> (handler, help, arguments).  An argument is a positional
-# name or a flag; brackets mark it optional.  One-letter flags are integers.
+# name or a flag; brackets mark it optional, and an optional positional is
+# its subcommand's only one.  One-letter flags are integers.
 _COMMANDS = {
     "hf-check": (_cmd_hf_check, "validity of a level Hilbert function", "sequence"),
     "hf-enumerate": (_cmd_hf_enumerate, "all level Hilbert functions of type (t, d)",
@@ -370,6 +371,24 @@ _FLAGS = {
 
 
 @functools.cache
+def _signature(command: str) -> tuple:
+    """The (argument, add_argument keywords) pairs of a subcommand, in the
+    order of its _COMMANDS spec: the one reader of the spec grammar."""
+    signature = []
+    for token in _COMMANDS[command][2].split():
+        arg = token.strip("[]")
+        optional = arg != token
+        if arg.startswith("-"):
+            kwargs = dict(_FLAGS.get(arg, {"type": int}))
+            if not optional:
+                kwargs["required"] = True
+        else:
+            kwargs = {"nargs": "?"} if optional else {}
+        signature.append((arg, kwargs))
+    return tuple(signature)
+
+
+@functools.cache
 def build_parser() -> _Parser:
     """The parser, built once per process: `parse_args` leaves it unchanged."""
     parser = _Parser(prog="levelalg",
@@ -377,26 +396,75 @@ def build_parser() -> _Parser:
     parser.add_argument("--format", choices=("keyvalue", "json-lines"),
                         default="keyvalue")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, arguments) in _COMMANDS.items():
+    for name, (_, help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for token in arguments.split():
-            arg = token.strip("[]")
-            optional = arg != token
-            if arg.startswith("-"):
-                kwargs = dict(_FLAGS.get(arg, {"type": int}))
-                if not optional:
-                    kwargs["required"] = True
-            else:
-                kwargs = {"nargs": "?"} if optional else {}
+        for arg, kwargs in _signature(name):
             p.add_argument(arg, **kwargs)
     return parser
 
 
+def _plain_args(argv: list[str]):
+    """The Namespace `build_parser().parse_args(argv)` gives, read without
+    argparse, if argv is plain; None otherwise.
+
+    Plain is: an optional `--format keyvalue|json-lines` first, a subcommand,
+    then words and that subcommand's flags spelled out, each flag value its
+    own token not starting with '-'; every required argument present, no
+    surplus word and every integer readable.  Anything else (help,
+    abbreviations, '--', '-t5', negative values, usage errors) is left to
+    argparse, which writes every usage text.  Words fill the positionals in
+    order, as argparse fills them while no optional positional has another
+    positional beside it.
+    """
+    fmt = "keyvalue"
+    if argv[:1] == ["--format"]:
+        if argv[1:2] not in (["keyvalue"], ["json-lines"]):
+            return None
+        fmt, argv = argv[1], argv[2:]
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    signature = _signature(argv[0])
+    flags = {arg: kwargs for arg, kwargs in signature if arg.startswith("-")}
+    values, words = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+        elif token not in flags:
+            return None
+        elif flags[token].get("action") == "store_true":
+            values[token] = True
+        else:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+            try:
+                values[token] = flags[token].get("type", str)(value)
+            except ValueError:
+                return None
+    args = argparse.Namespace(format=fmt, command=argv[0])
+    for arg, kwargs in signature:
+        if arg.startswith("-"):
+            if arg not in values and kwargs.get("required"):
+                return None
+            default = kwargs.get("default", False if "action" in kwargs else None)
+            setattr(args, arg.lstrip("-").replace("-", "_"), values.get(arg, default))
+        elif words:
+            setattr(args, arg, words.pop(0))
+        elif "nargs" in kwargs:
+            setattr(args, arg, None)
+        else:
+            return None
+    return None if words else args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     if args.command == "hf-partition" and args.sequence is None and args.mu is None:
-        parser.error("hf-partition needs a Hilbert function or --mu with -t -d")
+        build_parser().error("hf-partition needs a Hilbert function or --mu with -t -d")
     em = Emitter(args.format)
     try:
         _COMMANDS[args.command][0](args, em)

@@ -279,7 +279,7 @@ class _Scanner:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise FormSyntaxError("expected an integer", start)
@@ -333,7 +333,7 @@ def form_parse(text: str, nvars: int | None = None, ring: str | None = None) -> 
         nonlocal letter, max_index
         coeff = QQ(1)
         exps: dict[int, int] = {}
-        if sc.peek().isdigit():
+        if sc.peek().isdecimal():
             coeff = sc.rational()
             if sc.peek() == "*":
                 sc.take()

@@ -118,7 +118,7 @@ def format_class(a: SchubertClass) -> str:
 def _class_term(sc) -> tuple[tuple, int]:
     """(partition, coefficient) of one term of a class string: an optional
     integer and an optional {partition}, read at the scanner's position."""
-    coeff = sc.integer() if sc.peek().isdigit() else 1
+    coeff = sc.integer() if sc.peek().isdecimal() else 1
     if sc.peek() != "{":
         return (), coeff
     start = sc.pos

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import levelalg
-from levelalg.cli import main
+from levelalg.cli import _COMMANDS, _FLAGS, _plain_args, build_parser, main
 from levelalg.forms import Form, form_print, monomials
 from levelalg.partitions import partitions_in_box
 
@@ -425,6 +425,8 @@ def test_unreadable_input_is_domain_error(capsys):
     (["schubert-mul", "-t", "2", "-d", "5", "+", "{1}"], None),
     (["schubert-mul", "-t", "2", "-d", "5", "", "{1}"], None),
     (["schubert-mul", "-t", "2", "-d", "5", "{1} + + {2}", "{1}"], None),
+    (["schubert-mul", "-t", "2", "-d", "5", "²{1}", "{1}"], None),
+    (["hankel-rank", "-i", "1", "y1^²"], None),
     (["gad", "-d", "4"], "0,1,1\nx,0,0\n"),
     (["gad", "-d", "4"], "0,1\n"),
     (["gad", "-d", "4"], "1/0,1,1\n"),
@@ -453,6 +455,7 @@ def test_unreadable_input_is_domain_error(capsys):
     (["tangent"], "x1^2\nx2^2\n"),
 ], ids=["hf-check-letter", "bott-letter", "class-unclosed-brace", "class-letter",
         "class-trailing-sign", "class-sign-only", "class-empty", "class-double-sign",
+        "class-superscript", "form-superscript",
         "gad-letter", "gad-two-fields", "gad-zero-denominator", "flag-letter",
         "lascoux-i-above-d", "e1-i-above-d", "porteous-i-above-d",
         "components-i-above-d", "porteous-i-negative", "porteous-empty-grassmannian",
@@ -506,6 +509,9 @@ def test_reused_parser_answers_as_a_fresh_interpreter():
     calls = [["hf-check"],
              ["porteous", "-t", "2", "-d", "5", "-i", "2", "-r", "2"],
              ["--format", "json-lines", "hf-check", "1,2,3,4,5,5,4,3,0"],
+             ["bott", "--", "-1,-1,-1,-1;4"],
+             ["kronecker", "2,1", "2,1", "2,1", "--cap", "5"],
+             ["hf-partition"],
              ["-h"]]
     src = os.path.dirname(os.path.dirname(levelalg.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -530,7 +536,77 @@ print(json.dumps(results))
         fresh = subprocess.run([sys.executable, "-m", "levelalg.cli", *argv],
                                capture_output=True, text=True, env=env)
         assert got == [fresh.returncode, fresh.stdout, fresh.stderr], argv
-    assert [rc for rc, _, _ in in_one] == [1, 0, 0, 0]
+    assert [rc for rc, _, _ in in_one] == [1, 0, 0, 0, 0, 1, 0]
+
+
+def test_plain_calls_build_no_parser():
+    # the golden argvs are plain: main reads them off the subcommand table
+    build_parser.cache_clear()
+    for name, argv in GOLDEN_CASES.items():
+        with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8") as fh:
+            assert run_cli(argv) == (0, fh.read()), name
+    assert build_parser.cache_info().currsize == 0
+
+
+def _argparse_args(argv):
+    """build_parser().parse_args(argv), or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def test_golden_argvs_are_plain():
+    for argv in GOLDEN_CASES.values():
+        args = _plain_args(argv)
+        assert args is not None and args == _argparse_args(argv), argv
+
+
+_VALUES = ("2", "0", "-1", "+3", " 4", "1_0", "٣", "²", "", "-", "x", "{1}", "-{1} + {2}")
+_JUNK = ("--", "-h", "--inp", "--cap", "-t5", "--cap-weight=3", "--format", "-q")
+
+
+@st.composite
+def _spec_argvs(draw):
+    """An argv shaped by a _COMMANDS spec: some optional arguments left out,
+    flags (now and then twice) in any order with the positionals between
+    them, values "2" or from _VALUES; then now and then one junk token
+    inserted, one token deleted, or the two tokens after the subcommand
+    repeated; now and then a --format first."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    units = []
+    for token in _COMMANDS[command][2].split():
+        arg = token.strip("[]")
+        for _ in range(draw(st.integers(0 if arg != token else 1, 2))):
+            value = draw(st.sampled_from(_VALUES)) if draw(st.booleans()) else "2"
+            if not arg.startswith("-"):
+                units.append([value])
+            elif "action" in _FLAGS.get(arg, {}):
+                units.append([arg])
+            else:
+                units.append([arg, value])
+    argv = [command, *(x for unit in draw(st.permutations(units)) for x in unit)]
+    change = draw(st.sampled_from(("none", "none", "junk", "delete", "repeat")))
+    k = draw(st.integers(0, len(argv)))
+    if change == "junk":
+        argv.insert(k, draw(st.sampled_from(_JUNK)))
+    elif change == "delete" and k < len(argv):
+        del argv[k]
+    elif change == "repeat":
+        argv = argv[:3] + argv[1:]
+    fmt = draw(st.sampled_from(([], [], ["--format", "json-lines"], ["--format", "keyvalue"],
+                                ["--format", "x"])))
+    return fmt + argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_spec_argvs(), st.lists(
+    st.sampled_from((*_COMMANDS, "-t", "-d", "--input", "--mu", "--shape", *_VALUES, *_JUNK)),
+    max_size=6)))
+def test_plain_reader_agrees_with_argparse(argv):
+    args = _plain_args(argv)
+    assert args is None or args == _argparse_args(argv), argv
 
 
 # -- a total CLI on the subcommands that reach linalg ------------------------
