@@ -22,14 +22,18 @@ which need not be level.
 The apolar pass reads the minimal generators off the slices: those of
 degree j complement R_1.I_{j-1} in I_j.  At n = 2 it skips every degree
 where the Hilbert-Burch count e_j = -Delta^2 h_j is 0, which holds none,
-without eliminating R_1.I_{j-1} there (see _apolar_pass for the proof);
-at every other n it eliminates in every degree.
+without eliminating R_1.I_{j-1} there, and leaves every other degree once
+it has found e_j generators (see _apolar_pass for the proofs); at every
+other n it eliminates in every degree with I_j != 0.
+
+Every product of a monomial with a monomial is read off
+forms.monomial_products, and every differentiation factor b!/c! off
+forms.divided_power_weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations, count
 from math import lcm
 
@@ -44,25 +48,8 @@ from .errors import (
 from .forms import (Form, Subspace, _lead, _monic_form, divided_power_weights, form_print,
                     monomial_products, space_dim)
 from .levelhf import HilbertFunction, e_sequence
-from .linalg import (QQ, Matrix, _integer_row, _primitive, integer_echelon, integer_kernel,
-                     integer_rank, rank)
-
-
-@lru_cache(maxsize=None)
-def _action_table(nvars: int, j: int, i: int) -> tuple[dict, ...]:
-    """x^alpha . y^beta for every x^alpha in R_j and y^beta in S_i, j <= i.
-
-    Entry alpha (in monomial order) maps the index of each y^beta that
-    x^alpha does not kill, beta = alpha + gamma, to (index of y^gamma in
-    S_{i-j}, beta!/gamma!), the factor d^alpha/dy^alpha picks up on y^beta;
-    the keys come in monomial order, which multiplying by x^alpha keeps.
-    This is the only place the action of a monomial on a monomial is
-    computed.  The cache shares the dicts between callers, which only read
-    them.
-    """
-    weights, low = divided_power_weights(nvars, i), divided_power_weights(nvars, i - j)
-    return tuple({b: (g, weights[b] // low[g]) for g, b in enumerate(shift)}
-                 for shift in monomial_products(nvars, j, i - j))
+from .linalg import (QQ, Matrix, _integer_row, _primitive, integer_echelon,
+                     integer_forward_kernel, integer_kernel, integer_rank, rank)
 
 
 def internal_product(u: Form, f: Form) -> Form:
@@ -80,12 +67,14 @@ def internal_product(u: Form, f: Form) -> Form:
         raise DegreeError(f"cannot apply a degree-{u.degree} operator to a degree-{f.degree} form")
     n, out_degree = f.nvars, f.degree - u.degree
     fv = f.vector()
-    out = [QQ(0)] * space_dim(n, out_degree)
-    for entries, cu in zip(_action_table(n, u.degree, f.degree), u.vector()):
+    weights, low = divided_power_weights(n, f.degree), divided_power_weights(n, out_degree)
+    out = [QQ(0)] * len(low)
+    # x^a.y^b = (b!/g!) y^g for b = a + g, the index of b being shift[g]
+    for shift, cu in zip(monomial_products(n, u.degree, out_degree), u.vector()):
         if cu:
-            for b_idx, (o, factor) in entries.items():
-                if fv[b_idx]:
-                    out[o] += cu * fv[b_idx] * factor
+            for o, b in enumerate(shift):
+                if fv[b]:
+                    out[o] += cu * fv[b] * (weights[b] // low[o])
     return Form.from_vector(n, out_degree, "S", out)
 
 
@@ -99,17 +88,11 @@ def integer_catalecticant(lam: Subspace, i: int) -> tuple[list[list[int]], list[
     d = lam.degree
     if not 0 <= i <= d:
         raise DegreeError(f"catalecticant index {i} outside 0..{d}")
-    width = space_dim(lam.nvars, i)
-    supports = [[(pos, c) for pos, c in enumerate(v) if c] for v in lam.echelon]
+    weights, low = divided_power_weights(lam.nvars, d), divided_power_weights(lam.nvars, i)
     rows = []
-    for entries in _action_table(lam.nvars, d - i, d):
-        for support in supports:
-            v = [0] * width
-            for b_idx, c in support:
-                hit = entries.get(b_idx)
-                if hit is not None:
-                    v[hit[0]] = c * hit[1]
-            rows.append(v)
+    for shift in monomial_products(lam.nvars, d - i, i):
+        factors = [weights[b] // low[g] for g, b in enumerate(shift)]
+        rows.extend([v[b] * f for b, f in zip(shift, factors)] for v in lam.echelon)
     return rows, [v[p] for v, p in zip(lam.echelon, lam.pivots)]
 
 
@@ -247,7 +230,17 @@ def _apolar_pass(lam: Subspace):
     1 - sum_i z^{q_i} + t z^{d+2}, and every q_i <= d + 1 since
     I_{d+1} = R_{d+1}.  Read at z^j, 1 <= j <= d + 1: the number of
     generators of degree j is -Delta^2 h_j = e_j, levelhf.e_sequence's
-    count.  At every other n each degree is eliminated.
+    count.
+
+    At n = 2 the pass also leaves degree j once it holds e_j generators:
+    no row after the e_j-th generator is reduced.  Proof: the generators of
+    degree j complement R_1 * I_{j-1} in I_j, so by the count above
+    dim I_j = dim R_1 * I_{j-1} + e_j.  Each generator found is nonzero
+    modulo R_1 * I_{j-1} and the generators before it, so R_1 * I_{j-1}
+    and the e_j found span a subspace of I_j of that dimension: all of
+    I_j.  Every later row lies in it, and its residual is 0.  At every
+    other n a degree with I_j = 0, which holds no generator, is skipped,
+    and every other degree is eliminated and reduced through its last row.
     """
     memo = lam.__dict__.get("_apolar_pass")
     if memo is not None:
@@ -259,27 +252,40 @@ def _apolar_pass(lam: Subspace):
     counts = e_sequence(hf) if n == 2 else None
     out = []
     for j, rows in enumerate((*slices[1:], Subspace.full(n, d + 1, "R").echelon), start=1):
-        if counts is not None and not counts[j - 1]:
+        # a degree holds at most dim I_j generators
+        need = counts[j - 1] if counts is not None else len(rows)
+        if not need:
             continue
         base, pivots, den = integer_echelon(_times_variables(n, j - 1, slices[j - 1]),
                                             space_dim(n, j))
         found, gens = [], []
         for b in rows:
-            r = [den * x for x in b]
-            for p, row in zip(pivots, base):
-                if b[p]:
-                    r = [x - b[p] * y for x, y in zip(r, row)]
-            for p, g in found:
-                if r[p]:
-                    r = [g[p] * x - r[p] * y for x, y in zip(r, g)]
+            r = _residual(b, base, pivots, den, found)
             if any(r):
                 r = _primitive(r)
                 found.append((_lead(r), r))
                 gens.append(_monic_form(n, j, "R", r))
+                if len(gens) == need:
+                    break
         if gens:
             out.append((j, tuple(gens)))
     memo = lam.__dict__["_apolar_pass"] = (hf, tuple(out))
     return memo
+
+
+def _residual(b, base, pivots, den: int, found) -> list[int]:
+    """The row b times den reduced against the integer echelon rows base of
+    common denominator den (each den at its pivot), then against the
+    generators found, (lead, row) pairs: zero at every pivot and lead, and
+    zero iff b lies in their span."""
+    r = [den * x for x in b]
+    for p, row in zip(pivots, base):
+        if b[p]:
+            r = [x - b[p] * y for x, y in zip(r, row)]
+    for p, g in found:
+        if r[p]:
+            r = [g[p] * x - r[p] * y for x, y in zip(r, g)]
+    return r
 
 
 def minimal_generators(lam: Subspace) -> list[tuple[int, list[Form]]]:
@@ -302,29 +308,56 @@ def minimal_generators(lam: Subspace) -> list[tuple[int, list[Form]]]:
 
 
 def inverse_system_slice(gens: list[Form], nvars: int, d: int) -> Subspace:
-    """(I^{-1})_d for the ideal generated by gens: all F killed by every gen."""
+    """(I^{-1})_d for the ideal generated by gens: all F killed by every gen.
+
+    The kernel of _condition_rows, in divided-power coordinates w_b, taken
+    to monomial coordinates by the integers d!/b!: the coefficient of y^b
+    is w_b / b!, and the common factor d! clears the denominators.  The
+    kernel is read with the columns reversed, as in _kernel_rows, so its
+    basis is the reduced echelon one, but by the forward pass and back
+    substitution: no caller needs rows spanning the conditions, and the
+    kernel is small beside their rank.  A positive column scale keeps the
+    zero pattern of the reduced echelon rows and the sign of each pivot,
+    so the scaled rows are the reduced echelon rows of the slice up to
+    positive row scales."""
     _check_generators(gens, nvars)
-    rows = []
-    dim_sd = space_dim(nvars, d)
+    weights = divided_power_weights(nvars, d)
+    scales = [weights[0] // w for w in weights]
+    kernel = integer_forward_kernel([row[::-1] for row in _condition_rows(gens, nvars, d)],
+                                    len(weights))
+    return Subspace.from_echelon(nvars, d, "S", ([x * c for x, c in zip(v[::-1], scales)]
+                                                 for v in reversed(kernel)))
+
+
+def _condition_rows(gens: list[Form], nvars: int, d: int) -> list[list[int]]:
+    """The coefficient vectors of x^c * g in R_d, for every nonzero generator
+    g of degree q <= d, scaled to integers, and every monomial x^c of
+    R_{d-q}: rows spanning I_d, I the ideal the gens generate.  They are
+    the conditions on F in S_d in divided-power coordinates w_b = b! *
+    (coefficient of y^b): the coefficient of y^c in g.F is (x^c g).w / c!,
+    since u.F = sum u_b w_b for u in R_d.  At n = 2 they are shifted copies
+    of g's coefficients.  Column c of monomial_products(n, q, d - q), the
+    table internal_product and the tangent route read, places them."""
+    width, rows = space_dim(nvars, d), []
     for g in gens:
-        if g.degree > d or g.is_zero:
-            continue
-        # one row per monomial of S_{d-q}: the functional F -> that
-        # coefficient of g.F, times the lcm of g's denominators
-        conditions = [[0] * dim_sd for _ in range(space_dim(nvars, d - g.degree))]
-        for entries, cu in zip(_action_table(nvars, g.degree, d), _integer_row(g.vector())):
-            if cu:
-                for b_idx, (o, factor) in entries.items():
-                    conditions[o][b_idx] += cu * factor
-        rows.extend(conditions)
-    return Subspace.from_echelon(nvars, d, "S", _kernel_rows(rows, dim_sd)[0])
+        if g.degree <= d and not g.is_zero:
+            rows += _placed(zip(*monomial_products(nvars, g.degree, d - g.degree)),
+                            [_integer_row(g.vector())], width)
+    return rows
 
 
 def _times_variables(nvars: int, degree: int, rows) -> list[list]:
     """x_i * b for every variable x_i and row b, a coefficient vector of
     degree `degree`: a spanning set of R_1 * span(rows)."""
-    width, out = space_dim(nvars, degree + 1), []
-    for shift in monomial_products(nvars, 1, degree):
+    return _placed(monomial_products(nvars, 1, degree), rows, space_dim(nvars, degree + 1))
+
+
+def _placed(shifts, rows, width: int) -> list[list]:
+    """For each shift (shift outermost) and row, the vector of the given
+    width holding row[m] at shift[m]: x^c * b for the monomial x^c whose
+    products a shift indexes."""
+    out = []
+    for shift in shifts:
         for row in rows:
             v = [0] * width
             for k, c in zip(shift, row):

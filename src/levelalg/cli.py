@@ -410,11 +410,15 @@ def _plain_args(argv: list[str]):
     Plain is: an optional `--format keyvalue|json-lines` first, a subcommand,
     then words and that subcommand's flags spelled out, each flag value its
     own token not starting with '-'; every required argument present, no
-    surplus word and every integer readable.  Anything else (help,
-    abbreviations, '--', '-t5', negative values, usage errors) is left to
-    argparse, which writes every usage text.  Words fill the positionals in
-    order, as argparse fills them while no optional positional has another
-    positional beside it.
+    surplus word and every integer readable.  The argv may also end in
+    `-- X`, X not '--' and no other '--' in it, if no word comes before:
+    X is then the one word, whatever it starts with, so it is plain only
+    for a subcommand with one positional (one with more has no optional
+    one), which argparse also fills with X.  Anything else (help,
+    abbreviations, any other '--', '-t5', negative values, usage errors) is
+    left to argparse, which writes every usage text.  Words fill the
+    positionals in order, as argparse fills them while no optional
+    positional has another positional beside it.
     """
     fmt = "keyvalue"
     if argv[:1] == ["--format"]:
@@ -425,8 +429,9 @@ def _plain_args(argv: list[str]):
         return None
     signature = _signature(argv[0])
     flags = {arg: kwargs for arg, kwargs in signature if arg.startswith("-")}
-    values, words = {}, []
-    tokens = iter(argv[1:])
+    values, words, tokens = {}, [], argv[1:]
+    tail = tokens[-2:-1] == ["--"] and tokens.count("--") == 1
+    tokens = iter(tokens[:-2] if tail else tokens)
     for token in tokens:
         if not token.startswith("-"):
             words.append(token)
@@ -442,6 +447,10 @@ def _plain_args(argv: list[str]):
                 values[token] = flags[token].get("type", str)(value)
             except ValueError:
                 return None
+    if tail:
+        if words:
+            return None
+        words = argv[-1:]
     args = argparse.Namespace(format=fmt, command=argv[0])
     for arg, kwargs in signature:
         if arg.startswith("-"):

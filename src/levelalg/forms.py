@@ -84,6 +84,13 @@ def space_dim(nvars: int, degree: int) -> int:
     return len(monomials(nvars, degree))
 
 
+@lru_cache(maxsize=None)
+def _identity(size: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The unit rows of width size and their pivots, the echelon form of a
+    whole space; shared between Subspace.full calls, which only read them."""
+    return tuple(tuple(int(i == j) for j in range(size)) for i in range(size)), tuple(range(size))
+
+
 @dataclass(frozen=True)
 class Form:
     """A homogeneous polynomial with exact rational coefficients.
@@ -435,10 +442,7 @@ class Subspace:
 
     @staticmethod
     def full(nvars: int, degree: int, ring: str) -> Subspace:
-        n = space_dim(nvars, degree)
-        return Subspace(nvars, degree, ring,
-                        tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
-                        tuple(range(n)))
+        return Subspace(nvars, degree, ring, *_identity(space_dim(nvars, degree)))
 
     @staticmethod
     def zero(nvars: int, degree: int, ring: str) -> Subspace:

@@ -102,7 +102,8 @@ def _require_level(h: HilbertFunction):
 def e_sequence(h: HilbertFunction) -> tuple[int, ...]:
     """Minimal generator counts e_1..e_{d+1}: e_{i+1} = 2h_i - h_{i-1} - h_{i+1}."""
     _require_level(h)
-    return tuple(2 * h[i] - h[i - 1] - h[i + 1] for i in range(0, h.d + 1))
+    padded = (0, *h.values, 0)
+    return tuple(2 * padded[i + 1] - padded[i] - padded[i + 2] for i in range(h.d + 1))
 
 
 def q_sequence(h: HilbertFunction) -> tuple[int, ...]:

@@ -13,7 +13,8 @@ do not change that.  It returns the echelon form only; integer_kernel
 builds the kernel vectors from it, so a caller that reads a rank builds
 none.  Dividing by the last pivot once at the end gives the unique reduced
 row echelon form.  The forward mode updates only the rows below each pivot
-and gives ranks (integer_rank).  The pivot rule is deterministic (first
+and gives ranks (integer_rank), and kernels by back substitution
+(integer_forward_kernel).  The pivot rule is deterministic (first
 nonzero column, topmost row), so echelon forms, kernels and the canonical
 subspaces built on them are reproducible.  Determinants keep a forward loop
 of their own (_integer_det): their matrices are small and square, and the
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 QQ = Fraction
 
@@ -129,6 +131,12 @@ def _primitive(v: list[int]) -> list[int]:
     return [x // c for x in v] if c > 1 else v
 
 
+def _intake(m):
+    """Each nonzero row of m over its content, once, in order of first
+    occurrence."""
+    return {tuple(row): row for row in map(_primitive, filter(any, m))}.values()
+
+
 def integer_echelon(m, ncols: int) -> tuple[list[list[int]], list[int], int]:
     """Echelon form of the integer rows m (an iterable), in integers.
 
@@ -143,8 +151,7 @@ def integer_echelon(m, ncols: int) -> tuple[list[list[int]], list[int], int]:
     matrices of torus-fixed points are mostly such rows.  Kernel vectors
     come from integer_kernel.
     """
-    distinct = {tuple(row): row for row in map(_primitive, filter(any, m))}
-    rows, pivots, pivot = _bareiss(distinct.values(), ncols, True)
+    rows, pivots, pivot = _bareiss(_intake(m), ncols, True)
     g = gcd(pivot, *[gcd(*row) for row in rows]) * (-1 if pivot < 0 else 1)
     if g != 1:
         rows = [[x // g for x in row] for row in rows]
@@ -164,6 +171,36 @@ def integer_kernel(echelon: list[list[int]], pivots: list[int], den: int,
     one vector per free column in order, each times the positive integer
     that makes its content 1."""
     return [_primitive(v) for v in _kernel_basis(echelon, pivots, den, ncols)]
+
+
+def integer_forward_kernel(m, ncols: int) -> list[list[int]]:
+    """integer_kernel's basis of the right kernel of the integer rows m (an
+    iterable), by the forward pass of the Bareiss loop alone; the rows go
+    in as integer_echelon takes them.
+
+    Each kernel vector comes by back substitution in integers.  Let D be
+    the last pivot up to sign: the determinant, up to sign, of the pivot
+    rows at the pivot columns.  The kernel vector that is D at the free
+    column f and 0 at the other free columns then has minors of m as its
+    entries, by Cramer's rule, so solving the echelon rows from the bottom
+    up divides exactly.  With a kernel small beside the rank this costs
+    less than clearing above every pivot.
+    """
+    rows, pivots, last = _bareiss(_intake(m), ncols, False)
+    at_pivots = [[row[c] for c in pivots] for row in rows]
+    scale = abs(last)
+    kernel = []
+    for f in free_columns(pivots, ncols):
+        solved = [0] * len(pivots)
+        for k in range(len(pivots) - 1, -1, -1):
+            s = rows[k][f] * scale + sum(map(mul, at_pivots[k][k + 1:], solved[k + 1:]))
+            solved[k] = -s // at_pivots[k][k]
+        v = [0] * ncols
+        v[f] = scale
+        for c, x in zip(pivots, solved):
+            v[c] = x
+        kernel.append(_primitive(v))
+    return kernel
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:

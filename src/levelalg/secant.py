@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .apolarity import (_apolar_pass, ann_slice, check_points, inverse_system_slice,
-                        jordan_apolar_basis)
+from .apolarity import (_apolar_pass, _condition_rows, _divided_power_rows, ann_slice,
+                        check_points, inverse_system_slice, jordan_apolar_basis)
 from .errors import (
     AdmissibilityError,
     DegreeError,
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .forms import Form, Subspace, divided_power_weights
 from .levelhf import HilbertFunction, dim_stratum, q_sequence
-from .linalg import Matrix, det, rank
+from .linalg import Matrix, det, integer_rank, rank
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,23 @@ def secant_decompose(lam: Subspace) -> list[SecantPlane]:
     The minimal generators of ann(Lambda) have degrees given by the
     q-sequence of the Hilbert function; each generator u cuts out the plane
     of forms apolar to it, and the intersection of all the planes is
-    exactly Lambda.  The equality is re-verified and a failure signals an
+    exactly Lambda.  The equality is certified and a failure signals an
     internal bug.  The Hilbert function and the generators come from the
     apolar pass shared with apolar_profile and minimal_generators, once per
     Lambda instance.
+
+    The certificate, with J the ideal the u_k generate: the condition rows
+    of the u_k (apolarity._condition_rows, spanning J_d in R_d) pair to 0
+    with Lambda's divided-power rows, and their rank is d + 1 - t.  Proof
+    that this holds iff the planes meet in Lambda: the planes meet in
+    (J^{-1})_d, the forms of S_d every element of J_d kills, and u.F is the
+    dot product of u in R_d with F's divided-power coordinates, a perfect
+    pairing of R_d with S_d.  The first half says J_d lies in Lambda^perp,
+    the operators of R_d killing Lambda, of dimension d + 1 - t; the second
+    that dim J_d = d + 1 - t, so together J_d = Lambda^perp and
+    (J^{-1})_d = (Lambda^perp)^perp = Lambda.  Conversely (J^{-1})_d =
+    Lambda gives J_d = Lambda^perp, and both halves hold.  One forward
+    elimination replaces the inverse system of the planes.
     """
     if lam.nvars != 2:
         raise DegreeError("secant decomposition is a two-variable operation")
@@ -82,8 +96,10 @@ def secant_decompose(lam: Subspace) -> list[SecantPlane]:
     planes = [SecantPlane(g, lam.degree) for _, forms in gens for g in forms]
     if tuple(sorted(p.q for p in planes)) != q_sequence(h):
         raise LevelAlgError("internal bug: generator degrees do not match the q-sequence")
-    # the forms apolar to every u_k: the intersection of the planes (u_k)^{-1}_d
-    if inverse_system_slice([p.apolar_form for p in planes], 2, lam.degree) != lam:
+    rows = _condition_rows([p.apolar_form for p in planes], 2, lam.degree)
+    lam_rows = _divided_power_rows(lam)
+    if (any(sum(map(mul, row, w)) for row in rows for w in lam_rows)
+            or integer_rank(rows, lam.ambient_dim) != lam.ambient_dim - lam.dim):
         raise LevelAlgError("internal bug: plane intersection is not Lambda")
     return planes
 

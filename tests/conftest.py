@@ -13,9 +13,27 @@ settings.register_profile(
 settings.load_profile("repro")
 
 from levelalg.apolarity import inverse_system_slice
+from levelalg.forms import divided_power_weights, monomial_products
 from levelalg.levelhf import HilbertFunction, burch_ideal, enumerate_level_hf
 from levelalg.linalg import QQ, det, free_columns
 from levelalg.partitions import partitions_in_box
+
+
+@lru_cache(maxsize=None)
+def _action_table(nvars: int, j: int, i: int) -> tuple[dict, ...]:
+    """x^alpha . y^beta for every x^alpha in R_j and y^beta in S_i, j <= i.
+
+    Entry alpha (in monomial order) maps the index of each y^beta that
+    x^alpha does not kill, beta = alpha + gamma, to (index of y^gamma in
+    S_{i-j}, beta!/gamma!), the factor d^alpha/dy^alpha picks up on y^beta;
+    the keys come in monomial order, which multiplying by x^alpha keeps.
+    The reference of the library's differentiation, which reads the same
+    products and weights without building the table.  The cache shares the
+    dicts between callers, which only read them.
+    """
+    weights, low = divided_power_weights(nvars, i), divided_power_weights(nvars, i - j)
+    return tuple({b: (g, weights[b] // low[g]) for g, b in enumerate(shift)}
+                 for shift in monomial_products(nvars, j, i - j))
 
 
 def burch_point(h: HilbertFunction):

@@ -15,11 +15,10 @@ import random
 
 import pytest
 
-from conftest import all_level_hfs, burch_point, monomial_residuals
-from levelalg import apolarity
+from conftest import _action_table, all_level_hfs, burch_point, monomial_residuals
+from levelalg import apolarity, secant
 from levelalg.apolarity import (
     ApolarProfile,
-    _action_table,
     _ideal_slice_stream,
     ann_slice,
     apolar_profile,
@@ -29,17 +28,18 @@ from levelalg.apolarity import (
     minimal_generators,
     socle,
 )
-from levelalg.errors import PropernessError
+from levelalg.errors import LevelAlgError, PropernessError
 from levelalg.forms import (
     Form,
     Subspace,
     form_parse,
     monomial_products,
+    monomials,
     parse_subspace_lines,
     space_dim,
     subspace_intersect,
 )
-from levelalg.levelhf import HilbertFunction, burch_ideal, enumerate_level_hf
+from levelalg.levelhf import HilbertFunction, burch_ideal, e_sequence, enumerate_level_hf
 from levelalg.linalg import QQ, rank, right_kernel
 from levelalg.secant import SecantPlane, in_sigma, secant_decompose, secant_intersect
 from levelalg.tangent import tangent_space
@@ -555,3 +555,116 @@ def test_binary_degrees_with_no_generator_are_never_eliminated(rng, monkeypatch)
         h = profile.hilbert
         assert seen == [j for j in range(1, lam.degree + 2) if 2 * h[j - 1] - h[j] - h[j - 2]]
         assert profile.kv_lines() == old_profile_lines(lam)
+
+
+# -- inverse systems from divided-power rows -------------------------------
+
+def random_generators(rng, nvars, d):
+    """One to four operators of degrees 0..d+2 with Fraction coefficients,
+    zero ones and repeats mixed in."""
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        q = rng.choice((0, *range(1, d + 1), d, d + 1, d + 2))
+        g = Form.make(nvars, q, "R", {m: QQ(rng.randint(-6, 6), rng.randint(1, 4))
+                                      for m in monomials(nvars, q) if rng.random() < 0.5})
+        gens += [g] * rng.randint(1, 2)
+    return gens
+
+
+@pytest.mark.parametrize("nvars, d_max", [(1, 6), (2, 9), (3, 5)])
+def test_inverse_systems_match_the_action_table_route(nvars, d_max):
+    rng = random.Random(nvars)
+    constant = Form.make(nvars, 0, "R", {(0,) * nvars: QQ(3, 2)})
+    for d in range(d_max + 1):
+        fixed = ([], [Form.zero(nvars, 1, "R")], [constant],
+                 [Form.make(nvars, d + 1, "R", {(d + 1,) + (0,) * (nvars - 1): 1})],
+                 [Form.make(nvars, d + 3, "R", {(0,) * (nvars - 1) + (d + 3,): -2})])
+        for gens in (*fixed, *(random_generators(rng, nvars, d) for _ in range(12))):
+            assert inverse_system_slice(gens, nvars, d) == old_inverse_system_slice(gens, nvars, d)
+    # every kind in one list: the constant kills everything
+    gens = [constant, Form.zero(nvars, 2, "R"), *random_generators(rng, nvars, 3)]
+    assert inverse_system_slice(gens, nvars, 3).dim == 0
+
+
+# -- the certificate of secant_decompose --------------------------------------
+
+def mutated_pass(lam, degree, replace):
+    """A fresh copy of lam whose pass memo holds replace(forms) in place of
+    the generators of the given degree; replace keeps their number."""
+    lam = dataclasses.replace(lam)
+    hf, gens = apolarity._apolar_pass(lam)
+    gens = tuple((j, replace(forms) if j == degree else forms) for j, forms in gens)
+    lam.__dict__["_apolar_pass"] = hf, gens
+    return lam
+
+
+def test_the_certificate_catches_a_wrong_generator_and_a_repeated_one():
+    # h = 1,2,3,4,4,4,2 has e_4 = 1 and e_6 = 2: two generators of degree
+    # 6 = d, whose planes are points of P(S_6)
+    h = HilbertFunction.parse("1,2,3,4,4,4,2,0")
+    _, gens = burch_ideal(h)
+    lam = inverse_system_slice([g.substitute_linear(MOVE) for g in gens], 2, h.d)
+    assert [(j, len(forms)) for j, forms in minimal_generators(lam)] == [(4, 1), (6, 2)]
+    d, t = h.d, h.t
+    secant_decompose(lam)
+    # x1^6 kills no nonzero form of the moved Lambda: the pairing half fails,
+    # while the rank stays d + 1 - t, so the rank half alone would pass
+    x16 = Form.make(2, 6, "R", {(6, 0): 1})
+    wrong = mutated_pass(lam, 6, lambda forms: (x16, *forms[1:]))
+    rows = apolarity._condition_rows([g for _, fs in apolarity._apolar_pass(wrong)[1]
+                                      for g in fs], 2, d)
+    assert rank(rows) == d + 1 - t
+    with pytest.raises(LevelAlgError, match="plane intersection is not Lambda"):
+        secant_decompose(wrong)
+    # a copy of the other degree-6 generator: every row still kills Lambda,
+    # but the rank drops, so only the rank half fails
+    repeated = mutated_pass(lam, 6, lambda forms: (forms[1], forms[1]))
+    rows = apolarity._condition_rows([g for _, fs in apolarity._apolar_pass(repeated)[1]
+                                      for g in fs], 2, d)
+    assert all(sum(a * b for a, b in zip(row, w)) == 0
+               for row in rows for w in apolarity._divided_power_rows(lam))
+    assert rank(rows) < d + 1 - t
+    with pytest.raises(LevelAlgError, match="plane intersection is not Lambda"):
+        secant_decompose(repeated)
+
+
+def test_secant_decompose_solves_no_inverse_system(monkeypatch):
+    def refused(*args):
+        raise AssertionError("inverse_system_slice called")
+
+    points = [inverse_system_slice([g.substitute_linear(MOVE) for g in burch_ideal(h)[1]], 2, h.d)
+              for h in all_level_hfs(4, 9) if h.t >= 2]
+    planes = [secant_decompose(dataclasses.replace(lam)) for lam in points]
+    monkeypatch.setattr(apolarity, "inverse_system_slice", refused)
+    monkeypatch.setattr(secant, "inverse_system_slice", refused)
+    assert [secant_decompose(dataclasses.replace(lam)) for lam in points] == planes
+
+
+# -- the binary pass stops at the Hilbert-Burch count -------------------------
+
+def test_the_binary_pass_reduces_no_row_after_the_last_generator(monkeypatch):
+    # on the n = 2 grid, unmoved and moved: the generators are the old ones,
+    # and in each degree the last row reduced gives the e_j-th generator
+    calls, residual = [], apolarity._residual
+
+    def counted(b, *rest):
+        r = residual(b, *rest)
+        calls.append((len(b) - 1, any(r)))
+        return r
+
+    monkeypatch.setattr(apolarity, "_residual", counted)
+    skipped = 0
+    for h in all_level_hfs(4, 10):
+        _, gens = burch_ideal(h)
+        for gs in (gens, [g.substitute_linear(MOVE) for g in gens]):
+            lam = inverse_system_slice(gs, 2, h.d)
+            calls.clear()
+            got = minimal_generators(lam)
+            assert got == old_minimal_generators(lam)
+            counts = e_sequence(h)
+            for j, e in enumerate(counts, start=1):
+                seen = [found for degree, found in calls if degree == j]
+                assert sum(seen) == e and (not seen or seen[-1]), (h, j)
+                slice_dim = ann_slice(lam, j).subspace.dim
+                skipped += e and slice_dim - len(seen)
+    assert skipped > 0

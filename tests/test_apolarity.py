@@ -5,13 +5,13 @@ from math import factorial
 
 import pytest
 
-from conftest import burch_point, complement_positions, monomial_residuals
+from conftest import _action_table, burch_point, complement_positions, monomial_residuals
 from levelalg.apolarity import (
-    _action_table,
     _ideal_slice_stream,
     ann_slice,
     catalecticant_matrix,
     hilbert_function,
+    integer_catalecticant,
     internal_product,
     inverse_system_slice,
     jordan_apolar_basis,
@@ -72,6 +72,61 @@ def test_weight_table_matches_falling_factorials_and_hankel_coordinates():
         f = Form.from_vector(2, d, "S", a)
         assert hankel_coordinates(f) == [factorial(i) * factorial(d - i) * a[i]
                                          for i in range(d + 1)]
+
+
+def table_internal_product(u, f):
+    # internal_product as it read the action table
+    n, out_degree = f.nvars, f.degree - u.degree
+    fv = f.vector()
+    out = [Fraction(0)] * len(monomials(n, out_degree))
+    for entries, cu in zip(_action_table(n, u.degree, f.degree), u.vector()):
+        if cu:
+            for b_idx, (o, factor) in entries.items():
+                if fv[b_idx]:
+                    out[o] += cu * fv[b_idx] * factor
+    return Form.from_vector(n, out_degree, "S", out)
+
+
+def table_catalecticant(lam, i):
+    # integer_catalecticant as it read the action table
+    width = len(monomials(lam.nvars, i))
+    supports = [[(pos, c) for pos, c in enumerate(v) if c] for v in lam.echelon]
+    rows = []
+    for entries in _action_table(lam.nvars, lam.degree - i, lam.degree):
+        for support in supports:
+            v = [0] * width
+            for b_idx, c in support:
+                hit = entries.get(b_idx)
+                if hit is not None:
+                    v[hit[0]] = c * hit[1]
+            rows.append(v)
+    return rows, [v[p] for v, p in zip(lam.echelon, lam.pivots)]
+
+
+def random_form(rng, nvars, degree, ring):
+    # sparse, with Fraction coefficients
+    return Form.make(nvars, degree, ring, {
+        m: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        for m in monomials(nvars, degree) if rng.random() < 0.6})
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_products_and_catalecticants_match_the_action_table(nvars):
+    # the same forms and integer matrices, byte for byte, without the table
+    rng = random.Random(nvars)
+    for i in range(7 if nvars < 3 else 5):
+        for j in range(i + 1):
+            for _ in range(3):
+                u, f = random_form(rng, nvars, j, "R"), random_form(rng, nvars, i, "S")
+                got = internal_product(u, f)
+                assert got == table_internal_product(u, f)
+                assert repr(got) == repr(table_internal_product(u, f))
+        for t in (1, 2, 3):
+            lam = Subspace.span(nvars, i, "S", [random_form(rng, nvars, i, "S")
+                                                for _ in range(t)])
+            for k in range(i + 1):
+                got = integer_catalecticant(lam, k)
+                assert repr(got) == repr(table_catalecticant(lam, k)), (lam, k)
 
 
 def test_internal_product_single_derivative():

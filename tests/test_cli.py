@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import levelalg
-from levelalg.cli import _COMMANDS, _FLAGS, _plain_args, build_parser, main
+from levelalg import cli
+from levelalg.cli import _COMMANDS, _FLAGS, _plain_args, _signature, build_parser, main
 from levelalg.forms import Form, form_print, monomials
 from levelalg.partitions import partitions_in_box
 
@@ -539,13 +540,27 @@ print(json.dumps(results))
     assert [rc for rc, _, _ in in_one] == [1, 0, 0, 0, 0, 1, 0]
 
 
-def test_plain_calls_build_no_parser():
-    # the golden argvs are plain: main reads them off the subcommand table
+# bott weights that start with a minus sign, after the usual `--`
+DASHED_BOTT_ARGVS = (["bott", "--", "-1,-1,-1,-1;4"], ["bott", "--", "-2,-3;1,0,0"])
+
+
+def test_plain_calls_build_no_parser(monkeypatch):
+    # the golden argvs are plain: main reads them off the subcommand table,
+    # and so are the one-positional calls that end in `-- X`
     build_parser.cache_clear()
     for name, argv in GOLDEN_CASES.items():
         with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8") as fh:
             assert run_cli(argv) == (0, fh.read()), name
+    outputs = [run_cli(argv) for argv in DASHED_BOTT_ARGVS]
     assert build_parser.cache_info().currsize == 0
+    assert [rc for rc, _ in outputs] == [0, 0]
+    for argv in DASHED_BOTT_ARGVS:
+        assert _plain_args(argv) == _argparse_args(argv)
+        assert _plain_args(argv).gamma == argv[-1]
+    # argparse prints the same
+    monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
+    assert [run_cli(argv) for argv in DASHED_BOTT_ARGVS] == outputs
+    assert build_parser.cache_info().currsize == 1
 
 
 def _argparse_args(argv):
@@ -573,19 +588,27 @@ def _spec_argvs(draw):
     flags (now and then twice) in any order with the positionals between
     them, values "2" or from _VALUES; then now and then one junk token
     inserted, one token deleted, or the two tokens after the subcommand
-    repeated; now and then a --format first."""
+    repeated; now and then a `-- X` tail, X a positional's value moved
+    there or "--" or one from _VALUES; now and then a --format first."""
     command = draw(st.sampled_from(sorted(_COMMANDS)))
-    units = []
+    units, words = [], []
     for token in _COMMANDS[command][2].split():
         arg = token.strip("[]")
         for _ in range(draw(st.integers(0 if arg != token else 1, 2))):
             value = draw(st.sampled_from(_VALUES)) if draw(st.booleans()) else "2"
             if not arg.startswith("-"):
+                words.append(value)
                 units.append([value])
             elif "action" in _FLAGS.get(arg, {}):
                 units.append([arg])
             else:
                 units.append([arg, value])
+    tail = draw(st.sampled_from(("none", "none", "moved", "drawn")))
+    if tail == "moved" and words:
+        units.remove([words[0]])
+        tail = ["--", words[0]]
+    elif tail == "drawn":
+        tail = ["--", draw(st.sampled_from(("--", *_VALUES)))]
     argv = [command, *(x for unit in draw(st.permutations(units)) for x in unit)]
     change = draw(st.sampled_from(("none", "none", "junk", "delete", "repeat")))
     k = draw(st.integers(0, len(argv)))
@@ -595,9 +618,32 @@ def _spec_argvs(draw):
         del argv[k]
     elif change == "repeat":
         argv = argv[:3] + argv[1:]
+    if isinstance(tail, list):
+        argv += tail
     fmt = draw(st.sampled_from(([], [], ["--format", "json-lines"], ["--format", "keyvalue"],
                                 ["--format", "x"])))
     return fmt + argv
+
+
+def test_one_positional_commands_read_a_dashed_tail():
+    # `-- X` fills a subcommand's only positional, whatever X starts with;
+    # with several positionals, or X = "--", argparse reads the argv
+    singles = [c for c in _COMMANDS if sum(not a.startswith("-") for a, _ in _signature(c)) == 1]
+    assert sorted(singles) == ["bott", "burch", "hankel-rank", "hf-check", "hf-partition"]
+    for command in singles:
+        flags = [x for arg, kwargs in _signature(command) if kwargs.get("required")
+                 for x in (arg, "2")]
+        for value in ("2", *_VALUES):
+            argv = [command, *flags, "--", value]
+            assert _plain_args(argv) is not None, argv
+            assert _plain_args(argv) == _argparse_args(argv), argv
+        # a word already fills the positional, or a second `--`
+        for argv in ([command, "2", *flags, "--", "3"], [command, *flags, "--", "--"],
+                     [command, "--", *flags, "--", "3"]):
+            assert _plain_args(argv) is None, argv
+    for argv in (["kronecker", "2", "2", "--", "-"], ["kronecker", "2", "2", "--", "--"],
+                 ["schubert-mul", "-t", "2", "-d", "5", "{1}", "--", "-{1}"]):
+        assert _plain_args(argv) is None, argv
 
 
 @settings(max_examples=300, deadline=None)

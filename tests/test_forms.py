@@ -208,3 +208,18 @@ def test_subspace_canonical_for_random_bases(rows, rnd):
     scales = [rnd.choice([-3, -2, -1, 1, 2, 5]) for _ in a.echelon]
     scaled = [[x * k for x in v] for v, k in zip(a.echelon, scales)]
     assert Subspace.from_echelon(2, 5, "S", scaled) == a
+
+
+def test_full_subspaces_share_their_unit_rows_and_nothing_else():
+    # the identity rows are built once per size; each call is a new
+    # instance, so a memo kept on one is not seen by another
+    for nvars, degree, ring in ((1, 0, "R"), (2, 5, "S"), (3, 3, "R"), (3, 3, "S")):
+        a, b = Subspace.full(nvars, degree, ring), Subspace.full(nvars, degree, ring)
+        size = len(monomials(nvars, degree))
+        assert a == b and a is not b and a.echelon is b.echelon
+        assert a.echelon == tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+        assert a.pivots == tuple(range(size)) and a.ring == ring
+        assert a == Subspace.span(nvars, degree, ring,
+                                  [Form.monomial(nvars, ring, m) for m in monomials(nvars, degree)])
+        a.__dict__["memo"] = 1
+        assert "memo" not in b.__dict__

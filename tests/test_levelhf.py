@@ -102,6 +102,12 @@ def test_25_h1_e_sequence():
     assert sum(es) == 3
 
 
+def test_e_sequence_is_the_second_difference():
+    # e_{i+1} = 2h_i - h_{i-1} - h_{i+1}, with h zero outside 0..d
+    for h in all_level_hfs(5, 12):
+        assert e_sequence(h) == tuple(2 * h[i] - h[i - 1] - h[i + 1] for i in range(h.d + 1))
+
+
 def test_sum_invariants_all_small_cases():
     for h in all_level_hfs(4, 9):
         assert sum(e_sequence(h)) == len(q_sequence(h)) == h.t + 1

@@ -10,6 +10,7 @@ from levelalg.linalg import (
     det,
     free_columns,
     integer_echelon,
+    integer_forward_kernel,
     integer_kernel,
     integer_rank,
     rank,
@@ -171,6 +172,28 @@ def test_integer_rank_is_the_echelon_rank(m):
     for row, norm in zip(rows, norms):
         bound *= norm
         assert all(x * x <= bound for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_forward_kernel_is_the_echelon_kernel(m):
+    # back substitution on the forward pass against integer_kernel on the
+    # Gauss-Jordan form: the same primitive vectors, from rows given in any
+    # order or as an iterator
+    ncols = len(m[0])
+    before = [list(row) for row in m]
+    kernel = integer_forward_kernel(m, ncols)
+    assert m == before
+    assert kernel == integer_kernel(*integer_echelon(m, ncols), ncols)
+    assert integer_forward_kernel(iter(m[::-1]), ncols) == kernel
+    assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m for v in kernel)
+
+
+def test_forward_kernel_of_no_rows_and_of_zero_rows():
+    units = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert integer_forward_kernel([], 3) == units
+    assert integer_forward_kernel([[0, 0, 0]] * 2, 3) == units
+    assert integer_forward_kernel([[0, -2, 4]], 3) == [[1, 0, 0], [0, 2, 1]]
 
 
 def test_integer_rank_of_no_rows_and_of_zero_rows():

@@ -3,11 +3,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (all_level_hfs, burch_point, complement_positions, moved_burch_point,
-                      monomial_residuals)
+from conftest import (_action_table, all_level_hfs, burch_point, complement_positions,
+                      moved_burch_point, monomial_residuals)
 from levelalg import apolarity, linalg, tangent
 from levelalg.apolarity import (
-    _action_table,
     ann_slice,
     catalecticant_matrix,
     hilbert_function,
