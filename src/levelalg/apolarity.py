@@ -20,11 +20,11 @@ computes none; socle() ranks the socle of an arbitrary artin quotient,
 which need not be level.
 
 The apolar pass reads the minimal generators off the slices: those of
-degree j complement R_1.I_{j-1} in I_j.  At n = 2 it skips every degree
-where the Hilbert-Burch count e_j = -Delta^2 h_j is 0, which holds none,
-without eliminating R_1.I_{j-1} there, and leaves every other degree once
-it has found e_j generators (see _apolar_pass for the proofs); at every
-other n it eliminates in every degree with I_j != 0.
+degree j complement R_1.I_{j-1} in I_j, so there are dim I_j -
+rank(R_1.I_{j-1}) of them, and the pass leaves a degree once it has found
+that many.  At n = 2 that count is the Hilbert-Burch e_j = -Delta^2 h_j,
+known before any elimination, and a degree with e_j = 0 is skipped (see
+_apolar_pass for the proofs).
 
 Every product of a monomial with a monomial is read off
 forms.monomial_products, and every differentiation factor b!/c! off
@@ -220,27 +220,24 @@ def _apolar_pass(lam: Subspace):
     once.  The result is kept on lam, which is frozen, for as long as lam
     lives, so the pass runs once per Lambda instance.
 
-    At n = 2 a degree j with e_j = 2h_{j-1} - h_j - h_{j-2} = 0 is
-    skipped: R_1 * I_{j-1} is not eliminated there, and nothing is reduced.
-    It holds no generator, so the reduction would find nothing and the
-    output is the same.  Proof: A = R/ann(Lambda) is level of socle degree
-    d and type t (see apolar_profile), so by Hilbert-Burch its minimal
-    resolution is 0 -> R(-d-2)^t -> sum_i R(-q_i) -> R -> A, the last
-    module dual to the socle.  Hence (1 - z)^2 sum_j h_j z^j =
-    1 - sum_i z^{q_i} + t z^{d+2}, and every q_i <= d + 1 since
-    I_{d+1} = R_{d+1}.  Read at z^j, 1 <= j <= d + 1: the number of
-    generators of degree j is -Delta^2 h_j = e_j, levelhf.e_sequence's
-    count.
+    Degree j holds e_j = dim I_j - rank(R_1 * I_{j-1}) generators, read
+    off the elimination of R_1 * I_{j-1}, and the pass leaves it once it
+    has found them: no later row is reduced.  Proof: the generators of
+    degree j complement R_1 * I_{j-1} in I_j.  Each one found is nonzero
+    modulo R_1 * I_{j-1} and the ones before it, so R_1 * I_{j-1} and the
+    e_j found span a subspace of I_j of dimension dim I_j: all of I_j,
+    and every later row has residual 0.  A degree with I_j = 0 holds none
+    and is skipped.
 
-    At n = 2 the pass also leaves degree j once it holds e_j generators:
-    no row after the e_j-th generator is reduced.  Proof: the generators of
-    degree j complement R_1 * I_{j-1} in I_j, so by the count above
-    dim I_j = dim R_1 * I_{j-1} + e_j.  Each generator found is nonzero
-    modulo R_1 * I_{j-1} and the generators before it, so R_1 * I_{j-1}
-    and the e_j found span a subspace of I_j of that dimension: all of
-    I_j.  Every later row lies in it, and its residual is 0.  At every
-    other n a degree with I_j = 0, which holds no generator, is skipped,
-    and every other degree is eliminated and reduced through its last row.
+    At n = 2, e_j = 2h_{j-1} - h_j - h_{j-2}, so a degree with e_j = 0 is
+    skipped before R_1 * I_{j-1} is eliminated.  Proof: A = R/ann(Lambda)
+    is level of socle degree d and type t (see apolar_profile), so by
+    Hilbert-Burch its minimal resolution is 0 -> R(-d-2)^t -> sum_i
+    R(-q_i) -> R -> A, the last module dual to the socle.  Hence
+    (1 - z)^2 sum_j h_j z^j = 1 - sum_i z^{q_i} + t z^{d+2}, and every
+    q_i <= d + 1 since I_{d+1} = R_{d+1}.  Read at z^j, 1 <= j <= d + 1:
+    the number of generators of degree j is -Delta^2 h_j,
+    levelhf.e_sequence's count.
     """
     memo = lam.__dict__.get("_apolar_pass")
     if memo is not None:
@@ -252,21 +249,20 @@ def _apolar_pass(lam: Subspace):
     counts = e_sequence(hf) if n == 2 else None
     out = []
     for j, rows in enumerate((*slices[1:], Subspace.full(n, d + 1, "R").echelon), start=1):
-        # a degree holds at most dim I_j generators
-        need = counts[j - 1] if counts is not None else len(rows)
-        if not need:
+        if not (rows if counts is None else counts[j - 1]):
             continue
         base, pivots, den = integer_echelon(_times_variables(n, j - 1, slices[j - 1]),
                                             space_dim(n, j))
+        need = len(rows) - len(base)
         found, gens = [], []
         for b in rows:
+            if len(gens) == need:
+                break
             r = _residual(b, base, pivots, den, found)
             if any(r):
                 r = _primitive(r)
                 found.append((_lead(r), r))
                 gens.append(_monic_form(n, j, "R", r))
-                if len(gens) == need:
-                    break
         if gens:
             out.append((j, tuple(gens)))
     memo = lam.__dict__["_apolar_pass"] = (hf, tuple(out))
@@ -299,8 +295,9 @@ def minimal_generators(lam: Subspace) -> list[tuple[int, list[Form]]]:
     share one apolar pass per Lambda instance, which reads the slices of the
     derivative chain held on Lambda; each call returns new lists.
 
-    For n = 2 the pass skips each degree where e_j is 0, which provably
-    holds no generator; see _apolar_pass for the proof.
+    The pass leaves each degree once it holds its dim I_j -
+    rank(R_1 * I_{j-1}) generators, and for n = 2 skips each degree where
+    that count e_j is 0; see _apolar_pass for the proofs.
     """
     if lam.dim == 0:
         raise ZeroSubspaceError("ann of the zero subspace is the whole ring")
@@ -514,16 +511,19 @@ class ApolarProfile:
     def socle_degree(self) -> int:
         return self.socle[-1][0]
 
-    def kv_lines(self) -> list[tuple[str, str]]:
-        lines = [("HILBERT", self.hilbert.format())]
-        for degree, forms in self.generators:
-            for g in forms:
-                lines.append((f"GENERATORS.{degree}", form_print(g)))
-        lines.append(("SOCLE", "; ".join(f"{j}:{s}" for j, s in self.socle)))
-        lines.append(("LEVEL", "true" if self.is_level else "false"))
-        lines.append(("TYPE", str(self.type)))
-        lines.append(("SOCLE_DEGREE", str(self.socle_degree)))
-        return lines
+    def kv_lines(self) -> list[tuple[str, object]]:
+        """The (key, value) lines of the hilbert subcommand: LEVEL a bool,
+        TYPE and SOCLE_DEGREE ints, the others str."""
+        return [("HILBERT", self.hilbert.format()), *_generator_lines(self.generators),
+                ("SOCLE", "; ".join(f"{j}:{s}" for j, s in self.socle)),
+                ("LEVEL", self.is_level), ("TYPE", self.type),
+                ("SOCLE_DEGREE", self.socle_degree)]
+
+
+def _generator_lines(generators) -> list[tuple[str, str]]:
+    """The GENERATORS.j lines of (degree, forms) pairs of minimal generators."""
+    return [(f"GENERATORS.{degree}", form_print(g)) for degree, forms in generators
+            for g in forms]
 
 
 def apolar_profile(lam: Subspace) -> ApolarProfile:

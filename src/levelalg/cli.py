@@ -1,7 +1,10 @@
 """Command-line front end.
 
-Every subcommand wraps exactly one library operation and prints structured
-`key: value` lines (or one JSON object per line with --format json-lines).
+Every subcommand wraps exactly one library operation and yields its
+(key, value) pairs; main is the one writer, which prints them as
+`key: value` lines (or one JSON object per line with --format json-lines)
+once the subcommand has finished, so a domain error prints nothing on
+stdout.
 Exit codes: 0 success, 2 domain error, 1 usage error.
 """
 
@@ -14,11 +17,12 @@ import sys
 from fractions import Fraction
 
 from . import apolarity, bott, levelhf, resolution, schubert, secant, tangent
-from .errors import InputSyntaxError, LevelAlgError
+from .errors import InputSyntaxError, LevelAlgError, NotSquareError
 from .forms import _content_lines, _parse_forms, form_parse, form_print, parse_subspace_lines
 from .kronecker import DEFAULT_WEIGHT_CAP
 from .kronecker import kronecker as kronecker_coefficient
 from .levelhf import HilbertFunction
+from .partitions import parse_partition
 
 
 class _Parser(argparse.ArgumentParser):
@@ -26,22 +30,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"usage error: {message}\n")
         sys.exit(1)
-
-
-class Emitter:
-    def __init__(self, fmt: str):
-        self.fmt = fmt
-        self.pairs: list[tuple[str, str]] = []
-
-    def emit(self, key: str, value):
-        self.pairs.append((key, str(value)))
-
-    def flush(self):
-        if self.fmt == "json-lines":
-            lines = (json.dumps({"key": key, "value": value}) for key, value in self.pairs)
-        else:
-            lines = (f"{key}: {value}" for key, value in self.pairs)
-        sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 def _read_lines(path: str) -> list[str]:
@@ -71,119 +59,116 @@ def _forms_from_input(args, nvars=None, ring=None) -> list:
     return out
 
 
-def _cmd_hf_check(args, em: Emitter):
+def _subspace_lines(sub):
+    """The dim and basis.k lines of a subspace."""
+    yield "dim", sub.dim
+    for k, b in enumerate(sub.basis, start=1):
+        yield f"basis.{k}", form_print(b)
+
+
+def _cmd_hf_check(args):
     ok, idx = levelhf.is_level_hf(HilbertFunction.parse(args.sequence))
-    em.emit("valid", "true" if ok else "false")
+    yield "valid", ok
     if not ok:
-        em.emit("failing_index", idx)
+        yield "failing_index", idx
 
 
-def _cmd_hf_enumerate(args, em: Emitter):
+def _cmd_hf_enumerate(args):
     hs = levelhf.enumerate_level_hf(args.t, args.d)
-    em.emit("count", len(hs))
+    yield "count", len(hs)
     for k, h in enumerate(hs, start=1):
-        em.emit(f"hf.{k}", h.format())
-        em.emit(f"dim.{k}", levelhf.dim_stratum(h))
+        yield f"hf.{k}", h.format()
+        yield f"dim.{k}", levelhf.dim_stratum(h)
 
 
-def _cmd_hf_partition(args, em: Emitter):
+def _cmd_hf_partition(args):
     if args.mu is not None:
         if args.t is None or args.d is None:
             raise LevelAlgError("--mu needs -t and -d")
         mu = levelhf.partition_parse(args.mu)
         h = levelhf.hf_from_partition(mu, args.t, args.d)
-        em.emit("hf", h.format())
+        yield "hf", h.format()
     else:
         if not args.sequence:
             raise LevelAlgError("give a Hilbert function or --mu PARTITION with -t -d")
         h = HilbertFunction.parse(args.sequence)
         mu = levelhf.partition_from_hf(h)
-        em.emit("partition", levelhf.partition_format(mu))
-        em.emit("t", h.t)
-        em.emit("d", h.d)
+        yield "partition", levelhf.partition_format(mu)
+        yield "t", h.t
+        yield "d", h.d
 
 
-def _cmd_burch(args, em: Emitter):
+def _cmd_burch(args):
     h = HilbertFunction.parse(args.sequence)
     matrix, gens = levelhf.burch_ideal(h)
-    em.emit("q", ",".join(str(q) for q in levelhf.q_sequence(h)))
-    e_seq = levelhf.e_sequence(h)
-    em.emit("e", ",".join(str(e) for e in e_seq))
+    yield "q", ",".join(str(q) for q in levelhf.q_sequence(h))
+    yield "e", ",".join(str(e) for e in levelhf.e_sequence(h))
     for k, row in enumerate(matrix.entries, start=1):
-        em.emit(f"matrix.row{k}",
-                ", ".join(form_print(x) if x is not None else "0" for x in row))
+        yield f"matrix.row{k}", ", ".join(form_print(x) if x is not None else "0" for x in row)
     for k, g in enumerate(gens, start=1):
-        em.emit(f"generator.{k}", form_print(g))
-    em.emit("dim_stratum", levelhf.dim_stratum(h))
+        yield f"generator.{k}", form_print(g)
+    yield "dim_stratum", levelhf.dim_stratum(h)
 
 
-def _cmd_hilbert(args, em: Emitter):
+def _cmd_hilbert(args):
     lam = _subspace_from_input(args)
-    profile = apolarity.apolar_profile(lam)
-    for key, value in profile.kv_lines():
-        em.emit(key, value)
+    yield from apolarity.apolar_profile(lam).kv_lines()
 
 
-def _cmd_ann(args, em: Emitter):
+def _cmd_ann(args):
     lam = _subspace_from_input(args)
     if args.i is not None:
         sl = apolarity.ann_slice(lam, args.i)
-        em.emit("degree", sl.degree)
-        em.emit("dim", sl.subspace.dim)
-        for k, b in enumerate(sl.subspace.basis, start=1):
-            em.emit(f"basis.{k}", form_print(b))
+        yield "degree", sl.degree
+        yield from _subspace_lines(sl.subspace)
     else:
-        for degree, gens in apolarity.minimal_generators(lam):
-            for g in gens:
-                em.emit(f"GENERATORS.{degree}", form_print(g))
+        yield from apolarity._generator_lines(apolarity.minimal_generators(lam))
 
 
-def _cmd_socle(args, em: Emitter):
+def _cmd_socle(args):
     gens = _forms_from_input(args, ring="R")
     soc = apolarity.socle(gens, gens[0].nvars)
-    em.emit("SOCLE", "; ".join(f"{j}:{s}" for j, s in soc))
-    em.emit("LEVEL", "true" if len(soc) == 1 else "false")
-    em.emit("SOCLE_DEGREE", soc[-1][0])
-    em.emit("TYPE", soc[-1][1])
+    yield "SOCLE", "; ".join(f"{j}:{s}" for j, s in soc)
+    yield "LEVEL", len(soc) == 1
+    yield "SOCLE_DEGREE", soc[-1][0]
+    yield "TYPE", soc[-1][1]
 
 
-def _cmd_tangent(args, em: Emitter):
+def _cmd_tangent(args):
     lam = _subspace_from_input(args)
     ts = tangent.tangent_space(lam)
-    em.emit("dimension", ts.dimension)
+    yield "dimension", ts.dimension
     if args.shape:
-        em.emit("constraints", f"{ts.constraint_shape[0]}x{ts.constraint_shape[1]}")
+        yield "constraints", f"{ts.constraint_shape[0]}x{ts.constraint_shape[1]}"
     if lam.nvars == 1:
-        em.emit("note", "n = 1: G(1, S_d) is a point, whose tangent space is 0")
+        yield "note", "n = 1: G(1, S_d) is a point, whose tangent space is 0"
     elif lam.nvars == 2:
-        em.emit("formula", levelhf.dim_stratum(ts.hilbert))
+        yield "formula", levelhf.dim_stratum(ts.hilbert)
     else:
         # no closed formula for n >= 3: the tests check the dimension against
         # Hom_R(I, A)_0 built from the generators and syzygies of I instead
-        em.emit("note", "n >= 3: dimension unverified against a closed formula")
+        yield "note", "n >= 3: dimension unverified against a closed formula"
 
 
-def _cmd_secant_decompose(args, em: Emitter):
+def _cmd_secant_decompose(args):
     lam = _subspace_from_input(args)
     planes = secant.secant_decompose(lam)
-    em.emit("count", len(planes))
+    yield "count", len(planes)
     for k, p in enumerate(planes, start=1):
-        em.emit(f"plane.{k}.degree", p.q)
-        em.emit(f"plane.{k}.dim", p.plane_dim)
-        em.emit(f"plane.{k}.apolar", form_print(p.apolar_form))
+        yield f"plane.{k}.degree", p.q
+        yield f"plane.{k}.dim", p.plane_dim
+        yield f"plane.{k}.apolar", form_print(p.apolar_form)
 
 
-def _cmd_secant_intersect(args, em: Emitter):
+def _cmd_secant_intersect(args):
     ops = _forms_from_input(args, nvars=2, ring="R")
     planes = [secant.SecantPlane(u, args.d) for u in ops]
     lam, h = secant.secant_intersect(planes)
-    em.emit("hf", h.format())
-    em.emit("dim", lam.dim)
-    for k, b in enumerate(lam.basis, start=1):
-        em.emit(f"basis.{k}", form_print(b))
+    yield "hf", h.format()
+    yield from _subspace_lines(lam)
 
 
-def _cmd_gad(args, em: Emitter):
+def _cmd_gad(args):
     points, alphas = [], []
     for line in _read_lines(args.input):
         try:
@@ -195,67 +180,62 @@ def _cmd_gad(args, em: Emitter):
                 f"bad GAD line {line!r}: expected 'a,b,alpha' with rational a, b"
             ) from exc
     g = secant.GAD(tuple(points), tuple(alphas))
-    sub = secant.gad_subspace(g, args.d)
-    em.emit("length", g.length)
-    em.emit("dim", sub.dim)
-    for k, b in enumerate(sub.basis, start=1):
-        em.emit(f"basis.{k}", form_print(b))
+    yield "length", g.length
+    yield from _subspace_lines(secant.gad_subspace(g, args.d))
 
 
-def _cmd_sigma_dim(args, em: Emitter):
-    em.emit("dim", secant.sigma_dim(args.t, args.d, args.s))
+def _cmd_sigma_dim(args):
+    yield "dim", secant.sigma_dim(args.t, args.d, args.s)
     n1, n2 = secant._secant_counts(args.t, args.d, args.s)
-    em.emit("N1", n1)
-    em.emit("N2", n2)
+    yield "N1", n1
+    yield "N2", n2
 
 
-def _cmd_waring_witness(args, em: Emitter):
+def _cmd_waring_witness(args):
     h = secant.waring_witness_hf(args.t, args.d, args.s)
-    em.emit("hf", h.format())
-    em.emit("dim", levelhf.dim_stratum(h))
+    yield "hf", h.format()
+    yield "dim", levelhf.dim_stratum(h)
 
 
-def _cmd_in_sigma(args, em: Emitter):
+def _cmd_in_sigma(args):
     lam = _subspace_from_input(args)
     w = secant.in_sigma(lam, args.s)
-    em.emit("member", "true" if w is not None else "false")
+    yield "member", w is not None
     if w is not None:
-        em.emit("witness", form_print(w))
+        yield "witness", form_print(w)
 
 
-def _cmd_stacked_det(args, em: Emitter):
+def _cmd_stacked_det(args):
     fs = _forms_from_input(args, nvars=2, ring="S")
-    from .errors import NotSquareError
-
     try:
         value = secant.stacked_catalecticant_det(fs, args.s)
-        em.emit("det", value)
-        em.emit("member", "true" if value == 0 else "false")
+        yield "det", value
+        yield "member", value == 0
     except NotSquareError as exc:
-        em.emit("rank", exc.rank)
-        em.emit("bound", exc.bound)
-        em.emit("member", "true" if exc.rank <= exc.bound else "false")
+        yield "rank", exc.rank
+        yield "bound", exc.bound
+        yield "member", exc.rank <= exc.bound
 
 
-def _cmd_hankel_rank(args, em: Emitter):
+def _cmd_hankel_rank(args):
     f = form_parse(args.form, nvars=2, ring="S")
-    em.emit("rank", secant.hankel_rank(f, args.i))
+    yield "rank", secant.hankel_rank(f, args.i)
 
 
-def _cmd_schubert_mul(args, em: Emitter):
+def _cmd_schubert_mul(args):
     n = args.d + 1
     a = schubert.parse_class(args.a, args.t, n)
     b = schubert.parse_class(args.b, args.t, n)
-    em.emit("product", schubert.format_class(schubert.lr_multiply(a, b)))
+    yield "product", schubert.format_class(schubert.lr_multiply(a, b))
 
 
-def _cmd_porteous(args, em: Emitter):
+def _cmd_porteous(args):
     cls = schubert.porteous_class(args.t, args.d, args.i, args.r)
-    em.emit("class", schubert.format_class(cls))
-    em.emit("codim", resolution.expected_codim(args.t, args.d, args.i, args.r))
+    yield "class", schubert.format_class(cls)
+    yield "codim", resolution.expected_codim(args.t, args.d, args.i, args.r)
 
 
-def _cmd_bott(args, em: Emitter):
+def _cmd_bott(args):
     try:
         blocks = [[int(p) for p in seg.split(",") if p.strip() != ""]
                   for seg in args.gamma.split(";")]
@@ -265,57 +245,54 @@ def _cmd_bott(args, em: Emitter):
     sizes = tuple(len(block) for block in blocks) if len(blocks) > 1 else None
     res = bott.bott_cohomology(gamma, blocks=sizes)
     if res.is_zero:
-        em.emit("cohomology", "ZERO")
+        yield "cohomology", "ZERO"
     else:
-        em.emit("degree", res.degree)
-        em.emit("dim", res.dimension)
+        yield "degree", res.degree
+        yield "dim", res.dimension
 
 
-def _cmd_kronecker(args, em: Emitter):
-    from .partitions import parse_partition
-
+def _cmd_kronecker(args):
     lam = parse_partition(args.lam)
     rho = parse_partition(args.rho)
     mu = parse_partition(args.mu)
-    em.emit("coefficient", kronecker_coefficient(lam, rho, mu, cap=args.cap_weight))
+    yield "coefficient", kronecker_coefficient(lam, rho, mu, cap=args.cap_weight)
 
 
-def _cmd_lascoux_ranks(args, em: Emitter):
+def _cmd_lascoux_ranks(args):
     table = resolution.lascoux_ranks(args.t, args.d, args.i, args.r)
-    em.emit("codim", table.codim)
-    em.emit("ranks", ",".join(str(x) for x in table.ranks()))
+    yield "codim", table.codim
+    yield "ranks", ",".join(str(x) for x in table.ranks())
     for p in sorted(table.terms, reverse=True):
         key = f"term.{-p}"
         for s in table.terms[p]:
-            em.emit(key, f"lambda=({','.join(map(str, s.lam)) or '0'}) rank={s.rank}")
+            yield key, f"lambda=({','.join(map(str, s.lam)) or '0'}) rank={s.rank}"
 
 
-def _cmd_components(args, em: Emitter):
+def _cmd_components(args):
     rep = resolution.c1_c2_analysis(args.t, args.d, args.i, args.r)
-    em.emit("C2", "true" if rep.c2_holds else "false")
-    em.emit("C2_strict", "true" if rep.c2_strict else "false")
+    yield "C2", rep.c2_holds
+    yield "C2_strict", rep.c2_strict
     if rep.c2_witness is not None:
-        em.emit("C2_witness", rep.c2_witness.format())
-    em.emit("expected_codim", rep.expected_codim)
-    em.emit("C1", "true" if rep.c1_holds else "false")
-    em.emit("count", len(rep.candidates))
+        yield "C2_witness", rep.c2_witness.format()
+    yield "expected_codim", rep.expected_codim
+    yield "C1", rep.c1_holds
+    yield "count", len(rep.candidates)
     for k, (h, dim, codim) in enumerate(rep.candidates, start=1):
-        em.emit(f"component.{k}.hf", h.format())
-        em.emit(f"component.{k}.dim", dim)
-        em.emit(f"component.{k}.codim", codim)
-    em.emit("note", "components = maximal admissible strata (assumption)")
+        yield f"component.{k}.hf", h.format()
+        yield f"component.{k}.dim", dim
+        yield f"component.{k}.codim", codim
+    yield "note", "components = maximal admissible strata (assumption)"
 
 
-def _cmd_e1_table(args, em: Emitter):
+def _cmd_e1_table(args):
     table = resolution.e1_vanishing_table(args.t, args.d, args.i, args.r,
                                           args.m, cap_weight=args.cap_weight)
     if table.truncated:
-        em.emit("truncated_weights",
-                ",".join(str(w) for w in table.truncated_weights))
+        yield "truncated_weights", ",".join(str(w) for w in table.truncated_weights)
     if not table.entries:
-        em.emit("entries", "none")
+        yield "entries", "none"
     for (p, q) in sorted(table.entries):
-        em.emit(f"E1.{p}.{q}", table.entries[(p, q)])
+        yield f"E1.{p}.{q}", table.entries[(p, q)]
 
 
 # subcommand -> (handler, help, arguments).  An argument is a positional
@@ -467,6 +444,13 @@ def _plain_args(argv: list[str]):
     return None if words else args
 
 
+def _text(value) -> str:
+    """The text of a value that is not a str: true or false for a bool."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _plain_args(argv)
@@ -474,13 +458,19 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     if args.command == "hf-partition" and args.sequence is None and args.mu is None:
         build_parser().error("hf-partition needs a Hilbert function or --mu with -t -d")
-    em = Emitter(args.format)
     try:
-        _COMMANDS[args.command][0](args, em)
+        # a str value is its own text, so the lines of a large table take
+        # no call each
+        pairs = [(key, value if isinstance(value, str) else _text(value))
+                 for key, value in _COMMANDS[args.command][0](args)]
     except LevelAlgError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    em.flush()
+    if args.format == "json-lines":
+        lines = (json.dumps({"key": key, "value": value}) + "\n" for key, value in pairs)
+    else:
+        lines = (f"{key}: {value}\n" for key, value in pairs)
+    sys.stdout.write("".join(lines))
     return 0
 
 

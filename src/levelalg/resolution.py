@@ -12,7 +12,6 @@ kernel of `schubert`, plus Bott on the outer Grassmannian.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 
 from .bott import schur_sub_twist_cohomology
@@ -47,18 +46,14 @@ class ResolutionSummand:
     """One summand of a resolution term: the box partition lam, the rank
     dim S_lam(k^R) of its Schur factor, and the degree r*s and dimension
     dim S_mu(k^{i+1}) of its cohomology factor H(G(r, S_i), S_{lam'}(Q*)),
-    both in Lascoux's closed form (see lascoux_ranks; Weyman, 6.1)."""
+    both in Lascoux's closed form (see lascoux_ranks; Weyman, 6.1); and its
+    rank, the product of the two dimensions."""
 
     lam: tuple
     schur_rank: int
     bott_degree: int
     bott_dim: int
-
-    @cached_property
-    def rank(self) -> int:
-        # a product of two large integers, read by the term sums and the
-        # summand's own line alike
-        return self.schur_rank * self.bott_dim
+    rank: int
 
 
 @dataclass(frozen=True)
@@ -167,8 +162,8 @@ def _resolution_table(t: int, d: int, i: int, r: int, survivors) -> ResolutionTa
     rows_bound = t * (d - i + 1)
     terms: dict[int, list[ResolutionSummand]] = {}
     for lam, mu, s in survivors:
-        summand = ResolutionSummand(lam, _weyl_dim(lam, rows_bound),
-                                    r * s, _weyl_dim(mu, i + 1))
+        schur, bott = _weyl_dim(lam, rows_bound), _weyl_dim(mu, i + 1)
+        summand = ResolutionSummand(lam, schur, r * s, bott, schur * bott)
         terms.setdefault(r * s - sum(lam), []).append(summand)
     return ResolutionTable(t, d, i, r, c,
                            {p: tuple(v) for p, v in terms.items()})

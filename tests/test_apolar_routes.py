@@ -668,3 +668,36 @@ def test_the_binary_pass_reduces_no_row_after_the_last_generator(monkeypatch):
                 slice_dim = ann_slice(lam, j).subspace.dim
                 skipped += e and slice_dim - len(seen)
     assert skipped > 0
+
+
+@pytest.mark.parametrize("nvars, d_max", [(1, 6), (3, 5), (4, 4)])
+def test_the_pass_reduces_no_row_after_the_last_generator_at_every_n(monkeypatch, nvars, d_max):
+    # on seeded random spans: the generators are the old ones, and in each
+    # degree the pass reduces rows only until it holds dim I_j -
+    # rank(R_1 * I_{j-1}) generators, the last row reduced giving the last
+    calls, residual = [], apolarity._residual
+
+    def counted(b, *rest):
+        r = residual(b, *rest)
+        calls.append((len(b), any(r)))
+        return r
+
+    monkeypatch.setattr(apolarity, "_residual", counted)
+    rng, skipped = random.Random(nvars), 0
+    for d in range(d_max + 1):
+        # a row's width gives its degree; at n = 1 only I_{d+1} is nonzero
+        degree_of = {space_dim(nvars, j): j for j in range(d + 2)}
+        for t in range(1, min(3, space_dim(nvars, d)) + 1):
+            lam = random_integer_span(rng, nvars, d, t)
+            if not lam.dim:
+                continue
+            calls.clear()
+            got = minimal_generators(lam)
+            assert got == old_minimal_generators(lam)
+            counts = {j: len(forms) for j, forms in got}
+            for j in range(1, d + 2):
+                seen = [found for width, found in calls if degree_of[width] == j]
+                assert sum(seen) == counts.get(j, 0) and (not seen or seen[-1]), (lam, j)
+                skipped += ann_slice(lam, j).subspace.dim - len(seen)
+    # at n = 1 no slice has two rows
+    assert skipped > 0 or nvars == 1

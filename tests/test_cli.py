@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import levelalg
 from levelalg import cli
 from levelalg.cli import _COMMANDS, _FLAGS, _plain_args, _signature, build_parser, main
+from levelalg.errors import LevelAlgError
 from levelalg.forms import Form, form_print, monomials
 from levelalg.partitions import partitions_in_box
 
@@ -67,6 +68,19 @@ def test_json_lines_format():
     assert rc == 0
     rows = [json.loads(line) for line in out.splitlines()]
     assert rows == [{"key": "valid", "value": "true"}]
+
+
+def test_a_subcommand_that_fails_after_yielding_prints_no_line(monkeypatch, capsys):
+    # main writes once the subcommand has finished, so its lines go unprinted
+    def failing(args):
+        yield "valid", True
+        yield "count", 3
+        raise LevelAlgError("failed after two lines")
+
+    monkeypatch.setitem(_COMMANDS, "hf-check", (failing, *_COMMANDS["hf-check"][1:]))
+    for fmt in ([], ["--format", "json-lines"]):
+        assert main([*fmt, "hf-check", "1,2,1,0"]) == 2
+        assert capsys.readouterr() == ("", "error: failed after two lines\n")
 
 
 def test_domain_error_exit_code(capsys):
@@ -301,6 +315,24 @@ def test_apolar_outputs_are_byte_stable(argv, name, expected, tmp_path):
     path = tmp_path / "input.txt"
     path.write_text(APOLAR_INPUTS[name])
     assert run_cli([*argv, "--input", str(path)]) == (0, expected)
+
+
+def test_json_lines_carry_the_keyvalue_pairs(tmp_path):
+    # the one writer prints the same (key, value) pairs in both formats
+    argvs = list(GOLDEN_CASES.values())
+    for name, text in APOLAR_INPUTS.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        argvs += [[*argv, "--input", str(path)] for argv, n, _ in APOLAR_PINNED if n == name]
+    assert len(argvs) == len(GOLDEN_CASES) + len(APOLAR_PINNED)
+    for argv in argvs:
+        rc, out = run_cli(argv)
+        assert rc == 0 and out, argv
+        pairs = [tuple(line.split(": ", 1)) for line in out.splitlines()]
+        rc, out = run_cli(["--format", "json-lines", *argv])
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert rc == 0 and all(list(row) == ["key", "value"] for row in rows), argv
+        assert [(row["key"], row["value"]) for row in rows] == pairs, argv
 
 
 def test_gad_subcommand(tmp_path):
