@@ -16,8 +16,9 @@ kernel of a spanning set of Lambda_j, one small elimination per degree,
 from j = d down to the first degree where I_j = 0, below which every slice
 is 0 too.  The same duality makes R/ann(Lambda) level of socle
 degree d and type dim Lambda, so the apolar profile states that socle and
-computes none; socle() ranks the socle of an arbitrary artin quotient,
-which need not be level.
+computes none; socle() reads the socle of an arbitrary artin quotient R/I,
+which need not be level, off its inverse system: in degree j it is dual to
+(I^-1)_j modulo R_1.(I^-1)_{j+1}.
 
 The apolar pass reads the minimal generators off the slices: those of
 degree j complement R_1.I_{j-1} in I_j, so there are dim I_j -
@@ -26,16 +27,20 @@ that many.  At n = 2 that count is the Hilbert-Burch e_j = -Delta^2 h_j,
 known before any elimination, and a degree with e_j = 0 is skipped (see
 _apolar_pass for the proofs).
 
-Every product of a monomial with a monomial is read off
-forms.monomial_products, and every differentiation factor b!/c! off
-forms.divided_power_weights.
+R acts on S in one place, _contract: in divided-power coordinates x^a
+acts by the index shift of forms.monomial_products, and the
+catalecticants, the internal product, the derivative chain, the socle and
+secant's Hankel matrices all call it.  _divided_power_row is the one place
+a row is taken to those coordinates (by the weights b! of
+forms.divided_power_weights).  _placed is the one multiplication kernel:
+it places a row of R at its products with the monomials of R_k, for the
+condition rows of an ideal and for R_1 times a slice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, count
-from math import lcm
+from itertools import combinations, count
 
 from .errors import (
     AdmissibilityError,
@@ -66,15 +71,12 @@ def internal_product(u: Form, f: Form) -> Form:
     if u.degree > f.degree:
         raise DegreeError(f"cannot apply a degree-{u.degree} operator to a degree-{f.degree} form")
     n, out_degree = f.nvars, f.degree - u.degree
-    fv = f.vector()
-    weights, low = divided_power_weights(n, f.degree), divided_power_weights(n, out_degree)
-    out = [QQ(0)] * len(low)
-    # x^a.y^b = (b!/g!) y^g for b = a + g, the index of b being shift[g]
-    for shift, cu in zip(monomial_products(n, u.degree, out_degree), u.vector()):
-        if cu:
-            for o, b in enumerate(shift):
-                if fv[b]:
-                    out[o] += cu * fv[b] * (weights[b] // low[o])
+    # column g of x^a.F in divided-power coordinates is g! times the
+    # coefficient of y^g; Fractions throughout, so no sum becomes a float
+    moved = zip(*_contract([_divided_power_row(n, f.degree, f.vector())], n, u.degree,
+                           out_degree))
+    out = [sum((cu * x for cu, x in zip(u.vector(), column) if cu), QQ(0)) / w
+           for column, w in zip(moved, divided_power_weights(n, out_degree))]
     return Form.from_vector(n, out_degree, "S", out)
 
 
@@ -88,11 +90,12 @@ def integer_catalecticant(lam: Subspace, i: int) -> tuple[list[list[int]], list[
     d = lam.degree
     if not 0 <= i <= d:
         raise DegreeError(f"catalecticant index {i} outside 0..{d}")
-    weights, low = divided_power_weights(lam.nvars, d), divided_power_weights(lam.nvars, i)
-    rows = []
-    for shift in monomial_products(lam.nvars, d - i, i):
-        factors = [weights[b] // low[g] for g, b in enumerate(shift)]
-        rows.extend([v[b] * f for b, f in zip(shift, factors)] for v in lam.echelon)
+    # column g of x^a.F in divided-power coordinates, divided by g!, is the
+    # coefficient of y^g: F's integer entry there is a multiple of b!, and
+    # g! divides b! for b = a + g
+    low = divided_power_weights(lam.nvars, i)
+    rows = [[x // w for x, w in zip(row, low)]
+            for row in _contract(_divided_power_rows(lam), lam.nvars, d - i, i)]
     return rows, [v[p] for v, p in zip(lam.echelon, lam.pivots)]
 
 
@@ -175,26 +178,38 @@ def _slices(lam: Subspace) -> tuple[tuple, HilbertFunction]:
 
 
 def _divided_power_rows(lam: Subspace) -> list[list[int]]:
-    """Lambda's integer rows in divided-power coordinates w_b = b! *
-    (coefficient of y^b), b! = b_1! ... b_n!: rows spanning Lambda_d."""
-    weights = divided_power_weights(lam.nvars, lam.degree)
-    return [[c * w for c, w in zip(v, weights)] for v in lam.echelon]
+    """Lambda's integer rows in divided-power coordinates: rows spanning
+    Lambda_d."""
+    return [_divided_power_row(lam.nvars, lam.degree, v) for v in lam.echelon]
+
+
+def _divided_power_row(nvars: int, degree: int, row) -> list:
+    """The coefficient vector row of a form in S_degree in divided-power
+    coordinates w_b = b! * (coefficient of y^b), b! = b_1! ... b_n!."""
+    return [c * w for c, w in zip(row, divided_power_weights(nvars, degree))]
+
+
+def _contract(rows, nvars: int, k: int, m: int) -> list[list]:
+    """x^a.F for every monomial x^a of R_k (outermost) and every row F, a
+    form of S_{k+m} in divided-power coordinates, as rows of S_m in the same
+    coordinates: the one place R acts on S.  There x^a.y^b = (b!/g!) y^g
+    for b = a + g, so w_g of x^a.F is F's w_b, and the shift of x^a in
+    forms.monomial_products(nvars, k, m) reads it off."""
+    return [[row[b] for b in shift] for shift in monomial_products(nvars, k, m) for row in rows]
 
 
 def _chain_step(nvars: int, j: int, span: list[list[int]]):
     """I_j, and rows spanning Lambda_{j-1} (None at j = 1), from rows
     spanning Lambda_j in divided-power coordinates, by one elimination.
 
-    There x_k.G has w_a equal to G's w at x_k * y^a, and u.G = sum u_b w_b
-    for u in R_j and G in S_j, so I_j is the right kernel of span, and x_k
-    times each of its echelon rows spans Lambda_{j-1}.  span has t rows at
-    j = d and n h_{j+1} below.
+    There u.G = sum u_b w_b for u in R_j and G in S_j, so I_j is the right
+    kernel of span, and R_1 contracting its echelon rows spans
+    Lambda_{j-1}.  span has t rows at j = d and n h_{j+1} below.
     """
     kernel, rows = _kernel_rows(span, space_dim(nvars, j))
     if j == 1:
         return kernel, None
-    return kernel, [[row[c] for c in xk]
-                    for xk in monomial_products(nvars, 1, j - 1) for row in rows]
+    return kernel, _contract(rows, nvars, 1, j - 1)
 
 
 def _kernel_rows(m: list[list[int]], width: int) -> tuple[tuple, list[list[int]]]:
@@ -332,9 +347,10 @@ def _condition_rows(gens: list[Form], nvars: int, d: int) -> list[list[int]]:
     R_{d-q}: rows spanning I_d, I the ideal the gens generate.  They are
     the conditions on F in S_d in divided-power coordinates w_b = b! *
     (coefficient of y^b): the coefficient of y^c in g.F is (x^c g).w / c!,
-    since u.F = sum u_b w_b for u in R_d.  At n = 2 they are shifted copies
-    of g's coefficients.  Column c of monomial_products(n, q, d - q), the
-    table internal_product and the tangent route read, places them."""
+    since u.F = sum u_b w_b for u in R_d; inverse_system_slice and socle
+    read their kernel.  At n = 2 they are shifted copies of g's
+    coefficients.  Column c of monomial_products(n, q, d - q), the table
+    the tangent route reads, places them."""
     width, rows = space_dim(nvars, d), []
     for g in gens:
         if g.degree <= d and not g.is_zero:
@@ -368,32 +384,21 @@ def _check_generators(gens: list[Form], nvars: int):
         raise AmbientMismatchError(f"ideal generators must live in R with {nvars} variables")
 
 
-def _ideal_slice_stream(gens: list[Form], nvars: int):
-    """I_0, I_1, ... of the ideal generated by gens, through the first that is
-    all of R_j (without end if none is), each as linalg.integer_echelon's
-    rows: I_j is spanned by the degree-j generators and x_i * I_{j-1}."""
-    _check_generators(gens, nvars)
-    prev: list[list[int]] = []
-    for j in count():
-        width = space_dim(nvars, j)
-        prev = integer_echelon([_integer_row(g.vector()) for g in gens if g.degree == j]
-                               + _times_variables(nvars, j - 1, prev), width)[0]
-        yield prev
-        if len(prev) == width:
-            return
-
-
-def socle(gens: list[Form], nvars: int, bound: int | None = None) -> list[tuple[int, int]]:
+def socle(gens: list[Form], nvars: int) -> list[tuple[int, int]]:
     """Per-degree socle dimensions of R/(gens): (j, dimension) for each
     degree j where the socle is nonzero.
 
     The socle in degree j is {u in (R/I)_j : x_i u = 0 in (R/I)_{j+1} for
     every i}.  The quotient must be artin: its Hilbert function has to
-    vanish by the configured degree bound, otherwise NotArtinError.  Slices
-    of I are built in integers up to the first that is all of R_j, and the
-    socle is ranked by one integer forward pass per degree below it.  An
-    artin quotient need not be level, so unlike apolar_profile this reads
-    nothing off Macaulay duality.
+    vanish in degree b = (the sum of the n largest generator degrees) - n +
+    2, otherwise NotArtinError.  By Macaulay duality (Iarrobino-Kanev,
+    LNM 1721, 1.1) the socle in degree j is dual to (I^-1)_j modulo
+    R_1.(I^-1)_{j+1}: u in (R/I)_j kills R_1.(I^-1)_{j+1} iff every x_i u
+    kills (I^-1)_{j+1}, iff every x_i u lies in I_{j+1}.  So (I^-1)_j is
+    taken, in divided-power coordinates, as the kernel of _condition_rows
+    up to the first that is 0, and the socle dimension in degree j is dim
+    (I^-1)_j - rank(R_1.(I^-1)_{j+1}), by one forward pass per degree.  An
+    artin quotient need not be level, unlike the apolar profile's.
     """
     gens = [g for g in gens if not g.is_zero]
     if len(gens) < nvars:
@@ -401,48 +406,26 @@ def socle(gens: list[Form], nvars: int, bound: int | None = None) -> list[tuple[
             f"{len(gens)} generators cannot cut out an artin quotient of a "
             f"{nvars}-variable ring"
         )
-    degs = sorted(g.degree for g in gens)
-    if bound is None:
-        bound = sum(degs[-nvars:]) - nvars + 2
-    slices = []
-    for ij in _ideal_slice_stream(gens, nvars):
-        if len(slices) > bound:
+    _check_generators(gens, nvars)
+    bound = sum(sorted(g.degree for g in gens)[-nvars:]) - nvars + 2
+    dual = []  # (I^-1)_0, (I^-1)_1, ... as long as they are nonzero
+    for j in count():
+        if j > bound:
             raise NotArtinError(
                 f"Hilbert function of the quotient has not vanished by degree {bound}"
             )
-        slices.append(ij)
-    if len(slices) == 1:
+        rows = integer_forward_kernel(_condition_rows(gens, nvars, j), space_dim(nvars, j))
+        if not rows:
+            break
+        dual.append(rows)
+    if not dual:
         raise NotArtinError("the generators span the unit ideal; the quotient is zero")
     out = []
-    for j, (ij, inext) in enumerate(zip(slices, slices[1:])):
-        # u = sum c_m x^m has every x_i u in I_{j+1} iff sum c_m row_m = 0,
-        # row_m holding the products x_i x^m mod I_{j+1}; such u include I_j
-        rows = _product_rows(_monomial_residuals(inext, space_dim(nvars, j + 1)),
-                             monomial_products(nvars, j, 1), range(space_dim(nvars, j)))
-        s = len(rows) - integer_rank(rows, len(rows[0])) - len(ij)
+    for j, (rows, above) in enumerate(zip(dual, dual[1:] + [[]])):
+        s = len(rows) - integer_rank(_contract(above, nvars, 1, j), len(rows[0]))
         if s > 0:
             out.append((j, s))
     return out
-
-
-def _monomial_residuals(rows, width: int) -> list[list[int]]:
-    """Each monomial reduced mod the span of integer reduced echelon rows,
-    read at the non-pivot positions p and scaled by D, the lcm of the
-    leads: -v[p] D / lead for the pivot monomial of row v (minus the rest
-    of its RREF row), D times a unit vector for any other monomial."""
-    by_pivot = {_lead(v): v for v in rows}
-    scale = lcm(*[v[p] for p, v in by_pivot.items()])
-    comp = [p for p in range(width) if p not in by_pivot]
-    return [[-v[p] * (scale // v[o]) for p in comp] if (v := by_pivot.get(o))
-            else [scale * (p == o) for p in comp]
-            for o in range(width)]
-
-
-def _product_rows(residuals, shift, positions) -> list[list[int]]:
-    """For each position's monomial, its products with shift[pos] (a row of
-    monomial_products) read in _monomial_residuals, coordinate outermost."""
-    return [list(chain.from_iterable(zip(*[residuals[k] for k in shift[pos]])))
-            for pos in positions]
 
 
 def check_points(points) -> list[tuple]:
@@ -491,8 +474,9 @@ class ApolarProfile:
     """Aggregated apolarity data of a subspace Lambda in S_d: the Hilbert
     function and minimal generators of R/ann(Lambda), and its socle as
     ((degree, dim), ...).  apolar_profile fills in ((d, dim Lambda),), which
-    Macaulay duality gives; is_level, type and socle_degree read the field,
-    whatever socle it was built with."""
+    Macaulay duality gives; is_level, type (dim Soc, the sum over every
+    degree) and socle_degree read the field, whatever socle it was built
+    with."""
 
     lam: Subspace
     hilbert: HilbertFunction
@@ -505,7 +489,7 @@ class ApolarProfile:
 
     @property
     def type(self) -> int:
-        return self.socle[-1][1]
+        return sum(s for _, s in self.socle)
 
     @property
     def socle_degree(self) -> int:

@@ -131,7 +131,7 @@ def _cmd_socle(args):
     yield "SOCLE", "; ".join(f"{j}:{s}" for j, s in soc)
     yield "LEVEL", len(soc) == 1
     yield "SOCLE_DEGREE", soc[-1][0]
-    yield "TYPE", soc[-1][1]
+    yield "TYPE", sum(s for _, s in soc)
 
 
 def _cmd_tangent(args):

@@ -18,7 +18,8 @@ from functools import lru_cache
 from itertools import zip_longest
 from math import comb
 
-from .errors import AmbientMismatchError, FormSyntaxError, InvalidPartitionError, LevelAlgError
+from .errors import (AmbientMismatchError, DegreeError, FormSyntaxError, InvalidPartitionError,
+                     LevelAlgError)
 from .forms import _signed_sum, _signed_terms
 from .levelhf import _check_type
 from .linalg import _integer_det
@@ -36,6 +37,8 @@ class SchubertClass:
     __hash__ = None
 
     def __post_init__(self):
+        if not 0 <= self.t <= self.n:
+            raise DegreeError(f"G({self.t}, {self.n}) is empty: need 0 <= t <= n")
         for lam, c in self.coeffs.items():
             if c == 0:
                 raise ValueError("zero coefficients must be omitted")

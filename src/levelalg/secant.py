@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .apolarity import (_apolar_pass, _condition_rows, _divided_power_rows, ann_slice,
-                        check_points, inverse_system_slice, jordan_apolar_basis)
+from .apolarity import (_apolar_pass, _condition_rows, _contract, _divided_power_row,
+                        _divided_power_rows, ann_slice, check_points, inverse_system_slice,
+                        jordan_apolar_basis)
 from .errors import (
     AdmissibilityError,
     DegreeError,
@@ -24,7 +25,7 @@ from .errors import (
     WitnessError,
     ZeroSubspaceError,
 )
-from .forms import Form, Subspace, divided_power_weights
+from .forms import Form, Subspace
 from .levelhf import HilbertFunction, dim_stratum, q_sequence
 from .linalg import Matrix, det, integer_rank, rank
 
@@ -188,16 +189,16 @@ def hankel_coordinates(f: Form) -> list[Fraction]:
     """
     if f.nvars != 2 or f.ring != "S":
         raise DegreeError("Hankel coordinates need a binary form in S")
-    return [w * c for w, c in zip(divided_power_weights(2, f.degree), f.vector())]
+    return _divided_power_row(2, f.degree, f.vector())
 
 
 def hankel_matrix(f: Form, a: int) -> Matrix:
-    """The (a+1) x (d-a+1) Hankel matrix [z_{r+c}] of f."""
+    """The (a+1) x (d-a+1) Hankel matrix [z_{r+c}] of f: row r is
+    x1^{a-r} x2^r applied to f, in divided-power coordinates."""
     d = f.degree
     if not 0 <= a <= d:
         raise DegreeError(f"Hankel index {a} outside 0..{d}")
-    z = hankel_coordinates(f)
-    return [[z[r + c] for c in range(d - a + 1)] for r in range(a + 1)]
+    return _contract([hankel_coordinates(f)], 2, a, d - a)
 
 
 def hankel_rank(f: Form, a: int) -> int:
@@ -261,8 +262,9 @@ def in_sigma(lam: Subspace, s: int) -> Form | None:
 def stacked_hankel(forms: list[Form], s: int) -> Matrix:
     """Hankel blocks of each form stacked vertically: t(d-s+1) rows, s+1 cols.
 
-    Row block j is hankel_matrix(F_j, d - s), the d-s+1 Hankel rows of F_j;
-    the matrix drops rank exactly on the locus where span(F_1..F_t) meets a
+    Row block j is hankel_matrix(F_j, d - s), the d-s+1 Hankel rows of F_j,
+    form outermost (so the determinant's sign is that of the blocks); the
+    matrix drops rank exactly on the locus where span(F_1..F_t) meets a
     secant (s-1)-plane.
     """
     if not forms:

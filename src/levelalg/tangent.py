@@ -35,8 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from math import lcm
 
-from .apolarity import _monomial_residuals, _product_rows, _slices
+from .apolarity import _slices
 from .errors import DegreeError, HilbertMismatchError, ZeroSubspaceError
 from .forms import Subspace, _lead, monomial_products, space_dim
 from .levelhf import HilbertFunction
@@ -114,8 +116,8 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
         shift = monomial_products(n, i, d - i)
         # V_i: for each complement monomial w of R_i, the vector
         # sum_M (w x^M mod I_d) (x) y^M, coordinates (c over comp_d, M)
-        v_rows = _product_rows(residuals, shift,
-                               (pos for pos in range(space_dim(n, i)) if pos not in ii_pivots))
+        v_rows = [list(chain.from_iterable(zip(*[residuals[k] for k in shift[pos]])))
+                  for pos in range(space_dim(n, i)) if pos not in ii_pivots]
         # membership in V_i: the right kernel of V_i holds, up to positive
         # factors, the residual functionals z_l = e_l - sum_k V_k[l] e_{piv_k}
         # of its RREF rows V_k, one per non-pivot coordinate l
@@ -144,6 +146,19 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
     ncols = dim_id * tq
     return TangentSpace(lam, ncols - integer_rank(rows, ncols), (len(rows), ncols), hilbert,
                         (rows, tq))
+
+
+def _monomial_residuals(rows, width: int) -> list[list[int]]:
+    """Each monomial reduced mod the span of integer reduced echelon rows,
+    read at the non-pivot positions p and scaled by D, the lcm of the
+    leads: -v[p] D / lead for the pivot monomial of row v (minus the rest
+    of its RREF row), D times a unit vector for any other monomial."""
+    by_pivot = {_lead(v): v for v in rows}
+    scale = lcm(*[v[p] for p, v in by_pivot.items()])
+    comp = [p for p in range(width) if p not in by_pivot]
+    return [[-v[p] * (scale // v[o]) for p in comp] if (v := by_pivot.get(o))
+            else [scale * (p == o) for p in comp]
+            for o in range(width)]
 
 
 # Kept only because perfbench/workloads.py and perfbench/record_reference.py

@@ -1,6 +1,6 @@
 import random
 from functools import lru_cache
-from itertools import permutations
+from itertools import count, permutations
 from math import comb
 
 import pytest
@@ -12,10 +12,10 @@ settings.register_profile(
 )
 settings.load_profile("repro")
 
-from levelalg.apolarity import inverse_system_slice
-from levelalg.forms import divided_power_weights, monomial_products
+from levelalg.apolarity import _check_generators, _times_variables, inverse_system_slice
+from levelalg.forms import divided_power_weights, monomial_products, space_dim
 from levelalg.levelhf import HilbertFunction, burch_ideal, enumerate_level_hf
-from levelalg.linalg import QQ, det, free_columns
+from levelalg.linalg import QQ, _integer_row, det, free_columns, integer_echelon
 from levelalg.partitions import partitions_in_box
 
 
@@ -84,6 +84,23 @@ def monomial_residuals(sub):
     return [[-pivot_row[o][p] for p in comp] if o in pivot_row
             else [QQ(int(p == o)) for p in comp]
             for o in range(sub.ambient_dim)]
+
+
+def ideal_slice_stream(gens, nvars: int):
+    """I_0, I_1, ... of the ideal generated by gens, through the first that is
+    all of R_j (without end if none is), each as linalg.integer_echelon's
+    rows: I_j is spanned by the degree-j generators and x_i * I_{j-1}.  The
+    reference of the ideal slices that apolarity.socle reads off the inverse
+    system instead."""
+    _check_generators(gens, nvars)
+    prev: list[list[int]] = []
+    for j in count():
+        width = space_dim(nvars, j)
+        prev = integer_echelon([_integer_row(g.vector()) for g in gens if g.degree == j]
+                               + _times_variables(nvars, j - 1, prev), width)[0]
+        yield prev
+        if len(prev) == width:
+            return
 
 
 # -- s_lam[mX] in the Schur basis of t variables, without LR or Kronecker ----

@@ -15,11 +15,11 @@ import random
 
 import pytest
 
-from conftest import _action_table, all_level_hfs, burch_point, monomial_residuals
+from conftest import (_action_table, all_level_hfs, burch_point, ideal_slice_stream,
+                      monomial_residuals)
 from levelalg import apolarity, secant
 from levelalg.apolarity import (
     ApolarProfile,
-    _ideal_slice_stream,
     ann_slice,
     apolar_profile,
     catalecticant_matrix,
@@ -33,6 +33,7 @@ from levelalg.forms import (
     Form,
     Subspace,
     form_parse,
+    form_print,
     monomial_products,
     monomials,
     parse_subspace_lines,
@@ -134,7 +135,7 @@ def old_socle_dims(slices):
 
 def old_socle(gens, nvars):
     slices = [Subspace.from_rows(nvars, j, "R", rows) for j, rows in
-              enumerate(_ideal_slice_stream([g for g in gens if not g.is_zero], nvars))]
+              enumerate(ideal_slice_stream([g for g in gens if not g.is_zero], nvars))]
     return old_socle_dims(slices)
 
 
@@ -250,14 +251,33 @@ NON_LEVEL_IDEALS = (
 )
 
 
-@pytest.mark.parametrize("nvars, ops", NON_LEVEL_IDEALS)
+def random_artin_ideals(nvars, count):
+    """Seeded random artin ideals as operator strings: a power of each
+    variable, then up to three sparse random forms of degree 2 or 3."""
+    rng = random.Random(nvars)
+    out = []
+    for _ in range(count):
+        ops = [f"x{k}^{rng.randint(2, 4 if nvars < 3 else 3)}" for k in range(1, nvars + 1)]
+        for _ in range(rng.randint(1, 3)):
+            q = rng.randint(2, 3)
+            ops.append(form_print(Form.make(nvars, q, "R", {
+                m: rng.choice([0, 0, 1, -1, 2]) for m in monomials(nvars, q)})))
+        out.append((nvars, tuple(ops)))
+    return tuple(out)
+
+
+MOVES = {1: [[-2]], 2: MOVE, 3: [[3, -4, 1], [4, 3, -2], [1, 2, 5]]}
+
+
+@pytest.mark.parametrize("nvars, ops", NON_LEVEL_IDEALS + random_artin_ideals(1, 3)
+                         + random_artin_ideals(2, 5) + random_artin_ideals(3, 5))
 def test_socle_of_non_level_ideals_matches_the_old_route(nvars, ops):
     gens = [form_parse(u, nvars=nvars, ring="R") for u in ops]
-    move = MOVE if nvars == 2 else [[3, -4, 1], [4, 3, -2], [1, 2, 5]]
-    for gs in (gens, [g.substitute_linear(move) for g in gens]):
+    for gs in (gens, [g.substitute_linear(MOVES[nvars]) for g in gens]):
         soc = socle(gs, nvars)
         assert soc == old_socle(gs, nvars)
-        assert len(soc) >= 2
+        if (nvars, ops) in NON_LEVEL_IDEALS:
+            assert len(soc) >= 2
 
 
 def test_the_pass_runs_once_per_lambda(monkeypatch):

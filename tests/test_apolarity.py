@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import islice
@@ -5,9 +6,9 @@ from math import factorial
 
 import pytest
 
-from conftest import _action_table, burch_point, complement_positions, monomial_residuals
+from conftest import (_action_table, burch_point, complement_positions, ideal_slice_stream,
+                      monomial_residuals)
 from levelalg.apolarity import (
-    _ideal_slice_stream,
     ann_slice,
     catalecticant_matrix,
     hilbert_function,
@@ -30,7 +31,7 @@ from levelalg.forms import (Form, Subspace, form_parse, form_print, monomial_ind
                             monomial_products, monomials)
 from levelalg.levelhf import HilbertFunction, burch_ideal, e_sequence
 from levelalg.linalg import rank
-from levelalg.secant import hankel_coordinates
+from levelalg.secant import hankel_coordinates, hankel_matrix, stacked_hankel
 
 EX15 = HilbertFunction.parse("1,2,3,4,5,5,4,3,0")
 
@@ -122,11 +123,19 @@ def test_products_and_catalecticants_match_the_action_table(nvars):
                 assert got == table_internal_product(u, f)
                 assert repr(got) == repr(table_internal_product(u, f))
         for t in (1, 2, 3):
-            lam = Subspace.span(nvars, i, "S", [random_form(rng, nvars, i, "S")
-                                                for _ in range(t)])
+            forms = [random_form(rng, nvars, i, "S") for _ in range(t)]
+            lam = Subspace.span(nvars, i, "S", forms)
             for k in range(i + 1):
                 got = integer_catalecticant(lam, k)
                 assert repr(got) == repr(table_catalecticant(lam, k)), (lam, k)
+            if nvars == 2:
+                # the Hankel matrices [z_{r+c}], stacked form by form
+                for a in range(i + 1):
+                    want = [[[z[r + c] for c in range(i - a + 1)] for r in range(a + 1)]
+                            for z in map(hankel_coordinates, forms)]
+                    assert repr(hankel_matrix(forms[0], a)) == repr(want[0])
+                    assert repr(stacked_hankel(forms, i - a)) == \
+                        repr([row for block in want for row in block])
 
 
 def test_internal_product_single_derivative():
@@ -425,6 +434,13 @@ def test_apolar_profile_sections():
     assert profile.is_level and profile.type == 3 and profile.socle_degree == 7
 
 
+def test_the_type_counts_the_socle_of_every_degree():
+    # the type is dim Soc(A), not the socle dimension in the top degree
+    profile = dataclasses.replace(apolar_profile(ex15_lambda()), socle=((1, 1), (2, 1)))
+    assert not profile.is_level and profile.type == 2 and profile.socle_degree == 2
+    assert dict(profile.kv_lines())["TYPE"] == 2
+
+
 def test_top_degree_pairing_is_perfect():
     # u in R_d against F in S_d: the pairing matrix in monomial bases is
     # diagonal with nonzero factorial entries
@@ -454,7 +470,7 @@ def test_minimal_generators_generate_ancestor_ideal():
     lam = ex15_lambda()
     gens = [g for _, fs in minimal_generators(lam) for g in fs]
     # the stream ends at I_{d+1} = R_{d+1}, the first full slice
-    slices = list(islice(_ideal_slice_stream(gens, 2), lam.degree + 3))
+    slices = list(islice(ideal_slice_stream(gens, 2), lam.degree + 3))
     assert len(slices) == lam.degree + 2
     for j, rows in enumerate(slices):
         assert Subspace.from_rows(2, j, "R", rows) == ann_slice(lam, j).subspace
@@ -511,7 +527,7 @@ def test_incremental_ideal_slices_match_all_products(nvars, rng):
         top = 2 * max_degree + 2
         expected = _ideal_slices_by_products(gens, nvars, top)
         full = next((j for j, ij in enumerate(expected) if ij.dim == ij.ambient_dim), top)
-        got = list(islice(_ideal_slice_stream(gens, nvars), top + 1))
+        got = list(islice(ideal_slice_stream(gens, nvars), top + 1))
         assert len(got) == full + 1
         assert [Subspace.from_rows(nvars, j, "R", rows) for j, rows in enumerate(got)] == \
             expected[:full + 1]
@@ -521,12 +537,9 @@ def test_incremental_ideal_slices_match_all_products(nvars, rng):
 
 def test_socle_degree_bound_is_kept():
     gens = [form_parse("x1^3", nvars=2), form_parse("x2^3", nvars=2)]
-    # R/(x1^3, x2^3) has socle x1^2 x2^2 and vanishes from degree 5 on
-    assert socle(gens, 2, bound=5) == [(4, 1)]
-    with pytest.raises(NotArtinError, match="not vanished by degree 4"):
-        socle(gens, 2, bound=4)
-    with pytest.raises(NotArtinError, match="not vanished by degree -1"):
-        socle(gens, 2, bound=-1)
+    # R/(x1^3, x2^3) has socle x1^2 x2^2 and vanishes from degree 5 on,
+    # within the bound 3 + 3 - 2 + 2 = 6
+    assert socle(gens, 2) == [(4, 1)]
 
 
 def test_three_variable_hilbert_function():

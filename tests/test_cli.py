@@ -125,6 +125,23 @@ def test_socle_from_file(tmp_path):
     assert "SOCLE: 2:1; 3:1" in out and "LEVEL: false" in out
 
 
+def test_socle_type_counts_every_socle_degree(tmp_path):
+    # R/(x1^2, x1*x2, x2^3) is spanned by 1, x1, x2, x2^2; its socle is
+    # spanned by x1 and x2^2, so the type is 2
+    path = tmp_path / "gens.txt"
+    path.write_text("x1^2\nx1*x2\nx2^3\n")
+    assert run_cli(["socle", "--input", str(path)]) == \
+        (0, "SOCLE: 1:1; 2:1\nLEVEL: false\nSOCLE_DEGREE: 2\nTYPE: 2\n")
+
+
+def test_schubert_mul_rejects_an_empty_grassmannian(capsys):
+    # -d 0 is G(2, 1): no 2-planes in a line
+    for t, d, n in (("2", "0", 1), ("-1", "3", 4), ("5", "3", 4)):
+        assert main(["schubert-mul", "-t", t, "-d", d, "1", "1"]) == 2
+        assert capsys.readouterr() == \
+            ("", f"error: G({t}, {n}) is empty: need 0 <= t <= n\n")
+
+
 def test_socle_with_a_constant_generator_is_the_unit_ideal(tmp_path, capsys):
     # the constant stays an operator in R when the forms are widened
     path = tmp_path / "gens.txt"

@@ -8,7 +8,8 @@ import conftest
 from conftest import plethystic_schur_coefficients
 
 from levelalg import schubert
-from levelalg.errors import AmbientMismatchError, FormSyntaxError, InvalidPartitionError
+from levelalg.errors import (AmbientMismatchError, DegreeError, FormSyntaxError,
+                             InvalidPartitionError)
 from levelalg.partitions import conjugate, partitions, partitions_in_box, schur_dim
 from levelalg.resolution import e1_vanishing_table, expected_codim
 from levelalg.schubert import (
@@ -160,6 +161,17 @@ def test_class_box_validation():
         schubert_class(2, 6, {(5,): 1})
     with pytest.raises(InvalidPartitionError):
         schubert_class(2, 6, {(1, 1, 1): 1})
+
+
+def test_empty_grassmannians_are_rejected():
+    for t, n in ((3, 2), (2, 1), (-1, 5), (0, -1)):
+        with pytest.raises(DegreeError, match=rf"^G\({t}, {n}\) is empty"):
+            class_one(t, n)
+    # G(0, n) and G(n, n) are points, with the class 1 alone
+    for t in (0, 4):
+        assert lr_multiply(class_one(t, 4), class_one(t, 4)) == class_one(t, 4)
+        with pytest.raises(InvalidPartitionError):
+            class_of(t, 4, (1,))
 
 
 def test_class_ambient_mismatch():
