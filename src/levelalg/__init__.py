@@ -10,14 +10,12 @@ integer arithmetic.
 
 from .apolarity import (
     ApolarProfile,
-    GradedIdealSlice,
     ann_slice,
     apolar_profile,
     catalecticant_matrix,
     hilbert_function,
     internal_product,
     inverse_system_slice,
-    jordan_apolar_basis,
     minimal_generators,
     socle,
 )

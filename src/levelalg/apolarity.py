@@ -2,9 +2,8 @@
 
 The internal product u.F = u(d/dy1, ..., d/dyn) F makes S a graded R-module.
 From it we get catalecticant matrices, Hilbert functions, annihilator
-ideals, inverse systems, socles, and Jordan's closed-form apolar bases for
-factored binary forms.  Everything is exact kernel/rank computation; no
-factorization is ever performed.
+ideals, inverse systems and socles.  Everything is exact kernel/rank
+computation; no factorization is ever performed.
 
 The annihilator slices of Lambda in S_d come from its derivative chain
 (Macaulay duality; Iarrobino-Kanev, LNM 1721, 1.1): I_j kills exactly
@@ -40,13 +39,11 @@ condition rows of an ideal and for R_1 times a slice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, count
+from itertools import count
 
 from .errors import (
-    AdmissibilityError,
     AmbientMismatchError,
     DegreeError,
-    LevelAlgError,
     NotArtinError,
     ZeroSubspaceError,
 )
@@ -117,16 +114,8 @@ def hilbert_function(lam: Subspace) -> HilbertFunction:
     return HilbertFunction.from_values(values)
 
 
-@dataclass(frozen=True)
-class GradedIdealSlice:
-    """A graded piece I_j of the annihilator (ancestor) ideal."""
-
-    degree: int
-    subspace: Subspace
-
-
-def ann_slice(lam: Subspace, j: int) -> GradedIdealSlice:
-    """I_j = {u in R_j : u.F = 0 for all F in Lambda}.
+def ann_slice(lam: Subspace, j: int) -> Subspace:
+    """I_j = {u in R_j : u.F = 0 for all F in Lambda}, a subspace of R_j.
 
     dim I_j + h_j = dim R_j.  For j > d every operator annihilates, so the
     slice is all of R_j.  On a fresh Lambda, 1 <= j <= d takes the steps of
@@ -136,8 +125,8 @@ def ann_slice(lam: Subspace, j: int) -> GradedIdealSlice:
     if j < 0:
         raise DegreeError("negative slice degree")
     if j > lam.degree or lam.dim == 0:
-        return GradedIdealSlice(j, Subspace.full(lam.nvars, j, "R"))
-    return GradedIdealSlice(j, Subspace.from_echelon(lam.nvars, j, "R", _ann_rows(lam, j)))
+        return Subspace.full(lam.nvars, j, "R")
+    return Subspace.from_echelon(lam.nvars, j, "R", _ann_rows(lam, j))
 
 
 def _ann_rows(lam: Subspace, j: int) -> tuple[tuple[int, ...], ...]:
@@ -391,14 +380,15 @@ def socle(gens: list[Form], nvars: int) -> list[tuple[int, int]]:
     The socle in degree j is {u in (R/I)_j : x_i u = 0 in (R/I)_{j+1} for
     every i}.  The quotient must be artin: its Hilbert function has to
     vanish in degree b = (the sum of the n largest generator degrees) - n +
-    2, otherwise NotArtinError.  By Macaulay duality (Iarrobino-Kanev,
-    LNM 1721, 1.1) the socle in degree j is dual to (I^-1)_j modulo
-    R_1.(I^-1)_{j+1}: u in (R/I)_j kills R_1.(I^-1)_{j+1} iff every x_i u
-    kills (I^-1)_{j+1}, iff every x_i u lies in I_{j+1}.  So (I^-1)_j is
-    taken, in divided-power coordinates, as the kernel of _condition_rows
-    up to the first that is 0, and the socle dimension in degree j is dim
-    (I^-1)_j - rank(R_1.(I^-1)_{j+1}), by one forward pass per degree.  An
-    artin quotient need not be level, unlike the apolar profile's.
+    2, or in degree 0 if b < 0, otherwise NotArtinError.  By Macaulay
+    duality (Iarrobino-Kanev, LNM 1721, 1.1) the socle in degree j is dual
+    to (I^-1)_j modulo R_1.(I^-1)_{j+1}: u in (R/I)_j kills
+    R_1.(I^-1)_{j+1} iff every x_i u kills (I^-1)_{j+1}, iff every x_i u
+    lies in I_{j+1}.  So (I^-1)_j is taken, in divided-power coordinates,
+    as the kernel of _condition_rows up to the first that is 0, and the
+    socle dimension in degree j is dim (I^-1)_j - rank(R_1.(I^-1)_{j+1}),
+    by one forward pass per degree.  An artin quotient need not be level,
+    unlike the apolar profile's.
     """
     gens = [g for g in gens if not g.is_zero]
     if len(gens) < nvars:
@@ -407,7 +397,9 @@ def socle(gens: list[Form], nvars: int) -> list[tuple[int, int]]:
             f"{nvars}-variable ring"
         )
     _check_generators(gens, nvars)
-    bound = sum(sorted(g.degree for g in gens)[-nvars:]) - nvars + 2
+    # a negative bound needs three constant generators, and a constant
+    # makes the quotient zero in degree 0
+    bound = max(sum(sorted(g.degree for g in gens)[-nvars:]) - nvars + 2, 0)
     dual = []  # (I^-1)_0, (I^-1)_1, ... as long as they are nonzero
     for j in count():
         if j > bound:
@@ -426,47 +418,6 @@ def socle(gens: list[Form], nvars: int) -> list[tuple[int, int]]:
         if s > 0:
             out.append((j, s))
     return out
-
-
-def check_points(points) -> list[tuple]:
-    """The pairs (a, b) as rationals, if they are pairwise distinct points of
-    P^1; AdmissibilityError otherwise."""
-    pts = [(QQ(a), QQ(b)) for a, b in points]
-    for a, b in pts:
-        if a == 0 and b == 0:
-            raise AdmissibilityError("(0, 0) is not a point of P^1")
-    for (i, (a1, b1)), (j, (a2, b2)) in combinations(enumerate(pts, start=1), 2):
-        if a1 * b2 - a2 * b1 == 0:
-            raise AdmissibilityError(f"points {i} and {j} are proportional")
-    return pts
-
-
-def jordan_apolar_basis(factors: list[tuple], m: int) -> Subspace:
-    """Apolar subspace of a factored binary operator, in closed form.
-
-    For u = prod (a_i x1 + b_i x2)^{mu_i} with the points [a_i : b_i]
-    pairwise distinct and sum(mu_i) <= m, the forms of degree m apolar to u
-    are spanned by S_{mu_i - 1} (b_i y1 - a_i y2)^{m - mu_i + 1}.  The
-    result has dimension exactly sum(mu_i).
-    """
-    pts = check_points([(a, b) for a, b, _ in factors])
-    mus = [mu for _, _, mu in factors]
-    if any(mu < 1 for mu in mus):
-        raise AdmissibilityError("factor multiplicities must be >= 1")
-    total = sum(mus)
-    if total > m:
-        raise DegreeError(f"sum of multiplicities {total} exceeds target degree {m}")
-    basis: list[Form] = []
-    for (a, b), mu in zip(pts, mus):
-        dual = Form.make(2, 1, "S", {(1, 0): b, (0, 1): -a})
-        dual_pow = dual.power(m - mu + 1)
-        for alpha in range(mu):
-            mono = Form.monomial(2, "S", (alpha, mu - 1 - alpha))
-            basis.append(mono * dual_pow)
-    sub = Subspace.span(2, m, "S", basis)
-    if sub.dim != total:
-        raise LevelAlgError("internal bug: Jordan basis lost rank")
-    return sub
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,9 @@ def _cmd_hf_enumerate(args):
 
 
 def _cmd_hf_partition(args):
+    if (args.sequence is None) == (args.mu is None):
+        build_parser().error("hf-partition needs a Hilbert function or --mu with -t -d"
+                             + ("" if args.mu is None else ", not both"))
     if args.mu is not None:
         if args.t is None or args.d is None:
             raise LevelAlgError("--mu needs -t and -d")
@@ -120,7 +123,7 @@ def _cmd_ann(args):
     if args.i is not None:
         sl = apolarity.ann_slice(lam, args.i)
         yield "degree", sl.degree
-        yield from _subspace_lines(sl.subspace)
+        yield from _subspace_lines(sl)
     else:
         yield from apolarity._generator_lines(apolarity.minimal_generators(lam))
 
@@ -456,8 +459,6 @@ def main(argv=None) -> int:
     args = _plain_args(argv)
     if args is None:
         args = build_parser().parse_args(argv)
-    if args.command == "hf-partition" and args.sequence is None and args.mu is None:
-        build_parser().error("hf-partition needs a Hilbert function or --mu with -t -d")
     try:
         # a str value is its own text, so the lines of a large table take
         # no call each

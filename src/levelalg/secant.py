@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 from operator import mul
 
 from .apolarity import (_apolar_pass, _condition_rows, _contract, _divided_power_row,
-                        _divided_power_rows, ann_slice, check_points, inverse_system_slice,
-                        jordan_apolar_basis)
+                        _divided_power_rows, ann_slice, inverse_system_slice)
 from .errors import (
     AdmissibilityError,
     DegreeError,
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .forms import Form, Subspace
 from .levelhf import HilbertFunction, dim_stratum, q_sequence
-from .linalg import Matrix, det, integer_rank, rank
+from .linalg import QQ, Matrix, det, integer_rank, rank
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,19 @@ def secant_intersect(planes: list[SecantPlane]) -> tuple[Subspace, HilbertFuncti
     return lam, HilbertFunction.from_values(values[1:])
 
 
+def check_points(points) -> list[tuple]:
+    """The pairs (a, b) as rationals, if they are pairwise distinct points of
+    P^1; AdmissibilityError otherwise."""
+    pts = [(QQ(a), QQ(b)) for a, b in points]
+    for a, b in pts:
+        if a == 0 and b == 0:
+            raise AdmissibilityError("(0, 0) is not a point of P^1")
+    for (i, (a1, b1)), (j, (a2, b2)) in combinations(enumerate(pts, start=1), 2):
+        if a1 * b2 - a2 * b1 == 0:
+            raise AdmissibilityError(f"points {i} and {j} are proportional")
+    return pts
+
+
 @dataclass(frozen=True)
 class GAD:
     """A generalised additive decomposition pattern.
@@ -162,22 +176,21 @@ class GAD:
 def gad_subspace(g: GAD, d: int) -> Subspace:
     """W(alpha, L): forms admitting a GAD with the given pattern.
 
-    Equals the apolar subspace of the product of the dual operators raised
-    to alpha_i + 1, so it has dimension equal to the length of the
-    pattern.  Exponents -1 contribute nothing.
+    The inverse system in degree d of u = prod (c2 x1 - c1 x2)^(alpha_i + 1),
+    the forms of the secant plane u carries (Iarrobino-Kanev, LNM 1721,
+    Lemma 1.31, Jordan's lemma), so its dimension is the length of the
+    pattern; length d + 1 gives all of S_d.  Exponents -1 contribute
+    nothing.
     """
     if any(a >= d for a in g.alphas):
         raise DegreeError("exponents must be < d")
     if g.length > d + 1:
         raise DegreeError(f"length {g.length} exceeds dim S_d = {d + 1}")
-    factors = [
-        (c2, -c1, alpha + 1)
-        for (c1, c2), alpha in zip(g.points, g.alphas)
-        if alpha >= 0
-    ]
+    factors = [Form.make(2, 1, "R", {(1, 0): c2, (0, 1): -c1}).power(alpha + 1)
+               for (c1, c2), alpha in zip(g.points, g.alphas) if alpha >= 0]
     if not factors:
         return Subspace.zero(2, d, "S")
-    return jordan_apolar_basis(factors, d)
+    return SecantPlane(reduce(mul, factors), d).subspace()
 
 
 def hankel_coordinates(f: Form) -> list[Fraction]:
@@ -255,7 +268,7 @@ def in_sigma(lam: Subspace, s: int) -> Form | None:
     t = lam.dim
     if not t <= s <= lam.degree:
         raise DegreeError(f"need t <= s <= d, got s = {s}")
-    slice_s = ann_slice(lam, s).subspace
+    slice_s = ann_slice(lam, s)
     return slice_s.basis[0] if slice_s.dim else None
 
 

@@ -13,10 +13,12 @@ settings.register_profile(
 settings.load_profile("repro")
 
 from levelalg.apolarity import _check_generators, _times_variables, inverse_system_slice
-from levelalg.forms import divided_power_weights, monomial_products, space_dim
+from levelalg.errors import AdmissibilityError, DegreeError
+from levelalg.forms import Form, Subspace, divided_power_weights, monomial_products, space_dim
 from levelalg.levelhf import HilbertFunction, burch_ideal, enumerate_level_hf
 from levelalg.linalg import QQ, _integer_row, det, free_columns, integer_echelon
 from levelalg.partitions import partitions_in_box
+from levelalg.secant import check_points
 
 
 @lru_cache(maxsize=None)
@@ -101,6 +103,33 @@ def ideal_slice_stream(gens, nvars: int):
         yield prev
         if len(prev) == width:
             return
+
+
+def jordan_apolar_basis(factors: list[tuple], m: int) -> Subspace:
+    """Apolar subspace of a factored binary operator, in closed form.
+
+    For u = prod (a_i x1 + b_i x2)^{mu_i} with the points [a_i : b_i]
+    pairwise distinct and sum(mu_i) <= m, the forms of degree m apolar to u
+    are spanned by S_{mu_i - 1} (b_i y1 - a_i y2)^{m - mu_i + 1} (Jordan's
+    lemma; Iarrobino-Kanev, LNM 1721, Lemma 1.31), so the result has
+    dimension exactly sum(mu_i).  The Fraction reference of the library's
+    inverse-system route, secant.gad_subspace.
+    """
+    pts = check_points([(a, b) for a, b, _ in factors])
+    mus = [mu for _, _, mu in factors]
+    if any(mu < 1 for mu in mus):
+        raise AdmissibilityError("factor multiplicities must be >= 1")
+    total = sum(mus)
+    if total > m:
+        raise DegreeError(f"sum of multiplicities {total} exceeds target degree {m}")
+    basis = []
+    for (a, b), mu in zip(pts, mus):
+        dual_pow = Form.make(2, 1, "S", {(1, 0): b, (0, 1): -a}).power(m - mu + 1)
+        basis += [Form.monomial(2, "S", (alpha, mu - 1 - alpha)) * dual_pow
+                  for alpha in range(mu)]
+    sub = Subspace.span(2, m, "S", basis)
+    assert sub.dim == total, "Jordan basis lost rank"
+    return sub
 
 
 # -- s_lam[mX] in the Schur basis of t variables, without LR or Kronecker ----

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import all_level_hfs, burch_point
+from conftest import all_level_hfs, burch_point, jordan_apolar_basis
 from levelalg.apolarity import (
     hilbert_function,
     inverse_system_slice,
@@ -178,8 +178,6 @@ def test_criterion_06_secant_roundtrip():
 
 
 def test_criterion_07_stacked_catalecticant():
-    from levelalg.apolarity import jordan_apolar_basis
-
     w = jordan_apolar_basis(
         [(1, 1, 1), (1, 2, 1), (1, 3, 1), (1, 4, 1), (1, 5, 1)], 7)
     rng = random.Random(7771)

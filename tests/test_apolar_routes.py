@@ -305,7 +305,7 @@ def test_the_pass_runs_once_per_lambda(monkeypatch):
     generators = minimal_generators(lam)
     assert calls == one_pass
     # the other readers of I_j take the slices the chain computed
-    slices = [ann_slice(lam, j).subspace for j in range(h.d + 2)]
+    slices = [ann_slice(lam, j) for j in range(h.d + 2)]
     assert [in_sigma(lam, s) is not None for s in range(h.t, h.d + 1)] == \
         [s >= 5 for s in range(h.t, h.d + 1)]
     dual = tangent_space(lam)
@@ -323,16 +323,16 @@ def test_the_pass_runs_once_per_lambda(monkeypatch):
     for s in range(1, h.d + 1):
         calls.clear()
         partial = dataclasses.replace(lam)
-        assert ann_slice(partial, s).subspace == slices[s]
+        assert ann_slice(partial, s) == slices[s]
         assert calls == list(range(h.d, max(s, stop) - 1, -1))
         if s >= h.t:
             in_sigma(dataclasses.replace(lam), s)
             assert calls == 2 * list(range(h.d, max(s, stop) - 1, -1))
         calls.clear()
-        assert [ann_slice(partial, j).subspace for j in range(h.d + 2)] == slices
+        assert [ann_slice(partial, j) for j in range(h.d + 2)] == slices
         assert calls == list(range(s - 1, stop - 1, -1))
     calls.clear()
-    assert ann_slice(dataclasses.replace(lam), 0).subspace == slices[0]
+    assert ann_slice(dataclasses.replace(lam), 0) == slices[0]
     assert calls == []
     # the memo is no field: equality and repr are those of a fresh copy
     assert lam == fresh and repr(lam) == repr(fresh)
@@ -362,7 +362,7 @@ def random_subspace(rng, nvars, d, t):
 def assert_chain_matches_the_conditions(lam):
     # I_0, ..., I_{d+1}: I_0 = 0 and I_{d+1} = R_{d+1} lie outside the chain
     d = lam.degree
-    assert [ann_slice(lam, j).subspace for j in range(d + 2)] == \
+    assert [ann_slice(lam, j) for j in range(d + 2)] == \
         [old_ann_slice(lam, j) for j in range(d + 2)]
     assert apolar_profile(lam).kv_lines() == old_profile_lines(lam)
 
@@ -375,7 +375,7 @@ def test_the_derivative_chain_matches_the_catalecticant_route(rng, nvars, d_max)
             assert_chain_matches_the_conditions(lam)
             # one variable: y1^d spans S_d, so no slice below d + 1 has an element
             if nvars == 1:
-                assert all(ann_slice(lam, j).subspace.dim == 0 for j in range(d + 1))
+                assert all(ann_slice(lam, j).dim == 0 for j in range(d + 1))
 
 
 @pytest.mark.parametrize("nvars, d, t", [(2, 9, 3), (2, 10, 1), (3, 6, 2), (3, 5, 4)])
@@ -385,7 +385,7 @@ def test_a_partial_chain_extends_to_lower_degrees(rng, nvars, d, t):
     lam = random_subspace(rng, nvars, d, t)
     fresh = dataclasses.replace(lam)
     for j in (d - 1, d, d - 3, d + 1, 1, 0, d - 2):
-        assert ann_slice(lam, j).subspace == old_ann_slice(fresh, j), j
+        assert ann_slice(lam, j) == old_ann_slice(fresh, j), j
     assert apolar_profile(lam).kv_lines() == old_profile_lines(fresh)
 
 
@@ -406,7 +406,7 @@ def test_a_chain_step_cut_short_leaves_the_chain_as_it_was(rng, monkeypatch):
     monkeypatch.setattr(apolarity, "_chain_step", cut)
     with pytest.raises(MemoryError):
         ann_slice(lam, 3)
-    assert [ann_slice(lam, j).subspace for j in range(10)] == \
+    assert [ann_slice(lam, j) for j in range(10)] == \
         [old_ann_slice(fresh, j) for j in range(10)]
     assert calls == [8, 7, 6, 6, 5]
     assert apolar_profile(lam).kv_lines() == old_profile_lines(fresh)
@@ -434,7 +434,7 @@ def test_the_chain_stops_at_the_first_zero_slice(rng, monkeypatch, nvars, d_max)
         d, fresh = lam.degree, dataclasses.replace(lam)
         steps.clear()
         expected = [old_ann_slice(fresh, j) for j in range(d + 2)]
-        assert [ann_slice(lam, j).subspace for j in range(d + 2)] == expected
+        assert [ann_slice(lam, j) for j in range(d + 2)] == expected
         # the last step is at the top zero slice of the reference, or at 1
         last = next((j for j in range(d, 0, -1) if expected[j].dim == 0), 1)
         assert [j for j, _ in steps] == list(range(d, last - 1, -1))
@@ -460,7 +460,7 @@ def test_the_socle_is_the_macaulay_dual_one(rng, nvars, d_max):
             for lam in (random_subspace(rng, nvars, d, t), random_integer_span(rng, nvars, d, t)):
                 if not lam.dim:  # the theorem is about nonzero Lambda
                     continue
-                slices = [ann_slice(lam, j).subspace for j in range(d + 2)]
+                slices = [ann_slice(lam, j) for j in range(d + 2)]
                 assert old_socle_dims(slices) == [(d, lam.dim)]
                 assert apolar_profile(lam).socle == ((d, lam.dim),)
                 gens = old_minimal_generators(lam)
@@ -685,7 +685,7 @@ def test_the_binary_pass_reduces_no_row_after_the_last_generator(monkeypatch):
             for j, e in enumerate(counts, start=1):
                 seen = [found for degree, found in calls if degree == j]
                 assert sum(seen) == e and (not seen or seen[-1]), (h, j)
-                slice_dim = ann_slice(lam, j).subspace.dim
+                slice_dim = ann_slice(lam, j).dim
                 skipped += e and slice_dim - len(seen)
     assert skipped > 0
 
@@ -718,6 +718,6 @@ def test_the_pass_reduces_no_row_after_the_last_generator_at_every_n(monkeypatch
             for j in range(1, d + 2):
                 seen = [found for width, found in calls if degree_of[width] == j]
                 assert sum(seen) == counts.get(j, 0) and (not seen or seen[-1]), (lam, j)
-                skipped += ann_slice(lam, j).subspace.dim - len(seen)
+                skipped += ann_slice(lam, j).dim - len(seen)
     # at n = 1 no slice has two rows
     assert skipped > 0 or nvars == 1

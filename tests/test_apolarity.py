@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from conftest import (_action_table, burch_point, complement_positions, ideal_slice_stream,
-                      monomial_residuals)
+                      jordan_apolar_basis, monomial_residuals)
 from levelalg.apolarity import (
     ann_slice,
     catalecticant_matrix,
@@ -15,7 +15,6 @@ from levelalg.apolarity import (
     integer_catalecticant,
     internal_product,
     inverse_system_slice,
-    jordan_apolar_basis,
     minimal_generators,
     socle,
     apolar_profile,
@@ -202,14 +201,14 @@ def test_hilbert_function_zero_subspace():
 def test_ann_slice_of_full_space_vanishes():
     lam = Subspace.full(2, 5, "S")
     for j in range(6):
-        assert ann_slice(lam, j).subspace.dim == 0
+        assert ann_slice(lam, j).dim == 0
 
 
 def test_example_15_ann_slices():
     lam = ex15_lambda()
-    i5 = ann_slice(lam, 5).subspace
+    i5 = ann_slice(lam, 5)
     assert i5.dim == 1 and form_print(i5.basis[0]) == "x2^5"
-    assert ann_slice(lam, 4).subspace.dim == 0
+    assert ann_slice(lam, 4).dim == 0
 
 
 def test_duality_of_ranks(rng):
@@ -225,7 +224,7 @@ def test_duality_of_ranks(rng):
             continue
         h = hilbert_function(lam)
         for i in range(d + 1):
-            assert ann_slice(lam, i).subspace.dim + h[i] == i + 1
+            assert ann_slice(lam, i).dim + h[i] == i + 1
 
 
 def test_minimal_generators_example_15():
@@ -401,10 +400,10 @@ def beta_rank(lam, i):
     (u x^M mod I_d) over the monomials x^M of degree d-i, with rows indexed
     by a complement basis of I_i.  Injective for every i iff Lambda is level."""
     d = lam.degree
-    residuals = monomial_residuals(ann_slice(lam, d).subspace)
+    residuals = monomial_residuals(ann_slice(lam, d))
     shift = monomial_products(lam.nvars, i, d - i)
     return rank([[x for r in shift[pos] for x in residuals[r]]
-                 for pos in complement_positions(ann_slice(lam, i).subspace)])
+                 for pos in complement_positions(ann_slice(lam, i))])
 
 
 def test_beta_injective_for_level_points(rng):
@@ -417,9 +416,9 @@ def test_beta_injective_for_level_points(rng):
 def test_ancestor_property_of_ann_slices():
     lam = ex15_lambda()
     d = lam.degree
-    i_d = ann_slice(lam, d).subspace
+    i_d = ann_slice(lam, d)
     for j in range(1, d):
-        ij = ann_slice(lam, j).subspace
+        ij = ann_slice(lam, j)
         for u in ij.basis:
             for m in monomials(2, d - j):
                 prod = u * Form.monomial(2, "R", m)
@@ -473,7 +472,7 @@ def test_minimal_generators_generate_ancestor_ideal():
     slices = list(islice(ideal_slice_stream(gens, 2), lam.degree + 3))
     assert len(slices) == lam.degree + 2
     for j, rows in enumerate(slices):
-        assert Subspace.from_rows(2, j, "R", rows) == ann_slice(lam, j).subspace
+        assert Subspace.from_rows(2, j, "R", rows) == ann_slice(lam, j)
 
 
 def test_internal_product_is_module_action(rng):
@@ -491,6 +490,13 @@ def test_socle_rejects_unit_ideal():
     with pytest.raises(NotArtinError, match="unit ideal"):
         socle([form_parse("1", nvars=2, ring="R"), form_parse("x1", nvars=2),
                form_parse("x2", nvars=2)], 2)
+    # three constants among the n largest degrees make the degree bound
+    # negative; degree 0 is still read
+    for n in (3, 4, 5):
+        gens = [form_parse("1", nvars=n, ring="R")] * 3 + \
+            [form_parse(f"x{k}", nvars=n) for k in range(4, n + 1)]
+        with pytest.raises(NotArtinError, match="unit ideal"):
+            socle(gens, n)
 
 
 def test_socle_checks_the_count_before_the_ring():

@@ -143,12 +143,15 @@ def test_schubert_mul_rejects_an_empty_grassmannian(capsys):
 
 
 def test_socle_with_a_constant_generator_is_the_unit_ideal(tmp_path, capsys):
-    # the constant stays an operator in R when the forms are widened
+    # the constant stays an operator in R when the forms are widened; with
+    # 1, 1, 1, x4 the degree bound 0 + 0 + 0 + 1 - 4 + 2 is negative, and
+    # degree 0 is still read
     path = tmp_path / "gens.txt"
-    path.write_text("x1^2\nx2^2\n1\n")
-    assert main(["socle", "--input", str(path)]) == 2
-    assert capsys.readouterr().err == \
-        "error: the generators span the unit ideal; the quotient is zero\n"
+    for text in ("x1^2\nx2^2\n1\n", "1\n1\n1\nx4\n"):
+        path.write_text(text)
+        assert main(["socle", "--input", str(path)]) == 2
+        assert capsys.readouterr() == \
+            ("", "error: the generators span the unit ideal; the quotient is zero\n")
 
 
 def test_tangent_from_file(tmp_path):
@@ -360,6 +363,14 @@ def test_gad_subcommand(tmp_path):
     assert "length: 3" in out and "dim: 3" in out
 
 
+def test_gad_of_length_d_plus_one_prints_all_of_s_d(tmp_path):
+    path = tmp_path / "gad.txt"
+    path.write_text("1,0,1\n0,1,1\n")
+    assert run_cli(["gad", "--input", str(path), "-d", "3"]) == \
+        (0, "length: 4\ndim: 4\nbasis.1: y1^3\nbasis.2: y1^2*y2\nbasis.3: y1*y2^2\n"
+            "basis.4: y2^3\n")
+
+
 def test_in_sigma_subcommand(tmp_path):
     path = tmp_path / "lam.txt"
     path.write_text("y1^7\ny1^6*y2\ny1^3*y2^4\n")
@@ -408,6 +419,21 @@ def test_hf_partition_both_directions():
     assert rc == 0 and "partition: 2+2+1" in out
     rc, out = run_cli(["hf-partition", "--mu", "2+2+1", "-t", "3", "-d", "7"])
     assert rc == 0 and "hf: 1,2,3,4,5,5,4,3,0" in out
+
+
+def test_hf_partition_takes_a_sequence_or_mu(capsys):
+    # neither, or both, is a usage error; an empty sequence a domain error
+    for argv in (["hf-partition"],
+                 ["hf-partition", "1,2,2,0", "--mu", "3", "-t", "2", "-d", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("usage error: hf-partition needs a Hilbert function or --mu")
+        assert err.endswith("not both") == ("--mu" in argv)
+    assert main(["hf-partition", ""]) == 2
+    assert capsys.readouterr() == \
+        ("", "error: give a Hilbert function or --mu PARTITION with -t -d\n")
 
 
 def test_waring_witness_not_needed_is_domain_error(capsys):

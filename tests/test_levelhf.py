@@ -286,7 +286,7 @@ def test_every_subspace_has_apolar_form_below_s0(rng):
         if lam.dim == 0:
             continue
         _, _, s0 = minmax_hf(lam.dim, d)
-        assert any(ann_slice(lam, s).subspace.dim > 0 for s in range(1, s0 + 1))
+        assert any(ann_slice(lam, s).dim > 0 for s in range(1, s0 + 1))
 
 
 def test_partition_string_forms():

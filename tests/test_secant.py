@@ -1,7 +1,10 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from conftest import all_level_hfs, burch_point, moved_burch_point
-from levelalg.apolarity import ann_slice, hilbert_function, jordan_apolar_basis
+from conftest import all_level_hfs, burch_point, jordan_apolar_basis, moved_burch_point
+from levelalg.apolarity import ann_slice, hilbert_function
 from levelalg.errors import (
     AdmissibilityError,
     DegreeError,
@@ -164,6 +167,36 @@ def test_gad_matches_jordan_on_identical_inputs():
     assert sub == jordan
 
 
+def test_gad_subspace_matches_jordan_closed_form():
+    # seeded patterns with rational points and alpha = -1 entries; the
+    # closed form reads L_i = c1 y1 + c2 y2 as the factor (c2, -c1) with
+    # multiplicity alpha_i + 1, and has no length d + 1, where W is S_d
+    rng = random.Random(3901)
+    entries = sorted({Fraction(a, b) for a in range(-4, 5) for b in (1, 2, 3)})
+    lengths = set()
+    for _ in range(80):
+        d = rng.randint(1, 8)
+        points, alphas, left = [], [], d + 1
+        for _ in range(rng.randint(1, 4)):
+            c1, c2 = rng.choice(entries), rng.choice(entries)
+            if (c1, c2) == (0, 0) or any(c1 * b - c2 * a == 0 for a, b in points):
+                continue
+            alpha = rng.randint(-1, min(d, left) - 1)
+            points.append((c1, c2))
+            alphas.append(alpha)
+            left -= alpha + 1
+        g = GAD(tuple(points), tuple(alphas))
+        sub = gad_subspace(g, d)
+        if g.length == d + 1:
+            assert sub == Subspace.full(2, d, "S"), g
+        else:
+            factors = [(c2, -c1, alpha + 1) for (c1, c2), alpha in zip(points, alphas)
+                       if alpha >= 0]
+            assert sub == jordan_apolar_basis(factors, d), g
+        lengths.add("full" if g.length == d + 1 else "zero" if not g.length else "proper")
+    assert lengths == {"full", "zero", "proper"}
+
+
 def test_gad_admissibility():
     with pytest.raises(AdmissibilityError):
         GAD(((1, 1), (2, 2)), (0, 0))
@@ -302,7 +335,7 @@ def test_stacked_det_nonzero_generic(rng):
             for _ in range(2)
         ]
         value = stacked_catalecticant_det(forms, 5)
-        member = ann_slice(Subspace.span(2, 7, "S", forms), 5).subspace.dim > 0
+        member = ann_slice(Subspace.span(2, 7, "S", forms), 5).dim > 0
         assert (value == 0) == member
         nonzero += value != 0
     assert nonzero >= 8

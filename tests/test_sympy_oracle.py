@@ -112,7 +112,7 @@ def test_annihilator_slice_matches_sympy(spanning, data):
          for g in row] for row in derivatives for m in monomials(n, d - j)])
     kernel = conditions.nullspace()
     expected = sympy.Matrix.hstack(*kernel).T.rref()[0] if kernel else sympy.zeros(0, 0)
-    assert as_sympy_rows(ann_slice(lam, j).subspace.rows) == \
+    assert as_sympy_rows(ann_slice(lam, j).rows) == \
         [tuple(expected.row(k)) for k in range(len(kernel))]
 
 

@@ -219,7 +219,7 @@ def _fraction_tangent_space_dual(lam, degrees=None):
     elements of I_i whose pivot is not x_k times a pivot of I_{i-1}, when
     that one is constrained."""
     n, d = lam.nvars, lam.degree
-    id_slice = ann_slice(lam, d).subspace
+    id_slice = ann_slice(lam, d)
     dim_id = id_slice.dim
     comp_d = complement_positions(id_slice)
     tq = len(comp_d)
@@ -231,7 +231,7 @@ def _fraction_tangent_space_dual(lam, degrees=None):
         if degrees is not None and i not in degrees:
             lower = set()
             continue
-        ii = ann_slice(lam, i).subspace
+        ii = ann_slice(lam, i)
         new = {k for k, p in enumerate(ii.pivots) if p not in lower}
         lower = _times_variables(n, i, ii.pivots)
         if ii.dim == 0:
@@ -285,7 +285,7 @@ def _hom_dimension(lam):
     no pivot of I_j."""
     n, d = lam.nvars, lam.degree
     gens = [g for degree, forms in minimal_generators(lam) if degree <= d for g in forms]
-    slices = [ann_slice(lam, j).subspace for j in range(d + 1)]
+    slices = [ann_slice(lam, j) for j in range(d + 1)]
     offsets, ncols = [], 0
     for g in gens:
         offsets.append(ncols)
