@@ -50,7 +50,7 @@ from .errors import (
 from .forms import (Form, Subspace, _lead, _monic_form, divided_power_weights, form_print,
                     monomial_products, space_dim)
 from .levelhf import HilbertFunction, e_sequence
-from .linalg import (QQ, Matrix, _integer_row, _primitive, integer_echelon,
+from .linalg import (QQ, Matrix, _integer_row, _primitive, echelon_kernel, integer_echelon,
                      integer_forward_kernel, integer_kernel, integer_rank, rank)
 
 
@@ -130,7 +130,7 @@ def ann_slice(lam: Subspace, j: int) -> Subspace:
 
 
 def _ann_rows(lam: Subspace, j: int) -> tuple[tuple[int, ...], ...]:
-    """I_j of ann(Lambda), 0 <= j <= d, Lambda != 0, as _kernel_rows gives it
+    """I_j of ann(Lambda), 0 <= j <= d, Lambda != 0, as _chain_step gives it
     (I_0 = 0: 1 kills no nonzero form).  The only place a slice is computed:
     one derivative chain per Lambda instance, run down from d only as far as
     the lowest degree asked for.  It is kept on lam, which is frozen, as the
@@ -193,23 +193,17 @@ def _chain_step(nvars: int, j: int, span: list[list[int]]):
 
     There u.G = sum u_b w_b for u in R_j and G in S_j, so I_j is the right
     kernel of span, and R_1 contracting its echelon rows spans
-    Lambda_{j-1}.  span has t rows at j = d and n h_{j+1} below.
+    Lambda_{j-1}.  span has t rows at j = d and n h_{j+1} below.  The
+    kernel is read with the columns reversed, as linalg.echelon_kernel
+    reads it, so it is the reduced echelon basis up to positive row
+    scales; but by Gauss-Jordan elimination, whose rows the step needs.
     """
-    kernel, rows = _kernel_rows(span, space_dim(nvars, j))
+    width = space_dim(nvars, j)
+    rows, pivots, den = integer_echelon([row[::-1] for row in span], width)
+    kernel = tuple(tuple(v[::-1]) for v in reversed(integer_kernel(rows, pivots, den, width)))
     if j == 1:
         return kernel, None
-    return kernel, _contract(rows, nvars, 1, j - 1)
-
-
-def _kernel_rows(m: list[list[int]], width: int) -> tuple[tuple, list[list[int]]]:
-    """The reduced echelon basis of the right kernel of the integer rows m,
-    up to positive row scales, and echelon rows spanning the rows of m,
-    from one elimination: with the columns reversed, the kernel vector of a
-    free column f is zero left of f and at the other free columns, so the
-    free columns are its echelon pivots."""
-    rows, pivots, den = integer_echelon([row[::-1] for row in m], width)
-    kernel = integer_kernel(rows, pivots, den, width)
-    return tuple(tuple(v[::-1]) for v in reversed(kernel)), [row[::-1] for row in rows]
+    return kernel, _contract([row[::-1] for row in rows], nvars, 1, j - 1)
 
 
 def _apolar_pass(lam: Subspace):
@@ -314,20 +308,18 @@ def inverse_system_slice(gens: list[Form], nvars: int, d: int) -> Subspace:
     The kernel of _condition_rows, in divided-power coordinates w_b, taken
     to monomial coordinates by the integers d!/b!: the coefficient of y^b
     is w_b / b!, and the common factor d! clears the denominators.  The
-    kernel is read with the columns reversed, as in _kernel_rows, so its
-    basis is the reduced echelon one, but by the forward pass and back
-    substitution: no caller needs rows spanning the conditions, and the
-    kernel is small beside their rank.  A positive column scale keeps the
-    zero pattern of the reduced echelon rows and the sign of each pivot,
-    so the scaled rows are the reduced echelon rows of the slice up to
-    positive row scales."""
+    kernel is linalg.echelon_kernel's reduced echelon basis, by the forward
+    pass and back substitution: no caller needs rows spanning the
+    conditions, and the kernel is small beside their rank.  A positive
+    column scale keeps the zero pattern of the reduced echelon rows and the
+    sign of each pivot, so the scaled rows are the reduced echelon rows of
+    the slice up to positive row scales."""
     _check_generators(gens, nvars)
     weights = divided_power_weights(nvars, d)
     scales = [weights[0] // w for w in weights]
-    kernel = integer_forward_kernel([row[::-1] for row in _condition_rows(gens, nvars, d)],
-                                    len(weights))
-    return Subspace.from_echelon(nvars, d, "S", ([x * c for x, c in zip(v[::-1], scales)]
-                                                 for v in reversed(kernel)))
+    kernel = echelon_kernel(_condition_rows(gens, nvars, d), len(weights))
+    return Subspace.from_echelon(nvars, d, "S", ([x * c for x, c in zip(v, scales)]
+                                                 for v in kernel))
 
 
 def _condition_rows(gens: list[Form], nvars: int, d: int) -> list[list[int]]:

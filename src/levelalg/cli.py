@@ -82,12 +82,11 @@ def _cmd_hf_enumerate(args):
 
 
 def _cmd_hf_partition(args):
-    if (args.sequence is None) == (args.mu is None):
+    both = args.sequence is not None and args.mu is not None
+    if both or args.sequence is None and None in (args.mu, args.t, args.d):
         build_parser().error("hf-partition needs a Hilbert function or --mu with -t -d"
-                             + ("" if args.mu is None else ", not both"))
+                             + (", not both" if both else ""))
     if args.mu is not None:
-        if args.t is None or args.d is None:
-            raise LevelAlgError("--mu needs -t and -d")
         mu = levelhf.partition_parse(args.mu)
         h = levelhf.hf_from_partition(mu, args.t, args.d)
         yield "hf", h.format()

@@ -21,7 +21,8 @@ from functools import cached_property, lru_cache, reduce
 from math import factorial, gcd, prod
 
 from .errors import AmbientMismatchError, FormSyntaxError
-from .linalg import QQ, Vector, _integer_row, integer_echelon, row_space_intersection
+from .linalg import (QQ, Vector, _integer_row, echelon_kernel, integer_echelon,
+                     integer_forward_kernel)
 
 RING_VARS = {"R": "x", "S": "y"}
 
@@ -492,14 +493,15 @@ class Subspace:
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Canonical echelon basis of a ∩ b."""
+    """Canonical echelon basis of a ∩ b, in integers: the right kernel of
+    the right kernels of a and b stacked (a subspace is the kernel of its
+    kernel).  The kernel of a zero subspace is every unit vector."""
     a._check_same_ambient(b)
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.nvars, a.degree, a.ring)
     if a.echelon == b.echelon:
         return a
-    rows = row_space_intersection(a.echelon, b.echelon, a.ambient_dim)
-    return Subspace.from_echelon(a.nvars, a.degree, a.ring, map(_integer_row, rows))
+    width = a.ambient_dim
+    conditions = integer_forward_kernel(a.echelon, width) + integer_forward_kernel(b.echelon, width)
+    return Subspace.from_echelon(a.nvars, a.degree, a.ring, echelon_kernel(conditions, width))
 
 
 def _content_lines(lines) -> list[str]:

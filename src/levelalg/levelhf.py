@@ -84,26 +84,27 @@ def is_level_sequence(values) -> tuple[bool, int | None]:
 
 
 def is_level_hf(h: HilbertFunction) -> tuple[bool, int | None]:
+    idx = _second_differences(h)[1]
+    return idx is None, idx
+
+
+def _second_differences(h: HilbertFunction) -> tuple[tuple[int, ...], int | None]:
+    """(2h_i - h_{i-1} - h_{i+1} for 0 <= i <= d, the first i where it is
+    negative or None): the one place concavity is computed."""
     padded = (0, *h.values, 0)
-    for i in range(h.d + 1):
-        if 2 * padded[i + 1] < padded[i] + padded[i + 2]:
-            return False, i
-    return True, None
-
-
-def _require_level(h: HilbertFunction):
-    ok, idx = is_level_hf(h)
-    if not ok:
-        raise MalformedSequenceError(
-            f"{h.format()} is not a level Hilbert function (fails at i={idx})"
-        )
+    es = tuple(2 * padded[i + 1] - padded[i] - padded[i + 2] for i in range(h.d + 1))
+    return es, next((i for i, e in enumerate(es) if e < 0), None)
 
 
 def e_sequence(h: HilbertFunction) -> tuple[int, ...]:
-    """Minimal generator counts e_1..e_{d+1}: e_{i+1} = 2h_i - h_{i-1} - h_{i+1}."""
-    _require_level(h)
-    padded = (0, *h.values, 0)
-    return tuple(2 * padded[i + 1] - padded[i] - padded[i + 2] for i in range(h.d + 1))
+    """Minimal generator counts e_1..e_{d+1}: e_{i+1} = 2h_i - h_{i-1} - h_{i+1}.
+    MalformedSequenceError unless h is level: the one level check."""
+    es, idx = _second_differences(h)
+    if idx is not None:
+        raise MalformedSequenceError(
+            f"{h.format()} is not a level Hilbert function (fails at i={idx})"
+        )
+    return es
 
 
 def q_sequence(h: HilbertFunction) -> tuple[int, ...]:
@@ -143,7 +144,6 @@ class BurchMatrix:
 
 def burch_matrix(h: HilbertFunction) -> BurchMatrix:
     """M_{i,i} = x1^{d+2-q_i}, M_{i,i+1} = x2^{d+2-q_{i+1}}, zero elsewhere."""
-    _require_level(h)
     t, d = h.t, h.d
     q = q_sequence(h)
     rows = []
@@ -172,7 +172,7 @@ def burch_ideal(h: HilbertFunction) -> tuple[BurchMatrix, list[Form]]:
 
 def partition_from_hf(h: HilbertFunction) -> tuple[int, ...]:
     """mu_i = h_i - h_{i+1} + 1 read from i = d-1 down to 0, zeros dropped."""
-    _require_level(h)
+    e_sequence(h)  # the level check
     parts = [h[i] - h[i + 1] + 1 for i in range(h.d - 1, -1, -1)]
     if any(p < 0 for p in parts):
         raise LevelAlgError("internal bug: a concave sequence gave a negative part")

@@ -5,18 +5,19 @@ fraction-free loop (_bareiss) does every elimination on integer rows,
 dividing every update exactly by the previous pivot (Bareiss, Math. Comp.
 1968).  It runs in two modes.  The Gauss-Jordan mode clears every other row
 at each pivot and gives the echelon form; integer_echelon is its one
-caller, and the Fraction front ends (rref, right_kernel,
-row_space_intersection) enter through it, each row scaled by the lcm of its
-denominators.  integer_echelon hands the loop each nonzero primitive row
-once: its outputs depend on the row space alone, and zero rows and repeats
-do not change that.  It returns the echelon form only; integer_kernel
-builds the kernel vectors from it, so a caller that reads a rank builds
-none.  Dividing by the last pivot once at the end gives the unique reduced
-row echelon form.  The forward mode updates only the rows below each pivot
-and gives ranks (integer_rank), and kernels by back substitution
-(integer_forward_kernel).  The pivot rule is deterministic (first
-nonzero column, topmost row), so echelon forms, kernels and the canonical
-subspaces built on them are reproducible.  Determinants keep a forward loop
+caller, and the Fraction front ends (rref, right_kernel) enter through it,
+each row scaled by the lcm of its denominators.  integer_echelon hands the
+loop each nonzero primitive row once: its outputs depend on the row space
+alone, and zero rows and repeats do not change that.  It returns the
+echelon form only; integer_kernel builds the kernel vectors from it, so a
+caller that reads a rank builds none.  Dividing by the last pivot once at
+the end gives the unique reduced row echelon form.  The forward mode
+updates only the rows below each pivot and gives ranks (integer_rank), and
+kernels by back substitution (integer_forward_kernel); echelon_kernel reads
+that kernel with the columns reversed, which makes it the reduced echelon
+basis.  The pivot rule is deterministic (first nonzero column, topmost
+row), so echelon forms, kernels and the canonical subspaces built on them
+are reproducible.  Determinants keep a forward loop
 of their own (_integer_det): their matrices are small and square, and the
 shared loop with a sign flip on each swap took about 1.6x as long on them.
 No floating point enters anywhere.
@@ -96,33 +97,10 @@ def _bareiss(m, ncols: int, jordan: bool):
     return echelon, pivots, prev
 
 
-def _normalised(rows: list[list[int]], pivot: int, nrows: int = 0, ncols: int = 0) -> Matrix:
-    """Integer rows over pivot as Fractions, then zero rows of width ncols
-    up to nrows."""
-    zero = QQ(0)
-    out = [[QQ(x, pivot) if x else zero for x in row] for row in rows]
-    out.extend([zero] * ncols for _ in range(nrows - len(rows)))
-    return out
-
-
 def free_columns(pivots: list[int], ncols: int) -> list[int]:
     """The columns among range(ncols) that are not pivots, in order."""
     pivot_set = set(pivots)
     return [c for c in range(ncols) if c not in pivot_set]
-
-
-def _kernel_basis(rows: list[list[int]], pivots: list[int], pivot: int,
-                  ncols: int) -> list[list[int]]:
-    """right_kernel's basis, times pivot: for each free column f, pivot at
-    f and -row[f] at each pivot column of the echelon rows."""
-    basis = []
-    for f in free_columns(pivots, ncols):
-        v = [0] * ncols
-        v[f] = pivot
-        for row, c in zip(rows, pivots):
-            v[c] = -row[f]
-        basis.append(v)
-    return basis
 
 
 def _primitive(v: list[int]) -> list[int]:
@@ -168,9 +146,17 @@ def integer_rank(m, ncols: int) -> int:
 def integer_kernel(echelon: list[list[int]], pivots: list[int], den: int,
                    ncols: int) -> list[list[int]]:
     """right_kernel's basis from integer_echelon's (echelon, pivots, den),
-    one vector per free column in order, each times the positive integer
-    that makes its content 1."""
-    return [_primitive(v) for v in _kernel_basis(echelon, pivots, den, ncols)]
+    one vector per free column f in order: den at f and -row[f] at the
+    pivot column of each echelon row, times the positive integer that makes
+    its content 1."""
+    kernel = []
+    for f in free_columns(pivots, ncols):
+        v = [0] * ncols
+        v[f] = den
+        for row, c in zip(echelon, pivots):
+            v[c] = -row[f]
+        kernel.append(_primitive(v))
+    return kernel
 
 
 def integer_forward_kernel(m, ncols: int) -> list[list[int]]:
@@ -203,6 +189,16 @@ def integer_forward_kernel(m, ncols: int) -> list[list[int]]:
     return kernel
 
 
+def echelon_kernel(m, ncols: int) -> list[list[int]]:
+    """The reduced echelon basis of the right kernel of the integer rows m
+    (an iterable), up to positive row scales: integer_forward_kernel's
+    basis with the columns reversed.  The vector of a free column f of the
+    reversed rows is zero right of f and at the other free columns, so read
+    back each vector starts at its own column, where the others are zero."""
+    kernel = integer_forward_kernel([row[::-1] for row in m], ncols)
+    return [v[::-1] for v in reversed(kernel)]
+
+
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form (as a copy) with its pivot columns.
 
@@ -212,7 +208,10 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """
     ncols = len(m[0]) if m else 0
     rows, pivots, den = integer_echelon(map(_integer_row, m), ncols)
-    return _normalised(rows, den, len(m), ncols), pivots
+    zero = QQ(0)
+    out = [[QQ(x, den) if x else zero for x in row] for row in rows]
+    out.extend([zero] * ncols for _ in range(len(m) - len(rows)))
+    return out, pivots
 
 
 def rank(m: Matrix) -> int:
@@ -229,7 +228,8 @@ def right_kernel(m: Matrix, ncols: int | None = None) -> list[Vector]:
         raise ValueError("ncols required for an empty matrix")
     ncols = len(m[0]) if m else ncols
     rows, pivots, den = integer_echelon(map(_integer_row, m), ncols)
-    return _normalised(_kernel_basis(rows, pivots, den, ncols), den)
+    return [[QQ(x, v[f]) for x in v]
+            for v, f in zip(integer_kernel(rows, pivots, den, ncols), free_columns(pivots, ncols))]
 
 
 def _integer_det(m: list) -> int:
@@ -264,17 +264,3 @@ def det(m: Matrix) -> Fraction:
     return QQ(_integer_det(list(map(_integer_row, m))),
               prod(lcm(*[x.denominator for x in row]) for row in m))
 
-
-def row_space_intersection(a_rows: Matrix, b_rows: Matrix, ncols: int) -> Matrix:
-    """Canonical echelon basis of rowspace(a) ∩ rowspace(b): the a-parts
-    sum c_i a_i of the kernel vectors of the stacked columns [a | b]."""
-    if not a_rows or not b_rows:
-        return []
-    cols = list(zip(*map(_integer_row, (*a_rows, *b_rows))))
-    width = len(a_rows) + len(b_rows)
-    rows, pivots, den = integer_echelon(cols, width)
-    combos = _kernel_basis(rows, pivots, den, width)
-    vectors = [[sum(c * x for c, x in zip(combo[:len(a_rows)], col)) for col in cols]
-               for combo in combos]
-    rows, _, den = integer_echelon(vectors, ncols)
-    return _normalised(rows, den)

@@ -16,7 +16,7 @@ from levelalg.apolarity import _check_generators, _times_variables, inverse_syst
 from levelalg.errors import AdmissibilityError, DegreeError
 from levelalg.forms import Form, Subspace, divided_power_weights, monomial_products, space_dim
 from levelalg.levelhf import HilbertFunction, burch_ideal, enumerate_level_hf
-from levelalg.linalg import QQ, _integer_row, det, free_columns, integer_echelon
+from levelalg.linalg import QQ, _integer_row, det, free_columns, integer_echelon, integer_kernel
 from levelalg.partitions import partitions_in_box
 from levelalg.secant import check_points
 
@@ -130,6 +130,23 @@ def jordan_apolar_basis(factors: list[tuple], m: int) -> Subspace:
     sub = Subspace.span(2, m, "S", basis)
     assert sub.dim == total, "Jordan basis lost rank"
     return sub
+
+
+def row_space_intersection(a_rows, b_rows, ncols: int) -> list:
+    """Canonical echelon basis of rowspace(a) ∩ rowspace(b), as Fraction
+    rows: the a-parts sum c_i a_i of the kernel vectors c of the stacked
+    columns [a | b], by two Gauss-Jordan eliminations.  The reference of
+    the library's kernel-of-kernels route, forms.subspace_intersect, which
+    takes no Gauss-Jordan kernel."""
+    if not a_rows or not b_rows:
+        return []
+    cols = list(zip(*map(_integer_row, (*a_rows, *b_rows))))
+    width = len(a_rows) + len(b_rows)
+    combos = integer_kernel(*integer_echelon(cols, width), width)
+    vectors = [[sum(c * x for c, x in zip(combo[:len(a_rows)], col)) for col in cols]
+               for combo in combos]
+    rows, _, den = integer_echelon(vectors, ncols)
+    return [[QQ(x, den) for x in row] for row in rows]
 
 
 # -- s_lam[mX] in the Schur basis of t variables, without LR or Kronecker ----

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from conftest import (_action_table, all_level_hfs, burch_point, ideal_slice_stream,
-                      monomial_residuals)
+                      monomial_residuals, row_space_intersection)
 from levelalg import apolarity, secant
 from levelalg.apolarity import (
     ApolarProfile,
@@ -38,7 +38,6 @@ from levelalg.forms import (
     monomials,
     parse_subspace_lines,
     space_dim,
-    subspace_intersect,
 )
 from levelalg.levelhf import HilbertFunction, burch_ideal, e_sequence, enumerate_level_hf
 from levelalg.linalg import QQ, rank, right_kernel
@@ -166,7 +165,9 @@ def old_inverse_system_slice(gens, nvars, d):
 def old_plane_intersection(planes, d):
     lam = Subspace.full(2, d, "S")
     for p in planes:
-        lam = subspace_intersect(lam, old_inverse_system_slice([p.apolar_form], 2, d))
+        plane = old_inverse_system_slice([p.apolar_form], 2, d)
+        lam = Subspace.from_rows(2, d, "S", row_space_intersection(lam.rows, plane.rows,
+                                                                   lam.ambient_dim))
     return lam
 
 

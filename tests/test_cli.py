@@ -436,6 +436,19 @@ def test_hf_partition_takes_a_sequence_or_mu(capsys):
         ("", "error: give a Hilbert function or --mu PARTITION with -t -d\n")
 
 
+def test_hf_partition_mu_needs_t_and_d(capsys):
+    # --mu without -t or -d is a usage error, as a missing sequence is
+    for argv in (["hf-partition", "--mu", "3"], ["hf-partition", "--mu", "3", "-t", "2"],
+                 ["hf-partition", "--mu", "3", "-d", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == \
+            "usage error: hf-partition needs a Hilbert function or --mu with -t -d"
+
+
 def test_waring_witness_not_needed_is_domain_error(capsys):
     rc = main(["waring-witness", "-t", "2", "-d", "5", "-s", "5"])
     assert rc == 2

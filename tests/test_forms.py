@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from conftest import row_space_intersection
 from hypothesis import given, settings, strategies as st
 
 from levelalg.errors import AmbientMismatchError, FormSyntaxError
@@ -12,6 +13,7 @@ from levelalg.forms import (
     form_print,
     monomials,
     parse_subspace_lines,
+    space_dim,
     subspace_intersect,
 )
 from levelalg.linalg import rref
@@ -164,6 +166,32 @@ def test_subspace_intersection_dimension_formula(rng):
         inter = subspace_intersect(a, b)
         total = Subspace.from_rows(2, 5, "S", a.rows + b.rows)
         assert inter.dim == a.dim + b.dim - total.dim
+
+
+def test_subspace_intersect_matches_the_reference(rng):
+    # the kernel of the stacked kernels against the tests' Gauss-Jordan
+    # route, compared as canonical subspaces: a and b share a random part,
+    # so that many intersections have dimension >= 2, and each pair is also
+    # met with a zero and a full operand
+    wide = 0
+    for _ in range(150):
+        n, d, ring = rng.randint(1, 3), rng.randint(0, 5), rng.choice("RS")
+        width = space_dim(n, d)
+
+        def rows(k):
+            return [[rng.choice((0, 0, 1, -1, 2, Fraction(-3, 2))) for _ in range(width)]
+                    for _ in range(k)]
+
+        shared = rows(rng.randint(0, width // 2 + 1))
+        a, b = (Subspace.from_rows(n, d, ring, shared + rows(rng.randint(0, width // 3 + 1)))
+                for _ in range(2))
+        for x, y in ((a, b), (b, a), (a, Subspace.zero(n, d, ring)),
+                     (Subspace.full(n, d, ring), b)):
+            expected = Subspace.from_rows(n, d, ring, row_space_intersection(x.rows, y.rows,
+                                                                             width))
+            assert subspace_intersect(x, y) == expected
+            wide += 2 <= expected.dim < width
+    assert wide >= 100
 
 
 def test_subspace_ambient_mismatch():

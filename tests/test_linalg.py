@@ -1,6 +1,7 @@
 from math import gcd
 
 import pytest
+from conftest import row_space_intersection
 from hypothesis import given, settings, strategies as st
 
 from levelalg.linalg import (
@@ -15,7 +16,6 @@ from levelalg.linalg import (
     integer_rank,
     rank,
     right_kernel,
-    row_space_intersection,
     rref,
 )
 

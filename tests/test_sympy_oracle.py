@@ -4,12 +4,13 @@ echelon form against sympy, used only as an independent oracle in the
 tests."""
 
 import pytest
+from conftest import row_space_intersection
 from hypothesis import given, settings, strategies as st
 
 from levelalg.apolarity import ann_slice, catalecticant_matrix, internal_product
-from levelalg.forms import Form, Subspace, monomials
+from levelalg.forms import Form, Subspace, monomials, subspace_intersect
 from levelalg.linalg import (QQ, _integer_row, det, integer_echelon, integer_rank, rank, rref,
-                             right_kernel, row_space_intersection)
+                             right_kernel)
 
 sympy = pytest.importorskip("sympy")
 
@@ -219,13 +220,16 @@ def test_row_space_intersection_matches_sympy_ranks(a, data):
          for coeffs in mix] + own
     if not b:
         return
-    inter = row_space_intersection(a, b, ncols)
     sa, sb = sympy_matrix(a), sympy_matrix(b)
-    # dim(A n B) = rank A + rank B - rank(A + B)
-    assert len(inter) == sa.rank() + sb.rank() - sympy.Matrix.vstack(sa, sb).rank()
-    if inter:
-        si = sympy_matrix(inter)
-        # canonical: already the RREF of its span, with no zero row
-        assert as_sympy_rows(inter) == [tuple(si.rref()[0].row(k)) for k in range(len(inter))]
-        assert sympy.Matrix.vstack(sa, si).rank() == sa.rank()
-        assert sympy.Matrix.vstack(sb, si).rank() == sb.rank()
+    # the tests' reference, and the library's route on the rows as linear
+    # forms in ncols variables
+    lin = [Subspace.from_rows(ncols, 1, "R", rows) for rows in (a, b)]
+    for inter in (row_space_intersection(a, b, ncols), subspace_intersect(*lin).rows):
+        # dim(A n B) = rank A + rank B - rank(A + B)
+        assert len(inter) == sa.rank() + sb.rank() - sympy.Matrix.vstack(sa, sb).rank()
+        if inter:
+            si = sympy_matrix(inter)
+            # canonical: already the RREF of its span, with no zero row
+            assert as_sympy_rows(inter) == [tuple(si.rref()[0].row(k)) for k in range(len(inter))]
+            assert sympy.Matrix.vstack(sa, si).rank() == sa.rank()
+            assert sympy.Matrix.vstack(sb, si).rank() == sb.rank()
