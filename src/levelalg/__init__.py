@@ -27,7 +27,6 @@ from .levelhf import (
     BurchMatrix,
     HilbertFunction,
     burch_ideal,
-    burch_matrix,
     count_level_hf,
     dim_stratum,
     e_sequence,

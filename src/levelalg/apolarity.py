@@ -39,7 +39,7 @@ condition rows of an ideal and for R_1 times a slice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, cycle
 
 from .errors import (
     AmbientMismatchError,
@@ -77,33 +77,24 @@ def internal_product(u: Form, f: Form) -> Form:
     return Form.from_vector(n, out_degree, "S", out)
 
 
-def integer_catalecticant(lam: Subspace, i: int) -> tuple[list[list[int]], list[int]]:
-    """The product map R_{d-i} (x) Lambda -> S_i as an integer matrix with
-    rows (monomial of R_{d-i}, basis form p of Lambda), monomial outermost,
-    and columns the monomials of S_i; and the row scales s_p, the lcm of the
-    denominators of form p (the pivot entry of its echelon row), by which
-    its rows exceed the rational ones.  Both are read off lam.echelon; each
-    call returns new lists."""
+def catalecticant_matrix(lam: Subspace, i: int) -> Matrix:
+    """Matrix of the product map R_{d-i} (x) Lambda -> S_i, with rows
+    (monomial of R_{d-i}, basis form p of Lambda), monomial outermost, and
+    columns the monomials of S_i.  For n = 2 the shape is t(d-i+1) x (i+1).
+    Its rank is H(R/ann(Lambda), i).  Read off lam.echelon, whose row p is
+    basis form p times its pivot entry s_p (the lcm of the form's
+    denominators); each call returns new lists."""
     d = lam.degree
     if not 0 <= i <= d:
         raise DegreeError(f"catalecticant index {i} outside 0..{d}")
     # column g of x^a.F in divided-power coordinates, divided by g!, is the
     # coefficient of y^g: F's integer entry there is a multiple of b!, and
-    # g! divides b! for b = a + g
+    # g! divides b! for b = a + g; divided by s_p too, it is form p's own
     low = divided_power_weights(lam.nvars, i)
-    rows = [[x // w for x, w in zip(row, low)]
-            for row in _contract(_divided_power_rows(lam), lam.nvars, d - i, i)]
-    return rows, [v[p] for v, p in zip(lam.echelon, lam.pivots)]
-
-
-def catalecticant_matrix(lam: Subspace, i: int) -> Matrix:
-    """Matrix of the product map R_{d-i} (x) Lambda -> S_i, laid out as in
-    integer_catalecticant.  For n = 2 the shape is t(d-i+1) x (i+1).  Its
-    rank is H(R/ann(Lambda), i)."""
-    cat, scales = integer_catalecticant(lam, i)
+    scales = cycle([v[p] for v, p in zip(lam.echelon, lam.pivots)])
     zero = QQ(0)
-    return [[QQ(x, scales[r % lam.dim]) if x else zero for x in row]
-            for r, row in enumerate(cat)]
+    return [[QQ(x // w, s) if x else zero for x, w in zip(row, low)]
+            for row, s in zip(_contract(_divided_power_rows(lam), lam.nvars, d - i, i), scales)]
 
 
 def hilbert_function(lam: Subspace) -> HilbertFunction:

@@ -32,6 +32,8 @@ def monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors of the given degree, descending graded-lex."""
     if nvars < 1:
         raise ValueError("nvars must be positive")
+    if degree < 0:
+        return ()
 
     def gen(n, d):
         if n == 1:
@@ -130,9 +132,9 @@ class Form:
         return Form(nvars, degree, ring, {})
 
     @staticmethod
-    def monomial(nvars: int, ring: str, exps, coeff=1) -> Form:
+    def monomial(nvars: int, ring: str, exps) -> Form:
         exps = tuple(exps)
-        return Form.make(nvars, sum(exps), ring, {exps: QQ(coeff)})
+        return Form(nvars, sum(exps), ring, {exps: QQ(1)})
 
     @property
     def is_zero(self) -> bool:

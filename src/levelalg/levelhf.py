@@ -12,9 +12,7 @@ sum e_i h_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain, repeat
-from operator import mul
 
 from .errors import InvalidPartitionError, LevelAlgError, MalformedSequenceError
 from .forms import Form
@@ -129,45 +127,28 @@ class BurchMatrix:
     d: int
     entries: tuple  # t rows of t+1 entries, each a Form or None (blank)
 
-    def minors(self) -> list[Form]:
-        """Maximal minors, one per deleted column, each normalised monic.
-
-        Deleting column k of the bidiagonal matrix leaves a block-triangular
-        one, so the minor is, up to sign, the product of the diagonal entries
-        left of k and the superdiagonal entries from k on.
-        """
-        m = self.entries
-        return [reduce(mul, [m[i][i] for i in range(k)]
-                       + [m[i][i + 1] for i in range(k, self.t)]).monic()
-                for k in range(self.t + 1)]
-
-
-def burch_matrix(h: HilbertFunction) -> BurchMatrix:
-    """M_{i,i} = x1^{d+2-q_i}, M_{i,i+1} = x2^{d+2-q_{i+1}}, zero elsewhere."""
-    t, d = h.t, h.d
-    q = q_sequence(h)
-    rows = []
-    for i in range(t):
-        row = []
-        for j in range(t + 1):
-            if j == i:
-                row.append(Form.monomial(2, "R", (d + 2 - q[i], 0)))
-            elif j == i + 1:
-                row.append(Form.monomial(2, "R", (0, d + 2 - q[i + 1])))
-            else:
-                row.append(None)
-        rows.append(tuple(row))
-    return BurchMatrix(t, d, tuple(rows))
-
 
 def burch_ideal(h: HilbertFunction) -> tuple[BurchMatrix, list[Form]]:
-    """The witness ideal: Burch matrix plus its t+1 maximal minors.
+    """The witness ideal: the Burch matrix, M_{i,i} = x1^{a_i} and
+    M_{i,i+1} = x2^{b_i} with a_i = d+2-q_i and b_i = d+2-q_{i+1}, zero
+    elsewhere, and its t+1 maximal minors, each monic.
 
-    The minors are returned in column order, so their degrees are the
-    q-sequence in nondecreasing order.
+    Deleting column k (columns 0..t) of the bidiagonal matrix leaves a
+    block-triangular one, so minor k is, up to sign, the product of the
+    diagonal entries of rows 1..k and the superdiagonal entries of rows
+    k+1..t: x1^{a_1+...+a_k} x2^{b_{k+1}+...+b_t}.  The minors are returned
+    in column order, so their degrees are the q-sequence in nondecreasing
+    order.
     """
-    m = burch_matrix(h)
-    return m, m.minors()
+    t, d = h.t, h.d
+    q = q_sequence(h)
+    a = [d + 2 - q[i] for i in range(t)]
+    b = [d + 2 - q[i + 1] for i in range(t)]
+    rows = tuple(tuple(Form.monomial(2, "R", (a[i], 0)) if j == i
+                       else Form.monomial(2, "R", (0, b[i])) if j == i + 1 else None
+                       for j in range(t + 1)) for i in range(t))
+    minors = [Form.monomial(2, "R", (sum(a[:k]), sum(b[k:]))) for k in range(t + 1)]
+    return BurchMatrix(t, d, rows), minors
 
 
 def partition_from_hf(h: HilbertFunction) -> tuple[int, ...]:

@@ -193,31 +193,26 @@ def gad_subspace(g: GAD, d: int) -> Subspace:
     return SecantPlane(reduce(mul, factors), d).subspace()
 
 
-def hankel_coordinates(f: Form) -> list[Fraction]:
-    """Coordinates z_i = i! (d-i)! a_i of a binary form F = sum a_i y1^{d-i} y2^i.
-
-    These are its divided-power coordinates, the values of the coordinate
-    operators x1^{d-i} x2^i on F; in them the catalecticant matrices become
-    genuine Hankel matrices with rank equal to the Hilbert function.
-    """
-    if f.nvars != 2 or f.ring != "S":
-        raise DegreeError("Hankel coordinates need a binary form in S")
-    return _divided_power_row(2, f.degree, f.vector())
-
-
 def hankel_matrix(f: Form, a: int) -> Matrix:
-    """The (a+1) x (d-a+1) Hankel matrix [z_{r+c}] of f: row r is
-    x1^{a-r} x2^r applied to f, in divided-power coordinates."""
+    """The (a+1) x (d-a+1) Hankel matrix [z_{r+c}] of a binary form
+    F = sum a_i y1^{d-i} y2^i: row r is x1^{a-r} x2^r applied to F.
+
+    The Hankel coordinates z_i = i! (d-i)! a_i, row 0 of
+    hankel_matrix(f, 0), are F's divided-power coordinates, the values of
+    the coordinate operators x1^{d-i} x2^i on F; in them the catalecticant
+    matrices become genuine Hankel matrices with rank equal to the Hilbert
+    function.
+    """
     d = f.degree
     if not 0 <= a <= d:
         raise DegreeError(f"Hankel index {a} outside 0..{d}")
-    return _contract([hankel_coordinates(f)], 2, a, d - a)
+    if f.nvars != 2 or f.ring != "S":
+        raise DegreeError("Hankel coordinates need a binary form in S")
+    return _contract([_divided_power_row(2, d, f.vector())], 2, a, d - a)
 
 
 def hankel_rank(f: Form, a: int) -> int:
     """rank of the Hankel matrix; equals H(R/ann(F), a)."""
-    if f.is_zero:
-        return 0
     return rank(hankel_matrix(f, a))
 
 

@@ -23,7 +23,6 @@ from levelalg.apolarity import (
     ann_slice,
     apolar_profile,
     catalecticant_matrix,
-    integer_catalecticant,
     inverse_system_slice,
     minimal_generators,
     socle,
@@ -71,11 +70,13 @@ def old_hilbert_function(lam):
 
 
 def annihilator_conditions(lam, j):
-    """Integer matrix of rank h_j whose right kernel is I_j, 0 <= j <= d:
-    u = sum c_alpha x^alpha kills Lambda iff sum c_alpha (row (x^alpha, F)
-    of the degree-(d-j) catalecticant) = 0 for every basis form F."""
+    """Matrix of rank h_j whose right kernel is I_j, 0 <= j <= d: u = sum
+    c_alpha x^alpha kills Lambda iff sum c_alpha (row (x^alpha, F) of the
+    degree-(d-j) catalecticant) = 0 for every basis form F.  Each condition
+    row takes the entries of one form F only, so a scale of F does not move
+    the kernel."""
     d, t = lam.degree, lam.dim
-    cat, _ = integer_catalecticant(lam, d - j)
+    cat = catalecticant_matrix(lam, d - j)
     width, nalpha = space_dim(lam.nvars, d - j), space_dim(lam.nvars, j)
     return [[cat[a * t + p][o] for a in range(nalpha)]
             for p in range(t) for o in range(width)]

@@ -12,7 +12,6 @@ from levelalg.apolarity import (
     ann_slice,
     catalecticant_matrix,
     hilbert_function,
-    integer_catalecticant,
     internal_product,
     inverse_system_slice,
     minimal_generators,
@@ -30,7 +29,7 @@ from levelalg.forms import (Form, Subspace, form_parse, form_print, monomial_ind
                             monomial_products, monomials)
 from levelalg.levelhf import HilbertFunction, burch_ideal, e_sequence
 from levelalg.linalg import rank
-from levelalg.secant import hankel_coordinates, hankel_matrix, stacked_hankel
+from levelalg.secant import hankel_matrix, stacked_hankel
 
 EX15 = HilbertFunction.parse("1,2,3,4,5,5,4,3,0")
 
@@ -70,8 +69,9 @@ def test_weight_table_matches_falling_factorials_and_hankel_coordinates():
     for d in range(9):
         a = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d + 1)]
         f = Form.from_vector(2, d, "S", a)
-        assert hankel_coordinates(f) == [factorial(i) * factorial(d - i) * a[i]
-                                         for i in range(d + 1)]
+        # the Hankel coordinates are row 0 of the Hankel matrix of index 0
+        assert hankel_matrix(f, 0)[0] == [factorial(i) * factorial(d - i) * a[i]
+                                          for i in range(d + 1)]
 
 
 def table_internal_product(u, f):
@@ -88,7 +88,8 @@ def table_internal_product(u, f):
 
 
 def table_catalecticant(lam, i):
-    # integer_catalecticant as it read the action table
+    # the integer catalecticant as it read the action table, with its row
+    # scales: the pivot entries of lam.echelon
     width = len(monomials(lam.nvars, i))
     supports = [[(pos, c) for pos, c in enumerate(v) if c] for v in lam.echelon]
     rows = []
@@ -112,7 +113,7 @@ def random_form(rng, nvars, degree, ring):
 
 @pytest.mark.parametrize("nvars", [1, 2, 3])
 def test_products_and_catalecticants_match_the_action_table(nvars):
-    # the same forms and integer matrices, byte for byte, without the table
+    # the same forms and matrices, byte for byte, without the table
     rng = random.Random(nvars)
     for i in range(7 if nvars < 3 else 5):
         for j in range(i + 1):
@@ -125,13 +126,16 @@ def test_products_and_catalecticants_match_the_action_table(nvars):
             forms = [random_form(rng, nvars, i, "S") for _ in range(t)]
             lam = Subspace.span(nvars, i, "S", forms)
             for k in range(i + 1):
-                got = integer_catalecticant(lam, k)
-                assert repr(got) == repr(table_catalecticant(lam, k)), (lam, k)
+                # each row of the table's integer matrix over its form's scale
+                rows, scales = table_catalecticant(lam, k)
+                want = [[Fraction(x, scales[r % len(scales)]) for x in row]
+                        for r, row in enumerate(rows)]
+                assert repr(catalecticant_matrix(lam, k)) == repr(want), (lam, k)
             if nvars == 2:
                 # the Hankel matrices [z_{r+c}], stacked form by form
                 for a in range(i + 1):
                     want = [[[z[r + c] for c in range(i - a + 1)] for r in range(a + 1)]
-                            for z in map(hankel_coordinates, forms)]
+                            for z in (hankel_matrix(f, 0)[0] for f in forms)]
                     assert repr(hankel_matrix(forms[0], a)) == repr(want[0])
                     assert repr(stacked_hankel(forms, i - a)) == \
                         repr([row for block in want for row in block])

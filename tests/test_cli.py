@@ -392,6 +392,14 @@ def test_hankel_rank_subcommand():
     assert rc == 0 and out == "rank: 2\n"
 
 
+def test_hankel_rank_of_the_zero_form_checks_its_index(capsys):
+    rc, out = run_cli(["hankel-rank", "0", "-i", "0"])
+    assert rc == 0 and out == "rank: 0\n"
+    capsys.readouterr()
+    assert main(["hankel-rank", "0", "-i", "5"]) == 2
+    assert capsys.readouterr() == ("", "error: Hankel index 5 outside 0..0\n")
+
+
 def test_bott_subcommand():
     rc, out = run_cli(["bott", "0,0,0,0;1,1"])
     assert rc == 0 and out == "cohomology: ZERO\n"

@@ -30,6 +30,26 @@ def test_monomial_order_three_vars_graded_lex():
     assert len(ms) == 6
 
 
+def test_a_negative_degree_has_no_monomials():
+    for nvars in range(1, 5):
+        assert monomials(nvars, -1) == ()
+        assert space_dim(nvars, -1) == 0
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2, 2, "S", {(2,): 1}), r"bad exponent vector \(2,\)"),
+    ((2, 2, "S", {(3, -1): 1}), r"bad exponent vector \(3, -1\)"),
+    ((2, 2, "S", {(2, 1): 1}), r"exponent vector \(2, 1\) does not have degree 2"),
+    ((2, 2, "S", {(2, 0): Fraction(0)}), "zero coefficients must be omitted"),
+    ((2, 2, "T", {(2, 0): 1}), "unknown ring tag 'T'"),
+])
+def test_form_rejects_a_malformed_coefficient_map(args, message):
+    # the checks of Form.__post_init__, one case each: wrong length, negative
+    # exponent, wrong degree, zero coefficient, unknown ring tag
+    with pytest.raises(ValueError, match=message):
+        Form(*args)
+
+
 def test_parse_monomial():
     f = form_parse("x1^4*x2^2")
     assert f.ring == "R" and f.degree == 6 and f.nvars == 2

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
 from conftest import all_level_hfs, burch_point
 from levelalg.apolarity import hilbert_function, inverse_system_slice
 from levelalg.errors import InvalidPartitionError, MalformedSequenceError
-from levelalg.forms import form_print
+from levelalg.forms import Form, form_print
 from levelalg.linalg import det
 from levelalg.levelhf import (
+    BurchMatrix,
     HilbertFunction,
     burch_ideal,
     count_level_hf,
@@ -166,6 +169,25 @@ def test_burch_minors_match_determinants_at_random_points():
                        for row in matrix.entries]
                 ratios.add(det(sub) / _evaluate(minor, point))
             assert len(ratios) == 1 and 0 not in ratios, (h.format(), k)
+
+
+def product_burch_ideal(h):
+    """The Burch matrix entry by entry, and its maximal minors as products
+    of the entries that deleting column k leaves on the diagonal and the
+    superdiagonal, made monic: the route burch_ideal's closed form
+    replaced."""
+    t, d, q = h.t, h.d, q_sequence(h)
+    m = tuple(tuple(Form.monomial(2, "R", (d + 2 - q[i], 0)) if j == i
+                    else Form.monomial(2, "R", (0, d + 2 - q[i + 1])) if j == i + 1 else None
+                    for j in range(t + 1)) for i in range(t))
+    minors = [reduce(mul, [m[i][i] for i in range(k)]
+                     + [m[i][i + 1] for i in range(k, t)]).monic() for k in range(t + 1)]
+    return BurchMatrix(t, d, m), minors
+
+
+def test_burch_ideal_is_the_product_of_entries():
+    for h in all_level_hfs(5, 12):
+        assert burch_ideal(h) == product_burch_ideal(h), h.format()
 
 
 def test_minor_degrees_are_q_sequence():

@@ -237,6 +237,17 @@ def test_hankel_matches_catalecticant_rank(rng):
             assert hankel_rank(f, a) == rank(catalecticant_matrix(lam, a))
 
 
+def test_hankel_rank_of_the_zero_form_checks_its_index():
+    # the zero form's Hankel matrix has rank 0 through rank(), and an index
+    # outside 0..d is an error as for any other form
+    zero = form_parse("0", nvars=2)
+    assert hankel_rank(zero, 0) == 0
+    assert hankel_rank(Form.zero(2, 4, "S"), 2) == 0
+    for f in (zero, form_parse("y1^2", nvars=2)):
+        with pytest.raises(DegreeError, match=rf"Hankel index 5 outside 0\.\.{f.degree}"):
+            hankel_rank(f, 5)
+
+
 def test_hankel_shape():
     f = form_parse("y1^7 + y2^7", nvars=2)
     m = hankel_matrix(f, 2)

@@ -57,6 +57,7 @@ UNCALLED_PUBLIC_METHODS = {
                               "generators with it",
     "Subspace.contains": "the acceptance tests check that a secant plane holds a form",
     "Form.scale": "the tests build linear combinations of forms with it",
+    "Form.monic": "the tests compare forms up to scale with it",
     "SchubertClass.is_zero": "the Schubert tests check vanishing products and classes",
     "TangentSpace.basis": "the tangent tests check the Hom(I_d, R_d/I_d) matrices; "
                           "the CI step times the first access",
