@@ -13,13 +13,19 @@ generators and syzygies of I.
 The route reads the slices I_j held on Lambda, computed once per Lambda
 instance for every reader down the derivative chain of Lambda (one small
 elimination a degree; see apolarity), and h_j = dim R_j - dim I_j.  It
-stays in integers, eliminating each V_i once with linalg.integer_echelon;
-the functionals linalg.integer_kernel builds from it are the rational ones
-times positive factors, so every constraint keeps its zero set.  The
-dimension is the number of unknowns less the rank of the constraint rows,
-which linalg.integer_rank takes by a forward pass alone; the TangentSpace
-keeps those rows and takes their linalg.right_kernel only on the first
-access to its basis.
+stays in integers, and its matrices are sparse: over the seed-1 two-pass
+tangent_burch stream of the benchmark the V_i rows are 9.2% nonzero and
+the constraint rows 3.7%.  So the residuals, the V_i rows, the
+functionals and the constraint rows are {column: entry} rows, and the
+route eliminates them with linalg's sparse core, which keeps every row
+over its content (the dense Bareiss loop serves the chain, the apolar
+pass, inverse systems and the secant route, whose binary matrices are
+50-55% nonzero).  The functionals linalg.sparse_kernel reads off each V_i
+are the rational ones times positive factors, so every constraint keeps
+its zero set.  The dimension is the number of unknowns less the rank of
+the constraint rows, which linalg.sparse_rank takes by a forward pass
+alone; the TangentSpace keeps those rows and takes their sparse_kernel
+only on the first access to its basis.
 
 The lead rule.  The conditions are R-linear, so the generators of I
 already cut out the tangent space.  In degree i the route drops the rows of
@@ -35,14 +41,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from math import lcm
 
 from .apolarity import _slices
 from .errors import DegreeError, HilbertMismatchError, ZeroSubspaceError
 from .forms import Subspace, _lead, monomial_products, space_dim
 from .levelhf import HilbertFunction
-from .linalg import integer_echelon, integer_kernel, integer_rank, right_kernel
+from .linalg import QQ, sparse_kernel, sparse_rank
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,8 @@ class TangentSpace:
     constraint matrix that cuts it out, and the basepoint's Hilbert
     function.  `basis` holds Hom(I_d, R_d/I_d) matrices (rows: the echelon
     basis of I_d, columns: the monomials of R_d that are no pivot of I_d);
-    it is built on first access from `constraints`, the integer constraint
-    rows and the block width."""
+    it is built on first access from `constraints`, the sparse integer
+    constraint rows and the block width."""
 
     basepoint: Subspace
     dimension: int
@@ -63,11 +68,18 @@ class TangentSpace:
     @cached_property
     def basis(self) -> tuple:
         """linalg.right_kernel's canonical basis of the constraints, each
-        vector cut into blocks of the width."""
+        vector cut into blocks of the width: linalg.sparse_kernel's
+        primitive vectors, each over its entry at its free column."""
         rows, width = self.constraints
         ncols = self.constraint_shape[1]
-        return tuple(tuple(tuple(v[b:b + width]) for b in range(0, ncols, width))
-                     for v in right_kernel(rows, ncols))
+        basis = []
+        for v in sparse_kernel(rows, ncols):
+            den = v[max(v)]  # at its free column
+            vector = [QQ(0)] * ncols
+            for k, x in v.items():
+                vector[k] = QQ(x, den)
+            basis.append(tuple(tuple(vector[b:b + width]) for b in range(0, ncols, width)))
+        return tuple(basis)
 
 
 def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
@@ -77,7 +89,13 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
     The unknowns are the entries of omega: I_d -> R_d/I_d.  By the lead rule
     (module docstring) only the echelon rows of I_i whose lead is not x_k
     times a lead of I_{i-1} are used, and V_i is built and eliminated only
-    in the degrees where one is.
+    in the degrees where one is.  Every row is a sparse {column: entry}
+    row, eliminated by linalg.sparse_kernel (V_i) and linalg.sparse_rank
+    (the constraint rows), since they are 3.7-9.2% nonzero on the
+    benchmark's stream.  At n >= 3 power-sum spans the constraint rows are
+    denser (27-43%) but carry entries of up to hundreds of bits, and there
+    the sparse core's content division keeps each pivot row small where a
+    Bareiss row grows into a minor of the input.
 
     `degrees` restricts the constraints to a subset of 1..d-1 (the default),
     i.e. computes the tangent space of an intersection of fewer rank loci;
@@ -102,7 +120,7 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
     # one positive integer times each monomial of R_d mod I_d, read at the
     # monomials that are no pivot of I_d
     residuals = _monomial_residuals(slices[d], space_dim(n, d))
-    rows: list[list[int]] = []
+    rows: list[dict[int, int]] = []
     lower: set[int] = set()  # x_k times the leads of I_{i-1}, if constrained; I_0 = 0
     for i, ii_rows in enumerate(slices[1:d], start=1):
         leads = [_lead(u) for u in ii_rows]
@@ -116,14 +134,14 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
         shift = monomial_products(n, i, d - i)
         # V_i: for each complement monomial w of R_i, the vector
         # sum_M (w x^M mod I_d) (x) y^M, coordinates (c over comp_d, M)
-        v_rows = [list(chain.from_iterable(zip(*[residuals[k] for k in shift[pos]])))
+        v_rows = [{c * nlow + m_idx: x for m_idx, k in enumerate(shift[pos])
+                   for c, x in residuals[k].items()}
                   for pos in range(space_dim(n, i)) if pos not in ii_pivots]
         # membership in V_i: the right kernel of V_i holds, up to positive
         # factors, the residual functionals z_l = e_l - sum_k V_k[l] e_{piv_k}
         # of its RREF rows V_k, one per non-pivot coordinate l
-        v_echelon, v_pivots, v_den = integer_echelon(v_rows, tq * nlow)
-        kernel = integer_kernel(v_echelon, v_pivots, v_den, tq * nlow)
-        functionals = [[divmod(a, nlow) + (x,) for a, x in enumerate(z) if x] for z in kernel]
+        functionals = [[divmod(a, nlow) + (x,) for a, x in z.items()]
+                       for z in sparse_kernel(v_rows, tq * nlow)]
         for u in kept:
             # gamma[m_idx]: (block offset of I_d basis vector k, its coefficient
             # in u * x^M) for the nonzero coefficients
@@ -135,29 +153,31 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
                             gamma[m_idx].append((coordinate[r] * tq, uq))
             # z_l applied to sum_k gamma[k][m_idx] omega_{k, c} at (c, m_idx)
             for func in functionals:
-                row = [0] * (dim_id * tq)
+                row: dict[int, int] = {}
                 for c_idx, m_idx, coeff in func:
                     for offset, g in gamma[m_idx]:
-                        row[offset + c_idx] += coeff * g
-                if any(row):
+                        row[offset + c_idx] = row.get(offset + c_idx, 0) + coeff * g
+                row = {k: x for k, x in row.items() if x}
+                if row:
                     rows.append(row)
-    # the dimension is the number of unknowns less the rank; the echelon
-    # form and the basis are left to the first access
+    # the dimension is the number of unknowns less the rank; the kernel
+    # and the basis are left to the first access
     ncols = dim_id * tq
-    return TangentSpace(lam, ncols - integer_rank(rows, ncols), (len(rows), ncols), hilbert,
+    return TangentSpace(lam, ncols - sparse_rank(rows), (len(rows), ncols), hilbert,
                         (rows, tq))
 
 
-def _monomial_residuals(rows, width: int) -> list[list[int]]:
+def _monomial_residuals(rows, width: int) -> list[dict[int, int]]:
     """Each monomial reduced mod the span of integer reduced echelon rows,
-    read at the non-pivot positions p and scaled by D, the lcm of the
-    leads: -v[p] D / lead for the pivot monomial of row v (minus the rest
-    of its RREF row), D times a unit vector for any other monomial."""
+    as a sparse row over the non-pivot positions p (numbered in order) and
+    scaled by D, the lcm of the leads: -v[p] D / lead for the pivot monomial
+    of row v (minus the rest of its RREF row), D times a unit vector for
+    any other monomial."""
     by_pivot = {_lead(v): v for v in rows}
     scale = lcm(*[v[p] for p, v in by_pivot.items()])
-    comp = [p for p in range(width) if p not in by_pivot]
-    return [[-v[p] * (scale // v[o]) for p in comp] if (v := by_pivot.get(o))
-            else [scale * (p == o) for p in comp]
+    position = {p: k for k, p in enumerate(p for p in range(width) if p not in by_pivot)}
+    return [{k: -v[p] * (scale // v[o]) for p, k in position.items() if v[p]}
+            if (v := by_pivot.get(o)) else {position[o]: scale}
             for o in range(width)]
 
 

@@ -8,6 +8,7 @@ from levelalg.linalg import (
     QQ,
     _bareiss,
     _integer_det,
+    _sparse_echelon,
     det,
     free_columns,
     integer_echelon,
@@ -17,6 +18,8 @@ from levelalg.linalg import (
     rank,
     right_kernel,
     rref,
+    sparse_kernel,
+    sparse_rank,
 )
 
 rationals = st.fractions(
@@ -130,7 +133,8 @@ def integer_matrices(draw):
     product of sparse integer factors, so of rank at most the inner size,
     some with entries of about 70 bits, then zero rows and repeats of its
     rows inserted.  Zero-heavy factors make rows skip pivot columns and
-    take the lazy rescale, as the tangent constraints do."""
+    take the lazy rescale; the sparse core's rows are these rows without
+    their zero entries."""
     shape = draw(st.sampled_from(("wide", "tall", "square")))
     nrows = draw(st.integers(1, 3 if shape == "wide" else 10))
     ncols = draw(st.integers(1, 3 if shape == "tall" else 10))
@@ -194,6 +198,58 @@ def test_forward_kernel_of_no_rows_and_of_zero_rows():
     assert integer_forward_kernel([], 3) == units
     assert integer_forward_kernel([[0, 0, 0]] * 2, 3) == units
     assert integer_forward_kernel([[0, -2, 4]], 3) == [[1, 0, 0], [0, 2, 1]]
+
+
+def _sparse(m):
+    return [{c: x for c, x in enumerate(row) if x} for row in m]
+
+
+def _dense(v, ncols):
+    out = [0] * ncols
+    for c, x in v.items():
+        out[c] = x
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_sparse_core_matches_the_bareiss_loop(m):
+    # the sparse core against the dense one: the rank of integer_rank, and
+    # integer_kernel's primitive vectors of integer_echelon, each in column
+    # order and ending at its free column, from rows given in any order or
+    # as an iterator; the rows are read, never changed
+    ncols = len(m[0])
+    rows = _sparse(m)
+    before = [dict(row) for row in rows]
+    r = sparse_rank(rows)
+    kernel = sparse_kernel(rows, ncols)
+    assert rows == before
+    assert r == integer_rank(m, ncols)
+    echelon, pivots, den = integer_echelon(m, ncols)
+    assert [_dense(v, ncols) for v in kernel] == integer_kernel(echelon, pivots, den, ncols)
+    assert [max(v) for v in kernel] == free_columns(pivots, ncols)
+    assert all(list(v) == sorted(v) and 0 not in v.values() for v in kernel)
+    assert sparse_rank(iter(rows[::-1])) == r
+    assert sparse_kernel(iter(rows[::-1]), ncols) == kernel
+    # every pivot row is over its content and keyed by its lead, in the
+    # forward pass and after the back-reduction; the back-reduced rows are
+    # integer_echelon's rows over their contents, up to sign
+    forward, reduced = _sparse_echelon(rows, False), _sparse_echelon(rows, True)
+    assert sorted(forward) == sorted(reduced) == pivots
+    for pivot_rows in (forward, reduced):
+        assert all(min(row) == c and gcd(*row.values()) == 1 and 0 not in row.values()
+                   for c, row in pivot_rows.items())
+    for row, c in zip(echelon, pivots):
+        g = gcd(*row)
+        expected = {k: x // g for k, x in enumerate(row) if x}
+        assert reduced[c] in (expected, {k: -x for k, x in expected.items()})
+
+
+def test_sparse_core_of_no_rows():
+    assert sparse_rank([]) == 0
+    assert sparse_kernel([], 3) == [{0: 1}, {1: 1}, {2: 1}]
+    assert sparse_kernel([{1: -2, 2: 4}], 3) == [{0: 1}, {1: 2, 2: 1}]
+    assert sparse_rank([{1: 3}, {1: -6}]) == 1
 
 
 def test_integer_rank_of_no_rows_and_of_zero_rows():

@@ -38,6 +38,8 @@ UNCALLED_PUBLIC_FUNCTIONS = {
     "count_level_hf": "the independent count in the acceptance tests",
     "hypersurface_case": "named in the README and in the acceptance tests",
     "subspace_intersect": "row-space intersection in the README tour",
+    "right_kernel": "exported and named in the README's linalg line: the Fraction "
+                    "kernel the tests' reference routes take",
     "lr_coefficient": "the benchmark reads its cache statistics",
     "character": "the benchmark reads its cache statistics; the tests' character oracle",
     "class_of": "builds the Schubert classes of the acceptance tests",

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from levelalg.apolarity import ann_slice, catalecticant_matrix, internal_product
 from levelalg.forms import Form, Subspace, monomials, subspace_intersect
 from levelalg.linalg import (QQ, _integer_row, det, integer_echelon, integer_rank, rank, rref,
-                             right_kernel)
+                             right_kernel, sparse_kernel, sparse_rank)
 
 sympy = pytest.importorskip("sympy")
 
@@ -198,6 +198,25 @@ def test_integer_rank_matches_sympy(m, bits, data):
                     else [0] * ncols)
     expected = sympy_matrix(m).rank()
     assert integer_rank(rows, ncols) == len(integer_echelon(rows, ncols)[1]) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(low_rank_matrices(), st.integers(0, 80), st.data())
+def test_sparse_rank_and_kernel_match_sympy(m, bits, data):
+    # the rows scaled to integers, each then times a factor of up to 80
+    # bits and without its zero entries, repeats mixed in; each kernel
+    # vector over its entry at its free column, its last, is sympy's
+    ncols = len(m[0])
+    factors = st.sampled_from((1, -1, 2 ** bits + 1))
+    rows = [{c: x * k for c, x in enumerate(_integer_row(row)) if x}
+            for row in m for k in [data.draw(factors)]]
+    for _ in range(data.draw(st.integers(0, 3))):
+        rows.insert(data.draw(st.integers(0, len(rows))), data.draw(st.sampled_from(rows)))
+    expected = sympy_matrix(m)
+    assert sparse_rank(rows) == expected.rank()
+    kernel = [[to_sympy(QQ(v.get(c, 0), v[max(v)])) for c in range(ncols)]
+              for v in sparse_kernel(rows, ncols)]
+    assert kernel == [list(v) for v in expected.nullspace()]
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -392,46 +393,68 @@ def test_the_hom_oracle_matches_the_route(rng):
     assert {lam.nvars for _, lam in points} == {2, 3, 4}
 
 
+def _power_sum_span(n, d, t, s):
+    """t forms in n variables, each a sum of s d-th powers of linear forms
+    with coefficients in -3..3, drawn from random.Random(1)."""
+    rng = random.Random(1)
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    forms = []
+    for _ in range(t):
+        total = Form.zero(n, d, "S")
+        for _ in range(s):
+            coeffs = [rng.randint(-3, 3) for _ in range(n)]
+            total = total + Form.make(n, 1, "S", dict(zip(units, coeffs))).power(d)
+        forms.append(total)
+    return Subspace.span(n, d, "S", forms)
+
+
+def test_power_sum_spans_match_the_hom_oracle():
+    # n >= 3 points off the monomial locus whose constraint rows are dense
+    # and wide (27-38% nonzero, entries of 23-26 bits), where the Bareiss
+    # rank of such rows grows into minors of the input: the dimension against
+    # Hom_R(I, A)_0, the basis and shape against the rational dual route
+    for point, shape in (((3, 6, 2, 4), (32, 52)), ((4, 4, 2, 3), (64, 66))):
+        lam = _power_sum_span(*point)
+        ts = tangent_space(lam)
+        assert ts.constraint_shape == shape, point
+        assert ts.dimension == _hom_dimension(lam), point
+        assert (ts.dimension, ts.basis, ts.constraint_shape) == \
+            _fraction_tangent_space_dual(lam), point
+
+
 def test_the_basis_is_built_on_first_access_only(monkeypatch, rng):
-    # the route reads the dimension off integer_rank of the constraint rows
-    # and takes no echelon form or kernel of them; their right_kernel is
-    # taken on the first basis access, once, on the very rows that were
-    # ranked
-    ranked, echelons, kernels = [], [], []
-    original_rank, original_kernel = tangent.integer_rank, tangent.right_kernel
-    original_echelon = tangent.integer_echelon
+    # the route reads the dimension off sparse_rank of the constraint rows
+    # and takes no kernel of them: the kernels it takes are the V_i ones;
+    # the constraint rows' sparse_kernel is taken on the first basis
+    # access, once, on the very rows that were ranked
+    ranked, kernels = [], []
+    original_rank, original_kernel = tangent.sparse_rank, tangent.sparse_kernel
 
-    def recorded_rank(m, ncols):
+    def recorded_rank(m):
         ranked.append(m)
-        return original_rank(m, ncols)
+        return original_rank(m)
 
-    def recorded_echelon(m, ncols):
-        echelons.append(m)
-        return original_echelon(m, ncols)
-
-    def recorded_kernel(m, ncols=None):
+    def recorded_kernel(m, ncols):
         kernels.append(m)
         return original_kernel(m, ncols)
 
-    monkeypatch.setattr(tangent, "integer_rank", recorded_rank)
-    monkeypatch.setattr(tangent, "right_kernel", recorded_kernel)
-    monkeypatch.setattr(tangent, "integer_echelon", recorded_echelon)
+    monkeypatch.setattr(tangent, "sparse_rank", recorded_rank)
+    monkeypatch.setattr(tangent, "sparse_kernel", recorded_kernel)
     h = HilbertFunction.parse("1,2,3,4,5,5,4,3,0")
     points = [burch_point(h), moved_burch_point(h, rng),
               parse_subspace_lines(TERNARY[9], nvars=3)]
     for lam in points:
         dimension, basis, shape = _fraction_tangent_space_dual(lam)
         ranked.clear()
-        echelons.clear()
         kernels.clear()
         ts = tangent_space(lam)
         assert ts.dimension == dimension and ts.constraint_shape == shape
         assert len(ranked) == 1 and len(ranked[0]) == shape[0]
-        assert echelons and not any(m is ranked[0] for m in echelons)
-        assert kernels == []
+        assert kernels and not any(m is ranked[0] for m in kernels)
+        v_kernels = len(kernels)
         assert ts.basis == basis
-        assert len(kernels) == 1 and kernels[0] is ranked[0]
-        assert ts.basis is ts.basis and len(kernels) == 1
+        assert len(kernels) == v_kernels + 1 and kernels[-1] is ranked[0]
+        assert ts.basis is ts.basis and len(kernels) == v_kernels + 1
 
 
 def test_degree_subsets_match_the_rational_route():
@@ -478,19 +501,19 @@ def test_catalecticant_matrix_returns_fresh_lists(rng):
 
 def test_no_repeated_row_reaches_the_elimination_core(monkeypatch):
     # integer_echelon hands the Gauss-Jordan mode of the Bareiss loop each
-    # primitive row once, on the tangent route's V_i eliminations and on
-    # the slices it reads (the constraint rows are only ranked, by the
-    # forward mode).  The slices come from the derivative chain, whose step
-    # j gets t rows at j = d and n h_{j+1} rows below, and which stops at
-    # the first zero slice: no catalecticant there
-    given, eliminated = [], []
+    # primitive row once on the slices the tangent route reads, and the
+    # route hands the sparse core's kernel each V_i row once (the
+    # constraint rows are only ranked, and their kernel waits for the
+    # basis).  The slices come from the derivative chain, whose step j gets
+    # t rows at j = d and n h_{j+1} rows below, and which stops at the
+    # first zero slice: no catalecticant there
+    chain, eliminated, sparse = [], [], []
     original_echelon, original_bareiss = linalg.integer_echelon, linalg._bareiss
+    original_kernel = tangent.sparse_kernel
 
-    def counted_echelon(module):
-        def counted(m, ncols):
-            given.append((module, len(m), ncols))
-            return original_echelon(m, ncols)
-        return counted
+    def counted_echelon(m, ncols):
+        chain.append((len(m), ncols))
+        return original_echelon(m, ncols)
 
     def recorded_bareiss(m, ncols, jordan):
         rows = [list(row) for row in m]
@@ -498,21 +521,27 @@ def test_no_repeated_row_reaches_the_elimination_core(monkeypatch):
             eliminated.append(rows)
         return original_bareiss(rows, ncols, jordan)
 
-    for module in (apolarity, tangent):
-        monkeypatch.setattr(module, "integer_echelon", counted_echelon(module))
+    def recorded_kernel(m, ncols):
+        sparse.append([tuple(sorted(row.items())) for row in m])
+        return original_kernel(m, ncols)
+
+    monkeypatch.setattr(apolarity, "integer_echelon", counted_echelon)
     monkeypatch.setattr(linalg, "_bareiss", recorded_bareiss)
+    monkeypatch.setattr(tangent, "sparse_kernel", recorded_kernel)
     hs = enumerate_level_hf(6, 16)
     for h in (hs[len(hs) // 4], hs[3 * len(hs) // 4]):
         lam = burch_point(h)
-        given.clear()
+        chain.clear()
         eliminated.clear()
+        sparse.clear()
         tangent_space(lam)
         assert eliminated, h.format()
         assert all(len(set(map(tuple, rows))) == len(rows) for rows in eliminated), h.format()
+        assert sparse, h.format()
+        assert all(len(set(rows)) == len(rows) for rows in sparse), h.format()
         # the chain steps j = d, ..., stop, I_stop = 0 the first zero slice
         # (n = 2: dim R_j = j + 1)
         stop = max(j for j in range(1, h.d + 1) if h[j] == j + 1)
-        chain = [(n, ncols) for module, n, ncols in given if module is apolarity]
         assert [ncols for _, ncols in chain] == [j + 1 for j in range(h.d, stop - 1, -1)]
         bounds = [h.t] + [2 * h[j + 1] for j in range(h.d - 1, stop - 1, -1)]
         assert all(n <= bound for (n, _), bound in zip(chain, bounds, strict=True)), \
