@@ -47,11 +47,11 @@ from .errors import (
     NotArtinError,
     ZeroSubspaceError,
 )
-from .forms import (Form, Subspace, _lead, _monic_form, divided_power_weights, form_print,
+from .forms import (Form, Subspace, _monic_form, divided_power_weights, form_print,
                     monomial_products, space_dim)
 from .levelhf import HilbertFunction, e_sequence
-from .linalg import (QQ, Matrix, _integer_row, _primitive, echelon_kernel, integer_echelon,
-                     integer_forward_kernel, integer_kernel, integer_rank, rank)
+from .linalg import (QQ, Matrix, _integer_row, _reversed_kernel, _sparse_combine, _sparse_echelon,
+                     _sparse_rows, echelon_kernel, rank, sparse_rank)
 
 
 def internal_product(u: Form, f: Form) -> Form:
@@ -185,29 +185,35 @@ def _chain_step(nvars: int, j: int, span: list[list[int]]):
     There u.G = sum u_b w_b for u in R_j and G in S_j, so I_j is the right
     kernel of span, and R_1 contracting its echelon rows spans
     Lambda_{j-1}.  span has t rows at j = d and n h_{j+1} below.  The
-    kernel is read with the columns reversed, as linalg.echelon_kernel
-    reads it, so it is the reduced echelon basis up to positive row
-    scales; but by Gauss-Jordan elimination, whose rows the step needs.
+    rows go to linalg's core with the columns reversed, as
+    linalg.echelon_kernel hands them, so the kernel read off the
+    back-reduced rows is the reduced echelon basis up to positive row
+    scales, and the same rows, read back, are the echelon rows the step
+    contracts.
     """
     width = space_dim(nvars, j)
-    rows, pivots, den = integer_echelon([row[::-1] for row in span], width)
-    kernel = tuple(tuple(v[::-1]) for v in reversed(integer_kernel(rows, pivots, den, width)))
+    pivots = _sparse_echelon(_sparse_rows(row[::-1] for row in span), True)
+    kernel = tuple(map(tuple, _reversed_kernel(pivots, width)))
     if j == 1:
         return kernel, None
-    return kernel, _contract([row[::-1] for row in rows], nvars, 1, j - 1)
+    top = range(width - 1, -1, -1)
+    return kernel, _contract([[row.get(c, 0) for c in top] for row in pivots.values()],
+                             nvars, 1, j - 1)
 
 
 def _apolar_pass(lam: Subspace):
     """(Hilbert function, minimal generators) of ann(Lambda), both tuples,
     from the slices I_0 = 0, I_1, ..., I_d that _ann_rows holds on lam:
     h_j = dim R_j - dim I_j.  Each echelon row of I_j (j <= d + 1, with
-    I_{d+1} = R_{d+1}) is reduced against R_1 * I_{j-1} and the generators
-    found before it; the residual (the one vector of row + span zero at the
-    span's pivots, up to scale, whatever basis is taken) is a generator if
-    nonzero.  It is stored divided by its content, as each later residual
-    is cross-multiplied against it, and its monic form is built from it
-    once.  The result is kept on lam, which is frozen, for as long as lam
-    lives, so the pass runs once per Lambda instance.
+    I_{d+1} = R_{d+1}) is reduced against the pivot rows of the forward
+    elimination of R_1 * I_{j-1} and the generators found before it, each
+    kept as a pivot row at its lead; the residual (the one vector of row +
+    span zero at every pivot column, up to scale, whatever basis is taken)
+    is a generator if nonzero.  Each reduction step divides by the content,
+    as each later residual is cross-multiplied against the rows before it,
+    and the monic form of a generator is built from it once.  The result
+    is kept on lam, which is frozen, for as long as lam lives, so the pass
+    runs once per Lambda instance.
 
     Degree j holds e_j = dim I_j - rank(R_1 * I_{j-1}) generators, read
     off the elimination of R_1 * I_{j-1}, and the pass leaves it once it
@@ -240,37 +246,34 @@ def _apolar_pass(lam: Subspace):
     for j, rows in enumerate((*slices[1:], Subspace.full(n, d + 1, "R").echelon), start=1):
         if not (rows if counts is None else counts[j - 1]):
             continue
-        base, pivots, den = integer_echelon(_times_variables(n, j - 1, slices[j - 1]),
-                                            space_dim(n, j))
-        need = len(rows) - len(base)
-        found, gens = [], []
+        pivots = _sparse_echelon(_times_variables(n, j - 1, slices[j - 1]), False)
+        need = len(rows) - len(pivots)
+        gens = []
         for b in rows:
             if len(gens) == need:
                 break
-            r = _residual(b, base, pivots, den, found)
-            if any(r):
-                r = _primitive(r)
-                found.append((_lead(r), r))
-                gens.append(_monic_form(n, j, "R", r))
+            r = _residual(b, pivots)
+            if r:
+                pivots[min(r)] = r
+                gens.append(_monic_form(n, j, "R", [r.get(c, 0) for c in range(len(b))]))
         if gens:
             out.append((j, tuple(gens)))
     memo = lam.__dict__["_apolar_pass"] = (hf, tuple(out))
     return memo
 
 
-def _residual(b, base, pivots, den: int, found) -> list[int]:
-    """The row b times den reduced against the integer echelon rows base of
-    common denominator den (each den at its pivot), then against the
-    generators found, (lead, row) pairs: zero at every pivot and lead, and
-    zero iff b lies in their span."""
-    r = [den * x for x in b]
-    for p, row in zip(pivots, base):
-        if b[p]:
-            r = [x - b[p] * y for x, y in zip(r, row)]
-    for p, g in found:
-        if r[p]:
-            r = [g[p] * x - r[p] * y for x, y in zip(r, g)]
-    return r
+def _residual(b, pivots) -> dict[int, int]:
+    """The row b reduced against the primitive sparse rows pivots, keyed by
+    their distinct leads, at every pivot column in column order, as a
+    sparse primitive row: a row with lead c is zero left of c, so each step
+    keeps the columns cleared before it.  The result is zero at every pivot
+    column, and empty iff b lies in the span of the pivot rows; b, a row of
+    a slice, is primitive itself."""
+    row = {c: x for c, x in enumerate(b) if x}
+    for c in sorted(pivots):
+        if c in row:
+            row = _sparse_combine(pivots[c], row, c)
+    return row
 
 
 def minimal_generators(lam: Subspace) -> list[tuple[int, list[Form]]]:
@@ -299,9 +302,7 @@ def inverse_system_slice(gens: list[Form], nvars: int, d: int) -> Subspace:
     The kernel of _condition_rows, in divided-power coordinates w_b, taken
     to monomial coordinates by the integers d!/b!: the coefficient of y^b
     is w_b / b!, and the common factor d! clears the denominators.  The
-    kernel is linalg.echelon_kernel's reduced echelon basis, by the forward
-    pass and back substitution: no caller needs rows spanning the
-    conditions, and the kernel is small beside their rank.  A positive
+    kernel is linalg.echelon_kernel's reduced echelon basis.  A positive
     column scale keeps the zero pattern of the reduced echelon rows and the
     sign of each pivot, so the scaled rows are the reduced echelon rows of
     the slice up to positive row scales."""
@@ -313,42 +314,35 @@ def inverse_system_slice(gens: list[Form], nvars: int, d: int) -> Subspace:
                                                  for v in kernel))
 
 
-def _condition_rows(gens: list[Form], nvars: int, d: int) -> list[list[int]]:
+def _condition_rows(gens: list[Form], nvars: int, d: int) -> list[dict[int, int]]:
     """The coefficient vectors of x^c * g in R_d, for every nonzero generator
     g of degree q <= d, scaled to integers, and every monomial x^c of
-    R_{d-q}: rows spanning I_d, I the ideal the gens generate.  They are
-    the conditions on F in S_d in divided-power coordinates w_b = b! *
-    (coefficient of y^b): the coefficient of y^c in g.F is (x^c g).w / c!,
-    since u.F = sum u_b w_b for u in R_d; inverse_system_slice and socle
-    read their kernel.  At n = 2 they are shifted copies of g's
-    coefficients.  Column c of monomial_products(n, q, d - q), the table
-    the tangent route reads, places them."""
-    width, rows = space_dim(nvars, d), []
+    R_{d-q}, as sparse rows: rows spanning I_d, I the ideal the gens
+    generate.  They are the conditions on F in S_d in divided-power
+    coordinates w_b = b! * (coefficient of y^b): the coefficient of y^c in
+    g.F is (x^c g).w / c!, since u.F = sum u_b w_b for u in R_d;
+    inverse_system_slice and socle read their kernel.  At n = 2 they are
+    shifted copies of g's coefficients.  Column c of monomial_products(n,
+    q, d - q), the table the tangent route reads, places them."""
+    rows = []
     for g in gens:
         if g.degree <= d and not g.is_zero:
             rows += _placed(zip(*monomial_products(nvars, g.degree, d - g.degree)),
-                            [_integer_row(g.vector())], width)
+                            [_integer_row(g.vector())])
     return rows
 
 
-def _times_variables(nvars: int, degree: int, rows) -> list[list]:
+def _times_variables(nvars: int, degree: int, rows) -> list[dict[int, int]]:
     """x_i * b for every variable x_i and row b, a coefficient vector of
-    degree `degree`: a spanning set of R_1 * span(rows)."""
-    return _placed(monomial_products(nvars, 1, degree), rows, space_dim(nvars, degree + 1))
+    degree `degree`: a spanning set of R_1 * span(rows), as sparse rows."""
+    return _placed(monomial_products(nvars, 1, degree), rows)
 
 
-def _placed(shifts, rows, width: int) -> list[list]:
-    """For each shift (shift outermost) and row, the vector of the given
-    width holding row[m] at shift[m]: x^c * b for the monomial x^c whose
-    products a shift indexes."""
-    out = []
-    for shift in shifts:
-        for row in rows:
-            v = [0] * width
-            for k, c in zip(shift, row):
-                v[k] = c
-            out.append(v)
-    return out
+def _placed(shifts, rows) -> list[dict[int, int]]:
+    """For each shift (shift outermost) and row, the sparse row ({column:
+    nonzero entry}) holding row[m] at shift[m]: x^c * b for the monomial
+    x^c whose products a shift indexes."""
+    return [{k: c for k, c in zip(shift, row) if c} for shift in shifts for row in rows]
 
 
 def _check_generators(gens: list[Form], nvars: int):
@@ -370,8 +364,8 @@ def socle(gens: list[Form], nvars: int) -> list[tuple[int, int]]:
     lies in I_{j+1}.  So (I^-1)_j is taken, in divided-power coordinates,
     as the kernel of _condition_rows up to the first that is 0, and the
     socle dimension in degree j is dim (I^-1)_j - rank(R_1.(I^-1)_{j+1}),
-    by one forward pass per degree.  An artin quotient need not be level,
-    unlike the apolar profile's.
+    by one rank (linalg.sparse_rank) per degree.  An artin quotient need
+    not be level, unlike the apolar profile's.
     """
     gens = [g for g in gens if not g.is_zero]
     if len(gens) < nvars:
@@ -389,7 +383,7 @@ def socle(gens: list[Form], nvars: int) -> list[tuple[int, int]]:
             raise NotArtinError(
                 f"Hilbert function of the quotient has not vanished by degree {bound}"
             )
-        rows = integer_forward_kernel(_condition_rows(gens, nvars, j), space_dim(nvars, j))
+        rows = echelon_kernel(_condition_rows(gens, nvars, j), space_dim(nvars, j))
         if not rows:
             break
         dual.append(rows)
@@ -397,7 +391,7 @@ def socle(gens: list[Form], nvars: int) -> list[tuple[int, int]]:
         raise NotArtinError("the generators span the unit ideal; the quotient is zero")
     out = []
     for j, (rows, above) in enumerate(zip(dual, dual[1:] + [[]])):
-        s = len(rows) - integer_rank(_contract(above, nvars, 1, j), len(rows[0]))
+        s = len(rows) - sparse_rank(_sparse_rows(_contract(above, nvars, 1, j)))
         if s > 0:
             out.append((j, s))
     return out

@@ -21,8 +21,8 @@ from functools import cached_property, lru_cache, reduce
 from math import factorial, gcd, prod
 
 from .errors import AmbientMismatchError, FormSyntaxError
-from .linalg import (QQ, Vector, _integer_row, echelon_kernel, integer_echelon,
-                     integer_forward_kernel)
+from .linalg import (QQ, Vector, _integer_row, _sparse_rows, echelon_kernel, integer_echelon,
+                     sparse_kernel)
 
 RING_VARS = {"R": "x", "S": "y"}
 
@@ -502,7 +502,8 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.echelon == b.echelon:
         return a
     width = a.ambient_dim
-    conditions = integer_forward_kernel(a.echelon, width) + integer_forward_kernel(b.echelon, width)
+    conditions = (sparse_kernel(_sparse_rows(a.echelon), width)
+                  + sparse_kernel(_sparse_rows(b.echelon), width))
     return Subspace.from_echelon(a.nvars, a.degree, a.ring, echelon_kernel(conditions, width))
 
 

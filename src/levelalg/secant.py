@@ -28,7 +28,7 @@ from .errors import (
 )
 from .forms import Form, Subspace
 from .levelhf import HilbertFunction, dim_stratum, q_sequence
-from .linalg import QQ, Matrix, det, integer_rank, rank
+from .linalg import QQ, Matrix, det, rank, sparse_rank
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,8 @@ def secant_decompose(lam: Subspace) -> list[SecantPlane]:
         raise LevelAlgError("internal bug: generator degrees do not match the q-sequence")
     rows = _condition_rows([p.apolar_form for p in planes], 2, lam.degree)
     lam_rows = _divided_power_rows(lam)
-    if (any(sum(map(mul, row, w)) for row in rows for w in lam_rows)
-            or integer_rank(rows, lam.ambient_dim) != lam.ambient_dim - lam.dim):
+    if (any(sum(x * w[c] for c, x in row.items()) for row in rows for w in lam_rows)
+            or sparse_rank(rows) != lam.ambient_dim - lam.dim):
         raise LevelAlgError("internal bug: plane intersection is not Lambda")
     return planes
 

@@ -16,11 +16,9 @@ elimination a degree; see apolarity), and h_j = dim R_j - dim I_j.  It
 stays in integers, and its matrices are sparse: over the seed-1 two-pass
 tangent_burch stream of the benchmark the V_i rows are 9.2% nonzero and
 the constraint rows 3.7%.  So the residuals, the V_i rows, the
-functionals and the constraint rows are {column: entry} rows, and the
-route eliminates them with linalg's sparse core, which keeps every row
-over its content (the dense Bareiss loop serves the chain, the apolar
-pass, inverse systems and the secant route, whose binary matrices are
-50-55% nonzero).  The functionals linalg.sparse_kernel reads off each V_i
+functionals and the constraint rows are {column: entry} rows, the form
+linalg's one elimination core takes, which keeps every row over its
+content.  The functionals linalg.sparse_kernel reads off each V_i
 are the rational ones times positive factors, so every constraint keeps
 its zero set.  The dimension is the number of unknowns less the rank of
 the constraint rows, which linalg.sparse_rank takes by a forward pass
@@ -91,11 +89,11 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
     times a lead of I_{i-1} are used, and V_i is built and eliminated only
     in the degrees where one is.  Every row is a sparse {column: entry}
     row, eliminated by linalg.sparse_kernel (V_i) and linalg.sparse_rank
-    (the constraint rows), since they are 3.7-9.2% nonzero on the
-    benchmark's stream.  At n >= 3 power-sum spans the constraint rows are
-    denser (27-43%) but carry entries of up to hundreds of bits, and there
-    the sparse core's content division keeps each pivot row small where a
-    Bareiss row grows into a minor of the input.
+    (the constraint rows); they are 3.7-9.2% nonzero on the benchmark's
+    stream.  At n >= 3 power-sum spans the constraint rows are denser
+    (27-43%) but carry entries of up to hundreds of bits, and there the
+    core's content division keeps each pivot row small where a Bareiss
+    row grows into a minor of the input.
 
     `degrees` restricts the constraints to a subset of 1..d-1 (the default),
     i.e. computes the tangent space of an intersection of fewer rank loci;

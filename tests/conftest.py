@@ -1,7 +1,7 @@
 import random
 from functools import lru_cache
 from itertools import count, permutations
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -16,7 +16,7 @@ from levelalg.apolarity import _check_generators, _times_variables, inverse_syst
 from levelalg.errors import AdmissibilityError, DegreeError
 from levelalg.forms import Form, Subspace, divided_power_weights, monomial_products, space_dim
 from levelalg.levelhf import HilbertFunction, burch_ideal, enumerate_level_hf
-from levelalg.linalg import QQ, _integer_row, det, free_columns, integer_echelon, integer_kernel
+from levelalg.linalg import QQ, _integer_row, det, integer_echelon
 from levelalg.partitions import partitions_in_box
 from levelalg.secant import check_points
 
@@ -73,7 +73,7 @@ def all_level_hfs(t_max: int, d_max: int):
 def complement_positions(sub):
     """The monomial positions that are no pivot of the Subspace sub: the
     coordinates of its quotient space."""
-    return free_columns(sub.pivots, sub.ambient_dim)
+    return [c for c in range(sub.ambient_dim) if c not in sub.pivots]
 
 
 def monomial_residuals(sub):
@@ -98,8 +98,10 @@ def ideal_slice_stream(gens, nvars: int):
     prev: list[list[int]] = []
     for j in count():
         width = space_dim(nvars, j)
+        products = [[v.get(c, 0) for c in range(width)]
+                    for v in _times_variables(nvars, j - 1, prev)]
         prev = integer_echelon([_integer_row(g.vector()) for g in gens if g.degree == j]
-                               + _times_variables(nvars, j - 1, prev), width)[0]
+                               + products, width)[0]
         yield prev
         if len(prev) == width:
             return
@@ -135,18 +137,96 @@ def jordan_apolar_basis(factors: list[tuple], m: int) -> Subspace:
 def row_space_intersection(a_rows, b_rows, ncols: int) -> list:
     """Canonical echelon basis of rowspace(a) ∩ rowspace(b), as Fraction
     rows: the a-parts sum c_i a_i of the kernel vectors c of the stacked
-    columns [a | b], by two Gauss-Jordan eliminations.  The reference of
+    columns [a | b], by two Gauss-Jordan eliminations of the Bareiss loop.  The reference of
     the library's kernel-of-kernels route, forms.subspace_intersect, which
     takes no Gauss-Jordan kernel."""
     if not a_rows or not b_rows:
         return []
     cols = list(zip(*map(_integer_row, (*a_rows, *b_rows))))
     width = len(a_rows) + len(b_rows)
-    combos = integer_kernel(*integer_echelon(cols, width), width)
+    combos = bareiss_kernel(*bareiss_echelon(cols, width), width)
     vectors = [[sum(c * x for c, x in zip(combo[:len(a_rows)], col)) for col in cols]
                for combo in combos]
-    rows, _, den = integer_echelon(vectors, ncols)
+    rows, _, den = bareiss_echelon(vectors, ncols)
     return [[QQ(x, den) for x in row] for row in rows]
+
+
+# -- the Bareiss loop, the reference of the library's elimination core -------
+
+def _bareiss(m, ncols: int, jordan: bool):
+    """Fraction-free elimination of the integer rows m (an iterable), zero
+    rows dropped, dividing every update exactly by the previous pivot
+    (Bareiss, Math. Comp. 1968).
+
+    The pivot is the topmost row nonzero in the first column that has one.
+    A row that is zero in the pivot column would only be scaled by pivot /
+    previous pivot, so it is left as it is and level[i] holds the pivot it
+    is scaled to.  Returns (rows, pivots, pivot): one integer row per pivot
+    column and the last pivot `pivot` (1 if none).  With jordan, every other
+    row is cleared at each pivot, and each row equals `pivot` at its pivot
+    column and is zero at the other pivot columns.  Without it only the rows
+    below each pivot are updated, and the entries of row k are (k + 1)-minors
+    of m.
+    """
+    a = [list(row) for row in m if any(row)]
+    nrows = len(a)
+    level = [1] * nrows
+    pivots: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        for p in range(r, nrows):
+            if a[p][c]:
+                break
+        else:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            level[r], level[p] = level[p], level[r]
+        prow = a[r]
+        if level[r] != prev:
+            prow = a[r] = [x * prev // level[r] for x in prow]
+        pv = prow[c]
+        for i in range(0 if jordan else r + 1, nrows):
+            row = a[i]
+            f = row[c]
+            if f and i != r:
+                a[i] = [(pv * x - f * y) // level[i] for x, y in zip(row, prow)]
+                level[i] = pv
+        level[r] = pv
+        pivots.append(c)
+        prev = pv
+    if not jordan:
+        return a[:len(pivots)], pivots, prev
+    echelon = [row if lv == prev else [x * prev // lv for x in row]
+               for row, lv in zip(a, level[:len(pivots)])]
+    return echelon, pivots, prev
+
+
+def bareiss_echelon(m, ncols: int) -> tuple[list[list[int]], list[int], int]:
+    """(echelon, pivots, den) of the integer rows m by the Gauss-Jordan
+    Bareiss loop: the reduced row echelon form times its least common
+    denominator den > 0, one row per pivot column."""
+    rows, pivots, pivot = _bareiss(m, ncols, True)
+    g = gcd(pivot, *[gcd(*row) for row in rows]) * (-1 if pivot < 0 else 1)
+    return [[x // g for x in row] for row in rows], pivots, pivot // g
+
+
+def bareiss_kernel(echelon, pivots, den: int, ncols: int) -> list[list[int]]:
+    """The right kernel from bareiss_echelon's (echelon, pivots, den), one
+    vector per free column f in order: den at f and -row[f] at the pivot
+    column of each echelon row, over its content."""
+    kernel = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = den
+        for row, c in zip(echelon, pivots):
+            v[c] = -row[f]
+        g = gcd(*v)
+        kernel.append([x // g for x in v])
+    return kernel
 
 
 # -- s_lam[mX] in the Schur basis of t variables, without LR or Kronecker ----

@@ -369,7 +369,7 @@ def assert_chain_matches_the_conditions(lam):
     assert apolar_profile(lam).kv_lines() == old_profile_lines(lam)
 
 
-@pytest.mark.parametrize("nvars, d_max", [(1, 7), (2, 10), (3, 6)])
+@pytest.mark.parametrize("nvars, d_max", [(1, 7), (2, 10), (3, 6), (4, 5)])
 def test_the_derivative_chain_matches_the_catalecticant_route(rng, nvars, d_max):
     for d in range(d_max + 1):
         for t in range(1, min(4, space_dim(nvars, d)) + 1):
@@ -475,15 +475,16 @@ def test_four_quartics_in_four_variables_match_the_old_routes(monkeypatch):
     # after it: stored without dividing out its content, their bit lengths
     # doubled with every one of the 15 generators of degree 4 (55, 226, 451,
     # ..., past 3.6 million bits); divided by it, they stay under 230 bits.
-    # The pass reads the lead of each generator it stores, so a residual
-    # over the bound fails here instead of running for minutes.
-    lead = apolarity._lead
+    # The pass builds the form of each generator it stores from its integer
+    # row, so a residual over the bound fails here instead of running for
+    # minutes.
+    monic_form = apolarity._monic_form
 
-    def bounded(v):
+    def bounded(nvars, degree, ring, v):
         assert max(abs(x).bit_length() for x in v) <= 1024
-        return lead(v)
+        return monic_form(nvars, degree, ring, v)
 
-    monkeypatch.setattr(apolarity, "_lead", bounded)
+    monkeypatch.setattr(apolarity, "_monic_form", bounded)
     lam = random_integer_span(random.Random(4), 4, 4, 4)
     assert old_hilbert_function(lam) == apolar_profile(lam).hilbert
     assert minimal_generators(lam) == old_minimal_generators(lam)
@@ -494,20 +495,30 @@ def test_four_quartics_in_four_variables_match_the_old_routes(monkeypatch):
 
 def eliminated_degrees(lam, monkeypatch):
     """The degrees in which a fresh apolar pass on a copy of lam eliminates
-    R_1 * I_{j-1}: the chain runs first, so every later integer_echelon
-    call is the pass's, and its width dim R_j gives the degree."""
+    R_1 * I_{j-1}: the chain runs first, so every later call of the
+    elimination core is the pass's, and the degree is one more than that
+    of the rows whose products with the variables it eliminates."""
     lam = dataclasses.replace(lam)
     ann_slice(lam, 1)
-    width_degree = {space_dim(lam.nvars, j): j for j in range(lam.degree + 2)}
-    seen, echelon = [], apolarity.integer_echelon
+    seen, products, core = [], apolarity._times_variables, apolarity._sparse_echelon
+    built = []
 
-    def recorded(m, ncols):
-        seen.append(width_degree[ncols])
-        return echelon(m, ncols)
+    def recorded_products(nvars, degree, rows):
+        out = products(nvars, degree, rows)
+        built.append((degree + 1, out))
+        return out
+
+    def recorded_core(rows, back):
+        degree, out = built.pop()
+        assert rows is out
+        seen.append(degree)
+        return core(rows, back)
 
     with monkeypatch.context() as patch:
-        patch.setattr(apolarity, "integer_echelon", recorded)
+        patch.setattr(apolarity, "_times_variables", recorded_products)
+        patch.setattr(apolarity, "_sparse_echelon", recorded_core)
         profile = apolar_profile(lam)
+    assert not built
     return seen, profile
 
 
@@ -620,6 +631,14 @@ def mutated_pass(lam, degree, replace):
     return lam
 
 
+def condition_matrix(lam):
+    """The condition rows of the generators held on lam's pass memo, as
+    dense integer rows of R_d."""
+    gens = [g for _, forms in apolarity._apolar_pass(lam)[1] for g in forms]
+    return [[row.get(c, 0) for c in range(lam.ambient_dim)]
+            for row in apolarity._condition_rows(gens, 2, lam.degree)]
+
+
 def test_the_certificate_catches_a_wrong_generator_and_a_repeated_one():
     # h = 1,2,3,4,4,4,2 has e_4 = 1 and e_6 = 2: two generators of degree
     # 6 = d, whose planes are points of P(S_6)
@@ -633,16 +652,14 @@ def test_the_certificate_catches_a_wrong_generator_and_a_repeated_one():
     # while the rank stays d + 1 - t, so the rank half alone would pass
     x16 = Form.make(2, 6, "R", {(6, 0): 1})
     wrong = mutated_pass(lam, 6, lambda forms: (x16, *forms[1:]))
-    rows = apolarity._condition_rows([g for _, fs in apolarity._apolar_pass(wrong)[1]
-                                      for g in fs], 2, d)
+    rows = condition_matrix(wrong)
     assert rank(rows) == d + 1 - t
     with pytest.raises(LevelAlgError, match="plane intersection is not Lambda"):
         secant_decompose(wrong)
     # a copy of the other degree-6 generator: every row still kills Lambda,
     # but the rank drops, so only the rank half fails
     repeated = mutated_pass(lam, 6, lambda forms: (forms[1], forms[1]))
-    rows = apolarity._condition_rows([g for _, fs in apolarity._apolar_pass(repeated)[1]
-                                      for g in fs], 2, d)
+    rows = condition_matrix(repeated)
     assert all(sum(a * b for a, b in zip(row, w)) == 0
                for row in rows for w in apolarity._divided_power_rows(lam))
     assert rank(rows) < d + 1 - t
@@ -671,7 +688,7 @@ def test_the_binary_pass_reduces_no_row_after_the_last_generator(monkeypatch):
 
     def counted(b, *rest):
         r = residual(b, *rest)
-        calls.append((len(b) - 1, any(r)))
+        calls.append((len(b) - 1, bool(r)))
         return r
 
     monkeypatch.setattr(apolarity, "_residual", counted)
@@ -701,7 +718,7 @@ def test_the_pass_reduces_no_row_after_the_last_generator_at_every_n(monkeypatch
 
     def counted(b, *rest):
         r = residual(b, *rest)
-        calls.append((len(b), any(r)))
+        calls.append((len(b), bool(r)))
         return r
 
     monkeypatch.setattr(apolarity, "_residual", counted)

@@ -1,20 +1,17 @@
 from math import gcd
 
 import pytest
-from conftest import row_space_intersection
+from conftest import _bareiss, bareiss_echelon, bareiss_kernel, row_space_intersection
 from hypothesis import given, settings, strategies as st
 
 from levelalg.linalg import (
     QQ,
-    _bareiss,
     _integer_det,
     _sparse_echelon,
+    _sparse_rows,
     det,
-    free_columns,
+    echelon_kernel,
     integer_echelon,
-    integer_forward_kernel,
-    integer_kernel,
-    integer_rank,
     rank,
     right_kernel,
     rref,
@@ -83,8 +80,8 @@ def test_integer_echelon_contract(rows):
 
 
 def _check_integer_echelon(rows):
-    """integer_echelon(rows), and integer_kernel, against rref and
-    right_kernel; returns (echelon, pivots, den, kernel)."""
+    """integer_echelon(rows), and sparse_kernel of the same rows, against
+    rref and right_kernel; returns (echelon, pivots, den, kernel)."""
     ncols = len(rows[0])
     reduced, pivots_ref = rref(mat(rows))
     rk, kernel_ref = len(pivots_ref), right_kernel(mat(rows))
@@ -92,9 +89,8 @@ def _check_integer_echelon(rows):
     assert pivots == pivots_ref and den > 0
     assert [[QQ(x, den) for x in r] for r in ech] == reduced[:rk]
     assert gcd(den, *[x for r in ech for x in r]) == 1
-    free = free_columns(pivots, ncols)
-    assert free == [c for c in range(ncols) if c not in pivots]
-    kernel = integer_kernel(ech, pivots, den, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    kernel = [_dense(v, ncols) for v in sparse_kernel(_sparse_rows(rows), ncols)]
     assert len(kernel) == len(kernel_ref) == len(free)
     for v, ref, f in zip(kernel, kernel_ref, free):
         assert gcd(*v) == 1 and v[f] > 0
@@ -107,9 +103,9 @@ def _check_integer_echelon(rows):
     st.lists(st.integers(-6, 6), min_size=c, max_size=c), min_size=1, max_size=8)),
     st.randoms(use_true_random=False))
 def test_integer_echelon_depends_on_the_row_space_only(rows, rnd):
-    # integer_echelon drops zero rows and repeats of a primitive row before
-    # eliminating; repeats, rescalings by +-k, zero rows and a new order
-    # leave the row space, hence every output, as it is
+    # the intake drops zero rows and repeats before eliminating; repeats,
+    # rescalings by +-k, zero rows and a new order leave the row space,
+    # hence every output, as it is
     ncols = len(rows[0])
     spread = [[k * x for x in row] for row in rows for _ in range(rnd.randint(1, 3))
               for k in [rnd.choice((-1, 1)) * rnd.randint(1, 4)]]
@@ -156,48 +152,59 @@ def integer_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices())
 def test_integer_rank_is_the_echelon_rank(m):
-    # the forward pass against integer_echelon's pivots and the Fraction
-    # rref's, on the rows as given (no dedupe) and from an iterator; the
-    # rows are read, never changed
+    # the forward pass of the core against integer_echelon's pivots and the
+    # Fraction rref's, on the rows as given and from an iterator; the rows
+    # are read, never changed
     ncols = len(m[0])
     before = [list(row) for row in m]
-    r = integer_rank(m, ncols)
+    r = sparse_rank(_sparse_rows(m))
     assert m == before
     assert r == len(integer_echelon(m, ncols)[1]) == rank(mat(m))
-    assert integer_rank(iter(m), ncols) == r
-    assert integer_rank(m[::-1], ncols) == r
-    # the forward pass divides by the previous pivot: row k of it holds
-    # (k + 1)-minors of m, within Hadamard's bound, the product of the k + 1
-    # largest squared row norms
-    rows, pivots, _ = _bareiss(m, ncols, False)
-    assert len(rows) == len(pivots) == r
+    assert r == len(_bareiss(m, ncols, False)[1])
+    assert sparse_rank(iter(_sparse_rows(iter(m)))) == r
+    assert sparse_rank(_sparse_rows(m[::-1])) == r
+    # the forward pivot rows in lead order: the row of the k-th lead is the
+    # primitive vector on the line that some m' <= k + 1 rows of m and
+    # m' - 1 zero columns cut out, so it divides a vector of m'-minors of m,
+    # within Hadamard's bound on the k-th Bareiss row: the product of the
+    # k + 1 largest squared row norms
+    forward = _sparse_echelon(_sparse(m), False)
+    assert len(forward) == r
     norms = sorted((sum(x * x for x in row) for row in m), reverse=True)
     bound = 1
-    for row, norm in zip(rows, norms):
+    for c, norm in zip(sorted(forward), norms):
         bound *= norm
-        assert all(x * x <= bound for x in row)
+        assert all(x * x <= bound for x in forward[c].values())
 
 
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices())
-def test_forward_kernel_is_the_echelon_kernel(m):
-    # back substitution on the forward pass against integer_kernel on the
-    # Gauss-Jordan form: the same primitive vectors, from rows given in any
-    # order or as an iterator
+def test_echelon_kernel_is_the_reversed_kernel(m):
+    # the reduced echelon basis of the kernel against the Bareiss reference
+    # on the reversed columns: the same primitive vectors, each starting at
+    # its own column, from rows given in any order or as an iterator; the
+    # rows are read, never changed
     ncols = len(m[0])
-    before = [list(row) for row in m]
-    kernel = integer_forward_kernel(m, ncols)
-    assert m == before
-    assert kernel == integer_kernel(*integer_echelon(m, ncols), ncols)
-    assert integer_forward_kernel(iter(m[::-1]), ncols) == kernel
+    rows = _sparse(m)
+    before = [dict(row) for row in rows]
+    kernel = echelon_kernel(rows, ncols)
+    assert rows == before
+    reversed_rows = [row[::-1] for row in m]
+    assert kernel == [v[::-1] for v in reversed(bareiss_kernel(*bareiss_echelon(reversed_rows,
+                                                                                ncols), ncols))]
+    assert echelon_kernel(iter(rows[::-1]), ncols) == kernel
     assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m for v in kernel)
+    leads = [next(c for c, x in enumerate(v) if x) for v in kernel]
+    assert leads == sorted(set(leads))
+    assert all(v[c] > 0 and all(w[c] == 0 for w in kernel if w is not v)
+               for v, c in zip(kernel, leads))
 
 
-def test_forward_kernel_of_no_rows_and_of_zero_rows():
+def test_echelon_kernel_of_no_rows_and_of_zero_rows():
     units = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert integer_forward_kernel([], 3) == units
-    assert integer_forward_kernel([[0, 0, 0]] * 2, 3) == units
-    assert integer_forward_kernel([[0, -2, 4]], 3) == [[1, 0, 0], [0, 2, 1]]
+    assert echelon_kernel([], 3) == units
+    assert echelon_kernel(_sparse_rows([[0, 0, 0]] * 2), 3) == units
+    assert echelon_kernel([{1: -2, 2: 4}], 3) == [[1, 0, 0], [0, 2, 1]]
 
 
 def _sparse(m):
@@ -214,8 +221,8 @@ def _dense(v, ncols):
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices())
 def test_sparse_core_matches_the_bareiss_loop(m):
-    # the sparse core against the dense one: the rank of integer_rank, and
-    # integer_kernel's primitive vectors of integer_echelon, each in column
+    # the sparse core against the Bareiss reference: its rank, and its
+    # primitive kernel vectors of the Gauss-Jordan form, each in column
     # order and ending at its free column, from rows given in any order or
     # as an iterator; the rows are read, never changed
     ncols = len(m[0])
@@ -224,16 +231,17 @@ def test_sparse_core_matches_the_bareiss_loop(m):
     r = sparse_rank(rows)
     kernel = sparse_kernel(rows, ncols)
     assert rows == before
-    assert r == integer_rank(m, ncols)
-    echelon, pivots, den = integer_echelon(m, ncols)
-    assert [_dense(v, ncols) for v in kernel] == integer_kernel(echelon, pivots, den, ncols)
-    assert [max(v) for v in kernel] == free_columns(pivots, ncols)
+    assert r == len(_bareiss(m, ncols, False)[1])
+    echelon, pivots, den = bareiss_echelon(m, ncols)
+    assert [_dense(v, ncols) for v in kernel] == bareiss_kernel(echelon, pivots, den, ncols)
+    assert [max(v) for v in kernel] == [c for c in range(ncols) if c not in pivots]
     assert all(list(v) == sorted(v) and 0 not in v.values() for v in kernel)
     assert sparse_rank(iter(rows[::-1])) == r
     assert sparse_kernel(iter(rows[::-1]), ncols) == kernel
     # every pivot row is over its content and keyed by its lead, in the
     # forward pass and after the back-reduction; the back-reduced rows are
-    # integer_echelon's rows over their contents, up to sign
+    # the Bareiss echelon rows over their contents, up to sign, and
+    # integer_echelon reads the Bareiss echelon form off them
     forward, reduced = _sparse_echelon(rows, False), _sparse_echelon(rows, True)
     assert sorted(forward) == sorted(reduced) == pivots
     for pivot_rows in (forward, reduced):
@@ -243,6 +251,7 @@ def test_sparse_core_matches_the_bareiss_loop(m):
         g = gcd(*row)
         expected = {k: x // g for k, x in enumerate(row) if x}
         assert reduced[c] in (expected, {k: -x for k, x in expected.items()})
+    assert integer_echelon(m, ncols) == (echelon, pivots, den)
 
 
 def test_sparse_core_of_no_rows():
@@ -253,9 +262,11 @@ def test_sparse_core_of_no_rows():
 
 
 def test_integer_rank_of_no_rows_and_of_zero_rows():
-    assert integer_rank([], 3) == 0
-    assert integer_rank([[0, 0, 0]] * 4, 3) == 0
-    assert integer_rank([[0, 2, 0]] * 4, 3) == 1
+    assert _sparse_rows([]) == []
+    assert sparse_rank(_sparse_rows([[0, 0, 0]] * 4)) == 0
+    assert _sparse_rows([[0, 2, 0]] * 4) == [{1: 2}]
+    assert sparse_rank(_sparse_rows([[0, 2, 0]] * 4)) == 1
+    assert integer_echelon([[0, 0, 0]] * 4, 3) == ([], [], 1)
 
 
 def _det_cofactor(m):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from levelalg.apolarity import ann_slice, catalecticant_matrix, internal_product
 from levelalg.forms import Form, Subspace, monomials, subspace_intersect
-from levelalg.linalg import (QQ, _integer_row, det, integer_echelon, integer_rank, rank, rref,
+from levelalg.linalg import (QQ, _integer_row, _sparse_rows, det, integer_echelon, rank, rref,
                              right_kernel, sparse_kernel, sparse_rank)
 
 sympy = pytest.importorskip("sympy")
@@ -165,7 +165,7 @@ def as_sympy_rows(m):
 @given(low_rank_matrices(), st.data())
 def test_rref_rank_and_kernel_match_sympy(m, data):
     # repeats, scaled copies and zero rows mixed in: the front ends hand the
-    # core each primitive row once (integer_echelon's intake), and rref
+    # core each distinct nonzero row once (linalg._sparse_rows), and rref
     # still returns one row for each row of m
     ncols, m = len(m[0]), m[:]
     for _ in range(data.draw(st.integers(0, 3))):
@@ -197,7 +197,7 @@ def test_integer_rank_matches_sympy(m, bits, data):
                     list(data.draw(st.sampled_from(rows))) if data.draw(st.booleans())
                     else [0] * ncols)
     expected = sympy_matrix(m).rank()
-    assert integer_rank(rows, ncols) == len(integer_echelon(rows, ncols)[1]) == expected
+    assert sparse_rank(_sparse_rows(rows)) == len(integer_echelon(rows, ncols)[1]) == expected
 
 
 @settings(max_examples=80, deadline=None)

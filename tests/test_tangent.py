@@ -16,7 +16,7 @@ from levelalg.apolarity import (
 )
 from levelalg.errors import HilbertMismatchError, ZeroSubspaceError
 from levelalg.forms import (Form, Subspace, form_print, monomial_index, monomials,
-                            parse_subspace_lines)
+                            parse_subspace_lines, space_dim)
 from levelalg.levelhf import (
     HilbertFunction,
     dim_stratum,
@@ -500,33 +500,34 @@ def test_catalecticant_matrix_returns_fresh_lists(rng):
 
 
 def test_no_repeated_row_reaches_the_elimination_core(monkeypatch):
-    # integer_echelon hands the Gauss-Jordan mode of the Bareiss loop each
-    # primitive row once on the slices the tangent route reads, and the
-    # route hands the sparse core's kernel each V_i row once (the
-    # constraint rows are only ranked, and their kernel waits for the
-    # basis).  The slices come from the derivative chain, whose step j gets
-    # t rows at j = d and n h_{j+1} rows below, and which stops at the
-    # first zero slice: no catalecticant there
+    # the chain hands the one elimination core each distinct row once on the
+    # slices the tangent route reads, and the route hands it each V_i row
+    # once (the constraint rows are only ranked, and their kernel waits for
+    # the basis): no core call that back-reduces (a Gauss-Jordan
+    # elimination) gets a repeated row.  The slices come from the
+    # derivative chain, whose step j gets t rows at j = d and n h_{j+1} rows
+    # below, and which stops at the first zero slice: no catalecticant there
     chain, eliminated, sparse = [], [], []
-    original_echelon, original_bareiss = linalg.integer_echelon, linalg._bareiss
+    original_step, original_core = apolarity._chain_step, linalg._sparse_echelon
     original_kernel = tangent.sparse_kernel
 
-    def counted_echelon(m, ncols):
-        chain.append((len(m), ncols))
-        return original_echelon(m, ncols)
+    def counted_step(nvars, j, span):
+        chain.append((len(span), space_dim(nvars, j)))
+        return original_step(nvars, j, span)
 
-    def recorded_bareiss(m, ncols, jordan):
-        rows = [list(row) for row in m]
-        if jordan:
+    def recorded_core(m, back):
+        rows = [tuple(sorted(row.items())) for row in m]
+        if back:
             eliminated.append(rows)
-        return original_bareiss(rows, ncols, jordan)
+        return original_core(map(dict, rows), back)
 
     def recorded_kernel(m, ncols):
         sparse.append([tuple(sorted(row.items())) for row in m])
         return original_kernel(m, ncols)
 
-    monkeypatch.setattr(apolarity, "integer_echelon", counted_echelon)
-    monkeypatch.setattr(linalg, "_bareiss", recorded_bareiss)
+    monkeypatch.setattr(apolarity, "_chain_step", counted_step)
+    monkeypatch.setattr(apolarity, "_sparse_echelon", recorded_core)
+    monkeypatch.setattr(linalg, "_sparse_echelon", recorded_core)
     monkeypatch.setattr(tangent, "sparse_kernel", recorded_kernel)
     hs = enumerate_level_hf(6, 16)
     for h in (hs[len(hs) // 4], hs[3 * len(hs) // 4]):
@@ -536,7 +537,7 @@ def test_no_repeated_row_reaches_the_elimination_core(monkeypatch):
         sparse.clear()
         tangent_space(lam)
         assert eliminated, h.format()
-        assert all(len(set(map(tuple, rows))) == len(rows) for rows in eliminated), h.format()
+        assert all(len(set(rows)) == len(rows) for rows in eliminated), h.format()
         assert sparse, h.format()
         assert all(len(set(rows)) == len(rows) for rows in sparse), h.format()
         # the chain steps j = d, ..., stop, I_stop = 0 the first zero slice
