@@ -29,11 +29,19 @@ _apolar_pass for the proofs).
 R acts on S in one place, _contract: in divided-power coordinates x^a
 acts by the index shift of forms.monomial_products, and the
 catalecticants, the internal product, the derivative chain, the socle and
-secant's Hankel matrices all call it.  _divided_power_row is the one place
-a row is taken to those coordinates (by the weights b! of
+secant's Hankel matrices all call it.  It takes and returns rows of S as
+sparse {column: nonzero entry} rows whose columns count the monomial order
+from its end (w_b at column top - b, top = dim S_j - 1): in that order the
+kernel linalg's core reads off them is the reduced echelon basis of the
+annihilator.  The chain holds Lambda and every Lambda_j in that format,
+and the chain and the socle hand _contract's rows to the core as they
+are; the catalecticants, the internal product and the Hankel matrices
+read them back dense (_dense).  _divided_power_row is the one
+place a row is taken to those coordinates (by the weights b! of
 forms.divided_power_weights).  _placed is the one multiplication kernel:
-it places a row of R at its products with the monomials of R_k, for the
-condition rows of an ideal and for R_1 times a slice.
+it places a sparse row of R at its products with the monomials of R_k,
+for the condition rows of an ideal and for R_1 times a slice.  The
+slices I_j are sparse rows of R_j in the original columns.
 """
 
 from __future__ import annotations
@@ -50,8 +58,8 @@ from .errors import (
 from .forms import (Form, Subspace, _monic_form, divided_power_weights, form_print,
                     monomial_products, space_dim)
 from .levelhf import HilbertFunction, e_sequence
-from .linalg import (QQ, Matrix, _integer_row, _reversed_kernel, _sparse_combine, _sparse_echelon,
-                     _sparse_rows, echelon_kernel, rank, sparse_rank)
+from .linalg import (QQ, Matrix, _integer_row, _kernel, _sparse_combine, _sparse_echelon,
+                     echelon_kernel, rank, sparse_kernel, sparse_rank)
 
 
 def internal_product(u: Form, f: Form) -> Form:
@@ -70,8 +78,9 @@ def internal_product(u: Form, f: Form) -> Form:
     n, out_degree = f.nvars, f.degree - u.degree
     # column g of x^a.F in divided-power coordinates is g! times the
     # coefficient of y^g; Fractions throughout, so no sum becomes a float
-    moved = zip(*_contract([_divided_power_row(n, f.degree, f.vector())], n, u.degree,
-                           out_degree))
+    moved = zip(*(_dense(row, space_dim(n, out_degree))
+                  for row in _contract([_divided_power_row(n, f.degree, f.vector())], n,
+                                       u.degree, out_degree)))
     out = [sum((cu * x for cu, x in zip(u.vector(), column) if cu), QQ(0)) / w
            for column, w in zip(moved, divided_power_weights(n, out_degree))]
     return Form.from_vector(n, out_degree, "S", out)
@@ -93,7 +102,7 @@ def catalecticant_matrix(lam: Subspace, i: int) -> Matrix:
     low = divided_power_weights(lam.nvars, i)
     scales = cycle([v[p] for v, p in zip(lam.echelon, lam.pivots)])
     zero = QQ(0)
-    return [[QQ(x // w, s) if x else zero for x, w in zip(row, low)]
+    return [[QQ(x // w, s) if x else zero for x, w in zip(_dense(row, len(low)), low)]
             for row, s in zip(_contract(_divided_power_rows(lam), lam.nvars, d - i, i), scales)]
 
 
@@ -111,24 +120,29 @@ def ann_slice(lam: Subspace, j: int) -> Subspace:
     dim I_j + h_j = dim R_j.  For j > d every operator annihilates, so the
     slice is all of R_j.  On a fresh Lambda, 1 <= j <= d takes the steps of
     the derivative chain from d down to j, or down to the first zero slice
-    if that lies above j, and no more.
+    if that lies above j, and no more.  The held sparse rows are read back
+    dense here, where the Subspace is built.
     """
     if j < 0:
         raise DegreeError("negative slice degree")
     if j > lam.degree or lam.dim == 0:
         return Subspace.full(lam.nvars, j, "R")
-    return Subspace.from_echelon(lam.nvars, j, "R", _ann_rows(lam, j))
+    width = space_dim(lam.nvars, j)
+    return Subspace.from_echelon(lam.nvars, j, "R", ([row.get(c, 0) for c in range(width)]
+                                                     for row in _ann_rows(lam, j)))
 
 
-def _ann_rows(lam: Subspace, j: int) -> tuple[tuple[int, ...], ...]:
-    """I_j of ann(Lambda), 0 <= j <= d, Lambda != 0, as _chain_step gives it
-    (I_0 = 0: 1 kills no nonzero form).  The only place a slice is computed:
-    one derivative chain per Lambda instance, run down from d only as far as
-    the lowest degree asked for.  It is kept on lam, which is frozen, as the
-    pair (I_d, I_{d-1}, ... so far; rows spanning the next Lambda_i, None
-    once I_1 is in), which each step replaces whole, so a step cut short
-    leaves the chain as it was.  ann_slice, the apolar pass and the dual
-    tangent route only read the slices.
+def _ann_rows(lam: Subspace, j: int) -> tuple[dict[int, int], ...]:
+    """I_j of ann(Lambda), 0 <= j <= d, Lambda != 0, as _chain_step gives it:
+    sparse rows of R_j in the original columns (I_0 = 0: 1 kills no nonzero
+    form).  The only place a slice is computed: one derivative chain per
+    Lambda instance, run down from d only as far as the lowest degree asked
+    for.  While it runs it is kept on lam, which is frozen, as the pair
+    (I_d, I_{d-1}, ... so far; rows spanning the next Lambda_i), which each
+    step replaces whole, so a step cut short leaves the chain as it was.
+    Once it has reached its end, lam holds the slices I_0, ..., I_d with
+    their Hilbert function instead, which _slices reads in one step.
+    ann_slice, the apolar pass and the tangent route only read the slices.
 
     The chain stops at the first step whose kernel I_j is empty: every
     lower slice is held as () at once.  Proof: for u in I_{j-1}, x_1 u
@@ -137,79 +151,121 @@ def _ann_rows(lam: Subspace, j: int) -> tuple[tuple[int, ...], ...]:
     so on down to I_1."""
     if not j:
         return ()
+    held = lam.__dict__.get("_slices")
+    if held is not None:
+        return held[0][j]
+    return _run_chain(lam, j)[lam.degree - j]
+
+
+def _run_chain(lam: Subspace, j: int) -> tuple:
+    """The slices I_d, I_{d-1}, ... of the chain held on lam, run down to
+    degree j >= 1 or to its end.  At its end lam holds (I_0, ..., I_d, h)
+    in place of the running chain: h_j = dim R_j - dim I_j."""
     n, d = lam.nvars, lam.degree
-    held = lam.__dict__.get("_ann_rows")
-    slices, span = held if held is not None else ((), _divided_power_rows(lam))
+    slices, span = lam.__dict__.get("_chain") or ((), _divided_power_rows(lam))
     while len(slices) <= d - j:
         kernel, span = _chain_step(n, d - len(slices), span)
         slices += (kernel,)
         if not kernel:
-            slices, span = slices + ((),) * (d - len(slices)), None
-        lam.__dict__["_ann_rows"] = slices, span
-    return slices[d - j]
+            slices += ((),) * (d - len(slices))
+        lam.__dict__["_chain"] = slices, span
+    if len(slices) == d:
+        rows = ((), *reversed(slices))
+        lam.__dict__["_slices"] = rows, HilbertFunction.from_values(
+            [space_dim(n, i) - len(r) for i, r in enumerate(rows)])
+        lam.__dict__.pop("_chain", None)
+    return slices
 
 
 def _slices(lam: Subspace) -> tuple[tuple, HilbertFunction]:
-    """The slices I_0, ..., I_d that _ann_rows holds on lam, and the Hilbert
-    function h_j = dim R_j - dim I_j they give."""
-    slices = tuple(_ann_rows(lam, j) for j in range(lam.degree + 1))
-    return slices, HilbertFunction.from_values([space_dim(lam.nvars, j) - len(rows)
-                                                for j, rows in enumerate(slices)])
+    """The slices I_0, ..., I_d that the chain holds on lam, run to its end,
+    and the Hilbert function h_j = dim R_j - dim I_j held with them."""
+    held = lam.__dict__.get("_slices")
+    if held is None:
+        _run_chain(lam, 1)
+        held = lam.__dict__["_slices"]
+    return held
 
 
-def _divided_power_rows(lam: Subspace) -> list[list[int]]:
-    """Lambda's integer rows in divided-power coordinates: rows spanning
-    Lambda_d."""
+def _divided_power_rows(lam: Subspace) -> list[dict[int, int]]:
+    """Lambda's integer rows in divided-power coordinates, as _contract takes
+    them: rows spanning Lambda_d."""
     return [_divided_power_row(lam.nvars, lam.degree, v) for v in lam.echelon]
 
 
-def _divided_power_row(nvars: int, degree: int, row) -> list:
+def _divided_power_row(nvars: int, degree: int, row) -> dict:
     """The coefficient vector row of a form in S_degree in divided-power
-    coordinates w_b = b! * (coefficient of y^b), b! = b_1! ... b_n!."""
-    return [c * w for c, w in zip(row, divided_power_weights(nvars, degree))]
+    coordinates w_b = b! * (coefficient of y^b), b! = b_1! ... b_n!, as a
+    sparse row of _contract's: w_b at column top - b, in increasing column
+    order."""
+    weights = divided_power_weights(nvars, degree)
+    return {k: c * w for k, (c, w) in enumerate(zip(reversed(row), reversed(weights))) if c}
 
 
-def _contract(rows, nvars: int, k: int, m: int) -> list[list]:
+def _dense(row: dict, width: int) -> list:
+    """A sparse row of S_m as _contract writes it, of width = dim S_m, read
+    back as a dense row in the monomial order (0 where it has no entry)."""
+    return [row.get(c, 0) for c in range(width - 1, -1, -1)]
+
+
+def _contract(rows, nvars: int, k: int, m: int) -> list[dict]:
     """x^a.F for every monomial x^a of R_k (outermost) and every row F, a
     form of S_{k+m} in divided-power coordinates, as rows of S_m in the same
     coordinates: the one place R acts on S.  There x^a.y^b = (b!/g!) y^g
     for b = a + g, so w_g of x^a.F is F's w_b, and the shift of x^a in
-    forms.monomial_products(nvars, k, m) reads it off."""
-    return [[row[b] for b in shift] for shift in monomial_products(nvars, k, m) for row in rows]
+    forms.monomial_products(nvars, k, m) reads it off.  Rows in and out are
+    sparse rows counted from the end of the monomial order (module
+    docstring), so the shift is read from its end: column top - b of F
+    goes to the column of g counted from the end.  A row with its columns
+    in increasing order gives rows with theirs in increasing order, since
+    multiplying by x^a keeps the monomial order."""
+    top = space_dim(nvars, k + m) - 1
+    out = []
+    for shift in monomial_products(nvars, k, m):
+        at = {top - b: g for g, b in enumerate(reversed(shift))}
+        out += [{at[c]: x for c, x in row.items() if c in at} for row in rows]
+    return out
 
 
-def _chain_step(nvars: int, j: int, span: list[list[int]]):
-    """I_j, and rows spanning Lambda_{j-1} (None at j = 1), from rows
-    spanning Lambda_j in divided-power coordinates, by one elimination.
+def _chain_step(nvars: int, j: int, span: list[dict[int, int]]):
+    """I_j, and rows spanning Lambda_{j-1} (None at j = 1 and where I_j = 0,
+    where the chain stops), from rows spanning Lambda_j, sparse rows of S_j
+    as _contract writes them, by one elimination.
 
     There u.G = sum u_b w_b for u in R_j and G in S_j, so I_j is the right
     kernel of span, and R_1 contracting its echelon rows spans
-    Lambda_{j-1}.  span has t rows at j = d and n h_{j+1} below.  The
-    rows go to linalg's core with the columns reversed, as
-    linalg.echelon_kernel hands them, so the kernel read off the
-    back-reduced rows is the reduced echelon basis up to positive row
-    scales, and the same rows, read back, are the echelon rows the step
-    contracts.
+    Lambda_{j-1}.  span has t rows at j = d and n h_{j+1} below; each
+    distinct nonzero row goes to linalg's core once (the rows of span come
+    from _divided_power_row or _contract, which write their columns in
+    increasing order, so equal rows have equal items).  Counted from the
+    end of the monomial order, as they are, the kernel linalg._kernel
+    reads off the back-reduced rows, renumbered into the original columns
+    and in reverse order, is the reduced echelon basis of I_j up to
+    positive row scales: each vector is zero right of its free column and
+    at the other free columns, so read back it starts at its own column,
+    where the others are zero.  The same back-reduced rows are the echelon
+    rows the step contracts.
     """
     width = space_dim(nvars, j)
-    pivots = _sparse_echelon(_sparse_rows(row[::-1] for row in span), True)
-    kernel = tuple(map(tuple, _reversed_kernel(pivots, width)))
-    if j == 1:
+    top = width - 1
+    pivots = _sparse_echelon({tuple(row.items()): row for row in span if row}.values(), True)
+    kernel = tuple({top - c: x for c, x in reversed(v.items())}
+                   for v in reversed(_kernel(pivots, width)))
+    if j == 1 or not kernel:
         return kernel, None
-    top = range(width - 1, -1, -1)
-    return kernel, _contract([[row.get(c, 0) for c in top] for row in pivots.values()],
-                             nvars, 1, j - 1)
+    return kernel, _contract(pivots.values(), nvars, 1, j - 1)
 
 
 def _apolar_pass(lam: Subspace):
     """(Hilbert function, minimal generators) of ann(Lambda), both tuples,
-    from the slices I_0 = 0, I_1, ..., I_d that _ann_rows holds on lam:
-    h_j = dim R_j - dim I_j.  Each echelon row of I_j (j <= d + 1, with
-    I_{d+1} = R_{d+1}) is reduced against the pivot rows of the forward
-    elimination of R_1 * I_{j-1} and the generators found before it, each
-    kept as a pivot row at its lead; the residual (the one vector of row +
-    span zero at every pivot column, up to scale, whatever basis is taken)
-    is a generator if nonzero.  Each reduction step divides by the content,
+    from the slices I_0 = 0, I_1, ..., I_d and h_j = dim R_j - dim I_j
+    that the chain holds on lam (_slices).  Each echelon row of I_j (j <=
+    d + 1, with I_{d+1} = R_{d+1}, whose unit rows enter as they are) is
+    reduced against the pivot rows of the forward elimination of R_1 *
+    I_{j-1} and the generators found before it, each kept as a pivot row
+    at its lead, all of them sparse rows; the residual (the one vector of
+    row + span zero at every pivot column, up to scale, whatever basis is
+    taken) is a generator if nonzero.  Each reduction step divides by the content,
     as each later residual is cross-multiplied against the rows before it,
     and the monic form of a generator is built from it once.  The result
     is kept on lam, which is frozen, for as long as lam lives, so the pass
@@ -243,7 +299,8 @@ def _apolar_pass(lam: Subspace):
     slices, hf = _slices(lam)
     counts = e_sequence(hf) if n == 2 else None
     out = []
-    for j, rows in enumerate((*slices[1:], Subspace.full(n, d + 1, "R").echelon), start=1):
+    units = [{c: 1} for c in range(space_dim(n, d + 1))]  # I_{d+1} = R_{d+1}
+    for j, rows in enumerate((*slices[1:], units), start=1):
         if not (rows if counts is None else counts[j - 1]):
             continue
         pivots = _sparse_echelon(_times_variables(n, j - 1, slices[j - 1]), False)
@@ -255,21 +312,21 @@ def _apolar_pass(lam: Subspace):
             r = _residual(b, pivots)
             if r:
                 pivots[min(r)] = r
-                gens.append(_monic_form(n, j, "R", [r.get(c, 0) for c in range(len(b))]))
+                gens.append(_monic_form(n, j, "R", sorted(r.items())))
         if gens:
             out.append((j, tuple(gens)))
     memo = lam.__dict__["_apolar_pass"] = (hf, tuple(out))
     return memo
 
 
-def _residual(b, pivots) -> dict[int, int]:
-    """The row b reduced against the primitive sparse rows pivots, keyed by
-    their distinct leads, at every pivot column in column order, as a
-    sparse primitive row: a row with lead c is zero left of c, so each step
-    keeps the columns cleared before it.  The result is zero at every pivot
-    column, and empty iff b lies in the span of the pivot rows; b, a row of
-    a slice, is primitive itself."""
-    row = {c: x for c, x in enumerate(b) if x}
+def _residual(b: dict[int, int], pivots) -> dict[int, int]:
+    """The sparse row b reduced against the primitive sparse rows pivots,
+    keyed by their distinct leads, at every pivot column in column order,
+    as a sparse primitive row: a row with lead c is zero left of c, so each
+    step keeps the columns cleared before it.  The result is zero at every
+    pivot column, and empty iff b lies in the span of the pivot rows; b, a
+    row of a slice, is primitive itself, and is read, never changed."""
+    row = b
     for c in sorted(pivots):
         if c in row:
             row = _sparse_combine(pivots[c], row, c)
@@ -327,22 +384,23 @@ def _condition_rows(gens: list[Form], nvars: int, d: int) -> list[dict[int, int]
     rows = []
     for g in gens:
         if g.degree <= d and not g.is_zero:
+            coefficients = _integer_row(g.vector())
             rows += _placed(zip(*monomial_products(nvars, g.degree, d - g.degree)),
-                            [_integer_row(g.vector())])
+                            [{m: x for m, x in enumerate(coefficients) if x}])
     return rows
 
 
 def _times_variables(nvars: int, degree: int, rows) -> list[dict[int, int]]:
-    """x_i * b for every variable x_i and row b, a coefficient vector of
-    degree `degree`: a spanning set of R_1 * span(rows), as sparse rows."""
+    """x_i * b for every variable x_i and sparse row b of R_degree: a
+    spanning set of R_1 * span(rows), as sparse rows."""
     return _placed(monomial_products(nvars, 1, degree), rows)
 
 
 def _placed(shifts, rows) -> list[dict[int, int]]:
-    """For each shift (shift outermost) and row, the sparse row ({column:
-    nonzero entry}) holding row[m] at shift[m]: x^c * b for the monomial
-    x^c whose products a shift indexes."""
-    return [{k: c for k, c in zip(shift, row) if c} for shift in shifts for row in rows]
+    """For each shift (shift outermost) and sparse row ({column: nonzero
+    entry}), the sparse row holding row[m] at shift[m]: x^c * b for the
+    monomial x^c whose products a shift indexes."""
+    return [{shift[m]: c for m, c in row.items()} for shift in shifts for row in rows]
 
 
 def _check_generators(gens: list[Form], nvars: int):
@@ -362,7 +420,8 @@ def socle(gens: list[Form], nvars: int) -> list[tuple[int, int]]:
     to (I^-1)_j modulo R_1.(I^-1)_{j+1}: u in (R/I)_j kills
     R_1.(I^-1)_{j+1} iff every x_i u kills (I^-1)_{j+1}, iff every x_i u
     lies in I_{j+1}.  So (I^-1)_j is taken, in divided-power coordinates,
-    as the kernel of _condition_rows up to the first that is 0, and the
+    as the kernel of _condition_rows up to the first that is 0 (linalg's
+    sparse_kernel, in the columns _contract reads), and the
     socle dimension in degree j is dim (I^-1)_j - rank(R_1.(I^-1)_{j+1}),
     by one rank (linalg.sparse_rank) per degree.  An artin quotient need
     not be level, unlike the apolar profile's.
@@ -383,7 +442,9 @@ def socle(gens: list[Form], nvars: int) -> list[tuple[int, int]]:
             raise NotArtinError(
                 f"Hilbert function of the quotient has not vanished by degree {bound}"
             )
-        rows = echelon_kernel(_condition_rows(gens, nvars, j), space_dim(nvars, j))
+        top = space_dim(nvars, j) - 1
+        rows = sparse_kernel(({top - c: x for c, x in row.items()}
+                              for row in _condition_rows(gens, nvars, j)), top + 1)
         if not rows:
             break
         dual.append(rows)
@@ -391,7 +452,7 @@ def socle(gens: list[Form], nvars: int) -> list[tuple[int, int]]:
         raise NotArtinError("the generators span the unit ideal; the quotient is zero")
     out = []
     for j, (rows, above) in enumerate(zip(dual, dual[1:] + [[]])):
-        s = len(rows) - sparse_rank(_sparse_rows(_contract(above, nvars, 1, j)))
+        s = len(rows) - sparse_rank(_contract(above, nvars, 1, j))
         if s > 0:
             out.append((j, s))
     return out

@@ -72,15 +72,24 @@ def _lead(v) -> int:
     return v.index(next(filter(None, v)))
 
 
-def _monic_form(nvars: int, degree: int, ring: str, vec) -> Form:
-    """The form of coefficient vector vec (monomials(nvars, degree) order)
-    divided by its first nonzero entry, built and checked once; the zero
-    vector gives the zero form.  Form.monic reads it, and so do
-    Subspace.basis and the apolar pass on integer rows, each entry x
-    becoming the Fraction x / lead."""
+def _check_ring(ring: str):
+    if ring not in RING_VARS:
+        raise ValueError(f"unknown ring tag {ring!r}")
+
+
+def _monic_form(nvars: int, degree: int, ring: str, entries) -> Form:
+    """The form whose coefficient vector (monomials(nvars, degree) order)
+    has the (column, entry) pairs entries, in column order, zero entries
+    allowed, divided by its first nonzero entry; no entries give the zero
+    form.  Form.monic, Subspace.basis and the apolar pass read it, each
+    entry x becoming the Fraction x / lead.  Its exponent vectors come from
+    monomials(nvars, degree) and its coefficients are nonzero, so only the
+    ring tag is checked: the form is built by Form._trusted."""
+    _check_ring(ring)
     mons = monomials(nvars, degree)
-    lead = next((x for x in vec if x), 1)
-    return Form(nvars, degree, ring, {mons[c]: QQ(x, lead) for c, x in enumerate(vec) if x})
+    entries = [(c, x) for c, x in entries if x]
+    lead = entries[0][1] if entries else 1
+    return Form._trusted(nvars, degree, ring, {mons[c]: QQ(x, lead) for c, x in entries})
 
 
 def space_dim(nvars: int, degree: int) -> int:
@@ -108,8 +117,7 @@ class Form:
     coeffs: dict = field(compare=True)
 
     def __post_init__(self):
-        if self.ring not in RING_VARS:
-            raise ValueError(f"unknown ring tag {self.ring!r}")
+        _check_ring(self.ring)
         for exps, c in self.coeffs.items():
             if len(exps) != self.nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps}")
@@ -121,6 +129,15 @@ class Form:
                 raise ValueError("zero coefficients must be omitted")
 
     __hash__ = None
+
+    @classmethod
+    def _trusted(cls, nvars: int, degree: int, ring: str, coeffs: dict) -> Form:
+        """The form with these fields, without __post_init__'s checks: for
+        callers whose coefficient map is well formed by construction
+        (_monic_form)."""
+        form = object.__new__(cls)
+        form.__dict__.update(nvars=nvars, degree=degree, ring=ring, coeffs=coeffs)
+        return form
 
     @staticmethod
     def make(nvars: int, degree: int, ring: str, coeffs: dict) -> Form:
@@ -205,7 +222,7 @@ class Form:
         return result
 
     def monic(self) -> Form:
-        return _monic_form(self.nvars, self.degree, self.ring, self.vector())
+        return _monic_form(self.nvars, self.degree, self.ring, enumerate(self.vector()))
 
     def substitute_linear(self, matrix) -> Form:
         """Apply the linear substitution var_i -> sum_j matrix[i][j] * var_j."""
@@ -462,7 +479,8 @@ class Subspace:
     def basis(self) -> tuple[Form, ...]:
         """The RREF rows as forms: each echelon row over its pivot, its
         first nonzero entry."""
-        return tuple(_monic_form(self.nvars, self.degree, self.ring, v) for v in self.echelon)
+        return tuple(_monic_form(self.nvars, self.degree, self.ring, enumerate(v))
+                     for v in self.echelon)
 
     @property
     def dim(self) -> int:

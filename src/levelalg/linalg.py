@@ -25,9 +25,15 @@ writes the reduced echelon form times its least common denominator.  The
 Fraction front ends (rref, rank, right_kernel) scale each row by the lcm of
 its denominators and enter through integer_echelon and sparse_kernel.
 Dense integer rows enter through _sparse_rows, which drops zero rows and
-repeats: the row space, hence every output, does not change.  Determinants
-keep a dense forward loop of their own (_integer_det): their matrices are
-small and square, and a shared loop took about 1.6x as long on them.  No
+repeats: the row space, hence every output, does not change.  Its callers
+are integer_echelon (so rref, rank and forms.Subspace.from_rows),
+right_kernel and forms.subspace_intersect.  The rows of apolarity's
+derivative chain, socle and apolar pass and of the tangent route are sparse
+from the start and go to the core, or to sparse_rank and sparse_kernel, as
+they are; the chain and the socle hold theirs in reversed columns, and the
+chain reads its kernels straight off _kernel.  Determinants keep a dense
+forward loop of their own (_integer_det): their matrices are small and
+square, and a shared loop took about 1.6x as long on them.  No
 floating point enters anywhere.
 """
 
@@ -141,17 +147,6 @@ def _kernel(pivots: dict[int, dict[int, int]], ncols: int) -> list[dict[int, int
     return kernel
 
 
-def _reversed_kernel(pivots: dict[int, dict[int, int]], ncols: int) -> list[list[int]]:
-    """_kernel of the back-reduced pivot rows of column-reversed rows, read
-    back as dense rows in the original columns, in reverse order: the
-    vector of a free column f of the reversed rows is zero right of f and
-    at the other free columns, so read back each vector starts at its own
-    column, where the others are zero, and they are the reduced echelon
-    basis of the kernel up to positive row scales."""
-    top = range(ncols - 1, -1, -1)
-    return [[v.get(c, 0) for c in top] for v in reversed(_kernel(pivots, ncols))]
-
-
 def sparse_rank(rows) -> int:
     """Rank of the sparse integer rows ({column: nonzero entry}, an
     iterable), by the forward pass of _sparse_echelon alone."""
@@ -167,11 +162,15 @@ def sparse_kernel(rows, ncols: int) -> list[dict[int, int]]:
 def echelon_kernel(rows, ncols: int) -> list[list[int]]:
     """The reduced echelon basis of the right kernel of the sparse integer
     rows ({column: nonzero entry}, an iterable) over range(ncols), as dense
-    rows, each primitive with a positive entry at its lead: _reversed_kernel
-    of the rows with the columns reversed."""
+    rows, each primitive with a positive entry at its lead: _kernel of the
+    rows with the columns reversed, read back in the original columns in
+    reverse order.  The vector of a free column f of the reversed rows is
+    zero right of f and at the other free columns, so read back each vector
+    starts at its own column, where the others are zero, and they are the
+    reduced echelon basis of the kernel up to positive row scales."""
     top = ncols - 1
-    return _reversed_kernel(_sparse_echelon(({top - c: x for c, x in row.items()}
-                                             for row in rows), True), ncols)
+    pivots = _sparse_echelon(({top - c: x for c, x in row.items()} for row in rows), True)
+    return [[v.get(c, 0) for c in range(top, -1, -1)] for v in reversed(_kernel(pivots, ncols))]
 
 
 def integer_echelon(m, ncols: int) -> tuple[list[list[int]], list[int], int]:

@@ -15,7 +15,7 @@ from functools import reduce
 from itertools import combinations
 from operator import mul
 
-from .apolarity import (_apolar_pass, _condition_rows, _contract, _divided_power_row,
+from .apolarity import (_apolar_pass, _condition_rows, _contract, _dense, _divided_power_row,
                         _divided_power_rows, ann_slice, inverse_system_slice)
 from .errors import (
     AdmissibilityError,
@@ -99,7 +99,7 @@ def secant_decompose(lam: Subspace) -> list[SecantPlane]:
     if tuple(sorted(p.q for p in planes)) != q_sequence(h):
         raise LevelAlgError("internal bug: generator degrees do not match the q-sequence")
     rows = _condition_rows([p.apolar_form for p in planes], 2, lam.degree)
-    lam_rows = _divided_power_rows(lam)
+    lam_rows = [_dense(w, lam.ambient_dim) for w in _divided_power_rows(lam)]
     if (any(sum(x * w[c] for c, x in row.items()) for row in rows for w in lam_rows)
             or sparse_rank(rows) != lam.ambient_dim - lam.dim):
         raise LevelAlgError("internal bug: plane intersection is not Lambda")
@@ -208,7 +208,8 @@ def hankel_matrix(f: Form, a: int) -> Matrix:
         raise DegreeError(f"Hankel index {a} outside 0..{d}")
     if f.nvars != 2 or f.ring != "S":
         raise DegreeError("Hankel coordinates need a binary form in S")
-    return _contract([_divided_power_row(2, d, f.vector())], 2, a, d - a)
+    return [[QQ(x) for x in _dense(row, d - a + 1)]
+            for row in _contract([_divided_power_row(2, d, f.vector())], 2, a, d - a)]
 
 
 def hankel_rank(f: Form, a: int) -> int:

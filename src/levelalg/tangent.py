@@ -12,17 +12,19 @@ generators and syzygies of I.
 
 The route reads the slices I_j held on Lambda, computed once per Lambda
 instance for every reader down the derivative chain of Lambda (one small
-elimination a degree; see apolarity), and h_j = dim R_j - dim I_j.  It
-stays in integers, and its matrices are sparse: over the seed-1 two-pass
-tangent_burch stream of the benchmark the V_i rows are 9.2% nonzero and
-the constraint rows 3.7%.  So the residuals, the V_i rows, the
-functionals and the constraint rows are {column: entry} rows, the form
-linalg's one elimination core takes, which keeps every row over its
-content.  The functionals linalg.sparse_kernel reads off each V_i
-are the rational ones times positive factors, so every constraint keeps
-its zero set.  The dimension is the number of unknowns less the rank of
-the constraint rows, which linalg.sparse_rank takes by a forward pass
-alone; the TangentSpace keeps those rows and takes their sparse_kernel
+elimination a degree; see apolarity), and h_j = dim R_j - dim I_j, held
+with them and read in one step.  The slices are sparse {column: entry}
+rows, each the reduced echelon row times a positive factor, so a row's lead
+is its least column.  The route stays in integers, and its matrices are
+sparse: over the seed-1 two-pass tangent_burch stream of the benchmark the
+V_i rows are 9.2% nonzero and the constraint rows 3.7%.  So the residuals,
+the V_i rows, the functionals and the constraint rows are {column: entry}
+rows too, the form linalg's one elimination core takes, which keeps every
+row over its content.  The functionals linalg.sparse_kernel reads off each
+V_i are the rational ones times positive factors, so every constraint keeps
+its zero set.  The dimension is the number of unknowns less the rank of the
+constraint rows, which linalg.sparse_rank takes by a forward pass alone;
+the TangentSpace keeps those rows and takes their sparse_kernel
 only on the first access to its basis.
 
 The lead rule.  The conditions are R-linear, so the generators of I
@@ -43,7 +45,7 @@ from math import lcm
 
 from .apolarity import _slices
 from .errors import DegreeError, HilbertMismatchError, ZeroSubspaceError
-from .forms import Subspace, _lead, monomial_products, space_dim
+from .forms import Subspace, monomial_products, space_dim
 from .levelhf import HilbertFunction
 from .linalg import QQ, sparse_kernel, sparse_rank
 
@@ -106,14 +108,14 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
     wanted = list(range(1, d) if degrees is None else degrees)
     if any(not 0 <= i <= d for i in wanted):
         raise DegreeError(f"constraint degrees {wanted} not all in 0..{d}")
-    # the slices I_j held on lam, each row its RREF row times a positive
-    # factor; h_j = dim R_j - dim I_j
+    # the slices I_j held on lam, each a sparse row, its RREF row times a
+    # positive factor; h_j = dim R_j - dim I_j
     slices, hilbert = _slices(lam)
     if h is not None and hilbert.values != h.values:
         raise HilbertMismatchError(
             f"subspace has Hilbert function {hilbert.format()}, not {h.format()}")
     dim_id = len(slices[d])
-    coordinate = {_lead(u): k for k, u in enumerate(slices[d])}  # of u x^M in I_d
+    coordinate = {min(u): k for k, u in enumerate(slices[d])}  # of u x^M in I_d
     tq = space_dim(n, d) - dim_id  # dim R_d/I_d
     # one positive integer times each monomial of R_d mod I_d, read at the
     # monomials that are no pivot of I_d
@@ -121,7 +123,7 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
     rows: list[dict[int, int]] = []
     lower: set[int] = set()  # x_k times the leads of I_{i-1}, if constrained; I_0 = 0
     for i, ii_rows in enumerate(slices[1:d], start=1):
-        leads = [_lead(u) for u in ii_rows]
+        leads = [min(u) for u in ii_rows]
         kept = [u for u, p in zip(ii_rows, leads) if p not in lower]
         lower = ({xk[p] for xk in monomial_products(n, 1, i) for p in leads}
                  if i in wanted else set())
@@ -144,11 +146,10 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
             # gamma[m_idx]: (block offset of I_d basis vector k, its coefficient
             # in u * x^M) for the nonzero coefficients
             gamma = [[] for _ in range(nlow)]
-            for q, uq in enumerate(u):
-                if uq:
-                    for m_idx, r in enumerate(shift[q]):
-                        if r in coordinate:
-                            gamma[m_idx].append((coordinate[r] * tq, uq))
+            for q, uq in u.items():
+                for m_idx, r in enumerate(shift[q]):
+                    if r in coordinate:
+                        gamma[m_idx].append((coordinate[r] * tq, uq))
             # z_l applied to sum_k gamma[k][m_idx] omega_{k, c} at (c, m_idx)
             for func in functionals:
                 row: dict[int, int] = {}
@@ -166,15 +167,15 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
 
 
 def _monomial_residuals(rows, width: int) -> list[dict[int, int]]:
-    """Each monomial reduced mod the span of integer reduced echelon rows,
-    as a sparse row over the non-pivot positions p (numbered in order) and
-    scaled by D, the lcm of the leads: -v[p] D / lead for the pivot monomial
-    of row v (minus the rest of its RREF row), D times a unit vector for
-    any other monomial."""
-    by_pivot = {_lead(v): v for v in rows}
+    """Each monomial reduced mod the span of integer reduced echelon rows
+    (sparse rows), as a sparse row over the non-pivot positions p (numbered
+    in order) and scaled by D, the lcm of the leads: -v[p] D / lead for the
+    pivot monomial of row v (minus the rest of its RREF row, which is zero
+    at the other pivots), D times a unit vector for any other monomial."""
+    by_pivot = {min(v): v for v in rows}
     scale = lcm(*[v[p] for p, v in by_pivot.items()])
     position = {p: k for k, p in enumerate(p for p in range(width) if p not in by_pivot)}
-    return [{k: -v[p] * (scale // v[o]) for p, k in position.items() if v[p]}
+    return [{position[p]: -x * (scale // v[o]) for p, x in v.items() if p != o}
             if (v := by_pivot.get(o)) else {position[o]: scale}
             for o in range(width)]
 

@@ -98,8 +98,8 @@ def ideal_slice_stream(gens, nvars: int):
     prev: list[list[int]] = []
     for j in count():
         width = space_dim(nvars, j)
-        products = [[v.get(c, 0) for c in range(width)]
-                    for v in _times_variables(nvars, j - 1, prev)]
+        products = [[v.get(c, 0) for c in range(width)] for v in _times_variables(
+            nvars, j - 1, [{c: x for c, x in enumerate(row) if x} for row in prev])]
         prev = integer_echelon([_integer_row(g.vector()) for g in gens if g.degree == j]
                                + products, width)[0]
         yield prev

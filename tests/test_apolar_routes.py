@@ -445,6 +445,48 @@ def test_the_chain_stops_at_the_first_zero_slice(rng, monkeypatch, nvars, d_max)
     assert stopped >= 4
 
 
+def refuse_chain_steps(nvars, j, span):
+    raise AssertionError(f"a chain step at degree {j} on a Lambda that holds its chain")
+
+
+@pytest.mark.parametrize("nvars, d_max", [(2, 9), (3, 6), (4, 4)])
+def test_the_held_chain_is_read_in_one_step(rng, monkeypatch, nvars, d_max):
+    # once the chain has run, a second tangent_space or apolar_profile call
+    # on the same Lambda runs no chain step and returns what the first
+    # did; a copy made by dataclasses.replace holds nothing, runs the chain
+    # again and agrees; and the held sparse slices, read back dense, are the
+    # catalecticant route's reduced echelon rows, with h held beside them
+    points = [random_subspace(rng, nvars, d, t) for d in range(1, d_max + 1)
+              for t in range(1, min(3, space_dim(nvars, d)) + 1)]
+    if nvars == 2:
+        points += [burch_point(h) for h in all_level_hfs(3, 8)]
+        points += [inverse_system_slice([g.substitute_linear(MOVE) for g in burch_ideal(h)[1]],
+                                        2, h.d) for h in all_level_hfs(3, 8)]
+    for lam in points:
+        d = lam.degree
+        by_tangent, by_profile = dataclasses.replace(lam), dataclasses.replace(lam)
+        tangent, profile = tangent_space(by_tangent), apolar_profile(by_profile)
+        with monkeypatch.context() as patch:
+            patch.setattr(apolarity, "_chain_step", refuse_chain_steps)
+            again = tangent_space(by_tangent)
+            assert again == tangent and again.basis == tangent.basis
+            assert apolar_profile(by_tangent) == apolar_profile(by_profile) == profile
+            assert tangent_space(by_profile) == tangent
+            assert [ann_slice(by_tangent, j) for j in range(d + 2)] == \
+                [ann_slice(by_profile, j) for j in range(d + 2)]
+        fresh = dataclasses.replace(by_tangent)
+        assert "_slices" not in fresh.__dict__
+        assert tangent_space(fresh) == tangent and apolar_profile(fresh) == profile
+        slices, hf = apolarity._slices(fresh)
+        assert hf == profile.hilbert == old_hilbert_function(lam)
+        assert len(slices) == d + 1
+        for j, rows in enumerate(slices):
+            width = space_dim(lam.nvars, j)
+            assert all(0 not in row.values() and set(row) <= set(range(width)) for row in rows)
+            dense = tuple(tuple(row.get(c, 0) for c in range(width)) for row in rows)
+            assert dense == old_ann_slice(lam, j).echelon, (lam, j)
+
+
 def random_integer_span(rng, nvars, d, t):
     """The span of t dense forms of S_d with random integer coefficients in
     -3..3."""
@@ -480,15 +522,34 @@ def test_four_quartics_in_four_variables_match_the_old_routes(monkeypatch):
     # minutes.
     monic_form = apolarity._monic_form
 
-    def bounded(nvars, degree, ring, v):
-        assert max(abs(x).bit_length() for x in v) <= 1024
-        return monic_form(nvars, degree, ring, v)
+    def bounded(nvars, degree, ring, entries):
+        entries = list(entries)
+        assert max(abs(x).bit_length() for _, x in entries) <= 1024
+        return monic_form(nvars, degree, ring, entries)
 
     monkeypatch.setattr(apolarity, "_monic_form", bounded)
     lam = random_integer_span(random.Random(4), 4, 4, 4)
     assert old_hilbert_function(lam) == apolar_profile(lam).hilbert
     assert minimal_generators(lam) == old_minimal_generators(lam)
     assert [(j, len(gens)) for j, gens in minimal_generators(lam)] == [(3, 4), (4, 15)]
+
+
+def test_the_pass_builds_its_generators_as_form_checks_them(monkeypatch):
+    # the apolar pass builds each generator by _monic_form's trusted path,
+    # which skips Form.__post_init__; on the seed-1 stratum stream each one
+    # equals the form the checked constructor builds from its fields, and
+    # prints and parses back to itself.  Form(...) keeps its checks:
+    # tests/test_forms.py holds one malformed case for each
+    spans = list(stream_spans())
+    with monkeypatch.context() as patch:
+        patch.setattr(Form, "__post_init__", lambda self: pytest.fail("a checked Form"))
+        generators = [g for lam in spans for _, forms in minimal_generators(lam) for g in forms]
+    assert len(generators) > 100
+    for g in generators:
+        assert g == Form(g.nvars, g.degree, g.ring, dict(g.coeffs))
+        assert form_parse(form_print(g), nvars=g.nvars, ring="R") == g
+    with pytest.raises(ValueError, match="does not have degree"):
+        Form(2, 2, "R", {(2, 1): QQ(1)})
 
 
 # -- degrees with no minimal generator are skipped ----------------------------
@@ -660,7 +721,7 @@ def test_the_certificate_catches_a_wrong_generator_and_a_repeated_one():
     # but the rank drops, so only the rank half fails
     repeated = mutated_pass(lam, 6, lambda forms: (forms[1], forms[1]))
     rows = condition_matrix(repeated)
-    assert all(sum(a * b for a, b in zip(row, w)) == 0
+    assert all(sum(a * b for a, b in zip(row, apolarity._dense(w, lam.ambient_dim))) == 0
                for row in rows for w in apolarity._divided_power_rows(lam))
     assert rank(rows) < d + 1 - t
     with pytest.raises(LevelAlgError, match="plane intersection is not Lambda"):
@@ -681,17 +742,33 @@ def test_secant_decompose_solves_no_inverse_system(monkeypatch):
 
 # -- the binary pass stops at the Hilbert-Burch count -------------------------
 
-def test_the_binary_pass_reduces_no_row_after_the_last_generator(monkeypatch):
-    # on the n = 2 grid, unmoved and moved: the generators are the old ones,
-    # and in each degree the last row reduced gives the e_j-th generator
-    calls, residual = [], apolarity._residual
+def record_residuals(monkeypatch) -> list:
+    """The list that (degree, whether the residual is nonzero) is appended
+    to for each row the apolar pass reduces.  The pass builds the products
+    R_1 * I_{j-1} (_times_variables of degree j - 1) before it reduces the
+    rows of I_j, so a row's degree is one more than that of the last
+    products built; the sparse rows themselves do not carry their width."""
+    calls, degree = [], []
+    residual, products = apolarity._residual, apolarity._times_variables
+
+    def recorded_products(nvars, below, rows):
+        degree.append(below + 1)
+        return products(nvars, below, rows)
 
     def counted(b, *rest):
         r = residual(b, *rest)
-        calls.append((len(b) - 1, bool(r)))
+        calls.append((degree[-1], bool(r)))
         return r
 
+    monkeypatch.setattr(apolarity, "_times_variables", recorded_products)
     monkeypatch.setattr(apolarity, "_residual", counted)
+    return calls
+
+
+def test_the_binary_pass_reduces_no_row_after_the_last_generator(monkeypatch):
+    # on the n = 2 grid, unmoved and moved: the generators are the old ones,
+    # and in each degree the last row reduced gives the e_j-th generator
+    calls = record_residuals(monkeypatch)
     skipped = 0
     for h in all_level_hfs(4, 10):
         _, gens = burch_ideal(h)
@@ -714,18 +791,10 @@ def test_the_pass_reduces_no_row_after_the_last_generator_at_every_n(monkeypatch
     # on seeded random spans: the generators are the old ones, and in each
     # degree the pass reduces rows only until it holds dim I_j -
     # rank(R_1 * I_{j-1}) generators, the last row reduced giving the last
-    calls, residual = [], apolarity._residual
-
-    def counted(b, *rest):
-        r = residual(b, *rest)
-        calls.append((len(b), bool(r)))
-        return r
-
-    monkeypatch.setattr(apolarity, "_residual", counted)
+    calls = record_residuals(monkeypatch)
     rng, skipped = random.Random(nvars), 0
     for d in range(d_max + 1):
-        # a row's width gives its degree; at n = 1 only I_{d+1} is nonzero
-        degree_of = {space_dim(nvars, j): j for j in range(d + 2)}
+        # at n = 1 only I_{d+1} is nonzero
         for t in range(1, min(3, space_dim(nvars, d)) + 1):
             lam = random_integer_span(rng, nvars, d, t)
             if not lam.dim:
@@ -735,7 +804,7 @@ def test_the_pass_reduces_no_row_after_the_last_generator_at_every_n(monkeypatch
             assert got == old_minimal_generators(lam)
             counts = {j: len(forms) for j, forms in got}
             for j in range(1, d + 2):
-                seen = [found for width, found in calls if degree_of[width] == j]
+                seen = [found for degree, found in calls if degree == j]
                 assert sum(seen) == counts.get(j, 0) and (not seen or seen[-1]), (lam, j)
                 skipped += ann_slice(lam, j).dim - len(seen)
     # at n = 1 no slice has two rows
