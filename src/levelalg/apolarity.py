@@ -13,7 +13,13 @@ y^b, b! from forms.divided_power_weights) x_k acts by an index shift and
 the pairing of R_j with S_j is the dot product, so each I_j is the right
 kernel of a spanning set of Lambda_j, one small elimination per degree,
 from j = d down to the first degree where I_j = 0, below which every slice
-is 0 too.  The same duality makes R/ann(Lambda) level of socle
+is 0 too.  The spanning set of Lambda_{j-1} is not R_1 times every
+echelon row of Lambda_j: x1 contracts every one, and x2, ..., xn only the
+rows N_j whose lead no row of x1.Lambda_{j+1} gave, since Lambda_j =
+x1.Lambda_{j+1} + span N_j and so x_k.Lambda_j lies in x1.Lambda_j +
+x_k.N_j (see _chain_step for the proof).  At n = 2, N_j holds at most t
+rows, so a step gets at most h_j + t rows where R_1 times every echelon
+row gave it 2 h_j.  The same duality makes R/ann(Lambda) level of socle
 degree d and type dim Lambda, so the apolar profile states that socle and
 computes none; socle() reads the socle of an arbitrary artin quotient R/I,
 which need not be level, off its inverse system: in degree j it is dual to
@@ -23,13 +29,16 @@ The apolar pass reads the minimal generators off the slices: those of
 degree j complement R_1.I_{j-1} in I_j, so there are dim I_j -
 rank(R_1.I_{j-1}) of them, and the pass leaves a degree once it has found
 that many.  At n = 2 that count is the Hilbert-Burch e_j = -Delta^2 h_j,
-known before any elimination, and a degree with e_j = 0 is skipped (see
-_apolar_pass for the proofs).
+known before any elimination: a degree with e_j = 0 is skipped, and the
+elimination of R_1.I_{j-1} stops once it holds its rank dim I_j - e_j
+(see _apolar_pass for the proofs).
 
-R acts on S in one place, _contract: in divided-power coordinates x^a
-acts by the index shift of forms.monomial_products, and the
-catalecticants, the internal product, the derivative chain, the socle and
-secant's Hankel matrices all call it.  It takes and returns rows of S as
+R acts on S in one place, _contract (and _moved, which it calls with the
+column maps of every monomial of R_k, and the chain with those of x1 and
+of x2, ..., xn apart): in divided-power coordinates x^a acts by the index
+shift of forms.monomial_products, and the catalecticants, the internal
+product, the derivative chain, the socle and secant's Hankel matrices all
+call it.  It takes and returns rows of S as
 sparse {column: nonzero entry} rows whose columns count the monomial order
 from its end (w_b at column top - b, top = dim S_j - 1): in that order the
 kernel linalg's core reads off them is the reduced echelon basis of the
@@ -47,6 +56,7 @@ slices I_j are sparse rows of R_j in the original columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count, cycle
 
 from .errors import (
@@ -159,10 +169,14 @@ def _ann_rows(lam: Subspace, j: int) -> tuple[dict[int, int], ...]:
 
 def _run_chain(lam: Subspace, j: int) -> tuple:
     """The slices I_d, I_{d-1}, ... of the chain held on lam, run down to
-    degree j >= 1 or to its end.  At its end lam holds (I_0, ..., I_d, h)
-    in place of the running chain: h_j = dim R_j - dim I_j."""
+    degree j >= 1 or to its end.  Each step gets the span _chain_step
+    returned before it, (x1 contracting every echelon row of Lambda_{j+1},
+    x2, ..., xn contracting its rows N_{j+1}), and the first gets ((),
+    Lambda's divided-power rows): Lambda_{d+1} = 0, and every row of Lambda
+    is new.  At its end lam holds (I_0, ..., I_d, h) in place of the
+    running chain: h_j = dim R_j - dim I_j."""
     n, d = lam.nvars, lam.degree
-    slices, span = lam.__dict__.get("_chain") or ((), _divided_power_rows(lam))
+    slices, span = lam.__dict__.get("_chain") or ((), ((), _divided_power_rows(lam)))
     while len(slices) <= d - j:
         kernel, span = _chain_step(n, d - len(slices), span)
         slices += (kernel,)
@@ -211,49 +225,83 @@ def _dense(row: dict, width: int) -> list:
 def _contract(rows, nvars: int, k: int, m: int) -> list[dict]:
     """x^a.F for every monomial x^a of R_k (outermost) and every row F, a
     form of S_{k+m} in divided-power coordinates, as rows of S_m in the same
-    coordinates: the one place R acts on S.  There x^a.y^b = (b!/g!) y^g
-    for b = a + g, so w_g of x^a.F is F's w_b, and the shift of x^a in
-    forms.monomial_products(nvars, k, m) reads it off.  Rows in and out are
-    sparse rows counted from the end of the monomial order (module
-    docstring), so the shift is read from its end: column top - b of F
-    goes to the column of g counted from the end.  A row with its columns
-    in increasing order gives rows with theirs in increasing order, since
-    multiplying by x^a keeps the monomial order."""
+    coordinates: the one place R acts on S, by _moved over the column maps
+    of _column_maps.  There x^a.y^b = (b!/g!) y^g for b = a + g, so w_g of
+    x^a.F is F's w_b.  A row with its columns in increasing order gives rows
+    with theirs in increasing order, since multiplying by x^a keeps the
+    monomial order."""
+    return _moved(rows, _column_maps(nvars, k, m))
+
+
+@lru_cache(maxsize=None)
+def _column_maps(nvars: int, k: int, m: int) -> tuple[dict[int, int], ...]:
+    """For each monomial x^a of R_k, in order, the map taking the column of
+    w_b in a row of S_{k+m} to the column of w_g in a row of S_m, b = a + g:
+    the shift of x^a in forms.monomial_products(nvars, k, m), read from the
+    end of the monomial order, as the rows count their columns (module
+    docstring).  Read only, never changed."""
     top = space_dim(nvars, k + m) - 1
-    out = []
-    for shift in monomial_products(nvars, k, m):
-        at = {top - b: g for g, b in enumerate(reversed(shift))}
-        out += [{at[c]: x for c, x in row.items() if c in at} for row in rows]
-    return out
+    return tuple({top - b: g for g, b in enumerate(reversed(shift))}
+                 for shift in monomial_products(nvars, k, m))
 
 
-def _chain_step(nvars: int, j: int, span: list[dict[int, int]]):
-    """I_j, and rows spanning Lambda_{j-1} (None at j = 1 and where I_j = 0,
-    where the chain stops), from rows spanning Lambda_j, sparse rows of S_j
-    as _contract writes them, by one elimination.
+def _moved(rows, maps) -> list[dict]:
+    """Each sparse row of rows moved by each column map of maps (outermost),
+    dropping the columns a map does not take: x^a.F for the monomials x^a
+    whose maps are given."""
+    return [{at[c]: x for c, x in row.items() if c in at} for at in maps for row in rows]
+
+
+def _chain_step(nvars: int, j: int, span):
+    """I_j, and the span of Lambda_{j-1} (None at j = 1 and where I_j = 0,
+    where the chain stops), from the span of Lambda_j, by one elimination
+    that takes the shifted rows first.
+    A span is a pair (shifted, new) of sparse rows of S_j as _contract
+    writes them: shifted spans x1.Lambda_{j+1} (empty at j = d, with
+    Lambda_{d+1} = 0), and with new it spans Lambda_j.
 
     There u.G = sum u_b w_b for u in R_j and G in S_j, so I_j is the right
-    kernel of span, and R_1 contracting its echelon rows spans
-    Lambda_{j-1}.  span has t rows at j = d and n h_{j+1} below; each
-    distinct nonzero row goes to linalg's core once (the rows of span come
-    from _divided_power_row or _contract, which write their columns in
-    increasing order, so equal rows have equal items).  Counted from the
-    end of the monomial order, as they are, the kernel linalg._kernel
-    reads off the back-reduced rows, renumbered into the original columns
-    and in reverse order, is the reduced echelon basis of I_j up to
-    positive row scales: each vector is zero right of its free column and
-    at the other free columns, so read back it starts at its own column,
-    where the others are zero.  The same back-reduced rows are the echelon
-    rows the step contracts.
+    kernel of the span.  The shifted rows go into linalg's core first, by a
+    forward pass of their own, and the new rows go on from its pivot rows
+    (the core's start) into the elimination that is back-reduced.  Exact
+    repeats (equal items in equal order) among the nonzero rows, and new
+    rows that repeat a shifted one, are dropped before the core.  Counted
+    from the end of the monomial order, as they are, the kernel
+    linalg._kernel reads off the back-reduced rows, renumbered into the
+    original columns and in reverse order, is the reduced echelon basis of
+    I_j up to positive row scales: each vector is zero right of its free
+    column and at the other free columns, so read back it starts at its own
+    column, where the others are zero.
+
+    The span of Lambda_{j-1}: x1 contracting every back-reduced row, and x2,
+    ..., xn contracting only N_j, the back-reduced rows whose lead is no
+    lead of the forward pass of the shifted rows.  Proof, at every n: the
+    pivot rows of that forward pass span x1.Lambda_{j+1}; they and the rows
+    of N_j have distinct leads, h_j of them, so they are independent and
+    Lambda_j = x1.Lambda_{j+1} + span N_j.  Contractions commute, so for k
+    >= 2, x_k.Lambda_j lies in x1.(x_k.Lambda_{j+1}) + x_k.N_j, within
+    x1.Lambda_j + x_k.N_j; hence Lambda_{j-1} = R_1.Lambda_j = x1.Lambda_j
+    + sum_k x_k.N_j.  N_j is read by lead, not by position: at n >= 3, x1
+    drops every column whose monomial has no y1, so two shifted rows can
+    share a lead and one of them then adds a pivot elsewhere or none.  At n
+    = 2, Lambda_j = x1.Lambda_{j+1} + x2^{d-j}.Lambda, so N_j holds at most
+    t rows, and step j - 1 gets at most h_j + t rows.
     """
+    shifted, new = span
     width = space_dim(nvars, j)
     top = width - 1
-    pivots = _sparse_echelon({tuple(row.items()): row for row in span if row}.values(), True)
+    first = {tuple(row.items()): row for row in shifted if row}
+    later = {tuple(row.items()): row for row in new if row}
+    forward = _sparse_echelon(first.values(), False)
+    pivots = _sparse_echelon((row for key, row in later.items() if key not in first), True,
+                             start=forward)
     kernel = tuple({top - c: x for c, x in reversed(v.items())}
                    for v in reversed(_kernel(pivots, width)))
     if j == 1 or not kernel:
         return kernel, None
-    return kernel, _contract(pivots.values(), nvars, 1, j - 1)
+    x1, *others = _column_maps(nvars, 1, j - 1)
+    spanning = [row for c, row in pivots.items() if c not in forward]
+    return kernel, (_moved(pivots.values(), (x1,)), _moved(spanning, others))
 
 
 def _apolar_pass(lam: Subspace):
@@ -281,7 +329,12 @@ def _apolar_pass(lam: Subspace):
     and is skipped.
 
     At n = 2, e_j = 2h_{j-1} - h_j - h_{j-2}, so a degree with e_j = 0 is
-    skipped before R_1 * I_{j-1} is eliminated.  Proof: A = R/ann(Lambda)
+    skipped before R_1 * I_{j-1} is eliminated, and the elimination of R_1
+    * I_{j-1} stops (linalg._sparse_echelon's stop) once it holds dim I_j -
+    e_j pivot rows, its rank: every later row of it would vanish, and the
+    pivot rows are those the whole elimination would give, so the
+    residuals and generators are too.  At n >= 3 the rank is read off the
+    elimination of every row.  Proof of the count: A = R/ann(Lambda)
     is level of socle degree d and type t (see apolar_profile), so by
     Hilbert-Burch its minimal resolution is 0 -> R(-d-2)^t -> sum_i
     R(-q_i) -> R -> A, the last module dual to the socle.  Hence
@@ -303,7 +356,8 @@ def _apolar_pass(lam: Subspace):
     for j, rows in enumerate((*slices[1:], units), start=1):
         if not (rows if counts is None else counts[j - 1]):
             continue
-        pivots = _sparse_echelon(_times_variables(n, j - 1, slices[j - 1]), False)
+        stop = None if counts is None else len(rows) - counts[j - 1]
+        pivots = _sparse_echelon(_times_variables(n, j - 1, slices[j - 1]), False, stop)
         need = len(rows) - len(pivots)
         gens = []
         for b in rows:

@@ -17,13 +17,23 @@ rule is deterministic (first nonzero column) and every output is a function
 of the row space alone, so echelon forms, kernels and the canonical
 subspaces built on them are reproducible.
 
+The loop takes two private arguments, for callers that know more than
+the rows: stop, a rank at which it takes no further row (the binary apolar
+pass knows the Hilbert-Burch rank of R_1.I_{j-1}), and start, the pivot
+rows of an earlier forward pass to go on from (the derivative chain
+eliminates x1.Lambda_{j+1} first, to read which leads it gave, then the
+rest of its span).
+
 The readers: sparse_rank counts the pivots of the forward pass alone;
 sparse_kernel reads the primitive kernel vectors, one per free column, off
-the back-reduced rows, and echelon_kernel reads them with the columns
-reversed, which makes them the reduced echelon basis; integer_echelon
-writes the reduced echelon form times its least common denominator.  The
-Fraction front ends (rref, rank, right_kernel) scale each row by the lcm of
-its denominators and enter through integer_echelon and sparse_kernel.
+the back-reduced rows; echelon_kernel solves for them with the columns
+reversed, which makes them the reduced echelon basis, by back substitution
+over the forward rows, one solve per kernel vector, and back-reduces no
+row: the kernels it serves (inverse systems, subspace intersections) are
+small beside the rank; integer_echelon writes the reduced echelon form
+times its least common denominator.  The Fraction front ends (rref, rank,
+right_kernel) scale each row by the lcm of its denominators and enter
+through integer_echelon and sparse_kernel.
 Dense integer rows enter through _sparse_rows, which drops zero rows and
 repeats: the row space, hence every output, does not change.  Its callers
 are integer_echelon (so rref, rank and forms.Subspace.from_rows),
@@ -87,21 +97,26 @@ def _sparse_combine(pivot: dict, row: dict, c: int) -> dict:
     return _sparse_primitive(out)
 
 
-def _sparse_echelon(rows, back: bool) -> dict[int, dict[int, int]]:
+def _sparse_echelon(rows, back: bool, stop: int | None = None,
+                    start: dict | None = None) -> dict[int, dict[int, int]]:
     """Echelon form of the sparse integer rows ({column: nonzero entry}, an
-    iterable) as primitive rows keyed by their lead (least) column: the
-    library's one elimination loop, apart from determinants.
+    iterable) as primitive rows keyed by their lead (least) column, in the
+    order they became pivot rows: the library's one elimination loop, apart
+    from determinants.
 
     Each incoming row is reduced against the pivot row whose column is its
     lead, then divided by its content, until its lead is no pivot column
-    (it becomes a pivot row) or it vanishes.  With back, each pivot row is
-    then cleared at the later pivot columns, from the last one up, so that
-    it is zero at every other pivot column: up to sign, the rows are the
-    reduced row echelon form's over their contents.  Input rows are not
-    changed.
+    (it becomes a pivot row) or it vanishes.  The pivot rows start as those
+    of start (a forward pass of this loop over other rows, not changed), or
+    none.  Once there are stop pivot rows (a rank the caller knows; None
+    for no bound) no further row is taken from rows: every later one would
+    vanish.  With back, each pivot row is then cleared at the later pivot
+    columns, from the last one up, so that it is zero at every other pivot
+    column: up to sign, the rows are the reduced row echelon form's over
+    their contents.  Input rows are not changed.
     """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
+    pivots: dict[int, dict[int, int]] = dict(start) if start else {}
+    for row in rows if len(pivots) != stop else ():
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
@@ -109,6 +124,8 @@ def _sparse_echelon(rows, back: bool) -> dict[int, dict[int, int]]:
                 pivots[lead] = _sparse_primitive(row)
                 break
             row = _sparse_combine(pivot, row, lead)
+        if len(pivots) == stop:
+            break
     if back:
         for c in sorted(pivots, reverse=True):
             row = pivots[c]
@@ -162,15 +179,44 @@ def sparse_kernel(rows, ncols: int) -> list[dict[int, int]]:
 def echelon_kernel(rows, ncols: int) -> list[list[int]]:
     """The reduced echelon basis of the right kernel of the sparse integer
     rows ({column: nonzero entry}, an iterable) over range(ncols), as dense
-    rows, each primitive with a positive entry at its lead: _kernel of the
-    rows with the columns reversed, read back in the original columns in
-    reverse order.  The vector of a free column f of the reversed rows is
-    zero right of f and at the other free columns, so read back each vector
-    starts at its own column, where the others are zero, and they are the
-    reduced echelon basis of the kernel up to positive row scales."""
+    rows, each primitive with a positive entry at its lead, by the forward
+    pass of the core and back substitution.
+
+    With the columns reversed, the vector v of a free column f is, up to a
+    positive scale, 1 at f, 0 at the other free columns and, solving the
+    forward rows from the last pivot column up, 0 at every pivot column
+    right of f (such a row is 0 left of its pivot); read back in the
+    original columns it starts at its own column, where the others are
+    zero, so the vectors are the reduced echelon basis up to positive row
+    scales.  Each pivot row c left of f fixes v[c] from the entries of v
+    right of c: with s the sum of their products with the row and g the gcd
+    of s and row[c], signed as row[c], v is scaled by row[c] / g > 0 and
+    v[c] = -s / g, an integer; every scale is positive, so v keeps a
+    positive entry at f, and over its content it is the primitive vector.
+    A kernel of t vectors costs t solves, where clearing every pivot row at
+    the other pivot columns costs a combine for each nonzero entry there.
+    """
     top = ncols - 1
-    pivots = _sparse_echelon(({top - c: x for c, x in row.items()} for row in rows), True)
-    return [[v.get(c, 0) for c in range(top, -1, -1)] for v in reversed(_kernel(pivots, ncols))]
+    pivots = _sparse_echelon(({top - c: x for c, x in row.items()} for row in rows), False)
+    order = sorted(pivots, reverse=True)
+    kernel = []
+    for f in range(top, -1, -1):
+        if f in pivots:
+            continue
+        v = {f: 1}
+        for c in order:
+            if c > f:
+                continue
+            row = pivots[c]
+            s = sum(x * v[k] for k, x in row.items() if k in v)
+            if s:
+                g = gcd(s, row[c]) if row[c] > 0 else -gcd(s, row[c])
+                if row[c] != g:
+                    v = {k: row[c] // g * x for k, x in v.items()}
+                v[c] = -s // g
+        v = _sparse_primitive(v)
+        kernel.append([v.get(c, 0) for c in range(top, -1, -1)])
+    return kernel
 
 
 def integer_echelon(m, ncols: int) -> tuple[list[list[int]], list[int], int]:

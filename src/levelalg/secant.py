@@ -81,7 +81,10 @@ def secant_decompose(lam: Subspace) -> list[SecantPlane]:
 
     The certificate, with J the ideal the u_k generate: the condition rows
     of the u_k (apolarity._condition_rows, spanning J_d in R_d) pair to 0
-    with Lambda's divided-power rows, and their rank is d + 1 - t.  Proof
+    with Lambda's divided-power rows, and their rank is d + 1 - t.  Both
+    are sparse rows: column c of a condition row (the monomial order) pairs
+    with column top - c of a divided-power row (counted from its end, as
+    _contract writes it), top = d.  Proof
     that this holds iff the planes meet in Lambda: the planes meet in
     (J^{-1})_d, the forms of S_d every element of J_d kills, and u.F is the
     dot product of u in R_d with F's divided-power coordinates, a perfect
@@ -99,8 +102,9 @@ def secant_decompose(lam: Subspace) -> list[SecantPlane]:
     if tuple(sorted(p.q for p in planes)) != q_sequence(h):
         raise LevelAlgError("internal bug: generator degrees do not match the q-sequence")
     rows = _condition_rows([p.apolar_form for p in planes], 2, lam.degree)
-    lam_rows = [_dense(w, lam.ambient_dim) for w in _divided_power_rows(lam)]
-    if (any(sum(x * w[c] for c, x in row.items()) for row in rows for w in lam_rows)
+    top = lam.ambient_dim - 1
+    lam_rows = _divided_power_rows(lam)
+    if (any(sum(x * w.get(top - c, 0) for c, x in row.items()) for row in rows for w in lam_rows)
             or sparse_rank(rows) != lam.ambient_dim - lam.dim):
         raise LevelAlgError("internal bug: plane intersection is not Lambda")
     return planes

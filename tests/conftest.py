@@ -45,6 +45,21 @@ def burch_point(h: HilbertFunction):
     return inverse_system_slice(gens, 2, h.d)
 
 
+def power_sum_span(n: int, d: int, t: int, s: int) -> Subspace:
+    """t forms in n variables, each a sum of s d-th powers of linear forms
+    with coefficients in -3..3, drawn from random.Random(1)."""
+    rng = random.Random(1)
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    forms = []
+    for _ in range(t):
+        total = Form.zero(n, d, "S")
+        for _ in range(s):
+            coeffs = [rng.randint(-3, 3) for _ in range(n)]
+            total = total + Form.make(n, 1, "S", dict(zip(units, coeffs))).power(d)
+        forms.append(total)
+    return Subspace.span(n, d, "S", forms)
+
+
 def moved_burch_point(h: HilbertFunction, rng: random.Random):
     """A stratum point moved off the monomial locus by a random invertible
     integer change of coordinates."""

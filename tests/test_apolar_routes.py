@@ -16,7 +16,7 @@ import random
 import pytest
 
 from conftest import (_action_table, all_level_hfs, burch_point, ideal_slice_stream,
-                      monomial_residuals, row_space_intersection)
+                      monomial_residuals, power_sum_span, row_space_intersection)
 from levelalg import apolarity, secant
 from levelalg.apolarity import (
     ApolarProfile,
@@ -39,7 +39,7 @@ from levelalg.forms import (
     space_dim,
 )
 from levelalg.levelhf import HilbertFunction, burch_ideal, e_sequence, enumerate_level_hf
-from levelalg.linalg import QQ, rank, right_kernel
+from levelalg.linalg import QQ, integer_echelon, rank, right_kernel, sparse_rank
 from levelalg.secant import SecantPlane, in_sigma, secant_decompose, secant_intersect
 from levelalg.tangent import tangent_space
 
@@ -487,6 +487,76 @@ def test_the_held_chain_is_read_in_one_step(rng, monkeypatch, nvars, d_max):
             assert dense == old_ann_slice(lam, j).echelon, (lam, j)
 
 
+def old_rule_spans(lam):
+    """The echelon forms (linalg.integer_echelon) of the rows each step of
+    the derivative chain got by its old rule: Lambda's divided-power rows at
+    j = d, and below, R_1 contracting every echelon row of the step before,
+    down to the first degree whose slice is 0, or to 1."""
+    n, d = lam.nvars, lam.degree
+    rows, out = apolarity._divided_power_rows(lam), []
+    for j in range(d, 0, -1):
+        width = space_dim(n, j)
+        echelon, pivots, _ = integer_echelon([[row.get(c, 0) for c in range(width)]
+                                              for row in rows], width)
+        out.append((j, echelon))
+        if len(pivots) == width:
+            break
+        rows = apolarity._contract([{c: x for c, x in enumerate(v) if x} for v in echelon],
+                                   n, 1, j - 1)
+    return out
+
+
+def chain_spans(lam, monkeypatch):
+    """The echelon forms of the rows each step of a fresh chain on a copy of
+    lam gets, and how many of those steps get two shifted rows with one lead
+    and shifted rows of lower rank than their number."""
+    spans, shared, dependent = [], [], []
+    step = apolarity._chain_step
+
+    def recorded(nvars, j, span):
+        shifted, new = span
+        width = space_dim(nvars, j)
+        echelon, _, _ = integer_echelon([[row.get(c, 0) for c in range(width)]
+                                         for row in (*shifted, *new)], width)
+        spans.append((j, echelon))
+        leads = [min(row) for row in shifted if row]
+        shared.append(len(set(leads)) < len(leads))
+        dependent.append(sparse_rank(shifted) < len(leads))
+        return step(nvars, j, span)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(apolarity, "_chain_step", recorded)
+        apolarity._slices(dataclasses.replace(lam))
+    return spans, sum(shared), sum(dependent)
+
+
+@pytest.mark.parametrize("nvars, d_max", [(1, 6), (2, 9), (3, 6), (4, 5)])
+def test_the_chain_spans_what_the_old_rule_spanned(rng, monkeypatch, nvars, d_max):
+    # x1 contracting every echelon row of Lambda_j and x2, ..., xn only the
+    # rows whose lead no shifted row gave span Lambda_{j-1}, as R_1
+    # contracting every echelon row did: step by step the same row space,
+    # on seeded dense spans, power-sum spans and, at n = 2, the Burch points
+    # of t <= 3, d <= 8, unmoved and moved.  At n >= 3 x1 drops the columns
+    # whose monomial has no y1, so shifted rows share leads and lose rank,
+    # and both cases occur here
+    points = [random_subspace(rng, nvars, d, t) for d in range(1, d_max + 1)
+              for t in range(1, min(3, space_dim(nvars, d)) + 1)]
+    points += [power_sum_span(nvars, d, t, s) for d in range(2, d_max + 1)
+               for t, s in ((1, 2), (2, 4), (3, 3))]
+    if nvars == 2:
+        points += [burch_point(h) for h in all_level_hfs(3, 8)]
+        points += [inverse_system_slice([g.substitute_linear(MOVE) for g in burch_ideal(h)[1]],
+                                        2, h.d) for h in all_level_hfs(3, 8)]
+    shared = dependent = 0
+    for lam in points:
+        if not lam.dim:
+            continue
+        spans, a, b = chain_spans(lam, monkeypatch)
+        assert spans == old_rule_spans(lam), lam
+        shared, dependent = shared + a, dependent + b
+    assert (shared > 0 and dependent > 0) == (nvars >= 3)
+
+
 def random_integer_span(rng, nvars, d, t):
     """The span of t dense forms of S_d with random integer coefficients in
     -3..3."""
@@ -569,11 +639,11 @@ def eliminated_degrees(lam, monkeypatch):
         built.append((degree + 1, out))
         return out
 
-    def recorded_core(rows, back):
+    def recorded_core(rows, back, stop=None):
         degree, out = built.pop()
         assert rows is out
         seen.append(degree)
-        return core(rows, back)
+        return core(rows, back, stop)
 
     with monkeypatch.context() as patch:
         patch.setattr(apolarity, "_times_variables", recorded_products)
@@ -767,15 +837,36 @@ def record_residuals(monkeypatch) -> list:
 
 def test_the_binary_pass_reduces_no_row_after_the_last_generator(monkeypatch):
     # on the n = 2 grid, unmoved and moved: the generators are the old ones,
-    # and in each degree the last row reduced gives the e_j-th generator
+    # in each degree the last row reduced gives the e_j-th generator, and
+    # the elimination of R_1 * I_{j-1} stops at its Hilbert-Burch rank
+    # dim I_j - e_j: the core takes no row of it after the first prefix of
+    # that rank
     calls = record_residuals(monkeypatch)
-    skipped = 0
+    eliminations, core = [], apolarity._sparse_echelon
+
+    def recorded_core(rows, back, stop=None, start=None):
+        rows, taken = list(rows), []
+
+        def feed():
+            for row in rows:
+                taken.append(row)
+                yield row
+
+        pivots = core(feed(), back, stop, start)
+        eliminations.append((rows, len(taken), stop))
+        return pivots
+
+    skipped = unread = 0
     for h in all_level_hfs(4, 10):
         _, gens = burch_ideal(h)
         for gs in (gens, [g.substitute_linear(MOVE) for g in gens]):
             lam = inverse_system_slice(gs, 2, h.d)
+            apolarity._slices(lam)
             calls.clear()
-            got = minimal_generators(lam)
+            eliminations.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(apolarity, "_sparse_echelon", recorded_core)
+                got = minimal_generators(lam)
             assert got == old_minimal_generators(lam)
             counts = e_sequence(h)
             for j, e in enumerate(counts, start=1):
@@ -783,7 +874,13 @@ def test_the_binary_pass_reduces_no_row_after_the_last_generator(monkeypatch):
                 assert sum(seen) == e and (not seen or seen[-1]), (h, j)
                 slice_dim = ann_slice(lam, j).dim
                 skipped += e and slice_dim - len(seen)
-    assert skipped > 0
+            assert len(eliminations) == sum(map(bool, counts))
+            for rows, taken, stop in eliminations:
+                r = sparse_rank(rows)
+                assert stop == r and sparse_rank(rows[:taken]) == r, h
+                assert not taken or sparse_rank(rows[:taken - 1]) < r, h
+                unread += len(rows) - taken
+    assert skipped > 0 and unread > 0
 
 
 @pytest.mark.parametrize("nvars, d_max", [(1, 6), (3, 5), (4, 4)])

@@ -1,9 +1,11 @@
+import random
 from math import gcd
 
 import pytest
 from conftest import _bareiss, bareiss_echelon, bareiss_kernel, row_space_intersection
 from hypothesis import given, settings, strategies as st
 
+from levelalg import linalg
 from levelalg.linalg import (
     QQ,
     _integer_det,
@@ -200,6 +202,29 @@ def test_echelon_kernel_is_the_reversed_kernel(m):
                for v, c in zip(kernel, leads))
 
 
+def test_echelon_kernel_back_reduces_no_pivot_row(monkeypatch):
+    # the kernel vectors come by back substitution over the forward rows:
+    # one forward core call and no back-reduction, on seeded random rows
+    # (about two thirds of the entries zero) of every shape up to 14 x 13
+    calls, core = [], linalg._sparse_echelon
+
+    def recorded(rows, back, *rest, **named):
+        calls.append(back)
+        return core(rows, back, *rest, **named)
+
+    rng = random.Random(5)
+    for ncols in range(1, 14):
+        for nrows in range(ncols + 2):
+            m = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(ncols)]
+                 for _ in range(nrows)]
+            rows, expected = _sparse_rows(m), ncols - rank(mat(m))
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_sparse_echelon", recorded)
+                assert len(echelon_kernel(rows, ncols)) == expected
+            assert calls == [False]
+
+
 def test_echelon_kernel_of_no_rows_and_of_zero_rows():
     units = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert echelon_kernel([], 3) == units
@@ -252,6 +277,24 @@ def test_sparse_core_matches_the_bareiss_loop(m):
         expected = {k: x // g for k, x in enumerate(row) if x}
         assert reduced[c] in (expected, {k: -x for k, x in expected.items()})
     assert integer_echelon(m, ncols) == (echelon, pivots, den)
+    # stopped at the rank r, the forward pass takes no row after the first
+    # prefix of rank r and holds the same rows; started from the forward
+    # pass of a prefix, it goes on as if it had taken that prefix itself
+    taken = []
+
+    def counted():
+        for row in rows:
+            taken.append(row)
+            yield row
+
+    assert _sparse_echelon(counted(), False, r) == forward
+    assert len(taken) == next(k for k in range(len(rows) + 1) if sparse_rank(rows[:k]) == r)
+    for k in range(len(rows) + 1):
+        start = _sparse_echelon(rows[:k], False)
+        copy = dict(start)
+        assert _sparse_echelon(rows[k:], False, start=start) == forward
+        assert _sparse_echelon(rows[k:], True, start=start) == reduced
+        assert start == copy
 
 
 def test_sparse_core_of_no_rows():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (_action_table, all_level_hfs, burch_point, complement_positions,
-                      moved_burch_point, monomial_residuals)
+                      moved_burch_point, monomial_residuals, power_sum_span)
 from levelalg import apolarity, linalg, tangent
 from levelalg.apolarity import (
     ann_slice,
@@ -393,28 +393,13 @@ def test_the_hom_oracle_matches_the_route(rng):
     assert {lam.nvars for _, lam in points} == {2, 3, 4}
 
 
-def _power_sum_span(n, d, t, s):
-    """t forms in n variables, each a sum of s d-th powers of linear forms
-    with coefficients in -3..3, drawn from random.Random(1)."""
-    rng = random.Random(1)
-    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-    forms = []
-    for _ in range(t):
-        total = Form.zero(n, d, "S")
-        for _ in range(s):
-            coeffs = [rng.randint(-3, 3) for _ in range(n)]
-            total = total + Form.make(n, 1, "S", dict(zip(units, coeffs))).power(d)
-        forms.append(total)
-    return Subspace.span(n, d, "S", forms)
-
-
 def test_power_sum_spans_match_the_hom_oracle():
     # n >= 3 points off the monomial locus whose constraint rows are dense
     # and wide (27-38% nonzero, entries of 23-26 bits), where the Bareiss
     # rank of such rows grows into minors of the input: the dimension against
     # Hom_R(I, A)_0, the basis and shape against the rational dual route
     for point, shape in (((3, 6, 2, 4), (32, 52)), ((4, 4, 2, 3), (64, 66))):
-        lam = _power_sum_span(*point)
+        lam = power_sum_span(*point)
         ts = tangent_space(lam)
         assert ts.constraint_shape == shape, point
         assert ts.dimension == _hom_dimension(lam), point
@@ -505,21 +490,24 @@ def test_no_repeated_row_reaches_the_elimination_core(monkeypatch):
     # once (the constraint rows are only ranked, and their kernel waits for
     # the basis): no core call that back-reduces (a Gauss-Jordan
     # elimination) gets a repeated row.  The slices come from the
-    # derivative chain, whose step j gets t rows at j = d and n h_{j+1} rows
-    # below, and which stops at the first zero slice: no catalecticant there
+    # derivative chain, which stops at the first zero slice (no
+    # catalecticant there); its step j gets the t rows of Lambda at j = d,
+    # and below h_{j+1} rows x1 contracts and the rows x2 contracts, one for
+    # each echelon row of Lambda_{j+1} whose lead no x1 row gave: at most t,
+    # since Lambda_{j+1} = x1.Lambda_{j+2} + x2^{d-j-1}.Lambda
     chain, eliminated, sparse = [], [], []
     original_step, original_core = apolarity._chain_step, linalg._sparse_echelon
     original_kernel = tangent.sparse_kernel
 
     def counted_step(nvars, j, span):
-        chain.append((len(span), space_dim(nvars, j)))
+        chain.append((sum(map(len, span)), space_dim(nvars, j)))
         return original_step(nvars, j, span)
 
-    def recorded_core(m, back):
+    def recorded_core(m, back, stop=None, start=None):
         rows = [tuple(sorted(row.items())) for row in m]
         if back:
             eliminated.append(rows)
-        return original_core(map(dict, rows), back)
+        return original_core(map(dict, rows), back, stop, start)
 
     def recorded_kernel(m, ncols):
         sparse.append([tuple(sorted(row.items())) for row in m])
@@ -544,6 +532,6 @@ def test_no_repeated_row_reaches_the_elimination_core(monkeypatch):
         # (n = 2: dim R_j = j + 1)
         stop = max(j for j in range(1, h.d + 1) if h[j] == j + 1)
         assert [ncols for _, ncols in chain] == [j + 1 for j in range(h.d, stop - 1, -1)]
-        bounds = [h.t] + [2 * h[j + 1] for j in range(h.d - 1, stop - 1, -1)]
+        bounds = [h.t] + [h[j + 1] + h.t for j in range(h.d - 1, stop - 1, -1)]
         assert all(n <= bound for (n, _), bound in zip(chain, bounds, strict=True)), \
             h.format()
