@@ -271,7 +271,11 @@ def _chain_step(nvars: int, j: int, span):
     original columns and in reverse order, is the reduced echelon basis of
     I_j up to positive row scales: each vector is zero right of its free
     column and at the other free columns, so read back it starts at its own
-    column, where the others are zero.
+    column, where the others are zero.  Every row of I_j is written with
+    its columns in increasing order, so its first key is its lead, min(row),
+    which the tangent route reads: _kernel writes each vector with its
+    pivot columns in increasing order and its free column, right of them
+    all, last, and the renumbering reads it back from its end.
 
     The span of Lambda_{j-1}: x1 contracting every back-reduced row, and x2,
     ..., xn contracting only N_j, the back-reduced rows whose lead is no
@@ -444,17 +448,20 @@ def _condition_rows(gens: list[Form], nvars: int, d: int) -> list[dict[int, int]
     return rows
 
 
-def _times_variables(nvars: int, degree: int, rows) -> list[dict[int, int]]:
+def _times_variables(nvars: int, degree: int, rows):
     """x_i * b for every variable x_i and sparse row b of R_degree: a
-    spanning set of R_1 * span(rows), as sparse rows."""
+    spanning set of R_1 * span(rows), as sparse rows, each built only when
+    it is taken (a generator)."""
     return _placed(monomial_products(nvars, 1, degree), rows)
 
 
-def _placed(shifts, rows) -> list[dict[int, int]]:
+def _placed(shifts, rows):
     """For each shift (shift outermost) and sparse row ({column: nonzero
     entry}), the sparse row holding row[m] at shift[m]: x^c * b for the
-    monomial x^c whose products a shift indexes."""
-    return [{shift[m]: c for m, c in row.items()} for shift in shifts for row in rows]
+    monomial x^c whose products a shift indexes.  A generator, so a reader
+    that stops early (the binary pass, at its Hilbert-Burch rank) builds no
+    row it does not take."""
+    return ({shift[m]: c for m, c in row.items()} for shift in shifts for row in rows)
 
 
 def _check_generators(gens: list[Form], nvars: int):

@@ -28,12 +28,17 @@ The readers: sparse_rank counts the pivots of the forward pass alone;
 sparse_kernel reads the primitive kernel vectors, one per free column, off
 the back-reduced rows; echelon_kernel solves for them with the columns
 reversed, which makes them the reduced echelon basis, by back substitution
-over the forward rows, one solve per kernel vector, and back-reduces no
-row: the kernels it serves (inverse systems, subspace intersections) are
-small beside the rank; integer_echelon writes the reduced echelon form
-times its least common denominator.  The Fraction front ends (rref, rank,
-right_kernel) scale each row by the lcm of its denominators and enter
-through integer_echelon and sparse_kernel.
+over the forward rows (_back_substitution), one solve per kernel vector,
+and back-reduces no row: the kernels it serves (inverse systems, subspace
+intersections) are small beside the rank; integer_echelon writes the
+reduced echelon form times its least common denominator.  The layer's one
+modular routine, certified_rank, ranks wide rows of which many are
+dependent: a forward pass mod PRIME picks the rows that become pivots, the
+core eliminates those alone, _back_substitution gives their kernel (in the
+original columns: sparse_kernel's vectors), and every other row is checked
+against it exactly, with sparse_rank as the fallback.  The Fraction front
+ends (rref, rank, right_kernel) scale each row by the lcm of its
+denominators and enter through integer_echelon and sparse_kernel.
 Dense integer rows enter through _sparse_rows, which drops zero rows and
 repeats: the row space, hence every output, does not change.  Its callers
 are integer_echelon (so rref, rank and forms.Subspace.from_rows),
@@ -53,6 +58,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 QQ = Fraction
+PRIME = 2**61 - 1  # certified_rank's modulus, a word-size prime
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
@@ -180,27 +186,37 @@ def echelon_kernel(rows, ncols: int) -> list[list[int]]:
     """The reduced echelon basis of the right kernel of the sparse integer
     rows ({column: nonzero entry}, an iterable) over range(ncols), as dense
     rows, each primitive with a positive entry at its lead, by the forward
-    pass of the core and back substitution.
+    pass of the core and back substitution (_back_substitution).
 
     With the columns reversed, the vector v of a free column f is, up to a
-    positive scale, 1 at f, 0 at the other free columns and, solving the
-    forward rows from the last pivot column up, 0 at every pivot column
-    right of f (such a row is 0 left of its pivot); read back in the
-    original columns it starts at its own column, where the others are
-    zero, so the vectors are the reduced echelon basis up to positive row
-    scales.  Each pivot row c left of f fixes v[c] from the entries of v
-    right of c: with s the sum of their products with the row and g the gcd
-    of s and row[c], signed as row[c], v is scaled by row[c] / g > 0 and
-    v[c] = -s / g, an integer; every scale is positive, so v keeps a
-    positive entry at f, and over its content it is the primitive vector.
-    A kernel of t vectors costs t solves, where clearing every pivot row at
-    the other pivot columns costs a combine for each nonzero entry there.
+    positive scale, 1 at f, 0 at the other free columns and 0 at every
+    pivot column right of f; read back in the original columns it starts at
+    its own column, where the others are zero, so the vectors are the
+    reduced echelon basis up to positive row scales.  A kernel of t vectors
+    costs t solves, where clearing every pivot row at the other pivot
+    columns costs a combine for each nonzero entry there.
     """
     top = ncols - 1
     pivots = _sparse_echelon(({top - c: x for c, x in row.items()} for row in rows), False)
+    return [[v.get(c, 0) for c in range(top, -1, -1)]
+            for v in _back_substitution(pivots, range(top, -1, -1))]
+
+
+def _back_substitution(pivots: dict[int, dict[int, int]], columns) -> list[dict[int, int]]:
+    """The right kernel of the forward pivot rows of _sparse_echelon, one
+    primitive sparse vector for each free column f of columns (in that
+    order): positive at f, 0 at the other free columns and, solving the
+    pivot rows from the last pivot column up, 0 at every pivot column right
+    of f (such a row is 0 left of its pivot).  Each pivot row c left of f
+    fixes v[c] from the entries of v right of c: with s the sum of their
+    products with the row and g the gcd of s and row[c], signed as row[c],
+    v is scaled by row[c] / g > 0 and v[c] = -s / g, an integer; every scale
+    is positive, so v keeps a positive entry at f, and over its content it
+    is the primitive vector.  The vector is unique up to scale, so it is
+    _kernel's vector of f whatever rows gave the pivots."""
     order = sorted(pivots, reverse=True)
     kernel = []
-    for f in range(top, -1, -1):
+    for f in columns:
         if f in pivots:
             continue
         v = {f: 1}
@@ -214,9 +230,66 @@ def echelon_kernel(rows, ncols: int) -> list[list[int]]:
                 if row[c] != g:
                     v = {k: row[c] // g * x for k, x in v.items()}
                 v[c] = -s // g
-        v = _sparse_primitive(v)
-        kernel.append([v.get(c, 0) for c in range(top, -1, -1)])
+        kernel.append(_sparse_primitive(v))
     return kernel
+
+
+def _modular_pivot_rows(rows: list[dict[int, int]], ncols: int) -> list[int]:
+    """The indices of the sparse integer rows over range(ncols) that become
+    pivot rows in a forward pass mod PRIME: each row, read as a dense list,
+    is reduced against the monic pivot row of its lead mod PRIME, until its
+    lead is no pivot column (it becomes a pivot row, kept from its lead on)
+    or it vanishes.  Entries are reduced mod PRIME only where they are read
+    as a lead; a reduction adds less than PRIME^2 to each.  The kept rows
+    are independent mod PRIME, hence over Q (a rational dependency, made
+    primitive, stays one mod PRIME)."""
+    pivots: dict[int, list[int]] = {}
+    kept = []
+    for index, row in enumerate(rows):
+        dense = [0] * ncols
+        for k, x in row.items():
+            dense[k] = x
+        c = min(row, default=ncols)
+        while c < ncols:
+            x = dense[c] % PRIME
+            if not x:
+                c += 1
+                continue
+            pivot = pivots.get(c)
+            if pivot is None:
+                inverse = pow(x, -1, PRIME)
+                pivots[c] = [y * inverse % PRIME for y in dense[c:]]
+                kept.append(index)
+                break
+            dense[c:] = [a - x * b for a, b in zip(dense[c:], pivot)]
+            c += 1
+    return kept
+
+
+def certified_rank(rows: list[dict[int, int]], ncols: int) -> tuple[int, list | None]:
+    """(rank, kernel) of the sparse integer rows over range(ncols), from the
+    rows a forward pass mod PRIME keeps (_modular_pivot_rows): the exact
+    core's forward pass over those rows alone, their kernel by
+    _back_substitution, and every other row checked against every kernel
+    vector, exactly.  If every product vanishes, span(kept) lies in
+    span(rows), which lies in ker^perp, of dimension ncols - dim ker, the
+    number of kept rows: the rank is that number, and the kernel is
+    sparse_kernel's basis.  Otherwise the prime was unlucky, and the rank
+    is sparse_rank's, with no kernel (None): it costs time, never a wrong
+    answer.  The Las Vegas rank of sparse exact linear algebra (Kaltofen
+    and Saunders, AAECC-9, LNCS 539, 1991; Dumas, Saunders and Villard,
+    J. Symbolic Comput. 32, 2001).  It pays where many rows are dependent
+    and the exact pivot rows grow wide; where they stay narrow the core
+    alone is faster."""
+    kept = _modular_pivot_rows(rows, ncols)
+    pivots = _sparse_echelon([rows[i] for i in kept], False)
+    kernel = _back_substitution(pivots, range(ncols))
+    chosen = set(kept)
+    for i, row in enumerate(rows):
+        if i not in chosen and any(sum(x * v[k] for k, x in row.items() if k in v)
+                                   for v in kernel):
+            return sparse_rank(rows), None
+    return len(kept), kernel
 
 
 def integer_echelon(m, ncols: int) -> tuple[list[list[int]], list[int], int]:

@@ -487,6 +487,56 @@ def test_the_held_chain_is_read_in_one_step(rng, monkeypatch, nvars, d_max):
             assert dense == old_ann_slice(lam, j).echelon, (lam, j)
 
 
+def held_slice_rows(lam):
+    """Every row of every slice held on lam: the complete slices I_0, ...,
+    I_d once the chain has reached its end, else I_d, I_{d-1}, ... of the
+    chain run so far."""
+    held = lam.__dict__.get("_slices")
+    slices = held[0] if held is not None else lam.__dict__["_chain"][0]
+    return [row for rows in slices for row in rows]
+
+
+@pytest.mark.parametrize("nvars, d_max", [(1, 6), (2, 9), (3, 6), (4, 5)])
+def test_every_held_slice_row_has_increasing_columns(rng, nvars, d_max):
+    # the tangent route reads a slice row's lead as its first key: every row
+    # of every slice, held by a partial chain (ann_slice and in_sigma stop it
+    # at their degree) or by a full one, has its columns in increasing order,
+    # so its first key is min(row); on dense, power-sum and, at n = 2,
+    # unmoved and moved Burch spans
+    points = [random_subspace(rng, nvars, d, t) for d in range(1, d_max + 1)
+              for t in range(1, min(3, space_dim(nvars, d)) + 1)]
+    points += [power_sum_span(nvars, d, t, s) for d in range(1, d_max + 1)
+               for t, s in ((1, 2), (2, 4), (3, 3))]
+    if nvars == 2:
+        points += [burch_point(h) for h in all_level_hfs(3, 8)]
+        points += [inverse_system_slice([g.substitute_linear(MOVE) for g in burch_ideal(h)[1]],
+                                        2, h.d) for h in all_level_hfs(3, 8)]
+    partial = rows = 0
+    for lam in points:
+        if not lam.dim:
+            continue
+        d = lam.degree
+        states = []
+        for j in range(d, 0, -1):
+            cut = dataclasses.replace(lam)
+            ann_slice(cut, j)
+            states.append(cut)
+            if lam.dim <= j:
+                cut = dataclasses.replace(lam)
+                in_sigma(cut, j)
+                states.append(cut)
+        whole = dataclasses.replace(lam)
+        apolarity._slices(whole)
+        states.append(whole)
+        for state in states:
+            partial += "_chain" in state.__dict__
+            for row in held_slice_rows(state):
+                assert list(row) == sorted(row) and next(iter(row)) == min(row), lam
+                rows += 1
+    # at n = 1, y1^d spans S_d: every slice is 0, and the first step ends the chain
+    assert (partial > 0 and rows > 0) == (nvars > 1)
+
+
 def old_rule_spans(lam):
     """The echelon forms (linalg.integer_echelon) of the rows each step of
     the derivative chain got by its old rule: Lambda's divided-power rows at
@@ -881,6 +931,26 @@ def test_the_binary_pass_reduces_no_row_after_the_last_generator(monkeypatch):
                 assert not taken or sparse_rank(rows[:taken - 1]) < r, h
                 unread += len(rows) - taken
     assert skipped > 0 and unread > 0
+
+
+def test_the_binary_pass_builds_no_row_it_does_not_take(monkeypatch):
+    # R_1 * I_{j-1} reaches the core as a generator, which builds each row
+    # only when the core takes it: the rows after the Hilbert-Burch rank,
+    # still in the generator when the core returns, are never built
+    unbuilt, core = [], apolarity._sparse_echelon
+
+    def recorded_core(rows, back, stop=None, start=None):
+        assert iter(rows) is rows
+        pivots = core(rows, back, stop, start)
+        unbuilt.append(sum(1 for _ in rows))
+        return pivots
+
+    for lam in stream_spans():
+        apolarity._slices(lam)
+        with monkeypatch.context() as patch:
+            patch.setattr(apolarity, "_sparse_echelon", recorded_core)
+            assert minimal_generators(lam) == old_minimal_generators(lam)
+    assert sum(unbuilt) > 0
 
 
 @pytest.mark.parametrize("nvars, d_max", [(1, 6), (3, 5), (4, 4)])

@@ -1,16 +1,20 @@
 import random
+from functools import cache
 from math import gcd
 
 import pytest
-from conftest import _bareiss, bareiss_echelon, bareiss_kernel, row_space_intersection
+from conftest import (_bareiss, bareiss_echelon, bareiss_kernel, power_sum_span,
+                      row_space_intersection)
 from hypothesis import given, settings, strategies as st
 
-from levelalg import linalg
+from levelalg import linalg, tangent
 from levelalg.linalg import (
     QQ,
     _integer_det,
+    _modular_pivot_rows,
     _sparse_echelon,
     _sparse_rows,
+    certified_rank,
     det,
     echelon_kernel,
     integer_echelon,
@@ -363,3 +367,95 @@ def test_kernel_of_empty_matrix_needs_ncols():
     assert len(right_kernel([], ncols=4)) == 4
     with pytest.raises(ValueError):
         right_kernel([])
+
+
+# -- the certified rank from a row subset chosen mod p ------------------------
+
+def _planted(rng, nrows, ncols, rank_, bits):
+    """nrows sparse rows over range(ncols): rank_ independent-looking rows with
+    entries of up to bits bits (about a third of them zero), and the rest
+    integer combinations of two or three of them with coefficients in
+    -5..5, shuffled, some of them zero rows."""
+    base = [{c: rng.choice((-1, 1)) * rng.randint(1, 2 ** bits) for c in range(ncols)
+             if rng.random() < 0.67} for _ in range(rank_)]
+    rows = [dict(row) for row in base]
+    while len(rows) < nrows:
+        row = {}
+        for b in rng.sample(base, min(len(base), rng.randint(2, 3))):
+            a = rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
+            for c, x in b.items():
+                row[c] = row.get(c, 0) + a * x
+        rows.append({c: x for c, x in sorted(row.items()) if x})
+    rng.shuffle(rows)
+    return rows
+
+
+@cache
+def _certified_cases():
+    """The constraint rows of seeded n = 3 and n = 4 power-sum spans, most of
+    them wide, with many dependent rows, and seeded random matrices with
+    planted dependencies, each with its width, sparse_rank and
+    sparse_kernel; read only."""
+    inputs = []
+    for point in ((3, 7, 3, 3), (3, 8, 3, 3), (3, 8, 2, 5), (4, 5, 2, 4), (4, 5, 2, 5)):
+        ts = tangent.tangent_space(power_sum_span(*point))
+        inputs.append((ts.constraints[0], ts.constraint_shape[1]))
+    rng = random.Random(13)
+    for _ in range(25):
+        ncols = rng.randint(1, 20)
+        rank_ = rng.randint(0, ncols)
+        inputs.append((_planted(rng, rank_ + rng.randint(0, 20), ncols, rank_,
+                                rng.choice((3, 40, 90, 200))), ncols))
+    return [(rows, ncols, sparse_rank(rows), sparse_kernel(rows, ncols))
+            for rows, ncols in inputs]
+
+
+def test_certified_rank_is_the_exact_rank_and_kernel():
+    # the rank of sparse_rank and the kernel of sparse_kernel, vector for
+    # vector; the kept rows are independent, and the rows are read, never
+    # changed
+    dependent = 0
+    for rows, ncols, r, kernel in _certified_cases():
+        before = [dict(row) for row in rows]
+        assert certified_rank(rows, ncols) == (r, kernel)
+        assert rows == before
+        kept = _modular_pivot_rows(rows, ncols)
+        assert len(kept) == r == sparse_rank([rows[i] for i in kept])
+        dependent += len(rows) - r
+    assert dependent > 500
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+def test_certified_rank_matches_the_core_on_random_matrices(m):
+    rows = _sparse(m)
+    assert certified_rank(rows, len(m[0])) == (sparse_rank(rows), sparse_kernel(rows, len(m[0])))
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_an_unlucky_prime_falls_back_to_the_exact_rank(monkeypatch, prime):
+    # mod 2 or 3 the pass keeps too few rows (on every power-sum input, at
+    # least), the exact check catches every such case, and the rank comes
+    # from sparse_rank: the same rank, no kernel, and through the tangent
+    # route the same dimension and basis
+    points = [power_sum_span(*p) for p in ((3, 7, 3, 5), (3, 8, 3, 3), (4, 5, 2, 5))]
+    spaces = [tangent.tangent_space(lam) for lam in points]
+    assert all(ts.constraints[2] is not None for ts in spaces)
+    fallbacks, exact = [], linalg.sparse_rank
+
+    def counted(rows):
+        fallbacks.append(len(rows))
+        return exact(rows)
+
+    monkeypatch.setattr(linalg, "PRIME", prime)
+    monkeypatch.setattr(linalg, "sparse_rank", counted)
+    for rows, ncols, r, kernel in _certified_cases():
+        got, certified = certified_rank(rows, ncols)
+        assert got == r and certified in (None, kernel)
+    assert len(fallbacks) >= 5
+    fallbacks.clear()
+    for lam, ts in zip(points, spaces):
+        again = tangent.tangent_space(lam)
+        assert (again.dimension, again.constraint_shape, again.basis) == \
+            (ts.dimension, ts.constraint_shape, ts.basis)
+    assert fallbacks

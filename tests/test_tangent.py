@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (_action_table, all_level_hfs, burch_point, complement_positions,
                       moved_burch_point, monomial_residuals, power_sum_span)
 from levelalg import apolarity, linalg, tangent
+from levelalg.apolarity import _slices
 from levelalg.apolarity import (
     ann_slice,
     catalecticant_matrix,
@@ -15,8 +17,8 @@ from levelalg.apolarity import (
     minimal_generators,
 )
 from levelalg.errors import HilbertMismatchError, ZeroSubspaceError
-from levelalg.forms import (Form, Subspace, form_print, monomial_index, monomials,
-                            parse_subspace_lines, space_dim)
+from levelalg.forms import (Form, Subspace, form_print, monomial_index, monomial_products,
+                            monomials, parse_subspace_lines, space_dim)
 from levelalg.levelhf import (
     HilbertFunction,
     dim_stratum,
@@ -24,7 +26,7 @@ from levelalg.levelhf import (
     grassmannian_dim,
     minmax_hf,
 )
-from levelalg.linalg import QQ, right_kernel, rref
+from levelalg.linalg import QQ, right_kernel, rref, sparse_kernel
 from levelalg.tangent import tangent_space
 
 
@@ -535,3 +537,141 @@ def test_no_repeated_row_reaches_the_elimination_core(monkeypatch):
         bounds = [h.t] + [h[j + 1] + h.t for j in range(h.d - 1, stop - 1, -1)]
         assert all(n <= bound for (n, _), bound in zip(chain, bounds, strict=True)), \
             h.format()
+
+
+# -- the row builder against a copy of the one it replaced --------------------
+
+def _old_constraint_rows(lam, degrees=None):
+    """The constraint rows of the route as it built them before it read a
+    slice row's lead as its first key: leads by min(row), the residuals as
+    {position: entry} rows over a position table, every degree's leads
+    built before its slice was checked, and the V_i rows, gamma and the
+    constraint rows by comprehensions and membership tests."""
+    n, d = lam.nvars, lam.degree
+    wanted = list(range(1, d) if degrees is None else degrees)
+    slices, _ = _slices(lam)
+    dim_id = len(slices[d])
+    coordinate = {min(u): k for k, u in enumerate(slices[d])}
+    tq = space_dim(n, d) - dim_id
+    width = space_dim(n, d)
+    by_pivot = {min(v): v for v in slices[d]}
+    scale = math.lcm(*[v[p] for p, v in by_pivot.items()])
+    position = {p: k for k, p in enumerate(p for p in range(width) if p not in by_pivot)}
+    residuals = [{position[p]: -x * (scale // v[o]) for p, x in v.items() if p != o}
+                 if (v := by_pivot.get(o)) else {position[o]: scale}
+                 for o in range(width)]
+    rows, lower = [], set()
+    for i, ii_rows in enumerate(slices[1:d], start=1):
+        leads = [min(u) for u in ii_rows]
+        kept = [u for u, p in zip(ii_rows, leads) if p not in lower]
+        lower = ({xk[p] for xk in monomial_products(n, 1, i) for p in leads}
+                 if i in wanted else set())
+        if not kept or i not in wanted:
+            continue
+        ii_pivots = set(leads)
+        nlow = space_dim(n, d - i)
+        shift = monomial_products(n, i, d - i)
+        v_rows = [{c * nlow + m_idx: x for m_idx, k in enumerate(shift[pos])
+                   for c, x in residuals[k].items()}
+                  for pos in range(space_dim(n, i)) if pos not in ii_pivots]
+        functionals = [[divmod(a, nlow) + (x,) for a, x in z.items()]
+                       for z in sparse_kernel(v_rows, tq * nlow)]
+        for u in kept:
+            gamma = [[] for _ in range(nlow)]
+            for q, uq in u.items():
+                for m_idx, r in enumerate(shift[q]):
+                    if r in coordinate:
+                        gamma[m_idx].append((coordinate[r] * tq, uq))
+            for func in functionals:
+                row = {}
+                for c_idx, m_idx, coeff in func:
+                    for offset, g in gamma[m_idx]:
+                        row[offset + c_idx] = row.get(offset + c_idx, 0) + coeff * g
+                row = {k: x for k, x in row.items() if x}
+                if row:
+                    rows.append(row)
+    return rows
+
+
+def _seeded_spans(nvars, count, seed):
+    """count spans of one to three forms of S_d in y1..yn, d <= 5 (n = 3)
+    or 4 (n = 4), each form with two to five terms and coefficients in
+    -3..3, drawn from random.Random(seed): mostly off the monomial locus."""
+    rng = random.Random(seed)
+    spans = []
+    while len(spans) < count:
+        d = rng.randint(2, {3: 5, 4: 4}[nvars])
+        forms = [Form.make(nvars, d, "S", {m: rng.choice((-3, -2, -1, 1, 2, 3))
+                                           for m in rng.sample(monomials(nvars, d),
+                                                               rng.randint(2, 5))})
+                 for _ in range(rng.randint(1, 3))]
+        lam = Subspace.span(nvars, d, "S", forms)
+        if lam.dim:
+            spans.append(lam)
+    return spans
+
+
+def test_the_constraint_rows_are_those_of_the_old_builder(rng):
+    # the same rows in the same order, so the dimension, the shape and the
+    # basis are too: Burch points with t <= 4, d <= 10, unmoved and moved,
+    # the ternary subspaces, seeded n = 3 and n = 4 spans (power sums among
+    # them), and every degrees= subset at the smaller points
+    points = [p for h in all_level_hfs(4, 10) for p in (burch_point(h), moved_burch_point(h, rng))]
+    points += [parse_subspace_lines(lines, nvars=n)
+               for n, family in ((3, TERNARY), (4, QUATERNARY)) for lines in family]
+    points += _seeded_spans(3, 40, 3) + _seeded_spans(4, 25, 4)
+    points += [power_sum_span(*p) for p in ((3, 6, 2, 4), (3, 7, 3, 5), (4, 4, 2, 3),
+                                             (4, 5, 2, 5))]
+    for lam in points:
+        assert tangent_space(lam).constraints[0] == _old_constraint_rows(lam), lam
+    subsets = [burch_point(h) for h in all_level_hfs(3, 7)]
+    subsets += [parse_subspace_lines(lines, nvars=3) for lines in TERNARY[:8]]
+    subsets += _seeded_spans(3, 10, 5) + _seeded_spans(4, 6, 6)
+    for lam in subsets:
+        inner = range(1, lam.degree)
+        for k in range(1, len(inner) + 1):
+            for degrees in combinations(inner, k):
+                assert tangent_space(lam, degrees=degrees).constraints[0] == \
+                    _old_constraint_rows(lam, degrees), (lam, degrees)
+
+
+# -- the route choice: the certified modular rank at wide n >= 3 rows ---------
+
+def _tangent_pool():
+    """The Burch points of the benchmark's tangent_burch pool: two per (t,
+    d) cell, t = 2..6, t <= d <= 16, at the evenly spread positions
+    (2i + 1) len / 4 of the cell's enumeration."""
+    for t in range(2, 7):
+        for d in range(t, 17):
+            hs = enumerate_level_hf(t, d)
+            for j in sorted({(2 * i + 1) * len(hs) // 4 for i in range(2)}):
+                yield burch_point(hs[j])
+
+
+def test_the_certified_rank_runs_only_at_wide_rows_in_three_or_more_variables(monkeypatch,
+                                                                               rng):
+    # no point of the tangent_burch pool, no ternary monomial subspace and
+    # no binary point (unmoved or moved, t <= 4, d <= 12) calls it; both
+    # power-sum spans of CI do, and the first basis access reads the kernel
+    # it certified, taking no sparse_kernel of the constraint rows
+    calls, certified = [], tangent.certified_rank
+
+    def counted(rows, ncols):
+        calls.append(len(rows))
+        return certified(rows, ncols)
+
+    monkeypatch.setattr(tangent, "certified_rank", counted)
+    points = list(_tangent_pool())
+    points += [parse_subspace_lines(lines, nvars=3) for lines in TERNARY[:8]]
+    points += [p for h in all_level_hfs(4, 12)
+               for p in (burch_point(h), moved_burch_point(h, rng))]
+    for lam in points:
+        tangent_space(lam)
+    assert not calls
+    for point, shape in (((3, 8, 3, 5), (99, 126)), ((4, 6, 2, 5), (330, 164))):
+        ts = tangent_space(power_sum_span(*point))
+        assert ts.constraint_shape == shape and calls == [shape[0]], point
+        with monkeypatch.context() as patch:
+            patch.setattr(tangent, "sparse_kernel", None)
+            assert len(ts.basis) == ts.dimension, point
+        calls.clear()
