@@ -13,17 +13,18 @@ y^b, b! from forms.divided_power_weights) x_k acts by an index shift and
 the pairing of R_j with S_j is the dot product, so each I_j is the right
 kernel of a spanning set of Lambda_j, one small elimination per degree,
 from j = d down to the first degree where I_j = 0, below which every slice
-is 0 too.  The spanning set of Lambda_{j-1} is not R_1 times every
-echelon row of Lambda_j: x1 contracts every one, and x2, ..., xn only the
-rows N_j whose lead no row of x1.Lambda_{j+1} gave, since Lambda_j =
-x1.Lambda_{j+1} + span N_j and so x_k.Lambda_j lies in x1.Lambda_j +
-x_k.N_j (see _chain_step for the proof).  At n = 2, N_j holds at most t
-rows, so a step gets at most h_j + t rows where R_1 times every echelon
-row gave it 2 h_j.  The same duality makes R/ann(Lambda) level of socle
-degree d and type dim Lambda, so the apolar profile states that socle and
-computes none; socle() reads the socle of an arbitrary artin quotient R/I,
-which need not be level, off its inverse system: in degree j it is dual to
-(I^-1)_j modulo R_1.(I^-1)_{j+1}.
+is 0 too.  The chain runs whole on the first read of any slice and is held
+on Lambda for every reader (_slices).  The spanning set of Lambda_{j-1} is
+not R_1 times every echelon row of Lambda_j: x1 contracts every one, and
+x2, ..., xn only the rows N_j whose lead no row of x1.Lambda_{j+1} gave,
+since Lambda_j = x1.Lambda_{j+1} + span N_j and so x_k.Lambda_j lies in
+x1.Lambda_j + x_k.N_j (see _chain_step for the proof).  At n = 2, N_j
+holds at most t rows, so a step gets at most h_j + t rows where R_1 times
+every echelon row gave it 2 h_j.  The same duality makes R/ann(Lambda)
+level of socle degree d and type dim Lambda, so the apolar profile states
+that socle and computes none; socle() reads the socle of an arbitrary
+artin quotient R/I, which need not be level, off its inverse system: in
+degree j it is dual to (I^-1)_j modulo R_1.(I^-1)_{j+1}.
 
 The apolar pass reads the minimal generators off the slices: those of
 degree j complement R_1.I_{j-1} in I_j, so there are dim I_j -
@@ -128,9 +129,9 @@ def ann_slice(lam: Subspace, j: int) -> Subspace:
     """I_j = {u in R_j : u.F = 0 for all F in Lambda}, a subspace of R_j.
 
     dim I_j + h_j = dim R_j.  For j > d every operator annihilates, so the
-    slice is all of R_j.  On a fresh Lambda, 1 <= j <= d takes the steps of
-    the derivative chain from d down to j, or down to the first zero slice
-    if that lies above j, and no more.  The held sparse rows are read back
+    slice is all of R_j.  For 0 <= j <= d it is read off the slices the
+    derivative chain holds on Lambda (_slices), which a first read runs
+    whole, whatever j it asks for.  The held sparse rows are read back
     dense here, where the Subspace is built.
     """
     if j < 0:
@@ -139,65 +140,39 @@ def ann_slice(lam: Subspace, j: int) -> Subspace:
         return Subspace.full(lam.nvars, j, "R")
     width = space_dim(lam.nvars, j)
     return Subspace.from_echelon(lam.nvars, j, "R", ([row.get(c, 0) for c in range(width)]
-                                                     for row in _ann_rows(lam, j)))
-
-
-def _ann_rows(lam: Subspace, j: int) -> tuple[dict[int, int], ...]:
-    """I_j of ann(Lambda), 0 <= j <= d, Lambda != 0, as _chain_step gives it:
-    sparse rows of R_j in the original columns (I_0 = 0: 1 kills no nonzero
-    form).  The only place a slice is computed: one derivative chain per
-    Lambda instance, run down from d only as far as the lowest degree asked
-    for.  While it runs it is kept on lam, which is frozen, as the pair
-    (I_d, I_{d-1}, ... so far; rows spanning the next Lambda_i), which each
-    step replaces whole, so a step cut short leaves the chain as it was.
-    Once it has reached its end, lam holds the slices I_0, ..., I_d with
-    their Hilbert function instead, which _slices reads in one step.
-    ann_slice, the apolar pass and the tangent route only read the slices.
-
-    The chain stops at the first step whose kernel I_j is empty: every
-    lower slice is held as () at once.  Proof: for u in I_{j-1}, x_1 u
-    lies in R_1.I_{j-1}, which I_j contains since I is an ideal; I_j = 0
-    gives x_1 u = 0, and R is a domain, so u = 0.  Then I_{j-1} = 0, and
-    so on down to I_1."""
-    if not j:
-        return ()
-    held = lam.__dict__.get("_slices")
-    if held is not None:
-        return held[0][j]
-    return _run_chain(lam, j)[lam.degree - j]
-
-
-def _run_chain(lam: Subspace, j: int) -> tuple:
-    """The slices I_d, I_{d-1}, ... of the chain held on lam, run down to
-    degree j >= 1 or to its end.  Each step gets the span _chain_step
-    returned before it, (x1 contracting every echelon row of Lambda_{j+1},
-    x2, ..., xn contracting its rows N_{j+1}), and the first gets ((),
-    Lambda's divided-power rows): Lambda_{d+1} = 0, and every row of Lambda
-    is new.  At its end lam holds (I_0, ..., I_d, h) in place of the
-    running chain: h_j = dim R_j - dim I_j."""
-    n, d = lam.nvars, lam.degree
-    slices, span = lam.__dict__.get("_chain") or ((), ((), _divided_power_rows(lam)))
-    while len(slices) <= d - j:
-        kernel, span = _chain_step(n, d - len(slices), span)
-        slices += (kernel,)
-        if not kernel:
-            slices += ((),) * (d - len(slices))
-        lam.__dict__["_chain"] = slices, span
-    if len(slices) == d:
-        rows = ((), *reversed(slices))
-        lam.__dict__["_slices"] = rows, HilbertFunction.from_values(
-            [space_dim(n, i) - len(r) for i, r in enumerate(rows)])
-        lam.__dict__.pop("_chain", None)
-    return slices
+                                                     for row in _slices(lam)[0][j]))
 
 
 def _slices(lam: Subspace) -> tuple[tuple, HilbertFunction]:
-    """The slices I_0, ..., I_d that the chain holds on lam, run to its end,
-    and the Hilbert function h_j = dim R_j - dim I_j held with them."""
+    """The slices I_0, ..., I_d of ann(Lambda), Lambda != 0, as _chain_step
+    gives them (sparse rows of R_j in the original columns; I_0 = 0, as 1
+    kills no nonzero form), and the Hilbert function h_j = dim R_j - dim
+    I_j.  The only place a slice is computed: one derivative chain per
+    Lambda instance, run whole on the first read and held on lam, which is
+    frozen, for ann_slice, the apolar pass and the tangent route, which
+    read it in one step.  Nothing is held until the chain has run, so a
+    step that raises leaves lam as it was.
+
+    Each step gets the span the step before it returned (x1 contracting
+    every echelon row of Lambda_{j+1}, x2, ..., xn contracting its rows
+    N_{j+1}), and the first, at d, gets ((), Lambda's divided-power rows):
+    Lambda_{d+1} = 0, and every row of Lambda is new.  At d = 0 no step
+    runs.  The chain stops at the first step that returns no span, at j =
+    1 or where the kernel I_j is empty: every lower slice is then ().
+    Proof: for u in I_{j-1}, x_1 u lies in R_1.I_{j-1}, which I_j contains
+    since I is an ideal; I_j = 0 gives x_1 u = 0, and R is a domain, so u
+    = 0.  Then I_{j-1} = 0, and so on down to I_1."""
     held = lam.__dict__.get("_slices")
-    if held is None:
-        _run_chain(lam, 1)
-        held = lam.__dict__["_slices"]
+    if held is not None:
+        return held
+    n, d = lam.nvars, lam.degree
+    rows, span = [()] * (d + 1), ((), _divided_power_rows(lam))
+    for j in range(d, 0, -1):
+        rows[j], span = _chain_step(n, j, span)
+        if span is None:
+            break
+    held = lam.__dict__["_slices"] = tuple(rows), HilbertFunction.from_values(
+        [space_dim(n, j) - len(r) for j, r in enumerate(rows)])
     return held
 
 
@@ -263,9 +238,11 @@ def _chain_step(nvars: int, j: int, span):
     There u.G = sum u_b w_b for u in R_j and G in S_j, so I_j is the right
     kernel of the span.  The shifted rows go into linalg's core first, by a
     forward pass of their own, and the new rows go on from its pivot rows
-    (the core's start) into the elimination that is back-reduced.  Exact
-    repeats (equal items in equal order) among the nonzero rows, and new
-    rows that repeat a shifted one, are dropped before the core.  Counted
+    (the core's start) into the elimination that is back-reduced.  The
+    rows go in as they come: a zero row is skipped, and a row in the span
+    of the pivot rows before it (a repeat, say) vanishes in the core and
+    leaves them as they were, so the pivot rows, the kernel and the next
+    span are those of the rows without it.  Counted
     from the end of the monomial order, as they are, the kernel
     linalg._kernel reads off the back-reduced rows, renumbered into the
     original columns and in reverse order, is the reduced echelon basis of
@@ -294,11 +271,8 @@ def _chain_step(nvars: int, j: int, span):
     shifted, new = span
     width = space_dim(nvars, j)
     top = width - 1
-    first = {tuple(row.items()): row for row in shifted if row}
-    later = {tuple(row.items()): row for row in new if row}
-    forward = _sparse_echelon(first.values(), False)
-    pivots = _sparse_echelon((row for key, row in later.items() if key not in first), True,
-                             start=forward)
+    forward = _sparse_echelon(shifted, False)
+    pivots = _sparse_echelon(new, True, start=forward)
     kernel = tuple({top - c: x for c, x in reversed(v.items())}
                    for v in reversed(_kernel(pivots, width)))
     if j == 1 or not kernel:

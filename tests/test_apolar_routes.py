@@ -320,22 +320,21 @@ def test_the_pass_runs_once_per_lambda(monkeypatch):
     # == leaves the basis out; building it reads only the stored echelon
     assert fresh_dual.basis == dual.basis
     assert calls == 2 * one_pass
-    # a first ann_slice or in_sigma at s runs the chain down to s, or to
-    # the zero slice above s, only, and a lower s later extends it
-    for s in range(1, h.d + 1):
+    # a first ann_slice or in_sigma at any s runs the whole chain once, and
+    # later reads on the same copy run no step
+    for s in range(h.d + 1):
         calls.clear()
-        partial = dataclasses.replace(lam)
-        assert ann_slice(partial, s) == slices[s]
-        assert calls == list(range(h.d, max(s, stop) - 1, -1))
+        first = dataclasses.replace(lam)
+        assert ann_slice(first, s) == slices[s]
+        assert calls == one_pass
         if s >= h.t:
             in_sigma(dataclasses.replace(lam), s)
-            assert calls == 2 * list(range(h.d, max(s, stop) - 1, -1))
+            assert calls == 2 * one_pass
         calls.clear()
-        assert [ann_slice(partial, j) for j in range(h.d + 2)] == slices
-        assert calls == list(range(s - 1, stop - 1, -1))
-    calls.clear()
-    assert ann_slice(dataclasses.replace(lam), 0) == slices[0]
-    assert calls == []
+        assert [ann_slice(first, j) for j in range(h.d + 2)] == slices
+        assert [in_sigma(first, j) is not None for j in range(h.t, h.d + 1)] == \
+            [j >= 5 for j in range(h.t, h.d + 1)]
+        assert calls == []
     # the memo is no field: equality and repr are those of a fresh copy
     assert lam == fresh and repr(lam) == repr(fresh)
     calls.clear()
@@ -381,19 +380,29 @@ def test_the_derivative_chain_matches_the_catalecticant_route(rng, nvars, d_max)
 
 
 @pytest.mark.parametrize("nvars, d, t", [(2, 9, 3), (2, 10, 1), (3, 6, 2), (3, 5, 4)])
-def test_a_partial_chain_extends_to_lower_degrees(rng, nvars, d, t):
-    # ann_slice at d - 1 first runs two steps; lower degrees extend that
-    # chain on the same instance, and degrees already run are only read
+def test_reads_in_any_order_run_one_chain(rng, monkeypatch, nvars, d, t):
+    # ann_slice at d - 1 first runs the whole chain; every later read, in
+    # any order, only reads the slices it holds on the same instance
     lam = random_subspace(rng, nvars, d, t)
     fresh = dataclasses.replace(lam)
+    calls, step = [], apolarity._chain_step
+
+    def counted(n, j, span):
+        calls.append(j)
+        return step(n, j, span)
+
+    monkeypatch.setattr(apolarity, "_chain_step", counted)
     for j in (d - 1, d, d - 3, d + 1, 1, 0, d - 2):
         assert ann_slice(lam, j) == old_ann_slice(fresh, j), j
     assert apolar_profile(lam).kv_lines() == old_profile_lines(fresh)
+    # the chain steps j = d, ..., last, I_last = 0 its first zero slice, or 1
+    last = next((j for j in range(d, 0, -1) if old_ann_slice(fresh, j).dim == 0), 1)
+    assert calls == list(range(d, last - 1, -1))
 
 
 def test_a_chain_step_cut_short_leaves_the_chain_as_it_was(rng, monkeypatch):
-    # the first step at j = 6 raises: the steps before it stay done, and the
-    # next read runs it again, then the chain stops at I_5 = 0 (h_5 = 6 =
+    # the first step at j = 6 raises: nothing is held on lam, and the next
+    # read runs the whole chain again, which stops at I_5 = 0 (h_5 = 6 =
     # dim R_5 for two general forms of S_8)
     lam = random_subspace(rng, 2, 8, 2)
     fresh = dataclasses.replace(lam)
@@ -408,9 +417,10 @@ def test_a_chain_step_cut_short_leaves_the_chain_as_it_was(rng, monkeypatch):
     monkeypatch.setattr(apolarity, "_chain_step", cut)
     with pytest.raises(MemoryError):
         ann_slice(lam, 3)
+    assert "_slices" not in lam.__dict__
     assert [ann_slice(lam, j) for j in range(10)] == \
         [old_ann_slice(fresh, j) for j in range(10)]
-    assert calls == [8, 7, 6, 6, 5]
+    assert calls == [8, 7, 6, 8, 7, 6, 5]
     assert apolar_profile(lam).kv_lines() == old_profile_lines(fresh)
 
 
@@ -427,7 +437,7 @@ def test_the_chain_stops_at_the_first_zero_slice(rng, monkeypatch, nvars, d_max)
         return kernel, rest
 
     monkeypatch.setattr(apolarity, "_chain_step", recorded)
-    points = [random_subspace(rng, nvars, d, t) for d in range(1, d_max + 1)
+    points = [random_subspace(rng, nvars, d, t) for d in range(d_max + 1)
               for t in range(1, min(3, space_dim(nvars, d)) + 1)]
     if nvars == 2:
         points += [burch_point(h) for h in all_level_hfs(3, 8)]
@@ -437,10 +447,14 @@ def test_the_chain_stops_at_the_first_zero_slice(rng, monkeypatch, nvars, d_max)
         steps.clear()
         expected = [old_ann_slice(fresh, j) for j in range(d + 2)]
         assert [ann_slice(lam, j) for j in range(d + 2)] == expected
-        # the last step is at the top zero slice of the reference, or at 1
+        # the last step is at the top zero slice of the reference, or at 1;
+        # at d = 0 no step runs, and I_0 = 0 is held with h = 1,0
         last = next((j for j in range(d, 0, -1) if expected[j].dim == 0), 1)
         assert [j for j, _ in steps] == list(range(d, last - 1, -1))
         assert all(size for _, size in steps[:-1])
+        if d == 0:
+            slices, hf = lam.__dict__["_slices"]
+            assert steps == [] and slices == ((),) and hf.format() == "1,0"
         stopped += last > 1
     assert stopped >= 4
 
@@ -456,7 +470,7 @@ def test_the_held_chain_is_read_in_one_step(rng, monkeypatch, nvars, d_max):
     # did; a copy made by dataclasses.replace holds nothing, runs the chain
     # again and agrees; and the held sparse slices, read back dense, are the
     # catalecticant route's reduced echelon rows, with h held beside them
-    points = [random_subspace(rng, nvars, d, t) for d in range(1, d_max + 1)
+    points = [random_subspace(rng, nvars, d, t) for d in range(d_max + 1)
               for t in range(1, min(3, space_dim(nvars, d)) + 1)]
     if nvars == 2:
         points += [burch_point(h) for h in all_level_hfs(3, 8)]
@@ -464,6 +478,12 @@ def test_the_held_chain_is_read_in_one_step(rng, monkeypatch, nvars, d_max):
                                         2, h.d) for h in all_level_hfs(3, 8)]
     for lam in points:
         d = lam.degree
+        if d == 0:
+            # no chain step runs at d = 0: I_0 = 0 is held with h = 1,0
+            with monkeypatch.context() as patch:
+                patch.setattr(apolarity, "_chain_step", refuse_chain_steps)
+                slices, hf = apolarity._slices(dataclasses.replace(lam))
+            assert slices == ((),) and hf.format() == "1,0"
         by_tangent, by_profile = dataclasses.replace(lam), dataclasses.replace(lam)
         tangent, profile = tangent_space(by_tangent), apolar_profile(by_profile)
         with monkeypatch.context() as patch:
@@ -487,22 +507,13 @@ def test_the_held_chain_is_read_in_one_step(rng, monkeypatch, nvars, d_max):
             assert dense == old_ann_slice(lam, j).echelon, (lam, j)
 
 
-def held_slice_rows(lam):
-    """Every row of every slice held on lam: the complete slices I_0, ...,
-    I_d once the chain has reached its end, else I_d, I_{d-1}, ... of the
-    chain run so far."""
-    held = lam.__dict__.get("_slices")
-    slices = held[0] if held is not None else lam.__dict__["_chain"][0]
-    return [row for rows in slices for row in rows]
-
-
 @pytest.mark.parametrize("nvars, d_max", [(1, 6), (2, 9), (3, 6), (4, 5)])
 def test_every_held_slice_row_has_increasing_columns(rng, nvars, d_max):
     # the tangent route reads a slice row's lead as its first key: every row
-    # of every slice, held by a partial chain (ann_slice and in_sigma stop it
-    # at their degree) or by a full one, has its columns in increasing order,
-    # so its first key is min(row); on dense, power-sum and, at n = 2,
-    # unmoved and moved Burch spans
+    # of every slice the chain holds has its columns in increasing order, so
+    # its first key is min(row); on dense, power-sum and, at n = 2, unmoved
+    # and moved Burch spans.  Every reader runs the same whole chain, so
+    # one read per span covers ann_slice, in_sigma and the tangent route
     points = [random_subspace(rng, nvars, d, t) for d in range(1, d_max + 1)
               for t in range(1, min(3, space_dim(nvars, d)) + 1)]
     points += [power_sum_span(nvars, d, t, s) for d in range(1, d_max + 1)
@@ -511,30 +522,16 @@ def test_every_held_slice_row_has_increasing_columns(rng, nvars, d_max):
         points += [burch_point(h) for h in all_level_hfs(3, 8)]
         points += [inverse_system_slice([g.substitute_linear(MOVE) for g in burch_ideal(h)[1]],
                                         2, h.d) for h in all_level_hfs(3, 8)]
-    partial = rows = 0
+    rows = 0
     for lam in points:
         if not lam.dim:
             continue
-        d = lam.degree
-        states = []
-        for j in range(d, 0, -1):
-            cut = dataclasses.replace(lam)
-            ann_slice(cut, j)
-            states.append(cut)
-            if lam.dim <= j:
-                cut = dataclasses.replace(lam)
-                in_sigma(cut, j)
-                states.append(cut)
-        whole = dataclasses.replace(lam)
-        apolarity._slices(whole)
-        states.append(whole)
-        for state in states:
-            partial += "_chain" in state.__dict__
-            for row in held_slice_rows(state):
+        for slice_rows in apolarity._slices(dataclasses.replace(lam))[0]:
+            for row in slice_rows:
                 assert list(row) == sorted(row) and next(iter(row)) == min(row), lam
                 rows += 1
     # at n = 1, y1^d spans S_d: every slice is 0, and the first step ends the chain
-    assert (partial > 0 and rows > 0) == (nvars > 1)
+    assert (rows > 0) == (nvars > 1)
 
 
 def old_rule_spans(lam):

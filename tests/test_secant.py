@@ -237,6 +237,57 @@ def test_hankel_matches_catalecticant_rank(rng):
             assert hankel_rank(f, a) == rank(catalecticant_matrix(lam, a))
 
 
+def held_chain_h(forms, d):
+    """h_j of the span of the binary forms of S_d, read off the slices the
+    derivative chain holds on it: dim R_j - dim I_j, and 0 for a zero
+    span."""
+    span = Subspace.span(2, d, "S", forms)
+    return [j + 1 - ann_slice(span, j).dim if span.dim else 0 for j in range(d + 1)]
+
+
+def random_binary_form(rng, d):
+    """A zero form, a dense form with entries in -3..3, or a sum of one to
+    three d-th powers of linear forms with coefficients in -3..3."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Form.zero(2, d, "S")
+    if kind == 1:
+        return Form.make(2, d, "S", {m: rng.randint(-3, 3) for m in monomials(2, d)})
+    total = Form.zero(2, d, "S")
+    for _ in range(rng.randint(1, 3)):
+        linear = {(1, 0): rng.randint(-3, 3), (0, 1): rng.randint(-3, 3)}
+        total = total + Form.make(2, 1, "S", linear).power(d)
+    return total
+
+
+def test_the_hankel_ranks_are_h_of_the_held_chain():
+    # the rank of hankel_matrix(f, a) is h_a of the span of f, and the rank
+    # of stacked_hankel(forms, s) that a non-square stacked determinant
+    # reports is h_s of the span of the forms, both read off the chain held
+    # on the span, with zero forms, repeated forms and their multiples
+    # mixed in
+    rng = random.Random(47)
+    cases = 0
+    for _ in range(120):
+        d = rng.randint(1, 9)
+        forms = [random_binary_form(rng, d) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(0, 2)):
+            forms.insert(rng.randrange(len(forms) + 1),
+                         rng.choice(forms).scale(rng.choice((1, -2, 3))))
+        for f in forms:
+            assert [hankel_rank(f, a) for a in range(d + 1)] == held_chain_h([f], d), f
+            cases += d + 1
+        h = held_chain_h(forms, d)
+        for s in range(d + 1):
+            if len(forms) * (d - s + 1) == s + 1:
+                continue
+            with pytest.raises(NotSquareError) as err:
+                stacked_catalecticant_det(forms, s)
+            assert err.value.rank == h[s], (forms, s)
+            cases += 1
+    assert cases > 2000
+
+
 def test_hankel_rank_of_the_zero_form_checks_its_index():
     # the zero form's Hankel matrix has rank 0 through rank(), and an index
     # outside 0..d is an error as for any other form

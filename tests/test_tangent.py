@@ -487,10 +487,11 @@ def test_catalecticant_matrix_returns_fresh_lists(rng):
 
 
 def test_no_repeated_row_reaches_the_elimination_core(monkeypatch):
-    # the chain hands the one elimination core each distinct row once on the
-    # slices the tangent route reads, and the route hands it each V_i row
-    # once (the constraint rows are only ranked, and their kernel waits for
-    # the basis): no core call that back-reduces (a Gauss-Jordan
+    # the route hands the one elimination core each V_i row once (the
+    # constraint rows are only ranked, and their kernel waits for the
+    # basis), and the chain hands it its rows as they come, filtering no
+    # repeat (one would vanish in the core), yet at these two points none
+    # of them repeats: no core call that back-reduces (a Gauss-Jordan
     # elimination) gets a repeated row.  The slices come from the
     # derivative chain, which stops at the first zero slice (no
     # catalecticant there); its step j gets the t rows of Lambda at j = d,
