@@ -20,17 +20,32 @@ increasing order (apolarity._chain_step), so the route reads that lead as
 the row's first key, next(iter(row)), in the lead rule, in the block offsets
 of I_d and in the residuals, where min(row) would scan the row.  A degree
 whose slice is empty is skipped before any lead is read.  The route stays
-in integers, and its matrices are
-sparse: over the seed-1 two-pass tangent_burch stream of the benchmark the
-V_i rows are 9.2% nonzero and the constraint rows 3.7%.  So the residuals,
-the V_i rows, the functionals and the constraint rows are {column: entry}
-rows too, the form linalg's one elimination core takes, which keeps every
-row over its content.  The functionals linalg.sparse_kernel reads off each
-V_i are the rational ones times positive factors, so every constraint keeps
-its zero set.  The dimension is the number of unknowns less the rank of the
-constraint rows, which linalg.sparse_rank takes by a forward pass alone
-(but see the route choice); the TangentSpace keeps those rows and takes
-their sparse_kernel only on the first access to its basis.
+in integers, and its matrices are sparse (the constraint rows of the
+seed-1 two-pass tangent_burch stream of the benchmark are 3.7% nonzero).
+So the residuals, the V_i rows, the functionals and the constraint rows are
+{column: entry} rows too, the form linalg's one elimination core takes,
+which keeps every row over its content.  The functionals linalg.sparse_kernel
+reads off each V_i are the rational ones times positive factors, so every
+constraint keeps its zero set.  The dimension is the number of unknowns
+less the rank of the constraint rows, which linalg.sparse_rank takes by a
+forward pass alone (but see the route choice); the TangentSpace keeps those
+rows and takes their sparse_kernel only on the first access to its basis.
+
+The monomial read.  Where every echelon row of I_d is a unit vector (I_d
+is spanned by monomials, as at every Burch point and monomial subspace, or
+I_d = 0), the route reads V_i's functionals off its rows and takes no
+kernel.  Each residual of a monomial of R_d mod I_d is then empty (a pivot
+monomial) or one entry D at one position, D the lcm of the unit leads.  So
+the column (c, M) of V_i is touched only by the one w with w x^M the
+monomial at free position c: the rows of V_i have disjoint supports and
+every entry D, and each is nonzero (w is no pivot of I_i = (I_d : R_{d-i}),
+so some w x^M is none of I_d).  Over their contents they are their own
+reduced echelon form, and linalg.sparse_kernel's vector at a column l that
+leads no row is e_l if no row touches l, else e_l - e_c with c the lead
+(least column) of the row that holds l, its pivot entry first.
+_monomial_functionals writes exactly these, in column order, so the
+constraint rows, and with them the dimension, the shape and the basis, are
+those of the general route.  Every other point takes sparse_kernel of V_i.
 
 The route choice.  At n >= 3 (MODULAR_NVARS), when some constraint entry
 is wider than the 61-bit prime of linalg.certified_rank (MODULAR_BITS),
@@ -115,14 +130,15 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
 
     The unknowns are the entries of omega: I_d -> R_d/I_d.  By the lead rule
     (module docstring) only the echelon rows of I_i whose lead is not x_k
-    times a lead of I_{i-1} are used, and V_i is built and eliminated only
-    in the degrees where one is.  Every row is a sparse {column: entry}
-    row, eliminated by linalg.sparse_kernel (V_i) and linalg.sparse_rank
-    (the constraint rows); they are 3.7-9.2% nonzero on the benchmark's
-    stream.  At n >= 3 power-sum spans the constraint rows are denser
-    (27-43%) and carry entries of up to hundreds of bits; where one is
-    wider than 61 bits, linalg.certified_rank ranks them (the route choice
-    of the module docstring).
+    times a lead of I_{i-1} are used, and V_i's functionals are taken only
+    in the degrees where one is: read off its rows where I_d is spanned by
+    monomials (the monomial read of the module docstring), else by
+    linalg.sparse_kernel.  Every row is a sparse {column: entry} row; the
+    constraint rows, 3.7% nonzero on the benchmark's stream, are ranked by
+    linalg.sparse_rank.  At n >= 3 power-sum spans they are denser (27-43%)
+    and carry entries of up to hundreds of bits; where one is wider than 61
+    bits, linalg.certified_rank ranks them (the route choice of the module
+    docstring).
 
     `degrees` restricts the constraints to a subset of 1..d-1 (the default),
     i.e. computes the tangent space of an intersection of fewer rank loci;
@@ -150,6 +166,8 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
     # one positive integer times each monomial of R_d mod I_d, read at the
     # monomials that are no pivot of I_d
     residuals = _monomial_residuals(slices[d], space_dim(n, d))
+    # the monomial read (module docstring): I_d is spanned by monomials
+    monomial = all(len(u) == 1 for u in slices[d])
     rows: list[dict[int, int]] = []
     lower: set[int] = set()  # x_k times the leads of I_{i-1}, if constrained; I_0 = 0
     for i, ii_rows in enumerate(slices[1:d], start=1):
@@ -164,22 +182,26 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
         ii_pivots = set(leads)
         nlow = space_dim(n, d - i)
         shift = monomial_products(n, i, d - i)
-        # V_i: for each complement monomial w of R_i, the vector
-        # sum_M (w x^M mod I_d) (x) y^M, coordinates (c over comp_d, M)
-        v_rows = []
-        for pos, products in enumerate(shift):
-            if pos in ii_pivots:
-                continue
-            row = {}
-            for m_idx, k in enumerate(products):
-                for c, x in residuals[k]:
-                    row[c * nlow + m_idx] = x
-            v_rows.append(row)
-        # membership in V_i: the right kernel of V_i holds, up to positive
-        # factors, the residual functionals z_l = e_l - sum_k V_k[l] e_{piv_k}
-        # of its RREF rows V_k, one per non-pivot coordinate l
-        functionals = [[divmod(a, nlow) + (x,) for a, x in z.items()]
-                       for z in sparse_kernel(v_rows, tq * nlow)]
+        if monomial:
+            functionals = _monomial_functionals(residuals, shift, ii_pivots, tq, nlow)
+        else:
+            # V_i: for each complement monomial w of R_i, the vector
+            # sum_M (w x^M mod I_d) (x) y^M, coordinates (c over comp_d, M)
+            v_rows = []
+            for pos, products in enumerate(shift):
+                if pos in ii_pivots:
+                    continue
+                row = {}
+                for m_idx, k in enumerate(products):
+                    for c, x in residuals[k]:
+                        row[c * nlow + m_idx] = x
+                v_rows.append(row)
+            # membership in V_i: the right kernel of V_i holds, up to
+            # positive factors, the residual functionals
+            # z_l = e_l - sum_k V_k[l] e_{piv_k} of its RREF rows V_k, one per
+            # non-pivot coordinate l
+            functionals = [[divmod(a, nlow) + (x,) for a, x in z.items()]
+                           for z in sparse_kernel(v_rows, tq * nlow)]
         for u in kept:
             # gamma[m_idx]: (block offset of I_d basis vector k, its coefficient
             # in u * x^M) for the nonzero coefficients
@@ -209,6 +231,34 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
     else:
         rank, kernel = sparse_rank(rows), None
     return TangentSpace(lam, ncols - rank, (len(rows), ncols), hilbert, (rows, tq, kernel))
+
+
+def _monomial_functionals(residuals, shift, ii_pivots, tq: int, nlow: int) -> list:
+    """The functionals sparse_kernel reads off V_i when every echelon row of
+    I_d is a unit vector (the monomial read of the module docstring), in
+    column order, each as (c, M index, entry) terms: (c, m, 1) at a column
+    (c, m) that no row of V_i touches, and (c', m', -1), (c, m, 1) at one
+    that the row led by (c', m') touches, the lead itself giving none."""
+    lead_of = [None] * (tq * nlow)  # column c * nlow + m of a V_i row -> its lead (c', m')
+    for pos, products in enumerate(shift):
+        if pos in ii_pivots:
+            continue
+        row = [(r[0][0], m_idx) for m_idx, k in enumerate(products) if (r := residuals[k])]
+        if row:
+            lead = min(row)
+            for c, m_idx in row:
+                lead_of[c * nlow + m_idx] = lead
+    functionals = []
+    column = 0
+    for c in range(tq):
+        for m_idx in range(nlow):
+            lead = lead_of[column]
+            column += 1
+            if lead is None:
+                functionals.append(((c, m_idx, 1),))
+            elif lead != (c, m_idx):
+                functionals.append((lead + (-1,), (c, m_idx, 1)))
+    return functionals
 
 
 def _monomial_residuals(rows, width: int) -> list:

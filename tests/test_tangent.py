@@ -14,6 +14,7 @@ from levelalg.apolarity import (
     catalecticant_matrix,
     hilbert_function,
     internal_product,
+    inverse_system_slice,
     minimal_generators,
 )
 from levelalg.errors import HilbertMismatchError, ZeroSubspaceError
@@ -21,6 +22,7 @@ from levelalg.forms import (Form, Subspace, form_print, monomial_index, monomial
                             monomials, parse_subspace_lines, space_dim)
 from levelalg.levelhf import (
     HilbertFunction,
+    burch_ideal,
     dim_stratum,
     enumerate_level_hf,
     grassmannian_dim,
@@ -411,9 +413,10 @@ def test_power_sum_spans_match_the_hom_oracle():
 
 def test_the_basis_is_built_on_first_access_only(monkeypatch, rng):
     # the route reads the dimension off sparse_rank of the constraint rows
-    # and takes no kernel of them: the kernels it takes are the V_i ones;
-    # the constraint rows' sparse_kernel is taken on the first basis
-    # access, once, on the very rows that were ranked
+    # and takes no kernel of them: the kernels it takes are the V_i ones,
+    # none at the unmoved (monomial) point, whose V_i functionals are read
+    # off its rows; the constraint rows' sparse_kernel is taken on the
+    # first basis access, once, on the very rows that were ranked
     ranked, kernels = [], []
     original_rank, original_kernel = tangent.sparse_rank, tangent.sparse_kernel
 
@@ -428,16 +431,17 @@ def test_the_basis_is_built_on_first_access_only(monkeypatch, rng):
     monkeypatch.setattr(tangent, "sparse_rank", recorded_rank)
     monkeypatch.setattr(tangent, "sparse_kernel", recorded_kernel)
     h = HilbertFunction.parse("1,2,3,4,5,5,4,3,0")
-    points = [burch_point(h), moved_burch_point(h, rng),
-              parse_subspace_lines(TERNARY[9], nvars=3)]
-    for lam in points:
+    points = [(burch_point(h), False), (moved_burch_point(h, rng), True),
+              (parse_subspace_lines(TERNARY[9], nvars=3), True)]
+    for lam, takes_v_kernels in points:
         dimension, basis, shape = _fraction_tangent_space_dual(lam)
         ranked.clear()
         kernels.clear()
         ts = tangent_space(lam)
         assert ts.dimension == dimension and ts.constraint_shape == shape
         assert len(ranked) == 1 and len(ranked[0]) == shape[0]
-        assert kernels and not any(m is ranked[0] for m in kernels)
+        assert bool(kernels) == takes_v_kernels
+        assert not any(m is ranked[0] for m in kernels)
         v_kernels = len(kernels)
         assert ts.basis == basis
         assert len(kernels) == v_kernels + 1 and kernels[-1] is ranked[0]
@@ -486,18 +490,20 @@ def test_catalecticant_matrix_returns_fresh_lists(rng):
     assert catalecticant_matrix(lam, 3) == before
 
 
-def test_no_repeated_row_reaches_the_elimination_core(monkeypatch):
+def test_no_repeated_row_reaches_the_elimination_core(monkeypatch, rng):
     # the route hands the one elimination core each V_i row once (the
     # constraint rows are only ranked, and their kernel waits for the
-    # basis), and the chain hands it its rows as they come, filtering no
-    # repeat (one would vanish in the core), yet at these two points none
-    # of them repeats: no core call that back-reduces (a Gauss-Jordan
-    # elimination) gets a repeated row.  The slices come from the
-    # derivative chain, which stops at the first zero slice (no
-    # catalecticant there); its step j gets the t rows of Lambda at j = d,
-    # and below h_{j+1} rows x1 contracts and the rows x2 contracts, one for
-    # each echelon row of Lambda_{j+1} whose lead no x1 row gave: at most t,
-    # since Lambda_{j+1} = x1.Lambda_{j+2} + x2^{d-j-1}.Lambda
+    # basis) at the moved points, and none at the unmoved (monomial) ones,
+    # whose V_i functionals are read off their rows; the chain hands it its
+    # rows as they come, filtering no repeat (one would vanish in the
+    # core), yet at these four points none of them repeats: no core call
+    # that back-reduces (a Gauss-Jordan elimination) gets a repeated row.
+    # The slices come from the derivative chain, which stops at the first
+    # zero slice (no catalecticant there); its step j gets the t rows of
+    # Lambda at j = d, and below h_{j+1} rows x1 contracts and the rows x2
+    # contracts, one for each echelon row of Lambda_{j+1} whose lead no x1
+    # row gave: at most t, since Lambda_{j+1} = x1.Lambda_{j+2} +
+    # x2^{d-j-1}.Lambda
     chain, eliminated, sparse = [], [], []
     original_step, original_core = apolarity._chain_step, linalg._sparse_echelon
     original_kernel = tangent.sparse_kernel
@@ -521,15 +527,16 @@ def test_no_repeated_row_reaches_the_elimination_core(monkeypatch):
     monkeypatch.setattr(linalg, "_sparse_echelon", recorded_core)
     monkeypatch.setattr(tangent, "sparse_kernel", recorded_kernel)
     hs = enumerate_level_hf(6, 16)
-    for h in (hs[len(hs) // 4], hs[3 * len(hs) // 4]):
-        lam = burch_point(h)
+    points = [(h, lam, moved) for h in (hs[len(hs) // 4], hs[3 * len(hs) // 4])
+              for lam, moved in ((burch_point(h), False), (moved_burch_point(h, rng), True))]
+    for h, lam, moved in points:
         chain.clear()
         eliminated.clear()
         sparse.clear()
         tangent_space(lam)
         assert eliminated, h.format()
         assert all(len(set(rows)) == len(rows) for rows in eliminated), h.format()
-        assert sparse, h.format()
+        assert bool(sparse) == moved, h.format()
         assert all(len(set(rows)) == len(rows) for rows in sparse), h.format()
         # the chain steps j = d, ..., stop, I_stop = 0 the first zero slice
         # (n = 2: dim R_j = j + 1)
@@ -676,3 +683,84 @@ def test_the_certified_rank_runs_only_at_wide_rows_in_three_or_more_variables(mo
             patch.setattr(tangent, "sparse_kernel", None)
             assert len(ts.basis) == ts.dimension, point
         calls.clear()
+
+
+# -- the monomial read: V_i's functionals read off its rows -------------------
+
+def _monomial_spans(nvars, count, seed):
+    """count spans of distinct monomials of S_d in y1..yn, d <= 8 (n = 2),
+    5 (n = 3) or 4 (n = 4), each times a coefficient in -3..3 other than 0,
+    drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    spans = []
+    for _ in range(count):
+        d = rng.randint(1, {2: 8, 3: 5, 4: 4}[nvars])
+        support = rng.sample(monomials(nvars, d), rng.randint(1, min(4, space_dim(nvars, d))))
+        spans.append(Subspace.span(nvars, d, "S", [
+            Form.make(nvars, d, "S", {m: rng.choice((-3, -2, -1, 1, 2, 3))}) for m in support]))
+    return spans
+
+
+def test_the_monomial_read_gives_the_general_rows(monkeypatch):
+    # where every echelon row of I_d is a unit vector the route reads V_i's
+    # functionals off its rows and takes no sparse_kernel; the constraint
+    # rows are those of the general route (the old builder's copy, which
+    # takes them from sparse_kernel), so the dimension, shape and basis are
+    # too.  Off that locus the route still takes V_i's sparse_kernel.
+    kernels = []
+    original_kernel = tangent.sparse_kernel
+
+    def counted_kernel(m, ncols):
+        kernels.append(ncols)
+        return original_kernel(m, ncols)
+
+    def general(lam, degrees=None):
+        """dimension, shape and basis of the old builder's rows."""
+        rows = _old_constraint_rows(lam, degrees)
+        slices, hilbert = _slices(lam)
+        tq = space_dim(lam.nvars, lam.degree) - len(slices[lam.degree])
+        ncols = len(slices[lam.degree]) * tq
+        ts = tangent.TangentSpace(lam, ncols - linalg.sparse_rank(rows), (len(rows), ncols),
+                                  hilbert, (rows, tq, None))
+        return rows, ts.dimension, ts.constraint_shape, ts.basis
+
+    def check(lam, degrees=None):
+        assert all(len(u) == 1 for u in _slices(lam)[0][lam.degree]), lam
+        kernels.clear()
+        ts = tangent_space(lam, degrees=degrees)
+        assert not kernels, (lam, degrees)
+        assert (ts.constraints[0], ts.dimension, ts.constraint_shape, ts.basis) == \
+            general(lam, degrees), (lam, degrees)
+
+    monkeypatch.setattr(tangent, "sparse_kernel", counted_kernel)
+    points = [burch_point(h) for h in all_level_hfs(4, 12)] + list(_tangent_pool())
+    points += [parse_subspace_lines(lines, nvars=3) for lines in TERNARY[:8]]
+    points += _monomial_spans(2, 40, 7) + _monomial_spans(3, 30, 8) + _monomial_spans(4, 20, 9)
+    # Lambda = S_d: I_d = 0, whose rows are all unit vectors
+    points += [Subspace.span(n, d, "S", [Form.monomial(n, "S", m) for m in monomials(n, d)])
+               for n, d in ((1, 3), (2, 1), (2, 5), (3, 3), (4, 2))]
+    for lam in points:
+        check(lam)
+    assert {lam.nvars for lam in points} == {1, 2, 3, 4}
+    subsets = [burch_point(h) for h in all_level_hfs(3, 7)]
+    subsets += [parse_subspace_lines(lines, nvars=3) for lines in TERNARY[:8]]
+    subsets += _monomial_spans(2, 10, 10) + _monomial_spans(3, 8, 11) + _monomial_spans(4, 6, 12)
+    for lam in subsets:
+        inner = range(1, lam.degree)
+        for k in range(1, len(inner) + 1):
+            for degrees in combinations(inner, k):
+                check(lam, degrees)
+    # Burch points moved by [[3, -4], [4, 3]] (with I_i != 0 for some
+    # 0 < i < d), power-sum spans and the ternary spans that are not
+    # monomial take V_i's kernels
+    others = [inverse_system_slice([g.substitute_linear([[3, -4], [4, 3]])
+                                    for g in burch_ideal(h)[1]], 2, h.d)
+              for h in all_level_hfs(4, 10) if any(h[i] <= i for i in range(1, h.d))]
+    others += [parse_subspace_lines(lines, nvars=3) for lines in TERNARY[8:]]
+    others += [power_sum_span(*p) for p in ((3, 6, 2, 4), (4, 4, 2, 3))]
+    for lam in others:
+        assert not all(len(u) == 1 for u in _slices(lam)[0][lam.degree]), lam
+        kernels.clear()
+        ts = tangent_space(lam)
+        assert kernels, lam
+        assert ts.constraints[0] == _old_constraint_rows(lam), lam
