@@ -29,10 +29,14 @@ degree j it is dual to (I^-1)_j modulo R_1.(I^-1)_{j+1}.
 The apolar pass reads the minimal generators off the slices: those of
 degree j complement R_1.I_{j-1} in I_j, so there are dim I_j -
 rank(R_1.I_{j-1}) of them, and the pass leaves a degree once it has found
-that many.  At n = 2 that count is the Hilbert-Burch e_j = -Delta^2 h_j,
-known before any elimination: a degree with e_j = 0 is skipped, and the
-elimination of R_1.I_{j-1} stops once it holds its rank dim I_j - e_j
-(see _apolar_pass for the proofs).
+that many.  R_1.I_{j-1} lies in I_j, so its rank is at most dim I_j - f_j
+for any lower bound f_j on that count, and its elimination stops there:
+f_j = 0 at every n but 2, where f_j is the count itself, the Hilbert-Burch
+e_j = -Delta^2 h_j, known before any elimination, and a degree with e_j =
+0 is skipped (see _apolar_pass for the proofs).  At n >= 3 a degree that
+holds no generator then costs only the rows up to the first that bring
+the rank to dim I_j.  The chain's eliminations stop the same way, at dim
+S_j, the width of the span of Lambda_j.
 
 R acts on S in one place, _contract (and _moved, which it calls with the
 column maps of every monomial of R_k, and the chain with those of x1 and
@@ -267,12 +271,17 @@ def _chain_step(nvars: int, j: int, span):
     share a lead and one of them then adds a pivot elsewhere or none.  At n
     = 2, Lambda_j = x1.Lambda_{j+1} + x2^{d-j}.Lambda, so N_j holds at most
     t rows, and step j - 1 gets at most h_j + t rows.
+
+    The back-reduced elimination stops (linalg._sparse_echelon's stop) at
+    dim S_j pivot rows: the span lies in S_j, so its rank is at most dim
+    S_j, and once it has that many every later row would vanish.  A step
+    whose pivots reach dim S_j has I_j = 0 and is the chain's last.
     """
     shifted, new = span
     width = space_dim(nvars, j)
     top = width - 1
     forward = _sparse_echelon(shifted, False)
-    pivots = _sparse_echelon(new, True, start=forward)
+    pivots = _sparse_echelon(new, True, width, forward)
     kernel = tuple({top - c: x for c, x in reversed(v.items())}
                    for v in reversed(_kernel(pivots, width)))
     if j == 1 or not kernel:
@@ -306,16 +315,23 @@ def _apolar_pass(lam: Subspace):
     and every later row has residual 0.  A degree with I_j = 0 holds none
     and is skipped.
 
-    At n = 2, e_j = 2h_{j-1} - h_j - h_{j-2}, so a degree with e_j = 0 is
-    skipped before R_1 * I_{j-1} is eliminated, and the elimination of R_1
-    * I_{j-1} stops (linalg._sparse_echelon's stop) once it holds dim I_j -
-    e_j pivot rows, its rank: every later row of it would vanish, and the
+    The elimination of R_1 * I_{j-1} stops (linalg._sparse_echelon's stop)
+    once it holds dim I_j - f_j pivot rows, f_j a lower bound on e_j:
+    f_j = e_j at n = 2 (below) and 0 at every other n.  Proof: R_1 *
+    I_{j-1} lies in I_j, since I is an ideal, so its rank dim I_j - e_j is
+    at most dim I_j - f_j.  Once the elimination holds that many pivot
+    rows it holds the rank, every later row of it would vanish, and the
     pivot rows are those the whole elimination would give, so the
-    residuals and generators are too.  At n >= 3 the rank is read off the
-    elimination of every row.  Proof of the count: A = R/ann(Lambda)
-    is level of socle degree d and type t (see apolar_profile), so by
-    Hilbert-Burch its minimal resolution is 0 -> R(-d-2)^t -> sum_i
-    R(-q_i) -> R -> A, the last module dual to the socle.  Hence
+    residuals and generators are too.  At n >= 3, where a degree often
+    holds no generator (dense spans are compressed: Iarrobino, Trans. AMS
+    285, 1984), such a degree takes the rows up to the first that bring
+    the rank to dim I_j, and reduces none.  At n = 2, e_j = 2h_{j-1} - h_j
+    - h_{j-2} is known before any elimination, so a degree with e_j = 0
+    is skipped before R_1 * I_{j-1} is eliminated.  Proof of the count:
+    A = R/ann(Lambda) is level of socle degree d and type t (see
+    apolar_profile), so by Hilbert-Burch its minimal resolution is 0 ->
+    R(-d-2)^t -> sum_i R(-q_i) -> R -> A, the last module dual to the
+    socle.  Hence
     (1 - z)^2 sum_j h_j z^j = 1 - sum_i z^{q_i} + t z^{d+2}, and every
     q_i <= d + 1 since I_{d+1} = R_{d+1}.  Read at z^j, 1 <= j <= d + 1:
     the number of generators of degree j is -Delta^2 h_j,
@@ -328,14 +344,14 @@ def _apolar_pass(lam: Subspace):
         raise ZeroSubspaceError("the zero subspace has no Hilbert function")
     n, d = lam.nvars, lam.degree
     slices, hf = _slices(lam)
-    counts = e_sequence(hf) if n == 2 else None
+    least = e_sequence(hf) if n == 2 else [0] * (d + 1)  # f_1, ..., f_{d+1}
     out = []
     units = [{c: 1} for c in range(space_dim(n, d + 1))]  # I_{d+1} = R_{d+1}
     for j, rows in enumerate((*slices[1:], units), start=1):
-        if not (rows if counts is None else counts[j - 1]):
+        if not (least[j - 1] if n == 2 else rows):
             continue
-        stop = None if counts is None else len(rows) - counts[j - 1]
-        pivots = _sparse_echelon(_times_variables(n, j - 1, slices[j - 1]), False, stop)
+        pivots = _sparse_echelon(_times_variables(n, j - 1, slices[j - 1]), False,
+                                 len(rows) - least[j - 1])
         need = len(rows) - len(pivots)
         gens = []
         for b in rows:
@@ -378,7 +394,9 @@ def minimal_generators(lam: Subspace) -> list[tuple[int, list[Form]]]:
 
     The pass leaves each degree once it holds its dim I_j -
     rank(R_1 * I_{j-1}) generators, and for n = 2 skips each degree where
-    that count e_j is 0; see _apolar_pass for the proofs.
+    that count e_j is 0.  At every n, R_1 * I_{j-1} lies in I_j, so its
+    elimination stops at the bound dim I_j - f_j on its rank, f_j = e_j at
+    n = 2 and 0 otherwise; see _apolar_pass for the proofs.
     """
     if lam.dim == 0:
         raise ZeroSubspaceError("ann of the zero subspace is the whole ring")
@@ -433,7 +451,7 @@ def _placed(shifts, rows):
     """For each shift (shift outermost) and sparse row ({column: nonzero
     entry}), the sparse row holding row[m] at shift[m]: x^c * b for the
     monomial x^c whose products a shift indexes.  A generator, so a reader
-    that stops early (the binary pass, at its Hilbert-Burch rank) builds no
+    that stops early (the pass, at its rank bound dim I_j - f_j) builds no
     row it does not take."""
     return ({shift[m]: c for m, c in row.items()} for shift in shifts for row in rows)
 

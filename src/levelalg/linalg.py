@@ -18,9 +18,12 @@ of the row space alone, so echelon forms, kernels and the canonical
 subspaces built on them are reproducible.
 
 The loop takes two private arguments, for callers that know more than
-the rows: stop, a rank at which it takes no further row (the binary apolar
-pass knows the Hilbert-Burch rank of R_1.I_{j-1}), and start, the pivot
-rows of an earlier forward pass to go on from (the derivative chain
+the rows: stop, an upper bound on the rank that the caller proves, at
+which it takes no further row (the apolar pass bounds the rank of
+R_1.I_{j-1} by dim I_j - f_j at every n, since R_1.I_{j-1} lies in I_j,
+with f_j the Hilbert-Burch count at n = 2 and 0 otherwise; the derivative
+chain bounds that of its span of Lambda_j by dim S_j), and start, the
+pivot rows of an earlier forward pass to go on from (the derivative chain
 eliminates x1.Lambda_{j+1} first, to read which leads it gave, then the
 rest of its span).
 
@@ -114,12 +117,13 @@ def _sparse_echelon(rows, back: bool, stop: int | None = None,
     lead, then divided by its content, until its lead is no pivot column
     (it becomes a pivot row) or it vanishes.  The pivot rows start as those
     of start (a forward pass of this loop over other rows, not changed), or
-    none.  Once there are stop pivot rows (a rank the caller knows; None
-    for no bound) no further row is taken from rows: every later one would
-    vanish.  With back, each pivot row is then cleared at the later pivot
-    columns, from the last one up, so that it is zero at every other pivot
-    column: up to sign, the rows are the reduced row echelon form's over
-    their contents.  Input rows are not changed.
+    none.  stop is an upper bound on the rank of start's rows and rows
+    together that the caller proves (None for no bound): once there are
+    stop pivot rows they hold that rank, every later row would vanish, and
+    no further row is taken from rows.  With back, each pivot row is then
+    cleared at the later pivot columns, from the last one up, so that it is
+    zero at every other pivot column: up to sign, the rows are the reduced
+    row echelon form's over their contents.  Input rows are not changed.
     """
     pivots: dict[int, dict[int, int]] = dict(start) if start else {}
     for row in rows if len(pivots) != stop else ():

@@ -882,13 +882,12 @@ def record_residuals(monkeypatch) -> list:
     return calls
 
 
-def test_the_binary_pass_reduces_no_row_after_the_last_generator(monkeypatch):
-    # on the n = 2 grid, unmoved and moved: the generators are the old ones,
-    # in each degree the last row reduced gives the e_j-th generator, and
-    # the elimination of R_1 * I_{j-1} stops at its Hilbert-Burch rank
-    # dim I_j - e_j: the core takes no row of it after the first prefix of
-    # that rank
-    calls = record_residuals(monkeypatch)
+def record_core(patch) -> list:
+    """The list that (rows, taken, stop, back, start) is appended to for
+    each call of the elimination core through apolarity (set on patch): the
+    rows it was handed, as a list, how many of them it took (they are fed
+    to it one at a time), its stop and back, and the pivot rows of its
+    start, as a list."""
     eliminations, core = [], apolarity._sparse_echelon
 
     def recorded_core(rows, back, stop=None, start=None):
@@ -900,9 +899,35 @@ def test_the_binary_pass_reduces_no_row_after_the_last_generator(monkeypatch):
                 yield row
 
         pivots = core(feed(), back, stop, start)
-        eliminations.append((rows, len(taken), stop))
+        eliminations.append((rows, len(taken), stop, back, list((start or {}).values())))
         return pivots
 
+    patch.setattr(apolarity, "_sparse_echelon", recorded_core)
+    return eliminations
+
+
+def unread_rows(rows, taken, stop, start=()) -> int:
+    """How many of rows a core call stopped at stop, going on from the pivot
+    rows start, left unread, checked: where the rank of start and rows
+    reaches stop, the core took the shortest prefix of rows that brings it
+    there; elsewhere it took every row."""
+    r = sparse_rank([*start, *rows])
+    assert r <= stop
+    if r < stop:
+        assert taken == len(rows)
+    else:
+        assert sparse_rank([*start, *rows[:taken]]) == r
+        assert not taken or sparse_rank([*start, *rows[:taken - 1]]) < r
+    return len(rows) - taken
+
+
+def test_the_binary_pass_reduces_no_row_after_the_last_generator(monkeypatch):
+    # on the n = 2 grid, unmoved and moved: the generators are the old ones,
+    # in each degree the last row reduced gives the e_j-th generator, and
+    # the elimination of R_1 * I_{j-1} stops at its Hilbert-Burch rank
+    # dim I_j - e_j: the core takes no row of it after the first prefix of
+    # that rank
+    calls = record_residuals(monkeypatch)
     skipped = unread = 0
     for h in all_level_hfs(4, 10):
         _, gens = burch_ideal(h)
@@ -910,9 +935,8 @@ def test_the_binary_pass_reduces_no_row_after_the_last_generator(monkeypatch):
             lam = inverse_system_slice(gs, 2, h.d)
             apolarity._slices(lam)
             calls.clear()
-            eliminations.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(apolarity, "_sparse_echelon", recorded_core)
+                eliminations = record_core(patch)
                 got = minimal_generators(lam)
             assert got == old_minimal_generators(lam)
             counts = e_sequence(h)
@@ -922,11 +946,9 @@ def test_the_binary_pass_reduces_no_row_after_the_last_generator(monkeypatch):
                 slice_dim = ann_slice(lam, j).dim
                 skipped += e and slice_dim - len(seen)
             assert len(eliminations) == sum(map(bool, counts))
-            for rows, taken, stop in eliminations:
-                r = sparse_rank(rows)
-                assert stop == r and sparse_rank(rows[:taken]) == r, h
-                assert not taken or sparse_rank(rows[:taken - 1]) < r, h
-                unread += len(rows) - taken
+            for rows, taken, stop, _, _ in eliminations:
+                assert stop == sparse_rank(rows), h
+                unread += unread_rows(rows, taken, stop)
     assert skipped > 0 and unread > 0
 
 
@@ -973,3 +995,80 @@ def test_the_pass_reduces_no_row_after_the_last_generator_at_every_n(monkeypatch
                 skipped += ann_slice(lam, j).dim - len(seen)
     # at n = 1 no slice has two rows
     assert skipped > 0 or nvars == 1
+
+
+# -- every elimination stops at a rank bound it proves ------------------------
+
+# Seeded n >= 3 spans: dense (n, d, t), as random_subspace builds them from
+# random.Random(1), and power-sum (n, d, t, s), as power_sum_span builds them.
+DENSE_GRID = ((3, 4, 2), (3, 5, 3), (3, 6, 2), (3, 6, 4), (3, 7, 3), (3, 8, 8),
+              (4, 4, 3), (4, 5, 2), (4, 5, 4))
+POWER_SUM_GRID = ((3, 5, 2, 3), (3, 6, 2, 4), (3, 6, 3, 3), (3, 7, 2, 4), (3, 8, 3, 5),
+                  (4, 5, 2, 3), (4, 5, 3, 4), (4, 6, 2, 5))
+
+
+def n3_grid():
+    """(name, Lambda) for the spans of DENSE_GRID and POWER_SUM_GRID."""
+    for key in DENSE_GRID:
+        yield f"dense {key}", random_subspace(random.Random(1), *key)
+    for key in POWER_SUM_GRID:
+        yield f"power-sum {key}", power_sum_span(*key)
+
+
+def test_the_pass_stops_at_dim_I_j_at_n_3_and_4(monkeypatch):
+    # R_1 * I_{j-1} lies in I_j, so its rank is at most dim I_j: every
+    # elimination the pass hands the core is a forward pass with stop = dim
+    # I_j, which takes the shortest prefix of rows of that rank where the
+    # rank reaches it (the degree holds no generator) and every row
+    # elsewhere; the generators are the old ones.  Degrees that hold no
+    # generator leave rows unread, dense (4, 5, 4) in degree 5 among them
+    unread = {}
+    for name, lam in n3_grid():
+        apolarity._slices(lam)
+        with monkeypatch.context() as patch:
+            eliminations = record_core(patch)
+            got = minimal_generators(lam)
+        assert got == old_minimal_generators(lam), name
+        dims = [ann_slice(lam, j).dim for j in range(1, lam.degree + 2)]
+        degrees = [j for j, dim in enumerate(dims, start=1) if dim]
+        assert len(eliminations) == len(degrees), name
+        for j, (rows, taken, stop, back, start) in zip(degrees, eliminations):
+            assert not back and not start and stop == dims[j - 1], (name, j)
+            unread[name, j] = unread_rows(rows, taken, stop)
+    assert unread["dense (4, 5, 4)", 5] > 0
+
+
+def test_each_chain_step_stops_at_the_width_of_its_span(monkeypatch):
+    # the span of Lambda_j lies in S_j: each step's back-reduced
+    # elimination, going on from the forward pass of its shifted rows, gets
+    # stop = dim S_j; where its pivots reach that, it took the shortest
+    # prefix of rows that brings them there, I_j = 0 and the step returns
+    # no span, the chain's last.  The slices are the catalecticant route's,
+    # on the n >= 3 grid and the binary stream; at n >= 3 steps leave rows
+    # unread, dense (3, 8, 8) among them
+    steps, step = [], apolarity._chain_step
+
+    def recorded(nvars, j, span):
+        before = len(eliminations)
+        kernel, rest = step(nvars, j, span)
+        steps.append((j, space_dim(nvars, j), eliminations[before:], kernel, rest))
+        return kernel, rest
+
+    unread = {}
+    for name, lam in (*n3_grid(), *(("binary", lam) for lam in stream_spans())):
+        fresh = dataclasses.replace(lam)
+        steps.clear()
+        with monkeypatch.context() as patch:
+            eliminations = record_core(patch)
+            patch.setattr(apolarity, "_chain_step", recorded)
+            apolarity._slices(lam)
+        assert len(eliminations) == 2 * len(steps), name
+        for j, width, (forward, reduced), kernel, rest in steps:
+            assert forward[2:4] == (None, False) and reduced[2:4] == (width, True), (name, j)
+            rows, taken, stop, _, start = reduced
+            unread[name] = unread.get(name, 0) + unread_rows(rows, taken, stop, start)
+            full = sparse_rank([*start, *rows]) == width
+            assert (kernel == ()) == full and (rest is None) == (full or j == 1), (name, j)
+        assert [ann_slice(lam, j) for j in range(lam.degree + 2)] == \
+            [old_ann_slice(fresh, j) for j in range(lam.degree + 2)], name
+    assert unread["dense (3, 8, 8)"] > 0

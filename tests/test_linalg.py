@@ -281,23 +281,35 @@ def test_sparse_core_matches_the_bareiss_loop(m):
         expected = {k: x // g for k, x in enumerate(row) if x}
         assert reduced[c] in (expected, {k: -x for k, x in expected.items()})
     assert integer_echelon(m, ncols) == (echelon, pivots, den)
-    # stopped at the rank r, the forward pass takes no row after the first
-    # prefix of rank r and holds the same rows; started from the forward
-    # pass of a prefix, it goes on as if it had taken that prefix itself
+    # stop is an upper bound on the rank: stopped at the rank r, the
+    # forward pass takes no row after the first prefix of rank r and holds
+    # the same rows; stopped above it, it takes every row and gives what no
+    # stop gives.  Started from the forward pass of a prefix, it goes on as
+    # if it had taken that prefix itself, and started from pivot rows that
+    # already reach stop, it takes no row
     taken = []
 
-    def counted():
-        for row in rows:
+    def counted(source):
+        for row in source:
             taken.append(row)
             yield row
 
-    assert _sparse_echelon(counted(), False, r) == forward
+    assert _sparse_echelon(counted(rows), False, r) == forward
     assert len(taken) == next(k for k in range(len(rows) + 1) if sparse_rank(rows[:k]) == r)
+    for back, expected in ((False, forward), (True, reduced)):
+        taken.clear()
+        assert _sparse_echelon(counted(rows), back, r + 1) == expected
+        assert taken == rows
     for k in range(len(rows) + 1):
         start = _sparse_echelon(rows[:k], False)
         copy = dict(start)
         assert _sparse_echelon(rows[k:], False, start=start) == forward
         assert _sparse_echelon(rows[k:], True, start=start) == reduced
+        taken.clear()
+        assert _sparse_echelon(counted(rows[k:]), False, len(start), start) == start
+        assert _sparse_echelon(counted(rows[k:]), True, len(start), start) == \
+            _sparse_echelon(rows[:k], True)
+        assert taken == []
         assert start == copy
 
 
