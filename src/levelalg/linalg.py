@@ -41,15 +41,17 @@ core eliminates those alone, _back_substitution gives their kernel (in the
 original columns: sparse_kernel's vectors), and every other row is checked
 against it exactly, with sparse_rank as the fallback.  The Fraction front
 ends (rref, rank, right_kernel) scale each row by the lcm of its
-denominators and enter through integer_echelon and sparse_kernel.
+denominators and enter through integer_echelon and sparse_kernel; in the
+library only apolarity.hilbert_function still reaches rank and rref.
 Dense integer rows enter through _sparse_rows, which drops zero rows and
 repeats: the row space, hence every output, does not change.  Its callers
 are integer_echelon (so rref, rank and forms.Subspace.from_rows),
 right_kernel and forms.subspace_intersect.  The rows of apolarity's
-derivative chain, socle and apolar pass and of the tangent route are sparse
-from the start and go to the core, or to sparse_rank and sparse_kernel, as
-they are; the chain and the socle hold theirs in reversed columns, and the
-chain reads its kernels straight off _kernel.  Determinants keep a dense
+derivative chain, socle and apolar pass, of secant's Hankel ranks and of
+the tangent route are sparse from the start and go to the core, or to
+sparse_rank and sparse_kernel, as they are; the chain and the socle hold
+theirs in reversed columns, and the chain reads its kernels straight off
+_kernel.  Determinants keep a dense
 forward loop of their own (_integer_det): their matrices are small and
 square, and a shared loop took about 1.6x as long on them.  No
 floating point enters anywhere.

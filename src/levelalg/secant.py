@@ -28,7 +28,7 @@ from .errors import (
 )
 from .forms import Form, Subspace
 from .levelhf import HilbertFunction, dim_stratum, q_sequence
-from .linalg import QQ, Matrix, det, rank, sparse_rank
+from .linalg import QQ, Matrix, _integer_row, det, sparse_rank
 
 
 @dataclass(frozen=True)
@@ -197,6 +197,18 @@ def gad_subspace(g: GAD, d: int) -> Subspace:
     return SecantPlane(reduce(mul, factors), d).subspace()
 
 
+def _hankel_rows(f: Form, a: int, coefficients) -> list[dict]:
+    """x1^{a-r} x2^r, r = 0..a, applied to the binary form of f's degree
+    with the given coefficient vector, as _contract's sparse rows of
+    S_{d-a}; DegreeError unless 0 <= a <= d and f is a binary form in S."""
+    d = f.degree
+    if not 0 <= a <= d:
+        raise DegreeError(f"Hankel index {a} outside 0..{d}")
+    if f.nvars != 2 or f.ring != "S":
+        raise DegreeError("Hankel coordinates need a binary form in S")
+    return _contract([_divided_power_row(2, d, coefficients)], 2, a, d - a)
+
+
 def hankel_matrix(f: Form, a: int) -> Matrix:
     """The (a+1) x (d-a+1) Hankel matrix [z_{r+c}] of a binary form
     F = sum a_i y1^{d-i} y2^i: row r is x1^{a-r} x2^r applied to F.
@@ -207,18 +219,15 @@ def hankel_matrix(f: Form, a: int) -> Matrix:
     matrices become genuine Hankel matrices with rank equal to the Hilbert
     function.
     """
-    d = f.degree
-    if not 0 <= a <= d:
-        raise DegreeError(f"Hankel index {a} outside 0..{d}")
-    if f.nvars != 2 or f.ring != "S":
-        raise DegreeError("Hankel coordinates need a binary form in S")
-    return [[QQ(x) for x in _dense(row, d - a + 1)]
-            for row in _contract([_divided_power_row(2, d, f.vector())], 2, a, d - a)]
+    return [[QQ(x) for x in _dense(row, f.degree - a + 1)]
+            for row in _hankel_rows(f, a, f.vector())]
 
 
 def hankel_rank(f: Form, a: int) -> int:
-    """rank of the Hankel matrix; equals H(R/ann(F), a)."""
-    return rank(hankel_matrix(f, a))
+    """rank of the Hankel matrix; equals H(R/ann(F), a).  It is the
+    linalg.sparse_rank of the Hankel rows of F times the lcm of its
+    coefficients' denominators, a positive scale that keeps the rank."""
+    return sparse_rank(_hankel_rows(f, a, _integer_row(f.vector())))
 
 
 def _secant_counts(t: int, d: int, s: int) -> tuple[int, int]:
@@ -295,12 +304,15 @@ def stacked_catalecticant_det(forms: list[Form], s: int) -> Fraction:
 
     Square means t(d-s+1) = s+1; the determinant vanishes iff the span of
     the forms lies on a secant (s-1)-plane.  In the non-square case the
-    canonical invariant is the rank, reported through NotSquareError.
+    canonical invariant is the rank, reported through NotSquareError: the
+    linalg.sparse_rank of every form's integer Hankel rows at index d - s,
+    scaled as hankel_rank scales them.
     """
     m = stacked_hankel(forms, s)
     nrows, ncols = len(m), len(m[0])
     if nrows != ncols:
-        r = rank(m)
+        r = sparse_rank([row for f in forms
+                         for row in _hankel_rows(f, f.degree - s, _integer_row(f.vector()))])
         raise NotSquareError(f"stacked matrix is {nrows} x {ncols}; rank condition instead: "
                              f"rank {r} vs bound {s}", rank=r, bound=s)
     return det(m)

@@ -246,13 +246,17 @@ def held_chain_h(forms, d):
 
 
 def random_binary_form(rng, d):
-    """A zero form, a dense form with entries in -3..3, or a sum of one to
-    three d-th powers of linear forms with coefficients in -3..3."""
-    kind = rng.randrange(4)
+    """A zero form, a dense form with entries in -3..3 or in +-(1..3)/(1..4),
+    or a sum of one to three d-th powers of linear forms with coefficients
+    in -3..3."""
+    kind = rng.randrange(5)
     if kind == 0:
         return Form.zero(2, d, "S")
     if kind == 1:
         return Form.make(2, d, "S", {m: rng.randint(-3, 3) for m in monomials(2, d)})
+    if kind == 2:
+        return Form.make(2, d, "S", {m: Fraction(rng.choice((-1, 1)) * rng.randint(1, 3),
+                                                 rng.randint(1, 4)) for m in monomials(2, d)})
     total = Form.zero(2, d, "S")
     for _ in range(rng.randint(1, 3)):
         linear = {(1, 0): rng.randint(-3, 3), (0, 1): rng.randint(-3, 3)}
@@ -264,8 +268,9 @@ def test_the_hankel_ranks_are_h_of_the_held_chain():
     # the rank of hankel_matrix(f, a) is h_a of the span of f, and the rank
     # of stacked_hankel(forms, s) that a non-square stacked determinant
     # reports is h_s of the span of the forms, both read off the chain held
-    # on the span, with zero forms, repeated forms and their multiples
-    # mixed in
+    # on the span and both equal to the Fraction rank of the matrix, with
+    # zero forms, repeated forms, their multiples and forms with
+    # non-integer coefficients mixed in
     rng = random.Random(47)
     cases = 0
     for _ in range(120):
@@ -275,7 +280,9 @@ def test_the_hankel_ranks_are_h_of_the_held_chain():
             forms.insert(rng.randrange(len(forms) + 1),
                          rng.choice(forms).scale(rng.choice((1, -2, 3))))
         for f in forms:
-            assert [hankel_rank(f, a) for a in range(d + 1)] == held_chain_h([f], d), f
+            ranks = [hankel_rank(f, a) for a in range(d + 1)]
+            assert ranks == held_chain_h([f], d), f
+            assert ranks == [rank(hankel_matrix(f, a)) for a in range(d + 1)], f
             cases += d + 1
         h = held_chain_h(forms, d)
         for s in range(d + 1):
@@ -284,13 +291,14 @@ def test_the_hankel_ranks_are_h_of_the_held_chain():
             with pytest.raises(NotSquareError) as err:
                 stacked_catalecticant_det(forms, s)
             assert err.value.rank == h[s], (forms, s)
+            assert err.value.rank == rank(stacked_hankel(forms, s)), (forms, s)
             cases += 1
     assert cases > 2000
 
 
 def test_hankel_rank_of_the_zero_form_checks_its_index():
-    # the zero form's Hankel matrix has rank 0 through rank(), and an index
-    # outside 0..d is an error as for any other form
+    # the zero form gives empty Hankel rows, whose sparse_rank is 0, and an
+    # index outside 0..d is an error as for any other form
     zero = form_parse("0", nvars=2)
     assert hankel_rank(zero, 0) == 0
     assert hankel_rank(Form.zero(2, 4, "S"), 2) == 0
