@@ -8,13 +8,18 @@ computation; no factorization is ever performed.
 The annihilator slices of Lambda in S_d come from its derivative chain
 (Macaulay duality; Iarrobino-Kanev, LNM 1721, 1.1): I_j kills exactly
 Lambda_j = R_{d-j}.Lambda, h_j = dim Lambda_j, and Lambda_{j-1} =
-R_1.Lambda_j.  In divided-power coordinates (b! times the coefficient of
-y^b, b! from forms.divided_power_weights) x_k acts by an index shift and
-the pairing of R_j with S_j is the dot product, so each I_j is the right
-kernel of a spanning set of Lambda_j, one small elimination per degree,
-from j = d down to the first degree where I_j = 0, below which every slice
-is 0 too.  The chain runs whole on the first read of any slice and is held
-on Lambda for every reader (_slices).  The spanning set of Lambda_{j-1} is
+R_1.Lambda_j, from j = d down to the first degree where I_j = 0, below
+which every slice is 0 too.  The slices are computed whole on the first
+read of any of them and held on Lambda for every reader (_slices).  Where
+Lambda is spanned by monomials (every Burch point and monomial subspace)
+the chain is read off divisibility, with no elimination: Lambda_j is
+spanned by the monomials of degree j that divide one of Lambda, and I_j by
+the other monomials (see _slices for the proof).  Every other Lambda takes
+the eliminating chain (_eliminated_slices).  In divided-power coordinates
+(b! times the coefficient of y^b, b! from forms.divided_power_weights) x_k
+acts by an index shift and the pairing of R_j with S_j is the dot product,
+so each I_j is the right kernel of a spanning set of Lambda_j, one small
+elimination per degree.  The spanning set of Lambda_{j-1} is
 not R_1 times every echelon row of Lambda_j: x1 contracts every one, and
 x2, ..., xn only the rows N_j whose lead no row of x1.Lambda_{j+1} gave,
 since Lambda_j = x1.Lambda_{j+1} + span N_j and so x_k.Lambda_j lies in
@@ -148,14 +153,58 @@ def ann_slice(lam: Subspace, j: int) -> Subspace:
 
 
 def _slices(lam: Subspace) -> tuple[tuple, HilbertFunction]:
-    """The slices I_0, ..., I_d of ann(Lambda), Lambda != 0, as _chain_step
-    gives them (sparse rows of R_j in the original columns; I_0 = 0, as 1
-    kills no nonzero form), and the Hilbert function h_j = dim R_j - dim
-    I_j.  The only place a slice is computed: one derivative chain per
-    Lambda instance, run whole on the first read and held on lam, which is
-    frozen, for ann_slice, the apolar pass and the tangent route, which
-    read it in one step.  Nothing is held until the chain has run, so a
-    step that raises leaves lam as it was.
+    """The slices I_0, ..., I_d of ann(Lambda), Lambda != 0, as sparse rows
+    of R_j in the original columns (I_0 = 0, as 1 kills no nonzero form),
+    and the Hilbert function h_j = dim R_j - dim I_j.  The only place a
+    slice is computed: once per Lambda instance, on the first read, and
+    held on lam, which is frozen, for ann_slice, the apolar pass and the
+    tangent route, which read it in one step.  Nothing is held until the
+    slices are whole, so a step that raises leaves lam as it was.
+
+    Where some echelon row of Lambda has more than one nonzero entry, the
+    slices are the derivative chain's (_eliminated_slices).  Where every
+    one is a unit vector (Lambda is spanned by monomials: every Burch point
+    and monomial subspace), they are read off divisibility, with no
+    elimination, and are the chain's, row for row and key for key, with
+    the same h.  Proof: write Lambda_j = R_{d-j}.Lambda = R_1.Lambda_{j+1}.
+    x^a.y^b = (b!/(b-a)!) y^{b-a} if a <= b and 0 otherwise, so if
+    Lambda_j is spanned by the monomials y^g, g in G_j, then Lambda_{j-1}
+    is spanned by the y^g with g + e_k in G_j for some k: the divisors of
+    degree j - 1 of the monomials of Lambda_j, read off
+    forms.monomial_products(n, 1, j - 1), where g x_k has index
+    shift_k[g].  G_d is Lambda's pivots, and h_j = |G_j|.  At equal
+    degree x^a.y^b = a! if a = b and 0 otherwise: the pairing of R_j with
+    S_j is diagonal on monomials, so u kills Lambda_j iff u has no term
+    x^g, g in G_j, and I_j is spanned by the x^c, c outside G_j.  Its
+    reduced echelon basis is those unit rows in increasing column order,
+    and the chain's rows are that basis up to positive scales, each
+    primitive (linalg._kernel), so each is {c: 1}.  The read stops where
+    the chain does: at the first j with I_j = 0 (G_j = all of S_j) or at
+    j = 1, with every slice below it () and h_j = dim R_j there."""
+    held = lam.__dict__.get("_slices")
+    if held is not None:
+        return held
+    n, d = lam.nvars, lam.degree
+    if any(len(v) - v.count(0) > 1 for v in lam.echelon):
+        held = _eliminated_slices(lam)
+    else:
+        # h_j = dim S_j until the read reaches j; span holds G_j's columns
+        rows, h, span = [()] * (d + 1), [space_dim(n, j) for j in range(d + 1)], set(lam.pivots)
+        for j in range(d, 0, -1):
+            rows[j] = tuple({c: 1} for c in range(h[j]) if c not in span)
+            h[j] = len(span)
+            if j == 1 or not rows[j]:
+                break
+            span = {g for shift in monomial_products(n, 1, j - 1)
+                    for g, c in enumerate(shift) if c in span}
+        held = tuple(rows), HilbertFunction.from_values(h)
+    lam.__dict__["_slices"] = held
+    return held
+
+
+def _eliminated_slices(lam: Subspace) -> tuple[tuple, HilbertFunction]:
+    """The slices and Hilbert function of _slices, Lambda != 0, by the
+    derivative chain, one _chain_step a degree, and not held on lam.
 
     Each step gets the span the step before it returned (x1 contracting
     every echelon row of Lambda_{j+1}, x2, ..., xn contracting its rows
@@ -166,18 +215,14 @@ def _slices(lam: Subspace) -> tuple[tuple, HilbertFunction]:
     Proof: for u in I_{j-1}, x_1 u lies in R_1.I_{j-1}, which I_j contains
     since I is an ideal; I_j = 0 gives x_1 u = 0, and R is a domain, so u
     = 0.  Then I_{j-1} = 0, and so on down to I_1."""
-    held = lam.__dict__.get("_slices")
-    if held is not None:
-        return held
     n, d = lam.nvars, lam.degree
     rows, span = [()] * (d + 1), ((), _divided_power_rows(lam))
     for j in range(d, 0, -1):
         rows[j], span = _chain_step(n, j, span)
         if span is None:
             break
-    held = lam.__dict__["_slices"] = tuple(rows), HilbertFunction.from_values(
+    return tuple(rows), HilbertFunction.from_values(
         [space_dim(n, j) - len(r) for j, r in enumerate(rows)])
-    return held
 
 
 def _divided_power_rows(lam: Subspace) -> list[dict[int, int]]:

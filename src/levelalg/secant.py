@@ -289,6 +289,13 @@ def stacked_hankel(forms: list[Form], s: int) -> Matrix:
     matrix drops rank exactly on the locus where span(F_1..F_t) meets a
     secant (s-1)-plane.
     """
+    d = _stacked_degree(forms, s)
+    return [row for f in forms for row in hankel_matrix(f, d - s)]
+
+
+def _stacked_degree(forms: list[Form], s: int) -> int:
+    """The common degree d of forms, after stacked_hankel's checks: forms
+    given, all binary forms in S of one degree, and 0 <= s <= d."""
     if not forms:
         raise ZeroSubspaceError("no forms given")
     d = forms[0].degree
@@ -296,7 +303,7 @@ def stacked_hankel(forms: list[Form], s: int) -> Matrix:
         raise DegreeError("forms must be binary, in S, of one degree")
     if not 0 <= s <= d:
         raise DegreeError(f"need 0 <= s <= d, got s = {s}")
-    return [row for f in forms for row in hankel_matrix(f, d - s)]
+    return d
 
 
 def stacked_catalecticant_det(forms: list[Form], s: int) -> Fraction:
@@ -306,16 +313,17 @@ def stacked_catalecticant_det(forms: list[Form], s: int) -> Fraction:
     the forms lies on a secant (s-1)-plane.  In the non-square case the
     canonical invariant is the rank, reported through NotSquareError: the
     linalg.sparse_rank of every form's integer Hankel rows at index d - s,
-    scaled as hankel_rank scales them.
+    scaled as hankel_rank scales them.  The shape is read off t, d and s,
+    so that case builds no Fraction matrix.
     """
-    m = stacked_hankel(forms, s)
-    nrows, ncols = len(m), len(m[0])
+    d = _stacked_degree(forms, s)
+    nrows, ncols = len(forms) * (d - s + 1), s + 1
     if nrows != ncols:
         r = sparse_rank([row for f in forms
-                         for row in _hankel_rows(f, f.degree - s, _integer_row(f.vector()))])
+                         for row in _hankel_rows(f, d - s, _integer_row(f.vector()))])
         raise NotSquareError(f"stacked matrix is {nrows} x {ncols}; rank condition instead: "
                              f"rank {r} vs bound {s}", rank=r, bound=s)
-    return det(m)
+    return det(stacked_hankel(forms, s))
 
 
 def hypersurface_case(t: int, d: int) -> tuple[int, int] | None:

@@ -11,17 +11,16 @@ for n >= 3 the tests check it against Hom_R(I, A)_0 built from the
 generators and syzygies of I.
 
 The route reads the slices I_j held on Lambda, computed once per Lambda
-instance for every reader down the derivative chain of Lambda (one small
-elimination a degree; see apolarity), and h_j = dim R_j - dim I_j, held
-with them and read in one step.  The slices are sparse {column: entry}
-rows, each the reduced echelon row times a positive factor, so a row's lead
-is its least column; the chain writes every row with its columns in
-increasing order (apolarity._chain_step), so the route reads that lead as
-the row's first key, next(iter(row)), in the lead rule, in the block offsets
-of I_d and in the residuals, where min(row) would scan the row.  A degree
-whose slice is empty is skipped before any lead is read.  The route stays
-in integers, and its matrices are sparse (the constraint rows of the
-seed-1 two-pass tangent_burch stream of the benchmark are 3.7% nonzero).
+instance for every reader (apolarity._slices: read off divisibility where
+Lambda is spanned by monomials, else down the derivative chain of Lambda),
+and h_j = dim R_j - dim I_j, held with them and read in one step.  The
+slices are sparse {column: entry} rows, each the reduced echelon row times
+a positive factor, so a row's lead is its least column; every row is
+written with its columns in increasing order (apolarity._slices), so the
+route reads that lead as the row's first key, next(iter(row)), in the lead
+rule, in the block offsets of I_d and in the residuals, where min(row)
+would scan the row.  A degree whose slice is empty is skipped before any
+lead is read.  The route stays in integers, and its matrices are sparse.
 So the residuals, the V_i rows, the functionals and the constraint rows are
 {column: entry} rows too, the form linalg's one elimination core takes,
 which keeps every row over its content.  The functionals linalg.sparse_kernel
@@ -54,13 +53,9 @@ rows that become pivots, the exact core eliminates those alone, and every
 other row is checked, exactly, against the kernel they give, which the
 TangentSpace then keeps as its basis's kernel.  The rule reads the input
 alone.  Below it the core's content division keeps the pivot rows narrow
-and dependent rows are rare: the 133 points of the benchmark's
-tangent_burch pool give 1,440 constraint rows of rank 1,410, with entries
-1 bit wide, and there the certified route took 10.8 ms a pass where
-sparse_rank took 0.9 ms (on 2 vCPUs).  At the seeded power-sum span (n, d,
-t, s) = (4, 6, 2, 5), 212 of the 330 rows are dependent and the exact pivot
-rows reach 609 bits: the route with the certified rank takes 0.7 s, the
-basis included, where the exact rank and basis took 4.0 s.
+and dependent rows are rare, so the forward pass of sparse_rank is the
+cheaper rank; wide rows with many dependent ones, as at seeded power-sum
+spans in three or more variables, are where the certified route pays.
 
 The lead rule.  The conditions are R-linear, so the generators of I
 already cut out the tangent space.  In degree i the route drops the rows of

@@ -60,6 +60,17 @@ def power_sum_span(n: int, d: int, t: int, s: int) -> Subspace:
     return Subspace.span(n, d, "S", forms)
 
 
+def tangent_pool_points():
+    """The Burch points of the tangent benchmark's pool: two per (t, d)
+    cell, t = 2..6, t <= d <= 16, at the evenly spread positions
+    (2i + 1) len / 4 of the cell's enumeration."""
+    for t in range(2, 7):
+        for d in range(t, 17):
+            hs = enumerate_level_hf(t, d)
+            for j in sorted({(2 * i + 1) * len(hs) // 4 for i in range(2)}):
+                yield burch_point(hs[j])
+
+
 def moved_burch_point(h: HilbertFunction, rng: random.Random):
     """A stratum point moved off the monomial locus by a random invertible
     integer change of coordinates."""

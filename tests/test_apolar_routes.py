@@ -16,7 +16,8 @@ import random
 import pytest
 
 from conftest import (_action_table, all_level_hfs, burch_point, ideal_slice_stream,
-                      monomial_residuals, power_sum_span, row_space_intersection)
+                      monomial_residuals, power_sum_span, row_space_intersection,
+                      tangent_pool_points)
 from levelalg import apolarity, secant
 from levelalg.apolarity import (
     ApolarProfile,
@@ -424,11 +425,19 @@ def test_a_chain_step_cut_short_leaves_the_chain_as_it_was(rng, monkeypatch):
     assert apolar_profile(lam).kv_lines() == old_profile_lines(fresh)
 
 
+def spanned_by_monomials(lam):
+    """Whether every echelon row of lam has one nonzero entry, where _slices
+    reads the slices off divisibility and runs no chain step."""
+    return all(sum(map(bool, v)) == 1 for v in lam.echelon)
+
+
 @pytest.mark.parametrize("nvars, d_max", [(1, 7), (2, 9), (3, 6), (4, 4)])
 def test_the_chain_stops_at_the_first_zero_slice(rng, monkeypatch, nvars, d_max):
     # R_1 I_{j-1} lies in I_j and R is a domain, so I_j = 0 forces
-    # I_{j-1} = 0: no step runs below the first empty kernel, and the slices
-    # held below it are the catalecticant route's
+    # I_{j-1} = 0: no step of the eliminating chain runs below the first
+    # empty kernel, and the slices held below it are the catalecticant
+    # route's.  _slices runs that chain, step for step, off the monomial
+    # locus, and no step on it, where it holds the chain's slices all the same
     steps, step = [], apolarity._chain_step
 
     def recorded(n, j, span):
@@ -441,12 +450,21 @@ def test_the_chain_stops_at_the_first_zero_slice(rng, monkeypatch, nvars, d_max)
               for t in range(1, min(3, space_dim(nvars, d)) + 1)]
     if nvars == 2:
         points += [burch_point(h) for h in all_level_hfs(3, 8)]
-    stopped = 0
+    stopped = monomial = 0
     for lam in points:
         d, fresh = lam.degree, dataclasses.replace(lam)
         steps.clear()
         expected = [old_ann_slice(fresh, j) for j in range(d + 2)]
         assert [ann_slice(lam, j) for j in range(d + 2)] == expected
+        read = list(steps)
+        steps.clear()
+        assert apolarity._eliminated_slices(fresh) == lam.__dict__["_slices"]
+        assert "_slices" not in fresh.__dict__
+        if spanned_by_monomials(lam):
+            assert read == []
+            monomial += d > 0
+        else:
+            assert read == steps
         # the last step is at the top zero slice of the reference, or at 1;
         # at d = 0 no step runs, and I_0 = 0 is held with h = 1,0
         last = next((j for j in range(d, 0, -1) if expected[j].dim == 0), 1)
@@ -457,6 +475,9 @@ def test_the_chain_stops_at_the_first_zero_slice(rng, monkeypatch, nvars, d_max)
             assert steps == [] and slices == ((),) and hf.format() == "1,0"
         stopped += last > 1
     assert stopped >= 4
+    # y1^d spans S_d at n = 1, Burch points are monomial, and at n = 3 the
+    # spans of three dense linear forms are all of S_1
+    assert (monomial > 0) == (nvars <= 3)
 
 
 def refuse_chain_steps(nvars, j, span):
@@ -554,9 +575,11 @@ def old_rule_spans(lam):
 
 
 def chain_spans(lam, monkeypatch):
-    """The echelon forms of the rows each step of a fresh chain on a copy of
-    lam gets, and how many of those steps get two shifted rows with one lead
-    and shifted rows of lower rank than their number."""
+    """The echelon forms of the rows each step of the eliminating chain
+    (apolarity._eliminated_slices) on lam gets, and how many of those steps
+    get two shifted rows with one lead and shifted rows of lower rank than
+    their number.  Where lam is spanned by monomials, _slices on a fresh
+    copy must run no step and hold the chain's slices."""
     spans, shared, dependent = [], [], []
     step = apolarity._chain_step
 
@@ -573,7 +596,12 @@ def chain_spans(lam, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(apolarity, "_chain_step", recorded)
-        apolarity._slices(dataclasses.replace(lam))
+        eliminated = apolarity._eliminated_slices(lam)
+        if spanned_by_monomials(lam):
+            # _slices reads these slices off divisibility, with no step
+            taken = len(spans)
+            assert apolarity._slices(dataclasses.replace(lam)) == eliminated
+            assert len(spans) == taken
     return spans, sum(shared), sum(dependent)
 
 
@@ -602,6 +630,51 @@ def test_the_chain_spans_what_the_old_rule_spanned(rng, monkeypatch, nvars, d_ma
         assert spans == old_rule_spans(lam), lam
         shared, dependent = shared + a, dependent + b
     assert (shared > 0 and dependent > 0) == (nvars >= 3)
+
+
+def random_monomial_span(rng, nvars, d):
+    """The span of a random nonempty set of monomials of S_d."""
+    width = space_dim(nvars, d)
+    chosen = sorted(rng.sample(range(width), rng.randint(1, width)))
+    return Subspace.span(nvars, d, "S", [Form.monomial(nvars, "S", monomials(nvars, d)[c])
+                                         for c in chosen])
+
+
+def held_keys(held):
+    """The (column, entry) pairs of every row of every held slice, in the
+    order the row holds them, and the Hilbert function's values."""
+    slices, hf = held
+    return [[list(row.items()) for row in rows] for rows in slices], hf.values
+
+
+def test_the_divisibility_read_is_the_eliminating_chain(rng, monkeypatch):
+    # on every Lambda spanned by monomials, _slices reads the slices off
+    # divisibility and runs no chain step, and holds what the eliminating
+    # chain gives: the same rows, with their keys in the same order, and
+    # the same h.  Every binary Burch point of t <= 4, d <= 12, the
+    # tangent benchmark's 125 pool points and 8 ternary subspaces, and
+    # seeded monomial spans at n = 1..4 with S_d itself and d = 0 among them
+    points = [burch_point(h) for h in all_level_hfs(4, 12)]
+    pool = list(tangent_pool_points())
+    assert len(pool) == 125
+    points += pool + [parse_subspace_lines(lines, nvars=3) for lines in TERNARY_SUBSPACES]
+    for nvars, d_max in ((1, 8), (2, 10), (3, 7), (4, 5)):
+        for d in range(d_max + 1):
+            points.append(Subspace.full(nvars, d, "S"))
+            points += [random_monomial_span(rng, nvars, d) for _ in range(4)]
+    stopped = 0
+    for lam in points:
+        assert spanned_by_monomials(lam), lam
+        fresh = dataclasses.replace(lam)
+        with monkeypatch.context() as patch:
+            patch.setattr(apolarity, "_chain_step", refuse_chain_steps)
+            read = apolarity._slices(fresh)
+        assert fresh.__dict__["_slices"] is read
+        chain = apolarity._eliminated_slices(lam)
+        assert read == chain, lam
+        assert held_keys(read) == held_keys(chain), lam
+        stopped += not all(read[0][2:])
+    assert stopped > 0
 
 
 def random_integer_span(rng, nvars, d, t):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (_action_table, all_level_hfs, burch_point, complement_positions,
-                      moved_burch_point, monomial_residuals, power_sum_span)
+                      moved_burch_point, monomial_residuals, power_sum_span,
+                      tangent_pool_points)
 from levelalg import apolarity, linalg, tangent
 from levelalg.apolarity import _slices
 from levelalg.apolarity import (
@@ -411,6 +412,90 @@ def test_power_sum_spans_match_the_hom_oracle():
             _fraction_tangent_space_dual(lam), point
 
 
+def _i2_dimension(lam):
+    """dim I_d - dim (I^2)_d for I = ann(f), Lambda = <f> in S_d (t = 1):
+    the dimension of the tangent space to PGor(T) at f, which is
+    ((I^2)_d)^perp modulo <f> (Iarrobino-Kanev, LNM 1721, ch. 3), dim I_d
+    = dim R_d - 1.  (I^2)_d is spanned by the products u v, u in I_a and v
+    in I_{d-a}, 1 <= a <= d/2 (I_0 = 0), each multiplied out over
+    monomial_products(n, a, d - a) from the slices held on Lambda and
+    ranked by linalg.sparse_rank: the core, none of the route's code."""
+    n, d = lam.nvars, lam.degree
+    assert lam.dim == 1
+    slices, _ = _slices(lam)
+    products = []
+    for a in range(1, d // 2 + 1):
+        table = monomial_products(n, a, d - a)
+        for u in slices[a]:
+            for v in slices[d - a]:
+                row = {}
+                for p, x in u.items():
+                    for q, y in v.items():
+                        c = table[p][q]
+                        row[c] = row.get(c, 0) + x * y
+                products.append({c: x for c, x in row.items() if x})
+    return len(slices[d]) - linalg.sparse_rank(products)
+
+
+def _wide_power_sum(n, d, s, rng):
+    """<f>, f a sum of s d-th powers of linear forms in y1..yn with
+    coefficients +-(20..40) drawn from rng."""
+    f = Form.zero(n, d, "S")
+    for _ in range(s):
+        coefficients = [rng.choice((-1, 1)) * rng.randint(20, 40) for _ in range(n)]
+        f = f + Form.make(n, 1, "S", {tuple(int(i == k) for i in range(n)): c
+                                      for k, c in enumerate(coefficients)}).power(d)
+    return Subspace.span(n, d, "S", [f])
+
+
+def _gorenstein_points():
+    """(kind, name, Lambda) for seeded t = 1 spans: dense forms with
+    entries in -3..3, power sums of s = 1..5 linear forms and single
+    monomials at n = 2..4, Gorenstein binary Burch points moved by seeded
+    changes of coordinates, and power sums with wide coefficients at n =
+    3, 4."""
+    rng = random.Random(17)
+    for n, d_max in ((2, 10), (3, 6), (4, 4)):
+        for d in range(2, d_max + 1):
+            for _ in range(2):
+                f = [rng.randint(-3, 3) for _ in range(space_dim(n, d))]
+                if any(f):
+                    yield "dense", f"n={n} {f}", Subspace.from_rows(n, d, "S", [f])
+            for s in range(1, 6):
+                yield "power sum", f"{(n, d, 1, s)}", power_sum_span(n, d, 1, s)
+            for m in rng.sample(monomials(n, d), 3):
+                yield "monomial", f"y^{m}", Subspace.span(n, d, "S", [Form.monomial(n, "S", m)])
+    for h in all_level_hfs(1, 12):
+        yield "moved", h.format(), moved_burch_point(h, rng)
+    for n, d, s in ((3, 6, 4), (3, 8, 5), (4, 5, 3), (4, 6, 4)):
+        yield "wide", f"{(n, d, s)}", _wide_power_sum(n, d, s, rng)
+
+
+def test_the_gorenstein_tangent_is_the_i2_one(monkeypatch):
+    # at t = 1 the route's dimension is dim I_d - dim (I^2)_d, taken on
+    # the products of the held slices alone; at the monomials those slices
+    # come from the divisibility read, a second route to the chain's, and
+    # the wide power sums take the certified rank
+    certified, calls = tangent.certified_rank, []
+
+    def counted(rows, ncols):
+        calls.append(len(rows))
+        return certified(rows, ncols)
+
+    monkeypatch.setattr(tangent, "certified_rank", counted)
+    kinds, squares = {}, 0
+    for kind, name, lam in _gorenstein_points():
+        calls.clear()
+        dimension = _i2_dimension(lam)
+        assert tangent_space(lam).dimension == dimension, (kind, name)
+        assert bool(calls) == (kind == "wide"), (kind, name)
+        kinds[kind] = kinds.get(kind, 0) + 1
+        squares += dimension < len(_slices(lam)[0][lam.degree])
+    assert set(kinds) == {"dense", "power sum", "monomial", "moved", "wide"}
+    # (I^2)_d != 0 at most points: the check is no count of I_d alone
+    assert squares > sum(kinds.values()) // 2
+
+
 def test_the_basis_is_built_on_first_access_only(monkeypatch, rng):
     # the route reads the dimension off sparse_rank of the constraint rows
     # and takes no kernel of them: the kernels it takes are the V_i ones,
@@ -494,13 +579,15 @@ def test_no_repeated_row_reaches_the_elimination_core(monkeypatch, rng):
     # the route hands the one elimination core each V_i row once (the
     # constraint rows are only ranked, and their kernel waits for the
     # basis) at the moved points, and none at the unmoved (monomial) ones,
-    # whose V_i functionals are read off their rows; the chain hands it its
-    # rows as they come, filtering no repeat (one would vanish in the
-    # core), yet at these four points none of them repeats: no core call
-    # that back-reduces (a Gauss-Jordan elimination) gets a repeated row.
-    # The slices come from the derivative chain, which stops at the first
-    # zero slice (no catalecticant there); its step j gets the t rows of
-    # Lambda at j = d, and below h_{j+1} rows x1 contracts and the rows x2
+    # whose V_i functionals are read off their rows and whose slices are
+    # read off divisibility, with no chain step and no back-reduction.  The
+    # eliminating chain (apolarity._eliminated_slices, which the moved
+    # points take) hands the core its rows as they come, filtering no
+    # repeat (one would vanish in the core), yet at these four points none
+    # of them repeats: no core call that back-reduces (a Gauss-Jordan
+    # elimination) gets a repeated row.  The chain stops at the first zero
+    # slice (no catalecticant there); its step j gets the t rows of Lambda
+    # at j = d, and below h_{j+1} rows x1 contracts and the rows x2
     # contracts, one for each echelon row of Lambda_{j+1} whose lead no x1
     # row gave: at most t, since Lambda_{j+1} = x1.Lambda_{j+2} +
     # x2^{d-j-1}.Lambda
@@ -534,10 +621,16 @@ def test_no_repeated_row_reaches_the_elimination_core(monkeypatch, rng):
         eliminated.clear()
         sparse.clear()
         tangent_space(lam)
+        assert bool(chain) == bool(eliminated) == bool(sparse) == moved, h.format()
+        assert all(len(set(rows)) == len(rows) for rows in eliminated), h.format()
+        assert all(len(set(rows)) == len(rows) for rows in sparse), h.format()
+        # the eliminating chain at all four points, the slices it gives
+        # those the route read
+        chain.clear()
+        eliminated.clear()
+        assert apolarity._eliminated_slices(lam) == _slices(lam), h.format()
         assert eliminated, h.format()
         assert all(len(set(rows)) == len(rows) for rows in eliminated), h.format()
-        assert bool(sparse) == moved, h.format()
-        assert all(len(set(rows)) == len(rows) for rows in sparse), h.format()
         # the chain steps j = d, ..., stop, I_stop = 0 the first zero slice
         # (n = 2: dim R_j = j + 1)
         stop = max(j for j in range(1, h.d + 1) if h[j] == j + 1)
@@ -645,17 +738,6 @@ def test_the_constraint_rows_are_those_of_the_old_builder(rng):
 
 # -- the route choice: the certified modular rank at wide n >= 3 rows ---------
 
-def _tangent_pool():
-    """The Burch points of the benchmark's tangent_burch pool: two per (t,
-    d) cell, t = 2..6, t <= d <= 16, at the evenly spread positions
-    (2i + 1) len / 4 of the cell's enumeration."""
-    for t in range(2, 7):
-        for d in range(t, 17):
-            hs = enumerate_level_hf(t, d)
-            for j in sorted({(2 * i + 1) * len(hs) // 4 for i in range(2)}):
-                yield burch_point(hs[j])
-
-
 def test_the_certified_rank_runs_only_at_wide_rows_in_three_or_more_variables(monkeypatch,
                                                                                rng):
     # no point of the tangent_burch pool, no ternary monomial subspace and
@@ -669,7 +751,7 @@ def test_the_certified_rank_runs_only_at_wide_rows_in_three_or_more_variables(mo
         return certified(rows, ncols)
 
     monkeypatch.setattr(tangent, "certified_rank", counted)
-    points = list(_tangent_pool())
+    points = list(tangent_pool_points())
     points += [parse_subspace_lines(lines, nvars=3) for lines in TERNARY[:8]]
     points += [p for h in all_level_hfs(4, 12)
                for p in (burch_point(h), moved_burch_point(h, rng))]
@@ -733,7 +815,7 @@ def test_the_monomial_read_gives_the_general_rows(monkeypatch):
             general(lam, degrees), (lam, degrees)
 
     monkeypatch.setattr(tangent, "sparse_kernel", counted_kernel)
-    points = [burch_point(h) for h in all_level_hfs(4, 12)] + list(_tangent_pool())
+    points = [burch_point(h) for h in all_level_hfs(4, 12)] + list(tangent_pool_points())
     points += [parse_subspace_lines(lines, nvars=3) for lines in TERNARY[:8]]
     points += _monomial_spans(2, 40, 7) + _monomial_spans(3, 30, 8) + _monomial_spans(4, 20, 9)
     # Lambda = S_d: I_d = 0, whose rows are all unit vectors
