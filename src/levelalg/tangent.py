@@ -129,11 +129,10 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
     in the degrees where one is: read off its rows where I_d is spanned by
     monomials (the monomial read of the module docstring), else by
     linalg.sparse_kernel.  Every row is a sparse {column: entry} row; the
-    constraint rows, 3.7% nonzero on the benchmark's stream, are ranked by
-    linalg.sparse_rank.  At n >= 3 power-sum spans they are denser (27-43%)
-    and carry entries of up to hundreds of bits; where one is wider than 61
-    bits, linalg.certified_rank ranks them (the route choice of the module
-    docstring).
+    constraint rows are ranked by linalg.sparse_rank.  At n >= 3 power-sum
+    spans they are denser and carry entries of up to hundreds of bits; where
+    one is wider than 61 bits, linalg.certified_rank ranks them (the route
+    choice of the module docstring).
 
     `degrees` restricts the constraints to a subset of 1..d-1 (the default),
     i.e. computes the tangent space of an intersection of fewer rank loci;

@@ -60,6 +60,15 @@ def power_sum_span(n: int, d: int, t: int, s: int) -> Subspace:
     return Subspace.span(n, d, "S", forms)
 
 
+def random_subspace(rng, nvars, d, t):
+    """The span of t dense forms of S_d with random small nonzero rational
+    coefficients (of dimension t, barring a rare dependence)."""
+    return Subspace.from_rows(nvars, d, "S", [
+        [QQ(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+         for _ in range(space_dim(nvars, d))]
+        for _ in range(t)])
+
+
 def tangent_pool_points():
     """The Burch points of the tangent benchmark's pool: two per (t, d)
     cell, t = 2..6, t <= d <= 16, at the evenly spread positions

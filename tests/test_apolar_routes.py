@@ -16,8 +16,8 @@ import random
 import pytest
 
 from conftest import (_action_table, all_level_hfs, burch_point, ideal_slice_stream,
-                      monomial_residuals, power_sum_span, row_space_intersection,
-                      tangent_pool_points)
+                      monomial_residuals, power_sum_span, random_subspace,
+                      row_space_intersection, tangent_pool_points)
 from levelalg import apolarity, secant
 from levelalg.apolarity import (
     ApolarProfile,
@@ -351,15 +351,6 @@ def test_the_pass_runs_once_per_lambda(monkeypatch):
 
 
 # -- the derivative chain against the catalecticant conditions ----------------
-
-def random_subspace(rng, nvars, d, t):
-    """The span of t dense forms of S_d with random small nonzero rational
-    coefficients (of dimension t, barring a rare dependence)."""
-    return Subspace.from_rows(nvars, d, "S", [
-        [QQ(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
-         for _ in range(space_dim(nvars, d))]
-        for _ in range(t)])
-
 
 def assert_chain_matches_the_conditions(lam):
     # I_0, ..., I_{d+1}: I_0 = 0 and I_{d+1} = R_{d+1} lie outside the chain

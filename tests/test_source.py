@@ -62,7 +62,7 @@ UNCALLED_PUBLIC_METHODS = {
     "Form.monic": "the tests compare forms up to scale with it",
     "SchubertClass.is_zero": "the Schubert tests check vanishing products and classes",
     "TangentSpace.basis": "the tangent tests check the Hom(I_d, R_d/I_d) matrices; "
-                          "the CI step times the first access",
+                          "tools/timings.py times the first access",
 }
 
 
