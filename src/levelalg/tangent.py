@@ -21,30 +21,28 @@ route reads that lead as the row's first key, next(iter(row)), in the lead
 rule, in the block offsets of I_d and in the residuals, where min(row)
 would scan the row.  A degree whose slice is empty is skipped before any
 lead is read.  The route stays in integers, and its matrices are sparse.
-So the residuals, the V_i rows, the functionals and the constraint rows are
-{column: entry} rows too, the form linalg's one elimination core takes,
-which keeps every row over its content.  The functionals linalg.sparse_kernel
-reads off each V_i are the rational ones times positive factors, so every
-constraint keeps its zero set.  The dimension is the number of unknowns
-less the rank of the constraint rows, which linalg.sparse_rank takes by a
-forward pass alone (but see the route choice); the TangentSpace keeps those
-rows and takes their sparse_kernel only on the first access to its basis.
+So on the row route the residuals, the V_i rows, the functionals and the
+constraint rows are {column: entry} rows too, the form linalg's one
+elimination core takes, which keeps every row over its content.  The
+functionals linalg.sparse_kernel reads off each V_i are the rational ones
+times positive factors, so every constraint keeps its zero set.  The
+dimension is the number of unknowns less the rank of the constraint rows,
+which linalg.sparse_rank takes by a forward pass alone (but see the route
+choice and the graph route); the TangentSpace keeps those rows and takes
+their sparse_kernel only on the first access to its basis.
 
-The monomial read.  Where every echelon row of I_d is a unit vector (I_d
-is spanned by monomials, as at every Burch point and monomial subspace, or
-I_d = 0), the route reads V_i's functionals off its rows and takes no
-kernel.  Each residual of a monomial of R_d mod I_d is then empty (a pivot
-monomial) or one entry D at one position, D the lcm of the unit leads.  So
-the column (c, M) of V_i is touched only by the one w with w x^M the
-monomial at free position c: the rows of V_i have disjoint supports and
-every entry D, and each is nonzero (w is no pivot of I_i = (I_d : R_{d-i}),
-so some w x^M is none of I_d).  Over their contents they are their own
-reduced echelon form, and linalg.sparse_kernel's vector at a column l that
-leads no row is e_l if no row touches l, else e_l - e_c with c the lead
-(least column) of the row that holds l, its pivot entry first.
-_monomial_functionals writes exactly these, in column order, so the
-constraint rows, and with them the dimension, the shape and the basis, are
-those of the general route.  Every other point takes sparse_kernel of V_i.
+The graph route.  Where every echelon row of I_d is a unit vector (I_d is
+spanned by monomials, as at every Burch point and monomial subspace, or
+I_d = 0), every constraint row is 1 at one unknown or +-1 at two, over its
+content: the system is the incidence system of a graph on the unknowns and
+one ground vertex.  The route then builds no V_i row, functional or
+constraint row: a union-find over that graph gives the rank (its forest's
+edges), the number of rows (one per kept generator u and column of V_i
+that leads no V_i row) and, on the first access to the basis, the kernel
+(the indicator vector of each component without ground, in the order of
+their largest columns).  These are the dimension, the shape and the basis
+of the row route; the proof is _forest's docstring.  Every other point
+takes the row route: sparse_kernel of each V_i, and the constraint rows.
 
 The route choice.  At n >= 3 (MODULAR_NVARS), when some constraint entry
 is wider than the 61-bit prime of linalg.certified_rank (MODULAR_BITS),
@@ -70,7 +68,7 @@ the tangent space does not change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .apolarity import _slices
@@ -91,9 +89,12 @@ class TangentSpace:
     constraint matrix that cuts it out, and the basepoint's Hilbert
     function.  `basis` holds Hom(I_d, R_d/I_d) matrices (rows: the echelon
     basis of I_d, columns: the monomials of R_d that are no pivot of I_d);
-    it is built on first access from `constraints`, the sparse integer
-    constraint rows, the block width and their kernel where the route
-    certified one (linalg.certified_rank), else None."""
+    it is built on first access from `constraints`, which is (rows, width,
+    kernel, forest): on the row route the sparse integer constraint rows,
+    the block width, their kernel where the route certified one
+    (linalg.certified_rank), else None, and None; on the graph route no
+    rows, the width, None and the union-find forest of _forest, whose
+    components give the basis."""
 
     basepoint: Subspace
     dimension: int
@@ -105,12 +106,17 @@ class TangentSpace:
     def basis(self) -> tuple:
         """linalg.right_kernel's canonical basis of the constraints, each
         vector cut into blocks of the width: linalg.sparse_kernel's
-        primitive vectors (or the certified kernel, the same vectors), each
-        over its entry at its free column."""
-        rows, width, kernel = self.constraints
+        primitive vectors (or the certified kernel, or the forest's
+        component indicators, the same vectors), each over its entry at its
+        free column."""
+        rows, width, kernel, forest = self.constraints
         ncols = self.constraint_shape[1]
+        if forest is not None:
+            kernel = _components(forest)
+        elif kernel is None:
+            kernel = sparse_kernel(rows, ncols)
         basis = []
-        for v in sparse_kernel(rows, ncols) if kernel is None else kernel:
+        for v in kernel:
             den = v[max(v)]  # at its free column
             vector = [QQ(0)] * ncols
             for k, x in v.items():
@@ -125,10 +131,10 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
 
     The unknowns are the entries of omega: I_d -> R_d/I_d.  By the lead rule
     (module docstring) only the echelon rows of I_i whose lead is not x_k
-    times a lead of I_{i-1} are used, and V_i's functionals are taken only
-    in the degrees where one is: read off its rows where I_d is spanned by
-    monomials (the monomial read of the module docstring), else by
-    linalg.sparse_kernel.  Every row is a sparse {column: entry} row; the
+    times a lead of I_{i-1} are used.  Where I_d is spanned by monomials the
+    conditions are edges of a graph, ranked by a union-find (_forest, the
+    graph route).  Elsewhere V_i's functionals come from
+    linalg.sparse_kernel, every row is a sparse {column: entry} row, and the
     constraint rows are ranked by linalg.sparse_rank.  At n >= 3 power-sum
     spans they are denser and carry entries of up to hundreds of bits; where
     one is wider than 61 bits, linalg.certified_rank ranks them (the route
@@ -151,51 +157,41 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
     if h is not None and hilbert.values != h.values:
         raise HilbertMismatchError(
             f"subspace has Hilbert function {hilbert.format()}, not {h.format()}")
-    wanted = set(wanted)
     dim_id = len(slices[d])
     tq = space_dim(n, d) - dim_id  # dim R_d/I_d
+    ncols = dim_id * tq
     # the block offset of the echelon row of I_d at each lead, the column of
     # its unknowns omega_{k, c} less c
     offset = {next(iter(u)): k * tq for k, u in enumerate(slices[d])}
+    generators = _lead_generators(slices, n, d, set(wanted))
+    if all(len(u) == 1 for u in slices[d]):
+        nrows, rank, forest = _forest(generators, offset, n, d, tq)
+        return TangentSpace(lam, ncols - rank, (nrows, ncols), hilbert,
+                            ((), tq, None, forest))
     # one positive integer times each monomial of R_d mod I_d, read at the
     # monomials that are no pivot of I_d
     residuals = _monomial_residuals(slices[d], space_dim(n, d))
-    # the monomial read (module docstring): I_d is spanned by monomials
-    monomial = all(len(u) == 1 for u in slices[d])
     rows: list[dict[int, int]] = []
-    lower: set[int] = set()  # x_k times the leads of I_{i-1}, if constrained; I_0 = 0
-    for i, ii_rows in enumerate(slices[1:d], start=1):
-        if not ii_rows or i not in wanted:
-            lower = set()
-            continue
-        leads = [next(iter(u)) for u in ii_rows]
-        kept = [u for u, p in zip(ii_rows, leads) if p not in lower]
-        lower = {xk[p] for xk in monomial_products(n, 1, i) for p in leads}
-        if not kept:
-            continue
-        ii_pivots = set(leads)
+    for i, kept, ii_pivots in generators:
         nlow = space_dim(n, d - i)
         shift = monomial_products(n, i, d - i)
-        if monomial:
-            functionals = _monomial_functionals(residuals, shift, ii_pivots, tq, nlow)
-        else:
-            # V_i: for each complement monomial w of R_i, the vector
-            # sum_M (w x^M mod I_d) (x) y^M, coordinates (c over comp_d, M)
-            v_rows = []
-            for pos, products in enumerate(shift):
-                if pos in ii_pivots:
-                    continue
-                row = {}
-                for m_idx, k in enumerate(products):
-                    for c, x in residuals[k]:
-                        row[c * nlow + m_idx] = x
-                v_rows.append(row)
-            # membership in V_i: the right kernel of V_i holds, up to
-            # positive factors, the residual functionals
-            # z_l = e_l - sum_k V_k[l] e_{piv_k} of its RREF rows V_k, one per
-            # non-pivot coordinate l
-            functionals = [[divmod(a, nlow) + (x,) for a, x in z.items()]
-                           for z in sparse_kernel(v_rows, tq * nlow)]
+        # V_i: for each complement monomial w of R_i, the vector
+        # sum_M (w x^M mod I_d) (x) y^M, coordinates (c over comp_d, M)
+        v_rows = []
+        for pos, products in enumerate(shift):
+            if pos in ii_pivots:
+                continue
+            row = {}
+            for m_idx, k in enumerate(products):
+                for c, x in residuals[k]:
+                    row[c * nlow + m_idx] = x
+            v_rows.append(row)
+        # membership in V_i: the right kernel of V_i holds, up to
+        # positive factors, the residual functionals
+        # z_l = e_l - sum_k V_k[l] e_{piv_k} of its RREF rows V_k, one per
+        # non-pivot coordinate l
+        functionals = [[divmod(a, nlow) + (x,) for a, x in z.items()]
+                       for z in sparse_kernel(v_rows, tq * nlow)]
         for u in kept:
             # gamma[m_idx]: (block offset of I_d basis vector k, its coefficient
             # in u * x^M) for the nonzero coefficients
@@ -218,41 +214,148 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
     # the dimension is the number of unknowns less the rank; the basis is
     # left to the first access, and so is the kernel, unless the modular
     # route certified it (module docstring)
-    ncols = dim_id * tq
     if n >= MODULAR_NVARS and any(x.bit_length() > MODULAR_BITS
                                   for row in rows for x in row.values()):
         rank, kernel = certified_rank(rows, ncols)
     else:
         rank, kernel = sparse_rank(rows), None
-    return TangentSpace(lam, ncols - rank, (len(rows), ncols), hilbert, (rows, tq, kernel))
+    return TangentSpace(lam, ncols - rank, (len(rows), ncols), hilbert,
+                        (rows, tq, kernel, None))
 
 
-def _monomial_functionals(residuals, shift, ii_pivots, tq: int, nlow: int) -> list:
-    """The functionals sparse_kernel reads off V_i when every echelon row of
-    I_d is a unit vector (the monomial read of the module docstring), in
-    column order, each as (c, M index, entry) terms: (c, m, 1) at a column
-    (c, m) that no row of V_i touches, and (c', m', -1), (c, m, 1) at one
-    that the row led by (c', m') touches, the lead itself giving none."""
-    lead_of = [None] * (tq * nlow)  # column c * nlow + m of a V_i row -> its lead (c', m')
-    for pos, products in enumerate(shift):
-        if pos in ii_pivots:
+def _lead_generators(slices, n: int, d: int, wanted: set) -> list:
+    """(i, kept, leads) for each degree i in wanted, 0 < i < d, that keeps a
+    row of I_i by the lead rule (module docstring): kept the rows of I_i
+    whose lead is not x_k times a lead of I_{i-1}, when degree i - 1 is
+    constrained (I_0 = 0), and leads the set of every lead of I_i."""
+    out = []
+    lower: set[int] = set()  # x_k times the leads of I_{i-1}, if constrained
+    for i, ii_rows in enumerate(slices[1:d], start=1):
+        if not ii_rows or i not in wanted:
+            lower = set()
             continue
-        row = [(r[0][0], m_idx) for m_idx, k in enumerate(products) if (r := residuals[k])]
-        if row:
-            lead = min(row)
-            for c, m_idx in row:
-                lead_of[c * nlow + m_idx] = lead
-    functionals = []
-    column = 0
-    for c in range(tq):
-        for m_idx in range(nlow):
-            lead = lead_of[column]
-            column += 1
-            if lead is None:
-                functionals.append(((c, m_idx, 1),))
-            elif lead != (c, m_idx):
-                functionals.append((lead + (-1,), (c, m_idx, 1)))
-    return functionals
+        leads = [next(iter(u)) for u in ii_rows]
+        kept = [u for u, p in zip(ii_rows, leads) if p not in lower]
+        lower = {xk[p] for xk in monomial_products(n, 1, i) for p in leads}
+        if kept:
+            out.append((i, kept, set(leads)))
+    return out
+
+
+def _forest(generators, offset, n: int, d: int, tq: int) -> tuple:
+    """The graph route: (number of constraint rows, their rank, forest) where
+    every echelon row of I_d is a unit vector, with no row built.  forest
+    is the parent list of a union-find over the unknowns omega_{k, c}
+    (column k tq + c) and a ground vertex after them.
+
+    Proof.  The pairing of R_d with S_d is diagonal on monomials, so I_d =
+    Lambda^perp is spanned by monomials iff Lambda is; then every slice is
+    (apolarity._slices reads them off divisibility): every row of I_i, and
+    so every kept generator u, is a unit vector x^q, and u x^M is the pivot
+    monomial of the row k(M) of I_d for every M of degree d - i.  Each
+    residual of a monomial of R_d mod I_d is empty (a pivot monomial) or one
+    entry D at one free position, D the lcm of the unit leads.  So, with
+    f_c the monomial at free position c, the column (c, M) of V_i is
+    touched by the row of w = f_c / x^M where x^M divides f_c (w is no
+    pivot of I_i, as w x^M is none of I_d) and by no row where it does not
+    (_quotients): the rows of V_i have disjoint supports and every entry D,
+    and each is nonzero (a w that is no pivot of I_i = (I_d : R_{d-i}) has
+    some w x^M that is none of I_d).  Over their contents they are
+    their own reduced echelon form, and linalg.sparse_kernel's functional
+    at a column (c, M) that leads no row is e_(c, M) if no row touches it,
+    else e_(c, M) - e_(c', M') with (c', M') the lead (least column) of the
+    row that holds it; a lead gives none.  Applied to u these give the
+    residuals: for each (u, column) pair exactly one nonzero row,
+    omega_{k(M), c} (an untouched column) or omega_{k(M), c} -
+    omega_{k(M'), c'}, times the entry of u, and k(M) != k(M') since a row
+    of V_i holds one column for each M.  So each row has +-1 at two
+    distinct unknowns, or 1 at one, over its content: the incidence rows of
+    the graph whose edges join the two unknowns, or the one to ground, with
+    ground's column dropped.  The rank of a graph's incidence rows is the
+    number of edges of a spanning forest (the edges of a cycle sum to zero
+    with signs, a forest's are independent, and ground's column is minus
+    the sum of its component's others), the edges a union-find joins two
+    roots by.  The kernel is the vectors constant on each component and 0
+    on ground's: the indicator vector of each component without ground.
+    The rows of such a component C span the sum-zero vectors on C, whose
+    reduced echelon form has every column of C but the largest as a pivot,
+    so C's largest column is its one free column and C's indicator, over
+    its entry there, is sparse_kernel's vector of that column; over all
+    components these come in the order of their largest columns (a
+    component's columns are no other's).  Here each union hangs the smaller
+    root under the larger and ground is numbered after every unknown, and
+    path halving only moves a vertex under a later one, so every parent
+    follows its child: ground stays a root, and each other root is its
+    component's largest column (_components)."""
+    ground = len(offset) * tq
+    parent = list(range(ground + 1))
+    # the monomials of R_d that are no pivot of I_d, by free position c
+    free = [k for k in range(space_dim(n, d)) if k not in offset]
+    nrows = rank = 0
+    for i, kept, _ in generators:
+        # one edge for each column (c, M) of V_i, in column order, that leads
+        # no V_i row: (M, c, M', c') with (c', M') the lead of its row, the
+        # row of w = f_c / x^M, or (M, c, None, None) to ground where x^M
+        # does not divide f_c; a row's first column is its lead
+        edges, lead_of, over = [], {}, _quotients(n, i, d - i)
+        for c, f in enumerate(free):
+            for m_idx, w in enumerate(over[f]):
+                if w is None:
+                    edges.append((m_idx, c, None, None))
+                elif w in lead_of:
+                    edges.append((m_idx, c) + lead_of[w])
+                else:
+                    lead_of[w] = (m_idx, c)
+        nrows += len(kept) * len(edges)
+        shift = monomial_products(n, i, d - i)
+        for u in kept:
+            # the block offset of the row of I_d at u x^M, for each M
+            at = [offset[r] for r in shift[next(iter(u))]]
+            for m_idx, c, m_lead, c_lead in edges:
+                a = at[m_idx] + c
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                if m_lead is None:
+                    b = ground
+                else:
+                    b = at[m_lead] + c_lead
+                    while parent[b] != b:
+                        parent[b] = b = parent[parent[b]]
+                if a != b:
+                    rank += 1
+                    if a < b:
+                        parent[a] = b
+                    else:
+                        parent[b] = a
+    return nrows, rank, parent
+
+
+@lru_cache(maxsize=None)
+def _quotients(n: int, a: int, b: int) -> tuple:
+    """[k][m]: the index of the k-th monomial of degree a + b over the m-th
+    of degree b, or None where that one does not divide it (the inverse of
+    forms.monomial_products)."""
+    out = [[None] * space_dim(n, b) for _ in range(space_dim(n, a + b))]
+    for w, products in enumerate(monomial_products(n, a, b)):
+        for m, k in enumerate(products):
+            out[k][m] = w
+    return tuple(map(tuple, out))
+
+
+def _components(forest) -> list[dict[int, int]]:
+    """The indicator vector {column: 1} of each component of the union-find
+    forest of _forest that does not hold ground (its last vertex), in the
+    order of their largest columns: its roots.  Every parent follows its
+    child, so one sweep down reads each root."""
+    root = list(forest)
+    for a in range(len(root) - 1, -1, -1):
+        root[a] = root[root[a]]
+    ground = len(root) - 1
+    components: dict[int, dict[int, int]] = {}
+    for a in range(ground):
+        if root[a] != ground:
+            components.setdefault(root[a], {})[a] = 1
+    return [components[r] for r in sorted(components)]
 
 
 def _monomial_residuals(rows, width: int) -> list:

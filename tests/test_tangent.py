@@ -497,13 +497,16 @@ def test_the_gorenstein_tangent_is_the_i2_one(monkeypatch):
 
 
 def test_the_basis_is_built_on_first_access_only(monkeypatch, rng):
-    # the route reads the dimension off sparse_rank of the constraint rows
-    # and takes no kernel of them: the kernels it takes are the V_i ones,
-    # none at the unmoved (monomial) point, whose V_i functionals are read
-    # off its rows; the constraint rows' sparse_kernel is taken on the
-    # first basis access, once, on the very rows that were ranked
-    ranked, kernels = [], []
+    # off the monomial locus the route reads the dimension off sparse_rank
+    # of the constraint rows and takes no kernel of them: the kernels it
+    # takes are the V_i ones, and the constraint rows' sparse_kernel is
+    # taken on the first basis access, once, on the very rows that were
+    # ranked.  At the unmoved (monomial) point the graph route calls
+    # neither, and reads the forest's components on the first basis
+    # access, once
+    ranked, kernels, components = [], [], []
     original_rank, original_kernel = tangent.sparse_rank, tangent.sparse_kernel
+    original_components = tangent._components
 
     def recorded_rank(m):
         ranked.append(m)
@@ -513,8 +516,13 @@ def test_the_basis_is_built_on_first_access_only(monkeypatch, rng):
         kernels.append(m)
         return original_kernel(m, ncols)
 
+    def recorded_components(forest):
+        components.append(forest)
+        return original_components(forest)
+
     monkeypatch.setattr(tangent, "sparse_rank", recorded_rank)
     monkeypatch.setattr(tangent, "sparse_kernel", recorded_kernel)
+    monkeypatch.setattr(tangent, "_components", recorded_components)
     h = HilbertFunction.parse("1,2,3,4,5,5,4,3,0")
     points = [(burch_point(h), False), (moved_burch_point(h, rng), True),
               (parse_subspace_lines(TERNARY[9], nvars=3), True)]
@@ -522,15 +530,23 @@ def test_the_basis_is_built_on_first_access_only(monkeypatch, rng):
         dimension, basis, shape = _fraction_tangent_space_dual(lam)
         ranked.clear()
         kernels.clear()
+        components.clear()
         ts = tangent_space(lam)
         assert ts.dimension == dimension and ts.constraint_shape == shape
+        if not takes_v_kernels:
+            assert not ranked and not kernels and not components
+            assert ts.basis == basis and len(components) == 1
+            assert ts.basis is ts.basis and len(components) == 1
+            assert not ranked and not kernels
+            continue
         assert len(ranked) == 1 and len(ranked[0]) == shape[0]
-        assert bool(kernels) == takes_v_kernels
+        assert kernels and not components
         assert not any(m is ranked[0] for m in kernels)
         v_kernels = len(kernels)
         assert ts.basis == basis
         assert len(kernels) == v_kernels + 1 and kernels[-1] is ranked[0]
         assert ts.basis is ts.basis and len(kernels) == v_kernels + 1
+        assert not components
 
 
 def test_degree_subsets_match_the_rational_route():
@@ -579,8 +595,8 @@ def test_no_repeated_row_reaches_the_elimination_core(monkeypatch, rng):
     # the route hands the one elimination core each V_i row once (the
     # constraint rows are only ranked, and their kernel waits for the
     # basis) at the moved points, and none at the unmoved (monomial) ones,
-    # whose V_i functionals are read off their rows and whose slices are
-    # read off divisibility, with no chain step and no back-reduction.  The
+    # which take the graph route and whose slices are read off
+    # divisibility, with no chain step and no back-reduction.  The
     # eliminating chain (apolarity._eliminated_slices, which the moved
     # points take) hands the core its rows as they come, filtering no
     # repeat (one would vanish in the core), yet at these four points none
@@ -712,28 +728,79 @@ def _seeded_spans(nvars, count, seed):
     return spans
 
 
-def test_the_constraint_rows_are_those_of_the_old_builder(rng):
+def _monomial(lam):
+    """Whether every echelon row of I_d is a unit vector: the graph route."""
+    return all(len(u) == 1 for u in _slices(lam)[0][lam.degree])
+
+
+def _general(lam, degrees=None):
+    """The dimension, shape and basis of the old builder's rows: ranked by
+    linalg.sparse_rank, the basis linalg.sparse_kernel's vectors over
+    their entries at their free columns, cut into blocks of dim R_d/I_d."""
+    rows = _old_constraint_rows(lam, degrees)
+    slices, _ = _slices(lam)
+    tq = space_dim(lam.nvars, lam.degree) - len(slices[lam.degree])
+    ncols = len(slices[lam.degree]) * tq
+    basis = tuple(tuple(tuple(QQ(v.get(k, 0), v[max(v)]) for k in range(b, b + tq))
+                        for b in range(0, ncols, tq))
+                  for v in linalg.sparse_kernel(rows, ncols))
+    return ncols - linalg.sparse_rank(rows), (len(rows), ncols), basis
+
+
+def _recorded(monkeypatch):
+    """The names of the calls the route makes to its rank and kernel
+    routines and to tangent._components, in order, in a list kept up to
+    date."""
+    calls = []
+    for name in ("sparse_rank", "sparse_kernel", "certified_rank", "_components"):
+        def call(*args, name=name, func=getattr(tangent, name)):
+            calls.append(name)
+            return func(*args)
+        monkeypatch.setattr(tangent, name, call)
+    return calls
+
+
+def _check_the_graph_route(lam, calls, degrees=None):
+    """At a monomial point: the route's dimension, shape and basis are those
+    of _general; it calls no rank or kernel routine, holds no row, and
+    reads the forest's components on the first basis access only."""
+    expected = _general(lam, degrees)
+    calls.clear()
+    ts = tangent_space(lam, degrees=degrees)
+    assert not calls and ts.constraints[0] == (), (lam, degrees)
+    assert (ts.dimension, ts.constraint_shape, ts.basis) == expected, (lam, degrees)
+    assert ts.basis is ts.basis and calls == ["_components"], (lam, degrees)
+
+
+def test_the_constraint_rows_are_those_of_the_old_builder(monkeypatch, rng):
     # the same rows in the same order, so the dimension, the shape and the
     # basis are too: Burch points with t <= 4, d <= 10, unmoved and moved,
     # the ternary subspaces, seeded n = 3 and n = 4 spans (power sums among
-    # them), and every degrees= subset at the smaller points
+    # them), and every degrees= subset at the smaller points.  At the
+    # monomial ones the graph route builds no row, and its dimension, shape
+    # and basis are those of the old builder's rows
+    calls = _recorded(monkeypatch)
     points = [p for h in all_level_hfs(4, 10) for p in (burch_point(h), moved_burch_point(h, rng))]
     points += [parse_subspace_lines(lines, nvars=n)
                for n, family in ((3, TERNARY), (4, QUATERNARY)) for lines in family]
     points += _seeded_spans(3, 40, 3) + _seeded_spans(4, 25, 4)
     points += [power_sum_span(*p) for p in ((3, 6, 2, 4), (3, 7, 3, 5), (4, 4, 2, 3),
                                              (4, 5, 2, 5))]
-    for lam in points:
-        assert tangent_space(lam).constraints[0] == _old_constraint_rows(lam), lam
     subsets = [burch_point(h) for h in all_level_hfs(3, 7)]
     subsets += [parse_subspace_lines(lines, nvars=3) for lines in TERNARY[:8]]
     subsets += _seeded_spans(3, 10, 5) + _seeded_spans(4, 6, 6)
-    for lam in subsets:
-        inner = range(1, lam.degree)
-        for k in range(1, len(inner) + 1):
-            for degrees in combinations(inner, k):
-                assert tangent_space(lam, degrees=degrees).constraints[0] == \
-                    _old_constraint_rows(lam, degrees), (lam, degrees)
+    routes = set()
+    for lam, degrees in ([(lam, None) for lam in points]
+                         + [(lam, degrees) for lam in subsets
+                            for k in range(1, lam.degree)
+                            for degrees in combinations(range(1, lam.degree), k)]):
+        routes.add(_monomial(lam))
+        if _monomial(lam):
+            _check_the_graph_route(lam, calls, degrees)
+        else:
+            assert tangent_space(lam, degrees=degrees).constraints[0] == \
+                _old_constraint_rows(lam, degrees), (lam, degrees)
+    assert routes == {False, True}
 
 
 # -- the route choice: the certified modular rank at wide n >= 3 rows ---------
@@ -767,7 +834,7 @@ def test_the_certified_rank_runs_only_at_wide_rows_in_three_or_more_variables(mo
         calls.clear()
 
 
-# -- the monomial read: V_i's functionals read off its rows -------------------
+# -- the graph route: a union-find where I_d is spanned by monomials ---------
 
 def _monomial_spans(nvars, count, seed):
     """count spans of distinct monomials of S_d in y1..yn, d <= 8 (n = 2),
@@ -783,55 +850,58 @@ def _monomial_spans(nvars, count, seed):
     return spans
 
 
-def test_the_monomial_read_gives_the_general_rows(monkeypatch):
-    # where every echelon row of I_d is a unit vector the route reads V_i's
-    # functionals off its rows and takes no sparse_kernel; the constraint
-    # rows are those of the general route (the old builder's copy, which
-    # takes them from sparse_kernel), so the dimension, shape and basis are
-    # too.  Off that locus the route still takes V_i's sparse_kernel.
-    kernels = []
-    original_kernel = tangent.sparse_kernel
+def _ground_depth(rows):
+    """The most edges on a shortest path from ground to an unknown of the
+    graph of incidence rows: a one-entry row joins its column to ground, a
+    two-entry row its two columns."""
+    neighbours = {}
+    for row in rows:
+        ends = list(row) if len(row) == 2 else [*row, "ground"]
+        for a, b in (ends, ends[::-1]):
+            neighbours.setdefault(a, set()).add(b)
+    depth, frontier, seen = 0, {"ground"}, {"ground"}
+    while frontier:
+        frontier = {b for a in frontier for b in neighbours.get(a, ()) if b not in seen}
+        seen |= frontier
+        depth += bool(frontier)
+    return depth
 
-    def counted_kernel(m, ncols):
-        kernels.append(ncols)
-        return original_kernel(m, ncols)
 
-    def general(lam, degrees=None):
-        """dimension, shape and basis of the old builder's rows."""
-        rows = _old_constraint_rows(lam, degrees)
-        slices, hilbert = _slices(lam)
-        tq = space_dim(lam.nvars, lam.degree) - len(slices[lam.degree])
-        ncols = len(slices[lam.degree]) * tq
-        ts = tangent.TangentSpace(lam, ncols - linalg.sparse_rank(rows), (len(rows), ncols),
-                                  hilbert, (rows, tq, None))
-        return rows, ts.dimension, ts.constraint_shape, ts.basis
-
-    def check(lam, degrees=None):
-        assert all(len(u) == 1 for u in _slices(lam)[0][lam.degree]), lam
-        kernels.clear()
-        ts = tangent_space(lam, degrees=degrees)
-        assert not kernels, (lam, degrees)
-        assert (ts.constraints[0], ts.dimension, ts.constraint_shape, ts.basis) == \
-            general(lam, degrees), (lam, degrees)
-
-    monkeypatch.setattr(tangent, "sparse_kernel", counted_kernel)
-    points = [burch_point(h) for h in all_level_hfs(4, 12)] + list(tangent_pool_points())
+def test_the_graph_route_gives_the_general_outputs(monkeypatch):
+    # where every echelon row of I_d is a unit vector the route ranks a
+    # graph and calls no rank or kernel routine; its dimension, shape and
+    # basis are those of the old builder's rows (which take V_i's
+    # functionals from sparse_kernel), ranked by the core.  The points hold
+    # components joined to ground through a chain of difference edges
+    # only, and Lambda = S_d (I_d = 0, every row a unit vector).  Off that
+    # locus the route still takes V_i's sparse_kernel, and its rows are the
+    # old builder's
+    calls = _recorded(monkeypatch)
+    hs = list(all_level_hfs(4, 12))
+    points = [burch_point(h) for h in hs] + list(tangent_pool_points())
     points += [parse_subspace_lines(lines, nvars=3) for lines in TERNARY[:8]]
     points += _monomial_spans(2, 40, 7) + _monomial_spans(3, 30, 8) + _monomial_spans(4, 20, 9)
     # Lambda = S_d: I_d = 0, whose rows are all unit vectors
-    points += [Subspace.span(n, d, "S", [Form.monomial(n, "S", m) for m in monomials(n, d)])
-               for n, d in ((1, 3), (2, 1), (2, 5), (3, 3), (4, 2))]
+    whole = [Subspace.span(n, d, "S", [Form.monomial(n, "S", m) for m in monomials(n, d)])
+             for n, d in ((1, 3), (2, 1), (2, 5), (3, 3), (4, 2))]
+    points += whole
     for lam in points:
-        check(lam)
+        assert _monomial(lam), lam
+        _check_the_graph_route(lam, calls)
     assert {lam.nvars for lam in points} == {1, 2, 3, 4}
+    assert max(_ground_depth(_old_constraint_rows(lam)) for lam in points) >= 3
+    # the n = 2 closed formula at every binary Burch point, t <= 4, d <= 12
+    for h, lam in zip(hs, points):
+        assert tangent_space(lam).dimension == dim_stratum(h), h.format()
     subsets = [burch_point(h) for h in all_level_hfs(3, 7)]
     subsets += [parse_subspace_lines(lines, nvars=3) for lines in TERNARY[:8]]
     subsets += _monomial_spans(2, 10, 10) + _monomial_spans(3, 8, 11) + _monomial_spans(4, 6, 12)
+    subsets += whole
     for lam in subsets:
         inner = range(1, lam.degree)
         for k in range(1, len(inner) + 1):
             for degrees in combinations(inner, k):
-                check(lam, degrees)
+                _check_the_graph_route(lam, calls, degrees)
     # Burch points moved by [[3, -4], [4, 3]] (with I_i != 0 for some
     # 0 < i < d), power-sum spans and the ternary spans that are not
     # monomial take V_i's kernels
@@ -841,8 +911,8 @@ def test_the_monomial_read_gives_the_general_rows(monkeypatch):
     others += [parse_subspace_lines(lines, nvars=3) for lines in TERNARY[8:]]
     others += [power_sum_span(*p) for p in ((3, 6, 2, 4), (4, 4, 2, 3))]
     for lam in others:
-        assert not all(len(u) == 1 for u in _slices(lam)[0][lam.degree]), lam
-        kernels.clear()
+        assert not _monomial(lam), lam
+        calls.clear()
         ts = tangent_space(lam)
-        assert kernels, lam
+        assert "sparse_kernel" in calls, lam
         assert ts.constraints[0] == _old_constraint_rows(lam), lam

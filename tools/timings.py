@@ -22,7 +22,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
 sys.path[:0] = [SRC, str(ROOT / "tests")]
 
-from conftest import burch_point, power_sum_span, random_subspace  # noqa: E402
+from conftest import (burch_point, power_sum_span, random_subspace,  # noqa: E402
+                      tangent_pool_points)
 from levelalg import apolarity, levelhf, linalg, secant, tangent  # noqa: E402
 from levelalg.forms import Form, form_print, monomials  # noqa: E402
 
@@ -138,7 +139,9 @@ def source_counts():
 def tangent_6_16():
     """Tangent route at the (6, 16) workload Burch points and one moved point"""
     # the chain steps stop at the first zero slice; the V_i kernels are the
-    # route's sparse_kernel calls.  The monomial Burch points take neither
+    # row route's sparse_kernel calls.  The monomial Burch points take
+    # neither: their slices are read off divisibility, and their
+    # constraints are ranked as a graph (the graph route)
     first, second = workload_hfs(6, 16)
     for name, lam in ((first.format(), burch_point(first)), (second.format(), burch_point(second)),
                       (f"{first.format()} moved by {MOVE}", moved(first)[1])):
@@ -148,21 +151,47 @@ def tangent_6_16():
             with recording((apolarity, "_chain_step"), (tangent, "sparse_kernel")) as calls:
                 ts, elapsed = timed(tangent.tangent_space, lam)
                 kernels = len(calls["sparse_kernel"])
-                # the route only ranks the constraint rows; their kernel
-                # and the basis wait for the first basis access
+                # the route only ranks the constraints; their kernel and
+                # the basis wait for the first basis access
                 basis_ms = timed(getattr, ts, "basis")[1]
             steps = len(calls["_chain_step"])
-            route = (f"slices by the divisibility read ({steps} chain steps)"
-                     if monomial else f"{steps} chain steps of d = {lam.degree}")
-            rows, cols = ts.constraint_shape
+            slices = (f"slices by the divisibility read ({steps} chain steps)"
+                      if monomial else f"{steps} chain steps of d = {lam.degree}")
             yield (f"tangent_space, {label}, at {name}: {elapsed:.2f} ms, "
-                   f"constraints {rows}x{cols}, {kernels} V_i kernels, {route}, "
+                   f"{route(ts, kernels)}, {slices}, "
                    f"first basis access (constraint kernel included) {basis_ms:.2f} ms")
         # the slices alone, on a copy that holds none, after the cold call
         # so that both read the same warm tables
         chain_ms = timed(apolarity._slices, dataclasses.replace(lam))[1]
-        route = "divisibility read" if monomial else "derivative chain"
-        yield f"{route} alone (apolarity._slices on a fresh copy) at {name}: {chain_ms:.2f} ms"
+        reader = "divisibility read" if monomial else "derivative chain"
+        yield f"{reader} alone (apolarity._slices on a fresh copy) at {name}: {chain_ms:.2f} ms"
+
+
+def route(ts, kernels: int) -> str:
+    """The route of a TangentSpace, with its size: the graph route's
+    unknowns and components (ground's included), or the row route's
+    constraint rows and the V_i kernels it took."""
+    rows, cols = ts.constraint_shape
+    forest = ts.constraints[3]
+    if forest is not None:
+        return f"graph: {cols} unknowns, {sum(a == p for a, p in enumerate(forest))} components"
+    return f"rows {rows}x{cols}, {kernels} V_i kernels"
+
+
+def tangent_pool():
+    """Warm tangent_space over the Burch points of the tangent_burch pool"""
+    # a first call holds each point's slices, as the benchmark's second
+    # pass finds them; the route counts come from that call
+    points = list(tangent_pool_points())
+    routes: dict[str, int] = {}
+    for lam in points:
+        name = "rows" if tangent.tangent_space(lam).constraints[3] is None else "graph"
+        routes[name] = routes.get(name, 0) + 1
+    best = min(timed(lambda: [tangent.tangent_space(lam) for lam in points])[1]
+               for _ in range(5))
+    counts = ", ".join(f"{name} {count}" for name, count in sorted(routes.items()))
+    yield (f"warm tangent_space over the {len(points)} pool points (min of 5 passes): "
+           f"{best:.2f} ms; routes: {counts}")
 
 
 def power_sums():
@@ -312,7 +341,8 @@ def seeded_inputs():
                    f"hankel-rank -i 20 at the first of {binary}")[0]
 
 
-IN_PROCESS = (source_counts, tangent_6_16, power_sums, apolar_profiles, moved_4_12, round_trip)
+IN_PROCESS = (source_counts, tangent_6_16, tangent_pool, power_sums, apolar_profiles, moved_4_12,
+              round_trip)
 CLI = (startup, rank_loci, lascoux_box, seeded_inputs)
 
 
