@@ -1,66 +1,14 @@
 """Apolarity: the differentiation action of R on S and everything built on it.
 
 The internal product u.F = u(d/dy1, ..., d/dyn) F makes S a graded R-module.
-From it we get catalecticant matrices, Hilbert functions, annihilator
-ideals, inverse systems and socles.  Everything is exact kernel/rank
-computation; no factorization is ever performed.
-
-The annihilator slices of Lambda in S_d come from its derivative chain
-(Macaulay duality; Iarrobino-Kanev, LNM 1721, 1.1): I_j kills exactly
-Lambda_j = R_{d-j}.Lambda, h_j = dim Lambda_j, and Lambda_{j-1} =
-R_1.Lambda_j, from j = d down to the first degree where I_j = 0, below
-which every slice is 0 too.  The slices are computed whole on the first
-read of any of them and held on Lambda for every reader (_slices).  Where
-Lambda is spanned by monomials (every Burch point and monomial subspace)
-the chain is read off divisibility, with no elimination: Lambda_j is
-spanned by the monomials of degree j that divide one of Lambda, and I_j by
-the other monomials (see _slices for the proof).  Every other Lambda takes
-the eliminating chain (_eliminated_slices).  In divided-power coordinates
-(b! times the coefficient of y^b, b! from forms.divided_power_weights) x_k
-acts by an index shift and the pairing of R_j with S_j is the dot product,
-so each I_j is the right kernel of a spanning set of Lambda_j, one small
-elimination per degree.  The spanning set of Lambda_{j-1} is
-not R_1 times every echelon row of Lambda_j: x1 contracts every one, and
-x2, ..., xn only the rows N_j whose lead no row of x1.Lambda_{j+1} gave,
-since Lambda_j = x1.Lambda_{j+1} + span N_j and so x_k.Lambda_j lies in
-x1.Lambda_j + x_k.N_j (see _chain_step for the proof).  At n = 2, N_j
-holds at most t rows, so a step gets at most h_j + t rows where R_1 times
-every echelon row gave it 2 h_j.  The same duality makes R/ann(Lambda)
-level of socle degree d and type dim Lambda, so the apolar profile states
-that socle and computes none; socle() reads the socle of an arbitrary
-artin quotient R/I, which need not be level, off its inverse system: in
-degree j it is dual to (I^-1)_j modulo R_1.(I^-1)_{j+1}.
-
-The apolar pass reads the minimal generators off the slices: those of
-degree j complement R_1.I_{j-1} in I_j, so there are dim I_j -
-rank(R_1.I_{j-1}) of them, and the pass leaves a degree once it has found
-that many.  R_1.I_{j-1} lies in I_j, so its rank is at most dim I_j - f_j
-for any lower bound f_j on that count, and its elimination stops there:
-f_j = 0 at every n but 2, where f_j is the count itself, the Hilbert-Burch
-e_j = -Delta^2 h_j, known before any elimination, and a degree with e_j =
-0 is skipped (see _apolar_pass for the proofs).  At n >= 3 a degree that
-holds no generator then costs only the rows up to the first that bring
-the rank to dim I_j.  The chain's eliminations stop the same way, at dim
-S_j, the width of the span of Lambda_j.
-
-R acts on S in one place, _contract (and _moved, which it calls with the
-column maps of every monomial of R_k, and the chain with those of x1 and
-of x2, ..., xn apart): in divided-power coordinates x^a acts by the index
-shift of forms.monomial_products, and the catalecticants, the internal
-product, the derivative chain, the socle and secant's Hankel matrices all
-call it.  It takes and returns rows of S as
-sparse {column: nonzero entry} rows whose columns count the monomial order
-from its end (w_b at column top - b, top = dim S_j - 1): in that order the
-kernel linalg's core reads off them is the reduced echelon basis of the
-annihilator.  The chain holds Lambda and every Lambda_j in that format,
-and the chain and the socle hand _contract's rows to the core as they
-are; the catalecticants, the internal product and the Hankel matrices
-read them back dense (_dense).  _divided_power_row is the one
-place a row is taken to those coordinates (by the weights b! of
-forms.divided_power_weights).  _placed is the one multiplication kernel:
-it places a sparse row of R at its products with the monomials of R_k,
-for the condition rows of an ideal and for R_1 times a slice.  The
-slices I_j are sparse rows of R_j in the original columns.
+From it we get catalecticant matrices, Hilbert functions, annihilator ideals,
+inverse systems and socles, by exact kernel and rank computations, with no
+factorization.  The arguments rest on Macaulay duality (Iarrobino-Kanev, LNM
+1721, 1.1), each in the function that relies on it: the slices of ann(Lambda)
+in _slices (the divisibility read) and _chain_step (the span rule and the dim
+S_j stop), the minimal generators in _apolar_pass (the stop bound dim I_j -
+f_j), the level property in apolar_profile, the socle of an artin quotient in
+socle.  R acts on S only in _contract, and multiplies R only in _placed.
 """
 
 from __future__ import annotations
@@ -137,11 +85,9 @@ def hilbert_function(lam: Subspace) -> HilbertFunction:
 def ann_slice(lam: Subspace, j: int) -> Subspace:
     """I_j = {u in R_j : u.F = 0 for all F in Lambda}, a subspace of R_j.
 
-    dim I_j + h_j = dim R_j.  For j > d every operator annihilates, so the
-    slice is all of R_j.  For 0 <= j <= d it is read off the slices the
-    derivative chain holds on Lambda (_slices), which a first read runs
-    whole, whatever j it asks for.  The held sparse rows are read back
-    dense here, where the Subspace is built.
+    For j > d every operator annihilates, so the slice is all of R_j.  For
+    0 <= j <= d it is read off the slices held on Lambda (see _slices), all
+    of which a first read computes, whatever j it asks for.
     """
     if j < 0:
         raise DegreeError("negative slice degree")
@@ -154,33 +100,34 @@ def ann_slice(lam: Subspace, j: int) -> Subspace:
 
 def _slices(lam: Subspace) -> tuple[tuple, HilbertFunction]:
     """The slices I_0, ..., I_d of ann(Lambda), Lambda != 0, as sparse rows
-    of R_j in the original columns (I_0 = 0, as 1 kills no nonzero form),
-    and the Hilbert function h_j = dim R_j - dim I_j.  The only place a
-    slice is computed: once per Lambda instance, on the first read, and
-    held on lam, which is frozen, for ann_slice, the apolar pass and the
-    tangent route, which read it in one step.  Nothing is held until the
-    slices are whole, so a step that raises leaves lam as it was.
+    of R_j in the original columns, each with its columns in increasing
+    order, so that its first key is its lead (I_0 = 0, as 1 kills no
+    nonzero form), and h_j = dim R_j - dim I_j.  By Macaulay duality I_j
+    is the annihilator in R_j of Lambda_j = R_{d-j}.Lambda =
+    R_1.Lambda_{j+1}, so h_j = dim Lambda_j.  The only place a slice is
+    computed: once per Lambda instance, on the first read, and held on
+    lam, which is frozen, for every reader, in one step.  Nothing is held
+    until the slices are whole, so a step that raises leaves lam as it was.
 
     Where some echelon row of Lambda has more than one nonzero entry, the
-    slices are the derivative chain's (_eliminated_slices).  Where every
-    one is a unit vector (Lambda is spanned by monomials: every Burch point
-    and monomial subspace), they are read off divisibility, with no
-    elimination, and are the chain's, row for row and key for key, with
-    the same h.  Proof: write Lambda_j = R_{d-j}.Lambda = R_1.Lambda_{j+1}.
-    x^a.y^b = (b!/(b-a)!) y^{b-a} if a <= b and 0 otherwise, so if
-    Lambda_j is spanned by the monomials y^g, g in G_j, then Lambda_{j-1}
-    is spanned by the y^g with g + e_k in G_j for some k: the divisors of
+    slices are the derivative chain's (_eliminated_slices).  Where every one
+    is a unit vector (Lambda is spanned by monomials: every Burch point and
+    monomial subspace), they are read off divisibility, with no elimination,
+    and are the chain's, row for row and key for key, with the same h.
+    Proof: x^a.y^b = (b!/(b-a)!) y^{b-a} if a <= b and 0 otherwise, so if
+    Lambda_j is spanned by the monomials y^g, g in G_j, then Lambda_{j-1} is
+    spanned by the y^g with g + e_k in G_j for some k: the divisors of
     degree j - 1 of the monomials of Lambda_j, read off
-    forms.monomial_products(n, 1, j - 1), where g x_k has index
-    shift_k[g].  G_d is Lambda's pivots, and h_j = |G_j|.  At equal
-    degree x^a.y^b = a! if a = b and 0 otherwise: the pairing of R_j with
-    S_j is diagonal on monomials, so u kills Lambda_j iff u has no term
-    x^g, g in G_j, and I_j is spanned by the x^c, c outside G_j.  Its
-    reduced echelon basis is those unit rows in increasing column order,
-    and the chain's rows are that basis up to positive scales, each
-    primitive (linalg._kernel), so each is {c: 1}.  The read stops where
-    the chain does: at the first j with I_j = 0 (G_j = all of S_j) or at
-    j = 1, with every slice below it () and h_j = dim R_j there."""
+    forms.monomial_products(n, 1, j - 1), where g x_k has index shift_k[g].
+    G_d is Lambda's pivots, and h_j = |G_j|.  At equal degree x^a.y^b = a!
+    if a = b and 0 otherwise: the pairing of R_j with S_j is diagonal on
+    monomials, so u kills Lambda_j iff u has no term x^g, g in G_j, and I_j
+    is spanned by the x^c, c outside G_j.  Its reduced echelon basis is
+    those unit rows in increasing column order, and the chain's rows are
+    that basis up to positive scales, each primitive (linalg._kernel), so
+    each is {c: 1}.  The read stops where the chain does: at the first j
+    with I_j = 0 (G_j = all of S_j) or at j = 1, with every slice below it
+    () and h_j = dim R_j there."""
     held = lam.__dict__.get("_slices")
     if held is not None:
         return held
@@ -206,9 +153,8 @@ def _eliminated_slices(lam: Subspace) -> tuple[tuple, HilbertFunction]:
     """The slices and Hilbert function of _slices, Lambda != 0, by the
     derivative chain, one _chain_step a degree, and not held on lam.
 
-    Each step gets the span the step before it returned (x1 contracting
-    every echelon row of Lambda_{j+1}, x2, ..., xn contracting its rows
-    N_{j+1}), and the first, at d, gets ((), Lambda's divided-power rows):
+    Each step gets the span the step before it returned (see _chain_step),
+    and the first, at d, gets ((), Lambda's divided-power rows):
     Lambda_{d+1} = 0, and every row of Lambda is new.  At d = 0 no step
     runs.  The chain stops at the first step that returns no span, at j =
     1 or where the kernel I_j is empty: every lower slice is then ().
@@ -235,7 +181,7 @@ def _divided_power_row(nvars: int, degree: int, row) -> dict:
     """The coefficient vector row of a form in S_degree in divided-power
     coordinates w_b = b! * (coefficient of y^b), b! = b_1! ... b_n!, as a
     sparse row of _contract's: w_b at column top - b, in increasing column
-    order."""
+    order.  The one place a row is taken to those coordinates."""
     weights = divided_power_weights(nvars, degree)
     return {k: c * w for k, (c, w) in enumerate(zip(reversed(row), reversed(weights))) if c}
 
@@ -251,9 +197,14 @@ def _contract(rows, nvars: int, k: int, m: int) -> list[dict]:
     form of S_{k+m} in divided-power coordinates, as rows of S_m in the same
     coordinates: the one place R acts on S, by _moved over the column maps
     of _column_maps.  There x^a.y^b = (b!/g!) y^g for b = a + g, so w_g of
-    x^a.F is F's w_b.  A row with its columns in increasing order gives rows
-    with theirs in increasing order, since multiplying by x^a keeps the
-    monomial order."""
+    x^a.F is F's w_b: x^a acts by the index shift of
+    forms.monomial_products.  A row of S_j is a sparse {column: nonzero
+    entry} row whose columns count the monomial order from its end (w_b at
+    column top - b, top = dim S_j - 1), the order in which linalg's core
+    reads the annihilator's reduced echelon basis off the rows (see
+    _chain_step); _dense reads one back in the monomial order.  A row with
+    its columns in increasing order gives rows with theirs in increasing
+    order, since multiplying by x^a keeps the monomial order."""
     return _moved(rows, _column_maps(nvars, k, m))
 
 
@@ -262,8 +213,8 @@ def _column_maps(nvars: int, k: int, m: int) -> tuple[dict[int, int], ...]:
     """For each monomial x^a of R_k, in order, the map taking the column of
     w_b in a row of S_{k+m} to the column of w_g in a row of S_m, b = a + g:
     the shift of x^a in forms.monomial_products(nvars, k, m), read from the
-    end of the monomial order, as the rows count their columns (module
-    docstring).  Read only, never changed."""
+    end of the monomial order, as the rows count their columns (see
+    _contract).  Read only, never changed."""
     top = space_dim(nvars, k + m) - 1
     return tuple({top - b: g for g, b in enumerate(reversed(shift))}
                  for shift in monomial_products(nvars, k, m))
@@ -279,29 +230,28 @@ def _moved(rows, maps) -> list[dict]:
 def _chain_step(nvars: int, j: int, span):
     """I_j, and the span of Lambda_{j-1} (None at j = 1 and where I_j = 0,
     where the chain stops), from the span of Lambda_j, by one elimination
-    that takes the shifted rows first.
-    A span is a pair (shifted, new) of sparse rows of S_j as _contract
-    writes them: shifted spans x1.Lambda_{j+1} (empty at j = d, with
-    Lambda_{d+1} = 0), and with new it spans Lambda_j.
+    that takes the shifted rows first.  A span is a pair (shifted, new) of
+    sparse rows of S_j as _contract writes them: shifted spans
+    x1.Lambda_{j+1} (empty at j = d, with Lambda_{d+1} = 0), and with new it
+    spans Lambda_j.
 
     There u.G = sum u_b w_b for u in R_j and G in S_j, so I_j is the right
     kernel of the span.  The shifted rows go into linalg's core first, by a
     forward pass of their own, and the new rows go on from its pivot rows
-    (the core's start) into the elimination that is back-reduced.  The
-    rows go in as they come: a zero row is skipped, and a row in the span
-    of the pivot rows before it (a repeat, say) vanishes in the core and
-    leaves them as they were, so the pivot rows, the kernel and the next
-    span are those of the rows without it.  Counted
-    from the end of the monomial order, as they are, the kernel
-    linalg._kernel reads off the back-reduced rows, renumbered into the
-    original columns and in reverse order, is the reduced echelon basis of
-    I_j up to positive row scales: each vector is zero right of its free
-    column and at the other free columns, so read back it starts at its own
-    column, where the others are zero.  Every row of I_j is written with
-    its columns in increasing order, so its first key is its lead, min(row),
-    which the tangent route reads: _kernel writes each vector with its
-    pivot columns in increasing order and its free column, right of them
-    all, last, and the renumbering reads it back from its end.
+    (the core's start) into the elimination that is back-reduced.  The rows
+    go in as they come: a zero row is skipped, and a row in the span of the
+    pivot rows before it (a repeat, say) vanishes in the core and leaves
+    them as they were, so the pivot rows, the kernel and the next span are
+    those of the rows without it.  Counted from the end of the monomial
+    order, as they are, the kernel linalg._kernel reads off the back-reduced
+    rows, renumbered into the original columns and in reverse order, is the
+    reduced echelon basis of I_j up to positive row scales, by the argument
+    of linalg.echelon_kernel (_kernel's vectors are
+    linalg._back_substitution's).  Every row of I_j is written with its
+    columns in increasing order, so its first key is its lead, min(row):
+    _kernel writes each vector with its pivot columns in increasing order
+    and its free column, right of them all, last, and the renumbering reads
+    it back from its end.
 
     The span of Lambda_{j-1}: x1 contracting every back-reduced row, and x2,
     ..., xn contracting only N_j, the back-reduced rows whose lead is no
@@ -338,18 +288,15 @@ def _chain_step(nvars: int, j: int, span):
 
 def _apolar_pass(lam: Subspace):
     """(Hilbert function, minimal generators) of ann(Lambda), both tuples,
-    from the slices I_0 = 0, I_1, ..., I_d and h_j = dim R_j - dim I_j
-    that the chain holds on lam (_slices).  Each echelon row of I_j (j <=
-    d + 1, with I_{d+1} = R_{d+1}, whose unit rows enter as they are) is
-    reduced against the pivot rows of the forward elimination of R_1 *
-    I_{j-1} and the generators found before it, each kept as a pivot row
-    at its lead, all of them sparse rows; the residual (the one vector of
-    row + span zero at every pivot column, up to scale, whatever basis is
-    taken) is a generator if nonzero.  Each reduction step divides by the content,
-    as each later residual is cross-multiplied against the rows before it,
-    and the monic form of a generator is built from it once.  The result
-    is kept on lam, which is frozen, for as long as lam lives, so the pass
-    runs once per Lambda instance.
+    from the slices I_0 = 0, I_1, ..., I_d and h held on lam (see _slices).
+    Each echelon row of I_j (j <= d + 1, with I_{d+1} = R_{d+1}, whose unit
+    rows enter as they are) is reduced against the pivot rows of the forward
+    elimination of R_1 * I_{j-1} and the generators found before it, each
+    kept as a pivot row at its lead, all of them sparse rows; the residual
+    (the one vector of row + span zero at every pivot column, up to scale,
+    whatever basis is taken) is a generator if nonzero.  The result is kept
+    on lam, which is frozen, for as long as lam lives, so the pass runs once
+    per Lambda instance.
 
     Degree j holds e_j = dim I_j - rank(R_1 * I_{j-1}) generators, read
     off the elimination of R_1 * I_{j-1}, and the pass leaves it once it
@@ -362,24 +309,23 @@ def _apolar_pass(lam: Subspace):
 
     The elimination of R_1 * I_{j-1} stops (linalg._sparse_echelon's stop)
     once it holds dim I_j - f_j pivot rows, f_j a lower bound on e_j:
-    f_j = e_j at n = 2 (below) and 0 at every other n.  Proof: R_1 *
-    I_{j-1} lies in I_j, since I is an ideal, so its rank dim I_j - e_j is
-    at most dim I_j - f_j.  Once the elimination holds that many pivot
-    rows it holds the rank, every later row of it would vanish, and the
-    pivot rows are those the whole elimination would give, so the
-    residuals and generators are too.  At n >= 3, where a degree often
-    holds no generator (dense spans are compressed: Iarrobino, Trans. AMS
-    285, 1984), such a degree takes the rows up to the first that bring
-    the rank to dim I_j, and reduces none.  At n = 2, e_j = 2h_{j-1} - h_j
-    - h_{j-2} is known before any elimination, so a degree with e_j = 0
-    is skipped before R_1 * I_{j-1} is eliminated.  Proof of the count:
-    A = R/ann(Lambda) is level of socle degree d and type t (see
-    apolar_profile), so by Hilbert-Burch its minimal resolution is 0 ->
-    R(-d-2)^t -> sum_i R(-q_i) -> R -> A, the last module dual to the
-    socle.  Hence
-    (1 - z)^2 sum_j h_j z^j = 1 - sum_i z^{q_i} + t z^{d+2}, and every
-    q_i <= d + 1 since I_{d+1} = R_{d+1}.  Read at z^j, 1 <= j <= d + 1:
-    the number of generators of degree j is -Delta^2 h_j,
+    f_j = e_j at n = 2 (below) and 0 at every other n.  Proof: R_1 * I_{j-1}
+    lies in I_j, since I is an ideal, so its rank dim I_j - e_j is at most
+    dim I_j - f_j.  Once the elimination holds that many pivot rows it holds
+    the rank, every later row of it would vanish, and the pivot rows are
+    those the whole elimination would give, so the residuals and generators
+    are too.  At n >= 3, where a degree often holds no generator (dense
+    spans are compressed: Iarrobino, Trans. AMS 285, 1984), such a degree
+    takes the rows up to the first that bring the rank to dim I_j, and
+    reduces none.  At n = 2, e_j = 2h_{j-1} - h_j - h_{j-2} is known before
+    any elimination, so a degree with e_j = 0 is skipped before R_1 *
+    I_{j-1} is eliminated.  Proof of the count: A = R/ann(Lambda) is level
+    of socle degree d and type t (see apolar_profile), so by Hilbert-Burch
+    its minimal resolution is 0 -> R(-d-2)^t -> sum_i R(-q_i) -> R -> A, the
+    last module dual to the socle.  Hence
+        (1 - z)^2 sum_j h_j z^j = 1 - sum_i z^{q_i} + t z^{d+2},
+    and every q_i <= d + 1 since I_{d+1} = R_{d+1}.  Read at z^j, 1 <= j <=
+    d + 1: the number of generators of degree j is -Delta^2 h_j, that is
     levelhf.e_sequence's count.
     """
     memo = lam.__dict__.get("_apolar_pass")
@@ -433,15 +379,8 @@ def minimal_generators(lam: Subspace) -> list[tuple[int, list[Form]]]:
     inside I_j; past d + 1, I_j = R_j = R_1 * I_{j-1} holds none.  So by
     graded Nakayama the list is a minimal generating set of ann(Lambda) for
     every n, and for n = 2 its counts are the e-sequence of the Hilbert
-    function.  apolar_profile, minimal_generators and secant_decompose
-    share one apolar pass per Lambda instance, which reads the slices of the
-    derivative chain held on Lambda; each call returns new lists.
-
-    The pass leaves each degree once it holds its dim I_j -
-    rank(R_1 * I_{j-1}) generators, and for n = 2 skips each degree where
-    that count e_j is 0.  At every n, R_1 * I_{j-1} lies in I_j, so its
-    elimination stops at the bound dim I_j - f_j on its rank, f_j = e_j at
-    n = 2 and 0 otherwise; see _apolar_pass for the proofs.
+    function.  The generators come from the apolar pass (see _apolar_pass);
+    each call returns new lists.
     """
     if lam.dim == 0:
         raise ZeroSubspaceError("ann of the zero subspace is the whole ring")
@@ -472,10 +411,9 @@ def _condition_rows(gens: list[Form], nvars: int, d: int) -> list[dict[int, int]
     R_{d-q}, as sparse rows: rows spanning I_d, I the ideal the gens
     generate.  They are the conditions on F in S_d in divided-power
     coordinates w_b = b! * (coefficient of y^b): the coefficient of y^c in
-    g.F is (x^c g).w / c!, since u.F = sum u_b w_b for u in R_d;
-    inverse_system_slice and socle read their kernel.  At n = 2 they are
-    shifted copies of g's coefficients.  Column c of monomial_products(n,
-    q, d - q), the table the tangent route reads, places them."""
+    g.F is (x^c g).w / c!, since u.F = sum u_b w_b for u in R_d.  At n = 2
+    they are shifted copies of g's coefficients.  Column c of
+    monomial_products(n, q, d - q) places them."""
     rows = []
     for g in gens:
         if g.degree <= d and not g.is_zero:
@@ -496,8 +434,7 @@ def _placed(shifts, rows):
     """For each shift (shift outermost) and sparse row ({column: nonzero
     entry}), the sparse row holding row[m] at shift[m]: x^c * b for the
     monomial x^c whose products a shift indexes.  A generator, so a reader
-    that stops early (the pass, at its rank bound dim I_j - f_j) builds no
-    row it does not take."""
+    that stops early (see _apolar_pass) builds no row it does not take."""
     return ({shift[m]: c for m, c in row.items()} for shift in shifts for row in rows)
 
 
@@ -515,14 +452,14 @@ def socle(gens: list[Form], nvars: int) -> list[tuple[int, int]]:
     vanish in degree b = (the sum of the n largest generator degrees) - n +
     2, or in degree 0 if b < 0, otherwise NotArtinError.  By Macaulay
     duality (Iarrobino-Kanev, LNM 1721, 1.1) the socle in degree j is dual
-    to (I^-1)_j modulo R_1.(I^-1)_{j+1}: u in (R/I)_j kills
-    R_1.(I^-1)_{j+1} iff every x_i u kills (I^-1)_{j+1}, iff every x_i u
-    lies in I_{j+1}.  So (I^-1)_j is taken, in divided-power coordinates,
-    as the kernel of _condition_rows up to the first that is 0 (linalg's
-    sparse_kernel, in the columns _contract reads), and the
-    socle dimension in degree j is dim (I^-1)_j - rank(R_1.(I^-1)_{j+1}),
-    by one rank (linalg.sparse_rank) per degree.  An artin quotient need
-    not be level, unlike the apolar profile's.
+    to (I^-1)_j modulo R_1.(I^-1)_{j+1}: u in (R/I)_j kills R_1.(I^-1)_{j+1}
+    iff every x_i u kills (I^-1)_{j+1}, iff every x_i u lies in I_{j+1}.  So
+    (I^-1)_j is taken, in divided-power coordinates, as the kernel of
+    _condition_rows up to the first that is 0 (linalg's sparse_kernel, in
+    the columns _contract reads), and the socle dimension in degree j is dim
+    (I^-1)_j - rank(R_1.(I^-1)_{j+1}), by one rank (linalg.sparse_rank) per
+    degree.  An artin quotient need not be level, unlike the apolar
+    profile's.
     """
     gens = [g for g in gens if not g.is_zero]
     if len(gens) < nvars:
@@ -560,10 +497,9 @@ def socle(gens: list[Form], nvars: int) -> list[tuple[int, int]]:
 class ApolarProfile:
     """Aggregated apolarity data of a subspace Lambda in S_d: the Hilbert
     function and minimal generators of R/ann(Lambda), and its socle as
-    ((degree, dim), ...).  apolar_profile fills in ((d, dim Lambda),), which
-    Macaulay duality gives; is_level, type (dim Soc, the sum over every
-    degree) and socle_degree read the field, whatever socle it was built
-    with."""
+    ((degree, dim), ...).  apolar_profile fills in ((d, dim Lambda),);
+    is_level, type (dim Soc, the sum over every degree) and socle_degree
+    read the field, whatever socle it was built with."""
 
     lam: Subspace
     hilbert: HilbertFunction
@@ -598,18 +534,17 @@ def _generator_lines(generators) -> list[tuple[str, str]]:
 
 
 def apolar_profile(lam: Subspace) -> ApolarProfile:
-    """Hilbert function and minimal generators from the apolar pass that
-    apolar_profile, minimal_generators and secant_decompose share, once per
-    Lambda instance; the socle is ((d, t),) with t = dim Lambda.
+    """Hilbert function and minimal generators from the apolar pass (see
+    _apolar_pass); the socle is ((d, t),) with t = dim Lambda.
 
     By Macaulay duality (Iarrobino-Kanev, LNM 1721, 1.1) R/ann(Lambda) is
     level of socle degree d and type t for every nonzero Lambda in S_d.
-    Proof: write I = ann(Lambda) and Lambda_j = R_{d-j}.Lambda, so that
-    I_j is the annihilator of Lambda_j in R_j and Lambda_j = R_1.Lambda_{j+1}.
-    Take j < d and u in R_j with x_k u in I_{j+1} for every k.  Then
-    u.(x_k.G) = (x_k u).G = 0 for each G in Lambda_{j+1}, so u kills
-    R_1.Lambda_{j+1} = Lambda_j, and u is in I_j: no socle below d.  In
-    degree d the socle is all of (R/I)_d, dual to Lambda, of dimension t.
+    Proof: with I = ann(Lambda), I_j is the annihilator of Lambda_j in R_j
+    (see _slices).  Take j < d and u in R_j with x_k u in I_{j+1} for every
+    k.  Then u.(x_k.G) = (x_k u).G = 0 for each G in Lambda_{j+1}, so u
+    kills R_1.Lambda_{j+1} = Lambda_j, and u is in I_j: no socle below d.
+    In degree d the socle is all of (R/I)_d, dual to Lambda, of dimension
+    t.
     """
     hf, gens = _apolar_pass(lam)
     return ApolarProfile(lam, hf, gens, ((lam.degree, lam.dim),))

@@ -147,8 +147,7 @@ def _cmd_tangent(args):
     elif lam.nvars == 2:
         yield "formula", levelhf.dim_stratum(ts.hilbert)
     else:
-        # no closed formula for n >= 3: the tests check the dimension against
-        # Hom_R(I, A)_0 built from the generators and syzygies of I instead
+        # no closed formula for n >= 3 (see the tangent module)
         yield "note", "n >= 3: dimension unverified against a closed formula"
 
 

@@ -8,9 +8,7 @@ The monomial order is graded lexicographic, descending, on exponent
 vectors.  For n = 2 this lists x1^m, x1^{m-1}*x2, ..., x2^m, i.e. the
 coefficient vector is indexed by the x2-exponent j = 0..m.  All canonical
 representations (printing, echelon bases, subspace equality) refer to this
-order.  A Subspace keeps its echelon rows in integers, the form every
-computation on it reads; divided_power_weights holds the weights b! of the
-divided-power coordinates (b! times the coefficient of y^b).
+order.
 """
 
 from __future__ import annotations

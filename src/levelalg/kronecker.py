@@ -6,9 +6,7 @@ lambda is subtracting k from one beta element so that the result is not
 already in the set, with sign given by the number of elements jumped over.
 The Kronecker coefficient is the class-weighted inner product of three
 characters; everything is exact integer arithmetic.  Only the `kronecker`
-subcommand computes one: the E1 tables of `resolution` need the sums
-sum_mu g(lam, rho, mu) dim S_mu(k^N), which they read off the Schur-class
-kernel of `schubert` instead.
+subcommand computes one (see resolution.e1_vanishing_table).
 """
 
 from __future__ import annotations
@@ -117,8 +115,8 @@ def dvir_bound_ok(lam, rho, mu) -> bool:
     Kronecker coefficient is nonzero (J. Algebra 154 (1993)).
 
     Its permutations and its conjugate form len(mu) <= |lam intersect rho'|
-    hold too.  No library route applies it: the E1 tables read the sums
-    of Kronecker coefficients they need off Schur classes instead.
+    hold too.  No library route applies it (see
+    resolution.e1_vanishing_table).
     """
     lam, rho, mu = check_partition(lam), check_partition(rho), check_partition(mu)
     if not rho:

@@ -1,60 +1,15 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, with no floating point.
 
-Matrices are lists of rows of Fraction at the boundary; inside, one
-elimination loop (_sparse_echelon) does every rank, echelon form and kernel
-on sparse integer rows ({column: nonzero entry} dicts).  It reduces each
-incoming row against the pivot row of its lead (least) column and divides
-the result by its content: the primitive-part rule of Collins (J. ACM 14,
-1967) in place of the Bareiss division (Math. Comp. 22, 1968).  The pivot
-row of the k-th lead (from 0) is then the primitive vector on the line
-that some m <= k + 1 input rows and m - 1 zero columns cut out, so it
-divides a vector of m-minors of the input (Cramer): it stays within
-Hadamard's bound on the k-th Bareiss row, a vector of (k + 1)-minors, and
-where the input is wide it stays far narrower.  A
-back-reduction clears each pivot row at the other pivot columns, which
-gives the reduced row echelon form row by row over its content.  The pivot
-rule is deterministic (first nonzero column) and every output is a function
-of the row space alone, so echelon forms, kernels and the canonical
-subspaces built on them are reproducible.
-
-The loop takes two private arguments, for callers that know more than
-the rows: stop, an upper bound on the rank that the caller proves, at
-which it takes no further row (the apolar pass bounds the rank of
-R_1.I_{j-1} by dim I_j - f_j at every n, since R_1.I_{j-1} lies in I_j,
-with f_j the Hilbert-Burch count at n = 2 and 0 otherwise; the derivative
-chain bounds that of its span of Lambda_j by dim S_j), and start, the
-pivot rows of an earlier forward pass to go on from (the derivative chain
-eliminates x1.Lambda_{j+1} first, to read which leads it gave, then the
-rest of its span).
-
-The readers: sparse_rank counts the pivots of the forward pass alone;
-sparse_kernel reads the primitive kernel vectors, one per free column, off
-the back-reduced rows; echelon_kernel solves for them with the columns
-reversed, which makes them the reduced echelon basis, by back substitution
-over the forward rows (_back_substitution), one solve per kernel vector,
-and back-reduces no row: the kernels it serves (inverse systems, subspace
-intersections) are small beside the rank; integer_echelon writes the
-reduced echelon form times its least common denominator.  The layer's one
-modular routine, certified_rank, ranks wide rows of which many are
-dependent: a forward pass mod PRIME picks the rows that become pivots, the
-core eliminates those alone, _back_substitution gives their kernel (in the
-original columns: sparse_kernel's vectors), and every other row is checked
-against it exactly, with sparse_rank as the fallback.  The Fraction front
-ends (rref, rank, right_kernel) scale each row by the lcm of its
-denominators and enter through integer_echelon and sparse_kernel; in the
-library only apolarity.hilbert_function still reaches rank and rref.
-Dense integer rows enter through _sparse_rows, which drops zero rows and
-repeats: the row space, hence every output, does not change.  Its callers
-are integer_echelon (so rref, rank and forms.Subspace.from_rows),
-right_kernel and forms.subspace_intersect.  The rows of apolarity's
-derivative chain, socle and apolar pass, of secant's Hankel ranks and of
-the tangent route are sparse from the start and go to the core, or to
-sparse_rank and sparse_kernel, as they are; the chain and the socle hold
-theirs in reversed columns, and the chain reads its kernels straight off
-_kernel.  Determinants keep a dense
-forward loop of their own (_integer_det): their matrices are small and
-square, and a shared loop took about 1.6x as long on them.  No
-floating point enters anywhere.
+Matrices are lists of rows of Fraction at the boundary; the front ends
+rref, rank, right_kernel and det scale each row to integers.  Inside, one
+elimination loop on sparse integer rows ({column: nonzero entry}),
+_sparse_echelon, does every rank, echelon form and kernel; its docstring
+argues its pivot rule and the size of its rows.  sparse_rank counts the
+pivots of a forward pass, sparse_kernel reads the kernel off the
+back-reduced rows, echelon_kernel solves for its reduced echelon basis,
+integer_echelon writes the reduced echelon form in integers, and
+certified_rank ranks modulo a prime and checks the rank exactly.  Dense
+rows enter through _sparse_rows; determinants keep a loop of their own.
 """
 
 from __future__ import annotations
@@ -81,7 +36,8 @@ def _integer_row(row) -> list[int]:
 
 def _sparse_rows(m) -> list[dict[int, int]]:
     """The integer rows m (an iterable) as {column: nonzero entry} rows, each
-    distinct nonzero row once, in order of first occurrence."""
+    distinct nonzero row once, in order of first occurrence: dropping zero
+    rows and repeats keeps the row space, hence every output of the core."""
     return [{c: x for c, x in enumerate(row) if x} for row in dict.fromkeys(map(tuple, m))
             if any(row)]
 
@@ -116,16 +72,26 @@ def _sparse_echelon(rows, back: bool, stop: int | None = None,
     from determinants.
 
     Each incoming row is reduced against the pivot row whose column is its
-    lead, then divided by its content, until its lead is no pivot column
-    (it becomes a pivot row) or it vanishes.  The pivot rows start as those
-    of start (a forward pass of this loop over other rows, not changed), or
-    none.  stop is an upper bound on the rank of start's rows and rows
-    together that the caller proves (None for no bound): once there are
-    stop pivot rows they hold that rank, every later row would vanish, and
-    no further row is taken from rows.  With back, each pivot row is then
-    cleared at the later pivot columns, from the last one up, so that it is
-    zero at every other pivot column: up to sign, the rows are the reduced
-    row echelon form's over their contents.  Input rows are not changed.
+    lead, then divided by its content, until its lead is no pivot column (it
+    becomes a pivot row) or it vanishes: the primitive-part rule of Collins
+    (J. ACM 14, 1967) in place of the Bareiss division (Math. Comp. 22,
+    1968).  The pivot row of the k-th lead (from 0) is then the primitive
+    vector on the line that some m <= k + 1 input rows and m - 1 zero
+    columns cut out, so it divides a vector of m-minors of the input
+    (Cramer): it stays within Hadamard's bound on the k-th Bareiss row, a
+    vector of (k + 1)-minors, and where the input is wide it stays far
+    narrower.  The pivot rule is deterministic (first nonzero column) and
+    every output is a function of the row space alone, so echelon forms,
+    kernels and the canonical subspaces built on them are reproducible.  The
+    pivot rows start as those of start (a forward pass of this loop over
+    other rows, not changed), or none.  stop is an upper bound on the rank
+    of start's rows and rows together that the caller proves (None for no
+    bound): once there are stop pivot rows they hold that rank, every later
+    row would vanish, and no further row is taken from rows.  With back,
+    each pivot row is then cleared at the later pivot columns, from the last
+    one up, so that it is zero at every other pivot column: up to sign, the
+    rows are the reduced row echelon form's over their contents.  Input rows
+    are not changed.
     """
     pivots: dict[int, dict[int, int]] = dict(start) if start else {}
     for row in rows if len(pivots) != stop else ():
@@ -284,9 +250,8 @@ def certified_rank(rows: list[dict[int, int]], ncols: int) -> tuple[int, list | 
     is sparse_rank's, with no kernel (None): it costs time, never a wrong
     answer.  The Las Vegas rank of sparse exact linear algebra (Kaltofen
     and Saunders, AAECC-9, LNCS 539, 1991; Dumas, Saunders and Villard,
-    J. Symbolic Comput. 32, 2001).  It pays where many rows are dependent
-    and the exact pivot rows grow wide; where they stay narrow the core
-    alone is faster."""
+    J. Symbolic Comput. 32, 2001).  Where it pays: see
+    tangent.tangent_space."""
     kept = _modular_pivot_rows(rows, ncols)
     pivots = _sparse_echelon([rows[i] for i in kept], False)
     kernel = _back_substitution(pivots, range(ncols))
@@ -352,8 +317,8 @@ def right_kernel(m: Matrix, ncols: int | None = None) -> list[Vector]:
 def _integer_det(m: list) -> int:
     """det of a square integer matrix, unchecked, by fraction-free (Bareiss)
     forward elimination: every division is exact, and each row swap flips
-    the sign.  The library's one determinant: det runs it on rows scaled to
-    integers, and schubert's skew Schur dimensions on binomial matrices."""
+    the sign.  The library's one determinant, kept apart from the core:
+    its matrices are small, square and dense."""
     m = [row[:] for row in m]
     size, sign, prev = len(m), 1, 1
     for k in range(size - 1):

@@ -93,8 +93,7 @@ def lascoux_ranks(t: int, d: int, i: int, r: int) -> ResolutionTable:
     C(R-r+C, C) survivors are enumerated, in the order of
     partitions_in_box(R, C).  A box over CELL_CAP cells, or with more
     than PARTITION_CAP survivors, raises CapExceededError before any is
-    enumerated.  A rank bound r above t(d-i+1) is rejected, as
-    porteous_class rejects it.
+    enumerated.  The domain is _check_locus's.
     """
     return _resolution_table(t, d, i, r, _survivors(t, d, i, r))
 
@@ -216,11 +215,10 @@ def c1_c2_analysis(t: int, d: int, i: int, r: int) -> ComponentReport:
     """Evaluate the numerical hypotheses C1 and C2 for Le(i, r).
 
     C2 is the inequality r - (d-i)(i-r) >= t; when it holds the witness
-    Hilbert function is attached.  C2 is read off the inequality alone: at
-    i = d, r = t with d > 2t it holds although c2_witness_hf's witness
-    misses h_{i-1} = i there.  C1 is reported as: every candidate component has
-    codimension equal to the degeneracy bound.  A rank bound r above
-    t(d-i+1) is rejected, as porteous_class rejects it.
+    Hilbert function is attached.  C2 is read off the inequality alone,
+    also where the witness misses h_{i-1} = i (see c2_witness_hf).  C1 is
+    reported as: every candidate component has codimension equal to the
+    degeneracy bound.  The domain is _check_locus's.
 
     The candidates are built from their partitions alone, without
     enumerating the level Hilbert functions of type (t, d): see

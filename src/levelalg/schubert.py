@@ -6,9 +6,7 @@ Littlewood-Richardson rule with silent truncation to the box, which is the
 cup product on the Grassmannian.  Porteous' formula turns Chern classes of
 the virtual bundle F - E into fundamental classes of rank-degeneracy loci;
 they are Schur classes of several copies of the tautological roots, the
-kernel the E1 tables of `resolution` read too.  That kernel multiplies by
-skew Schur dimensions, integer binomial determinants, and computes no
-Littlewood-Richardson coefficient.
+kernel the E1 tables of `resolution` read too (see _schur_of_copies).
 """
 
 from __future__ import annotations
@@ -351,9 +349,8 @@ def porteous_class(t: int, d: int, i: int, r: int) -> SchubertClass:
     c(F - E) = c(Q)^{d-i+1} and c(Q) = sum_k {k} (Fulton, Intersection
     Theory, 14.4).  So c_k(F - E) is h_k of d-i+1 copies of the Chern roots
     of S*, and the determinant is the Schur class of the rectangle
-    (f-r)^(e-r) in those copies (Macdonald, Symmetric Functions, I.3),
-    which _schur_of_copies expands from its smaller side with skew Schur
-    dimensions in place of Littlewood-Richardson products.  The class is
+    (f-r)^(e-r) in those copies (Macdonald, Symmetric Functions, I.3; see
+    _schur_of_copies).  The class is
     supported on the locus when the locus has the expected codimension
     (e-r)(f-r), and is its fundamental class only when the locus is also
     generically reduced; otherwise it counts each component with its

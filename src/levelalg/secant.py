@@ -2,9 +2,9 @@
 
 A secant plane is always carried by its apolar operator u: the plane is the
 projectivisation of the forms of degree d killed by u, which by Jordan's
-lemma has dimension deg u (so projective dimension deg u - 1).  Operators
-of degree d + 1 are allowed and carry the whole ambient space.  No roots
-are ever extracted; every computation stays inside the rationals.
+lemma has dimension deg u (so projective dimension deg u - 1); see
+SecantPlane for degree d + 1.  No roots are ever extracted; every
+computation stays inside the rationals.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from math import lcm, prod
 from operator import mul
 
 from .apolarity import (_apolar_pass, _condition_rows, _contract, _dense, _divided_power_row,
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .forms import Form, Subspace
 from .levelhf import HilbertFunction, dim_stratum, q_sequence
-from .linalg import QQ, Matrix, _integer_row, det, sparse_rank
+from .linalg import QQ, Matrix, _integer_det, _integer_row, sparse_rank
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,6 @@ class SecantPlane:
 
     def subspace(self) -> Subspace:
         """(u)^{-1}_d: the degree-d forms apolar to u, of dimension q."""
-        # q = d + 1 kills all of S_d, and inverse_system_slice gives S_d
         return inverse_system_slice([self.apolar_form], self.apolar_form.nvars,
                                     self.ambient_degree)
 
@@ -76,8 +76,7 @@ def secant_decompose(lam: Subspace) -> list[SecantPlane]:
     of forms apolar to it, and the intersection of all the planes is
     exactly Lambda.  The equality is certified and a failure signals an
     internal bug.  The Hilbert function and the generators come from the
-    apolar pass shared with apolar_profile and minimal_generators, once per
-    Lambda instance.
+    apolar pass (see apolarity._apolar_pass).
 
     The certificate, with J the ideal the u_k generate: the condition rows
     of the u_k (apolarity._condition_rows, spanning J_d in R_d) pair to 0
@@ -311,19 +310,21 @@ def stacked_catalecticant_det(forms: list[Form], s: int) -> Fraction:
 
     Square means t(d-s+1) = s+1; the determinant vanishes iff the span of
     the forms lies on a secant (s-1)-plane.  In the non-square case the
-    canonical invariant is the rank, reported through NotSquareError: the
-    linalg.sparse_rank of every form's integer Hankel rows at index d - s,
-    scaled as hankel_rank scales them.  The shape is read off t, d and s,
-    so that case builds no Fraction matrix.
+    canonical invariant is the rank, reported through NotSquareError.  Both
+    read each form F's integer Hankel rows at index d - s, built once and
+    scaled by den_F, the lcm of F's denominators, as hankel_rank scales
+    them: the rank is their linalg.sparse_rank, the determinant their
+    linalg._integer_det over prod_F den_F^(d-s+1) (F holds d-s+1 rows).
     """
     d = _stacked_degree(forms, s)
     nrows, ncols = len(forms) * (d - s + 1), s + 1
+    rows = [row for f in forms for row in _hankel_rows(f, d - s, _integer_row(f.vector()))]
     if nrows != ncols:
-        r = sparse_rank([row for f in forms
-                         for row in _hankel_rows(f, d - s, _integer_row(f.vector()))])
+        r = sparse_rank(rows)
         raise NotSquareError(f"stacked matrix is {nrows} x {ncols}; rank condition instead: "
                              f"rank {r} vs bound {s}", rank=r, bound=s)
-    return det(stacked_hankel(forms, s))
+    return QQ(_integer_det([_dense(row, ncols) for row in rows]),
+              prod(lcm(*[x.denominator for x in f.vector()]) for f in forms) ** (d - s + 1))
 
 
 def hypersurface_case(t: int, d: int) -> tuple[int, int] | None:

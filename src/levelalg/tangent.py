@@ -8,61 +8,8 @@ i and every u in I_i, sum_M omega(u x^M) (x) y^M lies in the image V_i of
 (R/I)_i in (R_d/I_d) (x) S_{d-i}.  This works for any number of variables;
 for n = 2 the dimension must equal sum e_l h_l (levelhf.dim_stratum), and
 for n >= 3 the tests check it against Hom_R(I, A)_0 built from the
-generators and syzygies of I.
-
-The route reads the slices I_j held on Lambda, computed once per Lambda
-instance for every reader (apolarity._slices: read off divisibility where
-Lambda is spanned by monomials, else down the derivative chain of Lambda),
-and h_j = dim R_j - dim I_j, held with them and read in one step.  The
-slices are sparse {column: entry} rows, each the reduced echelon row times
-a positive factor, so a row's lead is its least column; every row is
-written with its columns in increasing order (apolarity._slices), so the
-route reads that lead as the row's first key, next(iter(row)), in the lead
-rule, in the block offsets of I_d and in the residuals, where min(row)
-would scan the row.  A degree whose slice is empty is skipped before any
-lead is read.  The route stays in integers, and its matrices are sparse.
-So on the row route the residuals, the V_i rows, the functionals and the
-constraint rows are {column: entry} rows too, the form linalg's one
-elimination core takes, which keeps every row over its content.  The
-functionals linalg.sparse_kernel reads off each V_i are the rational ones
-times positive factors, so every constraint keeps its zero set.  The
-dimension is the number of unknowns less the rank of the constraint rows,
-which linalg.sparse_rank takes by a forward pass alone (but see the route
-choice and the graph route); the TangentSpace keeps those rows and takes
-their sparse_kernel only on the first access to its basis.
-
-The graph route.  Where every echelon row of I_d is a unit vector (I_d is
-spanned by monomials, as at every Burch point and monomial subspace, or
-I_d = 0), every constraint row is 1 at one unknown or +-1 at two, over its
-content: the system is the incidence system of a graph on the unknowns and
-one ground vertex.  The route then builds no V_i row, functional or
-constraint row: a union-find over that graph gives the rank (its forest's
-edges), the number of rows (one per kept generator u and column of V_i
-that leads no V_i row) and, on the first access to the basis, the kernel
-(the indicator vector of each component without ground, in the order of
-their largest columns).  These are the dimension, the shape and the basis
-of the row route; the proof is _forest's docstring.  Every other point
-takes the row route: sparse_kernel of each V_i, and the constraint rows.
-
-The route choice.  At n >= 3 (MODULAR_NVARS), when some constraint entry
-is wider than the 61-bit prime of linalg.certified_rank (MODULAR_BITS),
-the rank is that routine's instead: a forward pass mod the prime picks the
-rows that become pivots, the exact core eliminates those alone, and every
-other row is checked, exactly, against the kernel they give, which the
-TangentSpace then keeps as its basis's kernel.  The rule reads the input
-alone.  Below it the core's content division keeps the pivot rows narrow
-and dependent rows are rare, so the forward pass of sparse_rank is the
-cheaper rank; wide rows with many dependent ones, as at seeded power-sum
-spans in three or more variables, are where the certified route pays.
-
-The lead rule.  The conditions are R-linear, so the generators of I
-already cut out the tangent space.  In degree i the route drops the rows of
-I_i whose lead is x_k times a lead of I_{i-1}, when degree i-1 is
-constrained too: if w witnesses the condition of u, x_k w witnesses that of
-x_k u.  The slices are reduced echelon for an order that multiplying by x_k
-keeps (first nonzero index), so a dropped row minus x_k times a row of
-degree i-1 has a later lead: the kept rows span I_i modulo R_1 I_{i-1}, and
-the tangent space does not change.
+generators and syzygies of I.  The route choice is argued in
+tangent_space, the lead rule in _lead_generators, the graph route in _forest.
 """
 
 from __future__ import annotations
@@ -77,9 +24,7 @@ from .forms import Subspace, monomial_products, space_dim
 from .levelhf import HilbertFunction
 from .linalg import QQ, certified_rank, sparse_kernel, sparse_rank
 
-# The constraint rows are ranked by linalg.certified_rank, not sparse_rank,
-# at n >= MODULAR_NVARS when some entry is wider than MODULAR_BITS, the
-# width of its prime (module docstring)
+# where linalg.certified_rank ranks the constraint rows (see tangent_space)
 MODULAR_NVARS, MODULAR_BITS = 3, 61
 
 
@@ -129,16 +74,25 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
                   degrees=None) -> TangentSpace:
     """Tangent space at Lambda to the stratum of its Hilbert function.
 
-    The unknowns are the entries of omega: I_d -> R_d/I_d.  By the lead rule
-    (module docstring) only the echelon rows of I_i whose lead is not x_k
-    times a lead of I_{i-1} are used.  Where I_d is spanned by monomials the
-    conditions are edges of a graph, ranked by a union-find (_forest, the
-    graph route).  Elsewhere V_i's functionals come from
-    linalg.sparse_kernel, every row is a sparse {column: entry} row, and the
-    constraint rows are ranked by linalg.sparse_rank.  At n >= 3 power-sum
-    spans they are denser and carry entries of up to hundreds of bits; where
-    one is wider than 61 bits, linalg.certified_rank ranks them (the route
-    choice of the module docstring).
+    The unknowns are the entries of omega: I_d -> R_d/I_d; the conditions
+    are those of the rows of I_i that the lead rule keeps (see
+    _lead_generators), read off the slices held on Lambda (see
+    apolarity._slices), in integers.
+
+    The route choice, read off the input alone.  Where every echelon row of
+    I_d is a unit vector (I_d is spanned by monomials, as at every Burch
+    point and monomial subspace, or I_d = 0), the conditions are the edges
+    of a graph, ranked by a union-find with no row built (the graph route;
+    see _forest).  Elsewhere (the row route) V_i's functionals are
+    linalg.sparse_kernel's, the rational ones times positive factors, so
+    every constraint row keeps its zero set, and the constraint rows are
+    ranked by the forward pass of linalg.sparse_rank, their kernel left to
+    the first access to the basis; or, at n >= MODULAR_NVARS where some
+    entry is wider than MODULAR_BITS (its prime's width), by
+    linalg.certified_rank, whose kernel the basis then reads.  That routine
+    pays on wide rows of which many are dependent, as at power-sum spans in
+    three or more variables; below the rule the rows stay narrow and
+    dependent ones are rare, and the forward pass is the cheaper rank.
 
     `degrees` restricts the constraints to a subset of 1..d-1 (the default),
     i.e. computes the tangent space of an intersection of fewer rank loci;
@@ -151,8 +105,6 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
     wanted = list(range(1, d) if degrees is None else degrees)
     if any(not 0 <= i <= d for i in wanted):
         raise DegreeError(f"constraint degrees {wanted} not all in 0..{d}")
-    # the slices I_j held on lam, each a sparse row, its RREF row times a
-    # positive factor; h_j = dim R_j - dim I_j
     slices, hilbert = _slices(lam)
     if h is not None and hilbert.values != h.values:
         raise HilbertMismatchError(
@@ -186,8 +138,7 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
                 for c, x in residuals[k]:
                     row[c * nlow + m_idx] = x
             v_rows.append(row)
-        # membership in V_i: the right kernel of V_i holds, up to
-        # positive factors, the residual functionals
+        # membership in V_i: its right kernel holds the residual functionals
         # z_l = e_l - sum_k V_k[l] e_{piv_k} of its RREF rows V_k, one per
         # non-pivot coordinate l
         functionals = [[divmod(a, nlow) + (x,) for a, x in z.items()]
@@ -213,7 +164,7 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
                     rows.append(row)
     # the dimension is the number of unknowns less the rank; the basis is
     # left to the first access, and so is the kernel, unless the modular
-    # route certified it (module docstring)
+    # route certified it (the route choice above)
     if n >= MODULAR_NVARS and any(x.bit_length() > MODULAR_BITS
                                   for row in rows for x in row.values()):
         rank, kernel = certified_rank(rows, ncols)
@@ -225,9 +176,18 @@ def tangent_space(lam: Subspace, h: HilbertFunction | None = None,
 
 def _lead_generators(slices, n: int, d: int, wanted: set) -> list:
     """(i, kept, leads) for each degree i in wanted, 0 < i < d, that keeps a
-    row of I_i by the lead rule (module docstring): kept the rows of I_i
-    whose lead is not x_k times a lead of I_{i-1}, when degree i - 1 is
-    constrained (I_0 = 0), and leads the set of every lead of I_i."""
+    row of I_i by the lead rule: kept the rows of I_i whose lead is not x_k
+    times a lead of I_{i-1}, when degree i - 1 is constrained (I_0 = 0),
+    and leads the set of every lead of I_i.
+
+    The lead rule leaves the tangent space as it is.  Proof: the conditions
+    are R-linear, so the generators of I already cut out the tangent space:
+    if w witnesses the condition of u, x_k w witnesses that of x_k u, so
+    degree i - 1, when constrained, imposes those of R_1 I_{i-1}.  The
+    slices are reduced echelon for an order that multiplying by x_k keeps
+    (first nonzero index), so a dropped row minus x_k times a row of degree
+    i - 1 has a later lead: the kept rows span I_i modulo R_1 I_{i-1}, and
+    the tangent space does not change."""
     out = []
     lower: set[int] = set()  # x_k times the leads of I_{i-1}, if constrained
     for i, ii_rows in enumerate(slices[1:d], start=1):
@@ -254,49 +214,47 @@ def _forest(generators, offset, n: int, d: int, tq: int) -> tuple:
     so every kept generator u, is a unit vector x^q, and u x^M is the pivot
     monomial of the row k(M) of I_d for every M of degree d - i.  Each
     residual of a monomial of R_d mod I_d is empty (a pivot monomial) or one
-    entry D at one free position, D the lcm of the unit leads.  So, with
-    f_c the monomial at free position c, the column (c, M) of V_i is
-    touched by the row of w = f_c / x^M where x^M divides f_c (w is no
-    pivot of I_i, as w x^M is none of I_d) and by no row where it does not
-    (_quotients): the rows of V_i have disjoint supports and every entry D,
-    and each is nonzero (a w that is no pivot of I_i = (I_d : R_{d-i}) has
-    some w x^M that is none of I_d).  Over their contents they are
-    their own reduced echelon form, and linalg.sparse_kernel's functional
-    at a column (c, M) that leads no row is e_(c, M) if no row touches it,
-    else e_(c, M) - e_(c', M') with (c', M') the lead (least column) of the
-    row that holds it; a lead gives none.  Applied to u these give the
-    residuals: for each (u, column) pair exactly one nonzero row,
-    omega_{k(M), c} (an untouched column) or omega_{k(M), c} -
-    omega_{k(M'), c'}, times the entry of u, and k(M) != k(M') since a row
-    of V_i holds one column for each M.  So each row has +-1 at two
-    distinct unknowns, or 1 at one, over its content: the incidence rows of
-    the graph whose edges join the two unknowns, or the one to ground, with
-    ground's column dropped.  The rank of a graph's incidence rows is the
-    number of edges of a spanning forest (the edges of a cycle sum to zero
-    with signs, a forest's are independent, and ground's column is minus
-    the sum of its component's others), the edges a union-find joins two
-    roots by.  The kernel is the vectors constant on each component and 0
-    on ground's: the indicator vector of each component without ground.
-    The rows of such a component C span the sum-zero vectors on C, whose
-    reduced echelon form has every column of C but the largest as a pivot,
-    so C's largest column is its one free column and C's indicator, over
-    its entry there, is sparse_kernel's vector of that column; over all
-    components these come in the order of their largest columns (a
-    component's columns are no other's).  Here each union hangs the smaller
-    root under the larger and ground is numbered after every unknown, and
-    path halving only moves a vertex under a later one, so every parent
-    follows its child: ground stays a root, and each other root is its
-    component's largest column (_components)."""
+    entry D at one free position, D the lcm of the unit leads.  So, with f_c
+    the monomial at free position c, the column (c, M) of V_i is touched by
+    the row of w = f_c / x^M where x^M divides f_c (w is no pivot of I_i, as
+    w x^M is none of I_d) and by no row where it does not (_quotients): the
+    rows of V_i have disjoint supports and every entry D, and each is
+    nonzero (a w that is no pivot of I_i = (I_d : R_{d-i}) has some w x^M
+    that is none of I_d).  Over their contents they are their own reduced
+    echelon form, and linalg.sparse_kernel's functional at a column (c, M)
+    that leads no row is e_(c, M) if no row touches it, else e_(c, M) -
+    e_(c', M') with (c', M') the lead (least column) of the row that holds
+    it; a lead gives none.  Applied to u these give the residuals: for each
+    (u, column) pair exactly one nonzero row, omega_{k(M), c} (an untouched
+    column) or omega_{k(M), c} - omega_{k(M'), c'}, times the entry of u,
+    and k(M) != k(M') since a row of V_i holds one column for each M.  So
+    each row has +-1 at two distinct unknowns, or 1 at one, over its
+    content: the incidence rows of the graph whose edges join the two
+    unknowns, or the one to ground, with ground's column dropped.  The rank
+    of a graph's incidence rows is the number of edges of a spanning forest
+    (the edges of a cycle sum to zero with signs, a forest's are
+    independent, and ground's column is minus the sum of its component's
+    others), the edges a union-find joins two roots by.  The kernel is the
+    vectors constant on each component and 0 on ground's: the indicator
+    vector of each component without ground.  The rows of such a component C
+    span the sum-zero vectors on C, whose reduced echelon form has every
+    column of C but the largest as a pivot, so C's largest column is its one
+    free column and C's indicator, over its entry there, is sparse_kernel's
+    vector of that column; over all components these come in the order of
+    their largest columns (a component's columns are no other's).  Here each
+    union hangs the smaller root under the larger and ground is numbered
+    after every unknown, and path halving only moves a vertex under a later
+    one, so every parent follows its child: ground stays a root, and each
+    other root is its component's largest column (_components)."""
     ground = len(offset) * tq
     parent = list(range(ground + 1))
     # the monomials of R_d that are no pivot of I_d, by free position c
     free = [k for k in range(space_dim(n, d)) if k not in offset]
     nrows = rank = 0
     for i, kept, _ in generators:
-        # one edge for each column (c, M) of V_i, in column order, that leads
-        # no V_i row: (M, c, M', c') with (c', M') the lead of its row, the
-        # row of w = f_c / x^M, or (M, c, None, None) to ground where x^M
-        # does not divide f_c; a row's first column is its lead
+        # the edges of the columns (c, M) of V_i that lead no V_i row, in
+        # column order: (M, c, M', c') with (c', M') the lead of the row of
+        # w = f_c / x^M, or (M, c, None, None) where x^M does not divide f_c
         edges, lead_of, over = [], {}, _quotients(n, i, d - i)
         for c, f in enumerate(free):
             for m_idx, w in enumerate(over[f]):

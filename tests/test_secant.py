@@ -14,7 +14,7 @@ from levelalg.errors import (
 )
 from levelalg.forms import Form, Subspace, form_parse, form_print, monomials
 from levelalg.levelhf import HilbertFunction, dim_stratum
-from levelalg.linalg import rank
+from levelalg.linalg import det, rank
 from levelalg.secant import (
     GAD,
     SecantPlane,
@@ -294,6 +294,27 @@ def test_the_hankel_ranks_are_h_of_the_held_chain():
             assert err.value.rank == rank(stacked_hankel(forms, s)), (forms, s)
             cases += 1
     assert cases > 2000
+
+
+def test_the_square_stacked_det_is_the_fraction_det():
+    # the square determinant, read off the integer Hankel rows, against the
+    # Fraction det of stacked_hankel at every square shape t(d-s+1) = s+1
+    # with t <= 3 and d <= 11, seeded forms with integer and with
+    # fractional coefficients, zero forms and scaled repeats mixed in
+    rng = random.Random(53)
+    shapes = [(t, d, s) for t in (1, 2, 3) for d in range(1, 12) for s in range(d + 1)
+              if t * (d - s + 1) == s + 1]
+    fractional = nonzero = 0
+    for t, d, s in shapes:
+        for _ in range(20):
+            forms = [random_binary_form(rng, d) for _ in range(t)]
+            if t > 1 and rng.random() < 0.2:
+                forms[-1] = forms[0].scale(Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+            value = stacked_catalecticant_det(forms, s)
+            assert value == det(stacked_hankel(forms, s)), (forms, s)
+            fractional += any(x.denominator > 1 for f in forms for x in f.vector())
+            nonzero += value != 0
+    assert len(shapes) >= 10 and fractional >= 50 and nonzero >= 50
 
 
 def test_hankel_rank_of_the_zero_form_checks_its_index():

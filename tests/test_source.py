@@ -1,6 +1,11 @@
 import ast
+import importlib
+import io
 import pathlib
+import re
 import sys
+import tokenize
+from functools import cached_property
 
 import levelalg
 
@@ -30,6 +35,76 @@ def test_library_imports_only_the_standard_library():
             if module not in sys.stdlib_module_names and module != "levelalg"] == []
 
 
+def _prose_matches(pattern):
+    """(module path, line, match) for every match of pattern in a docstring
+    or comment of a library module."""
+    package = pathlib.Path(levelalg.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        src = path.read_text(encoding="utf-8")
+        prose = [(node.body[0].lineno, ast.get_docstring(node, clean=False))
+                 for node in ast.walk(ast.parse(src))
+                 if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                 and ast.get_docstring(node) is not None]
+        prose += [(tok.start[0], tok.string)
+                  for tok in tokenize.generate_tokens(io.StringIO(src).readline)
+                  if tok.type == tokenize.COMMENT]
+        for line, text in prose:
+            for match in pattern.finditer(text):
+                yield path, line + text.count("\n", 0, match.start()), match
+
+
+# a number with a unit of time (ms, µs, us, s), or a number followed by x
+MEASUREMENT = re.compile(r"(?<![\w.])\d+(?:\.\d+)?(?:\s?(?:ms|µs|us|s)\b|x\b)")
+
+
+def test_no_docstring_or_comment_quotes_a_measurement():
+    # timings and speed ratios go stale with the code and the host; they
+    # belong in CHANGES.md, next to how they were taken
+    assert [f"{path.name}:{line}: {match.group()}"
+            for path, line, match in _prose_matches(MEASUREMENT)] == []
+
+
+# "see name" in prose; a name is checked when it reads as code: it holds a
+# dot or an underscore, or a capital after its first letter (a class name)
+POINTER = re.compile(r"\bsee\s+([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)")
+
+
+def _resolves(module, name: str) -> bool:
+    """Whether name is a function, class, method or property of module (a
+    bare name must be defined there) or, dotted, module.name of a library
+    module."""
+    head, *rest = name.split(".")
+    path = pathlib.Path(module.__file__)
+    defined = {node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    if head in defined:
+        obj = getattr(module, head)
+    elif rest and (path.parent / f"{head}.py").exists():
+        obj = importlib.import_module(f"levelalg.{head}")
+    else:
+        return False
+    for attr in rest:
+        obj = vars(obj).get(attr) if isinstance(obj, type) else getattr(obj, attr, None)
+        if obj is None:
+            return False
+    return callable(obj) or isinstance(obj, (property, cached_property))
+
+
+def test_every_see_pointer_names_a_function_or_class():
+    # a proof has one home; every other place points at it with "see name",
+    # and a pointer must not outlive the function it names
+    stale, checked = [], 0
+    for path, line, match in _prose_matches(POINTER):
+        name = match.group(1)
+        if "_" in name or "." in name or any(c.isupper() for c in name[1:]):
+            module = importlib.import_module(
+                "levelalg" if path.stem == "__init__" else f"levelalg.{path.stem}")
+            checked += 1
+            if not _resolves(module, name):
+                stale.append(f"{path.name}:{line}: see {name}")
+    assert stale == [] and checked >= 20
+
+
 # Public functions that no library function or CLI subcommand calls, each
 # kept for the reason given.  Any other such function is an orphan.
 UNCALLED_PUBLIC_FUNCTIONS = {
@@ -40,6 +115,10 @@ UNCALLED_PUBLIC_FUNCTIONS = {
     "subspace_intersect": "row-space intersection in the README tour",
     "right_kernel": "exported and named in the README's linalg line: the Fraction "
                     "kernel the tests' reference routes take",
+    "det": "exported and named in the README's linalg line: the Fraction determinant "
+           "the tests' reference for stacked_catalecticant_det takes",
+    "stacked_hankel": "the exported Fraction view of the stacked Hankel matrix; the "
+                      "tests' reference for stacked_catalecticant_det",
     "lr_coefficient": "the benchmark reads its cache statistics",
     "character": "the benchmark reads its cache statistics; the tests' character oracle",
     "class_of": "builds the Schubert classes of the acceptance tests",

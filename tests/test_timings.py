@@ -1,7 +1,8 @@
 """Smoke test of tools/timings.py, the timings of CI's job summary: its
-in-process cases run and print their lines, its counting patches are undone,
-a CLI case times the call in a fresh interpreter, and its gates fail on a
-non-zero exit and on the wrong md5."""
+in-process cases run and print their lines, its source counts give each
+module's docstring lines, its counting patches are undone, a CLI case times
+the call in a fresh interpreter, and its gates fail on a non-zero exit and
+on the wrong md5."""
 
 import hashlib
 import importlib.util
@@ -35,6 +36,20 @@ def test_the_in_process_cases_print_their_lines_and_undo_their_patches():
         assert any(lines) and all(isinstance(line, str) for line in lines), case.__name__
     assert all(getattr(module, name) is func
                for (module, name), func in zip(PATCHED, before))
+
+
+def test_source_counts_give_each_module_its_docstring_lines():
+    src = '"""Module\n\ndoc."""\n\n\ndef f():\n    """One."""\n    # a comment\n    return 1\n'
+    assert timings.docstring_lines(src) == {1, 2, 3, 7}
+    assert timings.code_lines(src) == 2
+    lines = list(timings.source_counts())
+    rows = [line.split("|")[1:-1] for line in lines if line.startswith("| src/levelalg/")]
+    assert len(rows) == len(list((timings.ROOT / "src" / "levelalg").glob("*.py")))
+    for name, total, code, doc in rows:
+        text = (timings.ROOT / name.strip()).read_text(encoding="utf-8")
+        assert int(doc) == len(timings.docstring_lines(text)) > 0, name
+        assert int(code) + int(doc) <= int(total), name
+    assert f"src/ docstring lines: {sum(int(row[3]) for row in rows)}" in lines
 
 
 def test_a_patch_is_undone_when_the_case_raises():

@@ -110,13 +110,20 @@ def seeded_forms(n: int, d: int, count: int) -> list:
             for _ in range(count)]
 
 
-def code_lines(src: str) -> int:
-    """The lines outside docstrings, comments and blank lines."""
+def docstring_lines(src: str) -> set[int]:
+    """The numbers of the lines that module, class and function docstrings
+    span."""
     doc = set()
     for node in ast.walk(ast.parse(src)):
         if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
                 and ast.get_docstring(node) is not None):
             doc.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return doc
+
+
+def code_lines(src: str) -> int:
+    """The lines outside docstrings, comments and blank lines."""
+    doc = docstring_lines(src)
     return sum(1 for k, line in enumerate(src.splitlines(), 1)
                if k not in doc and line.strip() and not line.strip().startswith("#"))
 
@@ -125,15 +132,18 @@ def source_counts():
     """Source counts"""
     texts = {path.name: path.read_text(encoding="utf-8")
              for path in sorted((ROOT / "src" / "levelalg").glob("*.py"))}
-    rows = [(name, text.count("\n"), code_lines(text)) for name, text in texts.items()]
+    rows = [(name, text.count("\n"), code_lines(text), len(docstring_lines(text)))
+            for name, text in texts.items()]
     tests = sum(p.read_text(encoding="utf-8").count("\n") for p in (ROOT / "tests").glob("*.py"))
     init = [n for n in ast.parse(texts["__init__.py"]).body if isinstance(n, ast.ImportFrom)]
     yield f"src/ lines: {sum(r[1] for r in rows)}; tests/ lines: {tests}"
     yield f"levelalg public names: {sum(len(n.names) for n in init)}"
-    yield "\n| module | lines | code lines |\n| --- | ---: | ---: |"
-    yield from (f"| src/levelalg/{name} | {lines} | {code} |" for name, lines, code in rows)
-    code = sum(r[2] for r in rows)
+    yield "\n| module | lines | code lines | docstring lines |\n| --- | ---: | ---: | ---: |"
+    yield from (f"| src/levelalg/{name} | {lines} | {code} | {doc} |"
+                for name, lines, code, doc in rows)
+    code, doc = sum(r[2] for r in rows), sum(r[3] for r in rows)
     yield f"\nsrc/ code lines outside docstrings, comments and blank lines: {code}"
+    yield f"src/ docstring lines: {doc}"
 
 
 def tangent_6_16():
